@@ -36,6 +36,7 @@ from .symplin import (
     classify_coisotropic,
     complex_coords,
     grassmannian_dim,
+    largest_principal_angles,
     measured_grassmannian_dim,
     omega_pairing,
     principal_angles,
@@ -46,6 +47,7 @@ from .symplin import (
     standard_model,
     standard_space,
     symplectic_complement,
+    transported_frames,
 )
 from .grassmann import (
     CoisotropicLoop,

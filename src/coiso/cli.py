@@ -23,7 +23,6 @@ import dataclasses
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from math import cos, pi, sin, sqrt
 from typing import Callable, Optional
 
@@ -31,7 +30,7 @@ import numpy as np
 import jsonschema
 
 from . import __version__
-from .config import DEFAULT, Tolerances, rng, thread_count
+from .config import DEFAULT, Tolerances, rng
 from .errors import CoisoError
 from . import grassmann, hypergeo, maslov, symplin
 
@@ -286,7 +285,6 @@ def _run_maslov_index(params: dict, tol: Tolerances, seed: int) -> list:
                        residual=float(abs(idx2 - idx)), passed=idx2 == idx))
     if fam == "lagrangian-rotation":
         turns = int(params.get("family_params", {}).get("turns", 1))
-        expected = abs(n * turns - w) if False else None
         # classical oracle: winding of the squared determinant of the
         # generating unitaries, computed away from the loop machinery
         gen_det = np.exp(1j * turns * loop.thetas / 2) ** (2 * n)
@@ -382,12 +380,7 @@ def _run_hypersurface_report(params: dict, tol: Tolerances, seed: int) -> list:
     y = hypergeo.FIXTURES[fixture](fixture, params.get("fixture_params", {}))
     count = int(params.get("points", 8))
     pts = y.sample_points(count, rng(seed, 7))
-    workers = thread_count()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            reports = list(ex.map(lambda p: _hypersurface_point_report(y, p, tol), pts))
-    else:
-        reports = [_hypersurface_point_report(y, p, tol) for p in pts]
+    reports = [_hypersurface_point_report(y, p, tol) for p in pts]
     items = []
     for i, rep in enumerate(reports):
         items.append(_item(

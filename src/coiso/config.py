@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import dataclasses
 import math
-import os
 
 import numpy as np
 
@@ -68,10 +67,3 @@ def rng(seed, stream: int = 0) -> np.random.Generator:
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),))
     return np.random.Generator(np.random.Philox(ss))
 
-
-def thread_count() -> int:
-    """Worker cap from the COISO_THREADS environment variable (default 1)."""
-    try:
-        return max(1, int(os.environ.get("COISO_THREADS", "1")))
-    except ValueError:
-        return 1

@@ -6,6 +6,12 @@ onto consecutive samples.  In flat C^n that chaining is the discrete
 parallel transport, so the frame monodromy after one circuit carries the
 winding data every index computation consumes; it is retained, never
 discarded.
+
+Construction works on the stack of all M samples at once.  The generator
+is evaluated sample by sample; its M outputs are then classified by one
+stacked call, the continuity contract reads one stacked largest principal
+angle per consecutive pair, and the frames are transported sample by
+sample and checked once as a stack.
 """
 
 from __future__ import annotations
@@ -28,13 +34,14 @@ from .symplin import (
     CoisotropicSubspace,
     Subspace,
     SymplecticSpace,
-    adapted_frame,
     classify_coisotropic,
     complex_coords,
+    largest_principal_angles,
     principal_angles,
     random_unitary,
     realify,
     standard_model,
+    transported_frames,
 )
 
 __all__ = [
@@ -58,18 +65,43 @@ def _thetas(m: int) -> np.ndarray:
     return np.arange(m) * (2 * pi / m)
 
 
+def _as_subspace(value) -> Subspace:
+    if isinstance(value, CoisotropicSubspace):
+        return value.space
+    if isinstance(value, Subspace):
+        return value
+    raise TypeError("generator must return Subspace or CoisotropicSubspace")
+
+
 def _as_coisotropic(space, value, tol) -> CoisotropicSubspace:
     if isinstance(value, CoisotropicSubspace):
         return value
-    if isinstance(value, Subspace):
-        return classify_coisotropic(space, value, tol)
-    raise TypeError("generator must return Subspace or CoisotropicSubspace")
+    return classify_coisotropic(space, _as_subspace(value), tol)
+
+
+def _consecutive_angles(spaces: Subspace) -> np.ndarray:
+    """Largest principal angle from each member of a stack to the next,
+    the last one to the first."""
+    return largest_principal_angles(spaces, Subspace(np.roll(spaces.basis, -1, axis=0)))
+
+
+def _closed_chain(space, stack: CoisotropicSubspace, hint, tol):
+    """Members and transported frames of a sampled loop, with the frame
+    monodromy U_0^* U_pred, where U_pred is the last frame transported once
+    more onto sample 0."""
+    m = len(stack.space.basis)
+    frames = transported_frames(space, stack[np.append(np.arange(m), 0)], hint, tol)
+    monodromy = np.conj(frames[0].unitary().T) @ frames[-1].unitary()
+    return tuple(stack[i] for i in range(m)), frames[:-1], monodromy
 
 
 @dataclasses.dataclass(frozen=True)
 class CoisotropicLoop:
     """M uniformly sampled coisotropic subspaces with chained frames.
 
+    ``samples`` and ``frames`` are the members of the stacks the loop was
+    built from: the samples classified by one stacked call, the frames
+    transported one after the other and checked as one stack.
     ``closure_defect`` is the principal-angle distance between the
     generator's value at 2*pi and sample 0.  The subspace loop must close;
     the frames need not, and ``monodromy`` (U_0^* U_pred, where U_pred is
@@ -119,12 +151,8 @@ class CoisotropicLoop:
         return np.exp(-1j * phi * np.arange(self.m) / self.m)
 
     def consecutive_angles(self) -> np.ndarray:
-        out = np.zeros(self.m)
-        for i in range(self.m):
-            a = self.samples[i].space
-            b = self.samples[(i + 1) % self.m].space
-            out[i] = float(np.max(principal_angles(a, b))) if a.dim else 0.0
-        return out
+        """Largest principal angle from each sample to the next."""
+        return _consecutive_angles(Subspace(np.stack([s.space.basis for s in self.samples])))
 
     def resample(self, m: int, tol: Tolerances = DEFAULT) -> "CoisotropicLoop":
         if self.generator is None:
@@ -150,7 +178,8 @@ def loop_from_family(
     The generator must close: generator(0) and generator(2*pi) agree within
     ``tol.generator_closure``.  Refinement doubles the sample count up to
     ``tol.max_loop_samples`` and then raises DiscontinuousLoopError.
-    Classification failures of generator output propagate unchanged.
+    Classification failures of generator output propagate unchanged.  The
+    generator's outputs are classified together, one stacked call per M.
     """
     start = _as_coisotropic(space, generator(0.0), tol)
     end = _as_coisotropic(space, generator(2 * pi), tol)
@@ -170,12 +199,9 @@ def loop_from_family(
     m = samples
     while True:
         thetas = _thetas(m)
-        subs = [_as_coisotropic(space, generator(t), tol) for t in thetas]
-        worst = 0.0
-        for i in range(m):
-            a, b = subs[i].space, subs[(i + 1) % m].space
-            if a.dim:
-                worst = max(worst, float(np.max(principal_angles(a, b))))
+        bases = np.stack([_as_subspace(generator(t)).basis for t in thetas])
+        stack = classify_coisotropic(space, Subspace(bases), tol)
+        worst = float(np.max(_consecutive_angles(stack.space)))
         if worst < tol.consecutive_angle:
             break
         if not auto_refine or 2 * m > tol.max_loop_samples:
@@ -184,14 +210,10 @@ def loop_from_family(
             )
         m *= 2
 
-    frames = [adapted_frame(space, subs[0], hint=hint, tol=tol)]
-    for i in range(1, m):
-        frames.append(adapted_frame(space, subs[i], hint=frames[-1], tol=tol))
-    pred = adapted_frame(space, subs[0], hint=frames[-1], tol=tol)
-    monodromy = np.conj(frames[0].unitary().T) @ pred.unitary()
+    subs, frames, monodromy = _closed_chain(space, stack, hint, tol)
     return CoisotropicLoop(
-        space=space, k=k, thetas=thetas, samples=tuple(subs),
-        frames=tuple(frames), closure_defect=closure,
+        space=space, k=k, thetas=thetas, samples=subs,
+        frames=frames, closure_defect=closure,
         monodromy=monodromy, generator=generator,
     )
 
@@ -208,17 +230,16 @@ class SymplecticMatrixLoop:
     def __post_init__(self):
         a = np.asarray(self.matrices, dtype=float)
         om = self.space.omega
-        worst = max(
-            float(np.max(np.abs(ai.T @ om @ ai - om))) for ai in a
-        )
+        worst = float(np.max(np.abs(np.swapaxes(a, -1, -2) @ om @ a - om)))
         if worst > 1e-9:
             raise ValueError(f"samples not symplectic: residual {worst:.3e}")
-        for i in range(len(a)):
-            step = np.linalg.norm(a[(i + 1) % len(a)] - a[i], 2)
-            if step > 0.5:
-                raise ValueError(
-                    f"consecutive samples {i} jump by operator norm {step:.3f} > 0.5"
-                )
+        steps = np.linalg.norm(np.roll(a, -1, axis=0) - a, 2, axis=(-2, -1))
+        jumps = np.flatnonzero(steps > 0.5)
+        if jumps.size:
+            i = int(jumps[0])
+            raise ValueError(
+                f"consecutive samples {i} jump by operator norm {steps[i]:.3f} > 0.5"
+            )
         object.__setattr__(self, "matrices", a)
 
     @property
@@ -252,45 +273,39 @@ def pushforward(
     if m > tol.max_loop_samples:
         raise DiscontinuousLoopError(f"common grid M={m} exceeds the budget")
 
-    def image(mat, sub):
-        cols = mat @ sub.space.basis
-        try:
-            return classify_coisotropic(space=loop.space,
-                                        c=Subspace.from_spanning(cols), tol=tol)
-        except ClassificationError as exc:
-            raise InternalConsistencyError(
-                "symplectic image of a coisotropic subspace failed to classify"
-            ) from exc
+    failed = "symplectic image of a coisotropic subspace failed to classify"
+
+    def image(mat, value):
+        return Subspace.from_spanning(mat @ _as_subspace(value).basis)
 
     if loop.generator is not None and a.generator is not None:
         agen, lgen = a.generator, loop.generator
 
         def gen(theta, _a=agen, _l=lgen):
-            sub = _as_coisotropic(loop.space, _l(theta), tol)
-            return image(_a(theta), sub)
+            return image(_a(theta), _l(theta))
 
-        return loop_from_family(loop.space, loop.k, gen, samples=m, tol=tol)
+        try:
+            return loop_from_family(loop.space, loop.k, gen, samples=m, tol=tol)
+        except ClassificationError as exc:
+            raise InternalConsistencyError(failed) from exc
 
     # sampled data only: stay on the common grid, no refinement possible
     a = a.resample(m)
     loop_m = loop if loop.m == m else loop.resample(m, tol)
-    subs = [image(a.matrices[i], loop_m.samples[i]) for i in range(m)]
-    frames = [adapted_frame(loop.space, subs[0], tol=tol)]
-    for i in range(1, m):
-        frames.append(adapted_frame(loop.space, subs[i], hint=frames[-1], tol=tol))
-    pred = adapted_frame(loop.space, subs[0], hint=frames[-1], tol=tol)
-    monodromy = np.conj(frames[0].unitary().T) @ pred.unitary()
-    worst = 0.0
-    for i in range(m):
-        worst = max(worst, float(np.max(principal_angles(
-            subs[i].space, subs[(i + 1) % m].space))))
+    bases = np.stack([image(a.matrices[i], loop_m.samples[i]).basis for i in range(m)])
+    try:
+        stack = classify_coisotropic(loop.space, Subspace(bases), tol)
+    except ClassificationError as exc:
+        raise InternalConsistencyError(failed) from exc
+    subs, frames, monodromy = _closed_chain(loop.space, stack, None, tol)
+    worst = float(np.max(_consecutive_angles(stack.space)))
     if worst >= tol.consecutive_angle:
         raise DiscontinuousLoopError(
             f"pushforward violated the continuity contract: {worst:.3f}"
         )
     return CoisotropicLoop(
-        space=loop.space, k=loop.k, thetas=_thetas(m), samples=tuple(subs),
-        frames=tuple(frames), closure_defect=loop_m.closure_defect,
+        space=loop.space, k=loop.k, thetas=_thetas(m), samples=subs,
+        frames=frames, closure_defect=loop_m.closure_defect,
         monodromy=monodromy, generator=None,
     )
 

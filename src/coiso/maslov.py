@@ -35,7 +35,6 @@ from .grassmann import CoisotropicLoop, SymplecticMatrixLoop, loop_from_family, 
 from .symplin import (
     AdaptedFrame,
     Subspace,
-    classify_coisotropic,
     standard_space,
 )
 
@@ -103,7 +102,7 @@ def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> Maslo
     if loop.k == loop.n:
         samples = np.ones(loop.m, dtype=complex)
         return MaslovSection(thetas=loop.thetas, samples=samples)
-    dets = np.array([np.linalg.det(f.unitary()) for f in loop.frames])
+    dets = np.linalg.det(loop.unitaries())
     mods = np.abs(dets)
     if np.min(mods) < 1e-6:
         raise FrameDegeneracyError("frame determinant lost numerical rank")
@@ -273,8 +272,10 @@ def tangent_boundary_loop(
     """The loop of tangent spaces of Y along a closed boundary curve.
 
     Returns ``(loop, points)``.  Points must lie on Y within the boundary
-    tolerance; the initial frame is pinned by the tangent splitting at the
-    first point, so the null frame vector follows +X_rho around the loop.
+    tolerance.  The generator returns each tangent space unclassified; the
+    loop classifies all samples in one stacked call.  The initial frame is
+    pinned by the tangent splitting at the first point, so the null frame
+    vector follows +X_rho around the loop.
     """
     space = standard_space(y.n)
 
@@ -286,8 +287,7 @@ def tangent_boundary_loop(
             )
         g = y.gradient(p)
         u, s, _ = np.linalg.svd(np.eye(y.dim) - np.outer(g, g) / (g @ g))
-        tangent = Subspace(u[:, : y.dim - 1])
-        return classify_coisotropic(space, tangent, tol)
+        return Subspace(u[:, : y.dim - 1])
 
     hint = hypergeo.tangent_splitting(y, boundary(0.0), tol).frame
     loop = loop_from_family(space, y.n - 1, gen, samples=samples, hint=hint, tol=tol)
@@ -325,7 +325,7 @@ def connection_integral_index(frames: Sequence[AdaptedFrame],
     phase over 2*pi; evaluated by discrete phase accumulation around the
     closed sample cycle, rounded with residual below 0.05.
     """
-    dets = np.array([np.linalg.det(f.unitary()) for f in frames])
+    dets = np.linalg.det(np.stack([f.unitary() for f in frames]))
     mods = np.abs(dets)
     if np.min(mods) < 1e-6:
         raise FrameDegeneracyError("frame determinant lost numerical rank")

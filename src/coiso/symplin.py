@@ -8,6 +8,12 @@ through z_j = x_j + i y_j.  The standard structures in this basis are
 so that g(X, Y) = omega(X, j Y) and j acts as multiplication by i.  All
 subspaces are stored as matrices with g-orthonormal columns because frames,
 not projectors, are the working objects of every downstream computation.
+
+A loop's samples are handled as one stack: a ``Subspace`` may hold a
+(..., 2n, m) array of equal-dimensional members, and classification,
+complements, principal angles and frame checks act on every member with
+one stacked ``np.linalg`` call per step.  A single subspace is the
+unstacked case of the same code.
 """
 
 from __future__ import annotations
@@ -15,10 +21,9 @@ from __future__ import annotations
 import dataclasses
 from functools import lru_cache
 from math import isclose
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from .config import DEFAULT, Tolerances, rng
 from .errors import (
@@ -37,17 +42,29 @@ __all__ = [
     "real_coords",
     "realify",
     "principal_angles",
+    "largest_principal_angles",
     "spans_equal",
     "omega_pairing",
     "symplectic_complement",
     "classify_coisotropic",
     "adapted_frame",
+    "transported_frames",
     "grassmannian_dim",
     "random_unitary",
     "random_coisotropic",
     "standard_model",
     "measured_grassmannian_dim",
 ]
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """Transpose of every matrix in a stack."""
+    return a.swapaxes(-1, -2)
+
+
+def _member_note(index: tuple) -> str:
+    """Names the failing member of a stack in an error message."""
+    return f" (stack member {', '.join(map(str, index))})" if index else ""
 
 
 @lru_cache(maxsize=32)
@@ -174,13 +191,11 @@ def _mgs_complex(cols: np.ndarray, min_norm: float) -> np.ndarray:
 
 
 def _canonical_signs(cols: np.ndarray) -> np.ndarray:
-    """Deterministic sign choice: largest-magnitude entry made positive."""
-    q = np.array(cols)
-    for i in range(q.shape[1]):
-        idx = int(np.argmax(np.abs(q[:, i])))
-        if q[idx, i] < 0:
-            q[:, i] = -q[:, i]
-    return q
+    """Deterministic sign choice: largest-magnitude entry of each column made
+    positive, member by member in a stack."""
+    q = np.asarray(cols)
+    idx = np.argmax(np.abs(q), axis=-2)[..., None, :]
+    return np.where(np.take_along_axis(q, idx, axis=-2) < 0, -q, q)
 
 
 def _canonical_phases(cols: np.ndarray) -> np.ndarray:
@@ -197,50 +212,87 @@ def _canonical_phases(cols: np.ndarray) -> np.ndarray:
 @dataclasses.dataclass(frozen=True)
 class Subspace:
     """A linear subspace of R^{2n}, held as a 2n x m matrix with
-    g-orthonormal columns.  Equality is equality of spans."""
+    g-orthonormal columns, or a stack of equal-dimensional subspaces held as
+    a (..., 2n, m) array.  Equality is equality of spans."""
 
     basis: np.ndarray
 
     def __post_init__(self):
         b = np.asarray(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] % 2 != 0:
-            raise ValueError("basis must be a 2n x m matrix")
-        gram = b.T @ b
-        if b.shape[1] and np.max(np.abs(gram - np.eye(b.shape[1]))) > DEFAULT.orthonormality:
+        if b.ndim < 2 or b.shape[-2] % 2 != 0:
+            raise ValueError("basis must be a 2n x m matrix or a stack of them")
+        gram = _t(b) @ b
+        if gram.size and np.max(np.abs(gram - np.eye(b.shape[-1]))) > DEFAULT.orthonormality:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
+    def __getitem__(self, index) -> "Subspace":
+        """Members of a stack, selected by a NumPy index on the stack axes;
+        ``s[None]`` is the stack of one.  The stack's orthonormality check
+        covers its members, so they are not checked again."""
+        b = self.basis[index]
+        if b.ndim < 2 or b.shape[-2:] != self.basis.shape[-2:]:
+            raise IndexError("only the stack axes of a subspace can be indexed")
+        sub = object.__new__(Subspace)
+        object.__setattr__(sub, "basis", b)
+        return sub
+
     @property
     def dim(self) -> int:
-        return self.basis.shape[1]
+        return self.basis.shape[-1]
 
     @property
     def ambient_dim(self) -> int:
-        return self.basis.shape[0]
+        return self.basis.shape[-2]
 
     @classmethod
     def from_spanning(cls, cols: np.ndarray, min_norm: float = 1e-12) -> "Subspace":
         return cls(_mgs(np.asarray(cols, dtype=float), min_norm))
 
     def project(self, v: np.ndarray) -> np.ndarray:
-        return self.basis @ (self.basis.T @ v)
+        return self.basis @ (_t(self.basis) @ v)
 
     def contains(self, other: "Subspace", tol: float = DEFAULT.subspace_equality) -> bool:
         if other.dim == 0:
             return True
         resid = other.basis - self.project(other.basis)
-        return float(np.max(np.linalg.norm(resid, axis=0))) < tol
+        return float(np.max(np.linalg.norm(resid, axis=-2))) < tol
+
+
+def _angles(a: Subspace, b: Subspace) -> np.ndarray:
+    """Principal angles, ascending, member by member (Bjorck-Golub 1973).
+
+    The steps are those of ``scipy.linalg.subspace_angles``, each one
+    stacked SVD: orthonormal bases Qa, Qb from an SVD, cosines from the
+    singular values of Qa' Qb and sines from those of Qb - Qa Qa' Qb.  An
+    angle whose squared cosine is below 0.5 is read from its cosine, any
+    other from its sine, which stays accurate for small angles.
+    """
+    if a.dim != b.dim:
+        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
+    if a.dim == 0:
+        return np.zeros(np.broadcast_shapes(a.basis.shape[:-2], b.basis.shape[:-2]) + (0,))
+    qa = np.linalg.svd(a.basis, full_matrices=False)[0]
+    qb = np.linalg.svd(b.basis, full_matrices=False)[0]
+    cos = _t(qa) @ qb
+    cosines = np.linalg.svd(cos, compute_uv=False)
+    sines = np.linalg.svd(qb - qa @ cos, compute_uv=False)[..., ::-1]
+    return np.where(cosines ** 2 < 0.5,
+                    np.arccos(np.clip(cosines, -1.0, 1.0)),
+                    np.arcsin(np.clip(sines, -1.0, 1.0)))
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     """Principal angles between equal-dimensional subspaces, ascending
-    (descending cosines), each in [0, pi/2]."""
-    if a.dim != b.dim:
-        raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
-    if a.dim == 0:
-        return np.zeros(0)
-    ang = scipy.linalg.subspace_angles(a.basis, b.basis)
-    return np.sort(ang)
+    (descending cosines), each in [0, pi/2]; for stacks, one row per
+    member pair."""
+    return _angles(a, b)
+
+
+def largest_principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
+    """Largest principal angle between paired members of two stacks of
+    equal-dimensional subspaces, one value per member pair."""
+    return np.max(_angles(a, b), axis=-1, initial=0.0)
 
 
 def spans_equal(a: Subspace, b: Subspace, tol: float = DEFAULT.subspace_equality) -> bool:
@@ -258,25 +310,31 @@ def omega_pairing(space: SymplecticSpace, a: Subspace, b: Subspace) -> np.ndarra
 def symplectic_complement(
     space: SymplecticSpace, c: Subspace, tol: Tolerances = DEFAULT
 ) -> Subspace:
-    """{v : omega(v, c) = 0 for all c in C}, of dimension 2n - dim C.
+    """{v : omega(v, c) = 0 for all c in C}, of dimension 2n - dim C; for a
+    stack, the stack of the members' complements.
 
     Computed as the null space of the m x 2n pairing matrix via SVD with
     singular value cutoff ``tol.svd_cutoff``.
     """
+    batch = c.basis.shape[:-2]
     if c.dim == 0:
-        return Subspace(np.eye(space.dim))
-    pairing = c.basis.T @ space.omega
-    u, s, vh = np.linalg.svd(pairing)
-    if s.size:
-        band = (s > tol.svd_cutoff) & (s < tol.svd_gap * s[0])
-        if np.any(band):
-            raise DegenerateInputError(
-                "singular values straddle the rank cutoff: "
-                f"{s[band]} against largest {s[0]:.3e}"
-            )
-    rank = int(np.sum(s > tol.svd_cutoff))
-    kernel = vh[rank:].T
-    return Subspace(_canonical_signs(kernel))
+        return Subspace(np.broadcast_to(np.eye(space.dim), batch + (space.dim,) * 2))
+    pairing = _t(c.basis) @ space.omega
+    _, s, vh = np.linalg.svd(pairing)
+    band = (s > tol.svd_cutoff) & (s < tol.svd_gap * s[..., :1])
+    if band.any():
+        where = tuple(int(i) for i in np.argwhere(band)[0][:-1])
+        raise DegenerateInputError(
+            "singular values straddle the rank cutoff: "
+            f"{s[where][band[where]]} against largest {s[where][0]:.3e}"
+            + _member_note(where)
+        )
+    ranks = np.sum(s > tol.svd_cutoff, axis=-1)
+    rank = int(ranks.max())
+    if ranks.min() != rank:
+        raise DegenerateInputError(
+            f"members of the stack differ in rank: {ranks.min()} to {rank}")
+    return Subspace(_canonical_signs(_t(vh[..., rank:, :])))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -285,13 +343,19 @@ class CoisotropicSubspace:
 
     ``kernel`` is the symplectic complement C^omega (dimension n - k) and
     ``h_part`` the j-invariant g-orthogonal complement of the kernel inside
-    C (dimension 2k).
+    C (dimension 2k).  All three may be stacks of equal shape, one member
+    per subspace of a sampled loop.
     """
 
     space: Subspace
     k: int
     kernel: Subspace
     h_part: Subspace
+
+    def __getitem__(self, index) -> "CoisotropicSubspace":
+        """Members of a stack, selected by a NumPy index on the stack axes."""
+        return CoisotropicSubspace(space=self.space[index], k=self.k,
+                                   kernel=self.kernel[index], h_part=self.h_part[index])
 
     @property
     def n(self) -> int:
@@ -305,11 +369,12 @@ class CoisotropicSubspace:
 def classify_coisotropic(
     space: SymplecticSpace, c: Subspace, tol: Tolerances = DEFAULT
 ) -> CoisotropicSubspace:
-    """Certify C as coisotropic, returning its canonical splitting.
+    """Certify C as coisotropic, returning its canonical splitting; for a
+    stack, every member at once.
 
     Succeeds iff the symplectic complement of C lies inside C within the
     angle tolerance; otherwise raises ClassificationError carrying the
-    violating pair.
+    violating pair of the worst member.
     """
     n = space.n
     if c.dim < n:
@@ -319,29 +384,33 @@ def classify_coisotropic(
     kernel = symplectic_complement(space, c, tol)
     if kernel.dim:
         resid = kernel.basis - c.project(kernel.basis)
-        resid_norms = np.linalg.norm(resid, axis=0)
-        worst = int(np.argmax(resid_norms))
-        if resid_norms[worst] > tol.subspace_equality:
+        resid_norms = np.linalg.norm(resid, axis=-2)
+        if resid_norms.max() > tol.subspace_equality:
+            worst = np.unravel_index(np.argmax(resid_norms), resid_norms.shape)
+            member, col = worst[:-1], worst[-1]
             angle = float(np.arcsin(min(1.0, resid_norms[worst])))
             raise ClassificationError(
                 f"not coisotropic: kernel direction leaves the subspace "
-                f"by angle {angle:.3e}",
-                witness=(kernel.basis[:, worst], resid[:, worst], angle),
+                f"by angle {angle:.3e}" + _member_note(member),
+                witness=(kernel.basis[member][:, col], resid[member][:, col], angle),
             )
     k = c.dim - n
     # h_part: g-orthogonal complement of the kernel inside C
     if k == 0:
-        h_part = Subspace(np.zeros((space.dim, 0)))
+        h_part = Subspace(np.zeros(c.basis.shape[:-1] + (0,)))
     else:
-        proj = c.basis - kernel.basis @ (kernel.basis.T @ c.basis)
-        u, s, _ = np.linalg.svd(proj, full_matrices=False)
-        h_part = Subspace(_canonical_signs(u[:, : 2 * k]))
+        proj = c.basis - kernel.basis @ (_t(kernel.basis) @ c.basis)
+        u = np.linalg.svd(proj, full_matrices=False)[0]
+        h_part = Subspace(_canonical_signs(u[..., : 2 * k]))
         jh = space.j @ h_part.basis
         resid = jh - h_part.project(jh)
-        if np.max(np.linalg.norm(resid, axis=0)) > tol.subspace_equality:
+        resid_norms = np.linalg.norm(resid, axis=-2)
+        if resid_norms.max() > tol.subspace_equality:
+            worst = np.unravel_index(np.argmax(resid_norms), resid_norms.shape)
+            member, col = worst[:-1], worst[-1]
             raise ClassificationError(
-                "h_part failed the j-invariance check",
-                witness=(h_part.basis[:, 0], resid[:, 0], None),
+                "h_part failed the j-invariance check" + _member_note(member),
+                witness=(h_part.basis[member][:, col], resid[member][:, col], None),
             )
     return CoisotropicSubspace(space=c, k=k, kernel=kernel, h_part=h_part)
 
@@ -377,27 +446,90 @@ class AdaptedFrame:
         return np.concatenate([self.e[:, : self.k], self.f[:, : self.k]], axis=1)
 
 
-def _validate_frame(space: SymplecticSpace, c: CoisotropicSubspace,
-                    frame: AdaptedFrame, tol: Tolerances) -> None:
-    full = np.concatenate([frame.e, frame.f], axis=1)
-    if np.max(np.abs(full.T @ full - np.eye(space.dim))) > 10 * tol.orthonormality:
-        raise ContinuityLossError("frame is not orthonormal")
-    if np.max(np.abs(frame.f - space.j @ frame.e)) > tol.frame_j:
-        raise ContinuityLossError("f != j e beyond tolerance")
-    pair = full.T @ space.omega @ full
-    want = np.block([[np.zeros((space.n,) * 2), np.eye(space.n)],
-                     [-np.eye(space.n), np.zeros((space.n,) * 2)]])
-    if np.max(np.abs(pair - want)) > tol.darboux:
-        raise ContinuityLossError("Darboux relations violated")
-    tangent = frame.tangent_basis()
-    resid = tangent - c.space.project(tangent)
-    if np.max(np.linalg.norm(resid, axis=0)) > tol.subspace_equality:
-        raise ContinuityLossError("frame does not span the target subspace")
-    if c.kernel.dim:
-        kv = frame.kernel_vectors()
-        resid = kv - c.kernel.project(kv)
-        if np.max(np.linalg.norm(resid, axis=0)) > tol.subspace_equality:
-            raise ContinuityLossError("frame kernel block does not span the kernel")
+def _check_frames(space: SymplecticSpace, c: CoisotropicSubspace,
+                  frames: Sequence[AdaptedFrame], tol: Tolerances) -> None:
+    """Raise ContinuityLossError, naming the first failing frame, unless
+    ``frames[i]`` is an adapted unitary Darboux frame of member i of the
+    stack ``c``.  Every check runs once over the stacked frames."""
+    k = c.k
+    e = np.stack([fr.e for fr in frames])
+    f = np.stack([fr.f for fr in frames])
+    full = np.concatenate([e, f], axis=-1)
+    tangent = np.concatenate([e, f[..., :k]], axis=-1)
+    kv = e[..., k:]
+
+    def largest_entry(x):
+        return np.max(np.abs(x), axis=(-2, -1))
+
+    def largest_escape(sub, v):
+        return np.max(np.linalg.norm(v - sub.project(v), axis=-2), axis=-1, initial=0.0)
+
+    checks = (
+        ("is not orthonormal", largest_entry(_t(full) @ full - np.eye(space.dim)),
+         10 * tol.orthonormality),
+        ("has f != j e", largest_entry(f - space.j @ e), tol.frame_j),
+        ("violates the Darboux relations",
+         largest_entry(_t(full) @ space.omega @ full - _standard_omega(space.n)),
+         tol.darboux),
+        ("does not span the target subspace", largest_escape(c.space, tangent),
+         tol.subspace_equality),
+        ("kernel block does not span the kernel", largest_escape(c.kernel, kv),
+         tol.subspace_equality),
+    )
+    for what, defect, bound in checks:
+        bad = np.flatnonzero(defect > bound)
+        if bad.size:
+            i = int(bad[0])
+            raise ContinuityLossError(
+                f"frame {i} {what}: defect {defect[i]:.3e} > {bound:.1e}")
+
+
+def transported_frames(
+    space: SymplecticSpace,
+    c: CoisotropicSubspace,
+    hint: Optional[AdaptedFrame] = None,
+    tol: Tolerances = DEFAULT,
+) -> tuple[AdaptedFrame, ...]:
+    """Adapted unitary Darboux frames along a one-dimensional stack, each
+    carried from the one before it.
+
+    Member 0 takes ``hint``; without one its frame is deterministic (SVD
+    bases with canonical signs).  Every later member takes the previous
+    frame as its hint: each hint column is projected onto the required span
+    and re-orthonormalized by modified Gram-Schmidt, which is the discrete
+    transport used for loop continuity; a projection below
+    ``tol.hint_min_norm`` raises ContinuityLossError.  The transport is
+    sequential; the H-block bases before it and the frame checks after it
+    are stacked.
+    """
+    k = c.k
+    if k:
+        h = c.h_part.basis
+        n = space.n
+        # unitary bases of the j-invariant parts viewed as C^k
+        hbases = np.linalg.svd(h[..., :n, :] + 1j * h[..., n:, :])[0][..., :k]
+    frames = []
+    for i in range(len(c.space.basis)):
+        # kernel block, real orthonormal
+        ker = c.kernel.basis[i]
+        if ker.shape[1] and hint is not None:
+            ker = _mgs(ker @ (ker.T @ hint.kernel_vectors()), tol.hint_min_norm)
+        # H block, unitary
+        if k:
+            hb = hbases[i]
+            if hint is not None:
+                pr = hb @ (np.conj(hb.T) @ complex_coords(hint.e[:, :k]))
+                hcols = _mgs_complex(pr, tol.hint_min_norm)
+            else:
+                hcols = _canonical_phases(hb)
+            e_h = real_coords(hcols)
+        else:
+            e_h = np.zeros((space.dim, 0))
+        e = np.concatenate([e_h, ker], axis=1)
+        hint = AdaptedFrame(k=k, e=e, f=space.j @ e)
+        frames.append(hint)
+    _check_frames(space, c, frames, tol)
+    return tuple(frames)
 
 
 def adapted_frame(
@@ -406,41 +538,15 @@ def adapted_frame(
     hint: Optional[AdaptedFrame] = None,
     tol: Tolerances = DEFAULT,
 ) -> AdaptedFrame:
-    """An adapted unitary Darboux frame for C.
+    """An adapted unitary Darboux frame for C, the stack-of-one case of
+    :func:`transported_frames`.
 
     Without a hint the construction is deterministic (SVD bases with
     canonical signs).  With a hint, each hint column is projected onto the
-    required span and re-orthonormalized by modified Gram-Schmidt, which is
-    the discrete transport used for loop continuity; a projection below
-    ``tol.hint_min_norm`` raises ContinuityLossError.
+    required span and re-orthonormalized by modified Gram-Schmidt; a
+    projection below ``tol.hint_min_norm`` raises ContinuityLossError.
     """
-    n, k = space.n, c.k
-    # kernel block, real orthonormal
-    if c.kernel.dim:
-        if hint is not None:
-            cols = c.kernel.project(hint.kernel_vectors())
-            ker = _mgs(cols, tol.hint_min_norm)
-        else:
-            ker = c.kernel.basis
-    else:
-        ker = np.zeros((space.dim, 0))
-    # H block, unitary basis of the j-invariant part viewed as C^k
-    if k:
-        zc = complex_coords(c.h_part.basis)  # n x 2k complex, rank k
-        u, s, _ = np.linalg.svd(zc)
-        hbasis = u[:, :k]
-        if hint is not None:
-            pr = hbasis @ (np.conj(hbasis.T) @ complex_coords(hint.e[:, :k]))
-            hcols = _mgs_complex(pr, tol.hint_min_norm)
-        else:
-            hcols = _canonical_phases(hbasis)
-        e_h = real_coords(hcols)
-    else:
-        e_h = np.zeros((space.dim, 0))
-    e = np.concatenate([e_h, ker], axis=1)
-    frame = AdaptedFrame(k=k, e=e, f=space.j @ e)
-    _validate_frame(space, c, frame, tol)
-    return frame
+    return transported_frames(space, c[None], hint, tol)[0]
 
 
 def grassmannian_dim(n: int, k: int) -> int:

@@ -1,8 +1,10 @@
 """Experiment runner: schema, reports, traces, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import jsonschema
 import numpy as np
@@ -168,9 +170,13 @@ def test_console_entry_point(tmp_path):
     spec = {"kind": "grassmannian-dim", "parameters": {"n": 2, "k": 0}}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
+    # the child imports the same coiso as this process, however pytest found it
+    src = str(Path(coiso.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "coiso.cli", "run", str(path)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["items"][0]["value"] == 3

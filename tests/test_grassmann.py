@@ -174,3 +174,23 @@ def test_transverse_frames_k_equals_n():
     frames, mono = transverse_frame_loop(loop)
     assert frames[0].shape == (2, 0)
     assert mono.shape == (0, 0)
+
+
+def test_consecutive_angles_match_per_pair_principal_angles():
+    gen = coiso.random_unitary_orbit_family(standard_space(3), 1, coiso.rng(21))
+    loop = loop_from_family(standard_space(3), 1, gen, samples=32)
+    got = loop.consecutive_angles()
+    assert got.shape == (loop.m,)
+    for i in range(loop.m):
+        want = np.max(principal_angles(loop.samples[i].space,
+                                       loop.samples[(i + 1) % loop.m].space))
+        assert abs(got[i] - want) < 1e-12
+
+
+def test_matrix_loop_rejects_a_step_above_half():
+    mats = np.stack([np.eye(4)] * 8)
+    mats[5] = realify(np.diag([np.exp(1j), 1.0]))   # |e^i - 1| = 0.96
+    with pytest.raises(ValueError, match="samples 4 jump by operator norm 0.959"):
+        SymplecticMatrixLoop(space=SP2, thetas=np.zeros(8), matrices=mats)
+    mats[5] = realify(np.diag([np.exp(0.4j), 1.0]))  # |e^0.4i - 1| = 0.40
+    SymplecticMatrixLoop(space=SP2, thetas=np.zeros(8), matrices=mats)

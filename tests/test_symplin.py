@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -224,3 +225,134 @@ def test_measured_dimension_matches_formula_spot_checks():
     for (n, k, sp) in [(2, 1, SP2), (3, 2, SP3)]:
         c = random_coisotropic(sp, k, 21)
         assert coiso.measured_grassmannian_dim(sp, c) == grassmannian_dim(n, k)
+
+
+# ---------------------------------------------------------------------------
+# stacked helpers: largest principal angles, stacked classification, frame
+# checks over a chain
+
+
+def _rotated_pairs(seed, n, m, angles):
+    """Pairs (A, B) of m-dimensional subspaces of R^{2n} whose principal
+    angles are exactly ``angles[i]`` (one row per pair), each B given in a
+    random basis of its span."""
+    g = np.random.default_rng(seed)
+    a, b = [], []
+    for th in angles:
+        q, _ = np.linalg.qr(g.normal(size=(2 * n, 2 * n)))
+        r, _ = np.linalg.qr(g.normal(size=(m, m)))
+        a.append(q[:, :m])
+        b.append((q[:, :m] * np.cos(th) + q[:, m:2 * m] * np.sin(th)) @ r)
+    return Subspace(np.stack(a)), Subspace(np.stack(b))
+
+
+# angles per regime from u in [3, 12]; "small" (1e-9 rotations among them)
+# and "near_half_pi" are offsets 10**-u
+_REGIMES = {
+    "small": lambda u: 10.0 ** -u,
+    "below_quarter": lambda u: np.pi / 4 * (u - 3) / 10,
+    "above_quarter": lambda u: np.pi / 4 + np.pi / 4 * (u - 3) / 10,
+    "near_half_pi": lambda u: np.pi / 2 - 10.0 ** -u,
+}
+
+
+@st.composite
+def _angle_stacks(draw, regimes):
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(1, n))
+    count = draw(st.integers(1, 4))
+    regime = draw(st.sampled_from(regimes))
+    u = st.floats(min_value=3.0, max_value=12.0)
+    angles = np.array([[_REGIMES[regime](draw(u)) for _ in range(m)]
+                       for _ in range(count)])
+    return draw(st.integers(0, 2 ** 32 - 1)), n, m, angles
+
+
+@settings(max_examples=60, deadline=None)
+@given(_angle_stacks(list(_REGIMES)))
+def test_largest_principal_angles_match_scipy(case):
+    seed, n, m, angles = case
+    a, b = _rotated_pairs(seed, n, m, angles)
+    got = coiso.largest_principal_angles(a, b)
+    every = principal_angles(a, b)
+    assert got.shape == (len(angles),)
+    assert every.shape == angles.shape
+    for i in range(len(angles)):
+        want = scipy.linalg.subspace_angles(a.basis[i], b.basis[i])
+        assert abs(got[i] - np.max(want)) < 1e-12
+        assert abs(got[i] - np.max(angles[i])) < 1e-12
+        assert_allclose(every[i], np.sort(want), rtol=0, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3),
+       st.floats(min_value=3.0, max_value=12.0))
+def test_principal_angles_mixed_pair_near_half_pi(seed, n, u):
+    # one angle below pi/4 and the largest near pi/2: each angle is read by
+    # its own route, the largest from its cosine.  scipy.linalg.subspace_angles
+    # picks the routes in cosine order instead and reads this angle from an
+    # arcsine near 1, off by up to a few 1e-8.
+    angles = np.array([[0.3, np.pi / 2 - 10.0 ** -u]])
+    a, b = _rotated_pairs(seed, n, 2, angles)
+    assert_allclose(principal_angles(a, b)[0], angles[0], rtol=0, atol=1e-12)
+    assert abs(coiso.largest_principal_angles(a, b)[0] - angles[0, 1]) < 1e-12
+
+
+def test_classify_stack_names_the_bad_member():
+    good = [random_coisotropic(SP3, 1, seed).space.basis for seed in range(5)]
+    g = np.random.default_rng(7)
+    bad = np.linalg.qr(g.normal(size=(6, 4)))[0]   # generic 4-plane in R^6
+    stack = Subspace(np.stack(good[:3] + [bad] + good[3:]))
+    with pytest.raises(ClassificationError, match="stack member 3") as err:
+        classify_coisotropic(SP3, stack)
+    vec, resid, angle = err.value.witness
+    # the witness is a vector of the bad member's symplectic complement that
+    # leaves the bad member, by the reported angle
+    assert np.max(np.abs(bad.T @ SP3.omega @ vec)) < 1e-9
+    assert_allclose(resid, vec - bad @ (bad.T @ vec), atol=1e-12)
+    assert abs(np.arcsin(min(1.0, np.linalg.norm(resid))) - angle) < 1e-12
+    assert angle > 1e-3
+
+
+def test_classify_stack_members_match_single_calls():
+    spaces = [random_coisotropic(SP3, 1, seed).space for seed in range(4)]
+    stack = classify_coisotropic(SP3, Subspace(np.stack([s.basis for s in spaces])))
+    for i, s in enumerate(spaces):
+        single = classify_coisotropic(SP3, s)
+        assert stack.k == single.k
+        assert np.array_equal(stack[i].kernel.basis, single.kernel.basis)
+        assert np.array_equal(stack[i].h_part.basis, single.h_part.basis)
+
+
+def _chain(seed=12, m=9):
+    spaces = [random_coisotropic(SP3, 1, seed + i).space.basis for i in range(m)]
+    stack = classify_coisotropic(SP3, Subspace(np.stack(spaces)))
+    return stack, list(coiso.transported_frames(SP3, stack))
+
+
+def _scaled(fr):
+    return coiso.AdaptedFrame(k=fr.k, e=1.001 * fr.e, f=1.001 * fr.f)
+
+
+def _broken_f(fr):
+    return coiso.AdaptedFrame(k=fr.k, e=fr.e, f=-fr.f)
+
+
+@pytest.mark.parametrize("corrupt, defect", [
+    (_scaled, "is not orthonormal"),
+    (_broken_f, "has f != j e"),
+    (lambda fr: _chain(seed=40)[1][4], "does not span the target subspace"),
+])
+def test_frame_chain_check_names_the_corrupted_member(corrupt, defect):
+    stack, frames = _chain()
+    coiso.symplin._check_frames(SP3, stack, frames, coiso.DEFAULT)
+    # corrupt two members in the middle; the first is reported
+    frames[4], frames[6] = corrupt(frames[4]), corrupt(frames[6])
+    with pytest.raises(coiso.ContinuityLossError, match=f"frame 4 {defect}"):
+        coiso.symplin._check_frames(SP3, stack, frames, coiso.DEFAULT)
+
+
+def test_transported_frames_follow_their_hints():
+    stack, frames = _chain()
+    for i in range(1, len(frames)):
+        assert np.array_equal(frames[i].e, adapted_frame(SP3, stack[i], hint=frames[i - 1]).e)
