@@ -7,11 +7,15 @@ parallel transport, so the frame monodromy after one circuit carries the
 winding data every index computation consumes; it is retained, never
 discarded.
 
-Construction works on the stack of all M samples at once.  The generator
-is evaluated sample by sample; its M outputs are then classified by one
-stacked call, the continuity contract reads one stacked largest principal
-angle per consecutive pair, and the frames are transported sample by
-sample and checked once as a stack.
+Construction works on the stack of all M samples at once.  A loop
+generator is called once per grid: it takes a 1-D array of M angles and
+returns the stack of its M members, a ``Subspace`` or
+``CoisotropicSubspace`` of shape (M, 2n, m) whose member i depends on
+theta_i alone; a matrix-loop callable likewise returns an (M, 2n, 2n)
+stack.  The M members are classified by one stacked call, the continuity
+contract reads one stacked largest principal angle per consecutive pair,
+and the frames are transported sample by sample and checked once as a
+stack.
 """
 
 from __future__ import annotations
@@ -73,10 +77,21 @@ def _as_subspace(value) -> Subspace:
     raise TypeError("generator must return Subspace or CoisotropicSubspace")
 
 
-def _as_coisotropic(space, value, tol) -> CoisotropicSubspace:
-    if isinstance(value, CoisotropicSubspace):
-        return value
-    return classify_coisotropic(space, _as_subspace(value), tol)
+def _check_grid_shape(got: tuple, want: tuple) -> None:
+    """ValueError unless a loop callable returned the stack shape ``want``,
+    one member per angle of the grid."""
+    if got != want:
+        raise ValueError(
+            f"a loop callable must return one member per angle: expected a "
+            f"stack of shape {want}, got shape {got}")
+
+
+def _members(space, generator, thetas: np.ndarray) -> Subspace:
+    """The generator's stack on ``thetas``, C-contiguous as a stack built
+    member by member would be."""
+    value = _as_subspace(generator(thetas))
+    _check_grid_shape(value.basis.shape, (len(thetas), space.dim, value.dim))
+    return Subspace(np.ascontiguousarray(value.basis))
 
 
 def _consecutive_angles(spaces: Subspace) -> np.ndarray:
@@ -166,7 +181,7 @@ class CoisotropicLoop:
 def loop_from_family(
     space: SymplecticSpace,
     k: int,
-    generator: Callable[[float], object],
+    generator: Callable[[np.ndarray], object],
     samples: int = 16,
     hint: Optional[AdaptedFrame] = None,
     auto_refine: bool = True,
@@ -175,32 +190,35 @@ def loop_from_family(
     """Sample a parametric family into a loop, refining until consecutive
     samples stay within the max-principal-angle contract (pi/8).
 
-    The generator must close: generator(0) and generator(2*pi) agree within
-    ``tol.generator_closure``.  Refinement doubles the sample count up to
-    ``tol.max_loop_samples`` and then raises DiscontinuousLoopError.
-    Classification failures of generator output propagate unchanged.  The
-    generator's outputs are classified together, one stacked call per M.
+    The generator is called once per grid: given a 1-D array of M angles it
+    returns a ``Subspace`` or ``CoisotropicSubspace`` stack of shape
+    (M, 2n, m) whose member i depends on theta_i alone; any other shape
+    raises ValueError.  It must close: its members at 0 and 2*pi, taken
+    from one call, agree within ``tol.generator_closure``.  Refinement
+    doubles the sample count up to ``tol.max_loop_samples`` and then raises
+    DiscontinuousLoopError.  Classification failures of generator output
+    propagate unchanged.  The members of a grid are classified together,
+    one stacked call per M.
     """
-    start = _as_coisotropic(space, generator(0.0), tol)
-    end = _as_coisotropic(space, generator(2 * pi), tol)
-    if start.space.dim:
-        closure = float(np.max(principal_angles(start.space, end.space)))
+    ends = classify_coisotropic(
+        space, _members(space, generator, np.array([0.0, 2 * pi])), tol)
+    if ends.dim:
+        closure = float(np.max(principal_angles(ends.space[0], ends.space[1])))
     else:
         closure = 0.0
     if closure > tol.generator_closure:
         raise DiscontinuousLoopError(
             f"generator does not close: defect {closure:.3e}"
         )
-    if start.k != k:
+    if ends.k != k:
         raise ClassificationError(
-            f"generator produced rank parameter {start.k}, expected {k}"
+            f"generator produced rank parameter {ends.k}, expected {k}"
         )
 
     m = samples
     while True:
         thetas = _thetas(m)
-        bases = np.stack([_as_subspace(generator(t)).basis for t in thetas])
-        stack = classify_coisotropic(space, Subspace(bases), tol)
+        stack = classify_coisotropic(space, _members(space, generator, thetas), tol)
         worst = float(np.max(_consecutive_angles(stack.space)))
         if worst < tol.consecutive_angle:
             break
@@ -248,8 +266,13 @@ class SymplecticMatrixLoop:
 
     @classmethod
     def from_callable(cls, space, fn, samples: int) -> "SymplecticMatrixLoop":
+        """Matrix loop on the uniform grid of ``samples`` angles.  ``fn`` is
+        called once: given a 1-D array of M angles it returns the (M, 2n, 2n)
+        stack of the matrices A(theta_i), member i depending on theta_i
+        alone; any other shape raises ValueError."""
         thetas = _thetas(samples)
-        mats = np.stack([fn(t) for t in thetas])
+        mats = np.asarray(fn(thetas))
+        _check_grid_shape(mats.shape, (samples, space.dim, space.dim))
         return cls(space=space, thetas=thetas, matrices=mats, generator=fn)
 
     def resample(self, m: int) -> "SymplecticMatrixLoop":
@@ -263,8 +286,9 @@ class SymplecticMatrixLoop:
 def pushforward(
     a: SymplecticMatrixLoop, loop: CoisotropicLoop, tol: Tolerances = DEFAULT
 ) -> CoisotropicLoop:
-    """The loop theta -> A(theta) . gamma(theta), reclassified samplewise
-    with frames propagated from scratch.
+    """The loop theta -> A(theta) . gamma(theta), its samples classified as
+    one stack with frames propagated from scratch.  With both generators
+    the image loop's generator evaluates both on each grid in one call.
 
     Both loops are resampled to the least common multiple of their sample
     counts, which requires generators when the counts differ.
@@ -275,14 +299,14 @@ def pushforward(
 
     failed = "symplectic image of a coisotropic subspace failed to classify"
 
-    def image(mat, value):
-        return Subspace.from_spanning(mat @ _as_subspace(value).basis)
+    def image(mats, value):
+        return Subspace.from_spanning(mats @ _as_subspace(value).basis)
 
     if loop.generator is not None and a.generator is not None:
         agen, lgen = a.generator, loop.generator
 
-        def gen(theta, _a=agen, _l=lgen):
-            return image(_a(theta), _l(theta))
+        def gen(thetas, _a=agen, _l=lgen):
+            return image(_a(thetas), _l(thetas))
 
         try:
             return loop_from_family(loop.space, loop.k, gen, samples=m, tol=tol)
@@ -292,9 +316,9 @@ def pushforward(
     # sampled data only: stay on the common grid, no refinement possible
     a = a.resample(m)
     loop_m = loop if loop.m == m else loop.resample(m, tol)
-    bases = np.stack([image(a.matrices[i], loop_m.samples[i]).basis for i in range(m)])
+    sources = Subspace(np.stack([s.space.basis for s in loop_m.samples]))
     try:
-        stack = classify_coisotropic(loop.space, Subspace(bases), tol)
+        stack = classify_coisotropic(loop.space, image(a.matrices, sources), tol)
     except ClassificationError as exc:
         raise InternalConsistencyError(failed) from exc
     subs, frames, monodromy = _closed_chain(loop.space, stack, None, tol)
@@ -329,14 +353,23 @@ def transverse_frame_loop(loop: CoisotropicLoop):
 # named loop families
 
 
+def _diagonals(d: np.ndarray) -> np.ndarray:
+    """The stack of diagonal matrices diag(d_i), one per row of ``d``, laid
+    out as ``np.diag`` lays out each."""
+    out = np.zeros(d.shape + d.shape[-1:], dtype=d.dtype)
+    idx = np.arange(d.shape[-1])
+    out[..., idx, idx] = d
+    return out
+
+
 def constant_family(space: SymplecticSpace, k: int, seed=None):
     """A constant loop: the standard model, or a seeded random position."""
     from .symplin import random_coisotropic
 
     fixed = standard_model(space, k) if seed is None else random_coisotropic(space, k, seed)
 
-    def gen(theta, _c=fixed):
-        return _c
+    def gen(thetas, _c=fixed):
+        return _c[None][np.zeros(len(thetas), dtype=int)]
 
     return gen
 
@@ -346,8 +379,8 @@ def lagrangian_rotation_family(space: SymplecticSpace, turns: int = 1):
     n = space.n
     base = np.eye(2 * n)[:, :n]
 
-    def gen(theta):
-        u = realify(np.exp(1j * turns * theta / 2) * np.eye(n))
+    def gen(thetas):
+        u = realify(np.exp(1j * turns * thetas / 2)[:, None, None] * np.eye(n))
         return Subspace.from_spanning(u @ base)
 
     return gen
@@ -365,8 +398,8 @@ def diag_unitary_family(space: SymplecticSpace, k: int, windings: Sequence[float
     w = np.asarray(windings, dtype=float)
     base = standard_model(space, k).space.basis
 
-    def gen(theta):
-        u = realify(np.diag(np.exp(1j * w * theta)))
+    def gen(thetas):
+        u = realify(_diagonals(np.exp(1j * w * thetas[:, None])))
         return Subspace.from_spanning(u @ base)
 
     return gen
@@ -374,15 +407,15 @@ def diag_unitary_family(space: SymplecticSpace, k: int, windings: Sequence[float
 
 def _closed_wiggle(n: int, gen: np.random.Generator, scale: float):
     """A contractible loop of unitaries: exp of a skew-Hermitian path that
-    vanishes at theta = 0 and 2*pi."""
+    vanishes at theta = 0 and 2*pi, evaluated on a grid of angles."""
     def skew(size):
         z = gen.normal(size=(size, size)) + 1j * gen.normal(size=(size, size))
         return scale * (z - np.conj(z.T)) / 2
 
     s1, s2 = skew(n), skew(n)
 
-    def fn(theta):
-        x = (np.cos(theta) - 1) * s1 + np.sin(theta) * s2
+    def fn(thetas):
+        x = (np.cos(thetas) - 1)[:, None, None] * s1 + np.sin(thetas)[:, None, None] * s2
         return scipy.linalg.expm(x)
 
     return fn
@@ -407,8 +440,8 @@ def random_unitary_orbit_family(
     mu[k:] = g.integers(-2 * max_winding, 2 * max_winding + 1, size=n - k) / 2.0
     base = standard_model(space, k).space.basis
 
-    def gen(theta):
-        u = v @ wig(theta) @ np.diag(np.exp(1j * mu * theta))
+    def gen(thetas):
+        u = v @ wig(thetas) @ _diagonals(np.exp(1j * mu * thetas[:, None]))
         return Subspace.from_spanning(realify(u) @ base)
 
     gen.windings = mu
@@ -417,9 +450,11 @@ def random_unitary_orbit_family(
 
 
 def unitary_matrix_loop(space: SymplecticSpace, fn_complex, samples: int) -> SymplecticMatrixLoop:
-    """Matrix loop from a callable returning complex unitaries."""
+    """Matrix loop from a callable returning complex unitaries: given a 1-D
+    array of M angles, ``fn_complex`` returns the (M, n, n) stack of the
+    unitaries, member i depending on theta_i alone."""
     return SymplecticMatrixLoop.from_callable(
-        space, lambda t: realify(fn_complex(t)), samples
+        space, lambda thetas: realify(fn_complex(thetas)), samples
     )
 
 
@@ -434,8 +469,8 @@ def random_unitary_matrix_loop(
     wig = _closed_wiggle(n, g, wiggle)
     mu = g.integers(-max_winding, max_winding + 1, size=n)
 
-    def fn(theta):
-        return v @ wig(theta) @ np.diag(np.exp(1j * mu * theta)) @ np.conj(v.T)
+    def fn(thetas):
+        return v @ wig(thetas) @ _diagonals(np.exp(1j * mu * thetas[:, None])) @ np.conj(v.T)
 
     return unitary_matrix_loop(space, fn, samples)
 
@@ -460,18 +495,19 @@ def random_symplectic_matrix_loop(
     a1, b1 = sym(n), sym(n)
     a2, b2 = sym(n), sym(n)
 
-    def stretch_fn(theta):
+    def stretch_fn(thetas):
         # symmetric elements of sp(2n): [[A, B], [B, -A]] with A, B symmetric
-        c, s = np.cos(theta) - 1, np.sin(theta)
+        c, s = (np.cos(thetas) - 1)[:, None, None], np.sin(thetas)[:, None, None]
         a = c * a1 + s * a2
         b = c * b1 + s * b2
-        x = np.block([[a, b], [b, -a]])
+        x = np.concatenate([np.concatenate([a, b], axis=-1),
+                            np.concatenate([b, -a], axis=-1)], axis=-2)
         return scipy.linalg.expm(x)
 
     gen_u = uloop.generator
 
-    def fn(theta):
-        return gen_u(theta) @ stretch_fn(theta)
+    def fn(thetas):
+        return gen_u(thetas) @ stretch_fn(thetas)
 
     return SymplecticMatrixLoop.from_callable(space, fn, samples)
 

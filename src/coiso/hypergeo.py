@@ -358,7 +358,6 @@ def leafwise_mean_curvature(
     h_vec = normals @ trace
     omega = standard_space(y.n).omega
     t = frame.tangent_basis()
-    alpha = (omega @ t).T @ h_vec * (-1.0)
     # direct contraction: (i_H omega)(t) = omega(H, t)
     alpha_direct = np.array([h_vec @ omega @ t[:, i] for i in range(t.shape[1])])
     # frame formula: -sum_alpha A^beta_{alpha alpha} on the kernel e-duals,

@@ -158,18 +158,30 @@ def maslov_index(loop: CoisotropicLoop, section: MaslovSection,
 
 def _complexify_orthogonal(q: np.ndarray, tol: Tolerances) -> np.ndarray:
     """Complex matrix of an orthogonal symplectic (hence complex-linear)
-    2n x 2n matrix; raises if it fails to commute with j."""
-    n = q.shape[0] // 2
-    a, b = q[:n, :n], q[n:, :n]
+    2n x 2n matrix, member by member for a (..., 2n, 2n) stack; raises if
+    one fails to commute with j."""
+    n = q.shape[-1] // 2
+    a, b = q[..., :n, :n], q[..., n:, :n]
     resid = max(
-        float(np.max(np.abs(q[:n, :n] - q[n:, n:]))),
-        float(np.max(np.abs(q[:n, n:] + q[n:, :n]))),
+        float(np.max(np.abs(q[..., :n, :n] - q[..., n:, n:]))),
+        float(np.max(np.abs(q[..., :n, n:] + q[..., n:, :n]))),
     )
     if resid > 1e-8:
         raise InternalConsistencyError(
             f"unitary factor does not commute with j: residual {resid:.3e}"
         )
     return a + 1j * b
+
+
+def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise complex product, each real product and sum rounded on its
+    own as in NumPy's complex scalar product.  NumPy's complex array loops
+    (multiply, square, absolute) may fuse or reorder these steps, which
+    moves the last bit of a section sample."""
+    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
 
 
 def pushforward_section(
@@ -187,7 +199,9 @@ def pushforward_section(
     Q U(theta) and the independently propagated frames of the image loop;
     for unitary A that change is block diagonal and the factor is the
     transverse-frame transformation law of the squared canonical bundle.
-    Returns the pair (pushed loop, transported section).
+    The polar factors, their complex forms and both determinants are taken
+    in one stacked pass over the M samples.  Returns the pair (pushed loop,
+    transported section).
     """
     if section.m != loop.m:
         raise ValueError("section must be sampled on the loop's grid")
@@ -203,19 +217,15 @@ def pushforward_section(
         section = MaslovSection.from_function(loop.thetas, section.fn)
     aa = a.resample(out.m)
     raw = section.samples / loop.section_gauge()
-    gauge_out = out.section_gauge()
-    new_samples = np.empty(out.m, dtype=complex)
-    for i in range(out.m):
-        q, _ = scipy.linalg.polar(aa.matrices[i])
-        qc = _complexify_orthogonal(q, tol)
-        u = loop.frames[i].unitary()
-        u_prime = out.frames[i].unitary()
-        r = np.conj((qc @ u).T) @ u_prime
-        det_r = np.linalg.det(r)
-        det_q = np.linalg.det(qc)
-        val = raw[i] * (det_r ** 2) * (det_q ** 2) * gauge_out[i]
-        new_samples[i] = val / abs(val)
-    return out, MaslovSection(thetas=out.thetas, samples=new_samples)
+    q, _ = scipy.linalg.polar(aa.matrices)
+    qc = _complexify_orthogonal(q, tol)
+    r = np.conj(np.swapaxes(qc @ loop.unitaries(), -1, -2)) @ out.unitaries()
+    det_r, det_q = np.linalg.det(r), np.linalg.det(qc)
+    val = _cmul(_cmul(_cmul(raw, _cmul(det_r, det_r)), _cmul(det_q, det_q)),
+                out.section_gauge())
+    # np.hypot rounds the modulus as the scalar abs does
+    return out, MaslovSection(thetas=out.thetas,
+                              samples=val / np.hypot(val.real, val.imag))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -272,27 +282,38 @@ def tangent_boundary_loop(
     """The loop of tangent spaces of Y along a closed boundary curve.
 
     Returns ``(loop, points)``.  Points must lie on Y within the boundary
-    tolerance.  The generator returns each tangent space unclassified; the
-    loop classifies all samples in one stacked call.  The initial frame is
-    pinned by the tangent splitting at the first point, so the null frame
-    vector follows +X_rho around the loop.
+    tolerance.  The loop's generator follows the grid protocol of
+    :func:`~coiso.grassmann.loop_from_family`: it evaluates the boundary,
+    the surface test and the gradient point by point, then takes the
+    tangent spaces of all M points from one stacked SVD of the tangent
+    projectors and returns them unclassified; the loop classifies them in
+    one stacked call.  ``points`` are the boundary points of the final
+    grid, kept from that evaluation.  The initial frame is pinned by the
+    tangent splitting at the first point, so the null frame vector follows
+    +X_rho around the loop.
     """
     space = standard_space(y.n)
+    points_on_grid = {}
 
-    def gen(theta):
-        p = np.asarray(boundary(theta), dtype=float)
-        if not y.on_surface(p, tol.boundary_on_surface):
-            raise OffSurfaceError(
-                f"boundary point at theta={theta:.4f} is off the surface"
-            )
-        g = y.gradient(p)
-        u, s, _ = np.linalg.svd(np.eye(y.dim) - np.outer(g, g) / (g @ g))
-        return Subspace(u[:, : y.dim - 1])
+    def gen(thetas):
+        points = []
+        for theta in thetas:
+            p = np.asarray(boundary(theta), dtype=float)
+            if not y.on_surface(p, tol.boundary_on_surface):
+                raise OffSurfaceError(
+                    f"boundary point at theta={theta:.4f} is off the surface"
+                )
+            points.append(p)
+        points_on_grid[len(thetas)] = np.stack(points)
+        g = np.stack([y.gradient(p) for p in points])
+        outer = g[:, :, None] * g[:, None, :]
+        gg = g[:, None, :] @ g[:, :, None]
+        u = np.linalg.svd(np.eye(y.dim) - outer / gg)[0]
+        return Subspace(u[..., : y.dim - 1])
 
     hint = hypergeo.tangent_splitting(y, boundary(0.0), tol).frame
     loop = loop_from_family(space, y.n - 1, gen, samples=samples, hint=hint, tol=tol)
-    points = np.stack([np.asarray(boundary(t), dtype=float) for t in loop.thetas])
-    return loop, points
+    return loop, points_on_grid[loop.m]
 
 
 def disc_boundary_index(

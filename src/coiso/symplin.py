@@ -146,30 +146,40 @@ def real_coords(z: np.ndarray) -> np.ndarray:
 
 
 def realify(u: np.ndarray) -> np.ndarray:
-    """Real 2n x 2n matrix of a complex-linear map acting on C^n."""
+    """Real 2n x 2n matrix of a complex-linear map acting on C^n; for a
+    (..., n, n) stack, the (..., 2n, 2n) stack of the members' matrices."""
     u = np.asarray(u, dtype=complex)
     a, b = u.real, u.imag
-    return np.block([[a, -b], [b, a]])
+    return np.concatenate([np.concatenate([a, -b], axis=-1),
+                           np.concatenate([b, a], axis=-1)], axis=-2)
 
 
 def _mgs(cols: np.ndarray, min_norm: float) -> np.ndarray:
-    """Modified Gram-Schmidt in fixed column order, two passes for stability.
+    """Modified Gram-Schmidt in fixed column order, two passes for stability;
+    a (..., d, m) stack is orthonormalized member by member.
 
-    Raises ContinuityLossError when a column drops below ``min_norm``.
+    Raises ContinuityLossError, naming the stack member, when a column drops
+    below ``min_norm``.  Each member gets the arithmetic of a single matrix:
+    ``np.vecdot`` takes one BLAS dot per member, as the 1-D ``a @ b`` does,
+    and a norm is the square root of the dot of a contiguous vector, as the
+    1-D ``np.linalg.norm`` computes it.
     """
     q = np.array(cols, dtype=float)
-    m = q.shape[1]
-    for i in range(m):
-        v = q[:, i]
+    columns = [q[..., i] for i in range(q.shape[-1])]
+    for i, v in enumerate(columns):
         for _ in range(2):
-            for k in range(i):
-                v = v - (q[:, k] @ v) * q[:, k]
-        nv = np.linalg.norm(v)
-        if nv < min_norm:
+            for qk in columns[:i]:
+                v = v - np.vecdot(qk, v, keepdims=True) * qk
+        v = np.ascontiguousarray(v)
+        nv = np.sqrt(np.vecdot(v, v, keepdims=True))
+        short = nv < min_norm
+        if np.count_nonzero(short):
+            where = tuple(int(j) for j in np.argwhere(short)[0])
             raise ContinuityLossError(
-                f"column {i} projected to norm {nv:.3e} < {min_norm:.1e}"
+                f"column {i} projected to norm {nv[where]:.3e} < {min_norm:.1e}"
+                + _member_note(where[:-1])
             )
-        q[:, i] = v / nv
+        np.divide(v, nv, out=columns[i])
     return q
 
 

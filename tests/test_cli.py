@@ -166,17 +166,30 @@ def test_csv_output_through_main(tmp_path):
     assert "\r" not in text
 
 
+def _child_env():
+    """Environment in which a child imports the same coiso as this process,
+    however pytest found it."""
+    src = str(Path(coiso.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+
+
 def test_console_entry_point(tmp_path):
     spec = {"kind": "grassmannian-dim", "parameters": {"n": 2, "k": 0}}
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec))
-    # the child imports the same coiso as this process, however pytest found it
-    src = str(Path(coiso.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     proc = subprocess.run(
         [sys.executable, "-m", "coiso.cli", "run", str(path)],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["items"][0]["value"] == 3
+
+
+def test_package_runs_as_module():
+    proc = subprocess.run(
+        [sys.executable, "-m", "coiso", "schema"],
+        capture_output=True, text=True, env=_child_env(),
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout) == SCHEMA

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import coiso
@@ -24,6 +25,18 @@ from coiso import (
 
 SP1 = standard_space(1)
 SP2 = standard_space(2)
+
+
+def diagonals(*entries):
+    """The stack of diagonal matrices diag(entries) on a grid of angles;
+    each entry is a per-angle array or a constant."""
+    d = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return d[..., None] * np.eye(d.shape[-1])
+
+
+def constant_unitaries(u):
+    """The grid callable of the constant unitary loop u."""
+    return lambda thetas: np.tile(u, (len(thetas), 1, 1))
 
 
 def test_constant_loop():
@@ -66,8 +79,8 @@ def test_refinement_triggers_on_coarse_sampling():
 def test_refinement_budget_exhausts():
     tol = coiso.DEFAULT.replace(max_loop_samples=32)
 
-    def jumpy(theta):
-        u = realify(np.diag([1.0, np.exp(37j * theta)]))
+    def jumpy(thetas):
+        u = realify(diagonals(1.0, np.exp(37j * thetas)))
         return Subspace.from_spanning(u @ standard_model(SP2, 1).space.basis)
 
     with pytest.raises(DiscontinuousLoopError):
@@ -75,8 +88,8 @@ def test_refinement_budget_exhausts():
 
 
 def test_open_generator_rejected():
-    def open_path(theta):
-        u = realify(np.diag([1.0, np.exp(0.25j * theta)]))
+    def open_path(thetas):
+        u = realify(diagonals(1.0, np.exp(0.25j * thetas)))
         return Subspace.from_spanning(u @ standard_model(SP2, 1).space.basis)
 
     with pytest.raises(DiscontinuousLoopError):
@@ -113,7 +126,7 @@ def test_matrix_loop_validation():
 def test_pushforward_identity():
     gen = diag_unitary_family(SP2, 1, [1.0, 0.0])
     loop = loop_from_family(SP2, 1, gen, samples=32)
-    a = unitary_matrix_loop(SP2, lambda t: np.eye(2, dtype=complex), 32)
+    a = unitary_matrix_loop(SP2, constant_unitaries(np.eye(2, dtype=complex)), 32)
     out = pushforward(a, loop)
     for s, t in zip(out.samples, loop.samples):
         assert np.max(principal_angles(s.space, t.space)) < 1e-12
@@ -122,7 +135,7 @@ def test_pushforward_identity():
 def test_pushforward_constant_unitary():
     u = coiso.symplin.random_unitary(2, coiso.rng(8))
     loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=16)
-    a = unitary_matrix_loop(SP2, lambda t, _u=u: _u, 16)
+    a = unitary_matrix_loop(SP2, constant_unitaries(u), 16)
     out = pushforward(a, loop)
     target = coiso.classify_coisotropic(
         SP2, Subspace.from_spanning(realify(u) @ standard_model(SP2, 1).space.basis))
@@ -133,7 +146,7 @@ def test_pushforward_constant_unitary():
 def test_pushforward_matches_direct_family():
     # rotating a constant loop equals sampling the rotated family directly
     loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=64)
-    a = unitary_matrix_loop(SP2, lambda t: np.diag([np.exp(1j * t), 1.0]), 64)
+    a = unitary_matrix_loop(SP2, lambda t: diagonals(np.exp(1j * t), 1.0), 64)
     out = pushforward(a, loop)
     direct = loop_from_family(
         SP2, 1, diag_unitary_family(SP2, 1, [1.0, 0.0]), samples=64)
@@ -144,8 +157,8 @@ def test_pushforward_matches_direct_family():
 def test_pushforward_roundtrip():
     gen = coiso.random_unitary_orbit_family(SP2, 1, coiso.rng(15))
     loop = loop_from_family(SP2, 1, gen, samples=64)
-    fwd = unitary_matrix_loop(SP2, lambda t: np.diag([np.exp(1j * t), 1.0]), 64)
-    back = unitary_matrix_loop(SP2, lambda t: np.diag([np.exp(-1j * t), 1.0]), 64)
+    fwd = unitary_matrix_loop(SP2, lambda t: diagonals(np.exp(1j * t), 1.0), 64)
+    back = unitary_matrix_loop(SP2, lambda t: diagonals(np.exp(-1j * t), 1.0), 64)
     there = pushforward(fwd, loop)
     home = pushforward(back, there)
     for s, t in zip(home.samples, loop.samples):
@@ -194,3 +207,84 @@ def test_matrix_loop_rejects_a_step_above_half():
         SymplecticMatrixLoop(space=SP2, thetas=np.zeros(8), matrices=mats)
     mats[5] = realify(np.diag([np.exp(0.4j), 1.0]))  # |e^0.4i - 1| = 0.40
     SymplecticMatrixLoop(space=SP2, thetas=np.zeros(8), matrices=mats)
+
+
+# ---------------------------------------------------------------------------
+# grid protocol: a generator maps M angles to M members, member i depending
+# on theta_i alone, so each member of a grid's stack equals the stack of one
+# on its own angle, bit for bit
+
+
+def _family_generators(space, k, seed):
+    """One generator of every LOOP_FAMILIES entry on ``space``."""
+    g = coiso.rng(seed)
+    gens = {
+        "constant": coiso.LOOP_FAMILIES["constant"](space, k, seed),
+        "diag-unitary": coiso.LOOP_FAMILIES["diag-unitary"](
+            space, k, list(g.integers(-4, 5, size=space.n) / 2.0)),
+        "random-unitary-orbit": coiso.LOOP_FAMILIES["random-unitary-orbit"](space, k, seed),
+        "lagrangian-rotation": coiso.LOOP_FAMILIES["lagrangian-rotation"](
+            space, int(g.integers(-2, 3))),
+    }
+    assert gens.keys() == coiso.LOOP_FAMILIES.keys()
+    return gens
+
+
+def _grid(draw_count, seed):
+    g = coiso.rng(seed, 1)
+    return np.concatenate([g.uniform(0, 2 * np.pi, size=draw_count), [0.0, 2 * np.pi]])
+
+
+def _basis(value):
+    return value.space.basis if isinstance(value, coiso.CoisotropicSubspace) else value.basis
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 9))
+def test_loop_family_stack_equals_members(n, data, seed, count):
+    k = data.draw(st.integers(0, n))
+    space = standard_space(n)
+    thetas = _grid(count, seed)
+    for name, gen in _family_generators(space, k, seed).items():
+        stacked = _basis(gen(thetas))
+        assert stacked.shape[:2] == (len(thetas), 2 * n), name
+        for i in range(len(thetas)):
+            assert np.array_equal(stacked[i], _basis(gen(thetas[i:i + 1]))[0]), (name, i)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(1, 9))
+def test_matrix_loop_callables_stack_equal_members(n, seed, count):
+    space = standard_space(n)
+    thetas = _grid(count, seed)
+    for maker in (coiso.random_unitary_matrix_loop, coiso.random_symplectic_matrix_loop):
+        fn = maker(space, coiso.rng(seed), 512, max_winding=1).generator
+        stacked = fn(thetas)
+        assert stacked.shape == (len(thetas), 2 * n, 2 * n)
+        for i in range(len(thetas)):
+            assert np.array_equal(stacked[i], fn(thetas[i:i + 1])[0]), (maker.__name__, i)
+
+
+def test_per_angle_generator_is_refused_with_the_shapes():
+    def per_angle(theta):
+        return standard_model(SP2, 1)
+
+    with pytest.raises(ValueError, match=r"expected a stack of shape \(2, 4, 3\), "
+                                         r"got shape \(4, 3\)"):
+        loop_from_family(SP2, 1, per_angle, samples=8)
+
+    def one_short(thetas):
+        return constant_family(SP2, 1)(thetas[1:])
+
+    with pytest.raises(ValueError, match=r"expected a stack of shape \(2, 4, 3\), "
+                                         r"got shape \(1, 4, 3\)"):
+        loop_from_family(SP2, 1, one_short, samples=8)
+
+
+def test_per_angle_matrix_callable_is_refused_with_the_shapes():
+    with pytest.raises(ValueError, match=r"expected a stack of shape \(8, 4, 4\), "
+                                         r"got shape \(4, 4\)"):
+        SymplecticMatrixLoop.from_callable(SP2, lambda theta: np.eye(4), 8)
+    with pytest.raises(ValueError, match=r"expected a stack of shape \(8, 4, 4\), "
+                                         r"got shape \(4, 4\)"):
+        unitary_matrix_loop(SP2, lambda theta: np.eye(2, dtype=complex), 8)

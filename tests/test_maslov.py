@@ -22,12 +22,26 @@ from coiso import (
     pushforward_section,
     random_coisotropic,
     standard_space,
+    tangent_boundary_loop,
     unitary_matrix_loop,
     winding,
 )
+from coiso.cli import BOUNDARY_FAMILIES
 
 SP1 = standard_space(1)
 SP2 = standard_space(2)
+
+
+def diagonals(*entries):
+    """The stack of diagonal matrices diag(entries) on a grid of angles;
+    each entry is a per-angle array or a constant."""
+    d = np.stack(np.broadcast_arrays(*entries), axis=-1)
+    return d[..., None] * np.eye(d.shape[-1])
+
+
+def constant_unitaries(u):
+    """The grid callable of the constant unitary loop u."""
+    return lambda thetas: np.tile(u, (len(thetas), 1, 1))
 
 
 def rotation_loop(n, turns=1, samples=64):
@@ -165,7 +179,7 @@ def test_pushforward_section_identity():
     gen = coiso.random_unitary_orbit_family(SP2, 1, coiso.rng(5))
     loop = loop_from_family(SP2, 1, gen, samples=64)
     sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
-    a = unitary_matrix_loop(SP2, lambda t: np.eye(2, dtype=complex), 64)
+    a = unitary_matrix_loop(SP2, constant_unitaries(np.eye(2, dtype=complex)), 64)
     out, moved = pushforward_section(a, loop, sec)
     assert_allclose(moved.samples, sec.samples, atol=1e-9)
 
@@ -176,7 +190,7 @@ def test_pushforward_section_transverse_rotation():
     # index is preserved
     loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=64)
     sec = ones_section(loop)
-    a = unitary_matrix_loop(SP2, lambda t: np.diag([1.0, np.exp(-1j * t)]), 64)
+    a = unitary_matrix_loop(SP2, lambda t: diagonals(1.0, np.exp(-1j * t)), 64)
     out, moved = pushforward_section(a, loop, sec)
     assert winding(moved.samples) == -2
     assert winding(canonical_section(out).samples) == -2
@@ -277,3 +291,40 @@ def test_constant_grading_section_is_gauge_only():
     pts = np.zeros((16, 4))
     sec = grading.section_along(pts, loop)
     assert_allclose(sec.samples, np.ones(16), atol=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# stacked evaluation: every member equals the per-sample computation
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.floats(0.2, 1.4), st.integers(-2, 2), st.integers(-2, 2),
+       st.integers(0, 2 ** 32 - 1), st.integers(1, 9))
+def test_tangent_stack_equals_members(alpha, p, q, seed, count):
+    boundary = BOUNDARY_FAMILIES["latitude"]({"alpha": alpha, "p": p, "q": q})
+    loop, points = tangent_boundary_loop(coiso.sphere(2), boundary, samples=16)
+    assert np.array_equal(points, np.stack([boundary(t) for t in loop.thetas]))
+    thetas = coiso.rng(seed).uniform(0, 2 * np.pi, size=count)
+    stacked = loop.generator(thetas).basis
+    assert stacked.shape == (count, 4, 3)
+    for i in range(count):
+        assert np.array_equal(stacked[i], loop.generator(thetas[i:i + 1]).basis[0])
+
+
+def test_pushforward_section_equals_the_per_sample_computation():
+    for trial, maker in enumerate((coiso.random_unitary_matrix_loop,
+                                   coiso.random_symplectic_matrix_loop)):
+        gen = coiso.random_unitary_orbit_family(SP2, 1, coiso.rng(50_097, trial))
+        loop = loop_from_family(SP2, 1, gen, samples=128)
+        sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
+        a = maker(SP2, coiso.rng(7, trial), loop.m, max_winding=1)
+        out, moved = pushforward_section(a, loop, sec)
+        assert out.m == loop.m
+        raw = sec.samples / loop.section_gauge()
+        gauge = out.section_gauge()
+        for i in range(out.m):
+            q, _ = scipy.linalg.polar(a.matrices[i])
+            qc = q[:2, :2] + 1j * q[2:, :2]
+            r = np.conj((qc @ loop.frames[i].unitary()).T) @ out.frames[i].unitary()
+            val = raw[i] * (np.linalg.det(r) ** 2) * (np.linalg.det(qc) ** 2) * gauge[i]
+            assert moved.samples[i] == val / abs(val), (maker.__name__, i)

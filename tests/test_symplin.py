@@ -356,3 +356,67 @@ def test_transported_frames_follow_their_hints():
     stack, frames = _chain()
     for i in range(1, len(frames)):
         assert np.array_equal(frames[i].e, adapted_frame(SP3, stack[i], hint=frames[i - 1]).e)
+
+
+# ---------------------------------------------------------------------------
+# stacked orthonormalization and realification: each member of a stacked
+# result equals the same computation on that member alone, bit for bit
+
+
+@st.composite
+def _spanning_stacks(draw):
+    n = draw(st.integers(1, 4))
+    m = draw(st.integers(1, 2 * n))
+    count = draw(st.integers(1, 5))
+    g = coiso.rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return g.normal(size=(count, 2 * n, m))
+
+
+def _reference_mgs(cols):
+    """Per-matrix modified Gram-Schmidt on 1-D columns: the arithmetic the
+    stacked version must reproduce bit for bit."""
+    q = np.array(cols, dtype=float)
+    for i in range(q.shape[1]):
+        v = q[:, i]
+        for _ in range(2):
+            for k in range(i):
+                v = v - (q[:, k] @ v) * q[:, k]
+        q[:, i] = v / np.linalg.norm(v)
+    return q
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spanning_stacks())
+def test_from_spanning_stack_equals_members(cols):
+    stacked = Subspace.from_spanning(cols).basis
+    assert stacked.shape == cols.shape
+    for i in range(len(cols)):
+        assert np.array_equal(stacked[i], Subspace.from_spanning(cols[i]).basis)
+        assert np.array_equal(stacked[i], _reference_mgs(cols[i]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 5))
+def test_realify_stack_equals_members(seed, n, count):
+    g = coiso.rng(seed)
+    u = g.normal(size=(count, n, n)) + 1j * g.normal(size=(count, n, n))
+    stacked = realify(u)
+    assert stacked.shape == (count, 2 * n, 2 * n)
+    for i in range(count):
+        a, b = u[i].real, u[i].imag
+        assert np.array_equal(stacked[i], realify(u[i]))
+        assert np.array_equal(stacked[i], np.block([[a, -b], [b, a]]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.data())
+def test_from_spanning_names_the_rank_deficient_member(seed, count, data):
+    bad = data.draw(st.integers(0, count - 1))
+    cols = coiso.rng(seed).normal(size=(count, 6, 3))
+    cols[bad, :, 2] = cols[bad, :, 0] - 2.0 * cols[bad, :, 1]
+    with pytest.raises(coiso.ContinuityLossError,
+                       match=rf"^column 2 projected .* \(stack member {bad}\)$"):
+        Subspace.from_spanning(cols)
+    with pytest.raises(coiso.ContinuityLossError,
+                       match=r"^column 2 projected to norm \S+ < 1\.0e-12$"):
+        Subspace.from_spanning(cols[bad])
