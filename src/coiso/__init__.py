@@ -86,6 +86,7 @@ from .hypergeo import (
     LeviForm,
     MeanCurvature,
     Minimality,
+    PointGeometry,
     SFFBlocks,
     TransverseCurvature,
     cylinder,
@@ -97,6 +98,7 @@ from .hypergeo import (
     leafwise_mean_curvature,
     levi_form,
     normal_convention_matrix,
+    point_geometry,
     random_graph_product,
     second_fundamental_form,
     sphere,

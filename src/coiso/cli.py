@@ -46,6 +46,57 @@ KINDS = [
     "minimality-scan",
 ]
 
+
+# ---------------------------------------------------------------------------
+# boundary loop families on hypersurface fixtures
+
+
+def _hopf_boundary(params: dict) -> Callable[[float], np.ndarray]:
+    power = int(params.get("power", 1))
+
+    def w(theta):
+        z = np.exp(1j * power * theta)
+        return np.array([z.real, 0.0, z.imag, 0.0])
+
+    return w
+
+
+def _latitude_boundary(params: dict) -> Callable[[float], np.ndarray]:
+    alpha = float(params.get("alpha", 1.25))
+    p = int(params.get("p", 1))
+    q = int(params.get("q", 0))
+    ca, sa = cos(alpha), sin(alpha)
+
+    def w(theta):
+        z1 = ca * np.exp(1j * p * theta)
+        z2 = sa * np.exp(1j * q * theta)
+        return np.array([z1.real, z2.real, z1.imag, z2.imag])
+
+    return w
+
+
+def _planar_circle_boundary(params: dict) -> Callable[[float], np.ndarray]:
+    r1 = float(params.get("r1", 0.7))
+    r2 = float(params.get("r2", 0.4))
+    # closed curve inside the hyperplane x1 = 1 of C^2
+    def w(theta):
+        return np.array([
+            1.0,
+            r1 * cos(theta),
+            r2 * sin(theta) + 0.2 * r2 * sin(2 * theta),
+            r2 * cos(theta),
+        ])
+
+    return w
+
+
+BOUNDARY_FAMILIES = {
+    "hopf": _hopf_boundary,
+    "latitude": _latitude_boundary,
+    "planar-circle": _planar_circle_boundary,
+}
+
+
 SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "coiso experiment",
@@ -63,11 +114,11 @@ SCHEMA = {
                 "seed": {"type": "integer"},
                 "points": {"type": "integer", "minimum": 0},
                 "trials": {"type": "integer", "minimum": 1},
-                "family": {"type": "string"},
+                "family": {"enum": list(grassmann.LOOP_FAMILIES)},
                 "family_params": {"type": "object"},
-                "fixture": {"type": "string"},
+                "fixture": {"enum": list(hypergeo.FIXTURES)},
                 "fixture_params": {"type": "object"},
-                "loop": {"type": "string"},
+                "loop": {"enum": list(BOUNDARY_FAMILIES)},
                 "loop_params": {"type": "object"},
                 "section": {
                     "type": "object",
@@ -79,7 +130,12 @@ SCHEMA = {
                 },
                 "grading_phase": {"type": "number"},
                 "expected_index": {"type": "integer"},
-                "tolerances": {"type": "object"},
+                "tolerances": {
+                    "type": "object",
+                    "propertyNames": {
+                        "enum": [f.name for f in dataclasses.fields(Tolerances)],
+                    },
+                },
             },
             "additionalProperties": False,
         },
@@ -164,56 +220,6 @@ def _item(name, value, oracle=None, residual=None, passed=True) -> dict:
         "residual": residual,
         "passed": bool(passed),
     }
-
-
-# ---------------------------------------------------------------------------
-# boundary loop families on hypersurface fixtures
-
-
-def _hopf_boundary(params: dict) -> Callable[[float], np.ndarray]:
-    power = int(params.get("power", 1))
-
-    def w(theta):
-        z = np.exp(1j * power * theta)
-        return np.array([z.real, 0.0, z.imag, 0.0])
-
-    return w
-
-
-def _latitude_boundary(params: dict) -> Callable[[float], np.ndarray]:
-    alpha = float(params.get("alpha", 1.25))
-    p = int(params.get("p", 1))
-    q = int(params.get("q", 0))
-    ca, sa = cos(alpha), sin(alpha)
-
-    def w(theta):
-        z1 = ca * np.exp(1j * p * theta)
-        z2 = sa * np.exp(1j * q * theta)
-        return np.array([z1.real, z2.real, z1.imag, z2.imag])
-
-    return w
-
-
-def _planar_circle_boundary(params: dict) -> Callable[[float], np.ndarray]:
-    r1 = float(params.get("r1", 0.7))
-    r2 = float(params.get("r2", 0.4))
-    # closed curve inside the hyperplane x1 = 1 of C^2
-    def w(theta):
-        return np.array([
-            1.0,
-            r1 * cos(theta),
-            r2 * sin(theta) + 0.2 * r2 * sin(2 * theta),
-            r2 * cos(theta),
-        ])
-
-    return w
-
-
-BOUNDARY_FAMILIES = {
-    "hopf": _hopf_boundary,
-    "latitude": _latitude_boundary,
-    "planar-circle": _planar_circle_boundary,
-}
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +341,7 @@ def _run_invariance_suite(params: dict, tol: Tolerances, seed: int) -> list:
 
 def _run_disc_index(params: dict, tol: Tolerances, seed: int) -> list:
     fixture = params.get("fixture", "sphere")
-    y = hypergeo.FIXTURES[fixture](fixture, params.get("fixture_params", {}))
+    y = hypergeo.FIXTURES[fixture](params.get("fixture_params", {}))
     loop_name = params.get("loop", "hopf")
     boundary = BOUNDARY_FAMILIES[loop_name](params.get("loop_params", {}))
     m = int(params.get("M", 256))
@@ -358,26 +364,26 @@ def _run_disc_index(params: dict, tol: Tolerances, seed: int) -> list:
 
 
 def _hypersurface_point_report(y, p, tol: Tolerances) -> dict:
-    blocks = hypergeo.second_fundamental_form(y, p, tol=tol)
-    mc = hypergeo.leafwise_mean_curvature(y, p, tol=tol)
-    levi = hypergeo.levi_form(y, p, tol=tol)
-    sff_route = hypergeo.transverse_curvature_sff(blocks, tol=tol)
-    bracket = hypergeo.transverse_curvature_bracket(y, p, tol=tol)
+    geo = hypergeo.point_geometry(y, p, tol)
+    mc = hypergeo.leafwise_mean_curvature(geo)
+    levi = hypergeo.levi_form(geo)
+    sff_route = hypergeo.transverse_curvature_sff(geo)
+    bracket = hypergeo.transverse_curvature_bracket(geo)
     return {
-        "sff_symmetry": blocks.symmetry_residual(),
+        "sff_symmetry": geo.blocks.symmetry_residual(),
         "alpha_norm": mc.alpha_norm,
         "mean_curvature_residual": mc.formula_residual,
         "levi_eigenvalues": [float(v) for v in levi.eigenvalues],
         "levi_positive_definite": levi.positive_definite,
         "curvature_route_gap": float(np.max(np.abs(
             sff_route.components - bracket.components))) if sff_route.components.size else 0.0,
-        "type_11": bool(hypergeo.is_integrable_prekahler(y, p, tol)),
+        "type_11": bool(hypergeo.is_integrable_prekahler(sff_route, tol)),
     }
 
 
 def _run_hypersurface_report(params: dict, tol: Tolerances, seed: int) -> list:
     fixture = params.get("fixture", "sphere")
-    y = hypergeo.FIXTURES[fixture](fixture, params.get("fixture_params", {}))
+    y = hypergeo.FIXTURES[fixture](params.get("fixture_params", {}))
     count = int(params.get("points", 8))
     pts = y.sample_points(count, rng(seed, 7))
     reports = [_hypersurface_point_report(y, p, tol) for p in pts]
@@ -397,7 +403,7 @@ def _run_hypersurface_report(params: dict, tol: Tolerances, seed: int) -> list:
         items.append(_item(f"alpha_norm[{i}]", rep["alpha_norm"]))
         items.append(_item(f"levi_positive_definite[{i}]",
                            rep["levi_positive_definite"]))
-    special = maslov.is_leafwise_special(y, pts, tol)
+    special = maslov.is_leafwise_special(pts, [rep["alpha_norm"] for rep in reports], tol)
     items.append(_item("leafwise_special", bool(special.result)))
     items.append(_item("max_alpha_norm", float(special.max_alpha)))
     return items
@@ -405,12 +411,12 @@ def _run_hypersurface_report(params: dict, tol: Tolerances, seed: int) -> list:
 
 def _run_minimality_scan(params: dict, tol: Tolerances, seed: int) -> list:
     fixture = params.get("fixture", "sphere")
-    y = hypergeo.FIXTURES[fixture](fixture, params.get("fixture_params", {}))
+    y = hypergeo.FIXTURES[fixture](params.get("fixture_params", {}))
     count = int(params.get("points", 8))
     pts = y.sample_points(count, rng(seed, 11))
     items = []
     for i, p in enumerate(pts):
-        res = hypergeo.leaf_minimality(y, p, tol=tol)
+        res = hypergeo.leaf_minimality(hypergeo.point_geometry(y, p, tol))
         items.append(_item(
             f"minimal[{i}]", bool(res.minimal),
             residual=res.curvature_norm, passed=True))

@@ -8,6 +8,12 @@ here is pointwise: second fundamental form blocks in an adapted frame,
 leafwise mean curvature, Levi form, the transverse symplectic curvature by
 two independent routes, and leaf minimality along the X_rho flow.
 
+A point's geometry is computed once.  ``point_geometry`` builds one
+``PointGeometry`` record per point: the normal, X_rho, N_JF and the adapted
+frame from one ``tangent_splitting`` call, the Hessian and |grad rho| from
+one evaluation each, and the SFF blocks from one ``second_fundamental_form``
+call.  Every pointwise routine reads that record and recomputes none of it.
+
 Sign conventions, fixed once and used consistently: the normal is the
 outward nu = grad(rho); the frame convention puts e_n along X_rho, so
 f_n = j e_n = -nu, and the second fundamental form blocks A, B, C, D are
@@ -20,7 +26,6 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from functools import lru_cache
-from math import pi
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -36,6 +41,7 @@ from .errors import (
 from .symplin import (
     AdaptedFrame,
     Subspace,
+    _mgs,
     classify_coisotropic,
     complex_coords,
     real_coords,
@@ -46,12 +52,14 @@ __all__ = [
     "LevelSetHypersurface",
     "TangentSplitting",
     "SFFBlocks",
+    "PointGeometry",
     "MeanCurvature",
     "LeviForm",
     "TransverseCurvature",
     "Minimality",
     "tangent_splitting",
     "second_fundamental_form",
+    "point_geometry",
     "leafwise_mean_curvature",
     "levi_form",
     "transverse_curvature_bracket",
@@ -250,9 +258,7 @@ class SFFBlocks:
     full: np.ndarray
 
     def __post_init__(self):
-        worst = max(
-            (float(np.max(np.abs(s - s.T))) for s in self.full), default=0.0
-        )
+        worst = self.symmetry_residual()
         if worst > DEFAULT.sff_symmetry:
             raise NumericalQualityError(
                 f"second fundamental form symmetry violated by {worst:.3e}"
@@ -289,29 +295,75 @@ class SFFBlocks:
 
 
 def second_fundamental_form(
-    y: LevelSetHypersurface,
     p: np.ndarray,
-    frame: Optional[AdaptedFrame] = None,
-    tol: Tolerances = DEFAULT,
+    frame: AdaptedFrame,
+    nu: np.ndarray,
+    normalized_hessian: np.ndarray,
 ) -> SFFBlocks:
-    """SFF blocks of Y at p in the given (or canonical) adapted frame.
+    """SFF blocks of Y at p in an adapted frame.
 
     For a level set with unit normal nu = grad(rho)/|grad(rho)| the
     normal-valued form on tangent vectors is
     S(v, w) = -(<Hess(rho) v, w> / |grad rho|) nu, and the blocks are its
-    pairings with the frame normals f_alpha.
+    pairings with the frame normals f_alpha; ``normalized_hessian`` is
+    Hess(rho) / |grad rho| at p.
     """
-    p = np.asarray(p, dtype=float)
-    if frame is None:
-        frame = tangent_splitting(y, p, tol).frame
-    nu = y.unit_normal(p, tol)
-    hess = y.hessian(p) / y.gradient_norm(p)
     t = frame.tangent_basis()
-    ht = t.T @ hess @ t
+    ht = t.T @ normalized_hessian @ t
     normals = frame.f[:, frame.k:]
     signs = -(nu @ normals)          # f_n = -nu gives +1 for hypersurfaces
     full = np.stack([s * ht for s in signs])
     return SFFBlocks(point=p, frame=frame, full=full)
+
+
+@dataclasses.dataclass(frozen=True)
+class PointGeometry:
+    """The geometry of Y at one point, computed once by ``point_geometry``
+    and read by every pointwise routine.
+
+    ``nu``, ``x_rho``, ``njf`` and ``frame`` come from one
+    ``tangent_splitting`` call; ``hessian`` is the raw Hessian of rho,
+    ``gradient_norm`` is |grad rho| and ``normalized_hessian`` their
+    quotient; ``blocks`` are the SFF blocks in ``frame``.  ``tol`` is the
+    tolerance record every check at this point reads.
+    """
+
+    y: LevelSetHypersurface
+    point: np.ndarray
+    nu: np.ndarray
+    x_rho: np.ndarray
+    njf: Subspace
+    frame: AdaptedFrame
+    hessian: np.ndarray
+    gradient_norm: float
+    normalized_hessian: np.ndarray
+    blocks: SFFBlocks
+    tol: Tolerances
+
+    def in_frame(self, frame: AdaptedFrame) -> "PointGeometry":
+        """The same point read in another adapted frame: the SFF blocks are
+        re-read from the same Hessian, every other field is kept."""
+        blocks = second_fundamental_form(
+            self.point, frame, self.nu, self.normalized_hessian)
+        return dataclasses.replace(self, frame=frame, blocks=blocks)
+
+
+def point_geometry(
+    y: LevelSetHypersurface, p: np.ndarray, tol: Tolerances = DEFAULT
+) -> PointGeometry:
+    """Splitting, Hessian and SFF blocks of Y at p, each computed once."""
+    p = np.asarray(p, dtype=float)
+    spl = tangent_splitting(y, p, tol)
+    hessian = y.hessian(p)
+    gradient_norm = y.gradient_norm(p)
+    normalized_hessian = hessian / gradient_norm
+    return PointGeometry(
+        y=y, point=p, nu=spl.nu, x_rho=spl.x_rho, njf=spl.njf, frame=spl.frame,
+        hessian=hessian, gradient_norm=gradient_norm,
+        normalized_hessian=normalized_hessian,
+        blocks=second_fundamental_form(p, spl.frame, spl.nu, normalized_hessian),
+        tol=tol,
+    )
 
 
 def normal_convention_matrix(blocks: SFFBlocks, nu: np.ndarray) -> np.ndarray:
@@ -333,30 +385,21 @@ class MeanCurvature:
     formula_residual: float         # direct contraction vs frame formula
 
 
-def leafwise_mean_curvature(
-    y: LevelSetHypersurface,
-    p: np.ndarray,
-    frame: Optional[AdaptedFrame] = None,
-    tol: Tolerances = DEFAULT,
-) -> MeanCurvature:
-    """Leafwise mean curvature vector and one-form at p.
+def leafwise_mean_curvature(geo: PointGeometry) -> MeanCurvature:
+    """Leafwise mean curvature vector and one-form at the point.
 
     The vector is the trace of the SFF over the kernel frame directions;
     its omega-contraction on the tangent basis is cross-checked against the
     frame formula (minus the kernel-block trace of A on the kernel duals),
     in both index patterns, to 1e-6.
     """
-    p = np.asarray(p, dtype=float)
-    spl = tangent_splitting(y, p, tol)
-    if frame is None:
-        frame = spl.frame
-    blocks = second_fundamental_form(y, p, frame, tol)
+    blocks, frame = geo.blocks, geo.frame
     n, k = blocks.n, blocks.k
     normals = frame.f[:, k:]
     kernel_idx = np.arange(k, n)
     trace = blocks.a[:, kernel_idx, kernel_idx].sum(axis=1)   # per alpha
     h_vec = normals @ trace
-    omega = standard_space(y.n).omega
+    omega = standard_space(geo.y.n).omega
     t = frame.tangent_basis()
     # direct contraction: (i_H omega)(t) = omega(H, t)
     alpha_direct = np.array([h_vec @ omega @ t[:, i] for i in range(t.shape[1])])
@@ -374,7 +417,7 @@ def leafwise_mean_curvature(
         float(np.max(np.abs(alpha_direct - formula1))),
         float(np.max(np.abs(alpha_direct - formula2))),
     )
-    if residual > 10 * tol.mean_curvature_consistency:
+    if residual > 10 * geo.tol.mean_curvature_consistency:
         raise InternalConsistencyError(
             f"mean curvature contractions disagree by {residual:.3e}"
         )
@@ -403,19 +446,10 @@ class LeviForm:
     positive_definite: bool
 
 
-def levi_form(
-    y: LevelSetHypersurface,
-    p: np.ndarray,
-    frame: Optional[AdaptedFrame] = None,
-    tol: Tolerances = DEFAULT,
-) -> LeviForm:
-    p = np.asarray(p, dtype=float)
-    spl = tangent_splitting(y, p, tol)
-    if frame is None:
-        frame = spl.frame
-    basis = frame.h_vectors()
-    j = _jmat(y.n)
-    hess = y.hessian(p) / y.gradient_norm(p)
+def levi_form(geo: PointGeometry) -> LeviForm:
+    basis = geo.frame.h_vectors()
+    j = _jmat(geo.y.n)
+    hess = geo.normalized_hessian
     jb = j @ basis
     two_form = 0.5 * (jb.T @ hess @ basis - basis.T @ hess @ jb)
     hermitian = 0.5 * (basis.T @ hess @ basis + jb.T @ hess @ jb)
@@ -451,35 +485,15 @@ class TransverseCurvature:
         must reproduce ``components``."""
         if self.f20 is None:
             raise ValueError("type decomposition not available on this route")
-        two_k = self.components.shape[0]
-        k = two_k // 2
-        nal = self.components.shape[2]
-        out = np.zeros((two_k, two_k, nal), dtype=complex)
+        k = self.components.shape[0] // 2
         # theta^a(e_b) = delta, theta^a(f_b) = i delta on the (e_a, f_a) basis
-        theta = np.zeros((k, two_k), dtype=complex)
-        for a in range(k):
-            theta[a, a] = 1.0
-            theta[a, k + a] = 1j
+        theta = np.concatenate([np.eye(k), 1j * np.eye(k)], axis=1)
         tbar = np.conj(theta)
-        for i in range(two_k):
-            for jj in range(two_k):
-                for al in range(nal):
-                    v20 = sum(
-                        self.f20[a, b, al]
-                        * (theta[a, i] * theta[b, jj] - theta[a, jj] * theta[b, i])
-                        for a in range(k) for b in range(k)
-                    )
-                    v11 = sum(
-                        self.f11[a, b, al]
-                        * (theta[a, i] * tbar[b, jj] - theta[a, jj] * tbar[b, i])
-                        for a in range(k) for b in range(k)
-                    )
-                    v02 = sum(
-                        self.f02[a, b, al]
-                        * (tbar[a, i] * tbar[b, jj] - tbar[a, jj] * tbar[b, i])
-                        for a in range(k) for b in range(k)
-                    )
-                    out[i, jj, al] = v20 + v11 + v02
+        # each type part F^{pq}(u, v) - F^{pq}(v, u), from the ordered pairing
+        ordered = (np.einsum("abl,ai,bj->ijl", self.f20, theta, theta)
+                   + np.einsum("abl,ai,bj->ijl", self.f11, theta, tbar)
+                   + np.einsum("abl,ai,bj->ijl", self.f02, tbar, tbar))
+        out = ordered - ordered.transpose(1, 0, 2)
         if float(np.max(np.abs(out.imag))) > tol:
             raise InternalConsistencyError("type reassembly left an imaginary part")
         return out.real
@@ -488,24 +502,10 @@ class TransverseCurvature:
         return float(np.max(np.abs(self.components))) if self.components.size else 0.0
 
 
-def _surface_step(y: LevelSetHypersurface, p: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return y.project(p + v)
-
-
-def _njf_project(y: LevelSetHypersurface, q: np.ndarray, v: np.ndarray,
-                 tol: Tolerances) -> np.ndarray:
-    nu = y.unit_normal(q, tol)
-    xr = _jmat(y.n) @ nu
-    return v - (v @ nu) * nu - (v @ xr) * xr
-
-
 def transverse_curvature_bracket(
-    y: LevelSetHypersurface,
-    p: np.ndarray,
-    frame: Optional[AdaptedFrame] = None,
+    geo: PointGeometry,
     step: float = 1e-4,
     scheme: str = "projection",
-    tol: Tolerances = DEFAULT,
 ) -> TransverseCurvature:
     """Bracket-route transverse curvature.
 
@@ -516,51 +516,45 @@ def transverse_curvature_bracket(
     differences of the field along surface steps and its null-direction
     component extracted.  The bracket must remain tangent to Y.
     """
-    p = np.asarray(p, dtype=float)
-    spl = tangent_splitting(y, p, tol)
-    if frame is None:
-        frame = spl.frame
-    basis = frame.h_vectors()
+    y, p, tol = geo.y, geo.point, geo.tol
+    basis = geo.frame.h_vectors()
     two_k = basis.shape[1]
-    kernel = frame.kernel_vectors()
+    kernel = geo.frame.kernel_vectors()
 
+    # every field's value at one point, from the splitting data there
     if scheme == "projection":
-        def field(i):
-            b = basis[:, i]
+        def fields(nu):
+            xr = _jmat(y.n) @ nu
+            return [b - (b @ nu) * nu - (b @ xr) * xr for b in basis.T]
 
-            def x(q, _b=b):
-                return _njf_project(y, q, _b, tol)
+        at_p = fields(geo.nu)
 
-            return x
+        def fields_at(q):
+            return fields(y.unit_normal(q, tol))
     elif scheme == "transport":
-        def field(i):
-            coeff = i
+        def fields(njf):
+            # hint-projected transport of the whole base N_JF frame
+            return list(_mgs(njf.project(basis), tol.hint_min_norm).T)
 
-            def x(q, _i=coeff):
-                spl_q = tangent_splitting(y, q, tol)
-                cols = spl_q.njf.project(basis)
-                # hint-projected transport of the whole base N_JF frame
-                from .symplin import _mgs
-                moved = _mgs(cols, tol.hint_min_norm)
-                return moved[:, _i]
+        at_p = fields(geo.njf)
 
-            return x
+        def fields_at(q):
+            return fields(tangent_splitting(y, q, tol).njf)
     else:
         raise ValueError(f"unknown extension scheme {scheme!r}")
 
-    fields = [field(i) for i in range(two_k)]
+    # all fields at the two surface steps along each basis field
+    stepped = [(fields_at(y.project(p + step * v)), fields_at(y.project(p - step * v)))
+               for v in at_p]
     comps = np.zeros((two_k, two_k, kernel.shape[1]))
-    scale = max(1.0, float(np.max(np.abs(y.hessian(p)))))
+    scale = max(1.0, float(np.max(np.abs(geo.hessian))))
+    nu = geo.nu
     for i in range(two_k):
         for jj in range(i + 1, two_k):
-            xi, xj = fields[i], fields[jj]
-            vi, vj = xi(p), xj(p)
-            qp, qm = _surface_step(y, p, step * vi), _surface_step(y, p, -step * vi)
-            dxj = (xj(qp) - xj(qm)) / (2 * step)
-            qp, qm = _surface_step(y, p, step * vj), _surface_step(y, p, -step * vj)
-            dxi = (xi(qp) - xi(qm)) / (2 * step)
+            (xp_i, xm_i), (xp_j, xm_j) = stepped[i], stepped[jj]
+            dxj = (xp_i[jj] - xm_i[jj]) / (2 * step)
+            dxi = (xp_j[i] - xm_j[i]) / (2 * step)
             br = dxj - dxi
-            nu = spl.nu
             if abs(br @ nu) > tol.bracket_tangency * scale * (1 + np.linalg.norm(br)):
                 raise ExtensionQualityError(
                     f"bracket has normal component {abs(br @ nu):.3e}"
@@ -571,12 +565,7 @@ def transverse_curvature_bracket(
     return TransverseCurvature(basis=basis, components=comps)
 
 
-def transverse_curvature_sff(
-    y_or_blocks,
-    p: Optional[np.ndarray] = None,
-    frame: Optional[AdaptedFrame] = None,
-    tol: Tolerances = DEFAULT,
-) -> TransverseCurvature:
+def transverse_curvature_sff(geo: PointGeometry) -> TransverseCurvature:
     """Frame-route transverse curvature assembled from the SFF blocks.
 
     Real components, index order pinned against the bracket oracle:
@@ -586,10 +575,7 @@ def transverse_curvature_sff(
     block is symmetric and the two diagonal blocks agree, the (2,0) and
     (0,2) parts vanish identically in the flat Kahler setting.
     """
-    if isinstance(y_or_blocks, SFFBlocks):
-        blocks = y_or_blocks
-    else:
-        blocks = second_fundamental_form(y_or_blocks, p, frame, tol)
+    blocks = geo.blocks
     n, k = blocks.n, blocks.k
     nal = n - k
     ch = blocks.c[:, :, :k]             # C^alpha_{b j}, H columns only
@@ -625,7 +611,7 @@ def transverse_curvature_sff(
         f20=f20, f11=f11, f02=f02, rho_trans=rho_trans,
     )
     resid = float(np.max(np.abs(out.reassembled() - comps))) if comps.size else 0.0
-    if resid > tol.type_reassembly:
+    if resid > geo.tol.type_reassembly:
         raise InternalConsistencyError(
             f"type decomposition reassembly residual {resid:.3e}"
         )
@@ -633,19 +619,19 @@ def transverse_curvature_sff(
 
 
 def is_integrable_prekahler(
-    y: LevelSetHypersurface, p: np.ndarray, tol: Tolerances = DEFAULT
+    curv: TransverseCurvature, tol: Tolerances = DEFAULT
 ) -> bool:
-    """True iff the transverse curvature is of type (1,1).
+    """True iff the SFF-route transverse curvature ``curv`` is of type (1,1).
 
     Route one tests the real-block criterion in the bracket-verified index
     order (the two diagonal blocks agree and the mixed block is symmetric);
     route two tests vanishing of the (2,0) and (0,2) parts directly.  The
     routes must agree or an internal consistency error is raised.
     """
-    blocks = second_fundamental_form(y, p, tol=tol)
-    curv = transverse_curvature_sff(blocks, tol=tol)
-    k = blocks.k
+    if curv.f20 is None:
+        raise ValueError("type decomposition not available on this route")
     comps = curv.components
+    k = comps.shape[0] // 2
     resid = 0.0
     for al in range(comps.shape[2]):
         e_blk = comps[:k, :k, al]
@@ -687,13 +673,8 @@ def _rk4(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def leaf_minimality(
-    y: LevelSetHypersurface,
-    p: np.ndarray,
-    flow_step: float = 1e-3,
-    tol: Tolerances = DEFAULT,
-) -> Minimality:
-    """Is the null leaf through p a minimal curve of Y?
+def leaf_minimality(geo: PointGeometry, flow_step: float = 1e-3) -> Minimality:
+    """Is the null leaf through the point a minimal curve of Y?
 
     The leaf is the integral curve of X_rho.  Its curvature inside Y is the
     second difference of the flow projected onto the tangent space minus
@@ -702,8 +683,7 @@ def leaf_minimality(
     blocks (the C and A entries pairing H directions with the null
     direction), which express the same curvature.
     """
-    p = np.asarray(p, dtype=float)
-    spl = tangent_splitting(y, p, tol)
+    y, p, tol = geo.y, geo.point, geo.tol
 
     def vf(x):
         g = y.gradient(x)
@@ -712,15 +692,15 @@ def leaf_minimality(
     xp = _rk4(vf, p, flow_step)
     xm = _rk4(vf, p, -flow_step)
     acc = (xp - 2 * p + xm) / flow_step ** 2
-    kappa = acc - (acc @ spl.nu) * spl.nu - (acc @ spl.x_rho) * spl.x_rho
+    kappa = acc - (acc @ geo.nu) * geo.nu - (acc @ geo.x_rho) * geo.x_rho
     norm = float(np.linalg.norm(kappa))
 
-    blocks = second_fundamental_form(y, p, spl.frame, tol)
+    blocks = geo.blocks
     n, k = blocks.n, blocks.k
     c_con = blocks.c[0, :, n - 1].copy()       # C^n_{a, n}
     a_con = blocks.a[0, :k, n - 1].copy()      # A^n_{a, n}
-    e_h = spl.frame.e[:, :k]
-    f_h = spl.frame.f[:, :k]
+    e_h = geo.frame.e[:, :k]
+    f_h = geo.frame.f[:, :k]
     blocks_vec = -e_h @ c_con + f_h @ a_con
     resid = float(np.linalg.norm(kappa - blocks_vec))
     if resid > tol.minimality_consistency * max(1.0, norm):
@@ -872,30 +852,39 @@ def from_polynomial(n: int, terms: Sequence[dict],
     def rho(x):
         return float(np.sum(coefs * np.prod(x ** exps, axis=1)))
 
+    # derivative tables, built once: (index, exponents, coefficients) of the
+    # terms that survive each derivative
+    grad_table = []
+    for i in range(2 * n):
+        mask = exps[:, i] > 0
+        if not np.any(mask):
+            continue
+        e2 = exps[mask].copy()
+        c2 = coefs[mask] * e2[:, i]
+        e2[:, i] -= 1
+        grad_table.append((i, e2, c2))
+    hess_table = []
+    for i in range(2 * n):
+        for jj in range(i, 2 * n):
+            e2 = exps.copy().astype(float)
+            c2 = coefs * exps[:, i]
+            e2[:, i] -= 1
+            c2 = c2 * np.where(e2[:, jj] > -1, e2[:, jj], 0)
+            e2[:, jj] -= 1
+            mask = c2 != 0
+            if np.any(mask):
+                hess_table.append((i, jj, e2[mask], c2[mask]))
+
     def grad(x):
         out = np.zeros(2 * n)
-        for i in range(2 * n):
-            mask = exps[:, i] > 0
-            if not np.any(mask):
-                continue
-            e2 = exps[mask].copy()
-            c2 = coefs[mask] * e2[:, i]
-            e2[:, i] -= 1
+        for i, e2, c2 in grad_table:
             out[i] = np.sum(c2 * np.prod(x ** e2, axis=1))
         return out
 
     def hess(x):
         out = np.zeros((2 * n, 2 * n))
-        for i in range(2 * n):
-            for jj in range(i, 2 * n):
-                e2 = exps.copy().astype(float)
-                c2 = coefs * exps[:, i]
-                e2[:, i] -= 1
-                c2 = c2 * np.where(e2[:, jj] > -1, e2[:, jj], 0)
-                e2[:, jj] -= 1
-                mask = c2 != 0
-                val = np.sum(c2[mask] * np.prod(x ** e2[mask], axis=1)) if np.any(mask) else 0.0
-                out[i, jj] = out[jj, i] = val
+        for i, jj, e2, c2 in hess_table:
+            out[i, jj] = out[jj, i] = np.sum(c2 * np.prod(x ** e2, axis=1))
         return out
 
     return LevelSetHypersurface(
@@ -904,27 +893,16 @@ def from_polynomial(n: int, terms: Sequence[dict],
     )
 
 
-def _fixture_factory(name: str, params: dict) -> LevelSetHypersurface:
-    params = dict(params)
-    if name == "sphere":
-        return sphere(n=int(params.get("n", 2)), radius=float(params.get("r", 1.0)))
-    if name == "hyperplane":
-        return hyperplane(n=int(params.get("n", 2)), level=float(params.get("level", 1.0)))
-    if name == "cylinder":
-        return cylinder(n=int(params.get("n", 2)), radius=float(params.get("r", 1.0)))
-    if name == "ellipsoid":
-        return ellipsoid(params["semi_axes"])
-    if name == "polynomial":
-        return from_polynomial(int(params["n"]), params["terms"])
-    raise ValueError(f"unknown fixture {name!r}")
-
-
+# name -> builder of the fixture from its parameter dict
 FIXTURES = {
-    "sphere": _fixture_factory,
-    "hyperplane": _fixture_factory,
-    "cylinder": _fixture_factory,
-    "ellipsoid": _fixture_factory,
-    "polynomial": _fixture_factory,
+    "sphere": lambda params: sphere(
+        n=int(params.get("n", 2)), radius=float(params.get("r", 1.0))),
+    "hyperplane": lambda params: hyperplane(
+        n=int(params.get("n", 2)), level=float(params.get("level", 1.0))),
+    "cylinder": lambda params: cylinder(
+        n=int(params.get("n", 2)), radius=float(params.get("r", 1.0))),
+    "ellipsoid": lambda params: ellipsoid(params["semi_axes"]),
+    "polynomial": lambda params: from_polynomial(int(params["n"]), params["terms"]),
 }
 
 

@@ -395,18 +395,18 @@ class LeafwiseSpecial(NamedTuple):
 
 
 def is_leafwise_special(
-    y: "hypergeo.LevelSetHypersurface",
     points: np.ndarray,
+    alpha_norms: Sequence[float],
     tol: Tolerances = DEFAULT,
 ) -> LeafwiseSpecial:
     """True iff the leafwise mean curvature one-form vanishes on all sample
-    points; the witness is the maximizing point."""
+    points, read from its norm at each point (``MeanCurvature.alpha_norm``,
+    in the order of ``points``); the witness is the maximizing point."""
     worst = -1.0
     arg = None
-    for p in np.asarray(points, dtype=float):
-        mc = hypergeo.leafwise_mean_curvature(y, p, tol=tol)
-        if mc.alpha_norm > worst:
-            worst = mc.alpha_norm
+    for p, alpha_norm in zip(np.asarray(points, dtype=float), alpha_norms, strict=True):
+        if alpha_norm > worst:
+            worst = alpha_norm
             arg = p
     return LeafwiseSpecial(result=worst < tol.leafwise_special,
                            max_alpha=worst, witness=arg)

@@ -23,8 +23,8 @@ from coiso import (
     levi_form,
     loop_from_family,
     maslov_index,
+    point_geometry,
     pushforward_section,
-    second_fundamental_form,
     sphere,
     standard_space,
     transverse_curvature_bracket,
@@ -185,7 +185,7 @@ def test_07_sff_symmetries():
     for y in (sphere(2), cylinder(2), ellipsoid([1.0, 1.3])):
         pts = y.sample_points(32, 707)
         for p in pts:
-            blocks = second_fundamental_form(y, p)
+            blocks = point_geometry(y, p).blocks
             assert blocks.symmetry_residual() < 1e-5
     # product fixture with two-dimensional leaves: full trilinear symmetry
     gp = coiso.random_graph_product(708, l=2, m=1)
@@ -210,8 +210,9 @@ def test_08_curvature_cross_check():
         pts = y.sample_points(6, 808) if y.name != "hyperplane(x1=1.0)" else \
             np.array([[1.0, 0.3, -0.2, 0.5], [1.0, 0.0, 0.0, 0.0]])
         for p in pts:
-            br = transverse_curvature_bracket(y, p)
-            sf = transverse_curvature_sff(y, p)
+            geo = point_geometry(y, p)
+            br = transverse_curvature_bracket(geo)
+            sf = transverse_curvature_sff(geo)
             assert np.max(np.abs(br.components - sf.components)) < 1e-3
             assert np.max(np.abs(sf.reassembled() - sf.components)) < 1e-6
             assert np.max(np.abs(sf.f20)) < 1e-6
@@ -221,26 +222,27 @@ def test_08_curvature_cross_check():
 
 def test_09_levi_form_values():
     p = np.array([1.0, 0.0, 0.0, 0.0])
-    lv = levi_form(sphere(2), p)
+    lv = levi_form(point_geometry(sphere(2), p))
     assert abs(lv.hermitian[0, 0] - 1.0) < 1e-4
-    assert np.max(np.abs(levi_form(hyperplane(2), p).hermitian)) < 1e-6
-    assert np.max(np.abs(levi_form(cylinder(2), p).hermitian)) < 1e-6
+    assert np.max(np.abs(levi_form(point_geometry(hyperplane(2), p)).hermitian)) < 1e-6
+    assert np.max(np.abs(levi_form(point_geometry(cylinder(2), p)).hermitian)) < 1e-6
     # bracket coefficient against the Levi value, with the pinned factor -2
     # between the honest bracket and the 1/2-convention Levi form
-    br = transverse_curvature_bracket(sphere(2), p)
+    br = transverse_curvature_bracket(point_geometry(sphere(2), p))
     assert abs(br.components[0, 1, 0] / (-2.0) - lv.hermitian[0, 0]) < 1e-3
     _ok("9 Levi form (sphere 1, flat directions 0, bracket comparison < 1e-3)")
 
 
 def test_10_minimality():
-    assert leaf_minimality(hyperplane(2), np.array([1.0, 0.2, -0.1, 0.4])).minimal
+    assert leaf_minimality(
+        point_geometry(hyperplane(2), np.array([1.0, 0.2, -0.1, 0.4]))).minimal
     y = sphere(2)
     for p in y.sample_points(5, 1010):
-        res = leaf_minimality(y, p)
+        res = leaf_minimality(point_geometry(y, p))
         assert res.minimal and res.curvature_norm < 1e-5
     y = ellipsoid([1.0, 1.3])
     p = y.project(np.array([0.7, 0.8, 0.5, 0.6]))
-    res = leaf_minimality(y, p)
+    res = leaf_minimality(point_geometry(y, p))
     assert (not res.minimal) and res.curvature_norm > 1e-2
     _ok("10 minimality (hyperplane/sphere true, ellipsoid (1,1.3) false)")
 
@@ -249,10 +251,10 @@ def test_11_fd_convergence():
     p = np.array([1.0, 0.0, 0.0, 0.0])
 
     def levi_entry(h):
-        return levi_form(sphere(2, analytic=False, h=h), p).hermitian[0, 0]
+        return levi_form(point_geometry(sphere(2, analytic=False, h=h), p)).hermitian[0, 0]
 
     def sff_entry(h):
-        return second_fundamental_form(sphere(2, analytic=False, h=h), p).a[0, 1, 1]
+        return point_geometry(sphere(2, analytic=False, h=h), p).blocks.a[0, 1, 1]
 
     for entry in (levi_entry, sff_entry):
         d1 = abs(entry(2e-3) - entry(1e-3))

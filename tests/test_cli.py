@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import coiso
+from coiso import DEFAULT, is_leafwise_special, leafwise_mean_curvature, point_geometry
 from coiso.cli import (
     BOUNDARY_FAMILIES,
     REPORT_SCHEMA,
@@ -77,6 +78,43 @@ def test_run_schema_violation_exit_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"kind": "nope", "parameters": {}}))
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("kind,parameters", [
+    ("hypersurface-report", {"fixture": "torus"}),
+    ("disc-index", {"fixture": "sphere", "loop": "figure-eight"}),
+    ("maslov-index", {"n": 2, "family": "spiral"}),
+    ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"no_such_tolerance": 1.0}}),
+])
+def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({"kind": kind, "parameters": parameters}))
+    assert main(["run", str(path)]) == 2
+
+
+def test_schema_accepts_known_tolerance_names():
+    jsonschema.validate({"kind": "grassmannian-dim",
+                         "parameters": {"n": 2, "k": 1, "tolerances": {"sff_symmetry": 1e-4}}},
+                        SCHEMA)
+
+
+def test_leafwise_special_reads_report_mean_curvatures():
+    for fixture, fixture_params in (("ellipsoid", {"semi_axes": [1.0, 1.3]}),
+                                    ("hyperplane", {})):
+        spec = {"kind": "hypersurface-report",
+                "parameters": {"fixture": fixture, "fixture_params": fixture_params,
+                               "points": 4, "seed": 2}}
+        values = {it["name"]: it["value"] for it in run(spec).items}
+        y = coiso.FIXTURES[fixture](fixture_params)
+        pts = y.sample_points(4, coiso.rng(2, 7))
+        recomputed = [leafwise_mean_curvature(point_geometry(y, p)).alpha_norm for p in pts]
+        assert [values[f"alpha_norm[{i}]"] for i in range(4)] == recomputed
+        special = is_leafwise_special(pts, recomputed)
+        assert special.max_alpha == max(recomputed) == values["max_alpha_norm"]
+        assert np.array_equal(special.witness, pts[int(np.argmax(recomputed))])
+        assert special.result == (max(recomputed) < DEFAULT.leafwise_special)
+        assert values["leafwise_special"] == special.result
+    assert values["leafwise_special"]   # the hyperplane's leaves are special
 
 
 def test_run_computation_error_exit_three(tmp_path):

@@ -1,5 +1,6 @@
 """Hypersurface geometry: splittings, curvature forms, minimality."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,16 +10,19 @@ from numpy.testing import assert_allclose
 import coiso
 from coiso import (
     ExtensionQualityError,
+    InternalConsistencyError,
+    LevelSetHypersurface,
     UnnormalizedDefiningFunctionError,
     cylinder,
     ellipsoid,
     from_polynomial,
     hyperplane,
+    is_integrable_prekahler,
     leaf_minimality,
     leafwise_mean_curvature,
     levi_form,
     normal_convention_matrix,
-    second_fundamental_form,
+    point_geometry,
     sphere,
     tangent_splitting,
     transverse_curvature_bracket,
@@ -80,13 +84,13 @@ def test_splitting_rejects_bad_gradient_in_strict_mode():
 
 def test_sff_hyperplane_vanishes():
     y = hyperplane(2)
-    blocks = second_fundamental_form(y, P_AXIS)
+    blocks = point_geometry(y, P_AXIS).blocks
     assert np.max(np.abs(blocks.full)) < 1e-12
 
 
 def test_sff_sphere_is_minus_identity_against_outward_normal():
     y = sphere(2)
-    blocks = second_fundamental_form(y, P_AXIS)
+    blocks = point_geometry(y, P_AXIS).blocks
     s_nu = normal_convention_matrix(blocks, y.unit_normal(P_AXIS))
     assert_allclose(s_nu, -np.eye(3), atol=1e-10)
 
@@ -94,7 +98,7 @@ def test_sff_sphere_is_minus_identity_against_outward_normal():
 def test_sff_ellipsoid_axis_principal_curvatures():
     a1, a2 = 1.0, 1.3
     y = ellipsoid([a1, a2])
-    blocks = second_fundamental_form(y, P_AXIS)
+    blocks = point_geometry(y, P_AXIS).blocks
     s_nu = normal_convention_matrix(blocks, y.unit_normal(P_AXIS))
     # classical oracle: level-set curvatures a1/a_j^2 at the a1 axis point
     expected = sorted([-a1 / a1 ** 2, -a1 / a2 ** 2, -a1 / a2 ** 2])
@@ -104,7 +108,7 @@ def test_sff_ellipsoid_axis_principal_curvatures():
 def test_sff_symmetries_on_fixtures():
     for y in (sphere(2), cylinder(2), ellipsoid([1.0, 1.3]), sphere(3)):
         for p in fixture_points(y, 6, 2):
-            blocks = second_fundamental_form(y, p)
+            blocks = point_geometry(y, p).blocks
             assert blocks.symmetry_residual() < 1e-6
 
 
@@ -113,14 +117,14 @@ def test_sff_symmetries_on_fixtures():
 
 
 def test_mean_curvature_hyperplane():
-    mc = leafwise_mean_curvature(hyperplane(2), P_AXIS)
+    mc = leafwise_mean_curvature(point_geometry(hyperplane(2), P_AXIS))
     assert mc.alpha_norm < 1e-12
     assert np.max(np.abs(mc.h_vector)) < 1e-12
 
 
 def test_mean_curvature_sphere():
     y = sphere(2)
-    mc = leafwise_mean_curvature(y, P_AXIS)
+    mc = leafwise_mean_curvature(point_geometry(y, P_AXIS))
     assert_allclose(mc.h_vector, -y.unit_normal(P_AXIS), atol=1e-10)
     assert abs(mc.alpha_norm - 1.0) < 1e-10
     assert mc.formula_residual < 1e-6
@@ -130,19 +134,19 @@ def test_mean_curvature_radius_scaling():
     for r in (0.5, 2.0):
         y = sphere(2, radius=r)
         p = np.array([r, 0.0, 0.0, 0.0])
-        mc = leafwise_mean_curvature(y, p)
+        mc = leafwise_mean_curvature(point_geometry(y, p))
         assert abs(mc.alpha_norm - 1.0 / r) < 1e-9
 
 
 def test_mean_curvature_cylinder():
-    mc = leafwise_mean_curvature(cylinder(2), P_AXIS)
+    mc = leafwise_mean_curvature(point_geometry(cylinder(2), P_AXIS))
     assert abs(mc.alpha_norm - 1.0) < 1e-10
 
 
 def test_mean_curvature_formula_consistency_everywhere():
     for y in (sphere(2), cylinder(2), ellipsoid([1.0, 1.3])):
         for p in fixture_points(y, 8, 5):
-            mc = leafwise_mean_curvature(y, p)
+            mc = leafwise_mean_curvature(point_geometry(y, p))
             assert mc.formula_residual < 1e-6
 
 
@@ -151,13 +155,13 @@ def test_mean_curvature_formula_consistency_everywhere():
 
 
 def test_levi_hyperplane_flat():
-    lv = levi_form(hyperplane(2), P_AXIS)
+    lv = levi_form(point_geometry(hyperplane(2), P_AXIS))
     assert np.max(np.abs(lv.hermitian)) < 1e-12
     assert not lv.positive_definite
 
 
 def test_levi_sphere_unit_value():
-    lv = levi_form(sphere(2), P_AXIS)
+    lv = levi_form(point_geometry(sphere(2), P_AXIS))
     assert_allclose(lv.two_form, [[0, 1], [-1, 0]], atol=1e-10)
     assert_allclose(lv.eigenvalues, [1.0, 1.0], atol=1e-10)
     assert lv.positive_definite
@@ -165,12 +169,12 @@ def test_levi_sphere_unit_value():
 
 def test_levi_sphere_fd_route():
     y = sphere(2, analytic=False, h=1e-5)
-    lv = levi_form(y, P_AXIS)
+    lv = levi_form(point_geometry(y, P_AXIS))
     assert_allclose(lv.eigenvalues, [1.0, 1.0], atol=1e-4)
 
 
 def test_levi_cylinder_flat_directions():
-    lv = levi_form(cylinder(2), P_AXIS)
+    lv = levi_form(point_geometry(cylinder(2), P_AXIS))
     assert np.max(np.abs(lv.hermitian)) < 1e-10
 
 
@@ -180,8 +184,9 @@ def test_levi_cylinder_flat_directions():
 
 def test_curvature_hyperplane_zero():
     y = hyperplane(2)
-    br = transverse_curvature_bracket(y, P_AXIS)
-    sf = transverse_curvature_sff(y, P_AXIS)
+    geo = point_geometry(y, P_AXIS)
+    br = transverse_curvature_bracket(geo)
+    sf = transverse_curvature_sff(geo)
     assert np.max(np.abs(br.components)) < 1e-10
     assert np.max(np.abs(sf.components)) < 1e-10
 
@@ -190,37 +195,40 @@ def test_curvature_sphere_matches_levi_with_convention_factor():
     # the honest bracket doubles the 1/2-convention Levi value and points
     # against it in sign: F(X, JX) = -2 levi(X, JX)
     y = sphere(2)
-    br = transverse_curvature_bracket(y, P_AXIS)
-    lv = levi_form(y, P_AXIS)
+    geo = point_geometry(y, P_AXIS)
+    br = transverse_curvature_bracket(geo)
+    lv = levi_form(geo)
     f_xjx = br.components[0, 1, 0]
     assert abs(f_xjx / (-2.0) - lv.hermitian[0, 0]) < 1e-3
 
 
 def test_curvature_cylinder_flat_pair():
-    br = transverse_curvature_bracket(cylinder(2), P_AXIS)
+    br = transverse_curvature_bracket(point_geometry(cylinder(2), P_AXIS))
     assert np.max(np.abs(br.components)) < 1e-4
 
 
 def test_curvature_two_routes_agree():
     for y in (sphere(2), cylinder(2), ellipsoid([1.0, 1.3]), sphere(3)):
         for p in fixture_points(y, 4, 7):
-            br = transverse_curvature_bracket(y, p)
-            sf = transverse_curvature_sff(y, p)
+            geo = point_geometry(y, p)
+            br = transverse_curvature_bracket(geo)
+            sf = transverse_curvature_sff(geo)
             assert np.max(np.abs(br.components - sf.components)) < 1e-3
 
 
 def test_curvature_extension_scheme_independence():
     y = sphere(2)
     p = y.project(np.array([0.4, 0.8, -0.2, 0.3]))
-    b1 = transverse_curvature_bracket(y, p, scheme="projection")
-    b2 = transverse_curvature_bracket(y, p, scheme="transport")
+    geo = point_geometry(y, p)
+    b1 = transverse_curvature_bracket(geo, scheme="projection")
+    b2 = transverse_curvature_bracket(geo, scheme="transport")
     assert np.max(np.abs(b1.components - b2.components)) < 1e-3
 
 
 def test_curvature_type_decomposition_reassembles():
     for y in (sphere(2), ellipsoid([1.0, 1.3]), sphere(3)):
         p = fixture_points(y, 1, 3)[0]
-        sf = transverse_curvature_sff(y, p)
+        sf = transverse_curvature_sff(point_geometry(y, p))
         assert np.max(np.abs(sf.reassembled() - sf.components)) < 1e-6
 
 
@@ -228,10 +236,10 @@ def test_curvature_is_type_11_on_fixtures():
     for y in (sphere(2), cylinder(2), ellipsoid([1.0, 1.3]), sphere(3),
               ellipsoid([1.0, 1.2, 0.8])):
         for p in fixture_points(y, 3, 9):
-            sf = transverse_curvature_sff(y, p)
+            sf = transverse_curvature_sff(point_geometry(y, p))
             assert np.max(np.abs(sf.f20)) < 1e-6
             assert np.max(np.abs(sf.f02)) < 1e-6
-            assert coiso.is_integrable_prekahler(y, p)
+            assert coiso.is_integrable_prekahler(sf)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +247,7 @@ def test_curvature_is_type_11_on_fixtures():
 
 
 def test_minimality_hyperplane():
-    res = leaf_minimality(hyperplane(2), P_AXIS)
+    res = leaf_minimality(point_geometry(hyperplane(2), P_AXIS))
     assert res.minimal
     assert res.curvature_norm < 1e-10
 
@@ -247,7 +255,7 @@ def test_minimality_hyperplane():
 def test_minimality_sphere_great_circle_leaves():
     y = sphere(2)
     for p in fixture_points(y, 5, 13):
-        res = leaf_minimality(y, p)
+        res = leaf_minimality(point_geometry(y, p))
         assert res.minimal
         assert res.curvature_norm < 1e-5
 
@@ -255,10 +263,130 @@ def test_minimality_sphere_great_circle_leaves():
 def test_minimality_ellipsoid_fails_generically():
     y = ellipsoid([1.0, 1.3])
     p = y.project(np.array([0.7, 0.8, 0.5, 0.6]))
-    res = leaf_minimality(y, p)
+    res = leaf_minimality(point_geometry(y, p))
     assert not res.minimal
     assert res.curvature_norm > 1e-2
     assert res.consistency_residual < 1e-4 * max(1.0, res.curvature_norm)
+
+
+# ---------------------------------------------------------------------------
+# one geometry record per point
+
+
+def quartic(n):
+    """A quadric in C^n with one quartic term, as a polynomial fixture."""
+    terms = [{"exponents": [2 if i == c else 0 for i in range(2 * n)],
+              "coeff": 1.0 / (1.0 + 0.1 * c) ** 2} for c in range(2 * n)]
+    terms.append({"exponents": [4] + [0] * (2 * n - 1), "coeff": 0.3})
+    return from_polynomial(n, terms)
+
+
+def all_fixtures():
+    for n in (2, 3, 4):
+        yield sphere(n)
+        yield hyperplane(n)
+        yield cylinder(n)
+        yield ellipsoid([1.0, 1.3, 0.8, 1.1][:n])
+        yield quartic(n)
+
+
+def assert_same(a, b):
+    """Field by field, every array bit for bit."""
+    if dataclasses.is_dataclass(a):
+        assert type(a) is type(b)
+        for f in dataclasses.fields(a):
+            assert_same(getattr(a, f.name), getattr(b, f.name))
+    elif a is None:
+        assert b is None
+    else:
+        assert np.array_equal(a, b), (a, b)
+
+
+# every pointwise routine, as a function of the record
+ROUTINES = [
+    leafwise_mean_curvature,
+    levi_form,
+    transverse_curvature_sff,
+    lambda geo: transverse_curvature_bracket(geo, scheme="projection"),
+    lambda geo: transverse_curvature_bracket(geo, scheme="transport"),
+    lambda geo: is_integrable_prekahler(transverse_curvature_sff(geo)),
+    leaf_minimality,
+]
+
+
+def test_shared_record_matches_standalone_calls():
+    for y in all_fixtures():
+        p = y.sample_points(1, 31)[0]
+        geo = point_geometry(y, p)
+        spl = tangent_splitting(y, p)
+        for field in ("nu", "x_rho"):
+            assert np.array_equal(getattr(geo, field), getattr(spl, field))
+        assert np.array_equal(geo.frame.e, spl.frame.e)
+        assert np.array_equal(geo.normalized_hessian, y.hessian(p) / y.gradient_norm(p))
+        shared = [fn(geo) for fn in ROUTINES]
+        # each routine on a fresh record, last one first
+        fresh = [fn(point_geometry(y, p)) for fn in reversed(ROUTINES)][::-1]
+        for a, b in zip(shared, fresh, strict=True):
+            assert_same(a, b)
+
+
+def reassembled_by_loops(curv):
+    """Reference: the type parts summed entry by entry."""
+    two_k = curv.components.shape[0]
+    k = two_k // 2
+    nal = curv.components.shape[2]
+    theta = np.zeros((k, two_k), dtype=complex)
+    for a in range(k):
+        theta[a, a] = 1.0
+        theta[a, k + a] = 1j
+    tbar = np.conj(theta)
+    out = np.zeros((two_k, two_k, nal), dtype=complex)
+    for i in range(two_k):
+        for jj in range(two_k):
+            for al in range(nal):
+                out[i, jj, al] = sum(
+                    curv.f20[a, b, al] * (theta[a, i] * theta[b, jj] - theta[a, jj] * theta[b, i])
+                    + curv.f11[a, b, al] * (theta[a, i] * tbar[b, jj] - theta[a, jj] * tbar[b, i])
+                    + curv.f02[a, b, al] * (tbar[a, i] * tbar[b, jj] - tbar[a, jj] * tbar[b, i])
+                    for a in range(k) for b in range(k))
+    return out.real
+
+
+def test_reassembled_matches_loop_reference():
+    for y in (sphere(2), ellipsoid([1.0, 1.3]), ellipsoid([1.0, 1.2, 0.8]), quartic(3),
+              ellipsoid([1.0, 1.3, 0.8, 1.1])):
+        for p in fixture_points(y, 2, 41):
+            sf = transverse_curvature_sff(point_geometry(y, p))
+            assert np.max(np.abs(sf.reassembled() - reassembled_by_loops(sf))) <= 1e-15
+
+
+def test_reassembled_rejects_corrupted_type_part():
+    y = ellipsoid([1.0, 1.2, 0.8])
+    sf = transverse_curvature_sff(point_geometry(y, fixture_points(y, 1, 43)[0]))
+    bad = sf.f20.copy()
+    bad[0, 1, 0] += 1.0
+    with pytest.raises(InternalConsistencyError):
+        dataclasses.replace(sf, f20=bad).reassembled()
+
+
+def test_bracket_projects_twice_per_basis_vector(monkeypatch):
+    calls = []
+    project = LevelSetHypersurface.project
+
+    def counting(self, x, *args, **kwargs):
+        calls.append(1)
+        return project(self, x, *args, **kwargs)
+
+    for n in (2, 3, 4):
+        y = ellipsoid([1.0, 1.3, 0.8, 1.1][:n])
+        geo = point_geometry(y, fixture_points(y, 1, 47)[0])
+        two_k = geo.frame.h_vectors().shape[1]
+        for scheme in ("projection", "transport"):
+            calls.clear()
+            with monkeypatch.context() as m:
+                m.setattr(LevelSetHypersurface, "project", counting)
+                transverse_curvature_bracket(geo, scheme=scheme)
+            assert len(calls) == 2 * two_k
 
 
 # ---------------------------------------------------------------------------
@@ -270,9 +398,10 @@ def test_scalar_outputs_frame_independent():
     p = y.project(np.array([0.3, 0.9, -0.4, 0.5]))
     spl = tangent_splitting(y, p)
     g = coiso.rng(17)
-    base_alpha = leafwise_mean_curvature(y, p).alpha_norm
-    base_levi = sorted(levi_form(y, p).eigenvalues)
-    base_f = transverse_curvature_sff(y, p).norm()
+    geo = point_geometry(y, p)
+    base_alpha = leafwise_mean_curvature(geo).alpha_norm
+    base_levi = sorted(levi_form(geo).eigenvalues)
+    base_f = transverse_curvature_sff(geo).norm()
     for _ in range(5):
         phase = g.uniform(0, 2 * np.pi)
         sign = g.choice([-1.0, 1.0])
@@ -281,11 +410,11 @@ def test_scalar_outputs_frame_independent():
             sign * spl.frame.e[:, 1:],
         ], axis=1)
         fr = coiso.AdaptedFrame(k=1, e=e_new, f=coiso.standard_space(2).j @ e_new)
-        mc = leafwise_mean_curvature(y, p, frame=fr)
+        mc = leafwise_mean_curvature(geo.in_frame(fr))
         assert abs(mc.alpha_norm - base_alpha) < 1e-6
-        lv = levi_form(y, p, frame=fr)
+        lv = levi_form(geo.in_frame(fr))
         assert np.max(np.abs(np.array(sorted(lv.eigenvalues)) - base_levi)) < 1e-6
-        sf = transverse_curvature_sff(y, p, frame=fr)
+        sf = transverse_curvature_sff(geo.in_frame(fr))
         assert abs(sf.norm() - base_f) < 1e-6
 
 
@@ -295,12 +424,12 @@ def test_scalar_outputs_frame_independent():
 
 def levi_entry(h):
     y = sphere(2, analytic=False, h=h)
-    return levi_form(y, P_AXIS).hermitian[0, 0]
+    return levi_form(point_geometry(y, P_AXIS)).hermitian[0, 0]
 
 
 def sff_entry(h):
     y = sphere(2, analytic=False, h=h)
-    return second_fundamental_form(y, P_AXIS).a[0, 0, 0]
+    return point_geometry(y, P_AXIS).blocks.a[0, 0, 0]
 
 
 def test_fd_convergence_order():
@@ -318,9 +447,9 @@ def test_fd_convergence_order():
 def test_polynomial_fixture_matches_hyperplane():
     terms = [{"exponents": [1, 0, 0, 0], "coeff": 1.0}]
     y = from_polynomial(2, terms, strict=True)
-    blocks = second_fundamental_form(y, P_AXIS)
+    blocks = point_geometry(y, P_AXIS).blocks
     assert np.max(np.abs(blocks.full)) < 1e-12
-    lv = levi_form(y, P_AXIS)
+    lv = levi_form(point_geometry(y, P_AXIS))
     assert np.max(np.abs(lv.hermitian)) < 1e-12
 
 
@@ -335,9 +464,51 @@ def test_polynomial_quadric_matches_ellipsoid():
     y = from_polynomial(2, terms)
     ref = ellipsoid([a1, a2])
     p = ref.project(np.array([0.7, 0.8, 0.5, 0.6]))
-    got = second_fundamental_form(y, p).full
-    want = second_fundamental_form(ref, p).full
+    got = point_geometry(y, p).blocks.full
+    want = point_geometry(ref, p).blocks.full
     assert_allclose(got, want, atol=1e-9)
+
+
+def polynomial_derivatives_per_call(n, terms, x):
+    """Reference: gradient and Hessian with the exponent tables rebuilt
+    on every call."""
+    exps = np.stack([np.asarray(t["exponents"], dtype=int) for t in terms])
+    coefs = np.asarray([float(t["coeff"]) for t in terms])
+    grad = np.zeros(2 * n)
+    for i in range(2 * n):
+        mask = exps[:, i] > 0
+        if not np.any(mask):
+            continue
+        e2 = exps[mask].copy()
+        c2 = coefs[mask] * e2[:, i]
+        e2[:, i] -= 1
+        grad[i] = np.sum(c2 * np.prod(x ** e2, axis=1))
+    hess = np.zeros((2 * n, 2 * n))
+    for i in range(2 * n):
+        for jj in range(i, 2 * n):
+            e2 = exps.copy().astype(float)
+            c2 = coefs * exps[:, i]
+            e2[:, i] -= 1
+            c2 = c2 * np.where(e2[:, jj] > -1, e2[:, jj], 0)
+            e2[:, jj] -= 1
+            mask = c2 != 0
+            val = np.sum(c2[mask] * np.prod(x ** e2[mask], axis=1)) if np.any(mask) else 0.0
+            hess[i, jj] = hess[jj, i] = val
+    return grad, hess
+
+
+def test_polynomial_derivative_tables_match_per_call_reference():
+    g = coiso.rng(53)
+    for n in (1, 2, 3):
+        high = 6 // (2 * n) + 1    # keeps the degree at most 6
+        terms = [{"exponents": [int(e) for e in g.integers(0, high, size=2 * n)],
+                  "coeff": float(g.normal())} for _ in range(5)]
+        terms.append({"exponents": [0] * (2 * n), "coeff": 0.5})
+        y = from_polynomial(n, terms)
+        for x in g.normal(size=(4, 2 * n)):
+            grad, hess = polynomial_derivatives_per_call(n, terms, x)
+            assert np.array_equal(y.gradient(x), grad)
+            assert np.array_equal(y.hessian(x), hess)
 
 
 def test_polynomial_degree_bound():
