@@ -23,7 +23,7 @@ import dataclasses
 import json
 import sys
 import time
-from math import cos, pi, sin, sqrt
+from math import cos, pi, sin
 from typing import Callable, Optional
 
 import numpy as np
@@ -148,6 +148,9 @@ SCHEMA = {
             "additionalProperties": False,
         },
     },
+    # the pointwise kinds need at least one point to report on
+    "if": {"properties": {"kind": {"enum": ["hypersurface-report", "minimality-scan"]}}},
+    "then": {"properties": {"parameters": {"properties": {"points": {"minimum": 1}}}}},
 }
 
 

@@ -7,15 +7,16 @@ parallel transport, so the frame monodromy after one circuit carries the
 winding data every index computation consumes; it is retained, never
 discarded.
 
-Construction works on the stack of all M samples at once.  A loop
+A loop is one pair of stacks: the classified ``CoisotropicSubspace`` of
+shape (M, 2n, n+k) and the ``AdaptedFrame`` of shape (M, 2n, n).  A loop
 generator is called once per grid: it takes a 1-D array of M angles and
 returns the stack of its M members, a ``Subspace`` or
 ``CoisotropicSubspace`` of shape (M, 2n, m) whose member i depends on
 theta_i alone; a matrix-loop callable likewise returns an (M, 2n, 2n)
 stack.  The M members are classified by one stacked call, the continuity
 contract reads one stacked largest principal angle per consecutive pair,
-and the frames are transported sample by sample and checked once as a
-stack.
+and the frames are transported sample by sample into one stack and
+checked once.
 """
 
 from __future__ import annotations
@@ -100,23 +101,13 @@ def _consecutive_angles(spaces: Subspace) -> np.ndarray:
     return largest_principal_angles(spaces, Subspace(np.roll(spaces.basis, -1, axis=0)))
 
 
-def _closed_chain(space, stack: CoisotropicSubspace, hint, tol):
-    """Members and transported frames of a sampled loop, with the frame
-    monodromy U_0^* U_pred, where U_pred is the last frame transported once
-    more onto sample 0."""
-    m = len(stack.space.basis)
-    frames = transported_frames(space, stack[np.append(np.arange(m), 0)], hint, tol)
-    monodromy = np.conj(frames[0].unitary().T) @ frames[-1].unitary()
-    return tuple(stack[i] for i in range(m)), frames[:-1], monodromy
-
-
 @dataclasses.dataclass(frozen=True)
 class CoisotropicLoop:
     """M uniformly sampled coisotropic subspaces with chained frames.
 
-    ``samples`` and ``frames`` are the members of the stacks the loop was
-    built from: the samples classified by one stacked call, the frames
-    transported one after the other and checked as one stack.
+    ``samples`` is the classified stack of shape (M, 2n, n+k) and
+    ``frames`` the stack of shape (M, 2n, n) transported along it, member i
+    belonging to ``thetas[i]``; index either to reach one sample.
     ``closure_defect`` is the principal-angle distance between the
     generator's value at 2*pi and sample 0.  The subspace loop must close;
     the frames need not, and ``monodromy`` (U_0^* U_pred, where U_pred is
@@ -127,15 +118,15 @@ class CoisotropicLoop:
     space: SymplecticSpace
     k: int
     thetas: np.ndarray
-    samples: tuple
-    frames: tuple
+    samples: CoisotropicSubspace
+    frames: AdaptedFrame
     closure_defect: float
     monodromy: np.ndarray
     generator: Optional[Callable] = None
 
     @property
     def m(self) -> int:
-        return len(self.samples)
+        return len(self.thetas)
 
     @property
     def n(self) -> int:
@@ -143,7 +134,7 @@ class CoisotropicLoop:
 
     def unitaries(self) -> np.ndarray:
         """Stack of the frames' complex matrices, shape (M, n, n)."""
-        return np.stack([f.unitary() for f in self.frames])
+        return self.frames.unitary()
 
     def section_gauge(self) -> np.ndarray:
         """Unit phases periodizing the frame trivialization of sections.
@@ -167,7 +158,7 @@ class CoisotropicLoop:
 
     def consecutive_angles(self) -> np.ndarray:
         """Largest principal angle from each sample to the next."""
-        return _consecutive_angles(Subspace(np.stack([s.space.basis for s in self.samples])))
+        return _consecutive_angles(self.samples.space)
 
     def resample(self, m: int, tol: Tolerances = DEFAULT) -> "CoisotropicLoop":
         if self.generator is None:
@@ -228,11 +219,19 @@ def loop_from_family(
             )
         m *= 2
 
-    subs, frames, monodromy = _closed_chain(space, stack, hint, tol)
+    return _closed_loop(space, k, thetas, stack, hint, closure, generator, tol)
+
+
+def _closed_loop(space, k, thetas, stack: CoisotropicSubspace, hint, closure,
+                 generator, tol) -> CoisotropicLoop:
+    """The loop of a classified stack, its frames transported from ``hint``
+    around the samples and once more onto sample 0, which gives the frame
+    monodromy U_0^* U_pred."""
+    frames = transported_frames(space, stack[np.append(np.arange(len(thetas)), 0)], hint, tol)
+    monodromy = np.conj(frames[0].unitary().T) @ frames[-1].unitary()
     return CoisotropicLoop(
-        space=space, k=k, thetas=thetas, samples=subs,
-        frames=frames, closure_defect=closure,
-        monodromy=monodromy, generator=generator,
+        space=space, k=k, thetas=thetas, samples=stack, frames=frames[:-1],
+        closure_defect=closure, monodromy=monodromy, generator=generator,
     )
 
 
@@ -316,37 +315,30 @@ def pushforward(
     # sampled data only: stay on the common grid, no refinement possible
     a = a.resample(m)
     loop_m = loop if loop.m == m else loop.resample(m, tol)
-    sources = Subspace(np.stack([s.space.basis for s in loop_m.samples]))
     try:
-        stack = classify_coisotropic(loop.space, image(a.matrices, sources), tol)
+        stack = classify_coisotropic(loop.space, image(a.matrices, loop_m.samples), tol)
     except ClassificationError as exc:
         raise InternalConsistencyError(failed) from exc
-    subs, frames, monodromy = _closed_chain(loop.space, stack, None, tol)
-    worst = float(np.max(_consecutive_angles(stack.space)))
+    out = _closed_loop(loop.space, loop.k, _thetas(m), stack, None,
+                       loop_m.closure_defect, None, tol)
+    worst = float(np.max(out.consecutive_angles()))
     if worst >= tol.consecutive_angle:
         raise DiscontinuousLoopError(
             f"pushforward violated the continuity contract: {worst:.3f}"
         )
-    return CoisotropicLoop(
-        space=loop.space, k=loop.k, thetas=_thetas(m), samples=subs,
-        frames=frames, closure_defect=loop_m.closure_defect,
-        monodromy=monodromy, generator=None,
-    )
+    return out
 
 
 def transverse_frame_loop(loop: CoisotropicLoop):
     """Per-sample unitary (n-k)-frames of the transverse (1,0)-space.
 
-    Returns ``(frames, monodromy)`` where ``frames[i]`` is the n x (n-k)
-    complex matrix whose columns are the kernel frame vectors of sample i in
-    complex coordinates, and ``monodromy`` is the kernel block of the frame
-    monodromy after one circuit (the empty product, an identity of size 0,
-    when k = n).
+    Returns ``(frames, monodromy)`` where ``frames`` is the (M, n, n-k)
+    complex stack whose member i holds the kernel frame vectors of sample i
+    in complex coordinates, and ``monodromy`` is the kernel block of the
+    frame monodromy after one circuit (the empty product, an identity of
+    size 0, when k = n).
     """
-    k = loop.k
-    frames = [complex_coords(f.kernel_vectors()) for f in loop.frames]
-    mono = loop.monodromy[k:, k:]
-    return frames, mono
+    return complex_coords(loop.frames.kernel_vectors()), loop.monodromy[loop.k:, loop.k:]
 
 
 # ---------------------------------------------------------------------------
@@ -458,13 +450,10 @@ def unitary_matrix_loop(space: SymplecticSpace, fn_complex, samples: int) -> Sym
     )
 
 
-def random_unitary_matrix_loop(
-    space: SymplecticSpace, seed, samples: int,
-    max_winding: int = 2, wiggle: float = 0.3,
-) -> SymplecticMatrixLoop:
-    """A seeded closed loop of unitaries, determinant winding allowed."""
-    n = space.n
-    g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
+def _random_unitary_grid(n: int, g: np.random.Generator, max_winding: int, wiggle: float):
+    """Grid callable of a seeded closed loop of n x n unitaries
+    V W(theta) diag(exp(i mu_j theta)) V^*; draws V, the wiggle W and the
+    windings mu from ``g`` in that order."""
     v = random_unitary(n, g)
     wig = _closed_wiggle(n, g, wiggle)
     mu = g.integers(-max_winding, max_winding + 1, size=n)
@@ -472,7 +461,17 @@ def random_unitary_matrix_loop(
     def fn(thetas):
         return v @ wig(thetas) @ _diagonals(np.exp(1j * mu * thetas[:, None])) @ np.conj(v.T)
 
-    return unitary_matrix_loop(space, fn, samples)
+    return fn
+
+
+def random_unitary_matrix_loop(
+    space: SymplecticSpace, seed, samples: int,
+    max_winding: int = 2, wiggle: float = 0.3,
+) -> SymplecticMatrixLoop:
+    """A seeded closed loop of unitaries, determinant winding allowed."""
+    g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    return unitary_matrix_loop(
+        space, _random_unitary_grid(space.n, g, max_winding, wiggle), samples)
 
 
 def random_symplectic_matrix_loop(
@@ -486,7 +485,7 @@ def random_symplectic_matrix_loop(
     """
     n = space.n
     g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    uloop = random_unitary_matrix_loop(space, g, samples, max_winding)
+    unitaries = _random_unitary_grid(n, g, max_winding, wiggle=0.3)
 
     def sym(size):
         a = g.normal(size=(size, size))
@@ -504,10 +503,8 @@ def random_symplectic_matrix_loop(
                             np.concatenate([b, -a], axis=-1)], axis=-2)
         return scipy.linalg.expm(x)
 
-    gen_u = uloop.generator
-
     def fn(thetas):
-        return gen_u(thetas) @ stretch_fn(thetas)
+        return realify(unitaries(thetas)) @ stretch_fn(thetas)
 
     return SymplecticMatrixLoop.from_callable(space, fn, samples)
 

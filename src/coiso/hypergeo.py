@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-from functools import lru_cache
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -42,10 +41,10 @@ from .symplin import (
     AdaptedFrame,
     Subspace,
     _mgs,
-    classify_coisotropic,
+    _standard_j,
+    _standard_omega,
     complex_coords,
     real_coords,
-    standard_space,
 )
 
 __all__ = [
@@ -75,11 +74,6 @@ __all__ = [
     "LagrangianGraphProduct",
     "random_graph_product",
 ]
-
-
-@lru_cache(maxsize=32)
-def _jmat(n: int) -> np.ndarray:
-    return standard_space(n).j
 
 
 def _fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
@@ -169,7 +163,7 @@ class LevelSetHypersurface:
 
     def x_rho(self, x: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
         """The Hamiltonian direction j grad(rho), unit on Y."""
-        return _jmat(self.n) @ self.unit_normal(x, tol)
+        return _standard_j(self.n) @ self.unit_normal(x, tol)
 
     def project(self, x: np.ndarray, iters: int = 50,
                 tol: float = 1e-13) -> np.ndarray:
@@ -212,7 +206,7 @@ def tangent_splitting(
     an adapted frame with e_n along X_rho (so f_n = -nu)."""
     p = np.asarray(p, dtype=float)
     nu = y.unit_normal(p, tol)
-    j = _jmat(y.n)
+    j = _standard_j(y.n)
     xr = j @ nu
     span = np.stack([nu, xr], axis=1)
     u, s, _ = np.linalg.svd(np.eye(y.dim) - span @ span.T)
@@ -399,7 +393,7 @@ def leafwise_mean_curvature(geo: PointGeometry) -> MeanCurvature:
     kernel_idx = np.arange(k, n)
     trace = blocks.a[:, kernel_idx, kernel_idx].sum(axis=1)   # per alpha
     h_vec = normals @ trace
-    omega = standard_space(geo.y.n).omega
+    omega = _standard_omega(geo.y.n)
     t = frame.tangent_basis()
     # direct contraction: (i_H omega)(t) = omega(H, t)
     alpha_direct = np.array([h_vec @ omega @ t[:, i] for i in range(t.shape[1])])
@@ -448,7 +442,7 @@ class LeviForm:
 
 def levi_form(geo: PointGeometry) -> LeviForm:
     basis = geo.frame.h_vectors()
-    j = _jmat(geo.y.n)
+    j = _standard_j(geo.y.n)
     hess = geo.normalized_hessian
     jb = j @ basis
     two_form = 0.5 * (jb.T @ hess @ basis - basis.T @ hess @ jb)
@@ -524,7 +518,7 @@ def transverse_curvature_bracket(
     # every field's value at one point, from the splitting data there
     if scheme == "projection":
         def fields(nu):
-            xr = _jmat(y.n) @ nu
+            xr = _standard_j(y.n) @ nu
             return [b - (b @ nu) * nu - (b @ xr) * xr for b in basis.T]
 
         at_p = fields(geo.nu)
@@ -687,7 +681,7 @@ def leaf_minimality(geo: PointGeometry, flow_step: float = 1e-3) -> Minimality:
 
     def vf(x):
         g = y.gradient(x)
-        return _jmat(y.n) @ (g / np.linalg.norm(g))
+        return _standard_j(y.n) @ (g / np.linalg.norm(g))
 
     xp = _rk4(vf, p, flow_step)
     xm = _rk4(vf, p, -flow_step)
@@ -966,7 +960,7 @@ class LagrangianGraphProduct:
         for a in range(m):
             e_h[l + a, a] = 1.0
         e = np.concatenate([e_h, tl], axis=1)
-        j = _jmat(n)
+        j = _standard_j(n)
         return AdaptedFrame(k=m, e=e, f=j @ e)
 
     def tangent_projector(self, x: np.ndarray) -> np.ndarray:

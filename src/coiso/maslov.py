@@ -336,17 +336,16 @@ def disc_boundary_index(
     return maslov_index(loop, section, tol)
 
 
-def connection_integral_index(frames: Sequence[AdaptedFrame],
-                              tol: Tolerances = DEFAULT) -> int:
+def connection_integral_index(frames: AdaptedFrame, tol: Tolerances = DEFAULT) -> int:
     """(i/pi) times the loop integral of the trace of the flat-connection
-    form in the moving frame.
+    form in the moving frame, read from a loop's (M, 2n, n) frame stack.
 
     For the frame matrix U the trace of U^{-1} dU integrates to the log
     determinant, so the index is minus twice the accumulated determinant
     phase over 2*pi; evaluated by discrete phase accumulation around the
     closed sample cycle, rounded with residual below 0.05.
     """
-    dets = np.linalg.det(np.stack([f.unitary() for f in frames]))
+    dets = np.linalg.det(frames.unitary())
     mods = np.abs(dets)
     if np.min(mods) < 1e-6:
         raise FrameDegeneracyError("frame determinant lost numerical rank")

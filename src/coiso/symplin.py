@@ -10,18 +10,19 @@ subspaces are stored as matrices with g-orthonormal columns because frames,
 not projectors, are the working objects of every downstream computation.
 
 A loop's samples are handled as one stack: a ``Subspace`` may hold a
-(..., 2n, m) array of equal-dimensional members, and classification,
-complements, principal angles and frame checks act on every member with
-one stacked ``np.linalg`` call per step.  A single subspace is the
-unstacked case of the same code.
+(..., 2n, m) array of equal-dimensional members, a ``CoisotropicSubspace``
+a stack of splittings and an ``AdaptedFrame`` a stack of (..., 2n, n)
+frames.  Classification, complements, principal angles and frame checks
+act on every member with one stacked ``np.linalg`` call per step, and
+frame transport writes its members into one preallocated stack.  A single
+subspace or frame is the unstacked case of the same code.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from functools import lru_cache
-from math import isclose
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -87,62 +88,45 @@ def _standard_j(n: int) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class SymplecticSpace:
-    """(R^{2n}, omega, j, g) with omega antisymmetric, j^2 = -I and
-    g = omega(., j .) positive definite."""
+    """(R^{2n}, omega, j) with the standard structures; g = omega(., j .)
+    is the identity.  ``omega`` and ``j`` are cached read-only matrices."""
 
     n: int
-    omega: np.ndarray
-    j: np.ndarray
-    g: np.ndarray
 
     def __post_init__(self):
         if self.n < 1:
             raise ValueError("complex dimension must be positive")
-        d = 2 * self.n
-        if self.omega.shape != (d, d):
-            raise ValueError("omega has the wrong shape")
-        if np.max(np.abs(self.omega + self.omega.T)) > 1e-12:
-            raise ValueError("omega is not antisymmetric")
-        if abs(np.linalg.det(self.omega)) < 1e-12:
-            raise ValueError("omega is degenerate")
-        if np.max(np.abs(self.j @ self.j + np.eye(d))) > 1e-12:
-            raise ValueError("j*j != -identity")
-        # compatibility: g = omega . j symmetric positive definite
-        g = self.omega @ self.j
-        if np.max(np.abs(g - self.g)) > 1e-12 or np.max(np.abs(g - g.T)) > 1e-12:
-            raise ValueError("g != omega(., j.) or not symmetric")
-        if np.min(np.linalg.eigvalsh(g)) <= 0:
-            raise ValueError("g is not positive definite")
-        # j preserves omega
-        if np.max(np.abs(self.j.T @ self.omega @ self.j - self.omega)) > 1e-12:
-            raise ValueError("j does not preserve omega")
 
     @property
     def dim(self) -> int:
         return 2 * self.n
 
+    @property
+    def omega(self) -> np.ndarray:
+        return _standard_omega(self.n)
+
+    @property
+    def j(self) -> np.ndarray:
+        return _standard_j(self.n)
+
 
 def standard_space(n: int) -> SymplecticSpace:
     """The standard (R^{2n}, omega_0, j, g=identity)."""
-    return SymplecticSpace(
-        n=n,
-        omega=_standard_omega(n),
-        j=_standard_j(n),
-        g=np.eye(2 * n),
-    )
+    return SymplecticSpace(n)
 
 
 def complex_coords(v: np.ndarray) -> np.ndarray:
-    """Real 2n-vectors (or 2n x m column stacks) as complex n-vectors."""
+    """Columns of a real 2n x m matrix as complex n-vectors; for a
+    (..., 2n, m) stack, the (..., n, m) stack of the members' matrices."""
     v = np.asarray(v)
-    n = v.shape[0] // 2
-    return v[:n] + 1j * v[n:]
+    n = v.shape[-2] // 2
+    return v[..., :n, :] + 1j * v[..., n:, :]
 
 
 def real_coords(z: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`complex_coords`."""
+    """Inverse of :func:`complex_coords`, on the same trailing axes."""
     z = np.asarray(z, dtype=complex)
-    return np.concatenate([z.real, z.imag], axis=0)
+    return np.concatenate([z.real, z.imag], axis=-2)
 
 
 def realify(u: np.ndarray) -> np.ndarray:
@@ -427,7 +411,9 @@ def classify_coisotropic(
 
 @dataclasses.dataclass(frozen=True)
 class AdaptedFrame:
-    """A unitary Darboux frame (e_1..e_n, f_1..f_n) with f_i = j e_i.
+    """A unitary Darboux frame (e_1..e_n, f_1..f_n) with f_i = j e_i, or a
+    stack of them: ``e`` and ``f`` have shape (..., 2n, n), one member per
+    sample of a loop, and every method acts on the trailing two axes.
 
     Columns e_1..e_k frame the j-invariant part H_C, columns e_{k+1}..e_n
     the kernel C^omega; the index split is recorded in ``k``.
@@ -437,9 +423,16 @@ class AdaptedFrame:
     e: np.ndarray
     f: np.ndarray
 
+    def __getitem__(self, index) -> "AdaptedFrame":
+        """Members of a stack, selected by a NumPy index on the stack axes."""
+        e = self.e[index]
+        if e.ndim < 2 or e.shape[-2:] != self.e.shape[-2:]:
+            raise IndexError("only the stack axes of a frame can be indexed")
+        return AdaptedFrame(k=self.k, e=e, f=self.f[index])
+
     @property
     def n(self) -> int:
-        return self.e.shape[1]
+        return self.e.shape[-1]
 
     def unitary(self) -> np.ndarray:
         """The frame as a unitary n x n complex matrix (columns = e_i)."""
@@ -447,26 +440,23 @@ class AdaptedFrame:
 
     def tangent_basis(self) -> np.ndarray:
         """Columns (e_1..e_n, f_1..f_k): a basis of the coisotropic subspace."""
-        return np.concatenate([self.e, self.f[:, : self.k]], axis=1)
+        return np.concatenate([self.e, self.f[..., : self.k]], axis=-1)
 
     def kernel_vectors(self) -> np.ndarray:
-        return self.e[:, self.k:]
+        return self.e[..., self.k:]
 
     def h_vectors(self) -> np.ndarray:
-        return np.concatenate([self.e[:, : self.k], self.f[:, : self.k]], axis=1)
+        return np.concatenate([self.e[..., : self.k], self.f[..., : self.k]], axis=-1)
 
 
 def _check_frames(space: SymplecticSpace, c: CoisotropicSubspace,
-                  frames: Sequence[AdaptedFrame], tol: Tolerances) -> None:
+                  frames: AdaptedFrame, tol: Tolerances) -> None:
     """Raise ContinuityLossError, naming the first failing frame, unless
-    ``frames[i]`` is an adapted unitary Darboux frame of member i of the
-    stack ``c``.  Every check runs once over the stacked frames."""
-    k = c.k
-    e = np.stack([fr.e for fr in frames])
-    f = np.stack([fr.f for fr in frames])
+    member i of the stack ``frames`` is an adapted unitary Darboux frame of
+    member i of the stack ``c``.  Every check runs once over the stack."""
+    e, f = frames.e, frames.f
     full = np.concatenate([e, f], axis=-1)
-    tangent = np.concatenate([e, f[..., :k]], axis=-1)
-    kv = e[..., k:]
+    tangent = frames.tangent_basis()
 
     def largest_entry(x):
         return np.max(np.abs(x), axis=(-2, -1))
@@ -479,12 +469,11 @@ def _check_frames(space: SymplecticSpace, c: CoisotropicSubspace,
          10 * tol.orthonormality),
         ("has f != j e", largest_entry(f - space.j @ e), tol.frame_j),
         ("violates the Darboux relations",
-         largest_entry(_t(full) @ space.omega @ full - _standard_omega(space.n)),
-         tol.darboux),
+         largest_entry(_t(full) @ space.omega @ full - space.omega), tol.darboux),
         ("does not span the target subspace", largest_escape(c.space, tangent),
          tol.subspace_equality),
-        ("kernel block does not span the kernel", largest_escape(c.kernel, kv),
-         tol.subspace_equality),
+        ("kernel block does not span the kernel",
+         largest_escape(c.kernel, frames.kernel_vectors()), tol.subspace_equality),
     )
     for what, defect, bound in checks:
         bad = np.flatnonzero(defect > bound)
@@ -499,9 +488,9 @@ def transported_frames(
     c: CoisotropicSubspace,
     hint: Optional[AdaptedFrame] = None,
     tol: Tolerances = DEFAULT,
-) -> tuple[AdaptedFrame, ...]:
+) -> AdaptedFrame:
     """Adapted unitary Darboux frames along a one-dimensional stack, each
-    carried from the one before it.
+    carried from the one before it, returned as one (M, 2n, n) stack.
 
     Member 0 takes ``hint``; without one its frame is deterministic (SVD
     bases with canonical signs).  Every later member takes the previous
@@ -509,8 +498,9 @@ def transported_frames(
     and re-orthonormalized by modified Gram-Schmidt, which is the discrete
     transport used for loop continuity; a projection below
     ``tol.hint_min_norm`` raises ContinuityLossError.  The transport is
-    sequential; the H-block bases before it and the frame checks after it
-    are stacked.
+    sequential and writes each member into a preallocated stack; the H-block
+    bases before it, the f = j e block and the frame checks after it are
+    stacked.
     """
     k = c.k
     if k:
@@ -518,28 +508,27 @@ def transported_frames(
         n = space.n
         # unitary bases of the j-invariant parts viewed as C^k
         hbases = np.linalg.svd(h[..., :n, :] + 1j * h[..., n:, :])[0][..., :k]
-    frames = []
-    for i in range(len(c.space.basis)):
+    kernels = c.kernel.basis
+    e = np.empty(kernels.shape[:-1] + (space.n,))
+    prev = None if hint is None else hint.e
+    for i, ker in enumerate(kernels):
         # kernel block, real orthonormal
-        ker = c.kernel.basis[i]
-        if ker.shape[1] and hint is not None:
-            ker = _mgs(ker @ (ker.T @ hint.kernel_vectors()), tol.hint_min_norm)
+        if ker.shape[1] and prev is not None:
+            ker = _mgs(ker @ (ker.T @ prev[:, k:]), tol.hint_min_norm)
+        e[i, :, k:] = ker
         # H block, unitary
         if k:
             hb = hbases[i]
-            if hint is not None:
-                pr = hb @ (np.conj(hb.T) @ complex_coords(hint.e[:, :k]))
+            if prev is not None:
+                pr = hb @ (np.conj(hb.T) @ complex_coords(prev[:, :k]))
                 hcols = _mgs_complex(pr, tol.hint_min_norm)
             else:
                 hcols = _canonical_phases(hb)
-            e_h = real_coords(hcols)
-        else:
-            e_h = np.zeros((space.dim, 0))
-        e = np.concatenate([e_h, ker], axis=1)
-        hint = AdaptedFrame(k=k, e=e, f=space.j @ e)
-        frames.append(hint)
+            e[i, :, :k] = real_coords(hcols)
+        prev = e[i]
+    frames = AdaptedFrame(k=k, e=e, f=space.j @ e)
     _check_frames(space, c, frames, tol)
-    return tuple(frames)
+    return frames
 
 
 def adapted_frame(

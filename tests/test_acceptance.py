@@ -114,21 +114,17 @@ def test_04_frame_independence():
     base = canonical_section(loop).samples
     for trial in range(50):
         g = coiso.rng(405, trial)
-        new_samples = []
-        for s in loop.samples:
-            d = s.kernel.dim
-            q, _ = np.linalg.qr(g.normal(size=(d, d)))
-            kernel = coiso.Subspace(s.kernel.basis @ q)
-            new_samples.append(coiso.CoisotropicSubspace(
-                space=s.space, k=s.k, kernel=kernel, h_part=s.h_part))
-        frames = [coiso.adapted_frame(sp, new_samples[0])]
-        for s in new_samples[1:]:
-            frames.append(coiso.adapted_frame(sp, s, hint=frames[-1]))
-        pred = coiso.adapted_frame(sp, new_samples[0], hint=frames[-1])
-        mono = np.conj(frames[0].unitary().T) @ pred.unitary()
+        s = loop.samples
+        d = s.kernel.dim
+        q = np.stack([np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(loop.m)])
+        new_samples = coiso.CoisotropicSubspace(
+            space=s.space, k=s.k, kernel=coiso.Subspace(s.kernel.basis @ q), h_part=s.h_part)
+        # transported once around and once more onto sample 0
+        frames = coiso.transported_frames(sp, new_samples[np.append(np.arange(loop.m), 0)])
+        mono = np.conj(frames[0].unitary().T) @ frames[-1].unitary()
         mixed = coiso.CoisotropicLoop(
-            space=sp, k=1, thetas=loop.thetas, samples=tuple(new_samples),
-            frames=tuple(frames), closure_defect=loop.closure_defect,
+            space=sp, k=1, thetas=loop.thetas, samples=new_samples,
+            frames=frames[:-1], closure_defect=loop.closure_defect,
             monodromy=mono, generator=loop.generator)
         assert_allclose(canonical_section(mixed).samples, base, atol=1e-9)
         assert maslov_index(mixed, section) == mu

@@ -85,6 +85,8 @@ def test_run_schema_violation_exit_two(tmp_path):
     ("disc-index", {"fixture": "sphere", "loop": "figure-eight"}),
     ("maslov-index", {"n": 2, "family": "spiral"}),
     ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"no_such_tolerance": 1.0}}),
+    ("hypersurface-report", {"fixture": "sphere", "points": 0}),
+    ("minimality-scan", {"fixture": "sphere", "points": 0}),
 ])
 def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
     path = tmp_path / "bad.json"

@@ -200,6 +200,22 @@ def test_consecutive_angles_match_per_pair_principal_angles():
         assert abs(got[i] - want) < 1e-12
 
 
+def test_loop_holds_its_samples_and_frames_as_stacks():
+    sp = standard_space(3)
+    loop = loop_from_family(sp, 1, coiso.random_unitary_orbit_family(sp, 1, coiso.rng(21)),
+                            samples=32)
+    # sampled data only: the pushforward by a generator-free matrix loop
+    still = SymplecticMatrixLoop(space=sp, thetas=loop.thetas,
+                                 matrices=np.tile(np.eye(6), (loop.m, 1, 1)))
+    for out in (loop, pushforward(still, loop)):
+        assert out.m == len(out.thetas) == 32
+        assert out.samples.space.basis.shape == (32, 6, 4)
+        assert out.samples.kernel.basis.shape == (32, 6, 2)
+        assert out.frames.e.shape == out.frames.f.shape == (32, 6, 3)
+        assert out.unitaries().shape == (32, 3, 3)
+        assert transverse_frame_loop(out)[0].shape == (32, 3, 2)
+
+
 def test_matrix_loop_rejects_a_step_above_half():
     mats = np.stack([np.eye(4)] * 8)
     mats[5] = realify(np.diag([np.exp(1j), 1.0]))   # |e^i - 1| = 0.96

@@ -229,21 +229,17 @@ def _reframe_kernel(loop, seed):
     """Rebuild the loop with every sample's kernel basis randomly mixed and
     the frames re-propagated from the mixed initial data."""
     g = coiso.rng(seed)
-    new_samples = []
-    for s in loop.samples:
-        d = s.kernel.dim
-        q, _ = np.linalg.qr(g.normal(size=(d, d)))
-        kernel = coiso.Subspace(s.kernel.basis @ q)
-        new_samples.append(coiso.CoisotropicSubspace(
-            space=s.space, k=s.k, kernel=kernel, h_part=s.h_part))
-    frames = [adapted_frame(loop.space, new_samples[0])]
-    for s in new_samples[1:]:
-        frames.append(adapted_frame(loop.space, s, hint=frames[-1]))
-    pred = adapted_frame(loop.space, new_samples[0], hint=frames[-1])
-    mono = np.conj(frames[0].unitary().T) @ pred.unitary()
+    s = loop.samples
+    d = s.kernel.dim
+    q = np.stack([np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(loop.m)])
+    new_samples = coiso.CoisotropicSubspace(
+        space=s.space, k=s.k, kernel=coiso.Subspace(s.kernel.basis @ q), h_part=s.h_part)
+    # transported once around and once more onto sample 0
+    frames = coiso.transported_frames(loop.space, new_samples[np.append(np.arange(loop.m), 0)])
+    mono = np.conj(frames[0].unitary().T) @ frames[-1].unitary()
     return CoisotropicLoop(
         space=loop.space, k=loop.k, thetas=loop.thetas,
-        samples=tuple(new_samples), frames=tuple(frames),
+        samples=new_samples, frames=frames[:-1],
         closure_defect=loop.closure_defect, monodromy=mono,
         generator=loop.generator,
     )

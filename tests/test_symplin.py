@@ -327,7 +327,7 @@ def test_classify_stack_members_match_single_calls():
 def _chain(seed=12, m=9):
     spaces = [random_coisotropic(SP3, 1, seed + i).space.basis for i in range(m)]
     stack = classify_coisotropic(SP3, Subspace(np.stack(spaces)))
-    return stack, list(coiso.transported_frames(SP3, stack))
+    return stack, coiso.transported_frames(SP3, stack)
 
 
 def _scaled(fr):
@@ -347,14 +347,18 @@ def test_frame_chain_check_names_the_corrupted_member(corrupt, defect):
     stack, frames = _chain()
     coiso.symplin._check_frames(SP3, stack, frames, coiso.DEFAULT)
     # corrupt two members in the middle; the first is reported
-    frames[4], frames[6] = corrupt(frames[4]), corrupt(frames[6])
+    e, f = frames.e.copy(), frames.f.copy()
+    for i in (4, 6):
+        bad = corrupt(frames[i])
+        e[i], f[i] = bad.e, bad.f
     with pytest.raises(coiso.ContinuityLossError, match=f"frame 4 {defect}"):
-        coiso.symplin._check_frames(SP3, stack, frames, coiso.DEFAULT)
+        coiso.symplin._check_frames(SP3, stack, coiso.AdaptedFrame(k=frames.k, e=e, f=f),
+                                    coiso.DEFAULT)
 
 
 def test_transported_frames_follow_their_hints():
     stack, frames = _chain()
-    for i in range(1, len(frames)):
+    for i in range(1, len(frames.e)):
         assert np.array_equal(frames[i].e, adapted_frame(SP3, stack[i], hint=frames[i - 1]).e)
 
 
@@ -406,6 +410,35 @@ def test_realify_stack_equals_members(seed, n, count):
         a, b = u[i].real, u[i].imag
         assert np.array_equal(stacked[i], realify(u[i]))
         assert np.array_equal(stacked[i], np.block([[a, -b], [b, a]]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spanning_stacks())
+def test_coords_stack_equals_members(v):
+    z = coiso.complex_coords(v)
+    back = coiso.real_coords(z)
+    assert z.shape == (len(v), v.shape[1] // 2, v.shape[2])
+    assert np.array_equal(back, v)
+    for i in range(len(v)):
+        assert np.array_equal(z[i], coiso.complex_coords(v[i]))
+        assert np.array_equal(back[i], coiso.real_coords(z[i]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 4), st.data(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
+def test_adapted_frame_stack_equals_members(n, data, count, seed):
+    k = data.draw(st.integers(0, n))
+    g = coiso.rng(seed)
+    frames = coiso.AdaptedFrame(k=k, e=g.normal(size=(count, 2 * n, n)),
+                                f=g.normal(size=(count, 2 * n, n)))
+    methods = ("unitary", "tangent_basis", "kernel_vectors", "h_vectors")
+    for i in range(count):
+        member = coiso.AdaptedFrame(k=k, e=frames.e[i], f=frames.f[i])
+        assert np.array_equal(frames[i].e, member.e) and np.array_equal(frames[i].f, member.f)
+        for name in methods:
+            assert np.array_equal(getattr(frames, name)()[i], getattr(member, name)()), name
+    with pytest.raises(IndexError):
+        frames[0, 0]
 
 
 @settings(max_examples=30, deadline=None)
