@@ -138,6 +138,11 @@ SCHEMA = {
                 },
             },
             "additionalProperties": False,
+            # the diag-unitary family needs its windings
+            "if": {"required": ["family"], "properties": {"family": {"const": "diag-unitary"}}},
+            "then": {"required": ["family_params"], "properties": {"family_params": {
+                "required": ["windings"],
+                "properties": {"windings": {"type": "array", "items": {"type": "number"}}}}}},
         },
         "output": {
             "type": "object",
@@ -193,6 +198,7 @@ class Report:
     items: list
     passed: bool
     error: Optional[str] = None
+    tolerances: Tolerances = DEFAULT
     wall_time_s: Optional[float] = None   # stderr only, never serialized
 
     def to_dict(self) -> dict:
@@ -204,15 +210,11 @@ class Report:
             "passed": self.passed,
             "error": self.error,
             "items": self.items,
-            "tolerances": _tol_dict(self._tol),
+            "tolerances": self.tolerances.as_dict(),
         }
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n"
-
-
-def _tol_dict(tol: Tolerances) -> dict:
-    return {k: v for k, v in tol.as_dict().items()}
 
 
 def _item(name, value, oracle=None, residual=None, passed=True) -> dict:
@@ -239,7 +241,7 @@ def _run_grassmannian_dim(params: dict, tol: Tolerances, seed: int) -> list:
         gen = rng(seed, 1)
         for i in range(points):
             c = symplin.random_coisotropic(space, k, gen, tol)
-            measured = symplin.measured_grassmannian_dim(space, c, tol.rank_step, tol)
+            measured = symplin.measured_grassmannian_dim(space, c, tol)
             items.append(_item(
                 f"measured_rank[{i}]", measured, oracle=formula,
                 residual=float(abs(measured - formula)),
@@ -272,23 +274,26 @@ def _build_loop(space, params: dict, tol: Tolerances, seed: int):
     return grassmann.loop_from_family(space, k, gen, samples=m, tol=tol), name
 
 
-def _run_maslov_index(params: dict, tol: Tolerances, seed: int) -> list:
-    n = int(params.get("n", 1))
-    space = symplin.standard_space(n)
+def _maslov_pair(params: dict, tol: Tolerances, seed: int):
+    """A maslov-index spec's loop, family name, section winding w and section
+    exp(i(w theta + phase0)) on the loop's grid (``fn`` resamples it)."""
+    space = symplin.standard_space(int(params.get("n", 1)))
     loop, fam = _build_loop(space, params, tol, seed)
     sec = params.get("section", {})
     w = int(sec.get("winding", 0))
     phase0 = float(sec.get("phase0", 0.0))
     section = maslov.MaslovSection.from_function(
-        loop.thetas, lambda t: np.exp(1j * (w * t + phase0))
-    )
+        loop.thetas, lambda t: np.exp(1j * (w * t + phase0)))
+    return loop, fam, w, section
+
+
+def _run_maslov_index(params: dict, tol: Tolerances, seed: int) -> list:
+    loop, fam, w, section = _maslov_pair(params, tol, seed)
     idx = maslov.maslov_index(loop, section, tol)
     items = [_item("maslov_index", idx)]
     # grid-doubling oracle: the integer must be stable under refinement
     loop2 = loop.resample(2 * loop.m, tol)
-    section2 = maslov.MaslovSection.from_function(
-        loop2.thetas, lambda t: np.exp(1j * (w * t + phase0))
-    )
+    section2 = maslov.MaslovSection.from_function(loop2.thetas, section.fn)
     idx2 = maslov.maslov_index(loop2, section2, tol)
     items.append(_item("refined_index", idx2, oracle=idx,
                        residual=float(abs(idx2 - idx)), passed=idx2 == idx))
@@ -296,7 +301,7 @@ def _run_maslov_index(params: dict, tol: Tolerances, seed: int) -> list:
         turns = int(params.get("family_params", {}).get("turns", 1))
         # classical oracle: winding of the squared determinant of the
         # generating unitaries, computed away from the loop machinery
-        gen_det = np.exp(1j * turns * loop.thetas / 2) ** (2 * n)
+        gen_det = np.exp(1j * turns * loop.thetas / 2) ** (2 * loop.n)
         classical = maslov.winding(gen_det / np.abs(gen_det), tol)
         items.append(_item(
             "classical_magnitude", abs(idx - w), oracle=abs(classical),
@@ -446,14 +451,12 @@ def run(spec: dict, tol: Tolerances = DEFAULT,
     """Validate and execute one experiment; deterministic given the seed."""
     jsonschema.validate(spec, SCHEMA)
     params = dict(spec.get("parameters", {}))
-    if "tolerances" in params:
-        tol = tol.replace(**params["tolerances"])
+    tol = tol.replace(**params.get("tolerances", {}))
     seed = seed_override if seed_override is not None else int(params.get("seed", 0))
     params["seed"] = seed
     kind = spec["kind"]
     started = time.perf_counter()
-    report = Report(kind=kind, spec=spec, seed=seed, items=[], passed=True)
-    report._tol = tol
+    report = Report(kind=kind, spec=spec, seed=seed, items=[], passed=True, tolerances=tol)
     try:
         items = _RUNNERS[kind](params, tol, seed)
         report.items = items
@@ -485,16 +488,9 @@ def emit_phase_trace(loop, section, path, tol: Tolerances = DEFAULT) -> None:
 
 
 def _emit_trace_for_spec(spec: dict, tol: Tolerances, seed: int, path: str) -> None:
-    params = dict(spec.get("parameters", {}))
-    params["seed"] = seed
-    n = int(params.get("n", 1))
-    space = symplin.standard_space(n)
-    loop, _ = _build_loop(space, params, tol, seed)
-    sec = params.get("section", {})
-    w = int(sec.get("winding", 0))
-    phase0 = float(sec.get("phase0", 0.0))
-    section = maslov.MaslovSection.from_function(
-        loop.thetas, lambda t: np.exp(1j * (w * t + phase0)))
+    params = spec.get("parameters", {})
+    tol = tol.replace(**params.get("tolerances", {}))
+    loop, _, _, section = _maslov_pair(params, tol, seed)
     emit_phase_trace(loop, section, path, tol)
 
 

@@ -10,31 +10,29 @@ import numpy as np
 
 @dataclasses.dataclass(frozen=True)
 class Tolerances:
-    """Every tolerance used by the library, collected in one tunable record.
+    """The tunable thresholds of the library's checks, one record per run.
 
-    Defaults are chosen for double precision and the desk-scale problem
-    sizes the library targets (n <= 6).  Operations accept an instance of
-    this record so individual experiments can loosen or tighten bounds.
+    Each field is read by some check from the record its caller passes.
+    Defaults suit double precision at the sizes the library targets (n <= 6).
+    Three type invariants check against ``DEFAULT`` by design, as their
+    objects are built without a record: ``Subspace`` orthonormality, the
+    closure jump of a ``MaslovSection`` (``phase_jump``) and ``SFFBlocks``
+    symmetry (``sff_symmetry``).
     """
 
     orthonormality: float = 1e-10        # basis' G basis == identity
     subspace_equality: float = 1e-8      # max principal angle for span equality
-    kernel_pairing: float = 1e-9         # |omega(kernel, space)| bound
     darboux: float = 1e-9                # Darboux relations of adapted frames
     frame_j: float = 1e-12               # f_i == j e_i
     svd_cutoff: float = 1e-10            # null space singular value cutoff
     svd_gap: float = 1e-3                # ill-conditioning gap ratio
     hint_min_norm: float = 1e-6          # floor for projected hint columns
     generator_closure: float = 1e-10     # generator(0) vs generator(2*pi)
-    loop_closure: float = 1e-8           # stored subspace-loop closure defect
     consecutive_angle: float = math.pi / 8
     max_loop_samples: int = 2 ** 20
-    unit_modulus: float = 1e-9
     phase_jump: float = math.pi / 2
     winding_residual: float = 0.05
-    equivariance: float = 1e-9
     boundary_on_surface: float = 1e-8
-    unit_gradient: float = 1e-6
     unit_gradient_strict: float = 1e-4
     sff_symmetry: float = 1e-5
     mean_curvature_consistency: float = 1e-6
@@ -45,7 +43,6 @@ class Tolerances:
     integrability: float = 1e-5
     minimality: float = 1e-5
     minimality_consistency: float = 1e-4
-    fd_step: float = 1e-5
     rank_step: float = 1e-5
 
     def replace(self, **kwargs) -> "Tolerances":

@@ -40,6 +40,7 @@ from .errors import (
 from .symplin import (
     AdaptedFrame,
     Subspace,
+    _canonical_phases,
     _mgs,
     _standard_j,
     _standard_omega,
@@ -74,6 +75,10 @@ __all__ = [
     "LagrangianGraphProduct",
     "random_graph_product",
 ]
+
+
+# default central-difference step of level sets without analytic derivatives
+FD_STEP = 1e-5
 
 
 def _fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
@@ -116,7 +121,7 @@ class LevelSetHypersurface:
     rho: Callable[[np.ndarray], float]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    h: float = DEFAULT.fd_step
+    h: float = FD_STEP
     strict: bool = True
     name: str = "levelset"
 
@@ -160,10 +165,6 @@ class LevelSetHypersurface:
 
     def gradient_norm(self, x: np.ndarray) -> float:
         return float(np.linalg.norm(self.gradient(x)))
-
-    def x_rho(self, x: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
-        """The Hamiltonian direction j grad(rho), unit on Y."""
-        return _standard_j(self.n) @ self.unit_normal(x, tol)
 
     def project(self, x: np.ndarray, iters: int = 50,
                 tol: float = 1e-13) -> np.ndarray:
@@ -217,13 +218,8 @@ def tangent_splitting(
     # complex orthonormal basis of N_JF, deterministic
     k = y.k
     if k:
-        zc = complex_coords(njf.basis)
-        uu, ss, _ = np.linalg.svd(zc)
-        hc = uu[:, :k]
-        for i in range(k):
-            idx = int(np.argmax(np.abs(hc[:, i])))
-            hc[:, i] = hc[:, i] * (np.conj(hc[idx, i]) / abs(hc[idx, i]))
-        e_h = real_coords(hc)
+        uu = np.linalg.svd(complex_coords(njf.basis))[0]
+        e_h = real_coords(_canonical_phases(uu[:, :k]))
     else:
         e_h = np.zeros((y.dim, 0))
     e = np.concatenate([e_h, xr[:, None]], axis=1)
@@ -472,7 +468,6 @@ class TransverseCurvature:
     f20: Optional[np.ndarray] = None
     f11: Optional[np.ndarray] = None
     f02: Optional[np.ndarray] = None
-    rho_trans: Optional[np.ndarray] = None
 
     def reassembled(self, tol: float = DEFAULT.type_reassembly) -> np.ndarray:
         """F^{2,0} + F^{1,1} + F^{0,2} evaluated on the real basis pairs;
@@ -589,7 +584,6 @@ def transverse_curvature_sff(geo: PointGeometry) -> TransverseCurvature:
     f20 = np.zeros((k, k, nal), dtype=complex)
     f11 = np.zeros((k, k, nal), dtype=complex)
     f02 = np.zeros((k, k, nal), dtype=complex)
-    rho_trans = np.zeros(nal)
     for al in range(nal):
         e_blk = comps[:k, :k, al]
         g_blk = comps[k:, k:, al]
@@ -599,13 +593,11 @@ def transverse_curvature_sff(geo: PointGeometry) -> TransverseCurvature:
         f20[:, :, al] = (e_blk - g_blk) / 8.0 - 0.25j * m_anti
         f11[:, :, al] = (e_blk + g_blk) / 4.0 + 0.5j * m_sym
         f02[:, :, al] = np.conj(f20[:, :, al])
-        rho_trans[al] = -np.trace(ah[al]) - np.trace(dh[al])
     out = TransverseCurvature(
-        basis=blocks.frame.h_vectors(), components=comps,
-        f20=f20, f11=f11, f02=f02, rho_trans=rho_trans,
-    )
-    resid = float(np.max(np.abs(out.reassembled() - comps))) if comps.size else 0.0
-    if resid > geo.tol.type_reassembly:
+        basis=blocks.frame.h_vectors(), components=comps, f20=f20, f11=f11, f02=f02)
+    bound = geo.tol.type_reassembly
+    resid = float(np.max(np.abs(out.reassembled(bound) - comps))) if comps.size else 0.0
+    if resid > bound:
         raise InternalConsistencyError(
             f"type decomposition reassembly residual {resid:.3e}"
         )
@@ -717,7 +709,7 @@ def leaf_minimality(geo: PointGeometry, flow_step: float = 1e-3) -> Minimality:
 
 
 def sphere(n: int = 2, radius: float = 1.0, analytic: bool = True,
-           h: float = DEFAULT.fd_step) -> LevelSetHypersurface:
+           h: float = FD_STEP) -> LevelSetHypersurface:
     """The round sphere |x| = radius, with rho = |x| - radius + 1 so the
     gradient is exactly unit."""
 
@@ -761,7 +753,7 @@ def hyperplane(n: int = 2, level: float = 1.0) -> LevelSetHypersurface:
 
 
 def cylinder(n: int = 2, radius: float = 1.0,
-             analytic: bool = True, h: float = DEFAULT.fd_step) -> LevelSetHypersurface:
+             analytic: bool = True, h: float = FD_STEP) -> LevelSetHypersurface:
     """{|z_1| = radius} in C^n; curvature concentrated in the z_1 plane."""
 
     def rho(x):
@@ -794,7 +786,7 @@ def cylinder(n: int = 2, radius: float = 1.0,
 
 
 def ellipsoid(semi_axes: Sequence[float], analytic: bool = True,
-              h: float = DEFAULT.fd_step) -> LevelSetHypersurface:
+              h: float = FD_STEP) -> LevelSetHypersurface:
     """{sum |z_j|^2 / a_j^2 = 1}, one semi-axis per complex coordinate.
 
     The gradient is not unit, so the fixture runs in non-strict mode and
@@ -822,7 +814,7 @@ def ellipsoid(semi_axes: Sequence[float], analytic: bool = True,
 
 
 def from_polynomial(n: int, terms: Sequence[dict],
-                    h: float = DEFAULT.fd_step, strict: bool = False
+                    h: float = FD_STEP, strict: bool = False
                     ) -> LevelSetHypersurface:
     """A defining function given as a polynomial coefficient table.
 

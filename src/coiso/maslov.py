@@ -56,6 +56,10 @@ __all__ = [
 ]
 
 
+# largest ||z| - 1| a section sample may show
+UNIT_MODULUS = 1e-9
+
+
 @dataclasses.dataclass(frozen=True)
 class MaslovSection:
     """Unit-modulus samples of a transverse section along a loop, in the
@@ -71,7 +75,7 @@ class MaslovSection:
 
     def __post_init__(self):
         z = np.asarray(self.samples, dtype=complex)
-        if np.max(np.abs(np.abs(z) - 1.0)) > DEFAULT.unit_modulus:
+        if np.max(np.abs(np.abs(z) - 1.0)) > UNIT_MODULUS:
             raise ValueError("section samples must have unit modulus")
         jumps = np.abs(np.angle(np.roll(z, -1) / z))
         if z.size > 1 and jumps[-1] >= DEFAULT.phase_jump:

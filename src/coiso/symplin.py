@@ -184,6 +184,13 @@ def _mgs_complex(cols: np.ndarray, min_norm: float) -> np.ndarray:
     return q
 
 
+def _stack_members(obj, array: np.ndarray):
+    """The members of a stack along its first axis; a single one raises."""
+    if array.ndim < 3:
+        raise TypeError(f"a single {type(obj).__name__} is not a stack")
+    return (obj[i] for i in range(array.shape[0]))
+
+
 def _canonical_signs(cols: np.ndarray) -> np.ndarray:
     """Deterministic sign choice: largest-magnitude entry of each column made
     positive, member by member in a stack."""
@@ -231,13 +238,12 @@ class Subspace:
         object.__setattr__(sub, "basis", b)
         return sub
 
+    def __iter__(self):
+        return _stack_members(self, self.basis)
+
     @property
     def dim(self) -> int:
         return self.basis.shape[-1]
-
-    @property
-    def ambient_dim(self) -> int:
-        return self.basis.shape[-2]
 
     @classmethod
     def from_spanning(cls, cols: np.ndarray, min_norm: float = 1e-12) -> "Subspace":
@@ -245,12 +251,6 @@ class Subspace:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (_t(self.basis) @ v)
-
-    def contains(self, other: "Subspace", tol: float = DEFAULT.subspace_equality) -> bool:
-        if other.dim == 0:
-            return True
-        resid = other.basis - self.project(other.basis)
-        return float(np.max(np.linalg.norm(resid, axis=-2))) < tol
 
 
 def _angles(a: Subspace, b: Subspace) -> np.ndarray:
@@ -351,9 +351,8 @@ class CoisotropicSubspace:
         return CoisotropicSubspace(space=self.space[index], k=self.k,
                                    kernel=self.kernel[index], h_part=self.h_part[index])
 
-    @property
-    def n(self) -> int:
-        return self.space.ambient_dim // 2
+    def __iter__(self):
+        return _stack_members(self, self.space.basis)
 
     @property
     def dim(self) -> int:
@@ -429,6 +428,9 @@ class AdaptedFrame:
         if e.ndim < 2 or e.shape[-2:] != self.e.shape[-2:]:
             raise IndexError("only the stack axes of a frame can be indexed")
         return AdaptedFrame(k=self.k, e=e, f=self.f[index])
+
+    def __iter__(self):
+        return _stack_members(self, self.e)
 
     @property
     def n(self) -> int:
@@ -603,7 +605,6 @@ def _schur_constraint(space: SymplecticSpace, t_basis: np.ndarray,
 def measured_grassmannian_dim(
     space: SymplecticSpace,
     c: CoisotropicSubspace,
-    step: float = DEFAULT.rank_step,
     tol: Tolerances = DEFAULT,
 ) -> int:
     """Tangent-space dimension of the coisotropic Grassmannian at C,
@@ -612,8 +613,8 @@ def measured_grassmannian_dim(
     Nearby (n+k)-dimensional subspaces are graphs over C; the coisotropy
     condition is the vanishing of the kernel-block Schur complement of the
     restricted symplectic form.  The rank of its finite-difference Jacobian
-    (central differences of size ``step``) is subtracted from the ambient
-    Grassmannian dimension.
+    (central differences of size ``tol.rank_step``) is subtracted from the
+    ambient Grassmannian dimension.
     """
     frame = adapted_frame(space, c, tol=tol)
     t_basis = np.concatenate([frame.h_vectors(), frame.kernel_vectors()], axis=1)
@@ -625,6 +626,7 @@ def measured_grassmannian_dim(
     ncon = _schur_constraint(space, t_basis, perp, c.k, np.zeros((sub.dim, perp.shape[1]))).size
     if ncon == 0:
         return npar
+    step = tol.rank_step
     jac = np.zeros((ncon, npar))
     for a in range(npar):
         z = np.zeros(npar)

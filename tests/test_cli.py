@@ -16,6 +16,7 @@ from coiso.cli import (
     BOUNDARY_FAMILIES,
     REPORT_SCHEMA,
     SCHEMA,
+    Report,
     emit_phase_trace,
     main,
     run,
@@ -87,11 +88,41 @@ def test_run_schema_violation_exit_two(tmp_path):
     ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"no_such_tolerance": 1.0}}),
     ("hypersurface-report", {"fixture": "sphere", "points": 0}),
     ("minimality-scan", {"fixture": "sphere", "points": 0}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "diag-unitary"}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "diag-unitary", "family_params": {}}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "diag-unitary",
+                      "family_params": {"windings": "1 -1"}}),
+    ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"loop_closure": 1.0}}),
 ])
 def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"kind": kind, "parameters": parameters}))
     assert main(["run", str(path)]) == 2
+
+
+REMOVED_TOLERANCES = ["kernel_pairing", "loop_closure", "equivariance", "unit_gradient",
+                      "unit_modulus", "fd_step"]
+
+
+@pytest.mark.parametrize("name", REMOVED_TOLERANCES)
+def test_removed_tolerance_name_exit_two(tmp_path, name):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "grassmannian-dim",
+                                     "parameters": {"n": 2, "k": 1, "tolerances": {name: 1.0}}}))
+    assert main(["run", str(spec_path)]) == 2
+    spec_path.write_text(json.dumps({"kind": "grassmannian-dim", "parameters": {"n": 2, "k": 1}}))
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(json.dumps({name: 1.0}))
+    assert main(["run", str(spec_path), "--tol-file", str(tol_path)]) == 2
+    assert main(["run", str(spec_path)]) == 0
+
+
+def test_diag_unitary_with_windings_runs():
+    spec = {"kind": "maslov-index",
+            "parameters": {"n": 2, "k": 1, "M": 32, "family": "diag-unitary",
+                           "family_params": {"windings": [1, -0.5]}}}
+    jsonschema.validate(spec, SCHEMA)
+    assert run(spec).error is None
 
 
 def test_schema_accepts_known_tolerance_names():
@@ -145,6 +176,22 @@ def test_seed_override_changes_report():
     a = run(spec).to_json()
     b = run(spec, seed_override=2).to_json()
     assert a != b
+
+
+def test_directly_built_report_serializes_its_tolerances():
+    rep = Report(kind="grassmannian-dim", spec={}, seed=None, items=[], passed=True)
+    payload = json.loads(rep.to_json())
+    jsonschema.validate(payload, REPORT_SCHEMA)
+    assert payload["tolerances"] == DEFAULT.as_dict()
+    assert len(payload["tolerances"]) == 24
+
+
+def test_run_report_carries_the_spec_tolerances():
+    spec = {"kind": "grassmannian-dim",
+            "parameters": {"n": 2, "k": 0, "tolerances": {"rank_step": 2e-5}}}
+    rep = run(spec)
+    assert rep.tolerances == DEFAULT.replace(rank_step=2e-5)
+    assert json.loads(rep.to_json())["tolerances"]["rank_step"] == 2e-5
 
 
 def test_report_roundtrips_schema():
@@ -204,6 +251,29 @@ def test_csv_output_through_main(tmp_path):
     text = (tmp_path / "t.csv").read_text()
     assert text.startswith("theta,")
     assert "\r" not in text
+
+
+def test_csv_trace_reads_the_spec_tolerances(tmp_path):
+    # a tighter angle bound refines the loop, so the trace gains rows
+    def trace(tolerances, tol_file=None):
+        params = {"family": "lagrangian-rotation", "n": 1, "M": 8, "seed": 1}
+        if tolerances:
+            params["tolerances"] = tolerances
+        out = tmp_path / "t.csv"
+        spec = {"kind": "maslov-index", "parameters": params,
+                "output": {"path": str(out), "format": "csv"}}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        argv = ["run", str(path)]
+        if tol_file:
+            (tmp_path / "tol.json").write_text(json.dumps(tol_file))
+            argv += ["--tol-file", str(tmp_path / "tol.json")]
+        assert main(argv) == 0
+        return out.read_text()
+
+    tight = {"consecutive_angle": 0.1}
+    assert trace(tight) == trace(None, tol_file=tight)
+    assert trace(tight).count("\n") > trace(None).count("\n")
 
 
 def _child_env():

@@ -453,3 +453,24 @@ def test_from_spanning_names_the_rank_deficient_member(seed, count, data):
     with pytest.raises(coiso.ContinuityLossError,
                        match=r"^column 2 projected to norm \S+ < 1\.0e-12$"):
         Subspace.from_spanning(cols[bad])
+
+
+def test_single_subspace_or_frame_is_not_iterable():
+    c = random_coisotropic(SP2, 1, 3)
+    frame = adapted_frame(SP2, c)
+    for single in (c, c.space, c.kernel, frame):
+        with pytest.raises(TypeError, match="not a stack"):
+            iter(single)
+
+
+def test_stack_iterates_over_its_members():
+    stack = classify_coisotropic(SP3, Subspace(np.stack(
+        [random_coisotropic(SP3, 1, s).space.basis for s in range(4)])))
+    frames = coiso.transported_frames(SP3, stack)
+    members, frame_members = list(stack), list(frames)
+    assert len(members) == len(frame_members) == 4
+    for i, (c, f) in enumerate(zip(members, frame_members)):
+        assert np.array_equal(c.space.basis, stack.space.basis[i])
+        assert np.array_equal(c.kernel.basis, stack.kernel.basis[i])
+        assert np.array_equal(f.e, frames.e[i]) and np.array_equal(f.f, frames.f[i])
+    assert [s.basis.shape for s in stack.h_part] == [(6, 2)] * 4
