@@ -10,7 +10,7 @@ parameters; the runner dispatches to the library, compares every computed
 quantity against its independent oracle and writes a JSON report (or a CSV
 phase trace when the output format is csv).  Exit status: 0 when all
 oracle comparisons pass, 1 on oracle failure (report still written), 2 on
-schema violations, 3 on computation errors.
+bad input, 3 on computation errors.
 
 Reports are byte-identical for identical (spec, seed, version); timing is
 printed to stderr and deliberately kept out of the report file.
@@ -115,7 +115,8 @@ SCHEMA = {
                 "points": {"type": "integer", "minimum": 0},
                 "trials": {"type": "integer", "minimum": 1},
                 "family": {"enum": list(grassmann.LOOP_FAMILIES)},
-                "family_params": {"type": "object"},
+                "family_params": {"type": "object", "properties": {
+                    "max_winding": {"type": "integer", "minimum": 0}}},
                 "fixture": {"enum": list(hypergeo.FIXTURES)},
                 "fixture_params": {"type": "object"},
                 "loop": {"enum": list(BOUNDARY_FAMILIES)},
@@ -227,6 +228,28 @@ def _item(name, value, oracle=None, residual=None, passed=True) -> dict:
     }
 
 
+def _compare(name, value, oracle) -> dict:
+    """An item that passes when ``value`` equals its exact ``oracle``."""
+    return _item(name, value, oracle=oracle, residual=float(abs(value - oracle)),
+                 passed=value == oracle)
+
+
+def _bounded(name, value, bound) -> dict:
+    """A residual item, oracle 0, that passes while below ``bound``."""
+    return _item(name, value, oracle=0.0, residual=value, passed=value < bound)
+
+
+def _expected_index(params: dict, index: int) -> list:
+    """The ``expected_index`` item, when the spec names one."""
+    if "expected_index" not in params:
+        return []
+    return [_compare("expected_index", index, int(params["expected_index"]))]
+
+
+def _fixture(params: dict):
+    return hypergeo.FIXTURES[params.get("fixture", "sphere")](params.get("fixture_params", {}))
+
+
 # ---------------------------------------------------------------------------
 # experiment kinds
 
@@ -242,43 +265,18 @@ def _run_grassmannian_dim(params: dict, tol: Tolerances, seed: int) -> list:
         for i in range(points):
             c = symplin.random_coisotropic(space, k, gen, tol)
             measured = symplin.measured_grassmannian_dim(space, c, tol)
-            items.append(_item(
-                f"measured_rank[{i}]", measured, oracle=formula,
-                residual=float(abs(measured - formula)),
-                passed=measured == formula,
-            ))
+            items.append(_compare(f"measured_rank[{i}]", measured, formula))
     return items
-
-
-def _build_loop(space, params: dict, tol: Tolerances, seed: int):
-    name = params.get("family", "lagrangian-rotation")
-    fp = dict(params.get("family_params", {}))
-    m = int(params.get("M", 64))
-    if name == "lagrangian-rotation":
-        gen = grassmann.lagrangian_rotation_family(space, int(fp.get("turns", 1)))
-        k = 0
-    elif name == "constant":
-        k = int(params.get("k", 0))
-        gen = grassmann.constant_family(space, k, fp.get("seed"))
-    elif name == "diag-unitary":
-        k = int(params.get("k", 0))
-        gen = grassmann.diag_unitary_family(space, k, fp["windings"])
-    elif name == "random-unitary-orbit":
-        k = int(params.get("k", 0))
-        gen = grassmann.random_unitary_orbit_family(
-            space, k, fp.get("seed", seed),
-            max_winding=int(fp.get("max_winding", 2)),
-            wiggle=float(fp.get("wiggle", 0.4)))
-    else:
-        raise ValueError(f"unknown loop family {name!r}")
-    return grassmann.loop_from_family(space, k, gen, samples=m, tol=tol), name
 
 
 def _maslov_pair(params: dict, tol: Tolerances, seed: int):
     """A maslov-index spec's loop, family name, section winding w and section
     exp(i(w theta + phase0)) on the loop's grid (``fn`` resamples it)."""
-    space = symplin.standard_space(int(params.get("n", 1)))
-    loop, fam = _build_loop(space, params, tol, seed)
+    space = symplin.standard_space(int(params["n"]))
+    k = int(params["k"])
+    fam = params.get("family", "lagrangian-rotation")
+    gen = grassmann.LOOP_FAMILIES[fam](space, k, params.get("family_params", {}), seed)
+    loop = grassmann.loop_from_family(space, k, gen, samples=int(params.get("M", 64)), tol=tol)
     sec = params.get("section", {})
     w = int(sec.get("winding", 0))
     phase0 = float(sec.get("phase0", 0.0))
@@ -295,36 +293,25 @@ def _run_maslov_index(params: dict, tol: Tolerances, seed: int) -> list:
     loop2 = loop.resample(2 * loop.m, tol)
     section2 = maslov.MaslovSection.from_function(loop2.thetas, section.fn)
     idx2 = maslov.maslov_index(loop2, section2, tol)
-    items.append(_item("refined_index", idx2, oracle=idx,
-                       residual=float(abs(idx2 - idx)), passed=idx2 == idx))
+    items.append(_compare("refined_index", idx2, idx))
     if fam == "lagrangian-rotation":
         turns = int(params.get("family_params", {}).get("turns", 1))
         # classical oracle: winding of the squared determinant of the
         # generating unitaries, computed away from the loop machinery
         gen_det = np.exp(1j * turns * loop.thetas / 2) ** (2 * loop.n)
         classical = maslov.winding(gen_det / np.abs(gen_det), tol)
-        items.append(_item(
-            "classical_magnitude", abs(idx - w), oracle=abs(classical),
-            residual=float(abs(abs(idx - w) - abs(classical))),
-            passed=abs(idx - w) == abs(classical),
-        ))
-    if "expected_index" in params:
-        exp = int(params["expected_index"])
-        items.append(_item("expected_index", idx, oracle=exp,
-                           residual=float(abs(idx - exp)), passed=idx == exp))
-    return items
+        items.append(_compare("classical_magnitude", abs(idx - w), abs(classical)))
+    return items + _expected_index(params, idx)
 
 
 def _run_invariance_suite(params: dict, tol: Tolerances, seed: int) -> list:
-    n = int(params.get("n", 2))
-    k = int(params.get("k", 0))
+    n, k = int(params["n"]), int(params["k"])
     trials = int(params.get("trials", 10))
     m = int(params.get("M", 64))
     space = symplin.standard_space(n)
     items = []
-    failures = 0
     for t in range(trials):
-        gen = grassmann.random_unitary_orbit_family(space, k, rng(seed, 10 + t))
+        gen = grassmann.LOOP_FAMILIES["random-unitary-orbit"](space, k, {}, rng(seed, 10 + t))
         loop = grassmann.loop_from_family(space, k, gen, samples=m, tol=tol)
         g = rng(seed, 1000 + t)
         wsec = int(g.integers(-2, 3))
@@ -337,102 +324,71 @@ def _run_invariance_suite(params: dict, tol: Tolerances, seed: int) -> list:
         else:
             aloop = grassmann.random_symplectic_matrix_loop(space, g, loop.m)
         out, moved = maslov.pushforward_section(aloop, loop, section, tol)
-        mu2 = maslov.maslov_index(out, moved, tol)
-        ok = mu2 == mu
-        failures += 0 if ok else 1
-        items.append(_item(f"pushforward_equality[{t}]", mu2, oracle=mu,
-                           residual=float(abs(mu2 - mu)), passed=ok))
-    items.insert(0, _item("failures", failures, oracle=0,
-                          residual=float(failures), passed=failures == 0))
-    return items
+        items.append(_compare(f"pushforward_equality[{t}]",
+                              maslov.maslov_index(out, moved, tol), mu))
+    failures = sum(not it["passed"] for it in items)
+    return [_compare("failures", failures, 0)] + items
 
 
 def _run_disc_index(params: dict, tol: Tolerances, seed: int) -> list:
-    fixture = params.get("fixture", "sphere")
-    y = hypergeo.FIXTURES[fixture](params.get("fixture_params", {}))
-    loop_name = params.get("loop", "hopf")
-    boundary = BOUNDARY_FAMILIES[loop_name](params.get("loop_params", {}))
+    y = _fixture(params)
+    boundary = BOUNDARY_FAMILIES[params.get("loop", "hopf")](params.get("loop_params", {}))
     m = int(params.get("M", 256))
     phase = float(params.get("grading_phase", 0.0))
-    grading = maslov.Grading(charge=lambda p: np.exp(1j * phase), label="constant")
+    grading = maslov.Grading(charge=lambda p: np.exp(1j * phase))
     detail = maslov.disc_index_detail(y, boundary, grading, m, tol)
-    items = [
+    return [
         _item("disc_index", detail["index"], residual=detail["residual"]),
-        _item("connection_index", detail["connection_index"],
-              oracle=detail["index"],
-              residual=float(abs(detail["connection_index"] - detail["index"])),
-              passed=detail["connection_index"] == detail["index"]),
-    ]
-    if "expected_index" in params:
-        exp = int(params["expected_index"])
-        items.append(_item("expected_index", detail["index"], oracle=exp,
-                           residual=float(abs(detail["index"] - exp)),
-                           passed=detail["index"] == exp))
-    return items
+        _compare("connection_index", detail["connection_index"], detail["index"]),
+    ] + _expected_index(params, detail["index"])
 
 
-def _hypersurface_point_report(y, p, tol: Tolerances) -> dict:
+def _hypersurface_point_items(y, p, i: int, tol: Tolerances):
+    """The report items of sample point ``i`` and its mean-curvature norm."""
     geo = hypergeo.point_geometry(y, p, tol)
     mc = hypergeo.leafwise_mean_curvature(geo)
     levi = hypergeo.levi_form(geo)
     sff_route = hypergeo.transverse_curvature_sff(geo)
     bracket = hypergeo.transverse_curvature_bracket(geo)
-    return {
-        "sff_symmetry": geo.blocks.symmetry_residual(),
-        "alpha_norm": mc.alpha_norm,
-        "mean_curvature_residual": mc.formula_residual,
-        "levi_eigenvalues": [float(v) for v in levi.eigenvalues],
-        "levi_positive_definite": levi.positive_definite,
-        "curvature_route_gap": float(np.max(np.abs(
-            sff_route.components - bracket.components))) if sff_route.components.size else 0.0,
-        "type_11": bool(hypergeo.is_integrable_prekahler(sff_route, tol)),
-    }
+    gap = (float(np.max(np.abs(sff_route.components - bracket.components)))
+           if sff_route.components.size else 0.0)
+    type_11 = bool(hypergeo.is_integrable_prekahler(sff_route, tol))
+    return [
+        _bounded(f"sff_symmetry[{i}]", geo.blocks.symmetry_residual(), tol.sff_symmetry),
+        _bounded(f"curvature_route_gap[{i}]", gap, tol.bracket_vs_sff),
+        _item(f"type_11[{i}]", type_11, oracle=True, passed=type_11),
+        _item(f"levi_eigenvalues[{i}]", [float(v) for v in levi.eigenvalues]),
+        _item(f"alpha_norm[{i}]", mc.alpha_norm),
+        _item(f"levi_positive_definite[{i}]", levi.positive_definite),
+    ], mc.alpha_norm
 
 
 def _run_hypersurface_report(params: dict, tol: Tolerances, seed: int) -> list:
-    fixture = params.get("fixture", "sphere")
-    y = hypergeo.FIXTURES[fixture](params.get("fixture_params", {}))
-    count = int(params.get("points", 8))
-    pts = y.sample_points(count, rng(seed, 7))
-    reports = [_hypersurface_point_report(y, p, tol) for p in pts]
-    items = []
-    for i, rep in enumerate(reports):
-        items.append(_item(
-            f"sff_symmetry[{i}]", rep["sff_symmetry"], oracle=0.0,
-            residual=rep["sff_symmetry"], passed=rep["sff_symmetry"] < tol.sff_symmetry))
-        items.append(_item(
-            f"curvature_route_gap[{i}]", rep["curvature_route_gap"], oracle=0.0,
-            residual=rep["curvature_route_gap"],
-            passed=rep["curvature_route_gap"] < tol.bracket_vs_sff))
-        items.append(_item(
-            f"type_11[{i}]", rep["type_11"], oracle=True, residual=None,
-            passed=rep["type_11"]))
-        items.append(_item(f"levi_eigenvalues[{i}]", rep["levi_eigenvalues"]))
-        items.append(_item(f"alpha_norm[{i}]", rep["alpha_norm"]))
-        items.append(_item(f"levi_positive_definite[{i}]",
-                           rep["levi_positive_definite"]))
-    special = maslov.is_leafwise_special(pts, [rep["alpha_norm"] for rep in reports], tol)
+    y = _fixture(params)
+    pts = y.sample_points(int(params.get("points", 8)), rng(seed, 7))
+    items, alpha_norms = [], []
+    for i, p in enumerate(pts):
+        point_items, alpha_norm = _hypersurface_point_items(y, p, i, tol)
+        items += point_items
+        alpha_norms.append(alpha_norm)
+    special = maslov.is_leafwise_special(pts, alpha_norms, tol)
     items.append(_item("leafwise_special", bool(special.result)))
     items.append(_item("max_alpha_norm", float(special.max_alpha)))
     return items
 
 
 def _run_minimality_scan(params: dict, tol: Tolerances, seed: int) -> list:
-    fixture = params.get("fixture", "sphere")
-    y = hypergeo.FIXTURES[fixture](params.get("fixture_params", {}))
-    count = int(params.get("points", 8))
-    pts = y.sample_points(count, rng(seed, 11))
+    y = _fixture(params)
+    pts = y.sample_points(int(params.get("points", 8)), rng(seed, 11))
     items = []
     for i, p in enumerate(pts):
         res = hypergeo.leaf_minimality(hypergeo.point_geometry(y, p, tol))
         items.append(_item(
             f"minimal[{i}]", bool(res.minimal),
             residual=res.curvature_norm, passed=True))
-        items.append(_item(
-            f"contraction_residual[{i}]", res.consistency_residual, oracle=0.0,
-            residual=res.consistency_residual,
-            passed=res.consistency_residual < tol.minimality_consistency
-            * max(1.0, res.curvature_norm)))
+        items.append(_bounded(
+            f"contraction_residual[{i}]", res.consistency_residual,
+            tol.minimality_consistency * max(1.0, res.curvature_norm)))
     return items
 
 
@@ -446,23 +402,68 @@ _RUNNERS = {
 }
 
 
-def run(spec: dict, tol: Tolerances = DEFAULT,
-        seed_override: Optional[int] = None) -> Report:
-    """Validate and execute one experiment; deterministic given the seed."""
+# the n and k a kind's runner reads when the spec leaves them out
+# (grassmannian-dim must name both)
+_DEFAULT_N_K = {"grassmannian-dim": {}, "maslov-index": {"n": 1, "k": 0},
+                "invariance-suite": {"n": 2, "k": 0}}
+# the fixture parameters a fixture has no default for
+_FIXTURE_NEEDS = {"ellipsoid": ["semi_axes"], "polynomial": ["n", "terms"]}
+
+
+def _require(ok: bool, message: str) -> None:
+    if not ok:
+        raise jsonschema.ValidationError(message)
+
+
+def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
+    """``(params, tol, seed)`` of a validated experiment: the parameters with
+    the seed and default n and k filled in, and the spec's tolerances merged
+    over ``tol``.  Bad input raises jsonschema.ValidationError.
+
+    The schema holds each field's own rules; the rules that tie a field to
+    another field's value are checked here, where they cost microseconds
+    (``jsonschema.validate`` re-checks the whole schema on every call).
+    """
     jsonschema.validate(spec, SCHEMA)
-    params = dict(spec.get("parameters", {}))
+    kind = spec["kind"]
+    params = dict(spec["parameters"])
+    if kind in _DEFAULT_N_K:
+        params = {**_DEFAULT_N_K[kind], **params}
+        _require("n" in params and "k" in params, f"{kind} needs n and k")
+        _require(params["k"] <= params["n"], f"k={params['k']} exceeds n={params['n']}")
+    family = params.get("family", "lagrangian-rotation")
+    if kind == "maslov-index" and family == "lagrangian-rotation":
+        _require(params["k"] == 0, "a lagrangian-rotation loop has k = 0")
+    if kind == "maslov-index" and family == "diag-unitary":
+        windings = params["family_params"]["windings"]
+        _require(len(windings) == params["n"], f"diag-unitary needs one winding per "
+                 f"complex coordinate, got {len(windings)} for n={params['n']}")
+    fixture = params.get("fixture")
+    missing = [name for name in _FIXTURE_NEEDS.get(fixture, [])
+               if name not in params.get("fixture_params", {})]
+    _require(not missing, f"the {fixture} fixture needs fixture_params {missing}")
     tol = tol.replace(**params.get("tolerances", {}))
     seed = seed_override if seed_override is not None else int(params.get("seed", 0))
     params["seed"] = seed
+    return params, tol, seed
+
+
+def run(spec: dict, tol: Tolerances = DEFAULT,
+        seed_override: Optional[int] = None) -> Report:
+    """Validate and execute one experiment; deterministic given the seed."""
+    return _execute(spec, *_prepare(spec, tol, seed_override))
+
+
+def _execute(spec: dict, params: dict, tol: Tolerances, seed: int) -> Report:
+    """Run a prepared experiment; a computation error becomes the report's
+    error."""
     kind = spec["kind"]
     started = time.perf_counter()
     report = Report(kind=kind, spec=spec, seed=seed, items=[], passed=True, tolerances=tol)
     try:
-        items = _RUNNERS[kind](params, tol, seed)
-        report.items = items
-        report.passed = all(it.get("passed", True) for it in items)
+        report.items = _RUNNERS[kind](params, tol, seed)
+        report.passed = all(it["passed"] for it in report.items)
     except CoisoError as exc:
-        report.items = []
         report.passed = False
         report.error = f"{type(exc).__name__}: {exc}"
     report.wall_time_s = time.perf_counter() - started
@@ -475,9 +476,8 @@ def emit_phase_trace(loop, section, path, tol: Tolerances = DEFAULT) -> None:
     at theta = 2*pi makes the winding readable from the last entry."""
     can = maslov.canonical_section(loop, tol)
     g = section.samples / can.samples
-    inc = np.angle(np.roll(g, -1) / g)
     unwrapped = np.concatenate([[np.angle(g[0])],
-                                np.angle(g[0]) + np.cumsum(inc)])
+                                np.angle(g[0]) + np.cumsum(maslov._increments(g))])
     thetas = np.concatenate([loop.thetas, [2 * pi]])
     gg = np.concatenate([g, [g[0]]])
     lines = ["theta,re_g,im_g,unwrapped_phase"]
@@ -485,13 +485,6 @@ def emit_phase_trace(loop, section, path, tol: Tolerances = DEFAULT) -> None:
         lines.append(f"{t:.17g},{z.real:.17g},{z.imag:.17g},{u:.17g}")
     with open(path, "w", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def _emit_trace_for_spec(spec: dict, tol: Tolerances, seed: int, path: str) -> None:
-    params = spec.get("parameters", {})
-    tol = tol.replace(**params.get("tolerances", {}))
-    loop, _, _, section = _maslov_pair(params, tol, seed)
-    emit_phase_trace(loop, section, path, tol)
 
 
 def main(argv=None) -> int:
@@ -528,9 +521,9 @@ def main(argv=None) -> int:
             print(f"cannot read tolerance file: {exc}", file=sys.stderr)
             return 2
     try:
-        jsonschema.validate(spec, SCHEMA)
+        prepared = _prepare(spec, tol, args.seed)
     except jsonschema.ValidationError as exc:
-        print(f"schema violation: {exc.message}", file=sys.stderr)
+        print(f"bad input: {exc.message}", file=sys.stderr)
         return 2
 
     out_path = args.out or spec.get("output", {}).get("path")
@@ -543,16 +536,15 @@ def main(argv=None) -> int:
         if not out_path:
             print("csv output needs a path", file=sys.stderr)
             return 2
-        seed = args.seed if args.seed is not None else int(
-            spec.get("parameters", {}).get("seed", 0))
         try:
-            _emit_trace_for_spec(spec, tol, seed, out_path)
+            loop, _, _, section = _maslov_pair(*prepared)
+            emit_phase_trace(loop, section, out_path, prepared[1])
         except CoisoError as exc:
             print(f"computation error: {exc}", file=sys.stderr)
             return 3
         return 0
 
-    report = run(spec, tol, seed_override=args.seed)
+    report = _execute(spec, *prepared)
     payload = report.to_json()
     if out_path:
         with open(out_path, "w", newline="\n") as fh:

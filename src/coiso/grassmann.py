@@ -509,9 +509,14 @@ def random_symplectic_matrix_loop(
     return SymplecticMatrixLoop.from_callable(space, fn, samples)
 
 
+# name -> builder of the family's generator from (space, k, family_params,
+# seed); a random orbit takes the seed unless its parameters name their own
 LOOP_FAMILIES = {
-    "constant": constant_family,
-    "lagrangian-rotation": lagrangian_rotation_family,
-    "diag-unitary": diag_unitary_family,
-    "random-unitary-orbit": random_unitary_orbit_family,
+    "constant": lambda space, k, fp, seed: constant_family(space, k, fp.get("seed")),
+    "lagrangian-rotation": lambda space, k, fp, seed: lagrangian_rotation_family(
+        space, int(fp.get("turns", 1))),
+    "diag-unitary": lambda space, k, fp, seed: diag_unitary_family(space, k, fp["windings"]),
+    "random-unitary-orbit": lambda space, k, fp, seed: random_unitary_orbit_family(
+        space, k, fp.get("seed", seed), int(fp.get("max_winding", 2)),
+        float(fp.get("wiggle", 0.4))),
 }

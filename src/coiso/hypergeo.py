@@ -752,8 +752,7 @@ def hyperplane(n: int = 2, level: float = 1.0) -> LevelSetHypersurface:
     )
 
 
-def cylinder(n: int = 2, radius: float = 1.0,
-             analytic: bool = True, h: float = FD_STEP) -> LevelSetHypersurface:
+def cylinder(n: int = 2, radius: float = 1.0) -> LevelSetHypersurface:
     """{|z_1| = radius} in C^n; curvature concentrated in the z_1 plane."""
 
     def rho(x):
@@ -778,15 +777,12 @@ def cylinder(n: int = 2, radius: float = 1.0,
         return out
 
     return LevelSetHypersurface(
-        n=n, rho=rho,
-        grad=grad if analytic else None,
-        hess=hess if analytic else None,
-        h=h, strict=True, name=f"cylinder(r={radius})",
+        n=n, rho=rho, grad=grad, hess=hess, strict=True,
+        name=f"cylinder(r={radius})",
     )
 
 
-def ellipsoid(semi_axes: Sequence[float], analytic: bool = True,
-              h: float = FD_STEP) -> LevelSetHypersurface:
+def ellipsoid(semi_axes: Sequence[float]) -> LevelSetHypersurface:
     """{sum |z_j|^2 / a_j^2 = 1}, one semi-axis per complex coordinate.
 
     The gradient is not unit, so the fixture runs in non-strict mode and
@@ -806,16 +802,13 @@ def ellipsoid(semi_axes: Sequence[float], analytic: bool = True,
         return np.diag(2.0 * w)
 
     return LevelSetHypersurface(
-        n=n, rho=rho,
-        grad=grad if analytic else None,
-        hess=hess if analytic else None,
-        h=h, strict=False, name=f"ellipsoid{tuple(a)}",
+        n=n, rho=rho, grad=grad, hess=hess, strict=False,
+        name=f"ellipsoid{tuple(a)}",
     )
 
 
 def from_polynomial(n: int, terms: Sequence[dict],
-                    h: float = FD_STEP, strict: bool = False
-                    ) -> LevelSetHypersurface:
+                    strict: bool = False) -> LevelSetHypersurface:
     """A defining function given as a polynomial coefficient table.
 
     Each term is {"exponents": [2n ints], "coeff": float} with total degree
@@ -874,7 +867,7 @@ def from_polynomial(n: int, terms: Sequence[dict],
         return out
 
     return LevelSetHypersurface(
-        n=n, rho=rho, grad=grad, hess=hess, h=h, strict=strict,
+        n=n, rho=rho, grad=grad, hess=hess, strict=strict,
         name="polynomial",
     )
 

@@ -94,6 +94,15 @@ class MaslovSection:
         return cls(thetas=np.asarray(thetas, dtype=float), samples=vals, fn=fn)
 
 
+def _det_phases(frames: AdaptedFrame) -> np.ndarray:
+    """The unit phases det(U_i) / |det(U_i)| of a (M, 2n, n) frame stack."""
+    dets = np.linalg.det(frames.unitary())
+    mods = np.abs(dets)
+    if np.min(mods) < 1e-6:
+        raise FrameDegeneracyError("frame determinant lost numerical rank")
+    return dets / mods
+
+
 def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> MaslovSection:
     """The loop's natural transverse section.
 
@@ -106,13 +115,8 @@ def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> Maslo
     if loop.k == loop.n:
         samples = np.ones(loop.m, dtype=complex)
         return MaslovSection(thetas=loop.thetas, samples=samples)
-    dets = np.linalg.det(loop.unitaries())
-    mods = np.abs(dets)
-    if np.min(mods) < 1e-6:
-        raise FrameDegeneracyError("frame determinant lost numerical rank")
-    ph = dets / mods
     return MaslovSection(thetas=loop.thetas,
-                         samples=ph ** 2 * loop.section_gauge())
+                         samples=_det_phases(loop.frames) ** 2 * loop.section_gauge())
 
 
 def _increments(samples: np.ndarray) -> np.ndarray:
@@ -247,7 +251,6 @@ class Grading:
     """
 
     charge: Callable[[np.ndarray], complex]
-    label: str = "constant"
 
     def phase(self, point: np.ndarray) -> complex:
         v = complex(self.charge(np.asarray(point, dtype=float)))
@@ -274,7 +277,7 @@ class Grading:
 def canonical_grading() -> Grading:
     """The grading induced by the standard complex volume form; parallel in
     the flat ambient space, hence the constant unit charge."""
-    return Grading(charge=lambda p: 1.0 + 0.0j, label="canonical")
+    return Grading(charge=lambda p: 1.0 + 0.0j)
 
 
 def tangent_boundary_loop(
@@ -320,6 +323,16 @@ def tangent_boundary_loop(
     return loop, points_on_grid[loop.m]
 
 
+def _graded_boundary(y, boundary, grading: Optional[Grading], samples: int,
+                     tol: Tolerances):
+    """``(loop, points, section)``: the tangent loop along the boundary, its
+    boundary points and the grading (canonical when None) as a section."""
+    if grading is None:
+        grading = canonical_grading()
+    loop, points = tangent_boundary_loop(y, boundary, samples, tol)
+    return loop, points, grading.section_along(points, loop)
+
+
 def disc_boundary_index(
     y: "hypergeo.LevelSetHypersurface",
     boundary: Callable[[float], np.ndarray],
@@ -333,10 +346,7 @@ def disc_boundary_index(
     as a section in the parallel trivialization and returns its winding
     against the canonical section.  Depends only on the boundary curve.
     """
-    if grading is None:
-        grading = canonical_grading()
-    loop, points = tangent_boundary_loop(y, boundary, samples, tol)
-    section = grading.section_along(points, loop)
+    loop, _, section = _graded_boundary(y, boundary, grading, samples, tol)
     return maslov_index(loop, section, tol)
 
 
@@ -345,25 +355,12 @@ def connection_integral_index(frames: AdaptedFrame, tol: Tolerances = DEFAULT) -
     form in the moving frame, read from a loop's (M, 2n, n) frame stack.
 
     For the frame matrix U the trace of U^{-1} dU integrates to the log
-    determinant, so the index is minus twice the accumulated determinant
-    phase over 2*pi; evaluated by discrete phase accumulation around the
-    closed sample cycle, rounded with residual below 0.05.
+    determinant, so the index is minus twice the winding of the determinant
+    phase, taken by :func:`winding_detail` with its jump and residual
+    guards.  It reads the same det(U) stream as :func:`canonical_section`,
+    so it is not an independent oracle of the section route.
     """
-    dets = np.linalg.det(frames.unitary())
-    mods = np.abs(dets)
-    if np.min(mods) < 1e-6:
-        raise FrameDegeneracyError("frame determinant lost numerical rank")
-    inc = _increments(dets / mods)
-    if inc.size and float(np.max(np.abs(inc))) >= tol.phase_jump:
-        raise AliasingError("log-det phase jump >= pi/2; refine the frames")
-    total = float(np.sum(inc))
-    value = -total / pi
-    rounded = int(np.round(value))
-    if abs(value - rounded) >= tol.winding_residual:
-        raise ClosureError(
-            f"connection integral residual {abs(value - rounded):.3f}"
-        )
-    return rounded
+    return -2 * winding_detail(_det_phases(frames), tol).value
 
 
 def disc_index_detail(
@@ -374,10 +371,7 @@ def disc_index_detail(
     tol: Tolerances = DEFAULT,
 ) -> dict:
     """Both index routes for one boundary loop, with residual bookkeeping."""
-    if grading is None:
-        grading = canonical_grading()
-    loop, points = tangent_boundary_loop(y, boundary, samples, tol)
-    section = grading.section_along(points, loop)
+    loop, points, section = _graded_boundary(y, boundary, grading, samples, tol)
     can = canonical_section(loop, tol)
     detail = winding_detail(section.samples / can.samples, tol)
     conn = connection_integral_index(loop.frames, tol)

@@ -93,6 +93,26 @@ def test_run_schema_violation_exit_two(tmp_path):
     ("maslov-index", {"n": 2, "k": 1, "family": "diag-unitary",
                       "family_params": {"windings": "1 -1"}}),
     ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"loop_closure": 1.0}}),
+    # k > n, against the n the runner uses (default 1 and 2)
+    ("maslov-index", {"n": 2, "k": 3, "family": "random-unitary-orbit"}),
+    ("maslov-index", {"k": 2, "family": "constant"}),
+    ("invariance-suite", {"k": 3, "trials": 1}),
+    ("grassmannian-dim", {"n": 2, "k": 3}),
+    ("grassmannian-dim", {"k": 1}),
+    ("grassmannian-dim", {"n": 2}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "diag-unitary",
+                      "family_params": {"windings": [1, 2, 3]}}),
+    ("maslov-index", {"k": 1, "family": "diag-unitary", "family_params": {"windings": [1, 2]}}),
+    ("hypersurface-report", {"fixture": "ellipsoid"}),
+    ("disc-index", {"fixture": "ellipsoid", "fixture_params": {"r": 1.0}}),
+    ("hypersurface-report", {"fixture": "polynomial", "fixture_params": {"terms": []}}),
+    ("minimality-scan", {"fixture": "polynomial", "fixture_params": {"n": 2}}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "random-unitary-orbit",
+                      "family_params": {"max_winding": 1.5}}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "random-unitary-orbit",
+                      "family_params": {"max_winding": -1}}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "lagrangian-rotation"}),
+    ("maslov-index", {"n": 2, "k": 1}),
 ])
 def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
     path = tmp_path / "bad.json"
@@ -274,6 +294,34 @@ def test_csv_trace_reads_the_spec_tolerances(tmp_path):
     tight = {"consecutive_angle": 0.1}
     assert trace(tight) == trace(None, tol_file=tight)
     assert trace(tight).count("\n") > trace(None).count("\n")
+
+
+class _CountingSchema:
+    """Stands in for the ``jsonschema`` module inside ``coiso.cli``, counting
+    ``validate`` calls."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def validate(self, *args, **kwargs):
+        self.calls += 1
+        return jsonschema.validate(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(jsonschema, name)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_main_validates_each_spec_once(tmp_path, monkeypatch, fmt):
+    schema = _CountingSchema()
+    monkeypatch.setattr("coiso.cli.jsonschema", schema)
+    spec = {"kind": "maslov-index",
+            "parameters": {"family": "lagrangian-rotation", "n": 1, "M": 8, "seed": 1},
+            "output": {"path": str(tmp_path / f"out.{fmt}"), "format": fmt}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path)]) == 0
+    assert schema.calls == 1
 
 
 def _child_env():

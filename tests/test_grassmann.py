@@ -235,15 +235,31 @@ def _family_generators(space, k, seed):
     """One generator of every LOOP_FAMILIES entry on ``space``."""
     g = coiso.rng(seed)
     gens = {
-        "constant": coiso.LOOP_FAMILIES["constant"](space, k, seed),
-        "diag-unitary": coiso.LOOP_FAMILIES["diag-unitary"](
+        "constant": coiso.constant_family(space, k, seed),
+        "diag-unitary": coiso.diag_unitary_family(
             space, k, list(g.integers(-4, 5, size=space.n) / 2.0)),
-        "random-unitary-orbit": coiso.LOOP_FAMILIES["random-unitary-orbit"](space, k, seed),
-        "lagrangian-rotation": coiso.LOOP_FAMILIES["lagrangian-rotation"](
+        "random-unitary-orbit": coiso.random_unitary_orbit_family(space, k, seed),
+        "lagrangian-rotation": coiso.lagrangian_rotation_family(
             space, int(g.integers(-2, 3))),
     }
     assert gens.keys() == coiso.LOOP_FAMILIES.keys()
     return gens
+
+
+def test_loop_family_builders_hold_the_defaults():
+    space = standard_space(2)
+    thetas = _grid(5, 3)
+    built = {name: build(space, 1, {"windings": [1, -0.5]}, 7)
+             for name, build in coiso.LOOP_FAMILIES.items()}
+    direct = {
+        "constant": coiso.constant_family(space, 1),
+        "diag-unitary": coiso.diag_unitary_family(space, 1, [1, -0.5]),
+        "random-unitary-orbit": coiso.random_unitary_orbit_family(
+            space, 1, 7, max_winding=2, wiggle=0.4),
+        "lagrangian-rotation": coiso.lagrangian_rotation_family(space, 1),
+    }
+    for name, gen in direct.items():
+        assert np.array_equal(_basis(built[name](thetas)), _basis(gen(thetas))), name
 
 
 def _grid(draw_count, seed):
