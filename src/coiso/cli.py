@@ -116,9 +116,22 @@ SCHEMA = {
                 "trials": {"type": "integer", "minimum": 1},
                 "family": {"enum": list(grassmann.LOOP_FAMILIES)},
                 "family_params": {"type": "object", "properties": {
-                    "max_winding": {"type": "integer", "minimum": 0}}},
+                    "max_winding": {"type": "integer", "minimum": 0},
+                    "turns": {"type": "integer"}}},
                 "fixture": {"enum": list(hypergeo.FIXTURES)},
-                "fixture_params": {"type": "object"},
+                "fixture_params": {"type": "object", "properties": {
+                    "n": {"type": "integer", "minimum": 1},
+                    "r": {"type": "number", "exclusiveMinimum": 0},
+                    "semi_axes": {"type": "array", "minItems": 1,
+                                  "items": {"type": "number", "exclusiveMinimum": 0}},
+                    "terms": {"type": "array", "items": {
+                        "type": "object",
+                        "required": ["coeff", "exponents"],
+                        "properties": {
+                            "coeff": {"type": "number"},
+                            "exponents": {"type": "array",
+                                          "items": {"type": "integer", "minimum": 0}},
+                        }}}}},
                 "loop": {"enum": list(BOUNDARY_FAMILIES)},
                 "loop_params": {"type": "object"},
                 "section": {
@@ -158,6 +171,25 @@ SCHEMA = {
     "if": {"properties": {"kind": {"enum": ["hypersurface-report", "minimality-scan"]}}},
     "then": {"properties": {"parameters": {"properties": {"points": {"minimum": 1}}}}},
 }
+
+
+# SCHEMA is a constant: it is checked against its meta-schema, and its
+# validator built, once per process
+jsonschema.Draft7Validator.check_schema(SCHEMA)
+_VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
+
+
+class _CheckedSchema:
+    """The ``cls`` with which ``jsonschema.validate`` checks SCHEMA and builds
+    its validator: the check was made at import, and the validator built
+    then is returned."""
+
+    @staticmethod
+    def check_schema(schema) -> None:
+        pass
+
+    def __new__(cls, schema):
+        return _VALIDATOR
 
 
 REPORT_SCHEMA = {
@@ -422,9 +454,9 @@ def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
 
     The schema holds each field's own rules; the rules that tie a field to
     another field's value are checked here, where they cost microseconds
-    (``jsonschema.validate`` re-checks the whole schema on every call).
+    (each ``if``/``then`` of the schema costs a spec far more).
     """
-    jsonschema.validate(spec, SCHEMA)
+    jsonschema.validate(spec, SCHEMA, cls=_CheckedSchema)
     kind = spec["kind"]
     params = dict(spec["parameters"])
     if kind in _DEFAULT_N_K:
@@ -442,6 +474,12 @@ def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
     missing = [name for name in _FIXTURE_NEEDS.get(fixture, [])
                if name not in params.get("fixture_params", {})]
     _require(not missing, f"the {fixture} fixture needs fixture_params {missing}")
+    if fixture == "polynomial":
+        fp = params["fixture_params"]
+        for term in fp["terms"]:
+            _require(len(term["exponents"]) == 2 * fp["n"], f"a polynomial term needs "
+                     f"2n = {2 * fp['n']} exponents, got {len(term['exponents'])}")
+            _require(sum(term["exponents"]) <= 6, "a polynomial term has degree at most 6")
     tol = tol.replace(**params.get("tolerances", {}))
     seed = seed_override if seed_override is not None else int(params.get("seed", 0))
     params["seed"] = seed

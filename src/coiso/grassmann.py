@@ -16,7 +16,9 @@ theta_i alone; a matrix-loop callable likewise returns an (M, 2n, 2n)
 stack.  The M members are classified by one stacked call, the continuity
 contract reads one stacked largest principal angle per consecutive pair,
 and the frames are transported sample by sample into one stack and
-checked once.
+checked once.  A doubled grid (refinement, or ``resample(2 * M)``) reuses
+its even members, which are bitwise the members of the grid it doubles:
+only its odd members are generated and classified.
 """
 
 from __future__ import annotations
@@ -26,11 +28,14 @@ from math import lcm, pi
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+# scipy.linalg is imported inside the functions that call it: importing it
+# takes longer than most experiments run, and only the random loop families
+# and matrix loops use it
 
 from .config import DEFAULT, Tolerances, rng
 from .errors import (
     ClassificationError,
+    CoisoError,
     DiscontinuousLoopError,
     InternalConsistencyError,
 )
@@ -161,12 +166,14 @@ class CoisotropicLoop:
         return _consecutive_angles(self.samples.space)
 
     def resample(self, m: int, tol: Tolerances = DEFAULT) -> "CoisotropicLoop":
+        """The loop on the grid of ``m`` samples, its frames transported from
+        this loop's first frame and never refined.  On the doubled grid only
+        the new (odd) members are generated and classified."""
         if self.generator is None:
             raise ValueError("loop has no generator; cannot resample")
-        return loop_from_family(
-            self.space, self.k, self.generator, samples=m,
-            hint=self.frames[0], auto_refine=False, tol=tol,
-        )
+        coarse = self.samples if m == 2 * self.m else None
+        return _sampled_loop(self.space, self.k, self.generator, m, self.frames[0],
+                             False, coarse, tol)
 
 
 def loop_from_family(
@@ -189,8 +196,16 @@ def loop_from_family(
     doubles the sample count up to ``tol.max_loop_samples`` and then raises
     DiscontinuousLoopError.  Classification failures of generator output
     propagate unchanged.  The members of a grid are classified together,
-    one stacked call per M.
+    one stacked call per M; a doubled grid generates and classifies only
+    its odd members.
     """
+    return _sampled_loop(space, k, generator, samples, hint, auto_refine, None, tol)
+
+
+def _sampled_loop(space, k, generator, m: int, hint, auto_refine: bool,
+                  coarse: Optional[CoisotropicSubspace], tol) -> CoisotropicLoop:
+    """``loop_from_family`` starting on the M-grid; ``coarse``, when given,
+    is the classified stack of the M/2 grid (see ``_classified_grid``)."""
     ends = classify_coisotropic(
         space, _members(space, generator, np.array([0.0, 2 * pi])), tol)
     if ends.dim:
@@ -206,10 +221,8 @@ def loop_from_family(
             f"generator produced rank parameter {ends.k}, expected {k}"
         )
 
-    m = samples
+    stack = _classified_grid(space, generator, m, coarse, tol)
     while True:
-        thetas = _thetas(m)
-        stack = classify_coisotropic(space, _members(space, generator, thetas), tol)
         worst = float(np.max(_consecutive_angles(stack.space)))
         if worst < tol.consecutive_angle:
             break
@@ -218,8 +231,43 @@ def loop_from_family(
                 f"consecutive angle {worst:.3f} at M={m}; refinement budget exhausted"
             )
         m *= 2
+        stack = _classified_grid(space, generator, m, stack, tol)
 
-    return _closed_loop(space, k, thetas, stack, hint, closure, generator, tol)
+    return _closed_loop(space, k, _thetas(m), stack, hint, closure, generator, tol)
+
+
+def _classified_grid(space, generator, m: int, coarse: Optional[CoisotropicSubspace],
+                     tol) -> CoisotropicSubspace:
+    """The generator's members on the M-grid, classified as one stack.
+
+    ``coarse``, when given, is the classified stack of the M/2 grid.  Its
+    angles are bitwise the even angles of this grid (the ratio is a power of
+    two), so only the odd members are generated and classified, and the two
+    stacks are interleaved.  When the odd members fail to classify, the
+    whole grid is classified instead, so that the error names its member on
+    this grid.
+    """
+    thetas = _thetas(m)
+    if coarse is not None:
+        try:
+            odd = classify_coisotropic(
+                space, _members(space, generator, thetas[1::2].copy()), tol)
+        except CoisoError:
+            pass   # the whole-grid classification below raises it on this grid
+        else:
+            return CoisotropicSubspace(
+                space=_interleaved(coarse.space, odd.space), k=coarse.k,
+                kernel=_interleaved(coarse.kernel, odd.kernel),
+                h_part=_interleaved(coarse.h_part, odd.h_part))
+    return classify_coisotropic(space, _members(space, generator, thetas), tol)
+
+
+def _interleaved(even: Subspace, odd: Subspace) -> Subspace:
+    """The stack whose members 0, 2, 4, ... are ``even`` and 1, 3, 5, ...
+    ``odd``, laid out in memory as ``even`` is."""
+    out = np.empty_like(even.basis, shape=(2 * len(even.basis),) + even.basis.shape[1:])
+    out[0::2], out[1::2] = even.basis, odd.basis
+    return Subspace(out)
 
 
 def _closed_loop(space, k, thetas, stack: CoisotropicSubspace, hint, closure,
@@ -407,6 +455,8 @@ def _closed_wiggle(n: int, gen: np.random.Generator, scale: float):
     s1, s2 = skew(n), skew(n)
 
     def fn(thetas):
+        import scipy.linalg
+
         x = (np.cos(thetas) - 1)[:, None, None] * s1 + np.sin(thetas)[:, None, None] * s2
         return scipy.linalg.expm(x)
 
@@ -495,6 +545,8 @@ def random_symplectic_matrix_loop(
     a2, b2 = sym(n), sym(n)
 
     def stretch_fn(thetas):
+        import scipy.linalg
+
         # symmetric elements of sp(2n): [[A, B], [B, -A]] with A, B symmetric
         c, s = (np.cos(thetas) - 1)[:, None, None], np.sin(thetas)[:, None, None]
         a = c * a1 + s * a2

@@ -28,13 +28,16 @@ import itertools
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+# scipy.linalg is imported inside the function that calls it: importing it
+# takes longer than most experiments run, and only the graph-product fixture
+# uses it
 
 from .config import DEFAULT, Tolerances, rng
 from .errors import (
     ExtensionQualityError,
     InternalConsistencyError,
     NumericalQualityError,
+    OffSurfaceError,
     UnnormalizedDefiningFunctionError,
 )
 from .symplin import (
@@ -79,6 +82,9 @@ __all__ = [
 
 # default central-difference step of level sets without analytic derivatives
 FD_STEP = 1e-5
+
+# projections ``sample_points`` tries per point before it gives up
+SAMPLE_ATTEMPTS = 100
 
 
 def _fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
@@ -179,10 +185,15 @@ class LevelSetHypersurface:
         return x
 
     def sample_points(self, count: int, seed, offset: float = 0.5) -> np.ndarray:
-        """Deterministic points on Y: Gaussian seeds projected to the surface."""
+        """Deterministic points on Y: Gaussian seeds projected to the surface.
+
+        At most ``SAMPLE_ATTEMPTS`` projections per point are tried; when
+        they run out, OffSurfaceError."""
         g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
         pts = []
-        while len(pts) < count:
+        for _ in range(SAMPLE_ATTEMPTS * count):
+            if len(pts) == count:
+                break
             x0 = g.normal(size=self.dim) * offset
             try:
                 x = self.project(x0 + g.normal(size=self.dim))
@@ -190,6 +201,10 @@ class LevelSetHypersurface:
                 continue
             if self.on_surface(x, 1e-9):
                 pts.append(x)
+        if len(pts) < count:
+            raise OffSurfaceError(
+                f"{self.name}: {len(pts)} of {count} sample points reached the "
+                f"surface in {SAMPLE_ATTEMPTS * count} projections")
         return np.stack(pts)
 
 
@@ -889,6 +904,13 @@ FIXTURES = {
 # product fixture: Lagrangian graph times C^m, for multi-dimensional leaves
 
 
+def _inverse_sqrt_metric(hf: np.ndarray) -> np.ndarray:
+    """(1 + hf^2)^(-1/2), which makes the graph's tangent columns orthonormal."""
+    import scipy.linalg
+
+    return np.linalg.inv(scipy.linalg.sqrtm(np.eye(len(hf)) + hf @ hf).real)
+
+
 class LagrangianGraphProduct:
     """Y = L x C^m in C^{l+m} with L the Lagrangian graph of df in C^l.
 
@@ -940,7 +962,7 @@ class LagrangianGraphProduct:
         tl = np.zeros((2 * n, l))
         tl[: l, :] = np.eye(l)
         tl[n: n + l, :] = hf
-        tl = tl @ np.linalg.inv(scipy.linalg.sqrtm(np.eye(l) + hf @ hf).real)
+        tl = tl @ _inverse_sqrt_metric(hf)
         e_h = np.zeros((2 * n, m))
         for a in range(m):
             e_h[l + a, a] = 1.0
@@ -958,7 +980,7 @@ class LagrangianGraphProduct:
         n, l, m = self.n, self.l, self.m
         fr = self.frame(x)
         hf = self.hess_f(x)
-        minv = np.linalg.inv(scipy.linalg.sqrtm(np.eye(l) + hf @ hf).real)
+        minv = _inverse_sqrt_metric(hf)
         full = np.zeros((l, n + m, n + m))
         # kernel block indices inside the e range: m .. n-1
         for al in range(l):

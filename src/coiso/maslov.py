@@ -20,7 +20,9 @@ from math import pi
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-import scipy.linalg
+# scipy.linalg is imported inside the function that calls it: importing it
+# takes longer than most experiments run, and only pushforward_section uses
+# it
 
 from .config import DEFAULT, Tolerances
 from .errors import (
@@ -211,6 +213,8 @@ def pushforward_section(
     in one stacked pass over the M samples.  Returns the pair (pushed loop,
     transported section).
     """
+    import scipy.linalg
+
     if section.m != loop.m:
         raise ValueError("section must be sampled on the loop's grid")
     out = pushforward(a, loop, tol)
@@ -295,12 +299,13 @@ def tangent_boundary_loop(
     tangent spaces of all M points from one stacked SVD of the tangent
     projectors and returns them unclassified; the loop classifies them in
     one stacked call.  ``points`` are the boundary points of the final
-    grid, kept from that evaluation.  The initial frame is pinned by the
+    grid, kept from the generator's evaluations (on a refined grid, the even
+    ones come from the grid it doubled).  The initial frame is pinned by the
     tangent splitting at the first point, so the null frame vector follows
     +X_rho around the loop.
     """
     space = standard_space(y.n)
-    points_on_grid = {}
+    points_at = {}   # theta -> boundary point, from the generator's evaluations
 
     def gen(thetas):
         points = []
@@ -311,7 +316,7 @@ def tangent_boundary_loop(
                     f"boundary point at theta={theta:.4f} is off the surface"
                 )
             points.append(p)
-        points_on_grid[len(thetas)] = np.stack(points)
+        points_at.update(zip(thetas, points))
         g = np.stack([y.gradient(p) for p in points])
         outer = g[:, :, None] * g[:, None, :]
         gg = g[:, None, :] @ g[:, :, None]
@@ -320,7 +325,7 @@ def tangent_boundary_loop(
 
     hint = hypergeo.tangent_splitting(y, boundary(0.0), tol).frame
     loop = loop_from_family(space, y.n - 1, gen, samples=samples, hint=hint, tol=tol)
-    return loop, points_on_grid[loop.m]
+    return loop, np.stack([points_at[theta] for theta in loop.thetas])
 
 
 def _graded_boundary(y, boundary, grading: Optional[Grading], samples: int,

@@ -113,6 +113,25 @@ def test_run_schema_violation_exit_two(tmp_path):
                       "family_params": {"max_winding": -1}}),
     ("maslov-index", {"n": 2, "k": 1, "family": "lagrangian-rotation"}),
     ("maslov-index", {"n": 2, "k": 1}),
+    # fixtures whose surface is empty or degenerate
+    ("hypersurface-report", {"fixture": "sphere", "points": 2, "fixture_params": {"n": 0}}),
+    ("hypersurface-report", {"fixture": "ellipsoid", "points": 2,
+                             "fixture_params": {"semi_axes": [1.0, 0.0]}}),
+    ("minimality-scan", {"fixture": "ellipsoid", "fixture_params": {"semi_axes": []}}),
+    ("minimality-scan", {"fixture": "cylinder", "fixture_params": {"r": -1.0}}),
+    ("disc-index", {"fixture": "sphere", "fixture_params": {"r": 0}}),
+    ("maslov-index", {"n": 2, "family": "lagrangian-rotation", "family_params": {"turns": 0.5}}),
+    # malformed polynomial terms
+    ("hypersurface-report", {"fixture": "polynomial", "fixture_params": {
+        "n": 2, "terms": [{"coeff": 1.0, "exponents": [2, 0]}]}}),
+    ("hypersurface-report", {"fixture": "polynomial", "fixture_params": {
+        "n": 2, "terms": [{"exponents": [2, 0, 0, 0]}]}}),
+    ("hypersurface-report", {"fixture": "polynomial", "fixture_params": {
+        "n": 2, "terms": [{"coeff": "1", "exponents": [2, 0, 0, 0]}]}}),
+    ("minimality-scan", {"fixture": "polynomial", "fixture_params": {
+        "n": 2, "terms": [{"coeff": 1.0, "exponents": [2, 0, -1, 0]}]}}),
+    ("minimality-scan", {"fixture": "polynomial", "fixture_params": {
+        "n": 2, "terms": [{"coeff": 1.0, "exponents": [4, 0, 3, 0]}]}}),
 ])
 def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
     path = tmp_path / "bad.json"
@@ -182,6 +201,18 @@ def test_run_computation_error_exit_three(tmp_path):
     assert code == 3
     rep = json.loads(out.text if hasattr(out, "text") else out.read_text())
     assert rep["error"]
+
+
+def test_unreachable_surface_exit_three(tmp_path):
+    # rho = -x_1^2 never reaches 1: sampling gives up after its budget
+    spec = {"kind": "hypersurface-report",
+            "parameters": {"fixture": "polynomial", "points": 1, "fixture_params": {
+                "n": 1, "terms": [{"coeff": -1.0, "exponents": [2, 0]}]}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    assert main(["run", str(path), "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["error"].startswith("OffSurfaceError")
 
 
 def test_reports_byte_identical_for_same_seed():
@@ -324,6 +355,23 @@ def test_main_validates_each_spec_once(tmp_path, monkeypatch, fmt):
     assert schema.calls == 1
 
 
+def test_schema_is_checked_once_per_process(monkeypatch):
+    checks = []
+    original = jsonschema.Draft7Validator.check_schema.__func__
+
+    def counting(cls, schema, *args, **kwargs):
+        checks.append(schema)
+        return original(cls, schema, *args, **kwargs)
+
+    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(counting))
+    specs = [{"kind": "grassmannian-dim", "parameters": {"n": 2, "k": 1, "seed": s}}
+             for s in range(5)]
+    assert all(run(spec).passed for spec in specs)
+    with pytest.raises(jsonschema.ValidationError):
+        run({"kind": "grassmannian-dim", "parameters": {"n": 2, "k": -1}})
+    assert checks == []
+
+
 def _child_env():
     """Environment in which a child imports the same coiso as this process,
     however pytest found it."""
@@ -351,3 +399,22 @@ def test_package_runs_as_module():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == SCHEMA
+
+
+def test_pointwise_and_disc_kinds_do_not_import_scipy():
+    specs = [
+        {"kind": "grassmannian-dim", "parameters": {"n": 3, "k": 1, "points": 2}},
+        {"kind": "hypersurface-report", "parameters": {"fixture": "sphere", "points": 2}},
+        {"kind": "disc-index", "parameters": {"fixture": "sphere", "loop": "hopf", "M": 64}},
+    ]
+    script = (
+        "import json, sys\n"
+        "import coiso.cli\n"
+        "for spec in json.loads(sys.argv[1]):\n"
+        "    assert coiso.cli.run(spec).passed, spec\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(specs)],
+                          capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 
 import coiso
 from coiso import (
+    ClassificationError,
     DiscontinuousLoopError,
     Subspace,
     SymplecticMatrixLoop,
@@ -19,9 +20,11 @@ from coiso import (
     realify,
     standard_model,
     standard_space,
+    tangent_boundary_loop,
     transverse_frame_loop,
     unitary_matrix_loop,
 )
+from coiso.cli import BOUNDARY_FAMILIES
 
 SP1 = standard_space(1)
 SP2 = standard_space(2)
@@ -320,3 +323,109 @@ def test_per_angle_matrix_callable_is_refused_with_the_shapes():
     with pytest.raises(ValueError, match=r"expected a stack of shape \(8, 4, 4\), "
                                          r"got shape \(4, 4\)"):
         unitary_matrix_loop(SP2, lambda theta: np.eye(2, dtype=complex), 8)
+
+
+# ---------------------------------------------------------------------------
+# a doubled grid reuses the even members of the grid it doubles
+
+
+def _assert_same_loop(a, b):
+    assert np.array_equal(a.thetas, b.thetas)
+    for part in ("space", "kernel", "h_part"):
+        assert np.array_equal(getattr(a.samples, part).basis,
+                              getattr(b.samples, part).basis), part
+    assert np.array_equal(a.frames.e, b.frames.e)
+    assert np.array_equal(a.frames.f, b.frames.f)
+    assert np.array_equal(a.monodromy, b.monodromy)
+    assert a.closure_defect == b.closure_defect
+
+
+def _pushforward_generator():
+    space = standard_space(3)
+    a = coiso.random_unitary_matrix_loop(space, coiso.rng(17), 64, max_winding=1)
+    loop = loop_from_family(space, 2, constant_family(space, 2, 19), samples=8)
+    return space, 2, pushforward(a, loop).generator
+
+
+def _orbit(n, k, seed):
+    space = standard_space(n)
+    return lambda: (space, k, coiso.random_unitary_orbit_family(space, k, seed))
+
+
+# name -> (space, k, generator) of a loop that refines from 8 samples
+REFINING = {
+    "diag-unitary": lambda: (SP2, 1, diag_unitary_family(SP2, 1, [0.0, 1.5])),
+    "lagrangian-rotation": lambda: (SP2, 0, lagrangian_rotation_family(SP2, turns=3)),
+    **{f"orbit-n{n}k{k}": _orbit(n, k, seed)
+       for n, k, seed in ((2, 0, 3), (2, 1, 5), (3, 0, 7), (3, 1, 11), (3, 2, 13))},
+    "pushforward": _pushforward_generator,
+}
+
+
+@pytest.mark.parametrize("name", REFINING)
+def test_refined_and_resampled_loops_equal_the_full_grid_build(name):
+    space, k, gen = REFINING[name]()
+    loop = loop_from_family(space, k, gen, samples=8)
+    assert loop.m > 8
+    _assert_same_loop(loop, loop_from_family(space, k, gen, samples=loop.m))
+    fine = loop.resample(2 * loop.m)
+    _assert_same_loop(fine, loop_from_family(space, k, gen, samples=2 * loop.m,
+                                             hint=loop.frames[0], auto_refine=False))
+
+
+def test_refined_tangent_loop_equals_the_full_grid_build():
+    boundary = BOUNDARY_FAMILIES["latitude"]({"alpha": 0.9, "p": 2, "q": 1})
+    y = coiso.sphere(2)
+    loop, points = tangent_boundary_loop(y, boundary, samples=8)
+    assert loop.m > 8
+    full, full_points = tangent_boundary_loop(y, boundary, samples=loop.m)
+    _assert_same_loop(loop, full)
+    assert np.array_equal(points, full_points)
+    assert np.array_equal(loop.resample(2 * loop.m).samples.space.basis,
+                          tangent_boundary_loop(y, boundary, samples=2 * loop.m)[0]
+                          .samples.space.basis)
+
+
+def test_doubled_grid_generates_only_its_odd_members():
+    calls = []
+    family = diag_unitary_family(SP2, 1, [0.0, 1.5])
+
+    def gen(thetas):
+        calls.append(thetas)
+        return family(thetas)
+
+    loop = loop_from_family(SP2, 1, gen, samples=8)
+    assert loop.m == 32
+    loop.resample(64)
+    # the closure check's two angles, then M = 8 and the odd members of 16
+    # and 32; the resample's closure check and the odd members of 64
+    assert [len(t) for t in calls] == [2, 8, 8, 16, 2, 32]
+    for t, m in zip((calls[2], calls[3], calls[5]), (16, 32, 64)):
+        assert np.array_equal(t, (np.arange(m) * (2 * np.pi / m))[1::2])
+
+
+def _rotation_with_a_symplectic_plane(bad_theta):
+    """Lagrangian planes of C^2 turned by exp(1.5 i theta) in the first
+    coordinate, except at ``bad_theta``: there the member is the symplectic
+    plane span(e_1, f_1), which is not coisotropic."""
+    base = standard_model(SP2, 0).space.basis
+
+    def gen(thetas):
+        basis = realify(diagonals(np.exp(1.5j * thetas), 1.0)) @ base
+        basis[np.isclose(thetas, bad_theta, rtol=0, atol=1e-12)] = np.eye(4)[:, [0, 2]]
+        return Subspace(basis)
+
+    return gen
+
+
+def test_odd_member_failure_names_its_full_grid_index():
+    # refinement 8 -> 16: the bad member is member 3 of 16
+    gen = _rotation_with_a_symplectic_plane(3 * 2 * np.pi / 16)
+    with pytest.raises(ClassificationError, match=r"\(stack member 3\)$"):
+        loop_from_family(SP2, 0, gen, samples=8)
+    # a resample 32 -> 64: the bad member is member 5 of 64
+    loop = loop_from_family(SP2, 0, _rotation_with_a_symplectic_plane(5 * 2 * np.pi / 64),
+                            samples=32)
+    assert loop.m == 32
+    with pytest.raises(ClassificationError, match=r"\(stack member 5\)$"):
+        loop.resample(64)
