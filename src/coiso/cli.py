@@ -375,35 +375,29 @@ def _run_disc_index(params: dict, tol: Tolerances, seed: int) -> list:
     ] + _expected_index(params, detail["index"])
 
 
-def _hypersurface_point_items(y, p, i: int, tol: Tolerances):
-    """The report items of sample point ``i`` and its mean-curvature norm."""
-    geo = hypergeo.point_geometry(y, p, tol)
+def _run_hypersurface_report(params: dict, tol: Tolerances, seed: int) -> list:
+    y = _fixture(params)
+    pts = y.sample_points(int(params.get("points", 8)), rng(seed, 7))
+    geo = hypergeo.point_geometry(y, pts, tol)
     mc = hypergeo.leafwise_mean_curvature(geo)
     levi = hypergeo.levi_form(geo)
     sff_route = hypergeo.transverse_curvature_sff(geo)
     bracket = hypergeo.transverse_curvature_bracket(geo)
-    gap = (float(np.max(np.abs(sff_route.components - bracket.components)))
-           if sff_route.components.size else 0.0)
-    type_11 = bool(hypergeo.is_integrable_prekahler(sff_route, tol))
-    return [
-        _bounded(f"sff_symmetry[{i}]", geo.blocks.symmetry_residual(), tol.sff_symmetry),
-        _bounded(f"curvature_route_gap[{i}]", gap, tol.bracket_vs_sff),
-        _item(f"type_11[{i}]", type_11, oracle=True, passed=type_11),
-        _item(f"levi_eigenvalues[{i}]", [float(v) for v in levi.eigenvalues]),
-        _item(f"alpha_norm[{i}]", mc.alpha_norm),
-        _item(f"levi_positive_definite[{i}]", levi.positive_definite),
-    ], mc.alpha_norm
-
-
-def _run_hypersurface_report(params: dict, tol: Tolerances, seed: int) -> list:
-    y = _fixture(params)
-    pts = y.sample_points(int(params.get("points", 8)), rng(seed, 7))
-    items, alpha_norms = [], []
-    for i, p in enumerate(pts):
-        point_items, alpha_norm = _hypersurface_point_items(y, p, i, tol)
-        items += point_items
-        alpha_norms.append(alpha_norm)
-    special = maslov.is_leafwise_special(pts, alpha_norms, tol)
+    gaps = np.max(np.abs(sff_route.components - bracket.components),
+                  axis=(-3, -2, -1), initial=0.0)
+    type_11 = hypergeo.is_integrable_prekahler(sff_route, tol)
+    symmetry = geo.blocks.symmetry_residual()
+    items = []
+    for i in range(len(pts)):
+        items += [
+            _bounded(f"sff_symmetry[{i}]", float(symmetry[i]), tol.sff_symmetry),
+            _bounded(f"curvature_route_gap[{i}]", float(gaps[i]), tol.bracket_vs_sff),
+            _item(f"type_11[{i}]", bool(type_11[i]), oracle=True, passed=type_11[i]),
+            _item(f"levi_eigenvalues[{i}]", [float(v) for v in levi.eigenvalues[i]]),
+            _item(f"alpha_norm[{i}]", float(mc.alpha_norm[i])),
+            _item(f"levi_positive_definite[{i}]", bool(levi.positive_definite[i])),
+        ]
+    special = maslov.is_leafwise_special(pts, mc.alpha_norm, tol)
     items.append(_item("leafwise_special", bool(special.result)))
     items.append(_item("max_alpha_norm", float(special.max_alpha)))
     return items
@@ -412,15 +406,14 @@ def _run_hypersurface_report(params: dict, tol: Tolerances, seed: int) -> list:
 def _run_minimality_scan(params: dict, tol: Tolerances, seed: int) -> list:
     y = _fixture(params)
     pts = y.sample_points(int(params.get("points", 8)), rng(seed, 11))
+    res = hypergeo.leaf_minimality(hypergeo.point_geometry(y, pts, tol))
     items = []
-    for i, p in enumerate(pts):
-        res = hypergeo.leaf_minimality(hypergeo.point_geometry(y, p, tol))
-        items.append(_item(
-            f"minimal[{i}]", bool(res.minimal),
-            residual=res.curvature_norm, passed=True))
+    for i in range(len(pts)):
+        norm = float(res.curvature_norm[i])
+        items.append(_item(f"minimal[{i}]", bool(res.minimal[i]), residual=norm, passed=True))
         items.append(_bounded(
-            f"contraction_residual[{i}]", res.consistency_residual,
-            tol.minimality_consistency * max(1.0, res.curvature_norm)))
+            f"contraction_residual[{i}]", float(res.consistency_residual[i]),
+            tol.minimality_consistency * max(1.0, norm)))
     return items
 
 
@@ -480,6 +473,10 @@ def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
             _require(len(term["exponents"]) == 2 * fp["n"], f"a polynomial term needs "
                      f"2n = {2 * fp['n']} exponents, got {len(term['exponents'])}")
             _require(sum(term["exponents"]) <= 6, "a polynomial term has degree at most 6")
+    if kind == "disc-index":
+        fp = params.get("fixture_params", {})
+        n = len(fp["semi_axes"]) if fixture == "ellipsoid" else fp.get("n", 2)
+        _require(n == 2, f"disc-index boundary loops lie in C^2, the fixture in C^{n}")
     tol = tol.replace(**params.get("tolerances", {}))
     seed = seed_override if seed_override is not None else int(params.get("seed", 0))
     params["seed"] = seed

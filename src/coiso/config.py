@@ -14,10 +14,9 @@ class Tolerances:
 
     Each field is read by some check from the record its caller passes.
     Defaults suit double precision at the sizes the library targets (n <= 6).
-    Three type invariants check against ``DEFAULT`` by design, as their
-    objects are built without a record: ``Subspace`` orthonormality, the
-    closure jump of a ``MaslovSection`` (``phase_jump``) and ``SFFBlocks``
-    symmetry (``sff_symmetry``).
+    Two type invariants check against ``DEFAULT`` by design, as their
+    objects are built without a record: ``Subspace`` orthonormality and the
+    closure jump of a ``MaslovSection`` (``phase_jump``).
     """
 
     orthonormality: float = 1e-10        # basis' G basis == identity

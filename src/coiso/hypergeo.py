@@ -8,11 +8,25 @@ here is pointwise: second fundamental form blocks in an adapted frame,
 leafwise mean curvature, Levi form, the transverse symplectic curvature by
 two independent routes, and leaf minimality along the X_rho flow.
 
-A point's geometry is computed once.  ``point_geometry`` builds one
-``PointGeometry`` record per point: the normal, X_rho, N_JF and the adapted
-frame from one ``tangent_splitting`` call, the Hessian and |grad rho| from
-one evaluation each, and the SFF blocks from one ``second_fundamental_form``
-call.  Every pointwise routine reads that record and recomputes none of it.
+Points are a stack axis.  A fixture's oracles ``rho``, ``grad`` and
+``hess`` take a (..., 2n) stack of points and return the (...),
+(..., 2n) and (..., 2n, 2n) stacks of their values, and every method of
+``LevelSetHypersurface`` acts on the leading axes the same way; a single
+point of shape (2n,) is the unstacked case of the same code.
+``point_geometry`` builds one ``PointGeometry`` record for a stack of P
+points: the normals, X_rho, N_JF and the adapted frames from one stacked
+``tangent_splitting`` call, the Hessians and |grad rho| from one evaluation
+each, and the SFF blocks from one ``second_fundamental_form`` call.  Every
+pointwise routine reads that record, recomputes none of it, and returns one
+stacked result whose member i belongs to point i.  A check that fails
+raises for the first failing member and names it.
+
+A member's arithmetic is that of a single point, so a point's results do
+not depend on the stack it is computed in: stacked ``svd``, ``eigvalsh``
+and ``matmul`` act member by member with the calls of one point; a dot
+product is ``np.vecdot``, one BLAS dot per member as the 1-D ``a @ b``; a
+norm is the square root of such a dot, as the 1-D ``np.linalg.norm``
+computes it; and j is applied as ``j @ v[..., None]``.
 
 Sign conventions, fixed once and used consistently: the normal is the
 outward nu = grad(rho); the frame convention puts e_n along X_rho, so
@@ -44,9 +58,11 @@ from .symplin import (
     AdaptedFrame,
     Subspace,
     _canonical_phases,
+    _member_note,
     _mgs,
     _standard_j,
     _standard_omega,
+    _t,
     complex_coords,
     real_coords,
 )
@@ -86,28 +102,55 @@ FD_STEP = 1e-5
 # projections ``sample_points`` tries per point before it gives up
 SAMPLE_ATTEMPTS = 100
 
+# Newton iterations and residual of a projection onto the surface
+NEWTON_ITERS = 50
+NEWTON_TOL = 1e-13
+
+# the three trailing axes of a stack of (normal, row, column) blocks
+_BLOCK_AXES = (-3, -2, -1)
+
+
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Euclidean norm over the last axis, member by member."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _apply_j(n: int, v: np.ndarray) -> np.ndarray:
+    """j v for a (..., 2n) stack of vectors."""
+    return (_standard_j(n) @ v[..., None])[..., 0]
+
+
+def _check(bad: np.ndarray, error: type, message: Callable[[tuple], str],
+           trailing: int = 0) -> None:
+    """Raise ``error`` for the first true entry of the boolean stack ``bad``:
+    ``message`` words it from its index, and the note names the stack
+    member, the index without its last ``trailing`` axes."""
+    if np.any(bad):
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise error(message(where) + _member_note(where[:len(where) - trailing]))
+
 
 def _fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    d = len(x)
-    out = np.zeros(d)
+    d = x.shape[-1]
+    out = np.zeros(x.shape)
     for i in range(d):
         e = np.zeros(d)
         e[i] = h
-        out[i] = (f(x + e) - f(x - e)) / (2 * h)
+        out[..., i] = (f(x + e) - f(x - e)) / (2 * h)
     return out
 
 
 def _fd_hessian(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
-    d = len(x)
-    out = np.zeros((d, d))
+    d = x.shape[-1]
+    out = np.zeros(x.shape + (d,))
     f0 = f(x)
     ee = h * np.eye(d)
     for i in range(d):
-        out[i, i] = (f(x + 2 * ee[i]) - 2 * f0 + f(x - 2 * ee[i])) / (4 * h * h)
+        out[..., i, i] = (f(x + 2 * ee[i]) - 2 * f0 + f(x - 2 * ee[i])) / (4 * h * h)
         for j in range(i + 1, d):
             pij = f(x + ee[i] + ee[j]) - f(x + ee[i] - ee[j]) \
                 - f(x - ee[i] + ee[j]) + f(x - ee[i] - ee[j])
-            out[i, j] = out[j, i] = pij / (4 * h * h)
+            out[..., i, j] = out[..., j, i] = pij / (4 * h * h)
     return out
 
 
@@ -115,16 +158,19 @@ def _fd_hessian(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
 class LevelSetHypersurface:
     """Y = {rho = 1} in C^n with derivative oracles.
 
-    ``grad`` and ``hess`` are analytic oracles when the fixture provides
-    them; otherwise central differences with step ``h`` are used.  With
+    ``rho``, ``grad`` and ``hess`` take a (..., 2n) stack of points and
+    return the (...), (..., 2n) and (..., 2n, 2n) stacks of rho, its
+    gradient and its Hessian; a (2n,) point is the unstacked case.  ``grad``
+    and ``hess`` are analytic oracles when the fixture provides them;
+    otherwise central differences of ``rho`` with step ``h`` are used.  With
     ``strict`` set, points where |grad rho| deviates from 1 beyond the
     strict tolerance are rejected; otherwise all formulas normalize by
     |grad rho| pointwise, which is exact for the tangential quantities
-    computed here.
+    computed here.  Every method acts on stacks of points member by member.
     """
 
     n: int
-    rho: Callable[[np.ndarray], float]
+    rho: Callable[[np.ndarray], np.ndarray]
     grad: Optional[Callable[[np.ndarray], np.ndarray]] = None
     hess: Optional[Callable[[np.ndarray], np.ndarray]] = None
     h: float = FD_STEP
@@ -139,8 +185,8 @@ class LevelSetHypersurface:
     def k(self) -> int:
         return self.n - 1
 
-    def value(self, x: np.ndarray) -> float:
-        return float(self.rho(np.asarray(x, dtype=float)))
+    def value(self, x: np.ndarray) -> np.ndarray:
+        return self.rho(np.asarray(x, dtype=float))
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -154,58 +200,82 @@ class LevelSetHypersurface:
             return np.asarray(self.hess(x), dtype=float)
         return _fd_hessian(self.rho, x, self.h)
 
-    def on_surface(self, x: np.ndarray, tol: float = DEFAULT.boundary_on_surface) -> bool:
-        return abs(self.value(x) - 1.0) < tol
+    def on_surface(self, x: np.ndarray, tol: float = DEFAULT.boundary_on_surface) -> np.ndarray:
+        return np.abs(self.value(x) - 1.0) < tol
 
     def unit_normal(self, x: np.ndarray, tol: Tolerances = DEFAULT) -> np.ndarray:
         g = self.gradient(x)
-        norm = float(np.linalg.norm(g))
-        if norm < 1e-12:
-            raise UnnormalizedDefiningFunctionError("grad rho vanished")
-        if self.strict and abs(norm - 1.0) > tol.unit_gradient_strict:
-            raise UnnormalizedDefiningFunctionError(
-                f"|grad rho| = {norm:.6f} deviates from 1 beyond "
-                f"{tol.unit_gradient_strict:.1e}"
-            )
-        return g / norm
+        norm = _norm(g)
+        vanished = norm < 1e-12
+        _check(vanished | (self.strict & (np.abs(norm - 1.0) > tol.unit_gradient_strict)),
+               UnnormalizedDefiningFunctionError,
+               lambda w: "grad rho vanished" if vanished[w] else
+               f"|grad rho| = {norm[w]:.6f} deviates from 1 beyond "
+               f"{tol.unit_gradient_strict:.1e}")
+        return g / norm[..., None]
 
-    def gradient_norm(self, x: np.ndarray) -> float:
-        return float(np.linalg.norm(self.gradient(x)))
+    def gradient_norm(self, x: np.ndarray) -> np.ndarray:
+        return _norm(self.gradient(x))
 
-    def project(self, x: np.ndarray, iters: int = 50,
-                tol: float = 1e-13) -> np.ndarray:
-        """Newton projection onto {rho = 1} along the gradient."""
-        x = np.array(x, dtype=float)
-        for _ in range(iters):
-            r = self.value(x) - 1.0
-            if abs(r) < tol:
-                return x
-            g = self.gradient(x)
-            x = x - r * g / float(g @ g)
-        return x
+    def _newton(self, x: np.ndarray):
+        """Newton projection of the rows of an (m, 2n) array along the
+        gradient, each row stopped at its own first |rho - 1| < NEWTON_TOL,
+        after at most NEWTON_ITERS steps, or at its first zero gradient.
+        Returns the rows, C-contiguous as a stack of separately projected
+        points, and the mask of those that stopped at a zero gradient."""
+        x = np.array(x, dtype=float, order="C")
+        stalled = np.zeros(len(x), dtype=bool)
+        live = np.arange(len(x))
+        for _ in range(NEWTON_ITERS):
+            r = self.value(x[live]) - 1.0
+            going = ~(np.abs(r) < NEWTON_TOL)
+            live, r = live[going], r[going]
+            if not live.size:
+                break
+            g = self.gradient(x[live])
+            gg = np.vecdot(g, g)
+            flat = gg == 0.0
+            stalled[live[flat]] = True
+            going = ~flat
+            live, r, g, gg = live[going], r[going], g[going], gg[going]
+            x[live] = x[live] - r[:, None] * g / gg[:, None]
+        return x, stalled
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """Newton projection onto {rho = 1} along the gradient, of a point or
+        of every point of a stack; each stops on its own.  A zero gradient on
+        the way raises UnnormalizedDefiningFunctionError."""
+        x = np.asarray(x, dtype=float)
+        rows, stalled = self._newton(x.reshape(-1, self.dim))
+        _check(stalled.reshape(x.shape[:-1]), UnnormalizedDefiningFunctionError,
+               lambda w: "grad rho vanished during the projection")
+        return rows.reshape(x.shape)
 
     def sample_points(self, count: int, seed, offset: float = 0.5) -> np.ndarray:
         """Deterministic points on Y: Gaussian seeds projected to the surface.
 
-        At most ``SAMPLE_ATTEMPTS`` projections per point are tried; when
-        they run out, OffSurfaceError."""
+        Each attempt draws a seed x0 and a shift from the generator, in that
+        order, and projects offset * x0 + shift; the points are the first
+        ``count`` attempts that reach the surface.  Attempts are drawn and
+        projected in stacked rounds, each as many as points are still
+        missing, so the generator is read as far as one attempt after
+        another would read it.  At most ``SAMPLE_ATTEMPTS`` attempts per
+        point are made; when they run out, OffSurfaceError."""
         g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
-        pts = []
-        for _ in range(SAMPLE_ATTEMPTS * count):
-            if len(pts) == count:
-                break
-            x0 = g.normal(size=self.dim) * offset
-            try:
-                x = self.project(x0 + g.normal(size=self.dim))
-            except UnnormalizedDefiningFunctionError:
-                continue
-            if self.on_surface(x, 1e-9):
-                pts.append(x)
-        if len(pts) < count:
+        found, budget = [], SAMPLE_ATTEMPTS * count
+        missing, left = count, budget
+        while missing and left:
+            draws = g.normal(size=(min(missing, left), 2, self.dim))
+            x, stalled = self._newton(draws[:, 0] * offset + draws[:, 1])
+            hit = x[~stalled & self.on_surface(x, 1e-9)]
+            found.append(hit)
+            missing -= len(hit)
+            left -= len(draws)
+        if missing:
             raise OffSurfaceError(
-                f"{self.name}: {len(pts)} of {count} sample points reached the "
-                f"surface in {SAMPLE_ATTEMPTS * count} projections")
-        return np.stack(pts)
+                f"{self.name}: {count - missing} of {count} sample points reached the "
+                f"surface in {budget} projections")
+        return np.concatenate(found)
 
 
 class TangentSplitting(NamedTuple):
@@ -219,25 +289,27 @@ def tangent_splitting(
     y: LevelSetHypersurface, p: np.ndarray, tol: Tolerances = DEFAULT
 ) -> TangentSplitting:
     """Outward normal, Hamiltonian direction, maximal complex tangency and
-    an adapted frame with e_n along X_rho (so f_n = -nu)."""
+    an adapted frame with e_n along X_rho (so f_n = -nu), at a point or at
+    every point of a (..., 2n) stack."""
     p = np.asarray(p, dtype=float)
     nu = y.unit_normal(p, tol)
     j = _standard_j(y.n)
-    xr = j @ nu
-    span = np.stack([nu, xr], axis=1)
-    u, s, _ = np.linalg.svd(np.eye(y.dim) - span @ span.T)
-    njf = Subspace(u[:, : y.dim - 2])
+    xr = _apply_j(y.n, nu)
+    span = np.stack([nu, xr], axis=-1)
+    u = np.linalg.svd(np.eye(y.dim) - span @ _t(span))[0]
+    njf = Subspace(u[..., : y.dim - 2])
     jn = j @ njf.basis
-    if float(np.max(np.linalg.norm(jn - njf.project(jn), axis=0))) > tol.subspace_equality:
-        raise InternalConsistencyError("N_JF failed the j-invariance check")
+    escape = np.max(np.linalg.norm(jn - njf.project(jn), axis=-2), axis=-1, initial=0.0)
+    _check(escape > tol.subspace_equality, InternalConsistencyError,
+           lambda w: "N_JF failed the j-invariance check")
     # complex orthonormal basis of N_JF, deterministic
     k = y.k
     if k:
         uu = np.linalg.svd(complex_coords(njf.basis))[0]
-        e_h = real_coords(_canonical_phases(uu[:, :k]))
+        e_h = real_coords(_canonical_phases(uu[..., :k]))
     else:
-        e_h = np.zeros((y.dim, 0))
-    e = np.concatenate([e_h, xr[:, None]], axis=1)
+        e_h = np.zeros(p.shape + (0,))
+    e = np.concatenate([e_h, xr[..., None]], axis=-1)
     frame = AdaptedFrame(k=k, e=e, f=j @ e)
     return TangentSplitting(nu=nu, x_rho=xr, njf=njf, frame=frame)
 
@@ -245,29 +317,31 @@ def tangent_splitting(
 @dataclasses.dataclass(frozen=True)
 class SFFBlocks:
     """Second fundamental form of Y in an adapted frame, one symmetric
-    matrix per normal direction f_alpha.
+    matrix per normal direction f_alpha; for a stack of points, one set of
+    blocks per member.
 
-    ``full`` has shape (n - k, n + k, n + k) on the tangent basis ordered
-    (e_1..e_n, f_1..f_k).  The blocks are views into it:
+    ``full`` has shape (..., n - k, n + k, n + k) on the tangent basis
+    ordered (e_1..e_n, f_1..f_k).  The blocks are views into it:
 
-        A = full[:, :n, :n]      (e x e)
-        B = full[:, :n, n:]      (e x f)
-        C = full[:, n:, :n]      (f x e)
-        D = full[:, n:, n:]      (f x f)
+        A = full[..., :, :n, :n]      (e x e)
+        B = full[..., :, :n, n:]      (e x f)
+        C = full[..., :, n:, :n]      (f x e)
+        D = full[..., :, n:, n:]      (f x f)
 
     so A = A', D = D' and B = C' are exactly the Cartan-lemma symmetries.
+    The symmetry is checked against ``tol.sff_symmetry`` when the blocks
+    are built.
     """
 
     point: np.ndarray
     frame: AdaptedFrame
     full: np.ndarray
+    tol: Tolerances = dataclasses.field(default=DEFAULT, repr=False, compare=False)
 
     def __post_init__(self):
         worst = self.symmetry_residual()
-        if worst > DEFAULT.sff_symmetry:
-            raise NumericalQualityError(
-                f"second fundamental form symmetry violated by {worst:.3e}"
-            )
+        _check(worst > self.tol.sff_symmetry, NumericalQualityError,
+               lambda w: f"second fundamental form symmetry violated by {worst[w]:.3e}")
 
     @property
     def n(self) -> int:
@@ -279,24 +353,23 @@ class SFFBlocks:
 
     @property
     def a(self) -> np.ndarray:
-        return self.full[:, : self.n, : self.n]
+        return self.full[..., : self.n, : self.n]
 
     @property
     def b(self) -> np.ndarray:
-        return self.full[:, : self.n, self.n:]
+        return self.full[..., : self.n, self.n:]
 
     @property
     def c(self) -> np.ndarray:
-        return self.full[:, self.n:, : self.n]
+        return self.full[..., self.n:, : self.n]
 
     @property
     def d(self) -> np.ndarray:
-        return self.full[:, self.n:, self.n:]
+        return self.full[..., self.n:, self.n:]
 
-    def symmetry_residual(self) -> float:
-        return max(
-            (float(np.max(np.abs(s - s.T))) for s in self.full), default=0.0
-        )
+    def symmetry_residual(self) -> np.ndarray:
+        """Largest |S - S'| over the normal directions, member by member."""
+        return np.max(np.abs(self.full - _t(self.full)), axis=_BLOCK_AXES, initial=0.0)
 
 
 def second_fundamental_form(
@@ -304,8 +377,9 @@ def second_fundamental_form(
     frame: AdaptedFrame,
     nu: np.ndarray,
     normalized_hessian: np.ndarray,
+    tol: Tolerances = DEFAULT,
 ) -> SFFBlocks:
-    """SFF blocks of Y at p in an adapted frame.
+    """SFF blocks of Y at p in an adapted frame, member by member for stacks.
 
     For a level set with unit normal nu = grad(rho)/|grad(rho)| the
     normal-valued form on tangent vectors is
@@ -314,23 +388,24 @@ def second_fundamental_form(
     Hess(rho) / |grad rho| at p.
     """
     t = frame.tangent_basis()
-    ht = t.T @ normalized_hessian @ t
-    normals = frame.f[:, frame.k:]
-    signs = -(nu @ normals)          # f_n = -nu gives +1 for hypersurfaces
-    full = np.stack([s * ht for s in signs])
-    return SFFBlocks(point=p, frame=frame, full=full)
+    ht = _t(t) @ normalized_hessian @ t
+    normals = frame.f[..., frame.k:]
+    signs = -np.vecdot(nu[..., None], normals, axis=-2)   # f_n = -nu gives +1
+    full = signs[..., None, None] * ht[..., None, :, :]
+    return SFFBlocks(point=p, frame=frame, full=full, tol=tol)
 
 
 @dataclasses.dataclass(frozen=True)
 class PointGeometry:
-    """The geometry of Y at one point, computed once by ``point_geometry``
-    and read by every pointwise routine.
+    """The geometry of Y at a point or at a (..., 2n) stack of points,
+    computed once by ``point_geometry`` and read by every pointwise routine.
 
-    ``nu``, ``x_rho``, ``njf`` and ``frame`` come from one
+    ``nu``, ``x_rho``, ``njf`` and ``frame`` come from one stacked
     ``tangent_splitting`` call; ``hessian`` is the raw Hessian of rho,
     ``gradient_norm`` is |grad rho| and ``normalized_hessian`` their
-    quotient; ``blocks`` are the SFF blocks in ``frame``.  ``tol`` is the
-    tolerance record every check at this point reads.
+    quotient; ``blocks`` are the SFF blocks in ``frame``.  Every field
+    carries the stack axes of ``point``.  ``tol`` is the tolerance record
+    every check on this record reads.
     """
 
     y: LevelSetHypersurface
@@ -340,33 +415,34 @@ class PointGeometry:
     njf: Subspace
     frame: AdaptedFrame
     hessian: np.ndarray
-    gradient_norm: float
+    gradient_norm: np.ndarray
     normalized_hessian: np.ndarray
     blocks: SFFBlocks
     tol: Tolerances
 
     def in_frame(self, frame: AdaptedFrame) -> "PointGeometry":
-        """The same point read in another adapted frame: the SFF blocks are
-        re-read from the same Hessian, every other field is kept."""
+        """The same points read in other adapted frames: the SFF blocks are
+        re-read from the same Hessians, every other field is kept."""
         blocks = second_fundamental_form(
-            self.point, frame, self.nu, self.normalized_hessian)
+            self.point, frame, self.nu, self.normalized_hessian, self.tol)
         return dataclasses.replace(self, frame=frame, blocks=blocks)
 
 
 def point_geometry(
     y: LevelSetHypersurface, p: np.ndarray, tol: Tolerances = DEFAULT
 ) -> PointGeometry:
-    """Splitting, Hessian and SFF blocks of Y at p, each computed once."""
+    """Splitting, Hessian and SFF blocks of Y at p, or at every point of a
+    (..., 2n) stack p, each computed once in one stacked call."""
     p = np.asarray(p, dtype=float)
     spl = tangent_splitting(y, p, tol)
     hessian = y.hessian(p)
     gradient_norm = y.gradient_norm(p)
-    normalized_hessian = hessian / gradient_norm
+    normalized_hessian = hessian / np.asarray(gradient_norm)[..., None, None]
     return PointGeometry(
         y=y, point=p, nu=spl.nu, x_rho=spl.x_rho, njf=spl.njf, frame=spl.frame,
         hessian=hessian, gradient_norm=gradient_norm,
         normalized_hessian=normalized_hessian,
-        blocks=second_fundamental_form(p, spl.frame, spl.nu, normalized_hessian),
+        blocks=second_fundamental_form(p, spl.frame, spl.nu, normalized_hessian, tol),
         tol=tol,
     )
 
@@ -382,16 +458,16 @@ def normal_convention_matrix(blocks: SFFBlocks, nu: np.ndarray) -> np.ndarray:
 @dataclasses.dataclass(frozen=True)
 class MeanCurvature:
     """Partial trace of the SFF over the null directions and its
-    omega-contraction restricted to the tangent space."""
+    omega-contraction restricted to the tangent space, member by member."""
 
     h_vector: np.ndarray            # leafwise mean curvature vector in R^{2n}
     alpha: np.ndarray               # one-form values on the tangent basis
-    alpha_norm: float
-    formula_residual: float         # direct contraction vs frame formula
+    alpha_norm: np.ndarray
+    formula_residual: np.ndarray    # direct contraction vs frame formula
 
 
 def leafwise_mean_curvature(geo: PointGeometry) -> MeanCurvature:
-    """Leafwise mean curvature vector and one-form at the point.
+    """Leafwise mean curvature vector and one-form at each point.
 
     The vector is the trace of the SFF over the kernel frame directions;
     its omega-contraction on the tangent basis is cross-checked against the
@@ -400,43 +476,35 @@ def leafwise_mean_curvature(geo: PointGeometry) -> MeanCurvature:
     """
     blocks, frame = geo.blocks, geo.frame
     n, k = blocks.n, blocks.k
-    normals = frame.f[:, k:]
+    normals = frame.f[..., k:]
     kernel_idx = np.arange(k, n)
-    trace = blocks.a[:, kernel_idx, kernel_idx].sum(axis=1)   # per alpha
-    h_vec = normals @ trace
-    omega = _standard_omega(geo.y.n)
+    a_kernel = blocks.a[..., kernel_idx[:, None], kernel_idx]
+    trace = np.diagonal(a_kernel, axis1=-2, axis2=-1).sum(axis=-1)   # per alpha
+    h_vec = (normals @ trace[..., None])[..., 0]
     t = frame.tangent_basis()
     # direct contraction: (i_H omega)(t) = omega(H, t)
-    alpha_direct = np.array([h_vec @ omega @ t[:, i] for i in range(t.shape[1])])
+    alpha_direct = np.vecdot(h_vec[..., None, :] @ _standard_omega(geo.y.n), _t(t))
     # frame formula: -sum_alpha A^beta_{alpha alpha} on the kernel e-duals,
     # and the transposed contraction -sum_alpha A^alpha_{beta alpha}
-    formula1 = np.zeros(t.shape[1])
-    formula2 = np.zeros(t.shape[1])
-    for bi, beta in enumerate(kernel_idx):
-        s1 = blocks.a[bi, kernel_idx, kernel_idx].sum()
-        formula1[beta] = -s1
-        s2 = sum(blocks.a[ai, beta, alpha_i]
-                 for ai, alpha_i in enumerate(kernel_idx))
-        formula2[beta] = -s2
-    residual = max(
-        float(np.max(np.abs(alpha_direct - formula1))),
-        float(np.max(np.abs(alpha_direct - formula2))),
-    )
-    if residual > 10 * geo.tol.mean_curvature_consistency:
-        raise InternalConsistencyError(
-            f"mean curvature contractions disagree by {residual:.3e}"
-        )
+    formula1 = np.zeros(alpha_direct.shape)
+    formula2 = np.zeros(alpha_direct.shape)
+    formula1[..., kernel_idx] = -trace
+    formula2[..., kernel_idx] = -np.diagonal(a_kernel, axis1=-3, axis2=-1).sum(axis=-1)
+    residual = np.maximum(np.max(np.abs(alpha_direct - formula1), axis=-1),
+                          np.max(np.abs(alpha_direct - formula2), axis=-1))
+    _check(residual > 10 * geo.tol.mean_curvature_consistency, InternalConsistencyError,
+           lambda w: f"mean curvature contractions disagree by {residual[w]:.3e}")
     return MeanCurvature(
         h_vector=h_vec,
         alpha=alpha_direct,
-        alpha_norm=float(np.linalg.norm(alpha_direct)),
+        alpha_norm=_norm(alpha_direct),
         formula_residual=residual,
     )
 
 
 @dataclasses.dataclass(frozen=True)
 class LeviForm:
-    """Levi data on the maximal complex tangency.
+    """Levi data on the maximal complex tangency, member by member.
 
     ``two_form`` is L(b_i, b_j) = (1/2)(<H J b_i, b_j> - <H b_i, J b_j>)
     with H the |grad|-normalized Hessian; ``hermitian`` the J-invariant
@@ -448,32 +516,31 @@ class LeviForm:
     two_form: np.ndarray
     hermitian: np.ndarray
     eigenvalues: np.ndarray
-    positive_definite: bool
+    positive_definite: np.ndarray
 
 
 def levi_form(geo: PointGeometry) -> LeviForm:
     basis = geo.frame.h_vectors()
-    j = _standard_j(geo.y.n)
     hess = geo.normalized_hessian
-    jb = j @ basis
-    two_form = 0.5 * (jb.T @ hess @ basis - basis.T @ hess @ jb)
-    hermitian = 0.5 * (basis.T @ hess @ basis + jb.T @ hess @ jb)
-    eig = np.linalg.eigvalsh(hermitian) if basis.shape[1] else np.zeros(0)
+    jb = _standard_j(geo.y.n) @ basis
+    two_form = 0.5 * (_t(jb) @ hess @ basis - _t(basis) @ hess @ jb)
+    hermitian = 0.5 * (_t(basis) @ hess @ basis + _t(jb) @ hess @ jb)
+    eig = np.linalg.eigvalsh(hermitian)
     return LeviForm(
         basis=basis,
         two_form=two_form,
         hermitian=hermitian,
         eigenvalues=eig,
-        positive_definite=bool(basis.shape[1] and np.min(eig) > 0),
+        positive_definite=np.all(eig > 0, axis=-1) & (eig.shape[-1] > 0),
     )
 
 
 @dataclasses.dataclass(frozen=True)
 class TransverseCurvature:
     """The null-direction-valued two-form on N_JF measuring
-    non-integrability of the j-invariant complement.
+    non-integrability of the j-invariant complement, member by member.
 
-    ``components[i, j, a]`` is the coefficient of kernel direction a on
+    ``components[..., i, j, a]`` is the coefficient of kernel direction a on
     the basis pair (b_i, b_j); antisymmetric in (i, j).  The complex type
     parts are populated by the second-fundamental-form route only.
     """
@@ -489,21 +556,21 @@ class TransverseCurvature:
         must reproduce ``components``."""
         if self.f20 is None:
             raise ValueError("type decomposition not available on this route")
-        k = self.components.shape[0] // 2
+        k = self.components.shape[-3] // 2
         # theta^a(e_b) = delta, theta^a(f_b) = i delta on the (e_a, f_a) basis
         theta = np.concatenate([np.eye(k), 1j * np.eye(k)], axis=1)
         tbar = np.conj(theta)
         # each type part F^{pq}(u, v) - F^{pq}(v, u), from the ordered pairing
-        ordered = (np.einsum("abl,ai,bj->ijl", self.f20, theta, theta)
-                   + np.einsum("abl,ai,bj->ijl", self.f11, theta, tbar)
-                   + np.einsum("abl,ai,bj->ijl", self.f02, tbar, tbar))
-        out = ordered - ordered.transpose(1, 0, 2)
-        if float(np.max(np.abs(out.imag))) > tol:
-            raise InternalConsistencyError("type reassembly left an imaginary part")
+        ordered = (np.einsum("...abl,ai,bj->...ijl", self.f20, theta, theta)
+                   + np.einsum("...abl,ai,bj->...ijl", self.f11, theta, tbar)
+                   + np.einsum("...abl,ai,bj->...ijl", self.f02, tbar, tbar))
+        out = ordered - np.swapaxes(ordered, -3, -2)
+        _check(np.max(np.abs(out.imag), axis=_BLOCK_AXES, initial=0.0) > tol,
+               InternalConsistencyError, lambda w: "type reassembly left an imaginary part")
         return out.real
 
-    def norm(self) -> float:
-        return float(np.max(np.abs(self.components))) if self.components.size else 0.0
+    def norm(self) -> np.ndarray:
+        return np.max(np.abs(self.components), axis=_BLOCK_AXES, initial=0.0)
 
 
 def transverse_curvature_bracket(
@@ -518,54 +585,62 @@ def transverse_curvature_bracket(
     surface points (``projection``) or by transporting the base frame with
     hint projection (``transport``); the Lie bracket is formed by central
     differences of the field along surface steps and its null-direction
-    component extracted.  The bracket must remain tangent to Y.
+    component extracted.  The bracket must remain tangent to Y.  The two
+    steps along each basis field of each point are projected to the
+    surface in one stacked projection.
     """
     y, p, tol = geo.y, geo.point, geo.tol
     basis = geo.frame.h_vectors()
-    two_k = basis.shape[1]
+    rows = _t(basis)                     # (..., 2k, 2n): the basis vectors
+    two_k = basis.shape[-1]
     kernel = geo.frame.kernel_vectors()
 
-    # every field's value at one point, from the splitting data there
+    # the basis rows against the (..., 2k, 2, 2n) stack of stepped points
+    stepped_rows = rows[..., None, None, :, :]
+
+    # fields(x, b): every field of the rows b at the points of x (their
+    # normals or their N_JF), one row per field
     if scheme == "projection":
-        def fields(nu):
-            xr = _standard_j(y.n) @ nu
-            return [b - (b @ nu) * nu - (b @ xr) * xr for b in basis.T]
+        def fields(nu, b):
+            xr = _apply_j(y.n, nu)[..., None, :]
+            nu = nu[..., None, :]
+            return b - np.vecdot(b, nu)[..., None] * nu - np.vecdot(b, xr)[..., None] * xr
 
-        at_p = fields(geo.nu)
+        at_p = fields(geo.nu, rows)
 
         def fields_at(q):
-            return fields(y.unit_normal(q, tol))
+            return fields(y.unit_normal(q, tol), stepped_rows)
     elif scheme == "transport":
-        def fields(njf):
+        def fields(njf, b):
             # hint-projected transport of the whole base N_JF frame
-            return list(_mgs(njf.project(basis), tol.hint_min_norm).T)
+            return _t(_mgs(njf.project(_t(b)), tol.hint_min_norm))
 
-        at_p = fields(geo.njf)
+        at_p = fields(geo.njf, rows)
 
         def fields_at(q):
-            return fields(tangent_splitting(y, q, tol).njf)
+            return fields(tangent_splitting(y, q, tol).njf, stepped_rows)
     else:
         raise ValueError(f"unknown extension scheme {scheme!r}")
 
-    # all fields at the two surface steps along each basis field
-    stepped = [(fields_at(y.project(p + step * v)), fields_at(y.project(p - step * v)))
-               for v in at_p]
-    comps = np.zeros((two_k, two_k, kernel.shape[1]))
-    scale = max(1.0, float(np.max(np.abs(geo.hessian))))
-    nu = geo.nu
-    for i in range(two_k):
-        for jj in range(i + 1, two_k):
-            (xp_i, xm_i), (xp_j, xm_j) = stepped[i], stepped[jj]
-            dxj = (xp_i[jj] - xm_i[jj]) / (2 * step)
-            dxi = (xp_j[i] - xm_j[i]) / (2 * step)
-            br = dxj - dxi
-            if abs(br @ nu) > tol.bracket_tangency * scale * (1 + np.linalg.norm(br)):
-                raise ExtensionQualityError(
-                    f"bracket has normal component {abs(br @ nu):.3e}"
-                )
-            coef = kernel.T @ br
-            comps[i, jj] = coef
-            comps[jj, i] = -coef
+    # every field at the two surface steps along each basis field:
+    # stepped[..., i, s, jj] is field jj at the step of sign s along field i
+    shift = step * at_p
+    base = p[..., None, :]
+    stepped = fields_at(y.project(np.stack([base + shift, base - shift], axis=-2)))
+    # deriv[..., i, jj]: central difference of field jj along field i
+    deriv = (stepped[..., 0, :, :] - stepped[..., 1, :, :]) / (2 * step)
+    br = deriv - np.swapaxes(deriv, -3, -2)
+    upper = np.triu(np.ones((two_k, two_k), dtype=bool), 1)
+    scale = np.maximum(1.0, np.max(np.abs(geo.hessian), axis=(-2, -1)))
+    normal = np.abs(np.vecdot(br, geo.nu[..., None, None, :]))
+    bound = tol.bracket_tangency * scale[..., None, None] * (1 + _norm(br))
+    _check((normal > bound) & upper, ExtensionQualityError,
+           lambda w: f"bracket has normal component {normal[w]:.3e}", trailing=2)
+    coef = np.vecdot(_t(kernel)[..., None, None, :, :], br[..., None, :])
+    comps = np.zeros(coef.shape)
+    i, jj = np.nonzero(upper)
+    comps[..., i, jj, :] = coef[..., i, jj, :]
+    comps[..., jj, i, :] = -coef[..., i, jj, :]
     return TransverseCurvature(basis=basis, components=comps)
 
 
@@ -580,49 +655,41 @@ def transverse_curvature_sff(geo: PointGeometry) -> TransverseCurvature:
     (0,2) parts vanish identically in the flat Kahler setting.
     """
     blocks = geo.blocks
-    n, k = blocks.n, blocks.k
-    nal = n - k
-    ch = blocks.c[:, :, :k]             # C^alpha_{b j}, H columns only
-    ah = blocks.a[:, :k, :k]
-    dh = blocks.d
-    bh = blocks.b[:, :k, :]             # B^alpha_{j b}, H rows only
-    comps = np.zeros((2 * k, 2 * k, nal))
-    for al in range(nal):
-        c_, a_, d_, b_ = ch[al], ah[al], dh[al], bh[al]
-        for a in range(k):
-            for b in range(k):
-                comps[a, b, al] = c_[b, a] - c_[a, b]
-                comps[k + a, k + b, al] = b_[a, b] - b_[b, a]
-                val = -d_[a, b] - a_[a, b]
-                comps[a, k + b, al] += val
-                comps[k + b, a, al] -= val
-    f20 = np.zeros((k, k, nal), dtype=complex)
-    f11 = np.zeros((k, k, nal), dtype=complex)
-    f02 = np.zeros((k, k, nal), dtype=complex)
-    for al in range(nal):
-        e_blk = comps[:k, :k, al]
-        g_blk = comps[k:, k:, al]
-        m_blk = comps[:k, k:, al]
-        m_sym = 0.5 * (m_blk + m_blk.T)
-        m_anti = 0.5 * (m_blk - m_blk.T)
-        f20[:, :, al] = (e_blk - g_blk) / 8.0 - 0.25j * m_anti
-        f11[:, :, al] = (e_blk + g_blk) / 4.0 + 0.5j * m_sym
-        f02[:, :, al] = np.conj(f20[:, :, al])
+    k = blocks.k
+    ch = blocks.c[..., :k]              # C^alpha_{b j}, H columns only
+    bh = blocks.b[..., :k, :]           # B^alpha_{j b}, H rows only
+    mixed = -blocks.d - blocks.a[..., :k, :k]
+
+    def per_normal_last(x):
+        # (..., alpha, a, b) -> (..., a, b, alpha)
+        return np.moveaxis(x, -3, -1)
+
+    comps = np.zeros(blocks.full.shape[:-3] + (2 * k, 2 * k, blocks.full.shape[-3]))
+    comps[..., :k, :k, :] = per_normal_last(_t(ch) - ch)
+    comps[..., k:, k:, :] = per_normal_last(bh - _t(bh))
+    comps[..., :k, k:, :] = per_normal_last(0.0 + mixed)
+    comps[..., k:, :k, :] = per_normal_last(0.0 - _t(mixed))
+    e_blk = comps[..., :k, :k, :]
+    g_blk = comps[..., k:, k:, :]
+    m_blk = comps[..., :k, k:, :]
+    m_sym = 0.5 * (m_blk + np.swapaxes(m_blk, -3, -2))
+    m_anti = 0.5 * (m_blk - np.swapaxes(m_blk, -3, -2))
+    f20 = (e_blk - g_blk) / 8.0 - 0.25j * m_anti
+    f11 = (e_blk + g_blk) / 4.0 + 0.5j * m_sym
     out = TransverseCurvature(
-        basis=blocks.frame.h_vectors(), components=comps, f20=f20, f11=f11, f02=f02)
+        basis=blocks.frame.h_vectors(), components=comps, f20=f20, f11=f11, f02=np.conj(f20))
     bound = geo.tol.type_reassembly
-    resid = float(np.max(np.abs(out.reassembled(bound) - comps))) if comps.size else 0.0
-    if resid > bound:
-        raise InternalConsistencyError(
-            f"type decomposition reassembly residual {resid:.3e}"
-        )
+    resid = np.max(np.abs(out.reassembled(bound) - comps), axis=_BLOCK_AXES, initial=0.0)
+    _check(resid > bound, InternalConsistencyError,
+           lambda w: f"type decomposition reassembly residual {resid[w]:.3e}")
     return out
 
 
 def is_integrable_prekahler(
     curv: TransverseCurvature, tol: Tolerances = DEFAULT
-) -> bool:
-    """True iff the SFF-route transverse curvature ``curv`` is of type (1,1).
+) -> np.ndarray:
+    """True iff the SFF-route transverse curvature ``curv`` is of type (1,1),
+    member by member.
 
     Route one tests the real-block criterion in the bracket-verified index
     order (the two diagonal blocks agree and the mixed block is symmetric);
@@ -632,41 +699,35 @@ def is_integrable_prekahler(
     if curv.f20 is None:
         raise ValueError("type decomposition not available on this route")
     comps = curv.components
-    k = comps.shape[0] // 2
-    resid = 0.0
-    for al in range(comps.shape[2]):
-        e_blk = comps[:k, :k, al]
-        g_blk = comps[k:, k:, al]
-        m_blk = comps[:k, k:, al]
-        resid = max(resid,
-                    float(np.max(np.abs(e_blk - g_blk))) if k else 0.0,
-                    float(np.max(np.abs(m_blk - m_blk.T))) if k else 0.0)
+    k = comps.shape[-3] // 2
+    m_blk = comps[..., :k, k:, :]
+
+    def largest(x):
+        return np.max(np.abs(x), axis=_BLOCK_AXES, initial=0.0)
+
+    resid = np.maximum(largest(comps[..., :k, :k, :] - comps[..., k:, k:, :]),
+                       largest(m_blk - np.swapaxes(m_blk, -3, -2)))
     route1 = resid < tol.integrability
-    off = max(
-        float(np.max(np.abs(curv.f20))) if curv.f20.size else 0.0,
-        float(np.max(np.abs(curv.f02))) if curv.f02.size else 0.0,
-    )
+    off = np.maximum(largest(curv.f20), largest(curv.f02))
     route2 = off < tol.integrability / 2
-    if route1 != route2:
-        raise InternalConsistencyError(
-            f"integrability routes disagree: real blocks {resid:.3e} vs "
-            f"type parts {off:.3e}"
-        )
+    _check(route1 != route2, InternalConsistencyError,
+           lambda w: f"integrability routes disagree: real blocks {resid[w]:.3e} vs "
+           f"type parts {off[w]:.3e}")
     return route1
 
 
 @dataclasses.dataclass(frozen=True)
 class Minimality:
-    minimal: bool
-    curvature_norm: float
+    minimal: np.ndarray
+    curvature_norm: np.ndarray
     curvature_vector: np.ndarray
     blocks_vector: np.ndarray
-    consistency_residual: float
+    consistency_residual: np.ndarray
     c_contractions: np.ndarray
     a_contractions: np.ndarray
 
 
-def _rk4(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
+def _rk4(f: Callable, x: np.ndarray, h) -> np.ndarray:
     k1 = f(x)
     k2 = f(x + 0.5 * h * k1)
     k3 = f(x + 0.5 * h * k2)
@@ -675,39 +736,40 @@ def _rk4(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
 
 
 def leaf_minimality(geo: PointGeometry, flow_step: float = 1e-3) -> Minimality:
-    """Is the null leaf through the point a minimal curve of Y?
+    """Is the null leaf through each point a minimal curve of Y?
 
     The leaf is the integral curve of X_rho.  Its curvature inside Y is the
     second difference of the flow projected onto the tangent space minus
     the X_rho direction; the leaf is minimal iff that vector vanishes.
     The result is cross-checked against the frame contractions of the SFF
     blocks (the C and A entries pairing H directions with the null
-    direction), which express the same curvature.
+    direction), which express the same curvature.  One RK4 run advances
+    every point forward and backward together.
     """
     y, p, tol = geo.y, geo.point, geo.tol
 
     def vf(x):
         g = y.gradient(x)
-        return _standard_j(y.n) @ (g / np.linalg.norm(g))
+        return _apply_j(y.n, g / _norm(g)[..., None])
 
-    xp = _rk4(vf, p, flow_step)
-    xm = _rk4(vf, p, -flow_step)
+    steps = np.array([flow_step, -flow_step]).reshape((2,) + (1,) * p.ndim)
+    xp, xm = _rk4(vf, np.stack([p, p]), steps)
     acc = (xp - 2 * p + xm) / flow_step ** 2
-    kappa = acc - (acc @ geo.nu) * geo.nu - (acc @ geo.x_rho) * geo.x_rho
-    norm = float(np.linalg.norm(kappa))
+    kappa = (acc - np.vecdot(acc, geo.nu)[..., None] * geo.nu
+             - np.vecdot(acc, geo.x_rho)[..., None] * geo.x_rho)
+    norm = _norm(kappa)
 
     blocks = geo.blocks
     n, k = blocks.n, blocks.k
-    c_con = blocks.c[0, :, n - 1].copy()       # C^n_{a, n}
-    a_con = blocks.a[0, :k, n - 1].copy()      # A^n_{a, n}
-    e_h = geo.frame.e[:, :k]
-    f_h = geo.frame.f[:, :k]
-    blocks_vec = -e_h @ c_con + f_h @ a_con
-    resid = float(np.linalg.norm(kappa - blocks_vec))
-    if resid > tol.minimality_consistency * max(1.0, norm):
-        raise InternalConsistencyError(
-            f"flow curvature and block contractions disagree: {resid:.3e}"
-        )
+    c_con = blocks.c[..., 0, :, n - 1].copy()       # C^n_{a, n}
+    a_con = blocks.a[..., 0, :k, n - 1].copy()      # A^n_{a, n}
+    e_h = geo.frame.e[..., :k]
+    f_h = geo.frame.f[..., :k]
+    blocks_vec = (-e_h @ c_con[..., None])[..., 0] + (f_h @ a_con[..., None])[..., 0]
+    resid = _norm(kappa - blocks_vec)
+    _check(resid > tol.minimality_consistency * np.maximum(1.0, norm),
+           InternalConsistencyError,
+           lambda w: f"flow curvature and block contractions disagree: {resid[w]:.3e}")
     return Minimality(
         minimal=norm < tol.minimality,
         curvature_norm=norm,
@@ -720,7 +782,7 @@ def leaf_minimality(geo: PointGeometry, flow_step: float = 1e-3) -> Minimality:
 
 
 # ---------------------------------------------------------------------------
-# fixtures
+# fixtures: every oracle takes a (..., 2n) stack of points
 
 
 def sphere(n: int = 2, radius: float = 1.0, analytic: bool = True,
@@ -729,15 +791,15 @@ def sphere(n: int = 2, radius: float = 1.0, analytic: bool = True,
     gradient is exactly unit."""
 
     def rho(x):
-        return float(np.linalg.norm(x)) - radius + 1.0
+        return _norm(x) - radius + 1.0
 
     def grad(x):
-        return x / np.linalg.norm(x)
+        return x / _norm(x)[..., None]
 
     def hess(x):
-        r = np.linalg.norm(x)
+        r = _norm(x)[..., None]
         xh = x / r
-        return (np.eye(len(x)) - np.outer(xh, xh)) / r
+        return (np.eye(x.shape[-1]) - xh[..., :, None] * xh[..., None, :]) / r[..., None]
 
     return LevelSetHypersurface(
         n=n, rho=rho,
@@ -751,15 +813,15 @@ def hyperplane(n: int = 2, level: float = 1.0) -> LevelSetHypersurface:
     """The real hyperplane {x_1 = level}, totally geodesic and Levi flat."""
 
     def rho(x):
-        return float(x[0]) - level + 1.0
+        return x[..., 0] - level + 1.0
 
     def grad(x):
-        g = np.zeros(len(x))
-        g[0] = 1.0
+        g = np.zeros(x.shape)
+        g[..., 0] = 1.0
         return g
 
     def hess(x):
-        return np.zeros((len(x), len(x)))
+        return np.zeros(x.shape + x.shape[-1:])
 
     return LevelSetHypersurface(
         n=n, rho=rho, grad=grad, hess=hess, strict=True,
@@ -771,24 +833,24 @@ def cylinder(n: int = 2, radius: float = 1.0) -> LevelSetHypersurface:
     """{|z_1| = radius} in C^n; curvature concentrated in the z_1 plane."""
 
     def rho(x):
-        nn = len(x) // 2
-        return float(np.hypot(x[0], x[nn])) - radius + 1.0
+        nn = x.shape[-1] // 2
+        return np.hypot(x[..., 0], x[..., nn]) - radius + 1.0
 
     def grad(x):
-        nn = len(x) // 2
-        r = np.hypot(x[0], x[nn])
-        g = np.zeros(len(x))
-        g[0], g[nn] = x[0] / r, x[nn] / r
+        nn = x.shape[-1] // 2
+        r = np.hypot(x[..., 0], x[..., nn])
+        g = np.zeros(x.shape)
+        g[..., 0], g[..., nn] = x[..., 0] / r, x[..., nn] / r
         return g
 
     def hess(x):
-        nn = len(x) // 2
-        r = np.hypot(x[0], x[nn])
-        out = np.zeros((len(x), len(x)))
-        c, s = x[0] / r, x[nn] / r
-        out[0, 0] = s * s / r
-        out[nn, nn] = c * c / r
-        out[0, nn] = out[nn, 0] = -c * s / r
+        nn = x.shape[-1] // 2
+        r = np.hypot(x[..., 0], x[..., nn])
+        out = np.zeros(x.shape + x.shape[-1:])
+        c, s = x[..., 0] / r, x[..., nn] / r
+        out[..., 0, 0] = s * s / r
+        out[..., nn, nn] = c * c / r
+        out[..., 0, nn] = out[..., nn, 0] = -c * s / r
         return out
 
     return LevelSetHypersurface(
@@ -806,15 +868,16 @@ def ellipsoid(semi_axes: Sequence[float]) -> LevelSetHypersurface:
     a = np.asarray(semi_axes, dtype=float)
     n = len(a)
     w = np.concatenate([1.0 / a ** 2, 1.0 / a ** 2])
+    diag = np.diag(2.0 * w)
 
     def rho(x):
-        return float(np.sum(w * x * x))
+        return np.sum(w * x * x, axis=-1)
 
     def grad(x):
         return 2.0 * w * x
 
     def hess(x):
-        return np.diag(2.0 * w)
+        return np.broadcast_to(diag, x.shape + w.shape).copy()
 
     return LevelSetHypersurface(
         n=n, rho=rho, grad=grad, hess=hess, strict=False,
@@ -828,7 +891,8 @@ def from_polynomial(n: int, terms: Sequence[dict],
 
     Each term is {"exponents": [2n ints], "coeff": float} with total degree
     at most 6.  Gradient and Hessian are produced by exact exponent
-    manipulation; no code is evaluated.
+    manipulation; no code is evaluated.  Each table entry is evaluated at
+    every point of the stack at once.
     """
     exps = []
     coefs = []
@@ -844,7 +908,7 @@ def from_polynomial(n: int, terms: Sequence[dict],
     coefs = np.asarray(coefs)
 
     def rho(x):
-        return float(np.sum(coefs * np.prod(x ** exps, axis=1)))
+        return np.sum(coefs * np.prod(x[..., None, :] ** exps, axis=-1), axis=-1)
 
     # derivative tables, built once: (index, exponents, coefficients) of the
     # terms that survive each derivative
@@ -870,15 +934,16 @@ def from_polynomial(n: int, terms: Sequence[dict],
                 hess_table.append((i, jj, e2[mask], c2[mask]))
 
     def grad(x):
-        out = np.zeros(2 * n)
+        out = np.zeros(x.shape)
         for i, e2, c2 in grad_table:
-            out[i] = np.sum(c2 * np.prod(x ** e2, axis=1))
+            out[..., i] = np.sum(c2 * np.prod(x[..., None, :] ** e2, axis=-1), axis=-1)
         return out
 
     def hess(x):
-        out = np.zeros((2 * n, 2 * n))
+        out = np.zeros(x.shape + (2 * n,))
         for i, jj, e2, c2 in hess_table:
-            out[i, jj] = out[jj, i] = np.sum(c2 * np.prod(x ** e2, axis=1))
+            out[..., i, jj] = out[..., jj, i] = np.sum(
+                c2 * np.prod(x[..., None, :] ** e2, axis=-1), axis=-1)
         return out
 
     return LevelSetHypersurface(

@@ -294,11 +294,11 @@ def tangent_boundary_loop(
 
     Returns ``(loop, points)``.  Points must lie on Y within the boundary
     tolerance.  The loop's generator follows the grid protocol of
-    :func:`~coiso.grassmann.loop_from_family`: it evaluates the boundary,
-    the surface test and the gradient point by point, then takes the
-    tangent spaces of all M points from one stacked SVD of the tangent
-    projectors and returns them unclassified; the loop classifies them in
-    one stacked call.  ``points`` are the boundary points of the final
+    :func:`~coiso.grassmann.loop_from_family`: it evaluates the boundary
+    angle by angle, then the surface test and the gradient of all M points
+    as one stack, takes their tangent spaces from one stacked SVD of the
+    tangent projectors and returns them unclassified; the loop classifies
+    them in one stacked call.  ``points`` are the boundary points of the final
     grid, kept from the generator's evaluations (on a refined grid, the even
     ones come from the grid it doubled).  The initial frame is pinned by the
     tangent splitting at the first point, so the null frame vector follows
@@ -308,16 +308,14 @@ def tangent_boundary_loop(
     points_at = {}   # theta -> boundary point, from the generator's evaluations
 
     def gen(thetas):
-        points = []
-        for theta in thetas:
-            p = np.asarray(boundary(theta), dtype=float)
-            if not y.on_surface(p, tol.boundary_on_surface):
-                raise OffSurfaceError(
-                    f"boundary point at theta={theta:.4f} is off the surface"
-                )
-            points.append(p)
+        points = np.stack([np.asarray(boundary(theta), dtype=float) for theta in thetas])
+        off = np.flatnonzero(~y.on_surface(points, tol.boundary_on_surface))
+        if off.size:
+            raise OffSurfaceError(
+                f"boundary point at theta={thetas[off[0]]:.4f} is off the surface"
+            )
         points_at.update(zip(thetas, points))
-        g = np.stack([y.gradient(p) for p in points])
+        g = y.gradient(points)
         outer = g[:, :, None] * g[:, None, :]
         gg = g[:, None, :] @ g[:, :, None]
         u = np.linalg.svd(np.eye(y.dim) - outer / gg)[0]

@@ -200,14 +200,15 @@ def _canonical_signs(cols: np.ndarray) -> np.ndarray:
 
 
 def _canonical_phases(cols: np.ndarray) -> np.ndarray:
-    """Deterministic phase choice: largest-magnitude entry made real positive."""
-    q = np.array(cols, dtype=complex)
-    for i in range(q.shape[1]):
-        idx = int(np.argmax(np.abs(q[:, i])))
-        ph = q[idx, i]
-        if abs(ph) > 0:
-            q[:, i] = q[:, i] * (np.conj(ph) / abs(ph))
-    return q
+    """Deterministic phase choice: largest-magnitude entry of each column
+    made real positive, member by member in a stack.  The modulus is
+    ``np.hypot``, as the scalar ``abs`` rounds it."""
+    q = np.asarray(cols, dtype=complex)
+    idx = np.argmax(np.abs(q), axis=-2)[..., None, :]
+    ph = np.take_along_axis(q, idx, axis=-2)
+    mod = np.hypot(ph.real, ph.imag)
+    nonzero = mod > 0
+    return q * np.where(nonzero, np.conj(ph) / np.where(nonzero, mod, 1.0), 1.0)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -132,6 +133,9 @@ def test_run_schema_violation_exit_two(tmp_path):
         "n": 2, "terms": [{"coeff": 1.0, "exponents": [2, 0, -1, 0]}]}}),
     ("minimality-scan", {"fixture": "polynomial", "fixture_params": {
         "n": 2, "terms": [{"coeff": 1.0, "exponents": [4, 0, 3, 0]}]}}),
+    # every boundary family is a loop in C^2
+    ("disc-index", {"fixture": "sphere", "fixture_params": {"n": 3}}),
+    ("disc-index", {"fixture": "ellipsoid", "fixture_params": {"semi_axes": [1.0, 1.0, 1.0]}}),
 ])
 def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
     path = tmp_path / "bad.json"
@@ -213,6 +217,40 @@ def test_unreachable_surface_exit_three(tmp_path):
     out = tmp_path / "report.json"
     assert main(["run", str(path), "--out", str(out)]) == 3
     assert json.loads(out.read_text())["error"].startswith("OffSurfaceError")
+
+
+def test_zero_gradient_surface_exits_three_without_warning(tmp_path):
+    # rho = 0 everywhere: every projection stops at its first zero gradient
+    spec = {"kind": "hypersurface-report",
+            "parameters": {"fixture": "polynomial", "points": 1, "fixture_params": {
+                "n": 1, "terms": [{"coeff": 0, "exponents": [2, 0]}]}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["error"].startswith("OffSurfaceError")
+
+
+@pytest.mark.parametrize("fixture", ["sphere", "cylinder"])
+def test_circle_of_radius_r_runs_as_a_hypersurface(tmp_path, fixture):
+    # n = 1: Y is a circle in C, k = 0, and the null leaf is the circle
+    r, points = 0.7, 4
+    params = {"fixture": fixture, "fixture_params": {"n": 1, "r": r},
+              "points": points, "seed": 5}
+    values = {}
+    for kind in ("hypersurface-report", "minimality-scan"):
+        path = tmp_path / f"{kind}.json"
+        out = tmp_path / f"{kind}-report.json"
+        path.write_text(json.dumps({"kind": kind, "parameters": params}))
+        assert main(["run", str(path), "--out", str(out)]) == 0
+        values.update({it["name"]: it["value"] for it in json.loads(out.read_text())["items"]})
+    for i in range(points):
+        assert abs(values[f"alpha_norm[{i}]"] - 1.0 / r) < 1e-10
+        assert values[f"levi_eigenvalues[{i}]"] == []
+        assert values[f"levi_positive_definite[{i}]"] is False
+        assert values[f"minimal[{i}]"] is True
 
 
 def test_reports_byte_identical_for_same_seed():

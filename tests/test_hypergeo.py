@@ -2,16 +2,22 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import coiso
 from coiso import (
     ExtensionQualityError,
     InternalConsistencyError,
+    DEFAULT,
+    FIXTURES,
     LevelSetHypersurface,
+    NumericalQualityError,
     UnnormalizedDefiningFunctionError,
     cylinder,
     ellipsoid,
@@ -374,7 +380,7 @@ def test_bracket_projects_twice_per_basis_vector(monkeypatch):
     project = LevelSetHypersurface.project
 
     def counting(self, x, *args, **kwargs):
-        calls.append(1)
+        calls.append(np.shape(x)[:-1])
         return project(self, x, *args, **kwargs)
 
     for n in (2, 3, 4):
@@ -386,7 +392,8 @@ def test_bracket_projects_twice_per_basis_vector(monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(LevelSetHypersurface, "project", counting)
                 transverse_curvature_bracket(geo, scheme=scheme)
-            assert len(calls) == 2 * two_k
+            # one stacked projection: the two steps along each basis vector
+            assert calls == [(two_k, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -542,3 +549,152 @@ def test_product_leaf_trilinear_symmetry():
             for ga in range(l):
                 worst = max(worst, abs(a[al][be, ga] - a[be][al, ga]))
     assert worst < 1e-5
+
+
+# ---------------------------------------------------------------------------
+# the point axis is a stack axis: a point's results do not depend on its stack
+
+
+@st.composite
+def fixture_specs(draw):
+    """A ``FIXTURES`` name with parameters, or the FD-derivative sphere."""
+    name = draw(st.sampled_from(sorted(FIXTURES) + ["fd-sphere"]))
+    n = draw(st.integers(1, 4))
+    if name == "ellipsoid":
+        return name, {"semi_axes": draw(st.lists(st.floats(0.5, 2.0), min_size=1, max_size=4))}
+    if name == "polynomial":
+        n = draw(st.integers(1, 3))
+        terms = []
+        for _ in range(draw(st.integers(1, 6))):
+            exponents = [0] * (2 * n)
+            for _ in range(draw(st.integers(0, 6))):
+                exponents[draw(st.integers(0, 2 * n - 1))] += 1
+            terms.append({"coeff": draw(st.floats(-2.0, 2.0)), "exponents": exponents})
+        return name, {"n": n, "terms": terms}
+    return name, {"n": n, "r": draw(st.floats(0.3, 2.0))}
+
+
+def build_fixture(name, params):
+    if name == "fd-sphere":
+        return sphere(params["n"], radius=params["r"], analytic=False)
+    return FIXTURES[name](params)
+
+
+@settings(max_examples=80, deadline=None)
+@given(fixture_specs(), st.data())
+def test_stacked_oracles_equal_row_by_row_evaluation(spec, data):
+    y = build_fixture(*spec)
+    stack = data.draw(st.sampled_from([(1,), (5,), (2, 3)]))
+    x = data.draw(hnp.arrays(float, stack + (y.dim,), elements=st.floats(-2.0, 2.0)))
+    rows = x.reshape(-1, y.dim)
+    with np.errstate(all="ignore"):
+        for method in (y.value, y.gradient, y.hessian):
+            stacked = method(x)
+            single = np.stack([method(row) for row in rows])
+            assert np.array_equal(stacked.reshape(single.shape), single, equal_nan=True)
+
+
+def stacked_fixtures():
+    yield from all_fixtures()
+    yield sphere(1, radius=0.7)
+    yield cylinder(1, radius=1.3)
+    yield sphere(2, analytic=False)
+    yield sphere(3, radius=1.2, analytic=False)
+
+
+def assert_member(stacked, single, i):
+    """Member i of a stacked result equals the only member of a one-point
+    stack, field by field and bit for bit."""
+    if isinstance(stacked, (LevelSetHypersurface, coiso.Tolerances)):
+        assert stacked is single
+    elif dataclasses.is_dataclass(stacked):
+        assert type(stacked) is type(single)
+        for f in dataclasses.fields(stacked):
+            assert_member(getattr(stacked, f.name), getattr(single, f.name), i)
+    elif stacked is None:
+        assert single is None
+    elif isinstance(stacked, int):
+        assert stacked == single
+    else:
+        assert np.array_equal(np.asarray(stacked)[i], np.asarray(single)[0])
+
+
+def test_point_geometry_and_routines_equal_one_point_stacks():
+    for y in stacked_fixtures():
+        pts = y.sample_points(5, 59)
+        geo = point_geometry(y, pts)
+        results = [fn(geo) for fn in ROUTINES]
+        for i in range(len(pts)):
+            one = point_geometry(y, pts[i:i + 1])
+            assert_member(geo, one, i)
+            for stacked, single in zip(results, [fn(one) for fn in ROUTINES], strict=True):
+                assert_member(stacked, single, i)
+
+
+def half_space():
+    """rho = max(x_1, 0)^2: the level set x_1 = 1, and a zero gradient on
+    the half-space x_1 <= 0, where a projection stops."""
+
+    def rho(x):
+        return np.maximum(x[..., 0], 0.0) ** 2
+
+    def grad(x):
+        g = np.zeros(x.shape)
+        g[..., 0] = 2.0 * np.maximum(x[..., 0], 0.0)
+        return g
+
+    return LevelSetHypersurface(n=2, rho=rho, grad=grad, hess=None, strict=False,
+                                name="half-space")
+
+
+def replayed_sample_points(y, count, gen, offset=0.5):
+    """Reference: one attempt after another, each projected on its own;
+    returns the points and the number of attempts."""
+    pts, attempts = [], 0
+    while len(pts) < count:
+        attempts += 1
+        x0 = gen.normal(size=y.dim) * offset
+        try:
+            x = y.project(x0 + gen.normal(size=y.dim))
+        except UnnormalizedDefiningFunctionError:
+            continue
+        if y.on_surface(x, 1e-9):
+            pts.append(x)
+    return np.stack(pts), attempts
+
+
+def test_stacked_sample_points_equal_a_point_by_point_replay():
+    for y in list(stacked_fixtures()) + [half_space()]:
+        gen, same = coiso.rng(67), coiso.rng(67)
+        pts = y.sample_points(7, gen)
+        replay, attempts = replayed_sample_points(y, 7, same)
+        assert np.array_equal(pts, replay)
+        # both read the generator equally far
+        assert np.array_equal(gen.normal(size=8), same.normal(size=8))
+        # the half-space misses about half its attempts, the others none
+        assert (attempts > 7) == (y.name == "half-space")
+
+
+def test_projection_stops_at_a_zero_gradient():
+    y = half_space()
+    good = np.array([0.4, 0.1, -0.3, 0.2])
+    flat = np.array([-0.4, 0.1, -0.3, 0.2])
+    assert y.on_surface(y.project(good), 1e-9)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(UnnormalizedDefiningFunctionError, match="stack member 1"):
+            y.project(np.stack([good, flat, good]))
+        with pytest.raises(UnnormalizedDefiningFunctionError):
+            y.project(flat)
+
+
+def test_sff_symmetry_check_reads_the_callers_tolerances():
+    y = ellipsoid([1.0, 1.3])
+    pts = y.sample_points(3, 61)
+    geo = point_geometry(y, pts, DEFAULT)
+    assert np.all(geo.blocks.symmetry_residual() <= DEFAULT.sff_symmetry)
+    strict = DEFAULT.replace(sff_symmetry=-1.0)
+    with pytest.raises(NumericalQualityError, match="stack member 0"):
+        point_geometry(y, pts, strict)
+    with pytest.raises(NumericalQualityError):
+        dataclasses.replace(geo, tol=strict).in_frame(geo.frame)
