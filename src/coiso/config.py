@@ -53,6 +53,18 @@ class Tolerances:
 
 DEFAULT = Tolerances()
 
+# A value this many units in the last place of a threshold or closer to it
+# counts as at the threshold.  Where a loop meets a threshold exactly (a
+# consecutive angle of pi/8, a phase jump of pi/2), rounding has been seen
+# to land up to 17 ulps past it; the margin is twice that, so that a tie is
+# decided the same way whichever side rounding puts it on.
+TIE_ULPS = 32
+
+
+def within_tie(value: float, threshold: float) -> bool:
+    """Whether ``value`` is within ``TIE_ULPS`` ulps of ``threshold``."""
+    return abs(value - threshold) <= TIE_ULPS * math.ulp(threshold)
+
 
 def rng(seed, stream: int = 0) -> np.random.Generator:
     """Counter-based generator keyed by (seed, stream).

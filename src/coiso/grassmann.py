@@ -15,10 +15,12 @@ returns the stack of its M members, a ``Subspace`` or
 theta_i alone; a matrix-loop callable likewise returns an (M, 2n, 2n)
 stack.  The M members are classified by one stacked call, the continuity
 contract reads one stacked largest principal angle per consecutive pair,
-and the frames are transported sample by sample into one stack and
-checked once.  A doubled grid (refinement, or ``resample(2 * M)``) reuses
-its even members, which are bitwise the members of the grid it doubles:
-only its odd members are generated and classified.
+and the frames are transported around the loop as stacked products of
+small overlap matrices (``symplin.transported_frames``), with no Python
+step per sample, and checked once.  A doubled grid (refinement, or
+``resample(2 * M)``) reuses its even members, which are bitwise the
+members of the grid it doubles: only its odd members are generated and
+classified.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ import numpy as np
 # takes longer than most experiments run, and only the random loop families
 # and matrix loops use it
 
-from .config import DEFAULT, Tolerances, rng
+from .config import DEFAULT, Tolerances, rng, within_tie
 from .errors import (
     ClassificationError,
     CoisoError,
@@ -51,7 +53,7 @@ from .symplin import (
     random_unitary,
     realify,
     standard_model,
-    transported_frames,
+    _transport,
 )
 
 __all__ = [
@@ -117,7 +119,9 @@ class CoisotropicLoop:
     generator's value at 2*pi and sample 0.  The subspace loop must close;
     the frames need not, and ``monodromy`` (U_0^* U_pred, where U_pred is
     the frame transported once more onto sample 0) records how far they
-    fail to.
+    fail to.  ``transport_margin`` is the smallest norm of a projected hint
+    column in that transport, which ``tol.hint_min_norm`` bounds from below
+    (None for a loop assembled from frames transported elsewhere).
     """
 
     space: SymplecticSpace
@@ -128,6 +132,7 @@ class CoisotropicLoop:
     closure_defect: float
     monodromy: np.ndarray
     generator: Optional[Callable] = None
+    transport_margin: Optional[float] = None
 
     @property
     def m(self) -> int:
@@ -194,10 +199,12 @@ def loop_from_family(
     raises ValueError.  It must close: its members at 0 and 2*pi, taken
     from one call, agree within ``tol.generator_closure``.  Refinement
     doubles the sample count up to ``tol.max_loop_samples`` and then raises
-    DiscontinuousLoopError.  Classification failures of generator output
-    propagate unchanged.  The members of a grid are classified together,
-    one stacked call per M; a doubled grid generates and classifies only
-    its odd members.
+    DiscontinuousLoopError; an angle within ``config.TIE_ULPS`` ulps below
+    ``tol.consecutive_angle`` counts as at it and refines, so that an exact
+    tie does not hang on the last bit.  Classification failures of
+    generator output propagate unchanged.  The members of a grid are
+    classified together, one stacked call per M; a doubled grid generates
+    and classifies only its odd members.
     """
     return _sampled_loop(space, k, generator, samples, hint, auto_refine, None, tol)
 
@@ -224,7 +231,7 @@ def _sampled_loop(space, k, generator, m: int, hint, auto_refine: bool,
     stack = _classified_grid(space, generator, m, coarse, tol)
     while True:
         worst = float(np.max(_consecutive_angles(stack.space)))
-        if worst < tol.consecutive_angle:
+        if worst < tol.consecutive_angle and not within_tie(worst, tol.consecutive_angle):
             break
         if not auto_refine or 2 * m > tol.max_loop_samples:
             raise DiscontinuousLoopError(
@@ -275,11 +282,12 @@ def _closed_loop(space, k, thetas, stack: CoisotropicSubspace, hint, closure,
     """The loop of a classified stack, its frames transported from ``hint``
     around the samples and once more onto sample 0, which gives the frame
     monodromy U_0^* U_pred."""
-    frames = transported_frames(space, stack[np.append(np.arange(len(thetas)), 0)], hint, tol)
+    frames, margin = _transport(space, stack[np.append(np.arange(len(thetas)), 0)], hint, tol)
     monodromy = np.conj(frames[0].unitary().T) @ frames[-1].unitary()
     return CoisotropicLoop(
         space=space, k=k, thetas=thetas, samples=stack, frames=frames[:-1],
         closure_defect=closure, monodromy=monodromy, generator=generator,
+        transport_margin=margin,
     )
 
 
@@ -370,7 +378,7 @@ def pushforward(
     out = _closed_loop(loop.space, loop.k, _thetas(m), stack, None,
                        loop_m.closure_defect, None, tol)
     worst = float(np.max(out.consecutive_angles()))
-    if worst >= tol.consecutive_angle:
+    if worst >= tol.consecutive_angle or within_tie(worst, tol.consecutive_angle):
         raise DiscontinuousLoopError(
             f"pushforward violated the continuity contract: {worst:.3f}"
         )

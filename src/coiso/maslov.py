@@ -24,7 +24,7 @@ import numpy as np
 # takes longer than most experiments run, and only pushforward_section uses
 # it
 
-from .config import DEFAULT, Tolerances
+from .config import DEFAULT, Tolerances, within_tie
 from .errors import (
     AliasingError,
     ClosureError,
@@ -135,6 +135,11 @@ class WindingDetail(NamedTuple):
 def winding_detail(samples: Sequence[complex], tol: Tolerances = DEFAULT) -> WindingDetail:
     inc = _increments(np.asarray(samples, dtype=complex))
     max_jump = float(np.max(np.abs(inc))) if inc.size else 0.0
+    if within_tie(max_jump, tol.phase_jump):
+        raise AliasingError(
+            f"phase jump {max_jump!r} is within rounding of the bound "
+            f"{tol.phase_jump!r}: ambiguous; refine the sampling"
+        )
     if max_jump >= tol.phase_jump:
         raise AliasingError(
             f"phase jump {max_jump:.3f} >= pi/2; refine the sampling"
@@ -152,7 +157,9 @@ def winding_detail(samples: Sequence[complex], tol: Tolerances = DEFAULT) -> Win
 def winding(samples: Sequence[complex], tol: Tolerances = DEFAULT) -> int:
     """Degree of a closed cycle of unit complex samples: the sum of
     principal-branch phase increments over 2*pi, rounded; the residual must
-    stay below ``tol.winding_residual`` and every jump below pi/2."""
+    stay below ``tol.winding_residual`` and every jump below pi/2.  A jump
+    within ``config.TIE_ULPS`` ulps of ``tol.phase_jump``, on either side,
+    is ambiguous and raises AliasingError too."""
     return winding_detail(samples, tol).value
 
 

@@ -79,6 +79,26 @@ def test_refinement_triggers_on_coarse_sampling():
     assert np.max(loop.consecutive_angles()) < np.pi / 8
 
 
+def test_an_angle_at_the_contract_refines_from_either_side():
+    # a half turn of a Lagrangian line in C^1 over 8 samples: every
+    # consecutive angle is pi/8 up to rounding
+    gen = lagrangian_rotation_family(SP1, 1)
+    worst = float(np.max(loop_from_family(SP1, 0, gen, samples=8, auto_refine=False,
+                                          tol=coiso.DEFAULT.replace(consecutive_angle=1.0)
+                                          ).consecutive_angles()))
+    assert abs(worst - np.pi / 8) < 1e-15
+    assert loop_from_family(SP1, 0, gen, samples=8).m == 16
+    # the contract bound 1 ulp above the angle, or below it: a tie either way
+    for bound in (np.nextafter(worst, np.inf), np.nextafter(worst, 0.0)):
+        tol = coiso.DEFAULT.replace(consecutive_angle=bound)
+        assert loop_from_family(SP1, 0, gen, samples=8, tol=tol).m == 16
+        with pytest.raises(DiscontinuousLoopError):
+            loop_from_family(SP1, 0, gen, samples=8, auto_refine=False, tol=tol)
+    # well clear of the margin the angle is inside the contract
+    tol = coiso.DEFAULT.replace(consecutive_angle=worst + 1e-12)
+    assert loop_from_family(SP1, 0, gen, samples=8, tol=tol).m == 8
+
+
 def test_refinement_budget_exhausts():
     tol = coiso.DEFAULT.replace(max_loop_samples=32)
 

@@ -113,6 +113,19 @@ def test_winding_aliasing_error():
         winding(np.exp(2j * np.pi * 3 * t))
 
 
+def test_a_jump_at_the_bound_is_ambiguous_from_either_side():
+    z = np.exp(2j * np.pi * np.arange(5) / 5)
+    jump = coiso.winding_detail(z).max_jump
+    # the bound 1 ulp above the largest jump, or below it: a tie either way
+    for bound in (np.nextafter(jump, np.inf), np.nextafter(jump, 0.0)):
+        with pytest.raises(AliasingError, match="ambiguous"):
+            coiso.winding_detail(z, coiso.DEFAULT.replace(phase_jump=bound))
+    assert coiso.winding_detail(z, coiso.DEFAULT.replace(phase_jump=jump + 1e-12)).value == 1
+    # a quarter turn per sample meets the default bound pi/2
+    with pytest.raises(AliasingError, match="ambiguous"):
+        winding(np.exp(0.5j * np.pi * np.arange(4)))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-3, 3), st.integers(-3, 3), st.floats(0, 2 * np.pi))
 def test_winding_additivity(m1, m2, phase):

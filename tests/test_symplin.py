@@ -1,9 +1,12 @@
 """Symplectic linear algebra: structures, classification, frames."""
 
+import dataclasses
+import sys
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import coiso
@@ -356,10 +359,147 @@ def test_frame_chain_check_names_the_corrupted_member(corrupt, defect):
                                     coiso.DEFAULT)
 
 
-def test_transported_frames_follow_their_hints():
-    stack, frames = _chain()
-    for i in range(1, len(frames.e)):
-        assert np.array_equal(frames[i].e, adapted_frame(SP3, stack[i], hint=frames[i - 1]).e)
+def _reference_transport(space, c, hint=None, tol=coiso.DEFAULT):
+    """Sequential transport, one Python step per member: each hint column
+    (the previous frame's, member 0's from ``hint``) projected onto the
+    member's kernel or H part and orthonormalized by two-pass modified
+    Gram-Schmidt in column order.  Returns the (M, 2n, n) frame stack and
+    the smallest projected-column norm."""
+    k, n = c.k, space.n
+    smallest = np.inf
+
+    def mgs(cols):
+        nonlocal smallest
+        q = np.array(cols)
+        for i in range(q.shape[1]):
+            v = q[:, i]
+            for _ in range(2):
+                for j in range(i):
+                    v = v - (np.conj(q[:, j]) @ v) * q[:, j]
+            norm = np.linalg.norm(v)
+            assert norm >= tol.hint_min_norm
+            smallest = min(smallest, norm)
+            q[:, i] = v / norm
+        return q
+
+    hbases = np.linalg.svd(coiso.complex_coords(c.h_part.basis))[0][..., :k]
+    e = np.empty(c.kernel.basis.shape[:-1] + (n,))
+    prev = None if hint is None else hint.e
+    for i, (ker, hb) in enumerate(zip(c.kernel.basis, hbases)):
+        if prev is None:
+            e[i, :, k:] = ker
+            e[i, :, :k] = coiso.real_coords(coiso.symplin._canonical_phases(hb))
+        else:
+            e[i, :, k:] = mgs(ker @ (ker.T @ prev[:, k:]))
+            pr = hb @ (np.conj(hb.T) @ coiso.complex_coords(prev[:, :k]))
+            e[i, :, :k] = coiso.real_coords(mgs(pr))
+        prev = e[i]
+    return e, smallest
+
+
+def _outcome(fn):
+    """What an index computation prints: its integer or its error type."""
+    try:
+        return fn()
+    except coiso.CoisoError as exc:
+        return type(exc).__name__
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
+       st.integers(0, 40), st.floats(0.0, 1.5), st.sampled_from([16, 64, 256, 512, 1024]),
+       st.booleans())
+# fast conjugated windings on which one unsegmented overlap product loses
+# 1e-10 of the frames
+@example(3, 0, 11, 28, 0.3, 512, False)
+@example(3, 0, 9, 28, 0.3, 512, True)
+def test_transported_frames_follow_their_hints(n, k, seed, winding, wiggle, m, hinted):
+    # conjugated, wiggled loops winding up to 40 times, sampled at up to
+    # M = 1024 under the pi/8 contract: the stacked overlap scan matches the
+    # sequential hinted chain to 1e-12, and prints the same integers
+    k %= n + 1
+    space = standard_space(n)
+    gen = coiso.random_unitary_orbit_family(space, k, seed, max_winding=winding,
+                                            wiggle=wiggle)
+    try:
+        loop = coiso.loop_from_family(space, k, gen, samples=m,
+                                      tol=coiso.DEFAULT.replace(max_loop_samples=1024))
+    except coiso.DiscontinuousLoopError:
+        assume(False)
+    chain = loop.samples[np.append(np.arange(loop.m), 0)]
+    ref, smallest = _reference_transport(space, chain)
+    assert_allclose(loop.frames.e, ref[:-1], rtol=0, atol=1e-12)
+    u = coiso.complex_coords(ref)
+    mono = np.conj(u[0].T) @ u[-1]
+    assert_allclose(loop.monodromy, mono, rtol=0, atol=1e-12)
+    assert abs(loop.transport_margin - smallest) < 1e-12
+    reference = dataclasses.replace(loop, frames=coiso.AdaptedFrame(
+        k=k, e=ref[:-1], f=space.j @ ref[:-1]), monodromy=mono)
+    section = coiso.MaslovSection.from_function(loop.thetas, lambda t: np.exp(2j * t))
+    for route in (lambda lp: coiso.winding(coiso.canonical_section(lp).samples),
+                  lambda lp: coiso.maslov_index(lp, section)):
+        assert _outcome(lambda: route(loop)) == _outcome(lambda: route(reference))
+    if hinted:
+        # a hint from the neighbouring sample: member 0 projects it too
+        hint = adapted_frame(space, loop.samples[1])
+        ref, smallest = _reference_transport(space, chain, hint)
+        frames, margin = coiso.symplin._transport(space, chain, hint, coiso.DEFAULT)
+        assert_allclose(frames.e, ref, rtol=0, atol=1e-12)
+        assert abs(margin - smallest) < 1e-12
+
+
+def _transport_calls(m, monkeypatch):
+    """Calls to ``np.linalg.qr``, and all Python and C function calls, made
+    while a loop of M samples is transported once around and onto sample 0
+    from a hint."""
+    gen = coiso.random_unitary_orbit_family(SP3, 1, 5, max_winding=3)
+    loop = coiso.loop_from_family(SP3, 1, gen, samples=m, auto_refine=False)
+    chain = loop.samples[np.append(np.arange(m), 0)]
+    qr_calls, calls = [], [0]
+    qr = np.linalg.qr
+
+    def counted(*args, **kwargs):
+        qr_calls.append(args[0].shape)
+        return qr(*args, **kwargs)
+
+    def profile(frame, event, arg):
+        calls[0] += event in ("call", "c_call")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "qr", counted)
+        sys.setprofile(profile)
+        try:
+            frames = coiso.transported_frames(SP3, chain, hint=loop.frames[0])
+        finally:
+            sys.setprofile(None)
+    assert len(frames.e) == m + 1
+    return len(qr_calls), calls[0]
+
+
+def test_transport_takes_no_step_per_sample(monkeypatch):
+    # one QR carries each segment of 16 overlaps, plus the hint's, the
+    # stacked one and the margins'; every other call is made per segment
+    # too, where one Python step per sample makes several calls per sample
+    counts = {m: _transport_calls(m, monkeypatch) for m in (256, 1024)}
+    for m, (qr_calls, _) in counts.items():
+        assert qr_calls <= -(-(m + 1) // 16) + 2
+    grown = counts[1024][1] - counts[256][1]
+    assert grown <= 100 * (1024 - 256) // 16
+
+
+def test_transport_names_the_member_whose_hint_projects_short():
+    # Lagrangian lines exp(i t) R in C^1; from t = 0.2 to t = 0.2 + pi/2 the
+    # previous frame is orthogonal to the next line
+    sp = standard_space(1)
+    ts = np.array([0.0, 0.1, 0.2, 0.2 + np.pi / 2, 0.3 + np.pi / 2])
+    stack = classify_coisotropic(sp, Subspace(realify(np.exp(1j * ts)[:, None, None])[..., :1]))
+    with pytest.raises(coiso.ContinuityLossError, match=(
+            r"^hint column 0 projected to norm \S+ < 1\.0e-06 \(stack member 3\)$")):
+        coiso.transported_frames(sp, stack)
+    frames = coiso.transported_frames(sp, stack[:3])
+    hint = coiso.AdaptedFrame(k=0, e=frames.e[2], f=frames.f[2])
+    with pytest.raises(coiso.ContinuityLossError, match=r"\(stack member 0\)$"):
+        coiso.transported_frames(sp, stack[3:], hint=hint)
 
 
 # ---------------------------------------------------------------------------
