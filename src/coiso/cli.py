@@ -563,23 +563,23 @@ def main(argv=None) -> int:
 
     out_path = args.out or spec.get("output", {}).get("path")
     fmt = spec.get("output", {}).get("format", "json")
-    if fmt == "csv":
-        if spec["kind"] != "maslov-index":
-            print("csv output is only defined for maslov-index traces",
-                  file=sys.stderr)
-            return 2
-        if not out_path:
-            print("csv output needs a path", file=sys.stderr)
-            return 2
-        try:
+    # a ValueError out of the library is a computation error here too
+    try:
+        if fmt == "csv":
+            if spec["kind"] != "maslov-index":
+                print("csv output is only defined for maslov-index traces",
+                      file=sys.stderr)
+                return 2
+            if not out_path:
+                print("csv output needs a path", file=sys.stderr)
+                return 2
             loop, _, _, section = _maslov_pair(*prepared)
             emit_phase_trace(loop, section, out_path, prepared[1])
-        except CoisoError as exc:
-            print(f"computation error: {exc}", file=sys.stderr)
-            return 3
-        return 0
-
-    report = _execute(spec, *prepared)
+            return 0
+        report = _execute(spec, *prepared)
+    except (CoisoError, ValueError) as exc:
+        print(f"computation error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     payload = report.to_json()
     if out_path:
         with open(out_path, "w", newline="\n") as fh:

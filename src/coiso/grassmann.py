@@ -142,10 +142,6 @@ class CoisotropicLoop:
     def n(self) -> int:
         return self.space.n
 
-    def unitaries(self) -> np.ndarray:
-        """Stack of the frames' complex matrices, shape (M, n, n)."""
-        return self.frames.unitary()
-
     def section_gauge(self) -> np.ndarray:
         """Unit phases periodizing the frame trivialization of sections.
 
@@ -536,11 +532,7 @@ def random_symplectic_matrix_loop(
     space: SymplecticSpace, seed, samples: int,
     max_winding: int = 2, stretch: float = 0.3,
 ) -> SymplecticMatrixLoop:
-    """Unitary loop times a closed positive symplectic stretch.
-
-    The polar decomposition of each sample recovers the unitary factor
-    exactly, which downstream section transport relies on.
-    """
+    """Unitary loop times a closed positive symplectic stretch."""
     n = space.n
     g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
     unitaries = _random_unitary_grid(n, g, max_winding, wiggle=0.3)

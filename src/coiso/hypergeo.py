@@ -450,9 +450,9 @@ def point_geometry(
 def normal_convention_matrix(blocks: SFFBlocks, nu: np.ndarray) -> np.ndarray:
     """The same form read against the outward unit normal:
     S_nu(v, w) = <S(v, w), nu>.  On the unit sphere this is -identity."""
-    normals = blocks.frame.f[:, blocks.frame.k:]
-    coef = normals.T @ nu
-    return np.einsum("a,aij->ij", coef, blocks.full)
+    normals = blocks.frame.f[..., blocks.frame.k:]
+    coef = np.einsum("...ia,...i->...a", normals, nu)
+    return np.einsum("...a,...aij->...ij", coef, blocks.full)
 
 
 @dataclasses.dataclass(frozen=True)

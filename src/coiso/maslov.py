@@ -9,8 +9,10 @@ sample by sample.  Mixing the kernel frame by any orthogonal map leaves
 these samples unchanged, so the section depends only on the loop.
 
 All indices are windings of ratios of unit-modulus sample streams taken in
-this common trivialization; the frame monodromy cancels between numerator
-and denominator, which is what makes the integer well defined.
+this common trivialization, between which the frame monodromy cancels.
+The sections themselves close only through ``section_gauge``, whose ramp
+takes the principal branch of the H-block holonomy; the printed integer
+rests on that branch choice.
 """
 
 from __future__ import annotations
@@ -20,16 +22,12 @@ from math import pi
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-# scipy.linalg is imported inside the function that calls it: importing it
-# takes longer than most experiments run, and only pushforward_section uses
-# it
 
 from .config import DEFAULT, Tolerances, within_tie
 from .errors import (
     AliasingError,
     ClosureError,
     FrameDegeneracyError,
-    InternalConsistencyError,
     OffSurfaceError,
 )
 from . import hypergeo
@@ -112,13 +110,21 @@ def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> Maslo
     standard complex volume form, read on the frame's dual basis and
     normalized, is the phase of det(U); the section value is its square.
     For k = n the transverse wedge is the empty product and the section is
-    identically 1.
+    identically 1.  A squared determinant phase that steps by pi/2 or more
+    across the closing sample is undersampled, and raises AliasingError as
+    ``winding`` does for any such step.
     """
     if loop.k == loop.n:
         samples = np.ones(loop.m, dtype=complex)
         return MaslovSection(thetas=loop.thetas, samples=samples)
-    return MaslovSection(thetas=loop.thetas,
-                         samples=_det_phases(loop.frames) ** 2 * loop.section_gauge())
+    samples = _det_phases(loop.frames) ** 2 * loop.section_gauge()
+    jump = abs(float(np.angle(samples[0] / samples[-1])))
+    if loop.m > 1 and jump >= DEFAULT.phase_jump:
+        raise AliasingError(
+            f"canonical section does not close: final jump {jump:.3f} >= pi/2; "
+            "refine the sampling"
+        )
+    return MaslovSection(thetas=loop.thetas, samples=samples)
 
 
 def _increments(samples: np.ndarray) -> np.ndarray:
@@ -173,34 +179,6 @@ def maslov_index(loop: CoisotropicLoop, section: MaslovSection,
     return winding(section.samples / can.samples, tol)
 
 
-def _complexify_orthogonal(q: np.ndarray, tol: Tolerances) -> np.ndarray:
-    """Complex matrix of an orthogonal symplectic (hence complex-linear)
-    2n x 2n matrix, member by member for a (..., 2n, 2n) stack; raises if
-    one fails to commute with j."""
-    n = q.shape[-1] // 2
-    a, b = q[..., :n, :n], q[..., n:, :n]
-    resid = max(
-        float(np.max(np.abs(q[..., :n, :n] - q[..., n:, n:]))),
-        float(np.max(np.abs(q[..., :n, n:] + q[..., n:, :n]))),
-    )
-    if resid > 1e-8:
-        raise InternalConsistencyError(
-            f"unitary factor does not commute with j: residual {resid:.3e}"
-        )
-    return a + 1j * b
-
-
-def _cmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Elementwise complex product, each real product and sum rounded on its
-    own as in NumPy's complex scalar product.  NumPy's complex array loops
-    (multiply, square, absolute) may fuse or reorder these steps, which
-    moves the last bit of a section sample."""
-    out = np.empty(np.broadcast_shapes(a.shape, b.shape), dtype=complex)
-    out.real = a.real * b.real - a.imag * b.imag
-    out.imag = a.real * b.imag + a.imag * b.real
-    return out
-
-
 def pushforward_section(
     a: SymplecticMatrixLoop,
     loop: CoisotropicLoop,
@@ -209,19 +187,18 @@ def pushforward_section(
 ):
     """Push a Maslov pair forward by a loop of symplectic matrices.
 
-    The loop moves by A(theta) samplewise.  The section picks up the
-    squared determinant of the unitary polar factor Q(theta) (the induced
-    change of the reference volume form) together with the squared
-    determinant of the unitary change between the transported frames
-    Q U(theta) and the independently propagated frames of the image loop;
-    for unitary A that change is block diagonal and the factor is the
-    transverse-frame transformation law of the squared canonical bundle.
-    The polar factors, their complex forms and both determinants are taken
-    in one stacked pass over the M samples.  Returns the pair (pushed loop,
-    transported section).
+    The loop moves by A(theta) samplewise, and the section keeps its value
+    against the canonical section: the pushed section is the section times
+    the image loop's canonical section over the source loop's, normalized.
+    This is the transformation law of the squared transverse canonical
+    bundle.  Moving the frames U by the unitary polar factor Q of A and
+    changing them to the image loop's frames U_out by r = (Q U)^* U_out
+    multiplies the section by det(r)^2 det(Q)^2.  Since
+    det r = conj(det Q det U) det U_out and |det Q| = |det U| = 1, that
+    factor is (det U_out / det U)^2, the ratio of the canonical sections;
+    their ``section_gauge`` ramps enter the ratio in the same way.
+    Returns the pair (pushed loop, transported section).
     """
-    import scipy.linalg
-
     if section.m != loop.m:
         raise ValueError("section must be sampled on the loop's grid")
     out = pushforward(a, loop, tol)
@@ -234,17 +211,9 @@ def pushforward_section(
             )
         loop = loop.resample(out.m, tol)
         section = MaslovSection.from_function(loop.thetas, section.fn)
-    aa = a.resample(out.m)
-    raw = section.samples / loop.section_gauge()
-    q, _ = scipy.linalg.polar(aa.matrices)
-    qc = _complexify_orthogonal(q, tol)
-    r = np.conj(np.swapaxes(qc @ loop.unitaries(), -1, -2)) @ out.unitaries()
-    det_r, det_q = np.linalg.det(r), np.linalg.det(qc)
-    val = _cmul(_cmul(_cmul(raw, _cmul(det_r, det_r)), _cmul(det_q, det_q)),
-                out.section_gauge())
-    # np.hypot rounds the modulus as the scalar abs does
-    return out, MaslovSection(thetas=out.thetas,
-                              samples=val / np.hypot(val.real, val.imag))
+    val = (section.samples / canonical_section(loop, tol).samples
+           * canonical_section(out, tol).samples)
+    return out, MaslovSection(thetas=out.thetas, samples=val / np.abs(val))
 
 
 @dataclasses.dataclass(frozen=True)

@@ -299,7 +299,7 @@ def spans_equal(a: Subspace, b: Subspace, tol: float = DEFAULT.subspace_equality
 
 
 def omega_pairing(space: SymplecticSpace, a: Subspace, b: Subspace) -> np.ndarray:
-    return a.basis.T @ space.omega @ b.basis
+    return _t(a.basis) @ space.omega @ b.basis
 
 
 def symplectic_complement(

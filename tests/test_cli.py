@@ -207,6 +207,24 @@ def test_run_computation_error_exit_three(tmp_path):
     assert rep["error"]
 
 
+@pytest.mark.parametrize("spec", [
+    # the latitude whose grading section does not close
+    {"kind": "disc-index", "parameters": {
+        "fixture": "sphere", "loop": "latitude", "M": 256,
+        "loop_params": {"alpha": 1.3, "p": 2, "q": 0}}},
+    # a pushed loop whose matrix samples jump by more than 0.5
+    {"kind": "invariance-suite", "parameters": {
+        "n": 2, "k": 1, "M": 128, "seed": 123100, "trials": 2}},
+], ids=["latitude", "invariance"])
+def test_value_error_exits_three(tmp_path, capsys, spec):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    with pytest.raises(ValueError):
+        run(spec)
+    assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 3
+    assert capsys.readouterr().err.startswith("computation error: ValueError: ")
+
+
 def test_unreachable_surface_exit_three(tmp_path):
     # rho = -x_1^2 never reaches 1: sampling gives up after its budget
     spec = {"kind": "hypersurface-report",

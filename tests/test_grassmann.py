@@ -235,7 +235,7 @@ def test_loop_holds_its_samples_and_frames_as_stacks():
         assert out.samples.space.basis.shape == (32, 6, 4)
         assert out.samples.kernel.basis.shape == (32, 6, 2)
         assert out.frames.e.shape == out.frames.f.shape == (32, 6, 3)
-        assert out.unitaries().shape == (32, 3, 3)
+        assert out.frames.unitary().shape == (32, 3, 3)
         assert transverse_frame_loop(out)[0].shape == (32, 3, 2)
 
 

@@ -99,6 +99,14 @@ def test_sff_sphere_is_minus_identity_against_outward_normal():
     blocks = point_geometry(y, P_AXIS).blocks
     s_nu = normal_convention_matrix(blocks, y.unit_normal(P_AXIS))
     assert_allclose(s_nu, -np.eye(3), atol=1e-10)
+    # a stack of points: -identity at each, and each member as on its own
+    pts = y.sample_points(3, 11)
+    stacked = normal_convention_matrix(point_geometry(y, pts).blocks, y.unit_normal(pts))
+    assert stacked.shape == (3, 3, 3)
+    for i, p in enumerate(pts):
+        assert_allclose(stacked[i], -np.eye(3), atol=1e-10)
+        member = normal_convention_matrix(point_geometry(y, p).blocks, y.unit_normal(p))
+        assert np.array_equal(stacked[i], member)
 
 
 def test_sff_ellipsoid_axis_principal_curvatures():

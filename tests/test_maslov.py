@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import coiso
@@ -124,6 +124,20 @@ def test_a_jump_at_the_bound_is_ambiguous_from_either_side():
     # a quarter turn per sample meets the default bound pi/2
     with pytest.raises(AliasingError, match="ambiguous"):
         winding(np.exp(0.5j * np.pi * np.arange(4)))
+
+
+def test_undersampled_canonical_section_raises_aliasing_error():
+    # four unitary windings of up to 4 turns on 64 samples: the squared
+    # determinant phase steps by pi/2 or more across the closing sample
+    space = coiso.symplin.standard_space(4)
+    gen = coiso.random_unitary_orbit_family(space, 0, 2701, max_winding=4, wiggle=0.0)
+    loop = coiso.loop_from_family(space, 0, gen, samples=16,
+                                  tol=coiso.DEFAULT.replace(max_loop_samples=1024))
+    section = coiso.MaslovSection.from_function(loop.thetas, lambda t: np.exp(2j * t))
+    with pytest.raises(AliasingError, match="canonical section does not close"):
+        coiso.canonical_section(loop)
+    with pytest.raises(AliasingError, match="canonical section does not close"):
+        coiso.maslov_index(loop, section)
 
 
 @settings(max_examples=30, deadline=None)
@@ -320,20 +334,55 @@ def test_tangent_stack_equals_members(alpha, p, q, seed, count):
         assert np.array_equal(stacked[i], loop.generator(thetas[i:i + 1]).basis[0])
 
 
-def test_pushforward_section_equals_the_per_sample_computation():
-    for trial, maker in enumerate((coiso.random_unitary_matrix_loop,
-                                   coiso.random_symplectic_matrix_loop)):
-        gen = coiso.random_unitary_orbit_family(SP2, 1, coiso.rng(50_097, trial))
-        loop = loop_from_family(SP2, 1, gen, samples=128)
-        sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
-        a = maker(SP2, coiso.rng(7, trial), loop.m, max_winding=1)
-        out, moved = pushforward_section(a, loop, sec)
-        assert out.m == loop.m
-        raw = sec.samples / loop.section_gauge()
-        gauge = out.section_gauge()
-        for i in range(out.m):
-            q, _ = scipy.linalg.polar(a.matrices[i])
-            qc = q[:2, :2] + 1j * q[2:, :2]
-            r = np.conj((qc @ loop.frames[i].unitary()).T) @ out.frames[i].unitary()
-            val = raw[i] * (np.linalg.det(r) ** 2) * (np.linalg.det(qc) ** 2) * gauge[i]
-            assert moved.samples[i] == val / abs(val), (maker.__name__, i)
+def _polar_pushforward_section(a, loop, out, sec):
+    """The pushed section sample by sample through the unitary polar factor
+    Q of A: the section picks up det(r)^2 det(Q)^2 with r = (Q U)^* U_out,
+    the change from the moved frames to the image loop's frames."""
+    n = loop.n
+    raw = sec.samples / loop.section_gauge()
+    gauge = out.section_gauge()
+    moved = np.empty(out.m, dtype=complex)
+    for i in range(out.m):
+        q, _ = scipy.linalg.polar(a.matrices[i])
+        qc = q[:n, :n] + 1j * q[n:, :n]
+        r = np.conj((qc @ loop.frames[i].unitary()).T) @ out.frames[i].unitary()
+        val = raw[i] * (np.linalg.det(r) ** 2) * (np.linalg.det(qc) ** 2) * gauge[i]
+        moved[i] = val / abs(val)
+    return moved
+
+
+@st.composite
+def _pushforward_cases(draw):
+    n = draw(st.integers(1, 3))
+    return (n, draw(st.integers(0, n)), draw(st.integers(0, 1)),
+            draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 2)))
+
+
+@settings(max_examples=20, deadline=None)
+@given(_pushforward_cases())
+@example((2, 1, 0, 50_097, 1))
+@example((2, 1, 1, 50_098, 1))
+@example((3, 1, 1, 7, 2))
+def test_pushforward_section_equals_the_per_sample_computation(case):
+    # ``refine`` = 2 samples A on twice the loop's grid, so the image loop
+    # is finer than the source and the pushforward resamples the pair
+    n, k, which, seed, refine = case
+    space = standard_space(n)
+    maker = (coiso.random_unitary_matrix_loop, coiso.random_symplectic_matrix_loop)[which]
+    gen = coiso.random_unitary_orbit_family(space, k, coiso.rng(seed, 0))
+    loop = loop_from_family(space, k, gen, samples=128)
+    fn = lambda t: np.exp(1j * t)
+    sec = MaslovSection.from_function(loop.thetas, fn)
+    try:
+        a = maker(space, coiso.rng(seed, 1), refine * loop.m, max_winding=1)
+    except ValueError:
+        assume(False)    # a draw too coarse for the matrix loop's jump check
+    out, moved = pushforward_section(a, loop, sec)
+    if refine == 2:
+        assert out.m > loop.m
+    if out.m != loop.m:
+        loop = loop.resample(out.m)
+        sec = MaslovSection.from_function(loop.thetas, fn)
+        a = a.resample(out.m)
+    reference = _polar_pushforward_section(a, loop, out, sec)
+    assert_allclose(moved.samples, reference, rtol=0, atol=1e-12)

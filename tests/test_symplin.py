@@ -99,10 +99,17 @@ def test_classify_standard_model():
 
 
 def test_classify_kernel_pairing_scan():
-    for seed in range(5):
-        c = random_coisotropic(SP3, 1, seed)
+    members = [random_coisotropic(SP3, 1, seed) for seed in range(5)]
+    for c in members:
         pairing = coiso.omega_pairing(SP3, c.kernel, c.space)
         assert np.max(np.abs(pairing)) < 1e-9
+    # the same pairings on a stack of the first four subspaces
+    kernels = Subspace(np.stack([c.kernel.basis for c in members[:4]]))
+    spaces = Subspace(np.stack([c.space.basis for c in members[:4]]))
+    stacked = coiso.omega_pairing(SP3, kernels, spaces)
+    assert stacked.shape == (4, 2, 4)
+    for i, c in enumerate(members[:4]):
+        assert np.array_equal(stacked[i], coiso.omega_pairing(SP3, c.kernel, c.space))
 
 
 def test_adapted_frame_standard_model_is_standard_basis():
@@ -413,6 +420,8 @@ def _outcome(fn):
 # 1e-10 of the frames
 @example(3, 0, 11, 28, 0.3, 512, False)
 @example(3, 0, 9, 28, 0.3, 512, True)
+# four windings on 64 samples: both routes print the same AliasingError
+@example(4, 0, 2701, 4, 0.0, 16, False)
 def test_transported_frames_follow_their_hints(n, k, seed, winding, wiggle, m, hinted):
     # conjugated, wiggled loops winding up to 40 times, sampled at up to
     # M = 1024 under the pi/8 contract: the stacked overlap scan matches the
