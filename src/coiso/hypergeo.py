@@ -613,7 +613,7 @@ def transverse_curvature_bracket(
     elif scheme == "transport":
         def fields(njf, b):
             # hint-projected transport of the whole base N_JF frame
-            return _t(_mgs(njf.project(_t(b)), tol.hint_min_norm))
+            return _t(_mgs(njf.project(_t(b)), tol.hint_min_norm)[0])
 
         at_p = fields(geo.njf, rows)
 

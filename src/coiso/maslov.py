@@ -110,18 +110,18 @@ def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> Maslo
     standard complex volume form, read on the frame's dual basis and
     normalized, is the phase of det(U); the section value is its square.
     For k = n the transverse wedge is the empty product and the section is
-    identically 1.  A squared determinant phase that steps by pi/2 or more
-    across the closing sample is undersampled, and raises AliasingError as
-    ``winding`` does for any such step.
+    identically 1.  A squared determinant phase that steps by
+    ``tol.phase_jump`` or more across the closing sample is undersampled,
+    and raises AliasingError as ``winding`` does for any such step.
     """
     if loop.k == loop.n:
         samples = np.ones(loop.m, dtype=complex)
         return MaslovSection(thetas=loop.thetas, samples=samples)
     samples = _det_phases(loop.frames) ** 2 * loop.section_gauge()
     jump = abs(float(np.angle(samples[0] / samples[-1])))
-    if loop.m > 1 and jump >= DEFAULT.phase_jump:
+    if loop.m > 1 and jump >= tol.phase_jump:
         raise AliasingError(
-            f"canonical section does not close: final jump {jump:.3f} >= pi/2; "
+            f"canonical section does not close: final jump {jump:.3f} >= {tol.phase_jump:.3f}; "
             "refine the sampling"
         )
     return MaslovSection(thetas=loop.thetas, samples=samples)

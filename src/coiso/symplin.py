@@ -16,7 +16,9 @@ frames.  Classification, complements, principal angles and frame checks
 act on every member with one stacked ``np.linalg`` call per step, and
 frame transport along a stack is a segmented scan of overlap products
 (see :func:`transported_frames`).  A single subspace or frame is the
-unstacked case of the same code.
+unstacked case of the same code.  Spanning columns and transported hints
+are orthonormalized by one routine, modified Gram-Schmidt in column order
+vectorized over the stack.
 """
 
 from __future__ import annotations
@@ -147,24 +149,33 @@ def realify(u: np.ndarray) -> np.ndarray:
                            np.concatenate([b, a], axis=-1)], axis=-2)
 
 
-def _mgs(cols: np.ndarray, min_norm: float) -> np.ndarray:
-    """Modified Gram-Schmidt in fixed column order, two passes for stability;
-    a (..., d, m) stack is orthonormalized member by member.
+# the smallest normal float: a norm floored at it divides a zero column to
+# zero and leaves every other quotient as it is
+_TINY = np.finfo(float).tiny
 
-    Raises ContinuityLossError, naming the stack member, when a column drops
-    below ``min_norm``.  Each member gets the arithmetic of a single matrix:
-    ``np.vecdot`` takes one BLAS dot per member, as the 1-D ``a @ b`` does,
-    and a norm is the square root of the dot of a contiguous vector, as the
-    1-D ``np.linalg.norm`` computes it.
+
+def _mgs(cols: np.ndarray, min_norm: float) -> tuple[np.ndarray, np.ndarray]:
+    """Modified Gram-Schmidt in fixed column order, two passes for stability;
+    a real or complex (..., d, m) stack is orthonormalized member by member.
+
+    Returns Q and the (..., m) norms of the columns projected off the ones
+    before them: Q is the Q factor of the QR whose R diagonal is those
+    norms, real and positive.  Raises ContinuityLossError, naming the stack
+    member, when a column drops below ``min_norm``; with ``min_norm`` 0 a
+    zero column stays zero.  Each member gets the arithmetic of a single
+    matrix: ``np.vecdot`` (conjugating its first factor) takes one BLAS dot
+    per member, as the 1-D dot does, and a norm is the square root of the
+    dot of a contiguous vector.
     """
-    q = np.array(cols, dtype=float)
+    q = np.array(cols, dtype=np.result_type(cols, float))
     columns = [q[..., i] for i in range(q.shape[-1])]
+    norms = np.empty(q.shape[:-2] + (len(columns),))
     for i, v in enumerate(columns):
         for _ in range(2):
             for qk in columns[:i]:
                 v = v - np.vecdot(qk, v, keepdims=True) * qk
         v = np.ascontiguousarray(v)
-        nv = np.sqrt(np.vecdot(v, v, keepdims=True))
+        nv = np.sqrt(np.vecdot(v, v, keepdims=True).real, out=norms[..., i:i + 1])
         short = nv < min_norm
         if np.count_nonzero(short):
             where = tuple(int(j) for j in np.argwhere(short)[0])
@@ -172,8 +183,8 @@ def _mgs(cols: np.ndarray, min_norm: float) -> np.ndarray:
                 f"column {i} projected to norm {nv[where]:.3e} < {min_norm:.1e}"
                 + _member_note(where[:-1])
             )
-        np.divide(v, nv, out=columns[i])
-    return q
+        np.divide(v, np.maximum(nv, _TINY), out=columns[i])
+    return q, norms
 
 
 def _stack_members(obj, array: np.ndarray):
@@ -248,7 +259,7 @@ class Subspace:
 
     @classmethod
     def from_spanning(cls, cols: np.ndarray, min_norm: float = 1e-12) -> "Subspace":
-        return cls(_mgs(np.asarray(cols, dtype=float), min_norm))
+        return cls(_mgs(np.asarray(cols, dtype=float), min_norm)[0])
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (_t(self.basis) @ v)
@@ -257,21 +268,19 @@ class Subspace:
 def _angles(a: Subspace, b: Subspace) -> np.ndarray:
     """Principal angles, ascending, member by member (Bjorck-Golub 1973).
 
-    The steps are those of ``scipy.linalg.subspace_angles``, each one
-    stacked SVD: orthonormal bases Qa, Qb from an SVD, cosines from the
-    singular values of Qa' Qb and sines from those of Qb - Qa Qa' Qb.  An
-    angle whose squared cosine is below 0.5 is read from its cosine, any
-    other from its sine, which stays accurate for small angles.
+    Needs orthonormal bases, which a ``Subspace`` holds: with A = ``a.basis``
+    and B = ``b.basis`` the cosines are the singular values of A' B and the
+    sines those of B - A A' B, each one stacked SVD.  An angle whose squared
+    cosine is below 0.5 is read from its cosine, any other from its sine,
+    which stays accurate for small angles.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     if a.dim == 0:
         return np.zeros(np.broadcast_shapes(a.basis.shape[:-2], b.basis.shape[:-2]) + (0,))
-    qa = np.linalg.svd(a.basis, full_matrices=False)[0]
-    qb = np.linalg.svd(b.basis, full_matrices=False)[0]
-    cos = _t(qa) @ qb
+    cos = _t(a.basis) @ b.basis
     cosines = np.linalg.svd(cos, compute_uv=False)
-    sines = np.linalg.svd(qb - qa @ cos, compute_uv=False)[..., ::-1]
+    sines = np.linalg.svd(b.basis - a.basis @ cos, compute_uv=False)[..., ::-1]
     return np.where(cosines ** 2 < 0.5,
                     np.arccos(np.clip(cosines, -1.0, 1.0)),
                     np.arcsin(np.clip(sines, -1.0, 1.0)))
@@ -492,22 +501,6 @@ def _check_frames(space: SymplecticSpace, c: CoisotropicSubspace,
 _SEGMENT = 16
 
 
-def _positive_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The Q factor of a QR with a positive real R diagonal, member by
-    member for a stack, and the moduli of that diagonal.
-
-    For a matrix of full column rank this Q is the one modified Gram-Schmidt
-    yields in column order, and the moduli are the norms of the columns
-    projected off the ones before them.  A zero diagonal entry keeps
-    LAPACK's column.
-    """
-    q, r = np.linalg.qr(a)
-    d = np.diagonal(r, axis1=-2, axis2=-1)
-    mod = np.abs(d)
-    nonzero = mod > 0
-    return q * np.where(nonzero, d / np.where(nonzero, mod, 1.0), 1.0)[..., None, :], mod
-
-
 def _overlaps(h: np.ndarray, kernel: np.ndarray, h_prev: np.ndarray,
               kernel_prev: np.ndarray) -> np.ndarray:
     """Block-diagonal transport overlaps, member by member for stacks of
@@ -522,13 +515,15 @@ def _overlaps(h: np.ndarray, kernel: np.ndarray, h_prev: np.ndarray,
 
 def _chain(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
     """The coefficients C_0 = ``start`` and C_i = qf(O_i C_{i-1}) along the
-    S overlaps O_i of ``steps``, as a stack of S + 1.
+    S overlaps O_i of ``steps``, as a stack of S + 1, where qf is
+    Gram-Schmidt in column order (the Q of :func:`_mgs`).
 
     qf(A qf(B)) = qf(AB), so C_i = qf(O_i ... O_1 C_0).  The prefix
     products are taken within segments of ``_SEGMENT`` steps by log2 of its
     length stacked matmuls; each segment's start is carried from the one
     before it by one qf, and one stacked qf of the segments' products with
-    their starts gives every C_i.
+    their starts gives every C_i.  A zero projected column stays zero; the
+    transport margin reports it.
     """
     s, n = steps.shape[0], steps.shape[-1]
     seg = min(_SEGMENT, s)
@@ -544,8 +539,8 @@ def _chain(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
     starts = np.empty((count, n, n), dtype=complex)
     starts[0] = start
     for j in range(1, count):
-        starts[j] = _positive_qr(prods[j - 1, -1] @ starts[j - 1])[0]
-    coeffs = _positive_qr(prods @ starts[:, None])[0].reshape(-1, n, n)[:s]
+        starts[j] = _mgs(prods[j - 1, -1] @ starts[j - 1], 0.0)[0]
+    coeffs = _mgs(prods @ starts[:, None], 0.0)[0].reshape(-1, n, n)[:s]
     return np.concatenate([start[None], coeffs])
 
 
@@ -580,14 +575,13 @@ def _transport(space: SymplecticSpace, c: CoisotropicSubspace,
 
     margin, coeffs = np.inf, None
     if hint is not None:
-        coeffs, projected = _positive_qr(_overlaps(
-            h[0], kernel[0], complex_coords(hint.e[..., :k]), hint.e[..., k:]))
+        coeffs, projected = _mgs(_overlaps(
+            h[0], kernel[0], complex_coords(hint.e[..., :k]), hint.e[..., k:]), 0.0)
         margin = smallest_projection(projected[None], 0)
     if len(kernel) > 1:
         steps = _overlaps(h[1:], kernel[1:], h[:-1], kernel[:-1])
         coeffs = _chain(steps, np.eye(n, dtype=complex) if coeffs is None else coeffs)
-        r = np.linalg.qr(steps @ coeffs[:-1], mode="r")
-        margin = min(margin, smallest_projection(np.abs(np.diagonal(r, axis1=-2, axis2=-1)), 1))
+        margin = min(margin, smallest_projection(_mgs(steps @ coeffs[:-1], 0.0)[1], 1))
     if coeffs is not None:
         h = h @ coeffs[..., :k, :k]
         kernel = kernel @ coeffs[..., k:, k:].real
@@ -609,16 +603,17 @@ def transported_frames(
     Member 0 takes ``hint``; without one its frame is deterministic (SVD
     bases with canonical signs and phases).  Every later member takes the
     previous frame as its hint.  Taking a hint means projecting each of its
-    columns onto the required span and orthonormalizing the projections in
-    column order by a QR with a positive R diagonal: this is the discrete
-    parallel transport used for loop continuity, and a projected column
-    whose norm (an R diagonal entry) falls below ``tol.hint_min_norm``
-    raises ContinuityLossError naming the member.
+    columns onto the required span and orthonormalizing the projections by
+    Gram-Schmidt in column order (the Q of a QR whose R diagonal is real
+    positive): this is the discrete parallel transport used for loop
+    continuity, and a column whose norm after projection off the columns
+    before it falls below ``tol.hint_min_norm`` raises ContinuityLossError
+    naming the member.
 
     In gauge bases (the kernel bases K_i and unitary H bases h_i) frame i
     is K_i C_i and h_i D_i, and the transport is C_i = qf(O_i C_{i-1}) with
     the overlap O_i = K_i' K_{i-1}, likewise D_i with h_i^* h_{i-1}; qf is
-    the Q factor of that QR.  Since qf(A qf(B)) = qf(AB), C_i is qf of the
+    that Gram-Schmidt.  Since qf(A qf(B)) = qf(AB), C_i is qf of the
     overlap product O_i ... O_1 C_0, which is taken in segments of 16
     steps: no Python step is taken per member.
 
@@ -631,9 +626,8 @@ def transported_frames(
     sqrt(cos(pi/4)) of every vector, so its condition number is below 1.19
     and a segment's H product's below 16; on sampled loops they stay
     within the kernel bound.  An unsegmented product can reach e^30 on fast
-    windings.  The projected-column norms are the R diagonal of the
-    stacked QR of O_i C_{i-1}, and the frame checks run once over the
-    stack.
+    windings.  The projected-column norms are the Gram-Schmidt norms of the
+    stacked O_i C_{i-1}, and the frame checks run once over the stack.
     """
     return _transport(space, c, hint, tol)[0]
 
@@ -650,8 +644,9 @@ def adapted_frame(
     Without a hint the construction is deterministic: the kernel basis of
     C and an SVD basis of H_C with canonical phases.  With a hint, each hint
     column is projected onto the required span and the projections are
-    orthonormalized by a QR with a positive R diagonal; a projection below
-    ``tol.hint_min_norm`` raises ContinuityLossError.
+    orthonormalized by Gram-Schmidt in column order; a column whose norm
+    after projection falls below ``tol.hint_min_norm`` raises
+    ContinuityLossError.
     """
     return transported_frames(space, c[None], hint, tol)[0]
 

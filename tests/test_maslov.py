@@ -140,6 +140,17 @@ def test_undersampled_canonical_section_raises_aliasing_error():
         coiso.maslov_index(loop, section)
 
 
+def test_canonical_section_reads_the_phase_jump_it_is_passed():
+    # the closing jump of det(U)^2 is under the default bound and over a
+    # record's bound of half of it
+    samples = canonical_section(rotation_loop(1, turns=2, samples=16)).samples
+    jump = abs(float(np.angle(samples[0] / samples[-1])))
+    assert 0 < jump < coiso.DEFAULT.phase_jump
+    with pytest.raises(AliasingError, match="canonical section does not close"):
+        canonical_section(rotation_loop(1, turns=2, samples=16),
+                          coiso.DEFAULT.replace(phase_jump=jump / 2))
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(-3, 3), st.integers(-3, 3), st.floats(0, 2 * np.pi))
 def test_winding_additivity(m1, m2, phase):

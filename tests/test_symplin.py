@@ -2,6 +2,7 @@
 
 import dataclasses
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -458,40 +459,41 @@ def test_transported_frames_follow_their_hints(n, k, seed, winding, wiggle, m, h
 
 
 def _transport_calls(m, monkeypatch):
-    """Calls to ``np.linalg.qr``, and all Python and C function calls, made
-    while a loop of M samples is transported once around and onto sample 0
-    from a hint."""
+    """Calls to the orthonormalization ``_mgs``, and all Python and C
+    function calls, made while a loop of M samples is transported once
+    around and onto sample 0 from a hint."""
     gen = coiso.random_unitary_orbit_family(SP3, 1, 5, max_winding=3)
     loop = coiso.loop_from_family(SP3, 1, gen, samples=m, auto_refine=False)
     chain = loop.samples[np.append(np.arange(m), 0)]
-    qr_calls, calls = [], [0]
-    qr = np.linalg.qr
+    mgs_calls, calls = [], [0]
+    mgs = coiso.symplin._mgs
 
     def counted(*args, **kwargs):
-        qr_calls.append(args[0].shape)
-        return qr(*args, **kwargs)
+        mgs_calls.append(args[0].shape)
+        return mgs(*args, **kwargs)
 
     def profile(frame, event, arg):
         calls[0] += event in ("call", "c_call")
 
     with monkeypatch.context() as patch:
-        patch.setattr(np.linalg, "qr", counted)
+        patch.setattr(coiso.symplin, "_mgs", counted)
         sys.setprofile(profile)
         try:
             frames = coiso.transported_frames(SP3, chain, hint=loop.frames[0])
         finally:
             sys.setprofile(None)
     assert len(frames.e) == m + 1
-    return len(qr_calls), calls[0]
+    return len(mgs_calls), calls[0]
 
 
 def test_transport_takes_no_step_per_sample(monkeypatch):
-    # one QR carries each segment of 16 overlaps, plus the hint's, the
-    # stacked one and the margins'; every other call is made per segment
-    # too, where one Python step per sample makes several calls per sample
+    # one orthonormalization carries each segment of 16 overlaps, plus the
+    # hint's, the stacked one and the margin's; every other call is made per
+    # segment too, where one Python step per sample makes several calls per
+    # sample
     counts = {m: _transport_calls(m, monkeypatch) for m in (256, 1024)}
-    for m, (qr_calls, _) in counts.items():
-        assert qr_calls <= -(-(m + 1) // 16) + 2
+    for m, (mgs_calls, _) in counts.items():
+        assert 0 < mgs_calls <= -(-(m + 1) // 16) + 2
     grown = counts[1024][1] - counts[256][1]
     assert grown <= 100 * (1024 - 256) // 16
 
@@ -509,6 +511,14 @@ def test_transport_names_the_member_whose_hint_projects_short():
     hint = coiso.AdaptedFrame(k=0, e=frames.e[2], f=frames.f[2])
     with pytest.raises(coiso.ContinuityLossError, match=r"\(stack member 0\)$"):
         coiso.transported_frames(sp, stack[3:], hint=hint)
+    # exactly orthogonal lines: the projection is zero, and nothing divides
+    # by it
+    stack = classify_coisotropic(sp, Subspace(np.array([[[1.0], [0.0]], [[0.0], [1.0]]])))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(coiso.ContinuityLossError, match=(
+                r"^hint column 0 projected to norm 0\.000e\+00 < 1\.0e-06 \(stack member 1\)$")):
+            coiso.transported_frames(sp, stack)
 
 
 # ---------------------------------------------------------------------------
@@ -517,24 +527,27 @@ def test_transport_names_the_member_whose_hint_projects_short():
 
 
 @st.composite
-def _spanning_stacks(draw):
+def _spanning_stacks(draw, complex_entries=False):
     n = draw(st.integers(1, 4))
     m = draw(st.integers(1, 2 * n))
     count = draw(st.integers(1, 5))
     g = coiso.rng(draw(st.integers(0, 2 ** 32 - 1)))
-    return g.normal(size=(count, 2 * n, m))
+    cols = g.normal(size=(count, 2 * n, m))
+    return cols + 1j * g.normal(size=cols.shape) if complex_entries else cols
 
 
 def _reference_mgs(cols):
-    """Per-matrix modified Gram-Schmidt on 1-D columns: the arithmetic the
-    stacked version must reproduce bit for bit."""
-    q = np.array(cols, dtype=float)
+    """Per-matrix modified Gram-Schmidt on 1-D columns, the first factor of
+    each dot conjugated: the arithmetic the stacked version must reproduce
+    bit for bit."""
+    q = np.array(cols, dtype=np.result_type(cols, float))
     for i in range(q.shape[1]):
         v = q[:, i]
         for _ in range(2):
             for k in range(i):
-                v = v - (q[:, k] @ v) * q[:, k]
-        q[:, i] = v / np.linalg.norm(v)
+                v = v - np.vecdot(q[:, k], v) * q[:, k]
+        v = np.ascontiguousarray(v)
+        q[:, i] = v / np.sqrt(np.vecdot(v, v).real)
     return q
 
 
@@ -546,6 +559,21 @@ def test_from_spanning_stack_equals_members(cols):
     for i in range(len(cols)):
         assert np.array_equal(stacked[i], Subspace.from_spanning(cols[i]).basis)
         assert np.array_equal(stacked[i], _reference_mgs(cols[i]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_spanning_stacks(complex_entries=True))
+def test_complex_mgs_is_the_positive_diagonal_qr(cols):
+    # member by member the arithmetic of one matrix, and the Q of LAPACK's
+    # QR with its R diagonal made real positive, whose moduli are the norms
+    q, norms = coiso.symplin._mgs(cols, 0.0)
+    assert q.shape == cols.shape and norms.shape == (len(cols), cols.shape[-1])
+    for i in range(len(cols)):
+        assert np.array_equal(q[i], _reference_mgs(cols[i]))
+    lq, r = np.linalg.qr(cols)
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    assert_allclose(q, lq * (d / np.abs(d))[..., None, :], rtol=0, atol=1e-13)
+    assert_allclose(norms, np.abs(d), rtol=1e-13, atol=0)
 
 
 @settings(max_examples=40, deadline=None)
