@@ -31,7 +31,6 @@ from .symplin import (
     AdaptedFrame,
     CoisotropicSubspace,
     Subspace,
-    SymplecticSpace,
     adapted_frame,
     classify_coisotropic,
     complex_coords,
@@ -45,7 +44,6 @@ from .symplin import (
     realify,
     spans_equal,
     standard_model,
-    standard_space,
     symplectic_complement,
     transported_frames,
 )

@@ -97,6 +97,18 @@ BOUNDARY_FAMILIES = {
 }
 
 
+# a spec's ``tolerances`` object and a --tol-file: known names only, each a
+# number (an integer where the field is one)
+_TOLERANCES_SCHEMA = {
+    "type": "object",
+    "properties": {
+        f.name: {"type": "integer" if isinstance(f.default, int) else "number"}
+        for f in dataclasses.fields(Tolerances)
+    },
+    "additionalProperties": False,
+}
+
+
 SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
     "title": "coiso experiment",
@@ -144,12 +156,7 @@ SCHEMA = {
                 },
                 "grading_phase": {"type": "number"},
                 "expected_index": {"type": "integer"},
-                "tolerances": {
-                    "type": "object",
-                    "propertyNames": {
-                        "enum": [f.name for f in dataclasses.fields(Tolerances)],
-                    },
-                },
+                "tolerances": _TOLERANCES_SCHEMA,
             },
             "additionalProperties": False,
             # the diag-unitary family needs its windings
@@ -177,6 +184,7 @@ SCHEMA = {
 # validator built, once per process
 jsonschema.Draft7Validator.check_schema(SCHEMA)
 _VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
+_TOLERANCES_VALIDATOR = jsonschema.Draft7Validator(_TOLERANCES_SCHEMA)
 
 
 class _CheckedSchema:
@@ -292,11 +300,10 @@ def _run_grassmannian_dim(params: dict, tol: Tolerances, seed: int) -> list:
     formula = symplin.grassmannian_dim(n, k)
     items = [_item("dimension_formula", formula)]
     if points:
-        space = symplin.standard_space(n)
         gen = rng(seed, 1)
         for i in range(points):
-            c = symplin.random_coisotropic(space, k, gen, tol)
-            measured = symplin.measured_grassmannian_dim(space, c, tol)
+            c = symplin.random_coisotropic(n, k, gen, tol)
+            measured = symplin.measured_grassmannian_dim(c, tol)
             items.append(_compare(f"measured_rank[{i}]", measured, formula))
     return items
 
@@ -304,11 +311,10 @@ def _run_grassmannian_dim(params: dict, tol: Tolerances, seed: int) -> list:
 def _maslov_pair(params: dict, tol: Tolerances, seed: int):
     """A maslov-index spec's loop, family name, section winding w and section
     exp(i(w theta + phase0)) on the loop's grid (``fn`` resamples it)."""
-    space = symplin.standard_space(int(params["n"]))
-    k = int(params["k"])
+    n, k = int(params["n"]), int(params["k"])
     fam = params.get("family", "lagrangian-rotation")
-    gen = grassmann.LOOP_FAMILIES[fam](space, k, params.get("family_params", {}), seed)
-    loop = grassmann.loop_from_family(space, k, gen, samples=int(params.get("M", 64)), tol=tol)
+    gen = grassmann.LOOP_FAMILIES[fam](n, k, params.get("family_params", {}), seed)
+    loop = grassmann.loop_from_family(k, gen, samples=int(params.get("M", 64)), tol=tol)
     sec = params.get("section", {})
     w = int(sec.get("winding", 0))
     phase0 = float(sec.get("phase0", 0.0))
@@ -340,11 +346,10 @@ def _run_invariance_suite(params: dict, tol: Tolerances, seed: int) -> list:
     n, k = int(params["n"]), int(params["k"])
     trials = int(params.get("trials", 10))
     m = int(params.get("M", 64))
-    space = symplin.standard_space(n)
     items = []
     for t in range(trials):
-        gen = grassmann.LOOP_FAMILIES["random-unitary-orbit"](space, k, {}, rng(seed, 10 + t))
-        loop = grassmann.loop_from_family(space, k, gen, samples=m, tol=tol)
+        gen = grassmann.LOOP_FAMILIES["random-unitary-orbit"](n, k, {}, rng(seed, 10 + t))
+        loop = grassmann.loop_from_family(k, gen, samples=m, tol=tol)
         g = rng(seed, 1000 + t)
         wsec = int(g.integers(-2, 3))
         section = maslov.MaslovSection.from_function(
@@ -352,9 +357,9 @@ def _run_invariance_suite(params: dict, tol: Tolerances, seed: int) -> list:
         )
         mu = maslov.maslov_index(loop, section, tol)
         if t % 2 == 0:
-            aloop = grassmann.random_unitary_matrix_loop(space, g, loop.m)
+            aloop = grassmann.random_unitary_matrix_loop(n, g, loop.m)
         else:
-            aloop = grassmann.random_symplectic_matrix_loop(space, g, loop.m)
+            aloop = grassmann.random_symplectic_matrix_loop(n, g, loop.m)
         out, moved = maslov.pushforward_section(aloop, loop, section, tol)
         items.append(_compare(f"pushforward_equality[{t}]",
                               maslov.maslov_index(out, moved, tol), mu))
@@ -474,8 +479,7 @@ def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
                      f"2n = {2 * fp['n']} exponents, got {len(term['exponents'])}")
             _require(sum(term["exponents"]) <= 6, "a polynomial term has degree at most 6")
     if kind == "disc-index":
-        fp = params.get("fixture_params", {})
-        n = len(fp["semi_axes"]) if fixture == "ellipsoid" else fp.get("n", 2)
+        n = _fixture(params).n
         _require(n == 2, f"disc-index boundary loops lie in C^2, the fixture in C^{n}")
     tol = tol.replace(**params.get("tolerances", {}))
     seed = seed_override if seed_override is not None else int(params.get("seed", 0))
@@ -551,10 +555,16 @@ def main(argv=None) -> int:
     if args.tol_file:
         try:
             with open(args.tol_file) as fh:
-                tol = tol.replace(**json.load(fh))
-        except (OSError, json.JSONDecodeError, TypeError) as exc:
+                overrides = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
             print(f"cannot read tolerance file: {exc}", file=sys.stderr)
             return 2
+        try:
+            _TOLERANCES_VALIDATOR.validate(overrides)
+        except jsonschema.ValidationError as exc:
+            print(f"bad tolerance file: {exc.message}", file=sys.stderr)
+            return 2
+        tol = tol.replace(**overrides)
     try:
         prepared = _prepare(spec, tol, args.seed)
     except jsonschema.ValidationError as exc:

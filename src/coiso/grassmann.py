@@ -45,7 +45,6 @@ from .symplin import (
     AdaptedFrame,
     CoisotropicSubspace,
     Subspace,
-    SymplecticSpace,
     classify_coisotropic,
     complex_coords,
     largest_principal_angles,
@@ -53,6 +52,8 @@ from .symplin import (
     random_unitary,
     realify,
     standard_model,
+    _check_complex_dim,
+    _standard_omega,
     _transport,
 )
 
@@ -94,11 +95,13 @@ def _check_grid_shape(got: tuple, want: tuple) -> None:
             f"stack of shape {want}, got shape {got}")
 
 
-def _members(space, generator, thetas: np.ndarray) -> Subspace:
+def _members(generator, thetas: np.ndarray, dim: Optional[int] = None) -> Subspace:
     """The generator's stack on ``thetas``, C-contiguous as a stack built
-    member by member would be."""
+    member by member would be.  Its members have ``dim`` = 2n rows when
+    ``dim`` is given, else as many as the trailing axes returned show."""
     value = _as_subspace(generator(thetas))
-    _check_grid_shape(value.basis.shape, (len(thetas), space.dim, value.dim))
+    rows = value.basis.shape[-2] if dim is None else dim
+    _check_grid_shape(value.basis.shape, (len(thetas), rows, value.dim))
     return Subspace(np.ascontiguousarray(value.basis))
 
 
@@ -120,19 +123,17 @@ class CoisotropicLoop:
     the frames need not, and ``monodromy`` (U_0^* U_pred, where U_pred is
     the frame transported once more onto sample 0) records how far they
     fail to.  ``transport_margin`` is the smallest norm of a projected hint
-    column in that transport, which ``tol.hint_min_norm`` bounds from below
-    (None for a loop assembled from frames transported elsewhere).
+    column in that transport, which ``tol.hint_min_norm`` bounds from below.
     """
 
-    space: SymplecticSpace
     k: int
     thetas: np.ndarray
     samples: CoisotropicSubspace
     frames: AdaptedFrame
     closure_defect: float
     monodromy: np.ndarray
+    transport_margin: float
     generator: Optional[Callable] = None
-    transport_margin: Optional[float] = None
 
     @property
     def m(self) -> int:
@@ -140,7 +141,7 @@ class CoisotropicLoop:
 
     @property
     def n(self) -> int:
-        return self.space.n
+        return self.frames.n
 
     def section_gauge(self) -> np.ndarray:
         """Unit phases periodizing the frame trivialization of sections.
@@ -173,12 +174,10 @@ class CoisotropicLoop:
         if self.generator is None:
             raise ValueError("loop has no generator; cannot resample")
         coarse = self.samples if m == 2 * self.m else None
-        return _sampled_loop(self.space, self.k, self.generator, m, self.frames[0],
-                             False, coarse, tol)
+        return _sampled_loop(self.k, self.generator, m, self.frames[0], False, coarse, tol)
 
 
 def loop_from_family(
-    space: SymplecticSpace,
     k: int,
     generator: Callable[[np.ndarray], object],
     samples: int = 16,
@@ -193,24 +192,25 @@ def loop_from_family(
     returns a ``Subspace`` or ``CoisotropicSubspace`` stack of shape
     (M, 2n, m) whose member i depends on theta_i alone; any other shape
     raises ValueError.  It must close: its members at 0 and 2*pi, taken
-    from one call, agree within ``tol.generator_closure``.  Refinement
-    doubles the sample count up to ``tol.max_loop_samples`` and then raises
-    DiscontinuousLoopError; an angle within ``config.TIE_ULPS`` ulps below
-    ``tol.consecutive_angle`` counts as at it and refines, so that an exact
-    tie does not hang on the last bit.  Classification failures of
-    generator output propagate unchanged.  The members of a grid are
-    classified together, one stacked call per M; a doubled grid generates
-    and classifies only its odd members.
+    from one call, agree within ``tol.generator_closure``; that call fixes
+    the 2n of every later grid.  Refinement doubles the sample count up to
+    ``tol.max_loop_samples`` and then raises DiscontinuousLoopError; an
+    angle within ``config.TIE_ULPS`` ulps below ``tol.consecutive_angle``
+    counts as at it and refines, so that an exact tie does not hang on the
+    last bit.  Classification failures of generator output propagate
+    unchanged.  The members of a grid are classified together, one stacked
+    call per M; a doubled grid generates and classifies only its odd
+    members.
     """
-    return _sampled_loop(space, k, generator, samples, hint, auto_refine, None, tol)
+    return _sampled_loop(k, generator, samples, hint, auto_refine, None, tol)
 
 
-def _sampled_loop(space, k, generator, m: int, hint, auto_refine: bool,
+def _sampled_loop(k, generator, m: int, hint, auto_refine: bool,
                   coarse: Optional[CoisotropicSubspace], tol) -> CoisotropicLoop:
     """``loop_from_family`` starting on the M-grid; ``coarse``, when given,
     is the classified stack of the M/2 grid (see ``_classified_grid``)."""
-    ends = classify_coisotropic(
-        space, _members(space, generator, np.array([0.0, 2 * pi])), tol)
+    ends = classify_coisotropic(_members(generator, np.array([0.0, 2 * pi])), tol)
+    dim = ends.space.basis.shape[-2]
     if ends.dim:
         closure = float(np.max(principal_angles(ends.space[0], ends.space[1])))
     else:
@@ -224,7 +224,7 @@ def _sampled_loop(space, k, generator, m: int, hint, auto_refine: bool,
             f"generator produced rank parameter {ends.k}, expected {k}"
         )
 
-    stack = _classified_grid(space, generator, m, coarse, tol)
+    stack = _classified_grid(generator, m, dim, coarse, tol)
     while True:
         worst = float(np.max(_consecutive_angles(stack.space)))
         if worst < tol.consecutive_angle and not within_tie(worst, tol.consecutive_angle):
@@ -234,14 +234,15 @@ def _sampled_loop(space, k, generator, m: int, hint, auto_refine: bool,
                 f"consecutive angle {worst:.3f} at M={m}; refinement budget exhausted"
             )
         m *= 2
-        stack = _classified_grid(space, generator, m, stack, tol)
+        stack = _classified_grid(generator, m, dim, stack, tol)
 
-    return _closed_loop(space, k, _thetas(m), stack, hint, closure, generator, tol)
+    return _closed_loop(k, _thetas(m), stack, hint, closure, generator, tol)
 
 
-def _classified_grid(space, generator, m: int, coarse: Optional[CoisotropicSubspace],
+def _classified_grid(generator, m: int, dim: int, coarse: Optional[CoisotropicSubspace],
                      tol) -> CoisotropicSubspace:
-    """The generator's members on the M-grid, classified as one stack.
+    """The generator's members on the M-grid, each with ``dim`` = 2n rows,
+    classified as one stack.
 
     ``coarse``, when given, is the classified stack of the M/2 grid.  Its
     angles are bitwise the even angles of this grid (the ratio is a power of
@@ -253,8 +254,7 @@ def _classified_grid(space, generator, m: int, coarse: Optional[CoisotropicSubsp
     thetas = _thetas(m)
     if coarse is not None:
         try:
-            odd = classify_coisotropic(
-                space, _members(space, generator, thetas[1::2].copy()), tol)
+            odd = classify_coisotropic(_members(generator, thetas[1::2].copy(), dim), tol)
         except CoisoError:
             pass   # the whole-grid classification below raises it on this grid
         else:
@@ -262,7 +262,7 @@ def _classified_grid(space, generator, m: int, coarse: Optional[CoisotropicSubsp
                 space=_interleaved(coarse.space, odd.space), k=coarse.k,
                 kernel=_interleaved(coarse.kernel, odd.kernel),
                 h_part=_interleaved(coarse.h_part, odd.h_part))
-    return classify_coisotropic(space, _members(space, generator, thetas), tol)
+    return classify_coisotropic(_members(generator, thetas, dim), tol)
 
 
 def _interleaved(even: Subspace, odd: Subspace) -> Subspace:
@@ -273,15 +273,15 @@ def _interleaved(even: Subspace, odd: Subspace) -> Subspace:
     return Subspace(out)
 
 
-def _closed_loop(space, k, thetas, stack: CoisotropicSubspace, hint, closure,
+def _closed_loop(k, thetas, stack: CoisotropicSubspace, hint, closure,
                  generator, tol) -> CoisotropicLoop:
     """The loop of a classified stack, its frames transported from ``hint``
     around the samples and once more onto sample 0, which gives the frame
     monodromy U_0^* U_pred."""
-    frames, margin = _transport(space, stack[np.append(np.arange(len(thetas)), 0)], hint, tol)
+    frames, margin = _transport(stack[np.append(np.arange(len(thetas)), 0)], hint, tol)
     monodromy = np.conj(frames[0].unitary().T) @ frames[-1].unitary()
     return CoisotropicLoop(
-        space=space, k=k, thetas=thetas, samples=stack, frames=frames[:-1],
+        k=k, thetas=thetas, samples=stack, frames=frames[:-1],
         closure_defect=closure, monodromy=monodromy, generator=generator,
         transport_margin=margin,
     )
@@ -291,14 +291,13 @@ def _closed_loop(space, k, thetas, stack: CoisotropicSubspace, hint, closure,
 class SymplecticMatrixLoop:
     """M sampled 2n x 2n matrices A(theta_i) with A' omega A = omega."""
 
-    space: SymplecticSpace
     thetas: np.ndarray
     matrices: np.ndarray
     generator: Optional[Callable] = None
 
     def __post_init__(self):
         a = np.asarray(self.matrices, dtype=float)
-        om = self.space.omega
+        om = _standard_omega(a.shape[-1] // 2)
         worst = float(np.max(np.abs(np.swapaxes(a, -1, -2) @ om @ a - om)))
         if worst > 1e-9:
             raise ValueError(f"samples not symplectic: residual {worst:.3e}")
@@ -316,22 +315,24 @@ class SymplecticMatrixLoop:
         return len(self.matrices)
 
     @classmethod
-    def from_callable(cls, space, fn, samples: int) -> "SymplecticMatrixLoop":
-        """Matrix loop on the uniform grid of ``samples`` angles.  ``fn`` is
-        called once: given a 1-D array of M angles it returns the (M, 2n, 2n)
-        stack of the matrices A(theta_i), member i depending on theta_i
-        alone; any other shape raises ValueError."""
+    def from_callable(cls, n: int, fn, samples: int) -> "SymplecticMatrixLoop":
+        """Matrix loop in C^n on the uniform grid of ``samples`` angles.
+        ``fn`` is called once: given a 1-D array of M angles it returns the
+        (M, 2n, 2n) stack of the matrices A(theta_i), member i depending on
+        theta_i alone; any other shape raises ValueError."""
+        _check_complex_dim(n)
         thetas = _thetas(samples)
         mats = np.asarray(fn(thetas))
-        _check_grid_shape(mats.shape, (samples, space.dim, space.dim))
-        return cls(space=space, thetas=thetas, matrices=mats, generator=fn)
+        _check_grid_shape(mats.shape, (samples, 2 * n, 2 * n))
+        return cls(thetas=thetas, matrices=mats, generator=fn)
 
     def resample(self, m: int) -> "SymplecticMatrixLoop":
         if self.m == m:
             return self
         if self.generator is None:
             raise ValueError("matrix loop has no generator; cannot resample")
-        return SymplecticMatrixLoop.from_callable(self.space, self.generator, m)
+        return SymplecticMatrixLoop.from_callable(
+            self.matrices.shape[-1] // 2, self.generator, m)
 
 
 def pushforward(
@@ -360,7 +361,7 @@ def pushforward(
             return image(_a(thetas), _l(thetas))
 
         try:
-            return loop_from_family(loop.space, loop.k, gen, samples=m, tol=tol)
+            return loop_from_family(loop.k, gen, samples=m, tol=tol)
         except ClassificationError as exc:
             raise InternalConsistencyError(failed) from exc
 
@@ -368,11 +369,10 @@ def pushforward(
     a = a.resample(m)
     loop_m = loop if loop.m == m else loop.resample(m, tol)
     try:
-        stack = classify_coisotropic(loop.space, image(a.matrices, loop_m.samples), tol)
+        stack = classify_coisotropic(image(a.matrices, loop_m.samples), tol)
     except ClassificationError as exc:
         raise InternalConsistencyError(failed) from exc
-    out = _closed_loop(loop.space, loop.k, _thetas(m), stack, None,
-                       loop_m.closure_defect, None, tol)
+    out = _closed_loop(loop.k, _thetas(m), stack, None, loop_m.closure_defect, None, tol)
     worst = float(np.max(out.consecutive_angles()))
     if worst >= tol.consecutive_angle or within_tie(worst, tol.consecutive_angle):
         raise DiscontinuousLoopError(
@@ -406,11 +406,11 @@ def _diagonals(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def constant_family(space: SymplecticSpace, k: int, seed=None):
+def constant_family(n: int, k: int, seed=None):
     """A constant loop: the standard model, or a seeded random position."""
     from .symplin import random_coisotropic
 
-    fixed = standard_model(space, k) if seed is None else random_coisotropic(space, k, seed)
+    fixed = standard_model(n, k) if seed is None else random_coisotropic(n, k, seed)
 
     def gen(thetas, _c=fixed):
         return _c[None][np.zeros(len(thetas), dtype=int)]
@@ -418,9 +418,9 @@ def constant_family(space: SymplecticSpace, k: int, seed=None):
     return gen
 
 
-def lagrangian_rotation_family(space: SymplecticSpace, turns: int = 1):
+def lagrangian_rotation_family(n: int, turns: int = 1):
     """gamma(theta) = exp(i * turns * theta / 2) . R^n, a Lagrangian loop."""
-    n = space.n
+    _check_complex_dim(n)
     base = np.eye(2 * n)[:, :n]
 
     def gen(thetas):
@@ -430,17 +430,17 @@ def lagrangian_rotation_family(space: SymplecticSpace, turns: int = 1):
     return gen
 
 
-def diag_unitary_family(space: SymplecticSpace, k: int, windings: Sequence[float]):
+def diag_unitary_family(n: int, k: int, windings: Sequence[float]):
     """diag(exp(i m_j theta)) applied to the standard model C^k + R^{n-k}.
 
     Entries acting on the kernel coordinates (j > k) may carry half-integer
     windings: the half turn lands in the isotropy group of the model.
     """
-    n = space.n
+    _check_complex_dim(n)
     if len(windings) != n:
         raise ValueError("need one winding per complex coordinate")
     w = np.asarray(windings, dtype=float)
-    base = standard_model(space, k).space.basis
+    base = standard_model(n, k).space.basis
 
     def gen(thetas):
         u = realify(_diagonals(np.exp(1j * w * thetas[:, None])))
@@ -468,7 +468,7 @@ def _closed_wiggle(n: int, gen: np.random.Generator, scale: float):
 
 
 def random_unitary_orbit_family(
-    space: SymplecticSpace, k: int, seed, max_winding: int = 2, wiggle: float = 0.4
+    n: int, k: int, seed, max_winding: int = 2, wiggle: float = 0.4
 ):
     """A seeded random loop in the coisotropic Grassmannian.
 
@@ -477,14 +477,13 @@ def random_unitary_orbit_family(
     integer windings mu_j on the H coordinates, half-integer allowed on the
     kernel coordinates.
     """
-    n = space.n
     g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
     v = random_unitary(n, g)
     wig = _closed_wiggle(n, g, wiggle)
     mu = np.empty(n)
     mu[:k] = g.integers(-max_winding, max_winding + 1, size=k)
     mu[k:] = g.integers(-2 * max_winding, 2 * max_winding + 1, size=n - k) / 2.0
-    base = standard_model(space, k).space.basis
+    base = standard_model(n, k).space.basis
 
     def gen(thetas):
         u = v @ wig(thetas) @ _diagonals(np.exp(1j * mu * thetas[:, None]))
@@ -495,12 +494,12 @@ def random_unitary_orbit_family(
     return gen
 
 
-def unitary_matrix_loop(space: SymplecticSpace, fn_complex, samples: int) -> SymplecticMatrixLoop:
+def unitary_matrix_loop(n: int, fn_complex, samples: int) -> SymplecticMatrixLoop:
     """Matrix loop from a callable returning complex unitaries: given a 1-D
     array of M angles, ``fn_complex`` returns the (M, n, n) stack of the
     unitaries, member i depending on theta_i alone."""
     return SymplecticMatrixLoop.from_callable(
-        space, lambda thetas: realify(fn_complex(thetas)), samples
+        n, lambda thetas: realify(fn_complex(thetas)), samples
     )
 
 
@@ -519,27 +518,27 @@ def _random_unitary_grid(n: int, g: np.random.Generator, max_winding: int, wiggl
 
 
 def random_unitary_matrix_loop(
-    space: SymplecticSpace, seed, samples: int,
-    max_winding: int = 2, wiggle: float = 0.3,
+    n: int, seed, samples: int, max_winding: int = 2, wiggle: float = 0.3,
 ) -> SymplecticMatrixLoop:
     """A seeded closed loop of unitaries, determinant winding allowed."""
     g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    return unitary_matrix_loop(
-        space, _random_unitary_grid(space.n, g, max_winding, wiggle), samples)
+    return unitary_matrix_loop(n, _random_unitary_grid(n, g, max_winding, wiggle), samples)
+
+
+# scale of the symmetric sp(2n) generators of the random symplectic stretch
+STRETCH = 0.3
 
 
 def random_symplectic_matrix_loop(
-    space: SymplecticSpace, seed, samples: int,
-    max_winding: int = 2, stretch: float = 0.3,
+    n: int, seed, samples: int, max_winding: int = 2,
 ) -> SymplecticMatrixLoop:
     """Unitary loop times a closed positive symplectic stretch."""
-    n = space.n
     g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
     unitaries = _random_unitary_grid(n, g, max_winding, wiggle=0.3)
 
     def sym(size):
         a = g.normal(size=(size, size))
-        return stretch * (a + a.T) / 2
+        return STRETCH * (a + a.T) / 2
 
     a1, b1 = sym(n), sym(n)
     a2, b2 = sym(n), sym(n)
@@ -558,17 +557,17 @@ def random_symplectic_matrix_loop(
     def fn(thetas):
         return realify(unitaries(thetas)) @ stretch_fn(thetas)
 
-    return SymplecticMatrixLoop.from_callable(space, fn, samples)
+    return SymplecticMatrixLoop.from_callable(n, fn, samples)
 
 
-# name -> builder of the family's generator from (space, k, family_params,
-# seed); a random orbit takes the seed unless its parameters name their own
+# name -> builder of the family's generator from (n, k, family_params, seed);
+# a random orbit takes the seed unless its parameters name their own
 LOOP_FAMILIES = {
-    "constant": lambda space, k, fp, seed: constant_family(space, k, fp.get("seed")),
-    "lagrangian-rotation": lambda space, k, fp, seed: lagrangian_rotation_family(
-        space, int(fp.get("turns", 1))),
-    "diag-unitary": lambda space, k, fp, seed: diag_unitary_family(space, k, fp["windings"]),
-    "random-unitary-orbit": lambda space, k, fp, seed: random_unitary_orbit_family(
-        space, k, fp.get("seed", seed), int(fp.get("max_winding", 2)),
+    "constant": lambda n, k, fp, seed: constant_family(n, k, fp.get("seed")),
+    "lagrangian-rotation": lambda n, k, fp, seed: lagrangian_rotation_family(
+        n, int(fp.get("turns", 1))),
+    "diag-unitary": lambda n, k, fp, seed: diag_unitary_family(n, k, fp["windings"]),
+    "random-unitary-orbit": lambda n, k, fp, seed: random_unitary_orbit_family(
+        n, k, fp.get("seed", seed), int(fp.get("max_winding", 2)),
         float(fp.get("wiggle", 0.4))),
 }

@@ -106,6 +106,9 @@ SAMPLE_ATTEMPTS = 100
 NEWTON_ITERS = 50
 NEWTON_TOL = 1e-13
 
+# RK4 step along X_rho of the leaf curvature's second difference
+FLOW_STEP = 1e-3
+
 # the three trailing axes of a stack of (normal, row, column) blocks
 _BLOCK_AXES = (-3, -2, -1)
 
@@ -735,7 +738,7 @@ def _rk4(f: Callable, x: np.ndarray, h) -> np.ndarray:
     return x + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def leaf_minimality(geo: PointGeometry, flow_step: float = 1e-3) -> Minimality:
+def leaf_minimality(geo: PointGeometry) -> Minimality:
     """Is the null leaf through each point a minimal curve of Y?
 
     The leaf is the integral curve of X_rho.  Its curvature inside Y is the
@@ -752,9 +755,9 @@ def leaf_minimality(geo: PointGeometry, flow_step: float = 1e-3) -> Minimality:
         g = y.gradient(x)
         return _apply_j(y.n, g / _norm(g)[..., None])
 
-    steps = np.array([flow_step, -flow_step]).reshape((2,) + (1,) * p.ndim)
+    steps = np.array([FLOW_STEP, -FLOW_STEP]).reshape((2,) + (1,) * p.ndim)
     xp, xm = _rk4(vf, np.stack([p, p]), steps)
-    acc = (xp - 2 * p + xm) / flow_step ** 2
+    acc = (xp - 2 * p + xm) / FLOW_STEP ** 2
     kappa = (acc - np.vecdot(acc, geo.nu)[..., None] * geo.nu
              - np.vecdot(acc, geo.x_rho)[..., None] * geo.x_rho)
     norm = _norm(kappa)

@@ -32,11 +32,7 @@ from .errors import (
 )
 from . import hypergeo
 from .grassmann import CoisotropicLoop, SymplecticMatrixLoop, loop_from_family, pushforward
-from .symplin import (
-    AdaptedFrame,
-    Subspace,
-    standard_space,
-)
+from .symplin import AdaptedFrame, Subspace
 
 __all__ = [
     "MaslovSection",
@@ -280,7 +276,6 @@ def tangent_boundary_loop(
     tangent splitting at the first point, so the null frame vector follows
     +X_rho around the loop.
     """
-    space = standard_space(y.n)
     points_at = {}   # theta -> boundary point, from the generator's evaluations
 
     def gen(thetas):
@@ -298,7 +293,7 @@ def tangent_boundary_loop(
         return Subspace(u[..., : y.dim - 1])
 
     hint = hypergeo.tangent_splitting(y, boundary(0.0), tol).frame
-    loop = loop_from_family(space, y.n - 1, gen, samples=samples, hint=hint, tol=tol)
+    loop = loop_from_family(y.n - 1, gen, samples=samples, hint=hint, tol=tol)
     return loop, np.stack([points_at[theta] for theta in loop.thetas])
 
 

@@ -8,6 +8,9 @@ through z_j = x_j + i y_j.  The standard structures in this basis are
 so that g(X, Y) = omega(X, j Y) and j acts as multiplication by i.  All
 subspaces are stored as matrices with g-orthonormal columns because frames,
 not projectors, are the working objects of every downstream computation.
+No object carries the ambient space: a routine given a (..., 2n, m) array
+reads n from its trailing axes, and only the routines that build a
+subspace from nothing (``standard_model``, ``random_coisotropic``) take n.
 
 A loop's samples are handled as one stack: a ``Subspace`` may hold a
 (..., 2n, m) array of equal-dimensional members, a ``CoisotropicSubspace``
@@ -38,11 +41,9 @@ from .errors import (
 )
 
 __all__ = [
-    "SymplecticSpace",
     "Subspace",
     "CoisotropicSubspace",
     "AdaptedFrame",
-    "standard_space",
     "complex_coords",
     "real_coords",
     "realify",
@@ -97,33 +98,10 @@ def _identity(d: int) -> np.ndarray:
     return eye
 
 
-@dataclasses.dataclass(frozen=True)
-class SymplecticSpace:
-    """(R^{2n}, omega, j) with the standard structures; g = omega(., j .)
-    is the identity.  ``omega`` and ``j`` are cached read-only matrices."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("complex dimension must be positive")
-
-    @property
-    def dim(self) -> int:
-        return 2 * self.n
-
-    @property
-    def omega(self) -> np.ndarray:
-        return _standard_omega(self.n)
-
-    @property
-    def j(self) -> np.ndarray:
-        return _standard_j(self.n)
-
-
-def standard_space(n: int) -> SymplecticSpace:
-    """The standard (R^{2n}, omega_0, j, g=identity)."""
-    return SymplecticSpace(n)
+def _check_complex_dim(n: int) -> None:
+    """ValueError unless ``n``, the complex dimension of C^n, is positive."""
+    if n < 1:
+        raise ValueError("complex dimension must be positive")
 
 
 def complex_coords(v: np.ndarray) -> np.ndarray:
@@ -148,6 +126,9 @@ def realify(u: np.ndarray) -> np.ndarray:
     return np.concatenate([np.concatenate([a, -b], axis=-1),
                            np.concatenate([b, a], axis=-1)], axis=-2)
 
+
+# the smallest projected column norm ``Subspace.from_spanning`` accepts
+SPANNING_MIN_NORM = 1e-12
 
 # the smallest normal float: a norm floored at it divides a zero column to
 # zero and leaves every other quotient as it is
@@ -258,8 +239,8 @@ class Subspace:
         return self.basis.shape[-1]
 
     @classmethod
-    def from_spanning(cls, cols: np.ndarray, min_norm: float = 1e-12) -> "Subspace":
-        return cls(_mgs(np.asarray(cols, dtype=float), min_norm)[0])
+    def from_spanning(cls, cols: np.ndarray) -> "Subspace":
+        return cls(_mgs(np.asarray(cols, dtype=float), SPANNING_MIN_NORM)[0])
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (_t(self.basis) @ v)
@@ -307,23 +288,21 @@ def spans_equal(a: Subspace, b: Subspace, tol: float = DEFAULT.subspace_equality
     return float(np.max(principal_angles(a, b))) < tol
 
 
-def omega_pairing(space: SymplecticSpace, a: Subspace, b: Subspace) -> np.ndarray:
-    return _t(a.basis) @ space.omega @ b.basis
+def omega_pairing(a: Subspace, b: Subspace) -> np.ndarray:
+    return _t(a.basis) @ _standard_omega(a.basis.shape[-2] // 2) @ b.basis
 
 
-def symplectic_complement(
-    space: SymplecticSpace, c: Subspace, tol: Tolerances = DEFAULT
-) -> Subspace:
+def symplectic_complement(c: Subspace, tol: Tolerances = DEFAULT) -> Subspace:
     """{v : omega(v, c) = 0 for all c in C}, of dimension 2n - dim C; for a
     stack, the stack of the members' complements.
 
     Computed as the null space of the m x 2n pairing matrix via SVD with
     singular value cutoff ``tol.svd_cutoff``.
     """
-    batch = c.basis.shape[:-2]
+    batch, dim = c.basis.shape[:-2], c.basis.shape[-2]
     if c.dim == 0:
-        return Subspace(np.broadcast_to(np.eye(space.dim), batch + (space.dim,) * 2))
-    pairing = _t(c.basis) @ space.omega
+        return Subspace(np.broadcast_to(np.eye(dim), batch + (dim, dim)))
+    pairing = _t(c.basis) @ _standard_omega(dim // 2)
     _, s, vh = np.linalg.svd(pairing)
     band = (s > tol.svd_cutoff) & (s < tol.svd_gap * s[..., :1])
     if band.any():
@@ -369,9 +348,7 @@ class CoisotropicSubspace:
         return self.space.dim
 
 
-def classify_coisotropic(
-    space: SymplecticSpace, c: Subspace, tol: Tolerances = DEFAULT
-) -> CoisotropicSubspace:
+def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicSubspace:
     """Certify C as coisotropic, returning its canonical splitting; for a
     stack, every member at once.
 
@@ -379,12 +356,12 @@ def classify_coisotropic(
     angle tolerance; otherwise raises ClassificationError carrying the
     violating pair of the worst member.
     """
-    n = space.n
+    n = c.basis.shape[-2] // 2
     if c.dim < n:
         raise ClassificationError(
             f"dimension {c.dim} < n = {n}: coisotropic subspaces need dim >= n"
         )
-    kernel = symplectic_complement(space, c, tol)
+    kernel = symplectic_complement(c, tol)
     if kernel.dim:
         resid = kernel.basis - c.project(kernel.basis)
         resid_norms = np.linalg.norm(resid, axis=-2)
@@ -405,7 +382,7 @@ def classify_coisotropic(
         proj = c.basis - kernel.basis @ (_t(kernel.basis) @ c.basis)
         u = np.linalg.svd(proj, full_matrices=False)[0]
         h_part = Subspace(_canonical_signs(u[..., : 2 * k]))
-        jh = space.j @ h_part.basis
+        jh = _standard_j(n) @ h_part.basis
         resid = jh - h_part.project(jh)
         resid_norms = np.linalg.norm(resid, axis=-2)
         if resid_norms.max() > tol.subspace_equality:
@@ -461,14 +438,14 @@ class AdaptedFrame:
         return np.concatenate([self.e[..., : self.k], self.f[..., : self.k]], axis=-1)
 
 
-def _check_frames(space: SymplecticSpace, c: CoisotropicSubspace,
-                  frames: AdaptedFrame, tol: Tolerances) -> None:
+def _check_frames(c: CoisotropicSubspace, frames: AdaptedFrame, tol: Tolerances) -> None:
     """Raise ContinuityLossError, naming the first failing frame, unless
     member i of the stack ``frames`` is an adapted unitary Darboux frame of
     member i of the stack ``c``.  Every check runs once over the stack."""
     e, f = frames.e, frames.f
     full = np.concatenate([e, f], axis=-1)
     tangent = frames.tangent_basis()
+    omega = _standard_omega(frames.n)
 
     def largest_entry(x):
         return np.abs(x).max(axis=(-2, -1))
@@ -478,11 +455,11 @@ def _check_frames(space: SymplecticSpace, c: CoisotropicSubspace,
         return np.sqrt((d * d).sum(axis=-2).max(axis=-1, initial=0.0))
 
     checks = (
-        ("is not orthonormal", largest_entry(_t(full) @ full - _identity(space.dim)),
+        ("is not orthonormal", largest_entry(_t(full) @ full - _identity(2 * frames.n)),
          10 * tol.orthonormality),
-        ("has f != j e", largest_entry(f - space.j @ e), tol.frame_j),
+        ("has f != j e", largest_entry(f - _standard_j(frames.n) @ e), tol.frame_j),
         ("violates the Darboux relations",
-         largest_entry(_t(full) @ space.omega @ full - space.omega), tol.darboux),
+         largest_entry(_t(full) @ omega @ full - omega), tol.darboux),
         ("does not span the target subspace", largest_escape(c.space, tangent),
          tol.subspace_equality),
         ("kernel block does not span the kernel",
@@ -544,12 +521,11 @@ def _chain(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
     return np.concatenate([start[None], coeffs])
 
 
-def _transport(space: SymplecticSpace, c: CoisotropicSubspace,
-               hint: Optional[AdaptedFrame], tol: Tolerances
+def _transport(c: CoisotropicSubspace, hint: Optional[AdaptedFrame], tol: Tolerances
                ) -> tuple[AdaptedFrame, float]:
     """:func:`transported_frames` and its margin: the smallest norm of a
     projected hint column (infinite when nothing was projected)."""
-    k, n = c.k, space.n
+    k, n = c.k, c.space.basis.shape[-2] // 2
     # gauge bases: the kernel bases and unitary bases of the j-invariant
     # parts viewed as C^k; without a hint member 0's gauge is its frame, so
     # its phases are made canonical
@@ -586,13 +562,12 @@ def _transport(space: SymplecticSpace, c: CoisotropicSubspace,
         h = h @ coeffs[..., :k, :k]
         kernel = kernel @ coeffs[..., k:, k:].real
     e = np.concatenate([real_coords(h), kernel], axis=-1) if k else np.array(kernel)
-    frames = AdaptedFrame(k=k, e=e, f=space.j @ e)
-    _check_frames(space, c, frames, tol)
+    frames = AdaptedFrame(k=k, e=e, f=_standard_j(n) @ e)
+    _check_frames(c, frames, tol)
     return frames, margin
 
 
 def transported_frames(
-    space: SymplecticSpace,
     c: CoisotropicSubspace,
     hint: Optional[AdaptedFrame] = None,
     tol: Tolerances = DEFAULT,
@@ -629,11 +604,10 @@ def transported_frames(
     windings.  The projected-column norms are the Gram-Schmidt norms of the
     stacked O_i C_{i-1}, and the frame checks run once over the stack.
     """
-    return _transport(space, c, hint, tol)[0]
+    return _transport(c, hint, tol)[0]
 
 
 def adapted_frame(
-    space: SymplecticSpace,
     c: CoisotropicSubspace,
     hint: Optional[AdaptedFrame] = None,
     tol: Tolerances = DEFAULT,
@@ -648,7 +622,7 @@ def adapted_frame(
     after projection falls below ``tol.hint_min_norm`` raises
     ContinuityLossError.
     """
-    return transported_frames(space, c[None], hint, tol)[0]
+    return transported_frames(c[None], hint, tol)[0]
 
 
 def grassmannian_dim(n: int, k: int) -> int:
@@ -661,40 +635,39 @@ def grassmannian_dim(n: int, k: int) -> int:
 
 def random_unitary(n: int, gen: np.random.Generator) -> np.ndarray:
     """Haar-ish random unitary: QR of a complex Gaussian, phases fixed."""
+    _check_complex_dim(n)
     z = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
     q, r = np.linalg.qr(z)
     d = np.diagonal(r)
     return q * (d / np.abs(d))
 
 
-def standard_model(space: SymplecticSpace, k: int) -> CoisotropicSubspace:
+def standard_model(n: int, k: int) -> CoisotropicSubspace:
     """The model C^k + R^{n-k}: span(e_1..e_n, f_1..f_k)."""
-    n = space.n
+    _check_complex_dim(n)
     if not (0 <= k <= n):
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}")
     eye = np.eye(2 * n)
     cols = np.concatenate([eye[:, :n], eye[:, n: n + k]], axis=1)
-    return classify_coisotropic(space, Subspace(cols))
+    return classify_coisotropic(Subspace(cols))
 
 
-def random_coisotropic(
-    space: SymplecticSpace, k: int, seed, tol: Tolerances = DEFAULT
-) -> CoisotropicSubspace:
+def random_coisotropic(n: int, k: int, seed, tol: Tolerances = DEFAULT) -> CoisotropicSubspace:
     """U . (C^k + R^{n-k}) for a seeded Haar-ish random unitary U."""
     gen = seed if isinstance(seed, np.random.Generator) else rng(seed)
-    u = realify(random_unitary(space.n, gen))
-    model = standard_model(space, k)
-    return classify_coisotropic(space, Subspace.from_spanning(u @ model.space.basis), tol)
+    u = realify(random_unitary(n, gen))
+    model = standard_model(n, k)
+    return classify_coisotropic(Subspace.from_spanning(u @ model.space.basis), tol)
 
 
-def _schur_constraint(space: SymplecticSpace, t_basis: np.ndarray,
-                      perp: np.ndarray, k: int, z: np.ndarray) -> np.ndarray:
+def _schur_constraint(t_basis: np.ndarray, perp: np.ndarray, k: int,
+                      z: np.ndarray) -> np.ndarray:
     """Upper triangle of the kernel-block Schur complement of the restricted
     form on the subspace perturbed by ``z``, one row per member of a
     (..., m, 2n - m) stack of perturbations; zero iff the perturbation stays
     coisotropic to first order."""
     cols = t_basis + perp @ _t(z)
-    om = _t(cols) @ space.omega @ cols
+    om = _t(cols) @ _standard_omega(cols.shape[-2] // 2) @ cols
     hk = 2 * k
     p, m, kk = om[..., :hk, :hk], om[..., :hk, hk:], om[..., hk:, hk:]
     if kk.shape[-1] < 2:
@@ -704,11 +677,7 @@ def _schur_constraint(space: SymplecticSpace, t_basis: np.ndarray,
     return s[..., iu[0], iu[1]]
 
 
-def measured_grassmannian_dim(
-    space: SymplecticSpace,
-    c: CoisotropicSubspace,
-    tol: Tolerances = DEFAULT,
-) -> int:
+def measured_grassmannian_dim(c: CoisotropicSubspace, tol: Tolerances = DEFAULT) -> int:
     """Tangent-space dimension of the coisotropic Grassmannian at C,
     measured numerically.
 
@@ -719,17 +688,18 @@ def measured_grassmannian_dim(
     subspaces evaluated as one stack) is subtracted from the ambient
     Grassmannian dimension.
     """
-    frame = adapted_frame(space, c, tol=tol)
+    frame = adapted_frame(c, tol=tol)
     t_basis = np.concatenate([frame.h_vectors(), frame.kernel_vectors()], axis=1)
     sub = Subspace.from_spanning(t_basis)
-    proj = np.eye(space.dim) - sub.basis @ sub.basis.T
+    dim = len(t_basis)
+    proj = np.eye(dim) - sub.basis @ sub.basis.T
     u, s, _ = np.linalg.svd(proj)
-    perp = u[:, : space.dim - sub.dim]
+    perp = u[:, : dim - sub.dim]
     npar = sub.dim * perp.shape[1]
     step = tol.rank_step
     # perturbation a moves entry a of the (dim, 2n - dim) graph matrix
     z = (step * np.eye(npar)).reshape(npar, sub.dim, perp.shape[1])
-    f = _schur_constraint(space, t_basis, perp, c.k, np.concatenate([z, -z]))
+    f = _schur_constraint(t_basis, perp, c.k, np.concatenate([z, -z]))
     if f.shape[-1] == 0:
         return npar
     jac = _t(f[:npar] - f[npar:]) / (2 * step)

@@ -26,7 +26,6 @@ from coiso import (
     point_geometry,
     pushforward_section,
     sphere,
-    standard_space,
     transverse_curvature_bracket,
     transverse_curvature_sff,
     winding,
@@ -41,11 +40,10 @@ def _ok(label):
 def test_01_dimension_formula_matches_measured_rank():
     expected = {(2, 0): 3, (2, 1): 3, (3, 0): 6, (3, 1): 7, (3, 2): 5}
     for (n, k), dim in expected.items():
-        sp = standard_space(n)
         assert coiso.grassmannian_dim(n, k) == dim
         for seed in range(20):
-            c = coiso.random_coisotropic(sp, k, 100 * n + 10 * k + seed)
-            measured = coiso.measured_grassmannian_dim(sp, c)
+            c = coiso.random_coisotropic(n, k, 100 * n + 10 * k + seed)
+            measured = coiso.measured_grassmannian_dim(c)
             assert measured == dim, (n, k, seed, measured)
     _ok("1 dimension formula (20 points x 5 configurations, exact)")
 
@@ -53,19 +51,17 @@ def test_01_dimension_formula_matches_measured_rank():
 def test_02_lagrangian_reduction():
     # rotation loops: |index| = n for n = 1..4
     for n in range(1, 5):
-        sp = standard_space(n)
         loop = loop_from_family(
-            sp, 0, coiso.lagrangian_rotation_family(sp, 1), samples=64)
+            0, coiso.lagrangian_rotation_family(n, 1), samples=64)
         ones = MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0j)
         assert abs(maslov_index(loop, ones)) == n
     # 50 random Lagrangian loops against the classical squared-determinant
     # winding oracle, computed from the generating unitaries directly
     count = 0
     for n in (1, 2, 3):
-        sp = standard_space(n)
         for seed in range(17):
-            gen = coiso.random_unitary_orbit_family(sp, 0, coiso.rng(7000 + seed, n))
-            loop = loop_from_family(sp, 0, gen, samples=128)
+            gen = coiso.random_unitary_orbit_family(n, 0, coiso.rng(7000 + seed, n))
+            loop = loop_from_family(0, gen, samples=128)
             ones = MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0j)
             mu = maslov_index(loop, ones)
             dets = np.array([
@@ -84,11 +80,10 @@ def test_03_symplectic_invariance():
     configs = [(2, 0, 34), (2, 1, 33), (3, 1, 33)]
     total = 0
     for n, k, trials in configs:
-        sp = standard_space(n)
         for trial in range(trials):
             gen = coiso.random_unitary_orbit_family(
-                sp, k, coiso.rng(50_000 + 97 * trial, 10 * n + k))
-            loop = loop_from_family(sp, k, gen, samples=128)
+                n, k, coiso.rng(50_000 + 97 * trial, 10 * n + k))
+            loop = loop_from_family(k, gen, samples=128)
             g = coiso.rng(60_000 + trial, 10 * n + k)
             w = int(g.integers(-2, 3))
             section = MaslovSection.from_function(
@@ -96,7 +91,7 @@ def test_03_symplectic_invariance():
             mu = maslov_index(loop, section)
             maker = (coiso.random_unitary_matrix_loop if trial % 2 == 0
                      else coiso.random_symplectic_matrix_loop)
-            a = maker(sp, g, loop.m, max_winding=1)
+            a = maker(n, g, loop.m, max_winding=1)
             out, moved = pushforward_section(a, loop, section)
             mu2 = maslov_index(out, moved)
             assert mu2 == mu, (n, k, trial, mu, mu2)
@@ -106,9 +101,8 @@ def test_03_symplectic_invariance():
 
 
 def test_04_frame_independence():
-    sp = standard_space(2)
-    gen = coiso.random_unitary_orbit_family(sp, 1, coiso.rng(404))
-    loop = loop_from_family(sp, 1, gen, samples=128)
+    gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(404))
+    loop = loop_from_family(1, gen, samples=128)
     section = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
     mu = maslov_index(loop, section)
     base = canonical_section(loop).samples
@@ -119,13 +113,9 @@ def test_04_frame_independence():
         q = np.stack([np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(loop.m)])
         new_samples = coiso.CoisotropicSubspace(
             space=s.space, k=s.k, kernel=coiso.Subspace(s.kernel.basis @ q), h_part=s.h_part)
-        # transported once around and once more onto sample 0
-        frames = coiso.transported_frames(sp, new_samples[np.append(np.arange(loop.m), 0)])
-        mono = np.conj(frames[0].unitary().T) @ frames[-1].unitary()
-        mixed = coiso.CoisotropicLoop(
-            space=sp, k=1, thetas=loop.thetas, samples=new_samples,
-            frames=frames[:-1], closure_defect=loop.closure_defect,
-            monodromy=mono, generator=loop.generator)
+        mixed = coiso.grassmann._closed_loop(1, loop.thetas, new_samples, None,
+                                             loop.closure_defect, loop.generator,
+                                             coiso.DEFAULT)
         assert_allclose(canonical_section(mixed).samples, base, atol=1e-9)
         assert maslov_index(mixed, section) == mu
     _ok("4 frame independence (50 kernel re-framings, index change 0)")

@@ -136,6 +136,12 @@ def test_run_schema_violation_exit_two(tmp_path):
     # every boundary family is a loop in C^2
     ("disc-index", {"fixture": "sphere", "fixture_params": {"n": 3}}),
     ("disc-index", {"fixture": "ellipsoid", "fixture_params": {"semi_axes": [1.0, 1.0, 1.0]}}),
+    ("disc-index", {"fixture": "polynomial", "fixture_params": {
+        "n": 1, "terms": [{"coeff": 1.0, "exponents": [2, 0]}]}}),
+    # a tolerance is a number, max_loop_samples an integer
+    ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"phase_jump": "wide"}}),
+    ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"phase_jump": None}}),
+    ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"max_loop_samples": 1.5}}),
 ])
 def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
     path = tmp_path / "bad.json"
@@ -145,6 +151,17 @@ def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
 
 REMOVED_TOLERANCES = ["kernel_pairing", "loop_closure", "equivariance", "unit_gradient",
                       "unit_modulus", "fd_step"]
+
+
+@pytest.mark.parametrize("overrides", [
+    {"phase_jump": "wide"}, {"phase_jump": None}, {"max_loop_samples": 1.5}, [1.0]])
+def test_non_numeric_tolerance_file_exit_two(tmp_path, capsys, overrides):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "grassmannian-dim", "parameters": {"n": 2, "k": 1}}))
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(json.dumps(overrides))
+    assert main(["run", str(spec_path), "--tol-file", str(tol_path)]) == 2
+    assert "bad tolerance file" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name", REMOVED_TOLERANCES)
@@ -311,8 +328,7 @@ def test_report_roundtrips_schema():
 
 
 def test_phase_trace_constant_loop(tmp_path):
-    sp = coiso.standard_space(2)
-    loop = coiso.loop_from_family(sp, 1, coiso.constant_family(sp, 1), samples=16)
+    loop = coiso.loop_from_family(1, coiso.constant_family(2, 1), samples=16)
     sec = coiso.MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0j)
     path = tmp_path / "trace.csv"
     emit_phase_trace(loop, sec, str(path))
@@ -323,9 +339,8 @@ def test_phase_trace_constant_loop(tmp_path):
 
 
 def test_phase_trace_rotation_spans_minus_two_pi(tmp_path):
-    sp = coiso.standard_space(1)
     loop = coiso.loop_from_family(
-        sp, 0, coiso.lagrangian_rotation_family(sp, 1), samples=64)
+        0, coiso.lagrangian_rotation_family(1, 1), samples=64)
     sec = coiso.MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0j)
     path = tmp_path / "trace.csv"
     emit_phase_trace(loop, sec, str(path))
@@ -336,8 +351,7 @@ def test_phase_trace_rotation_spans_minus_two_pi(tmp_path):
 
 
 def test_phase_trace_winding_section_spans_plus_two_pi(tmp_path):
-    sp = coiso.standard_space(2)
-    loop = coiso.loop_from_family(sp, 1, coiso.constant_family(sp, 1), samples=64)
+    loop = coiso.loop_from_family(1, coiso.constant_family(2, 1), samples=64)
     sec = coiso.MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
     path = tmp_path / "trace.csv"
     emit_phase_trace(loop, sec, str(path))

@@ -19,15 +19,11 @@ from coiso import (
     pushforward,
     realify,
     standard_model,
-    standard_space,
     tangent_boundary_loop,
     transverse_frame_loop,
     unitary_matrix_loop,
 )
 from coiso.cli import BOUNDARY_FAMILIES
-
-SP1 = standard_space(1)
-SP2 = standard_space(2)
 
 
 def diagonals(*entries):
@@ -43,8 +39,8 @@ def constant_unitaries(u):
 
 
 def test_constant_loop():
-    gen = constant_family(SP2, 1)
-    loop = loop_from_family(SP2, 1, gen, samples=16)
+    gen = constant_family(2, 1)
+    loop = loop_from_family(1, gen, samples=16)
     assert loop.m == 16
     assert loop.closure_defect < 1e-12
     base = loop.samples[0].space
@@ -53,8 +49,8 @@ def test_constant_loop():
 
 
 def test_lagrangian_rotation_half_turn_is_orthogonal():
-    gen = lagrangian_rotation_family(SP2, turns=1)
-    loop = loop_from_family(SP2, 0, gen, samples=64)
+    gen = lagrangian_rotation_family(2, turns=1)
+    loop = loop_from_family(0, gen, samples=64)
     for s in loop.samples:
         assert s.k == 0
     half = loop.samples[32].space      # theta = pi, i.e. rotation by i
@@ -63,18 +59,18 @@ def test_lagrangian_rotation_half_turn_is_orthogonal():
 
 
 def test_diag_unitary_loop_classifies_everywhere():
-    gen = diag_unitary_family(SP2, 1, [1.0, 0.0])
-    loop = loop_from_family(SP2, 1, gen, samples=64)
+    gen = diag_unitary_family(2, 1, [1.0, 0.0])
+    loop = loop_from_family(1, gen, samples=64)
     for s in loop.samples:
         # classification oracle: re-certify every sample from scratch
-        again = coiso.classify_coisotropic(SP2, s.space)
+        again = coiso.classify_coisotropic(s.space)
         assert again.k == 1
         assert again.kernel.dim == 1
 
 
 def test_refinement_triggers_on_coarse_sampling():
-    gen = diag_unitary_family(SP2, 1, [0.0, 1.5])
-    loop = loop_from_family(SP2, 1, gen, samples=8)
+    gen = diag_unitary_family(2, 1, [0.0, 1.5])
+    loop = loop_from_family(1, gen, samples=8)
     assert loop.m > 8
     assert np.max(loop.consecutive_angles()) < np.pi / 8
 
@@ -82,21 +78,21 @@ def test_refinement_triggers_on_coarse_sampling():
 def test_an_angle_at_the_contract_refines_from_either_side():
     # a half turn of a Lagrangian line in C^1 over 8 samples: every
     # consecutive angle is pi/8 up to rounding
-    gen = lagrangian_rotation_family(SP1, 1)
-    worst = float(np.max(loop_from_family(SP1, 0, gen, samples=8, auto_refine=False,
+    gen = lagrangian_rotation_family(1, 1)
+    worst = float(np.max(loop_from_family(0, gen, samples=8, auto_refine=False,
                                           tol=coiso.DEFAULT.replace(consecutive_angle=1.0)
                                           ).consecutive_angles()))
     assert abs(worst - np.pi / 8) < 1e-15
-    assert loop_from_family(SP1, 0, gen, samples=8).m == 16
+    assert loop_from_family(0, gen, samples=8).m == 16
     # the contract bound 1 ulp above the angle, or below it: a tie either way
     for bound in (np.nextafter(worst, np.inf), np.nextafter(worst, 0.0)):
         tol = coiso.DEFAULT.replace(consecutive_angle=bound)
-        assert loop_from_family(SP1, 0, gen, samples=8, tol=tol).m == 16
+        assert loop_from_family(0, gen, samples=8, tol=tol).m == 16
         with pytest.raises(DiscontinuousLoopError):
-            loop_from_family(SP1, 0, gen, samples=8, auto_refine=False, tol=tol)
+            loop_from_family(0, gen, samples=8, auto_refine=False, tol=tol)
     # well clear of the margin the angle is inside the contract
     tol = coiso.DEFAULT.replace(consecutive_angle=worst + 1e-12)
-    assert loop_from_family(SP1, 0, gen, samples=8, tol=tol).m == 8
+    assert loop_from_family(0, gen, samples=8, tol=tol).m == 8
 
 
 def test_refinement_budget_exhausts():
@@ -104,24 +100,24 @@ def test_refinement_budget_exhausts():
 
     def jumpy(thetas):
         u = realify(diagonals(1.0, np.exp(37j * thetas)))
-        return Subspace.from_spanning(u @ standard_model(SP2, 1).space.basis)
+        return Subspace.from_spanning(u @ standard_model(2, 1).space.basis)
 
     with pytest.raises(DiscontinuousLoopError):
-        loop_from_family(SP2, 1, jumpy, samples=8, tol=tol)
+        loop_from_family(1, jumpy, samples=8, tol=tol)
 
 
 def test_open_generator_rejected():
     def open_path(thetas):
         u = realify(diagonals(1.0, np.exp(0.25j * thetas)))
-        return Subspace.from_spanning(u @ standard_model(SP2, 1).space.basis)
+        return Subspace.from_spanning(u @ standard_model(2, 1).space.basis)
 
     with pytest.raises(DiscontinuousLoopError):
-        loop_from_family(SP2, 1, open_path, samples=16)
+        loop_from_family(1, open_path, samples=16)
 
 
 def test_resample_restriction_reproduces_samples_exactly():
-    gen = diag_unitary_family(SP2, 1, [1.0, 0.5])
-    loop = loop_from_family(SP2, 1, gen, samples=16)
+    gen = diag_unitary_family(2, 1, [1.0, 0.5])
+    loop = loop_from_family(1, gen, samples=16)
     fine = loop.resample(32)
     for i in range(loop.m):
         a = fine.samples[2 * i].space.basis
@@ -130,8 +126,8 @@ def test_resample_restriction_reproduces_samples_exactly():
 
 
 def test_kernel_dimension_exact_on_every_sample():
-    gen = coiso.random_unitary_orbit_family(SP2, 1, coiso.rng(4))
-    loop = loop_from_family(SP2, 1, gen, samples=64)
+    gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(4))
+    loop = loop_from_family(1, gen, samples=64)
     for s in loop.samples:
         assert s.kernel.dim == 1
         assert s.space.dim == 3
@@ -140,16 +136,15 @@ def test_kernel_dimension_exact_on_every_sample():
 def test_matrix_loop_validation():
     with pytest.raises(ValueError):
         SymplecticMatrixLoop(
-            space=SP2,
             thetas=np.zeros(1),
             matrices=2.0 * np.eye(4)[None],   # not symplectic
         )
 
 
 def test_pushforward_identity():
-    gen = diag_unitary_family(SP2, 1, [1.0, 0.0])
-    loop = loop_from_family(SP2, 1, gen, samples=32)
-    a = unitary_matrix_loop(SP2, constant_unitaries(np.eye(2, dtype=complex)), 32)
+    gen = diag_unitary_family(2, 1, [1.0, 0.0])
+    loop = loop_from_family(1, gen, samples=32)
+    a = unitary_matrix_loop(2, constant_unitaries(np.eye(2, dtype=complex)), 32)
     out = pushforward(a, loop)
     for s, t in zip(out.samples, loop.samples):
         assert np.max(principal_angles(s.space, t.space)) < 1e-12
@@ -157,31 +152,31 @@ def test_pushforward_identity():
 
 def test_pushforward_constant_unitary():
     u = coiso.symplin.random_unitary(2, coiso.rng(8))
-    loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=16)
-    a = unitary_matrix_loop(SP2, constant_unitaries(u), 16)
+    loop = loop_from_family(1, constant_family(2, 1), samples=16)
+    a = unitary_matrix_loop(2, constant_unitaries(u), 16)
     out = pushforward(a, loop)
     target = coiso.classify_coisotropic(
-        SP2, Subspace.from_spanning(realify(u) @ standard_model(SP2, 1).space.basis))
+        Subspace.from_spanning(realify(u) @ standard_model(2, 1).space.basis))
     for s in out.samples:
         assert np.max(principal_angles(s.space, target.space)) < 1e-9
 
 
 def test_pushforward_matches_direct_family():
     # rotating a constant loop equals sampling the rotated family directly
-    loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=64)
-    a = unitary_matrix_loop(SP2, lambda t: diagonals(np.exp(1j * t), 1.0), 64)
+    loop = loop_from_family(1, constant_family(2, 1), samples=64)
+    a = unitary_matrix_loop(2, lambda t: diagonals(np.exp(1j * t), 1.0), 64)
     out = pushforward(a, loop)
     direct = loop_from_family(
-        SP2, 1, diag_unitary_family(SP2, 1, [1.0, 0.0]), samples=64)
+        1, diag_unitary_family(2, 1, [1.0, 0.0]), samples=64)
     for s, t in zip(out.samples, direct.samples):
         assert np.max(principal_angles(s.space, t.space)) < 1e-9
 
 
 def test_pushforward_roundtrip():
-    gen = coiso.random_unitary_orbit_family(SP2, 1, coiso.rng(15))
-    loop = loop_from_family(SP2, 1, gen, samples=64)
-    fwd = unitary_matrix_loop(SP2, lambda t: diagonals(np.exp(1j * t), 1.0), 64)
-    back = unitary_matrix_loop(SP2, lambda t: diagonals(np.exp(-1j * t), 1.0), 64)
+    gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(15))
+    loop = loop_from_family(1, gen, samples=64)
+    fwd = unitary_matrix_loop(2, lambda t: diagonals(np.exp(1j * t), 1.0), 64)
+    back = unitary_matrix_loop(2, lambda t: diagonals(np.exp(-1j * t), 1.0), 64)
     there = pushforward(fwd, loop)
     home = pushforward(back, there)
     for s, t in zip(home.samples, loop.samples):
@@ -189,7 +184,7 @@ def test_pushforward_roundtrip():
 
 
 def test_transverse_frames_constant_loop():
-    loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=16)
+    loop = loop_from_family(1, constant_family(2, 1), samples=16)
     frames, mono = transverse_frame_loop(loop)
     assert frames[0].shape == (2, 1)
     for f in frames:
@@ -198,23 +193,23 @@ def test_transverse_frames_constant_loop():
 
 
 def test_transverse_monodromy_of_rotation_is_minus_one():
-    gen = lagrangian_rotation_family(SP1, turns=1)
-    loop = loop_from_family(SP1, 0, gen, samples=64)
+    gen = lagrangian_rotation_family(1, turns=1)
+    loop = loop_from_family(0, gen, samples=64)
     _, mono = transverse_frame_loop(loop)
     assert mono.shape == (1, 1)
     assert_allclose(mono, [[-1.0]], atol=1e-9)
 
 
 def test_transverse_frames_k_equals_n():
-    loop = loop_from_family(SP2, 2, constant_family(SP2, 2), samples=8)
+    loop = loop_from_family(2, constant_family(2, 2), samples=8)
     frames, mono = transverse_frame_loop(loop)
     assert frames[0].shape == (2, 0)
     assert mono.shape == (0, 0)
 
 
 def test_consecutive_angles_match_per_pair_principal_angles():
-    gen = coiso.random_unitary_orbit_family(standard_space(3), 1, coiso.rng(21))
-    loop = loop_from_family(standard_space(3), 1, gen, samples=32)
+    gen = coiso.random_unitary_orbit_family(3, 1, coiso.rng(21))
+    loop = loop_from_family(1, gen, samples=32)
     got = loop.consecutive_angles()
     assert got.shape == (loop.m,)
     for i in range(loop.m):
@@ -224,11 +219,10 @@ def test_consecutive_angles_match_per_pair_principal_angles():
 
 
 def test_loop_holds_its_samples_and_frames_as_stacks():
-    sp = standard_space(3)
-    loop = loop_from_family(sp, 1, coiso.random_unitary_orbit_family(sp, 1, coiso.rng(21)),
+    loop = loop_from_family(1, coiso.random_unitary_orbit_family(3, 1, coiso.rng(21)),
                             samples=32)
     # sampled data only: the pushforward by a generator-free matrix loop
-    still = SymplecticMatrixLoop(space=sp, thetas=loop.thetas,
+    still = SymplecticMatrixLoop(thetas=loop.thetas,
                                  matrices=np.tile(np.eye(6), (loop.m, 1, 1)))
     for out in (loop, pushforward(still, loop)):
         assert out.m == len(out.thetas) == 32
@@ -243,9 +237,32 @@ def test_matrix_loop_rejects_a_step_above_half():
     mats = np.stack([np.eye(4)] * 8)
     mats[5] = realify(np.diag([np.exp(1j), 1.0]))   # |e^i - 1| = 0.96
     with pytest.raises(ValueError, match="samples 4 jump by operator norm 0.959"):
-        SymplecticMatrixLoop(space=SP2, thetas=np.zeros(8), matrices=mats)
+        SymplecticMatrixLoop(thetas=np.zeros(8), matrices=mats)
     mats[5] = realify(np.diag([np.exp(0.4j), 1.0]))  # |e^0.4i - 1| = 0.40
-    SymplecticMatrixLoop(space=SP2, thetas=np.zeros(8), matrices=mats)
+    SymplecticMatrixLoop(thetas=np.zeros(8), matrices=mats)
+
+
+# every routine that builds data from nothing takes n, and refuses n < 1
+BUILDERS_FROM_N = {
+    "standard_model": lambda n: standard_model(n, 0),
+    "random_coisotropic": lambda n: coiso.random_coisotropic(n, 0, 1),
+    **{name: lambda n, _b=build: _b(n, 0, {"windings": [0.0] * n}, 1)
+       for name, build in coiso.LOOP_FAMILIES.items()},
+    "unitary_matrix_loop": lambda n: unitary_matrix_loop(
+        n, constant_unitaries(np.eye(max(n, 1), dtype=complex)), 8),
+    "random_unitary_matrix_loop": lambda n: coiso.random_unitary_matrix_loop(n, 1, 8),
+    "random_symplectic_matrix_loop": lambda n: coiso.random_symplectic_matrix_loop(n, 1, 8),
+    "from_callable": lambda n: SymplecticMatrixLoop.from_callable(
+        n, constant_unitaries(np.eye(2 * max(n, 1))), 8),
+}
+
+
+@pytest.mark.parametrize("name", BUILDERS_FROM_N)
+def test_builders_refuse_a_nonpositive_complex_dimension(name):
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="complex dimension must be positive"):
+            BUILDERS_FROM_N[name](n)
+    BUILDERS_FROM_N[name](1)
 
 
 # ---------------------------------------------------------------------------
@@ -254,32 +271,32 @@ def test_matrix_loop_rejects_a_step_above_half():
 # on its own angle, bit for bit
 
 
-def _family_generators(space, k, seed):
-    """One generator of every LOOP_FAMILIES entry on ``space``."""
+def _family_generators(n, k, seed):
+    """One generator of every LOOP_FAMILIES entry in C^n."""
     g = coiso.rng(seed)
     gens = {
-        "constant": coiso.constant_family(space, k, seed),
+        "constant": coiso.constant_family(n, k, seed),
         "diag-unitary": coiso.diag_unitary_family(
-            space, k, list(g.integers(-4, 5, size=space.n) / 2.0)),
-        "random-unitary-orbit": coiso.random_unitary_orbit_family(space, k, seed),
+            n, k, list(g.integers(-4, 5, size=n) / 2.0)),
+        "random-unitary-orbit": coiso.random_unitary_orbit_family(n, k, seed),
         "lagrangian-rotation": coiso.lagrangian_rotation_family(
-            space, int(g.integers(-2, 3))),
+            n, int(g.integers(-2, 3))),
     }
     assert gens.keys() == coiso.LOOP_FAMILIES.keys()
     return gens
 
 
 def test_loop_family_builders_hold_the_defaults():
-    space = standard_space(2)
+    n = 2
     thetas = _grid(5, 3)
-    built = {name: build(space, 1, {"windings": [1, -0.5]}, 7)
+    built = {name: build(n, 1, {"windings": [1, -0.5]}, 7)
              for name, build in coiso.LOOP_FAMILIES.items()}
     direct = {
-        "constant": coiso.constant_family(space, 1),
-        "diag-unitary": coiso.diag_unitary_family(space, 1, [1, -0.5]),
+        "constant": coiso.constant_family(n, 1),
+        "diag-unitary": coiso.diag_unitary_family(n, 1, [1, -0.5]),
         "random-unitary-orbit": coiso.random_unitary_orbit_family(
-            space, 1, 7, max_winding=2, wiggle=0.4),
-        "lagrangian-rotation": coiso.lagrangian_rotation_family(space, 1),
+            n, 1, 7, max_winding=2, wiggle=0.4),
+        "lagrangian-rotation": coiso.lagrangian_rotation_family(n, 1),
     }
     for name, gen in direct.items():
         assert np.array_equal(_basis(built[name](thetas)), _basis(gen(thetas))), name
@@ -298,9 +315,8 @@ def _basis(value):
 @given(st.integers(1, 4), st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 9))
 def test_loop_family_stack_equals_members(n, data, seed, count):
     k = data.draw(st.integers(0, n))
-    space = standard_space(n)
     thetas = _grid(count, seed)
-    for name, gen in _family_generators(space, k, seed).items():
+    for name, gen in _family_generators(n, k, seed).items():
         stacked = _basis(gen(thetas))
         assert stacked.shape[:2] == (len(thetas), 2 * n), name
         for i in range(len(thetas)):
@@ -310,10 +326,9 @@ def test_loop_family_stack_equals_members(n, data, seed, count):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(1, 9))
 def test_matrix_loop_callables_stack_equal_members(n, seed, count):
-    space = standard_space(n)
     thetas = _grid(count, seed)
     for maker in (coiso.random_unitary_matrix_loop, coiso.random_symplectic_matrix_loop):
-        fn = maker(space, coiso.rng(seed), 512, max_winding=1).generator
+        fn = maker(n, coiso.rng(seed), 512, max_winding=1).generator
         stacked = fn(thetas)
         assert stacked.shape == (len(thetas), 2 * n, 2 * n)
         for i in range(len(thetas)):
@@ -322,27 +337,27 @@ def test_matrix_loop_callables_stack_equal_members(n, seed, count):
 
 def test_per_angle_generator_is_refused_with_the_shapes():
     def per_angle(theta):
-        return standard_model(SP2, 1)
+        return standard_model(2, 1)
 
     with pytest.raises(ValueError, match=r"expected a stack of shape \(2, 4, 3\), "
                                          r"got shape \(4, 3\)"):
-        loop_from_family(SP2, 1, per_angle, samples=8)
+        loop_from_family(1, per_angle, samples=8)
 
     def one_short(thetas):
-        return constant_family(SP2, 1)(thetas[1:])
+        return constant_family(2, 1)(thetas[1:])
 
     with pytest.raises(ValueError, match=r"expected a stack of shape \(2, 4, 3\), "
                                          r"got shape \(1, 4, 3\)"):
-        loop_from_family(SP2, 1, one_short, samples=8)
+        loop_from_family(1, one_short, samples=8)
 
 
 def test_per_angle_matrix_callable_is_refused_with_the_shapes():
     with pytest.raises(ValueError, match=r"expected a stack of shape \(8, 4, 4\), "
                                          r"got shape \(4, 4\)"):
-        SymplecticMatrixLoop.from_callable(SP2, lambda theta: np.eye(4), 8)
+        SymplecticMatrixLoop.from_callable(2, lambda theta: np.eye(4), 8)
     with pytest.raises(ValueError, match=r"expected a stack of shape \(8, 4, 4\), "
                                          r"got shape \(4, 4\)"):
-        unitary_matrix_loop(SP2, lambda theta: np.eye(2, dtype=complex), 8)
+        unitary_matrix_loop(2, lambda theta: np.eye(2, dtype=complex), 8)
 
 
 # ---------------------------------------------------------------------------
@@ -361,21 +376,19 @@ def _assert_same_loop(a, b):
 
 
 def _pushforward_generator():
-    space = standard_space(3)
-    a = coiso.random_unitary_matrix_loop(space, coiso.rng(17), 64, max_winding=1)
-    loop = loop_from_family(space, 2, constant_family(space, 2, 19), samples=8)
-    return space, 2, pushforward(a, loop).generator
+    a = coiso.random_unitary_matrix_loop(3, coiso.rng(17), 64, max_winding=1)
+    loop = loop_from_family(2, constant_family(3, 2, 19), samples=8)
+    return 2, pushforward(a, loop).generator
 
 
 def _orbit(n, k, seed):
-    space = standard_space(n)
-    return lambda: (space, k, coiso.random_unitary_orbit_family(space, k, seed))
+    return lambda: (k, coiso.random_unitary_orbit_family(n, k, seed))
 
 
-# name -> (space, k, generator) of a loop that refines from 8 samples
+# name -> (k, generator) of a loop that refines from 8 samples
 REFINING = {
-    "diag-unitary": lambda: (SP2, 1, diag_unitary_family(SP2, 1, [0.0, 1.5])),
-    "lagrangian-rotation": lambda: (SP2, 0, lagrangian_rotation_family(SP2, turns=3)),
+    "diag-unitary": lambda: (1, diag_unitary_family(2, 1, [0.0, 1.5])),
+    "lagrangian-rotation": lambda: (0, lagrangian_rotation_family(2, turns=3)),
     **{f"orbit-n{n}k{k}": _orbit(n, k, seed)
        for n, k, seed in ((2, 0, 3), (2, 1, 5), (3, 0, 7), (3, 1, 11), (3, 2, 13))},
     "pushforward": _pushforward_generator,
@@ -384,12 +397,12 @@ REFINING = {
 
 @pytest.mark.parametrize("name", REFINING)
 def test_refined_and_resampled_loops_equal_the_full_grid_build(name):
-    space, k, gen = REFINING[name]()
-    loop = loop_from_family(space, k, gen, samples=8)
+    k, gen = REFINING[name]()
+    loop = loop_from_family(k, gen, samples=8)
     assert loop.m > 8
-    _assert_same_loop(loop, loop_from_family(space, k, gen, samples=loop.m))
+    _assert_same_loop(loop, loop_from_family(k, gen, samples=loop.m))
     fine = loop.resample(2 * loop.m)
-    _assert_same_loop(fine, loop_from_family(space, k, gen, samples=2 * loop.m,
+    _assert_same_loop(fine, loop_from_family(k, gen, samples=2 * loop.m,
                                              hint=loop.frames[0], auto_refine=False))
 
 
@@ -408,13 +421,13 @@ def test_refined_tangent_loop_equals_the_full_grid_build():
 
 def test_doubled_grid_generates_only_its_odd_members():
     calls = []
-    family = diag_unitary_family(SP2, 1, [0.0, 1.5])
+    family = diag_unitary_family(2, 1, [0.0, 1.5])
 
     def gen(thetas):
         calls.append(thetas)
         return family(thetas)
 
-    loop = loop_from_family(SP2, 1, gen, samples=8)
+    loop = loop_from_family(1, gen, samples=8)
     assert loop.m == 32
     loop.resample(64)
     # the closure check's two angles, then M = 8 and the odd members of 16
@@ -428,7 +441,7 @@ def _rotation_with_a_symplectic_plane(bad_theta):
     """Lagrangian planes of C^2 turned by exp(1.5 i theta) in the first
     coordinate, except at ``bad_theta``: there the member is the symplectic
     plane span(e_1, f_1), which is not coisotropic."""
-    base = standard_model(SP2, 0).space.basis
+    base = standard_model(2, 0).space.basis
 
     def gen(thetas):
         basis = realify(diagonals(np.exp(1.5j * thetas), 1.0)) @ base
@@ -442,9 +455,9 @@ def test_odd_member_failure_names_its_full_grid_index():
     # refinement 8 -> 16: the bad member is member 3 of 16
     gen = _rotation_with_a_symplectic_plane(3 * 2 * np.pi / 16)
     with pytest.raises(ClassificationError, match=r"\(stack member 3\)$"):
-        loop_from_family(SP2, 0, gen, samples=8)
+        loop_from_family(0, gen, samples=8)
     # a resample 32 -> 64: the bad member is member 5 of 64
-    loop = loop_from_family(SP2, 0, _rotation_with_a_symplectic_plane(5 * 2 * np.pi / 64),
+    loop = loop_from_family(0, _rotation_with_a_symplectic_plane(5 * 2 * np.pi / 64),
                             samples=32)
     assert loop.m == 32
     with pytest.raises(ClassificationError, match=r"\(stack member 5\)$"):

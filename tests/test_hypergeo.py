@@ -34,6 +34,7 @@ from coiso import (
     transverse_curvature_bracket,
     transverse_curvature_sff,
 )
+from coiso.symplin import _standard_j
 
 P_AXIS = np.array([1.0, 0.0, 0.0, 0.0])
 
@@ -70,7 +71,7 @@ def test_splitting_sphere():
 def test_splitting_cylinder_j_invariance():
     y = cylinder(2)
     spl = tangent_splitting(y, P_AXIS)
-    j = coiso.standard_space(2).j
+    j = _standard_j(2)
     jb = j @ spl.njf.basis
     resid = jb - spl.njf.project(jb)
     assert np.max(np.abs(resid)) < 1e-10
@@ -424,7 +425,7 @@ def test_scalar_outputs_frame_independent():
             np.cos(phase) * spl.frame.e[:, :1] + np.sin(phase) * spl.frame.f[:, :1],
             sign * spl.frame.e[:, 1:],
         ], axis=1)
-        fr = coiso.AdaptedFrame(k=1, e=e_new, f=coiso.standard_space(2).j @ e_new)
+        fr = coiso.AdaptedFrame(k=1, e=e_new, f=_standard_j(2) @ e_new)
         mc = leafwise_mean_curvature(geo.in_frame(fr))
         assert abs(mc.alpha_norm - base_alpha) < 1e-6
         lv = levi_form(geo.in_frame(fr))

@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 import coiso
 from coiso import (
     AliasingError,
-    CoisotropicLoop,
     Grading,
     MaslovSection,
     adapted_frame,
@@ -21,15 +20,12 @@ from coiso import (
     maslov_index,
     pushforward_section,
     random_coisotropic,
-    standard_space,
     tangent_boundary_loop,
     unitary_matrix_loop,
     winding,
 )
 from coiso.cli import BOUNDARY_FAMILIES
-
-SP1 = standard_space(1)
-SP2 = standard_space(2)
+from coiso.symplin import _standard_j
 
 
 def diagonals(*entries):
@@ -45,8 +41,7 @@ def constant_unitaries(u):
 
 
 def rotation_loop(n, turns=1, samples=64):
-    sp = standard_space(n)
-    return loop_from_family(sp, 0, lagrangian_rotation_family(sp, turns), samples=samples)
+    return loop_from_family(0, lagrangian_rotation_family(n, turns), samples=samples)
 
 
 def ones_section(loop):
@@ -70,13 +65,13 @@ def test_canonical_section_rotation_matches_det_squared_oracle():
 
 
 def test_canonical_section_constant_loop():
-    loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=16)
+    loop = loop_from_family(1, constant_family(2, 1), samples=16)
     sec = canonical_section(loop)
     assert np.max(np.abs(sec.samples - sec.samples[0])) < 1e-12
 
 
 def test_canonical_section_full_rank_is_one():
-    loop = loop_from_family(SP2, 2, constant_family(SP2, 2), samples=8)
+    loop = loop_from_family(2, constant_family(2, 2), samples=8)
     sec = canonical_section(loop)
     assert_allclose(sec.samples, np.ones(8), atol=1e-12)
 
@@ -129,9 +124,8 @@ def test_a_jump_at_the_bound_is_ambiguous_from_either_side():
 def test_undersampled_canonical_section_raises_aliasing_error():
     # four unitary windings of up to 4 turns on 64 samples: the squared
     # determinant phase steps by pi/2 or more across the closing sample
-    space = coiso.symplin.standard_space(4)
-    gen = coiso.random_unitary_orbit_family(space, 0, 2701, max_winding=4, wiggle=0.0)
-    loop = coiso.loop_from_family(space, 0, gen, samples=16,
+    gen = coiso.random_unitary_orbit_family(4, 0, 2701, max_winding=4, wiggle=0.0)
+    loop = coiso.loop_from_family(0, gen, samples=16,
                                   tol=coiso.DEFAULT.replace(max_loop_samples=1024))
     section = coiso.MaslovSection.from_function(loop.thetas, lambda t: np.exp(2j * t))
     with pytest.raises(AliasingError, match="canonical section does not close"):
@@ -166,12 +160,12 @@ def test_winding_additivity(m1, m2, phase):
 
 
 def test_index_constant_pair_is_zero():
-    loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=16)
+    loop = loop_from_family(1, constant_family(2, 1), samples=16)
     assert maslov_index(loop, ones_section(loop)) == 0
 
 
 def test_index_of_winding_section_over_constant_loop():
-    loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=32)
+    loop = loop_from_family(1, constant_family(2, 1), samples=32)
     sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
     assert maslov_index(loop, sec) == 1
 
@@ -195,14 +189,13 @@ def test_index_requires_matching_grid():
 
 def test_reparameterization_invariance():
     # orientation-preserving circle diffeomorphism leaves indices unchanged
-    sp = SP2
-    gen = coiso.random_unitary_orbit_family(sp, 1, coiso.rng(77))
+    gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(77))
 
     def phi(theta):
         return theta + 0.35 * np.sin(theta)
 
-    loop = loop_from_family(sp, 1, gen, samples=128)
-    warped = loop_from_family(sp, 1, lambda t: gen(phi(t)), samples=128)
+    loop = loop_from_family(1, gen, samples=128)
+    warped = loop_from_family(1, lambda t: gen(phi(t)), samples=128)
     sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(2j * t))
     sec_w = MaslovSection.from_function(warped.thetas,
                                         lambda t: np.exp(2j * phi(t)))
@@ -214,10 +207,10 @@ def test_reparameterization_invariance():
 
 
 def test_pushforward_section_identity():
-    gen = coiso.random_unitary_orbit_family(SP2, 1, coiso.rng(5))
-    loop = loop_from_family(SP2, 1, gen, samples=64)
+    gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(5))
+    loop = loop_from_family(1, gen, samples=64)
     sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
-    a = unitary_matrix_loop(SP2, constant_unitaries(np.eye(2, dtype=complex)), 64)
+    a = unitary_matrix_loop(2, constant_unitaries(np.eye(2, dtype=complex)), 64)
     out, moved = pushforward_section(a, loop, sec)
     assert_allclose(moved.samples, sec.samples, atol=1e-9)
 
@@ -226,9 +219,9 @@ def test_pushforward_section_transverse_rotation():
     # constant pair pushed by a unitary rotating the null coordinate: the
     # section and the image loop's canonical section wind together and the
     # index is preserved
-    loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=64)
+    loop = loop_from_family(1, constant_family(2, 1), samples=64)
     sec = ones_section(loop)
-    a = unitary_matrix_loop(SP2, lambda t: diagonals(1.0, np.exp(-1j * t)), 64)
+    a = unitary_matrix_loop(2, lambda t: diagonals(1.0, np.exp(-1j * t)), 64)
     out, moved = pushforward_section(a, loop, sec)
     assert winding(moved.samples) == -2
     assert winding(canonical_section(out).samples) == -2
@@ -237,8 +230,8 @@ def test_pushforward_section_transverse_rotation():
 
 def test_pushforward_index_equality_small_suite():
     for trial in range(6):
-        gen = coiso.random_unitary_orbit_family(SP2, 1, coiso.rng(30, trial))
-        loop = loop_from_family(SP2, 1, gen, samples=128)
+        gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(30, trial))
+        loop = loop_from_family(1, gen, samples=128)
         g = coiso.rng(31, trial)
         w = int(g.integers(-2, 3))
         sec = MaslovSection.from_function(
@@ -246,13 +239,13 @@ def test_pushforward_index_equality_small_suite():
         mu = maslov_index(loop, sec)
         maker = (coiso.random_unitary_matrix_loop if trial % 2 == 0
                  else coiso.random_symplectic_matrix_loop)
-        a = maker(SP2, g, loop.m, max_winding=1)
+        a = maker(2, g, loop.m, max_winding=1)
         out, moved = pushforward_section(a, loop, sec)
         assert maslov_index(out, moved) == mu
 
 
 def test_polar_factor_of_unitary_loop_is_itself():
-    a = coiso.random_unitary_matrix_loop(SP2, coiso.rng(3), 64)
+    a = coiso.random_unitary_matrix_loop(2, coiso.rng(3), 64)
     for mat in a.matrices:
         q, p = scipy.linalg.polar(mat)
         assert_allclose(p, np.eye(4), atol=1e-9)
@@ -272,20 +265,13 @@ def _reframe_kernel(loop, seed):
     q = np.stack([np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(loop.m)])
     new_samples = coiso.CoisotropicSubspace(
         space=s.space, k=s.k, kernel=coiso.Subspace(s.kernel.basis @ q), h_part=s.h_part)
-    # transported once around and once more onto sample 0
-    frames = coiso.transported_frames(loop.space, new_samples[np.append(np.arange(loop.m), 0)])
-    mono = np.conj(frames[0].unitary().T) @ frames[-1].unitary()
-    return CoisotropicLoop(
-        space=loop.space, k=loop.k, thetas=loop.thetas,
-        samples=new_samples, frames=frames[:-1],
-        closure_defect=loop.closure_defect, monodromy=mono,
-        generator=loop.generator,
-    )
+    return coiso.grassmann._closed_loop(loop.k, loop.thetas, new_samples, None,
+                                        loop.closure_defect, loop.generator, coiso.DEFAULT)
 
 
 def test_kernel_reframing_changes_nothing():
-    gen = coiso.random_unitary_orbit_family(SP2, 1, coiso.rng(50))
-    loop = loop_from_family(SP2, 1, gen, samples=64)
+    gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(50))
+    loop = loop_from_family(1, gen, samples=64)
     sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
     mu = maslov_index(loop, sec)
     base = canonical_section(loop).samples
@@ -300,8 +286,8 @@ def test_kernel_reframing_changes_nothing():
 
 
 def test_grading_equivariance():
-    c = random_coisotropic(SP2, 1, 4)
-    ref = adapted_frame(SP2, c)
+    c = random_coisotropic(2, 1, 4)
+    ref = adapted_frame(c)
     grading = canonical_grading()
     p = np.zeros(4)
     g = coiso.rng(9)
@@ -313,14 +299,14 @@ def test_grading_equivariance():
             (ref.e[:, :1] * phase.real + ref.f[:, :1] * phase.imag),
             ref.e[:, 1:] * sign,
         ], axis=1)
-        frame = coiso.AdaptedFrame(k=1, e=e_new, f=SP2.j @ e_new)
+        frame = coiso.AdaptedFrame(k=1, e=e_new, f=_standard_j(2) @ e_new)
         val = grading.value(p, frame, ref)
         expected = np.conj(phase) ** 2
         assert abs(val - expected) < 1e-9
 
 
 def test_constant_grading_section_is_gauge_only():
-    loop = loop_from_family(SP2, 1, constant_family(SP2, 1), samples=16)
+    loop = loop_from_family(1, constant_family(2, 1), samples=16)
     grading = canonical_grading()
     pts = np.zeros((16, 4))
     sec = grading.section_along(pts, loop)
@@ -378,14 +364,13 @@ def test_pushforward_section_equals_the_per_sample_computation(case):
     # ``refine`` = 2 samples A on twice the loop's grid, so the image loop
     # is finer than the source and the pushforward resamples the pair
     n, k, which, seed, refine = case
-    space = standard_space(n)
     maker = (coiso.random_unitary_matrix_loop, coiso.random_symplectic_matrix_loop)[which]
-    gen = coiso.random_unitary_orbit_family(space, k, coiso.rng(seed, 0))
-    loop = loop_from_family(space, k, gen, samples=128)
+    gen = coiso.random_unitary_orbit_family(n, k, coiso.rng(seed, 0))
+    loop = loop_from_family(k, gen, samples=128)
     fn = lambda t: np.exp(1j * t)
     sec = MaslovSection.from_function(loop.thetas, fn)
     try:
-        a = maker(space, coiso.rng(seed, 1), refine * loop.m, max_winding=1)
+        a = maker(n, coiso.rng(seed, 1), refine * loop.m, max_winding=1)
     except ValueError:
         assume(False)    # a draw too coarse for the matrix loop's jump check
     out, moved = pushforward_section(a, loop, sec)
