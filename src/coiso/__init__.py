@@ -45,7 +45,7 @@ from .symplin import (
     spans_equal,
     standard_model,
     symplectic_complement,
-    transported_frames,
+    transport_phases,
 )
 from .grassmann import (
     CoisotropicLoop,
@@ -59,7 +59,6 @@ from .grassmann import (
     random_symplectic_matrix_loop,
     random_unitary_matrix_loop,
     random_unitary_orbit_family,
-    transverse_frame_loop,
     unitary_matrix_loop,
 )
 from .maslov import (

@@ -1,26 +1,24 @@
-"""Loops in the coisotropic Grassmannian and their propagated frames.
+"""Loops in the coisotropic Grassmannian and their transported frames.
 
 A loop is held as M uniform samples theta_i = 2*pi*i/M of certified
-coisotropic subspaces together with adapted frames chained by projection
-onto consecutive samples.  In flat C^n that chaining is the discrete
-parallel transport, so the frame monodromy after one circuit carries the
-winding data every index computation consumes; it is retained, never
-discarded.
+coisotropic subspaces together with what every index computation reads of
+the adapted frames chained by projection onto consecutive samples (the
+discrete parallel transport of flat C^n): the determinant phase of each
+frame, and the H determinant phase and kernel sign of the frame monodromy
+after one circuit.  These are running products of overlap determinant
+phases (``symplin.transport_phases``); no frame is built.
 
-A loop is one pair of stacks: the classified ``CoisotropicSubspace`` of
-shape (M, 2n, n+k) and the ``AdaptedFrame`` of shape (M, 2n, n).  A loop
-generator is called once per grid: it takes a 1-D array of M angles and
-returns the stack of its M members, a ``Subspace`` or
+A loop generator is called once per grid: it takes a 1-D array of M angles
+and returns the stack of its M members, a ``Subspace`` or
 ``CoisotropicSubspace`` of shape (M, 2n, m) whose member i depends on
 theta_i alone; a matrix-loop callable likewise returns an (M, 2n, 2n)
-stack.  The M members are classified by one stacked call, the continuity
-contract reads one stacked largest principal angle per consecutive pair,
-and the frames are transported around the loop as stacked products of
-small overlap matrices (``symplin.transported_frames``), with no Python
-step per sample, and checked once.  A doubled grid (refinement, or
-``resample(2 * M)``) reuses its even members, which are bitwise the
-members of the grid it doubles: only its odd members are generated and
-classified.
+stack.  The M members are classified by one stacked call into a
+``CoisotropicSubspace`` of shape (M, 2n, n+k), the continuity contract
+reads one stacked largest principal angle per consecutive pair, and the
+transport takes one stacked determinant per block, with no Python step per
+sample.  A doubled grid (refinement, or ``resample(2 * M)``) reuses its
+even members, which are bitwise the members of the grid it doubles: only
+its odd members are generated and classified.
 """
 
 from __future__ import annotations
@@ -46,15 +44,14 @@ from .symplin import (
     CoisotropicSubspace,
     Subspace,
     classify_coisotropic,
-    complex_coords,
     largest_principal_angles,
     principal_angles,
     random_unitary,
     realify,
     standard_model,
+    transport_phases,
     _check_complex_dim,
     _standard_omega,
-    _transport,
 )
 
 __all__ = [
@@ -62,7 +59,6 @@ __all__ = [
     "SymplecticMatrixLoop",
     "loop_from_family",
     "pushforward",
-    "transverse_frame_loop",
     "LOOP_FAMILIES",
     "lagrangian_rotation_family",
     "diag_unitary_family",
@@ -113,26 +109,31 @@ def _consecutive_angles(spaces: Subspace) -> np.ndarray:
 
 @dataclasses.dataclass(frozen=True)
 class CoisotropicLoop:
-    """M uniformly sampled coisotropic subspaces with chained frames.
+    """M uniformly sampled coisotropic subspaces and their transported
+    frames' determinant data.
 
-    ``samples`` is the classified stack of shape (M, 2n, n+k) and
-    ``frames`` the stack of shape (M, 2n, n) transported along it, member i
-    belonging to ``thetas[i]``; index either to reach one sample.
-    ``closure_defect`` is the principal-angle distance between the
-    generator's value at 2*pi and sample 0.  The subspace loop must close;
-    the frames need not, and ``monodromy`` (U_0^* U_pred, where U_pred is
-    the frame transported once more onto sample 0) records how far they
-    fail to.  ``transport_margin`` is the smallest norm of a projected hint
-    column in that transport, which ``tol.hint_min_norm`` bounds from below.
+    ``samples`` is the classified stack of shape (M, 2n, n+k), member i
+    belonging to ``thetas[i]``.  ``closure_defect`` is the principal-angle
+    distance between the generator's value at 2*pi and sample 0.  The
+    frames U_i transported from ``hint`` (see
+    :func:`~coiso.symplin.transport_phases`) are not kept: ``det_phases``
+    holds det(U_i) / |det U_i|.  The subspace loop must close; the frames
+    need not, and their monodromy after one more step onto sample 0 is
+    recorded by the phase ``h_holonomy`` of its H block determinant and the
+    sign ``kernel_sign`` of its kernel block determinant, the loop's Z/2
+    class.  ``overlap_margin`` is the smallest overlap determinant modulus
+    of that transport, which ``tol.hint_min_norm`` bounds from below.
     """
 
     k: int
     thetas: np.ndarray
     samples: CoisotropicSubspace
-    frames: AdaptedFrame
     closure_defect: float
-    monodromy: np.ndarray
-    transport_margin: float
+    det_phases: np.ndarray
+    h_holonomy: complex
+    kernel_sign: int
+    overlap_margin: float
+    hint: Optional[AdaptedFrame] = None
     generator: Optional[Callable] = None
 
     @property
@@ -141,7 +142,7 @@ class CoisotropicLoop:
 
     @property
     def n(self) -> int:
-        return self.frames.n
+        return self.samples.space.basis.shape[-2] // 2
 
     def section_gauge(self) -> np.ndarray:
         """Unit phases periodizing the frame trivialization of sections.
@@ -151,13 +152,9 @@ class CoisotropicLoop:
         its squared determinant phase uniformly over the samples makes the
         streams close.  Ratios of sections are unaffected.
         """
-        k = self.k
-        if k == 0:
+        if self.k == 0:
             return np.ones(self.m, dtype=complex)
-        det = np.linalg.det(self.monodromy[:k, :k])
-        if abs(det) < 1e-6:
-            raise InternalConsistencyError("frame monodromy lost its H block")
-        phi = float(np.angle((det / abs(det)) ** 2))
+        phi = float(np.angle(self.h_holonomy ** 2))
         # honest coefficient streams wrap by -phi; the ramp compensates and
         # has zero net winding around the cycle, so index values are blind
         # to it
@@ -169,12 +166,12 @@ class CoisotropicLoop:
 
     def resample(self, m: int, tol: Tolerances = DEFAULT) -> "CoisotropicLoop":
         """The loop on the grid of ``m`` samples, its frames transported from
-        this loop's first frame and never refined.  On the doubled grid only
-        the new (odd) members are generated and classified."""
+        this loop's hint and never refined.  On the doubled grid only the new
+        (odd) members are generated and classified."""
         if self.generator is None:
             raise ValueError("loop has no generator; cannot resample")
         coarse = self.samples if m == 2 * self.m else None
-        return _sampled_loop(self.k, self.generator, m, self.frames[0], False, coarse, tol)
+        return _sampled_loop(self.k, self.generator, m, self.hint, False, coarse, tol)
 
 
 def loop_from_family(
@@ -276,14 +273,12 @@ def _interleaved(even: Subspace, odd: Subspace) -> Subspace:
 def _closed_loop(k, thetas, stack: CoisotropicSubspace, hint, closure,
                  generator, tol) -> CoisotropicLoop:
     """The loop of a classified stack, its frames transported from ``hint``
-    around the samples and once more onto sample 0, which gives the frame
-    monodromy U_0^* U_pred."""
-    frames, margin = _transport(stack[np.append(np.arange(len(thetas)), 0)], hint, tol)
-    monodromy = np.conj(frames[0].unitary().T) @ frames[-1].unitary()
+    around the samples and once more onto sample 0."""
+    phases, holonomy, sign, margin = transport_phases(stack, hint, tol)
     return CoisotropicLoop(
-        k=k, thetas=thetas, samples=stack, frames=frames[:-1],
-        closure_defect=closure, monodromy=monodromy, generator=generator,
-        transport_margin=margin,
+        k=k, thetas=thetas, samples=stack, closure_defect=closure, det_phases=phases,
+        h_holonomy=holonomy, kernel_sign=sign, overlap_margin=margin, hint=hint,
+        generator=generator,
     )
 
 
@@ -339,7 +334,7 @@ def pushforward(
     a: SymplecticMatrixLoop, loop: CoisotropicLoop, tol: Tolerances = DEFAULT
 ) -> CoisotropicLoop:
     """The loop theta -> A(theta) . gamma(theta), its samples classified as
-    one stack with frames propagated from scratch.  With both generators
+    one stack with frames transported from scratch.  With both generators
     the image loop's generator evaluates both on each grid in one call.
 
     Both loops are resampled to the least common multiple of their sample
@@ -379,18 +374,6 @@ def pushforward(
             f"pushforward violated the continuity contract: {worst:.3f}"
         )
     return out
-
-
-def transverse_frame_loop(loop: CoisotropicLoop):
-    """Per-sample unitary (n-k)-frames of the transverse (1,0)-space.
-
-    Returns ``(frames, monodromy)`` where ``frames`` is the (M, n, n-k)
-    complex stack whose member i holds the kernel frame vectors of sample i
-    in complex coordinates, and ``monodromy`` is the kernel block of the
-    frame monodromy after one circuit (the empty product, an identity of
-    size 0, when k = n).
-    """
-    return complex_coords(loop.frames.kernel_vectors()), loop.monodromy[loop.k:, loop.k:]
 
 
 # ---------------------------------------------------------------------------

@@ -1,18 +1,20 @@
 """Winding indices of coisotropic loops and disc boundaries.
 
 The canonical transverse section of a loop is represented by the squared
-determinant phase of the propagated unitary frames: contracting the
+determinant phase of the transported unitary frames: contracting the
 transverse frame multivector into the standard complex volume form and
 expressing the result on the frame's own dual basis leaves exactly the
 determinant of the full frame matrix, whose normalized square is recorded
-sample by sample.  Mixing the kernel frame by any orthogonal map leaves
-these samples unchanged, so the section depends only on the loop.
+sample by sample.  The loop holds these phases as ``det_phases``, running
+products of overlap determinant phases, and never builds the frames.
+Mixing the kernel frame by any orthogonal map leaves the squared phases
+unchanged, so the section depends only on the loop.
 
 All indices are windings of ratios of unit-modulus sample streams taken in
 this common trivialization, between which the frame monodromy cancels.
 The sections themselves close only through ``section_gauge``, whose ramp
-takes the principal branch of the H-block holonomy; the printed integer
-rests on that branch choice.
+takes the principal branch of the H-block holonomy ``h_holonomy``; the
+printed integer rests on that branch choice.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from .errors import (
 )
 from . import hypergeo
 from .grassmann import CoisotropicLoop, SymplecticMatrixLoop, loop_from_family, pushforward
-from .symplin import AdaptedFrame, Subspace
+from .symplin import Subspace
 
 __all__ = [
     "MaslovSection",
@@ -90,21 +92,13 @@ class MaslovSection:
         return cls(thetas=np.asarray(thetas, dtype=float), samples=vals, fn=fn)
 
 
-def _det_phases(frames: AdaptedFrame) -> np.ndarray:
-    """The unit phases det(U_i) / |det(U_i)| of a (M, 2n, n) frame stack."""
-    dets = np.linalg.det(frames.unitary())
-    mods = np.abs(dets)
-    if np.min(mods) < 1e-6:
-        raise FrameDegeneracyError("frame determinant lost numerical rank")
-    return dets / mods
-
-
 def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> MaslovSection:
     """The loop's natural transverse section.
 
     Per sample, the transverse frame multivector contracted into the
     standard complex volume form, read on the frame's dual basis and
-    normalized, is the phase of det(U); the section value is its square.
+    normalized, is the phase of det(U), the loop's ``det_phases``; the
+    section value is its square.
     For k = n the transverse wedge is the empty product and the section is
     identically 1.  A squared determinant phase that steps by
     ``tol.phase_jump`` or more across the closing sample is undersampled,
@@ -113,7 +107,7 @@ def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> Maslo
     if loop.k == loop.n:
         samples = np.ones(loop.m, dtype=complex)
         return MaslovSection(thetas=loop.thetas, samples=samples)
-    samples = _det_phases(loop.frames) ** 2 * loop.section_gauge()
+    samples = loop.det_phases ** 2 * loop.section_gauge()
     jump = abs(float(np.angle(samples[0] / samples[-1])))
     if loop.m > 1 and jump >= tol.phase_jump:
         raise AliasingError(
@@ -220,10 +214,9 @@ class Grading:
     ``charge`` is the phase of the charge in the parallel trivialization
     (flat ambient transport is trivial, so a constant charge is parallel;
     the canonical charge induced by the standard volume form is the
-    constant 1).  ``value`` expresses the charge in an arbitrary adapted
-    frame at a point: changing the transverse frame by a unitary V scales
-    it by det(V)^{-2}, the transformation law of the squared transverse
-    canonical bundle.
+    constant 1).  In an adapted frame changed by a unitary V the charge
+    reads det(V)^{-2} times as much, the transformation law of the squared
+    transverse canonical bundle.
     """
 
     charge: Callable[[np.ndarray], complex]
@@ -233,16 +226,6 @@ class Grading:
         if abs(v) < 1e-12:
             raise FrameDegeneracyError("grading charge vanished")
         return v / abs(v)
-
-    def value(self, point: np.ndarray, frame: AdaptedFrame,
-              reference: AdaptedFrame) -> complex:
-        k = frame.k
-        m_h = (np.conj(reference.unitary().T) @ frame.unitary())[:k, :k]
-        det = np.linalg.det(m_h) if k else 1.0
-        if abs(det) < 1e-6:
-            raise FrameDegeneracyError("frame change lost the H block")
-        det = det / abs(det)
-        return self.phase(point) * det ** (-2)
 
     def section_along(self, points: np.ndarray, loop: CoisotropicLoop) -> MaslovSection:
         samples = np.array([self.phase(p) for p in points], dtype=complex)
@@ -324,9 +307,9 @@ def disc_boundary_index(
     return maslov_index(loop, section, tol)
 
 
-def connection_integral_index(frames: AdaptedFrame, tol: Tolerances = DEFAULT) -> int:
+def connection_integral_index(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> int:
     """(i/pi) times the loop integral of the trace of the flat-connection
-    form in the moving frame, read from a loop's (M, 2n, n) frame stack.
+    form in the moving frame, read from the loop's ``det_phases``.
 
     For the frame matrix U the trace of U^{-1} dU integrates to the log
     determinant, so the index is minus twice the winding of the determinant
@@ -334,7 +317,7 @@ def connection_integral_index(frames: AdaptedFrame, tol: Tolerances = DEFAULT) -
     guards.  It reads the same det(U) stream as :func:`canonical_section`,
     so it is not an independent oracle of the section route.
     """
-    return -2 * winding_detail(_det_phases(frames), tol).value
+    return -2 * winding_detail(loop.det_phases, tol).value
 
 
 def disc_index_detail(
@@ -348,7 +331,7 @@ def disc_index_detail(
     loop, points, section = _graded_boundary(y, boundary, grading, samples, tol)
     can = canonical_section(loop, tol)
     detail = winding_detail(section.samples / can.samples, tol)
-    conn = connection_integral_index(loop.frames, tol)
+    conn = connection_integral_index(loop, tol)
     return {
         "index": detail.value,
         "residual": detail.residual,

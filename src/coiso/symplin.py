@@ -16,12 +16,13 @@ A loop's samples are handled as one stack: a ``Subspace`` may hold a
 (..., 2n, m) array of equal-dimensional members, a ``CoisotropicSubspace``
 a stack of splittings and an ``AdaptedFrame`` a stack of (..., 2n, n)
 frames.  Classification, complements, principal angles and frame checks
-act on every member with one stacked ``np.linalg`` call per step, and
-frame transport along a stack is a segmented scan of overlap products
-(see :func:`transported_frames`).  A single subspace or frame is the
-unstacked case of the same code.  Spanning columns and transported hints
-are orthonormalized by one routine, modified Gram-Schmidt in column order
-vectorized over the stack.
+act on every member with one stacked ``np.linalg`` call per step.  A single
+subspace or frame is the unstacked case of the same code.  Frames are
+transported around a closed stack without being built: the determinant
+phases and holonomy of the transported frames are running products of
+overlap determinant phases (see :func:`transport_phases`).  Spanning
+columns and hints are orthonormalized by one routine, modified Gram-Schmidt
+in column order vectorized over the stack.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ __all__ = [
     "symplectic_complement",
     "classify_coisotropic",
     "adapted_frame",
-    "transported_frames",
+    "transport_phases",
     "grassmannian_dim",
     "random_unitary",
     "random_coisotropic",
@@ -423,10 +424,6 @@ class AdaptedFrame:
     def n(self) -> int:
         return self.e.shape[-1]
 
-    def unitary(self) -> np.ndarray:
-        """The frame as a unitary n x n complex matrix (columns = e_i)."""
-        return complex_coords(self.e)
-
     def tangent_basis(self) -> np.ndarray:
         """Columns (e_1..e_n, f_1..f_k): a basis of the coisotropic subspace."""
         return np.concatenate([self.e, self.f[..., : self.k]], axis=-1)
@@ -473,138 +470,28 @@ def _check_frames(c: CoisotropicSubspace, frames: AdaptedFrame, tol: Tolerances)
                 f"frame {i} {what}: defect {defect[i]:.3e} > {bound:.1e}")
 
 
-# steps per segment of the transport scan; the pi/8 contract bounds the
-# condition number of a segment's product (see ``transported_frames``)
-_SEGMENT = 16
+def _gauge_bases(c: CoisotropicSubspace) -> tuple[np.ndarray, np.ndarray]:
+    """The gauge bases of the members of ``c``: unitary bases of the
+    j-invariant parts viewed as C^k (the first k left singular vectors of
+    their complex coordinates) and the kernel bases."""
+    return np.linalg.svd(complex_coords(c.h_part.basis))[0][..., :c.k], c.kernel.basis
 
 
-def _overlaps(h: np.ndarray, kernel: np.ndarray, h_prev: np.ndarray,
-              kernel_prev: np.ndarray) -> np.ndarray:
-    """Block-diagonal transport overlaps, member by member for stacks of
-    equal shape: h^* h_prev on the H block (complex k x k) and K' K_prev on
-    the kernel block (real)."""
+def _hint_coefficients(h: np.ndarray, kernel: np.ndarray, hint: AdaptedFrame,
+                       tol: Tolerances) -> np.ndarray:
+    """The Gram-Schmidt Q of the block-diagonal overlaps of the hint with
+    the gauge bases ``h`` (h^* hint_H, complex k x k) and ``kernel``
+    (K' hint_K, real): the hint's columns projected onto the spans and
+    orthonormalized, in gauge coordinates.  A projected column below
+    ``tol.hint_min_norm`` raises ContinuityLossError."""
     k, n = h.shape[-1], h.shape[-2]
-    o = np.zeros(h.shape[:-2] + (n, n), dtype=complex)
-    o[..., :k, :k] = np.conj(_t(h)) @ h_prev
-    o[..., k:, k:] = _t(kernel) @ kernel_prev
-    return o
-
-
-def _chain(steps: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """The coefficients C_0 = ``start`` and C_i = qf(O_i C_{i-1}) along the
-    S overlaps O_i of ``steps``, as a stack of S + 1, where qf is
-    Gram-Schmidt in column order (the Q of :func:`_mgs`).
-
-    qf(A qf(B)) = qf(AB), so C_i = qf(O_i ... O_1 C_0).  The prefix
-    products are taken within segments of ``_SEGMENT`` steps by log2 of its
-    length stacked matmuls; each segment's start is carried from the one
-    before it by one qf, and one stacked qf of the segments' products with
-    their starts gives every C_i.  A zero projected column stays zero; the
-    transport margin reports it.
-    """
-    s, n = steps.shape[0], steps.shape[-1]
-    seg = min(_SEGMENT, s)
-    count = -(-s // seg)
-    prods = np.empty((count * seg, n, n), dtype=complex)
-    prods[:s] = steps
-    prods[s:] = np.eye(n)
-    prods = prods.reshape(count, seg, n, n)
-    shift = 1
-    while shift < seg:
-        prods[:, shift:] = prods[:, shift:] @ prods[:, :-shift]
-        shift *= 2
-    starts = np.empty((count, n, n), dtype=complex)
-    starts[0] = start
-    for j in range(1, count):
-        starts[j] = _mgs(prods[j - 1, -1] @ starts[j - 1], 0.0)[0]
-    coeffs = _mgs(prods @ starts[:, None], 0.0)[0].reshape(-1, n, n)[:s]
-    return np.concatenate([start[None], coeffs])
-
-
-def _transport(c: CoisotropicSubspace, hint: Optional[AdaptedFrame], tol: Tolerances
-               ) -> tuple[AdaptedFrame, float]:
-    """:func:`transported_frames` and its margin: the smallest norm of a
-    projected hint column (infinite when nothing was projected)."""
-    k, n = c.k, c.space.basis.shape[-2] // 2
-    # gauge bases: the kernel bases and unitary bases of the j-invariant
-    # parts viewed as C^k; without a hint member 0's gauge is its frame, so
-    # its phases are made canonical
-    kernel = c.kernel.basis
-    if k:
-        h = np.linalg.svd(complex_coords(c.h_part.basis))[0][..., :k]
-        if hint is None:
-            h[0] = _canonical_phases(h[0])
-    else:
-        h = np.zeros(kernel.shape[:-2] + (n, 0), dtype=complex)
-
-    def smallest_projection(projected, first_member):
-        """The smallest projected hint-column norm of members
-        ``first_member``, ``first_member`` + 1, ...; raises for the first
-        member with one below ``tol.hint_min_norm``."""
-        short = projected < tol.hint_min_norm
-        if short.any():
-            i, j = (int(x) for x in np.argwhere(short)[0])
-            raise ContinuityLossError(
-                f"hint column {j} projected to norm {projected[i, j]:.3e} "
-                f"< {tol.hint_min_norm:.1e}" + _member_note((first_member + i,)))
-        return float(projected.min())
-
-    margin, coeffs = np.inf, None
-    if hint is not None:
-        coeffs, projected = _mgs(_overlaps(
-            h[0], kernel[0], complex_coords(hint.e[..., :k]), hint.e[..., k:]), 0.0)
-        margin = smallest_projection(projected[None], 0)
-    if len(kernel) > 1:
-        steps = _overlaps(h[1:], kernel[1:], h[:-1], kernel[:-1])
-        coeffs = _chain(steps, np.eye(n, dtype=complex) if coeffs is None else coeffs)
-        margin = min(margin, smallest_projection(_mgs(steps @ coeffs[:-1], 0.0)[1], 1))
-    if coeffs is not None:
-        h = h @ coeffs[..., :k, :k]
-        kernel = kernel @ coeffs[..., k:, k:].real
-    e = np.concatenate([real_coords(h), kernel], axis=-1) if k else np.array(kernel)
-    frames = AdaptedFrame(k=k, e=e, f=_standard_j(n) @ e)
-    _check_frames(c, frames, tol)
-    return frames, margin
-
-
-def transported_frames(
-    c: CoisotropicSubspace,
-    hint: Optional[AdaptedFrame] = None,
-    tol: Tolerances = DEFAULT,
-) -> AdaptedFrame:
-    """Adapted unitary Darboux frames along a one-dimensional stack, each
-    carried from the one before it, returned as one (M, 2n, n) stack.
-
-    Member 0 takes ``hint``; without one its frame is deterministic (SVD
-    bases with canonical signs and phases).  Every later member takes the
-    previous frame as its hint.  Taking a hint means projecting each of its
-    columns onto the required span and orthonormalizing the projections by
-    Gram-Schmidt in column order (the Q of a QR whose R diagonal is real
-    positive): this is the discrete parallel transport used for loop
-    continuity, and a column whose norm after projection off the columns
-    before it falls below ``tol.hint_min_norm`` raises ContinuityLossError
-    naming the member.
-
-    In gauge bases (the kernel bases K_i and unitary H bases h_i) frame i
-    is K_i C_i and h_i D_i, and the transport is C_i = qf(O_i C_{i-1}) with
-    the overlap O_i = K_i' K_{i-1}, likewise D_i with h_i^* h_{i-1}; qf is
-    that Gram-Schmidt.  Since qf(A qf(B)) = qf(AB), C_i is qf of the
-    overlap product O_i ... O_1 C_0, which is taken in segments of 16
-    steps: no Python step is taken per member.
-
-    Every overlap is a contraction.  Under the pi/8 contract between
-    consecutive members the principal angles between consecutive kernels
-    are at most pi/8 (they are those of the subspaces' orthogonal
-    complements), so a kernel overlap has condition number at most
-    1/cos(pi/8) < 1.083 and a segment's kernel product at most
-    1.083^16 < 3.6, whatever M is.  An H overlap keeps at least
-    sqrt(cos(pi/4)) of every vector, so its condition number is below 1.19
-    and a segment's H product's below 16; on sampled loops they stay
-    within the kernel bound.  An unsegmented product can reach e^30 on fast
-    windings.  The projected-column norms are the Gram-Schmidt norms of the
-    stacked O_i C_{i-1}, and the frame checks run once over the stack.
-    """
-    return _transport(c, hint, tol)[0]
+    o = np.zeros((n, n), dtype=complex)
+    o[:k, :k] = np.conj(h.T) @ complex_coords(hint.e[:, :k])
+    o[k:, k:] = kernel.T @ hint.e[:, k:]
+    try:
+        return _mgs(o, tol.hint_min_norm)[0]
+    except ContinuityLossError as exc:
+        raise ContinuityLossError(f"hint {exc}") from None
 
 
 def adapted_frame(
@@ -612,8 +499,7 @@ def adapted_frame(
     hint: Optional[AdaptedFrame] = None,
     tol: Tolerances = DEFAULT,
 ) -> AdaptedFrame:
-    """An adapted unitary Darboux frame for C, the stack-of-one case of
-    :func:`transported_frames`.
+    """An adapted unitary Darboux frame for a single coisotropic subspace C.
 
     Without a hint the construction is deterministic: the kernel basis of
     C and an SVD basis of H_C with canonical phases.  With a hint, each hint
@@ -622,7 +508,89 @@ def adapted_frame(
     after projection falls below ``tol.hint_min_norm`` raises
     ContinuityLossError.
     """
-    return transported_frames(c[None], hint, tol)[0]
+    k, n = c.k, c.space.basis.shape[-2] // 2
+    h, kernel = _gauge_bases(c)
+    if hint is None:
+        h = _canonical_phases(h)
+    else:
+        coeffs = _hint_coefficients(h, kernel, hint, tol)
+        h, kernel = h @ coeffs[:k, :k], kernel @ coeffs[k:, k:].real
+    e = np.concatenate([real_coords(h), kernel], axis=-1)
+    frame = AdaptedFrame(k=k, e=e, f=_standard_j(n) @ e)
+    _check_frames(c[None], frame[None], tol)
+    return frame
+
+
+def transport_phases(
+    c: CoisotropicSubspace,
+    hint: Optional[AdaptedFrame] = None,
+    tol: Tolerances = DEFAULT,
+) -> tuple[np.ndarray, complex, int, float]:
+    """Determinant phases of the adapted frames carried around a closed
+    (M, 2n, n+k) stack, and the frames' holonomy, without building a frame.
+
+    Returns ``(phases, h_holonomy, kernel_sign, margin)``: the unit stream
+    det(U_i) / |det U_i| of the transported unitary frames U_i, the phase
+    det(Hol_H) / |det Hol_H| of the H block of the frame monodromy (one more
+    step, from member M-1 onto member 0), the sign of det of its kernel
+    block (the loop's Z/2 class) and the smallest overlap determinant
+    modulus around the loop.
+
+    The frames are those of discrete parallel transport.  Member 0's frame
+    is ``hint`` projected onto its spans, or without a hint its gauge basis
+    with canonical phases; every later member takes the frame before it as
+    its hint.  Taking a hint means projecting its columns and
+    orthonormalizing them by Gram-Schmidt in column order, qf, the Q of a
+    QR whose R diagonal is real positive.  In the gauge bases
+    G_i = [h_i | K_i] (unitary SVD bases h_i of the H parts as C^k, the
+    kernel bases K_i as complex vectors) frame i is U_i = G_i B_i, with B_0
+    qf of the hint's overlaps (or I) and B_i = qf(O_i B_{i-1}) for the
+    overlap O_i = diag(h_i^* h_{i-1}, K_i' K_{i-1}).  Since
+    det qf(A) = det A / prod R_jj with every R_jj > 0,
+
+        det U_i / |det U_i| = ph(det G_i) ph(det B_0) prod_{j=1..i} ph(det O_j),
+
+    with ph(z) = z / |z|: a running product of overlap determinant phases,
+    the discrete Berry phase of King-Smith and Vanderbilt (PRB 47, 1651,
+    1993) and Resta (RMP 66, 899, 1994).  The monodromy B_0^* B_M has H
+    determinant phase the product of all M H-overlap phases, the closing
+    overlap O_0 = diag(h_0^* h_{M-1}, K_0' K_{M-1}) included, and kernel
+    determinant the product of the kernel-overlap determinant signs; neither
+    depends on the hint or the gauges.  |det O_i| is the product of the
+    projected column norms of step i.
+
+    Raises ContinuityLossError naming the member when a gauge basis is not
+    unitary within 10 ``tol.orthonormality``, when an overlap determinant
+    modulus falls below ``tol.hint_min_norm``, or when a projected hint
+    column does.  One stacked determinant per block and per gauge basis
+    is taken: no Python step is taken per member.
+    """
+    k, n = c.k, c.space.basis.shape[-2] // 2
+    h, kernel = _gauge_bases(c)
+    start = 1.0
+    if hint is None:
+        h[0] = _canonical_phases(h[0])
+    else:
+        start = np.linalg.det(_hint_coefficients(h[0], kernel[0], hint, tol))
+    g = np.concatenate([h, complex_coords(kernel)], axis=-1)
+    # the overlaps O_i, the closing O_0 first, one determinant per block
+    det_h = np.linalg.det(np.conj(_t(h)) @ np.roll(h, 1, axis=0))
+    det_k = np.linalg.det(_t(kernel) @ np.roll(kernel, 1, axis=0))
+    defect = np.abs(np.conj(_t(g)) @ g - _identity(n)).max(axis=(-2, -1))
+    size = np.abs(det_h) * np.abs(det_k)
+    for what, bad, value, bound in (
+            ("gauge basis is not unitary: defect", defect > 10 * tol.orthonormality, defect,
+             f"> {10 * tol.orthonormality:.1e}"),
+            ("overlap determinant", size < tol.hint_min_norm, size,
+             f"< {tol.hint_min_norm:.1e}")):
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ContinuityLossError(f"{what} {value[i]:.3e} {bound}" + _member_note((i,)))
+    h_steps, k_signs = det_h / np.abs(det_h), np.sign(det_k)
+    phases = np.linalg.det(g) * start * np.cumprod(
+        np.concatenate([[1.0], h_steps[1:] * k_signs[1:]]))
+    return (phases / np.abs(phases), complex(np.prod(h_steps)), int(np.prod(k_signs)),
+            float(size.min()))
 
 
 def grassmannian_dim(n: int, k: int) -> int:

@@ -1,0 +1,49 @@
+"""Sequential frame transport, one Python step per member: the oracle that
+the loop's determinant phases, holonomy and overlap margin are checked
+against, and that per-sample frame computations read."""
+
+import numpy as np
+
+import coiso
+
+
+def reference_transport(c, hint=None, tol=coiso.DEFAULT):
+    """Frames along a stack of coisotropic subspaces, each carried from the
+    one before it.
+
+    Member 0's frame is ``hint`` (or, without one, the kernel basis and the
+    SVD basis of the H part with canonical phases) projected onto its
+    kernel and H part; every later member projects the previous frame.  A
+    projection is orthonormalized by two-pass modified Gram-Schmidt in
+    column order.  Returns the (M, 2n, n) frame stack and, per member, the
+    product of its projected column norms (1 for an unhinted member 0).
+    """
+    k, n = c.k, c.space.basis.shape[-2] // 2
+    sizes = np.ones(len(c.space.basis))
+
+    def mgs(cols, i):
+        q = np.array(cols)
+        for col in range(q.shape[1]):
+            v = q[:, col]
+            for _ in range(2):
+                for j in range(col):
+                    v = v - (np.conj(q[:, j]) @ v) * q[:, j]
+            norm = np.linalg.norm(v)
+            assert norm >= tol.hint_min_norm
+            sizes[i] *= norm
+            q[:, col] = v / norm
+        return q
+
+    hbases = np.linalg.svd(coiso.complex_coords(c.h_part.basis))[0][..., :k]
+    e = np.empty(c.kernel.basis.shape[:-1] + (n,))
+    prev = None if hint is None else hint.e
+    for i, (ker, hb) in enumerate(zip(c.kernel.basis, hbases)):
+        if prev is None:
+            e[i, :, k:] = ker
+            e[i, :, :k] = coiso.real_coords(coiso.symplin._canonical_phases(hb))
+        else:
+            e[i, :, k:] = mgs(ker @ (ker.T @ prev[:, k:]), i)
+            pr = hb @ (np.conj(hb.T) @ coiso.complex_coords(prev[:, :k]))
+            e[i, :, :k] = coiso.real_coords(mgs(pr, i))
+        prev = e[i]
+    return e, sizes

@@ -18,6 +18,7 @@ from coiso.cli import (
     REPORT_SCHEMA,
     SCHEMA,
     Report,
+    _TOLERANCES_VALIDATOR,
     emit_phase_trace,
     main,
     run,
@@ -175,6 +176,32 @@ def test_removed_tolerance_name_exit_two(tmp_path, name):
     tol_path.write_text(json.dumps({name: 1.0}))
     assert main(["run", str(spec_path), "--tol-file", str(tol_path)]) == 2
     assert main(["run", str(spec_path)]) == 0
+
+
+# out of range: a negative angle refines to the sample budget, a zero jump
+# bound refuses every winding, a zero sample budget refuses every loop
+OUT_OF_RANGE = [{"consecutive_angle": -1.0}, {"phase_jump": 0}, {"max_loop_samples": 0}]
+
+
+@pytest.mark.parametrize("overrides", OUT_OF_RANGE)
+def test_out_of_range_tolerance_exit_two(tmp_path, capsys, overrides):
+    params = {"n": 2, "k": 1, "M": 64, "seed": 1, "family": "random-unitary-orbit"}
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "maslov-index",
+                                     "parameters": {**params, "tolerances": overrides}}))
+    assert main(["run", str(spec_path)]) == 2
+    spec_path.write_text(json.dumps({"kind": "maslov-index", "parameters": params}))
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(json.dumps(overrides))
+    assert main(["run", str(spec_path), "--tol-file", str(tol_path)]) == 2
+    assert "bad tolerance file" in capsys.readouterr().err
+    assert main(["run", str(spec_path)]) == 0
+
+
+def test_default_tolerances_lie_in_their_ranges():
+    _TOLERANCES_VALIDATOR.validate(DEFAULT.as_dict())
+    assert not _TOLERANCES_VALIDATOR.is_valid({"frame_j": -1e-12})
+    assert _TOLERANCES_VALIDATOR.is_valid({"frame_j": 0})
 
 
 def test_diag_unitary_with_windings_runs():

@@ -1,4 +1,4 @@
-"""Loop construction, pushforward, transverse frames."""
+"""Loop construction, pushforward, transported frame data."""
 
 import numpy as np
 import pytest
@@ -20,7 +20,6 @@ from coiso import (
     realify,
     standard_model,
     tangent_boundary_loop,
-    transverse_frame_loop,
     unitary_matrix_loop,
 )
 from coiso.cli import BOUNDARY_FAMILIES
@@ -184,27 +183,59 @@ def test_pushforward_roundtrip():
 
 
 def test_transverse_frames_constant_loop():
+    # the frames of a constant loop do not move: constant determinant
+    # phases and a trivial monodromy
     loop = loop_from_family(1, constant_family(2, 1), samples=16)
-    frames, mono = transverse_frame_loop(loop)
-    assert frames[0].shape == (2, 1)
-    for f in frames:
-        assert_allclose(f, frames[0], atol=1e-12)
-    assert_allclose(mono, np.eye(1), atol=1e-9)
+    assert_allclose(loop.det_phases, np.full(16, loop.det_phases[0]), atol=1e-12)
+    assert abs(loop.h_holonomy - 1) < 1e-9
+    assert loop.kernel_sign == 1
+    assert abs(loop.overlap_margin - 1) < 1e-12
 
 
 def test_transverse_monodromy_of_rotation_is_minus_one():
     gen = lagrangian_rotation_family(1, turns=1)
     loop = loop_from_family(0, gen, samples=64)
-    _, mono = transverse_frame_loop(loop)
-    assert mono.shape == (1, 1)
-    assert_allclose(mono, [[-1.0]], atol=1e-9)
+    assert loop.kernel_sign == -1
+    assert loop.h_holonomy == 1
 
 
 def test_transverse_frames_k_equals_n():
+    # no kernel: the kernel block of the monodromy is the empty product
     loop = loop_from_family(2, constant_family(2, 2), samples=8)
-    frames, mono = transverse_frame_loop(loop)
-    assert frames[0].shape == (2, 0)
-    assert mono.shape == (0, 0)
+    assert loop.det_phases.shape == (8,)
+    assert loop.kernel_sign == 1
+    assert abs(loop.h_holonomy - 1) < 1e-9
+
+
+def _parity_loops():
+    """Loops with trivial H holonomy: random orbits at k = 0, diag-unitary
+    loops with integer and half-integer kernel windings, Lagrangian
+    rotations at odd and even turns, and loops at k = n."""
+    for n in (1, 2, 3):
+        for seed in range(4):
+            yield 0, coiso.random_unitary_orbit_family(n, 0, 300 + 10 * n + seed)
+        for turns in (1, 2, 3):
+            yield 0, lagrangian_rotation_family(n, turns)
+        yield n, coiso.random_unitary_orbit_family(n, n, 400 + n)
+    for windings in ([2.0, 0.5], [-1.0, 1.0], [0.0, 0.5, 1.5], [1.0, -0.5, 2.0],
+                     [3.0, 1.5, -0.5, 0.5], [0.0, 1.0, -1.0, 2.5]):
+        n = len(windings)
+        for k in range(n):
+            yield k, diag_unitary_family(n, k, windings)
+
+
+def test_canonical_winding_parity_is_the_kernel_sign():
+    # the Z/2 class of a coisotropic loop is the sign of det of the kernel
+    # monodromy; where the H holonomy is trivial it is the parity of the
+    # canonical section's winding
+    signs = []
+    for k, gen in _parity_loops():
+        loop = loop_from_family(k, gen, samples=64)
+        assert abs(loop.h_holonomy - 1) < 1e-9
+        w = coiso.winding(coiso.canonical_section(loop).samples)
+        assert (w % 2 == 1) == (loop.kernel_sign == -1), (k, w, loop.kernel_sign)
+        signs.append(loop.kernel_sign)
+    assert {-1, 1} <= set(signs)
 
 
 def test_consecutive_angles_match_per_pair_principal_angles():
@@ -228,9 +259,9 @@ def test_loop_holds_its_samples_and_frames_as_stacks():
         assert out.m == len(out.thetas) == 32
         assert out.samples.space.basis.shape == (32, 6, 4)
         assert out.samples.kernel.basis.shape == (32, 6, 2)
-        assert out.frames.e.shape == out.frames.f.shape == (32, 6, 3)
-        assert out.frames.unitary().shape == (32, 3, 3)
-        assert transverse_frame_loop(out)[0].shape == (32, 3, 2)
+        assert out.det_phases.shape == (32,)
+        assert_allclose(np.abs(out.det_phases), 1.0, rtol=0, atol=1e-15)
+        assert out.kernel_sign in (-1, 1)
 
 
 def test_matrix_loop_rejects_a_step_above_half():
@@ -369,10 +400,9 @@ def _assert_same_loop(a, b):
     for part in ("space", "kernel", "h_part"):
         assert np.array_equal(getattr(a.samples, part).basis,
                               getattr(b.samples, part).basis), part
-    assert np.array_equal(a.frames.e, b.frames.e)
-    assert np.array_equal(a.frames.f, b.frames.f)
-    assert np.array_equal(a.monodromy, b.monodromy)
-    assert a.closure_defect == b.closure_defect
+    assert np.array_equal(a.det_phases, b.det_phases)
+    assert (a.h_holonomy, a.kernel_sign, a.overlap_margin, a.closure_defect) == (
+        b.h_holonomy, b.kernel_sign, b.overlap_margin, b.closure_defect)
 
 
 def _pushforward_generator():
@@ -403,7 +433,7 @@ def test_refined_and_resampled_loops_equal_the_full_grid_build(name):
     _assert_same_loop(loop, loop_from_family(k, gen, samples=loop.m))
     fine = loop.resample(2 * loop.m)
     _assert_same_loop(fine, loop_from_family(k, gen, samples=2 * loop.m,
-                                             hint=loop.frames[0], auto_refine=False))
+                                             hint=loop.hint, auto_refine=False))
 
 
 def test_refined_tangent_loop_equals_the_full_grid_build():
@@ -414,9 +444,10 @@ def test_refined_tangent_loop_equals_the_full_grid_build():
     full, full_points = tangent_boundary_loop(y, boundary, samples=loop.m)
     _assert_same_loop(loop, full)
     assert np.array_equal(points, full_points)
-    assert np.array_equal(loop.resample(2 * loop.m).samples.space.basis,
-                          tangent_boundary_loop(y, boundary, samples=2 * loop.m)[0]
-                          .samples.space.basis)
+    # the resample is transported from the loop's hint, the tangent splitting
+    # at the first point
+    _assert_same_loop(loop.resample(2 * loop.m),
+                      tangent_boundary_loop(y, boundary, samples=2 * loop.m)[0])
 
 
 def test_doubled_grid_generates_only_its_odd_members():

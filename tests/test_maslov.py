@@ -9,7 +9,6 @@ from numpy.testing import assert_allclose
 import coiso
 from coiso import (
     AliasingError,
-    Grading,
     MaslovSection,
     adapted_frame,
     canonical_grading,
@@ -19,13 +18,13 @@ from coiso import (
     loop_from_family,
     maslov_index,
     pushforward_section,
-    random_coisotropic,
     tangent_boundary_loop,
     unitary_matrix_loop,
     winding,
 )
 from coiso.cli import BOUNDARY_FAMILIES
 from coiso.symplin import _standard_j
+from reference_transport import reference_transport
 
 
 def diagonals(*entries):
@@ -286,13 +285,17 @@ def test_kernel_reframing_changes_nothing():
 
 
 def test_grading_equivariance():
-    c = random_coisotropic(2, 1, 4)
-    ref = adapted_frame(c)
-    grading = canonical_grading()
-    p = np.zeros(4)
+    # a loop transported from an adapted frame changed by a unitary V
+    # (a phase on H, a sign on the kernel) has every determinant phase
+    # times det V, so a grading read against its canonical section reads
+    # det(V)^{-2} times as much, and the index does not move
+    gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(4))
+    ref = adapted_frame(loop_from_family(1, gen, samples=64).samples[0])
+    loop = loop_from_family(1, gen, samples=64, hint=ref)
+    charge = canonical_grading().section_along(np.zeros((loop.m, 4)), loop)
+    sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
     g = coiso.rng(9)
     for _ in range(20):
-        # random change of adapted frame: unitary on H, orthogonal on kernel
         phase = np.exp(1j * g.uniform(0, 2 * np.pi))
         sign = g.choice([-1.0, 1.0])
         e_new = np.concatenate([
@@ -300,9 +303,12 @@ def test_grading_equivariance():
             ref.e[:, 1:] * sign,
         ], axis=1)
         frame = coiso.AdaptedFrame(k=1, e=e_new, f=_standard_j(2) @ e_new)
-        val = grading.value(p, frame, ref)
-        expected = np.conj(phase) ** 2
-        assert abs(val - expected) < 1e-9
+        moved = loop_from_family(1, gen, samples=loop.m, hint=frame, auto_refine=False)
+        assert_allclose(moved.det_phases, loop.det_phases * phase * sign, rtol=0, atol=1e-9)
+        assert_allclose(charge.samples / canonical_section(moved).samples,
+                        charge.samples / canonical_section(loop).samples * np.conj(phase) ** 2,
+                        rtol=0, atol=1e-9)
+        assert maslov_index(moved, sec) == maslov_index(loop, sec)
 
 
 def test_constant_grading_section_is_gauge_only():
@@ -334,15 +340,18 @@ def test_tangent_stack_equals_members(alpha, p, q, seed, count):
 def _polar_pushforward_section(a, loop, out, sec):
     """The pushed section sample by sample through the unitary polar factor
     Q of A: the section picks up det(r)^2 det(Q)^2 with r = (Q U)^* U_out,
-    the change from the moved frames to the image loop's frames."""
+    the change from the moved frames to the image loop's frames.  The
+    frames U and U_out are transported sequentially."""
     n = loop.n
     raw = sec.samples / loop.section_gauge()
     gauge = out.section_gauge()
+    frames = coiso.complex_coords(reference_transport(loop.samples)[0])
+    out_frames = coiso.complex_coords(reference_transport(out.samples)[0])
     moved = np.empty(out.m, dtype=complex)
     for i in range(out.m):
         q, _ = scipy.linalg.polar(a.matrices[i])
         qc = q[:n, :n] + 1j * q[n:, :n]
-        r = np.conj((qc @ loop.frames[i].unitary()).T) @ out.frames[i].unitary()
+        r = np.conj((qc @ frames[i]).T) @ out_frames[i]
         val = raw[i] * (np.linalg.det(r) ** 2) * (np.linalg.det(qc) ** 2) * gauge[i]
         moved[i] = val / abs(val)
     return moved

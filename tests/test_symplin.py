@@ -25,6 +25,7 @@ from coiso import (
     symplectic_complement,
 )
 from coiso.symplin import _standard_j, _standard_omega
+from reference_transport import reference_transport
 
 
 def basis_vec(n, i):
@@ -332,10 +333,14 @@ def test_classify_stack_members_match_single_calls():
         assert np.array_equal(stack[i].h_part.basis, single.h_part.basis)
 
 
-def _chain(seed=12, m=9):
+def _frame_stack(seed=12, m=9):
+    """A classified stack of m random coisotropic subspaces and the stack of
+    their adapted frames."""
     spaces = [random_coisotropic(3, 1, seed + i).space.basis for i in range(m)]
     stack = classify_coisotropic(Subspace(np.stack(spaces)))
-    return stack, coiso.transported_frames(stack)
+    frames = [adapted_frame(c) for c in stack]
+    return stack, coiso.AdaptedFrame(k=stack.k, e=np.stack([f.e for f in frames]),
+                                     f=np.stack([f.f for f in frames]))
 
 
 def _scaled(fr):
@@ -349,10 +354,10 @@ def _broken_f(fr):
 @pytest.mark.parametrize("corrupt, defect", [
     (_scaled, "is not orthonormal"),
     (_broken_f, "has f != j e"),
-    (lambda fr: _chain(seed=40)[1][4], "does not span the target subspace"),
+    (lambda fr: _frame_stack(seed=40)[1][4], "does not span the target subspace"),
 ])
 def test_frame_chain_check_names_the_corrupted_member(corrupt, defect):
-    stack, frames = _chain()
+    stack, frames = _frame_stack()
     coiso.symplin._check_frames(stack, frames, coiso.DEFAULT)
     # corrupt two members in the middle; the first is reported
     e, f = frames.e.copy(), frames.f.copy()
@@ -362,44 +367,6 @@ def test_frame_chain_check_names_the_corrupted_member(corrupt, defect):
     with pytest.raises(coiso.ContinuityLossError, match=f"frame 4 {defect}"):
         coiso.symplin._check_frames(stack, coiso.AdaptedFrame(k=frames.k, e=e, f=f),
                                     coiso.DEFAULT)
-
-
-def _reference_transport(c, hint=None, tol=coiso.DEFAULT):
-    """Sequential transport, one Python step per member: each hint column
-    (the previous frame's, member 0's from ``hint``) projected onto the
-    member's kernel or H part and orthonormalized by two-pass modified
-    Gram-Schmidt in column order.  Returns the (M, 2n, n) frame stack and
-    the smallest projected-column norm."""
-    k, n = c.k, c.space.basis.shape[-2] // 2
-    smallest = np.inf
-
-    def mgs(cols):
-        nonlocal smallest
-        q = np.array(cols)
-        for i in range(q.shape[1]):
-            v = q[:, i]
-            for _ in range(2):
-                for j in range(i):
-                    v = v - (np.conj(q[:, j]) @ v) * q[:, j]
-            norm = np.linalg.norm(v)
-            assert norm >= tol.hint_min_norm
-            smallest = min(smallest, norm)
-            q[:, i] = v / norm
-        return q
-
-    hbases = np.linalg.svd(coiso.complex_coords(c.h_part.basis))[0][..., :k]
-    e = np.empty(c.kernel.basis.shape[:-1] + (n,))
-    prev = None if hint is None else hint.e
-    for i, (ker, hb) in enumerate(zip(c.kernel.basis, hbases)):
-        if prev is None:
-            e[i, :, k:] = ker
-            e[i, :, :k] = coiso.real_coords(coiso.symplin._canonical_phases(hb))
-        else:
-            e[i, :, k:] = mgs(ker @ (ker.T @ prev[:, k:]))
-            pr = hb @ (np.conj(hb.T) @ coiso.complex_coords(prev[:, :k]))
-            e[i, :, :k] = coiso.real_coords(mgs(pr))
-        prev = e[i]
-    return e, smallest
 
 
 def _outcome(fn):
@@ -414,84 +381,93 @@ def _outcome(fn):
 @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
        st.integers(0, 40), st.floats(0.0, 1.5), st.sampled_from([16, 64, 256, 512, 1024]),
        st.booleans())
-# fast conjugated windings on which one unsegmented overlap product loses
-# 1e-10 of the frames
+# fast conjugated windings, on which one unsegmented overlap product of the
+# frames lost 1e-10 of them
 @example(3, 0, 11, 28, 0.3, 512, False)
 @example(3, 0, 9, 28, 0.3, 512, True)
 # four windings on 64 samples: both routes print the same AliasingError
 @example(4, 0, 2701, 4, 0.0, 16, False)
 def test_transported_frames_follow_their_hints(n, k, seed, winding, wiggle, m, hinted):
     # conjugated, wiggled loops winding up to 40 times, sampled at up to
-    # M = 1024 under the pi/8 contract: the stacked overlap scan matches the
-    # sequential hinted chain to 1e-12, and prints the same integers
+    # M = 1024 under the pi/8 contract: the overlap determinant products give
+    # the determinant phases, H holonomy, kernel sign and overlap margin of
+    # the sequential hinted chain's frames to 1e-12, and print the same
+    # integers
     k %= n + 1
     gen = coiso.random_unitary_orbit_family(n, k, seed, max_winding=winding,
                                             wiggle=wiggle)
+    tol = coiso.DEFAULT.replace(max_loop_samples=1024)
     try:
-        loop = coiso.loop_from_family(k, gen, samples=m,
-                                      tol=coiso.DEFAULT.replace(max_loop_samples=1024))
+        loop = coiso.loop_from_family(k, gen, samples=m, tol=tol)
     except coiso.DiscontinuousLoopError:
         assume(False)
-    chain = loop.samples[np.append(np.arange(loop.m), 0)]
-    ref, smallest = _reference_transport(chain)
-    assert_allclose(loop.frames.e, ref[:-1], rtol=0, atol=1e-12)
+    if hinted:
+        # a hint from the neighbouring sample: member 0 projects it too
+        loop = coiso.loop_from_family(k, gen, samples=loop.m, hint=adapted_frame(loop.samples[1]),
+                                      auto_refine=False, tol=tol)
+    ref, sizes = reference_transport(loop.samples[np.append(np.arange(loop.m), 0)], loop.hint)
     u = coiso.complex_coords(ref)
+    dets = np.linalg.det(u)
+    phases = dets / np.abs(dets)
+    assert_allclose(loop.det_phases, phases[:-1], rtol=0, atol=1e-12)
+    assert_allclose(loop.det_phases ** 2, phases[:-1] ** 2, rtol=0, atol=1e-12)
     mono = np.conj(u[0].T) @ u[-1]
-    assert_allclose(loop.monodromy, mono, rtol=0, atol=1e-12)
-    assert abs(loop.transport_margin - smallest) < 1e-12
-    reference = dataclasses.replace(loop, frames=coiso.AdaptedFrame(
-        k=k, e=ref[:-1], f=_standard_j(n) @ ref[:-1]), monodromy=mono)
+    holonomy = np.linalg.det(mono[:k, :k])
+    assert abs(loop.h_holonomy - holonomy / abs(holonomy)) < 1e-12
+    assert loop.kernel_sign == np.sign(np.linalg.det(mono[k:, k:]).real)
+    assert abs(loop.overlap_margin - sizes[1:].min()) < 1e-12
+    reference = dataclasses.replace(loop, det_phases=phases[:-1],
+                                    h_holonomy=holonomy / abs(holonomy))
     section = coiso.MaslovSection.from_function(loop.thetas, lambda t: np.exp(2j * t))
     for route in (lambda lp: coiso.winding(coiso.canonical_section(lp).samples),
                   lambda lp: coiso.maslov_index(lp, section)):
         assert _outcome(lambda: route(loop)) == _outcome(lambda: route(reference))
-    if hinted:
-        # a hint from the neighbouring sample: member 0 projects it too
-        hint = adapted_frame(loop.samples[1])
-        ref, smallest = _reference_transport(chain, hint)
-        frames, margin = coiso.symplin._transport(chain, hint, coiso.DEFAULT)
-        assert_allclose(frames.e, ref, rtol=0, atol=1e-12)
-        assert abs(margin - smallest) < 1e-12
 
 
-def _transport_calls(m, monkeypatch):
-    """Calls to the orthonormalization ``_mgs``, and all Python and C
-    function calls, made while a loop of M samples is transported once
-    around and onto sample 0 from a hint."""
-    gen = coiso.random_unitary_orbit_family(3, 1, 5, max_winding=3)
-    loop = coiso.loop_from_family(1, gen, samples=m, auto_refine=False)
-    chain = loop.samples[np.append(np.arange(m), 0)]
-    mgs_calls, calls = [], [0]
-    mgs = coiso.symplin._mgs
+def _loop_calls(m, monkeypatch):
+    """Calls to the orthonormalization ``_mgs`` and to ``np.linalg.svd``, and
+    all Python and C function calls, made while a loop of M samples is built
+    from a hint.  The generator builds its members without ``_mgs``."""
+    base = standard_model(3, 1).space.basis
+    windings = np.array([1.0, -2.0, 1.5])
 
-    def counted(*args, **kwargs):
-        mgs_calls.append(args[0].shape)
-        return mgs(*args, **kwargs)
+    def gen(thetas):
+        return Subspace(realify(np.exp(1j * windings * thetas[:, None])[..., None]
+                                * np.eye(3)) @ base)
+
+    hint = adapted_frame(classify_coisotropic(gen(np.array([0.1])))[0])
+    counts = {"mgs": 0, "svd": 0, "calls": 0}
+    mgs, svd = coiso.symplin._mgs, np.linalg.svd
+
+    def counted(fn, name):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
 
     def profile(frame, event, arg):
-        calls[0] += event in ("call", "c_call")
+        counts["calls"] += event in ("call", "c_call")
 
     with monkeypatch.context() as patch:
-        patch.setattr(coiso.symplin, "_mgs", counted)
+        patch.setattr(coiso.symplin, "_mgs", counted(mgs, "mgs"))
+        patch.setattr(np.linalg, "svd", counted(svd, "svd"))
         sys.setprofile(profile)
         try:
-            frames = coiso.transported_frames(chain, hint=loop.frames[0])
+            loop = coiso.loop_from_family(1, gen, samples=m, hint=hint, auto_refine=False)
         finally:
             sys.setprofile(None)
-    assert len(frames.e) == m + 1
-    return len(mgs_calls), calls[0]
+    assert loop.m == m
+    return counts
 
 
 def test_transport_takes_no_step_per_sample(monkeypatch):
-    # one orthonormalization carries each segment of 16 overlaps, plus the
-    # hint's, the stacked one and the margin's; every other call is made per
-    # segment too, where one Python step per sample makes several calls per
-    # sample
-    counts = {m: _transport_calls(m, monkeypatch) for m in (256, 1024)}
-    for m, (mgs_calls, _) in counts.items():
-        assert 0 < mgs_calls <= -(-(m + 1) // 16) + 2
-    grown = counts[1024][1] - counts[256][1]
-    assert grown <= 100 * (1024 - 256) // 16
+    # building a hinted loop orthonormalizes once, the hint's projection,
+    # and takes as many SVDs and function calls at M = 1024 as at M = 256,
+    # where one Python step per sample makes several calls per sample
+    few, many = (_loop_calls(m, monkeypatch) for m in (256, 1024))
+    assert few["mgs"] == many["mgs"] == 1
+    assert 0 < few["svd"] == many["svd"]
+    assert many["calls"] - few["calls"] <= 100
 
 
 def test_transport_names_the_member_whose_hint_projects_short():
@@ -500,20 +476,34 @@ def test_transport_names_the_member_whose_hint_projects_short():
     ts = np.array([0.0, 0.1, 0.2, 0.2 + np.pi / 2, 0.3 + np.pi / 2])
     stack = classify_coisotropic(Subspace(realify(np.exp(1j * ts)[:, None, None])[..., :1]))
     with pytest.raises(coiso.ContinuityLossError, match=(
-            r"^hint column 0 projected to norm \S+ < 1\.0e-06 \(stack member 3\)$")):
-        coiso.transported_frames(stack)
-    frames = coiso.transported_frames(stack[:3])
-    hint = coiso.AdaptedFrame(k=0, e=frames.e[2], f=frames.f[2])
-    with pytest.raises(coiso.ContinuityLossError, match=r"\(stack member 0\)$"):
-        coiso.transported_frames(stack[3:], hint=hint)
-    # exactly orthogonal lines: the projection is zero, and nothing divides
-    # by it
+            r"^overlap determinant \S+ < 1\.0e-06 \(stack member 3\)$")):
+        coiso.transport_phases(stack)
+    with pytest.raises(coiso.ContinuityLossError, match=(
+            r"^hint column 0 projected to norm \S+ < 1\.0e-06$")):
+        coiso.transport_phases(stack[3:], hint=adapted_frame(stack[2]))
+    # exactly orthogonal lines: the overlaps are zero, and nothing divides
+    # by them
     stack = classify_coisotropic(Subspace(np.array([[[1.0], [0.0]], [[0.0], [1.0]]])))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(coiso.ContinuityLossError, match=(
-                r"^hint column 0 projected to norm 0\.000e\+00 < 1\.0e-06 \(stack member 1\)$")):
-            coiso.transported_frames(stack)
+                r"^overlap determinant 0\.000e\+00 < 1\.0e-06 \(stack member 0\)$")):
+            coiso.transport_phases(stack)
+
+
+def test_transport_names_the_member_whose_gauge_basis_is_not_unitary():
+    # Lagrangian planes of C^2; member 2's kernel replaced by the symplectic
+    # plane span(e_1, f_1), whose complex coordinates (1, 0) and (i, 0) are
+    # not orthogonal
+    stack = coiso.grassmann._classified_grid(coiso.lagrangian_rotation_family(2), 8, 4,
+                                             None, coiso.DEFAULT)
+    kernel = stack.kernel.basis.copy()
+    kernel[2] = np.eye(4)[:, [0, 2]]
+    bad = coiso.CoisotropicSubspace(space=stack.space, k=0, kernel=Subspace(kernel),
+                                    h_part=stack.h_part)
+    with pytest.raises(coiso.ContinuityLossError, match=(
+            r"^gauge basis is not unitary: defect 1\.000e\+00 > 1\.0e-09 \(stack member 2\)$")):
+        coiso.transport_phases(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -603,7 +593,7 @@ def test_adapted_frame_stack_equals_members(n, data, count, seed):
     g = coiso.rng(seed)
     frames = coiso.AdaptedFrame(k=k, e=g.normal(size=(count, 2 * n, n)),
                                 f=g.normal(size=(count, 2 * n, n)))
-    methods = ("unitary", "tangent_basis", "kernel_vectors", "h_vectors")
+    methods = ("tangent_basis", "kernel_vectors", "h_vectors")
     for i in range(count):
         member = coiso.AdaptedFrame(k=k, e=frames.e[i], f=frames.f[i])
         assert np.array_equal(frames[i].e, member.e) and np.array_equal(frames[i].f, member.f)
@@ -636,9 +626,7 @@ def test_single_subspace_or_frame_is_not_iterable():
 
 
 def test_stack_iterates_over_its_members():
-    stack = classify_coisotropic(Subspace(np.stack(
-        [random_coisotropic(3, 1, s).space.basis for s in range(4)])))
-    frames = coiso.transported_frames(stack)
+    stack, frames = _frame_stack(seed=0, m=4)
     members, frame_members = list(stack), list(frames)
     assert len(members) == len(frame_members) == 4
     for i, (c, f) in enumerate(zip(members, frame_members)):
