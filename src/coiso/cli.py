@@ -48,44 +48,46 @@ KINDS = [
 
 
 # ---------------------------------------------------------------------------
-# boundary loop families on hypersurface fixtures
+# boundary loop families on hypersurface fixtures: each takes a 1-D array of
+# angles and returns the stack of their points in C^2, one row per angle
 
 
-def _hopf_boundary(params: dict) -> Callable[[float], np.ndarray]:
+def _hopf_boundary(params: dict) -> Callable[[np.ndarray], np.ndarray]:
     power = int(params.get("power", 1))
 
-    def w(theta):
-        z = np.exp(1j * power * theta)
-        return np.array([z.real, 0.0, z.imag, 0.0])
+    def w(thetas):
+        z = np.exp(1j * power * thetas)
+        zero = np.zeros_like(thetas)
+        return np.stack([z.real, zero, z.imag, zero], axis=-1)
 
     return w
 
 
-def _latitude_boundary(params: dict) -> Callable[[float], np.ndarray]:
+def _latitude_boundary(params: dict) -> Callable[[np.ndarray], np.ndarray]:
     alpha = float(params.get("alpha", 1.25))
     p = int(params.get("p", 1))
     q = int(params.get("q", 0))
     ca, sa = cos(alpha), sin(alpha)
 
-    def w(theta):
-        z1 = ca * np.exp(1j * p * theta)
-        z2 = sa * np.exp(1j * q * theta)
-        return np.array([z1.real, z2.real, z1.imag, z2.imag])
+    def w(thetas):
+        z1 = ca * np.exp(1j * p * thetas)
+        z2 = sa * np.exp(1j * q * thetas)
+        return np.stack([z1.real, z2.real, z1.imag, z2.imag], axis=-1)
 
     return w
 
 
-def _planar_circle_boundary(params: dict) -> Callable[[float], np.ndarray]:
+def _planar_circle_boundary(params: dict) -> Callable[[np.ndarray], np.ndarray]:
     r1 = float(params.get("r1", 0.7))
     r2 = float(params.get("r2", 0.4))
     # closed curve inside the hyperplane x1 = 1 of C^2
-    def w(theta):
-        return np.array([
-            1.0,
-            r1 * cos(theta),
-            r2 * sin(theta) + 0.2 * r2 * sin(2 * theta),
-            r2 * cos(theta),
-        ])
+    def w(thetas):
+        return np.stack([
+            np.ones_like(thetas),
+            r1 * np.cos(thetas),
+            r2 * np.sin(thetas) + 0.2 * r2 * np.sin(2 * thetas),
+            r2 * np.cos(thetas),
+        ], axis=-1)
 
     return w
 
@@ -392,7 +394,7 @@ def _run_disc_index(params: dict, tol: Tolerances, seed: int) -> list:
     boundary = BOUNDARY_FAMILIES[params.get("loop", "hopf")](params.get("loop_params", {}))
     m = int(params.get("M", 256))
     phase = float(params.get("grading_phase", 0.0))
-    grading = maslov.Grading(charge=lambda p: np.exp(1j * phase))
+    grading = maslov.Grading(charge=lambda points: np.full(len(points), np.exp(1j * phase)))
     detail = maslov.disc_index_detail(y, boundary, grading, m, tol)
     return [
         _item("disc_index", detail["index"], residual=detail["residual"]),

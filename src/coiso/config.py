@@ -25,7 +25,7 @@ class Tolerances:
     frame_j: float = 1e-12               # f_i == j e_i
     svd_cutoff: float = 1e-10            # null space singular value cutoff
     svd_gap: float = 1e-3                # ill-conditioning gap ratio
-    hint_min_norm: float = 1e-6          # floor for projected hint columns
+    hint_min_norm: float = 1e-6          # floor for overlap dets, bracket columns
     generator_closure: float = 1e-10     # generator(0) vs generator(2*pi)
     consecutive_angle: float = math.pi / 8
     max_loop_samples: int = 2 ** 20

@@ -23,7 +23,8 @@ class ClassificationError(CoisoError):
 
 
 class ContinuityLossError(CoisoError):
-    """A hint column projected below the norm floor; caller must refine."""
+    """A loop step's overlap determinant modulus, or a projected column of the
+    ``hypergeo`` transport bracket, below ``hint_min_norm``; caller must refine."""
 
 
 class DiscontinuousLoopError(CoisoError):

@@ -2,7 +2,7 @@
 
 A loop is held as M uniform samples theta_i = 2*pi*i/M of certified
 coisotropic subspaces together with what every index computation reads of
-the adapted frames chained by projection onto consecutive samples (the
+sample 0's adapted frame carried by projection onto consecutive samples (the
 discrete parallel transport of flat C^n): the determinant phase of each
 frame, and the H determinant phase and kernel sign of the frame monodromy
 after one circuit.  These are running products of overlap determinant
@@ -40,7 +40,6 @@ from .errors import (
     InternalConsistencyError,
 )
 from .symplin import (
-    AdaptedFrame,
     CoisotropicSubspace,
     Subspace,
     classify_coisotropic,
@@ -115,7 +114,7 @@ class CoisotropicLoop:
     ``samples`` is the classified stack of shape (M, 2n, n+k), member i
     belonging to ``thetas[i]``.  ``closure_defect`` is the principal-angle
     distance between the generator's value at 2*pi and sample 0.  The
-    frames U_i transported from ``hint`` (see
+    frames U_i transported from sample 0's adapted frame (see
     :func:`~coiso.symplin.transport_phases`) are not kept: ``det_phases``
     holds det(U_i) / |det U_i|.  The subspace loop must close; the frames
     need not, and their monodromy after one more step onto sample 0 is
@@ -133,7 +132,6 @@ class CoisotropicLoop:
     h_holonomy: complex
     kernel_sign: int
     overlap_margin: float
-    hint: Optional[AdaptedFrame] = None
     generator: Optional[Callable] = None
 
     @property
@@ -165,21 +163,18 @@ class CoisotropicLoop:
         return _consecutive_angles(self.samples.space)
 
     def resample(self, m: int, tol: Tolerances = DEFAULT) -> "CoisotropicLoop":
-        """The loop on the grid of ``m`` samples, its frames transported from
-        this loop's hint and never refined.  On the doubled grid only the new
-        (odd) members are generated and classified."""
+        """The loop on the grid of ``m`` samples, never refined.  On the doubled
+        grid only the new (odd) members are generated and classified."""
         if self.generator is None:
             raise ValueError("loop has no generator; cannot resample")
         coarse = self.samples if m == 2 * self.m else None
-        return _sampled_loop(self.k, self.generator, m, self.hint, False, coarse, tol)
+        return _sampled_loop(self.k, self.generator, m, False, coarse, tol)
 
 
 def loop_from_family(
     k: int,
     generator: Callable[[np.ndarray], object],
     samples: int = 16,
-    hint: Optional[AdaptedFrame] = None,
-    auto_refine: bool = True,
     tol: Tolerances = DEFAULT,
 ) -> CoisotropicLoop:
     """Sample a parametric family into a loop, refining until consecutive
@@ -199,13 +194,14 @@ def loop_from_family(
     call per M; a doubled grid generates and classifies only its odd
     members.
     """
-    return _sampled_loop(k, generator, samples, hint, auto_refine, None, tol)
+    return _sampled_loop(k, generator, samples, True, None, tol)
 
 
-def _sampled_loop(k, generator, m: int, hint, auto_refine: bool,
+def _sampled_loop(k, generator, m: int, refine: bool,
                   coarse: Optional[CoisotropicSubspace], tol) -> CoisotropicLoop:
-    """``loop_from_family`` starting on the M-grid; ``coarse``, when given,
-    is the classified stack of the M/2 grid (see ``_classified_grid``)."""
+    """``loop_from_family`` starting on the M-grid, refining only when
+    ``refine``; ``coarse``, when given, is the classified stack of the M/2
+    grid (see ``_classified_grid``)."""
     ends = classify_coisotropic(_members(generator, np.array([0.0, 2 * pi])), tol)
     dim = ends.space.basis.shape[-2]
     if ends.dim:
@@ -226,14 +222,14 @@ def _sampled_loop(k, generator, m: int, hint, auto_refine: bool,
         worst = float(np.max(_consecutive_angles(stack.space)))
         if worst < tol.consecutive_angle and not within_tie(worst, tol.consecutive_angle):
             break
-        if not auto_refine or 2 * m > tol.max_loop_samples:
+        if not refine or 2 * m > tol.max_loop_samples:
             raise DiscontinuousLoopError(
                 f"consecutive angle {worst:.3f} at M={m}; refinement budget exhausted"
             )
         m *= 2
         stack = _classified_grid(generator, m, dim, stack, tol)
 
-    return _closed_loop(k, _thetas(m), stack, hint, closure, generator, tol)
+    return _closed_loop(k, _thetas(m), stack, closure, generator, tol)
 
 
 def _classified_grid(generator, m: int, dim: int, coarse: Optional[CoisotropicSubspace],
@@ -270,15 +266,14 @@ def _interleaved(even: Subspace, odd: Subspace) -> Subspace:
     return Subspace(out)
 
 
-def _closed_loop(k, thetas, stack: CoisotropicSubspace, hint, closure,
+def _closed_loop(k, thetas, stack: CoisotropicSubspace, closure,
                  generator, tol) -> CoisotropicLoop:
-    """The loop of a classified stack, its frames transported from ``hint``
-    around the samples and once more onto sample 0."""
-    phases, holonomy, sign, margin = transport_phases(stack, hint, tol)
+    """The loop of a classified stack, its frames transported around the
+    samples and once more onto sample 0."""
+    phases, holonomy, sign, margin = transport_phases(stack, tol)
     return CoisotropicLoop(
         k=k, thetas=thetas, samples=stack, closure_defect=closure, det_phases=phases,
-        h_holonomy=holonomy, kernel_sign=sign, overlap_margin=margin, hint=hint,
-        generator=generator,
+        h_holonomy=holonomy, kernel_sign=sign, overlap_margin=margin, generator=generator,
     )
 
 
@@ -367,7 +362,7 @@ def pushforward(
         stack = classify_coisotropic(image(a.matrices, loop_m.samples), tol)
     except ClassificationError as exc:
         raise InternalConsistencyError(failed) from exc
-    out = _closed_loop(loop.k, _thetas(m), stack, None, loop_m.closure_defect, None, tol)
+    out = _closed_loop(loop.k, _thetas(m), stack, loop_m.closure_defect, None, tol)
     worst = float(np.max(out.consecutive_angles()))
     if worst >= tol.consecutive_angle or within_tie(worst, tol.consecutive_angle):
         raise DiscontinuousLoopError(

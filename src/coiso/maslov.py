@@ -8,7 +8,8 @@ determinant of the full frame matrix, whose normalized square is recorded
 sample by sample.  The loop holds these phases as ``det_phases``, running
 products of overlap determinant phases, and never builds the frames.
 Mixing the kernel frame by any orthogonal map leaves the squared phases
-unchanged, so the section depends only on the loop.
+unchanged, and another starting frame multiplies them by one constant unit,
+so every winding depends only on the loop.
 
 All indices are windings of ratios of unit-modulus sample streams taken in
 this common trivialization, between which the frame monodromy cancels.
@@ -33,7 +34,13 @@ from .errors import (
     OffSurfaceError,
 )
 from . import hypergeo
-from .grassmann import CoisotropicLoop, SymplecticMatrixLoop, loop_from_family, pushforward
+from .grassmann import (
+    CoisotropicLoop,
+    SymplecticMatrixLoop,
+    _check_grid_shape,
+    loop_from_family,
+    pushforward,
+)
 from .symplin import Subspace
 
 __all__ = [
@@ -63,8 +70,8 @@ class MaslovSection:
     """Unit-modulus samples of a transverse section along a loop, in the
     loop's propagated-frame trivialization.
 
-    ``fn`` optionally retains the generating phase function, which allows
-    exact resampling when an operation refines the loop grid.
+    ``fn`` optionally retains the generating function, which allows exact
+    resampling when an operation refines the loop grid.
     """
 
     thetas: np.ndarray
@@ -85,11 +92,14 @@ class MaslovSection:
         return len(self.samples)
 
     @classmethod
-    def from_function(cls, thetas: np.ndarray, fn: Callable[[float], complex]
+    def from_function(cls, thetas: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
                       ) -> "MaslovSection":
-        vals = np.array([fn(t) for t in thetas], dtype=complex)
-        vals = vals / np.abs(vals)
-        return cls(thetas=np.asarray(thetas, dtype=float), samples=vals, fn=fn)
+        """The section of ``fn``, normalized: given the 1-D array of M angles
+        it returns their M values; any other shape raises ValueError."""
+        thetas = np.asarray(thetas, dtype=float)
+        vals = np.asarray(fn(thetas), dtype=complex)
+        _check_grid_shape(vals.shape, thetas.shape)
+        return cls(thetas=thetas, samples=vals / np.abs(vals), fn=fn)
 
 
 def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> MaslovSection:
@@ -138,7 +148,7 @@ def winding_detail(samples: Sequence[complex], tol: Tolerances = DEFAULT) -> Win
         )
     if max_jump >= tol.phase_jump:
         raise AliasingError(
-            f"phase jump {max_jump:.3f} >= pi/2; refine the sampling"
+            f"phase jump {max_jump:.3f} >= {tol.phase_jump:.3f}; refine the sampling"
         )
     total = float(np.sum(inc)) / (2 * pi)
     value = int(np.round(total))
@@ -211,73 +221,65 @@ class Grading:
     """A rule assigning unit transverse charge values on a coisotropic
     surface.
 
-    ``charge`` is the phase of the charge in the parallel trivialization
-    (flat ambient transport is trivial, so a constant charge is parallel;
-    the canonical charge induced by the standard volume form is the
-    constant 1).  In an adapted frame changed by a unitary V the charge
-    reads det(V)^{-2} times as much, the transformation law of the squared
-    transverse canonical bundle.
+    ``charge`` maps an (M, 2n) stack of points to the M charges, whose
+    phases are the grading in the parallel trivialization (flat ambient
+    transport is trivial, so a constant charge is parallel; the canonical
+    charge induced by the standard volume form is the constant 1).  In an
+    adapted frame changed by a unitary V the charge reads det(V)^{-2} times
+    as much, the transformation law of the squared transverse canonical
+    bundle.
     """
 
-    charge: Callable[[np.ndarray], complex]
-
-    def phase(self, point: np.ndarray) -> complex:
-        v = complex(self.charge(np.asarray(point, dtype=float)))
-        if abs(v) < 1e-12:
-            raise FrameDegeneracyError("grading charge vanished")
-        return v / abs(v)
+    charge: Callable[[np.ndarray], np.ndarray]
 
     def section_along(self, points: np.ndarray, loop: CoisotropicLoop) -> MaslovSection:
-        samples = np.array([self.phase(p) for p in points], dtype=complex)
-        return MaslovSection(thetas=loop.thetas,
-                             samples=samples * loop.section_gauge())
+        """The charge phases at ``points``, one per sample of ``loop``; another
+        shape raises ValueError, a charge below 1e-12 FrameDegeneracyError."""
+        v = np.asarray(self.charge(points), dtype=complex)
+        _check_grid_shape(v.shape, (len(points),))
+        if np.min(np.abs(v)) < 1e-12:
+            raise FrameDegeneracyError("grading charge vanished")
+        return MaslovSection(thetas=loop.thetas, samples=v / np.abs(v) * loop.section_gauge())
 
 
 def canonical_grading() -> Grading:
     """The grading induced by the standard complex volume form; parallel in
     the flat ambient space, hence the constant unit charge."""
-    return Grading(charge=lambda p: 1.0 + 0.0j)
+    return Grading(charge=lambda points: np.ones(len(points), dtype=complex))
 
 
 def tangent_boundary_loop(
     y: "hypergeo.LevelSetHypersurface",
-    boundary: Callable[[float], np.ndarray],
+    boundary: Callable[[np.ndarray], np.ndarray],
     samples: int = 256,
     tol: Tolerances = DEFAULT,
 ):
     """The loop of tangent spaces of Y along a closed boundary curve.
 
-    Returns ``(loop, points)``.  Points must lie on Y within the boundary
-    tolerance.  The loop's generator follows the grid protocol of
-    :func:`~coiso.grassmann.loop_from_family`: it evaluates the boundary
-    angle by angle, then the surface test and the gradient of all M points
-    as one stack, takes their tangent spaces from one stacked SVD of the
-    tangent projectors and returns them unclassified; the loop classifies
-    them in one stacked call.  ``points`` are the boundary points of the final
-    grid, kept from the generator's evaluations (on a refined grid, the even
-    ones come from the grid it doubled).  The initial frame is pinned by the
-    tangent splitting at the first point, so the null frame vector follows
-    +X_rho around the loop.
+    Returns ``(loop, points)``, ``points`` the boundary points on the loop's
+    grid.  Given a 1-D array of M angles, ``boundary`` returns the (M, 2n)
+    stack of their points; any other shape raises ValueError.  Points must
+    lie on Y within the boundary tolerance.  The loop's generator takes the
+    surface test and the gradient of all M points as one stack and their
+    tangent spaces from one stacked SVD of the tangent projectors, and
+    returns them unclassified; the loop classifies them in one stacked call.
     """
-    points_at = {}   # theta -> boundary point, from the generator's evaluations
-
     def gen(thetas):
-        points = np.stack([np.asarray(boundary(theta), dtype=float) for theta in thetas])
+        points = np.asarray(boundary(thetas), dtype=float)
+        _check_grid_shape(points.shape, (len(thetas), y.dim))
         off = np.flatnonzero(~y.on_surface(points, tol.boundary_on_surface))
         if off.size:
             raise OffSurfaceError(
                 f"boundary point at theta={thetas[off[0]]:.4f} is off the surface"
             )
-        points_at.update(zip(thetas, points))
         g = y.gradient(points)
         outer = g[:, :, None] * g[:, None, :]
         gg = g[:, None, :] @ g[:, :, None]
         u = np.linalg.svd(np.eye(y.dim) - outer / gg)[0]
         return Subspace(u[..., : y.dim - 1])
 
-    hint = hypergeo.tangent_splitting(y, boundary(0.0), tol).frame
-    loop = loop_from_family(y.n - 1, gen, samples=samples, hint=hint, tol=tol)
-    return loop, np.stack([points_at[theta] for theta in loop.thetas])
+    loop = loop_from_family(y.n - 1, gen, samples=samples, tol=tol)
+    return loop, np.asarray(boundary(loop.thetas), dtype=float)
 
 
 def _graded_boundary(y, boundary, grading: Optional[Grading], samples: int,
@@ -292,7 +294,7 @@ def _graded_boundary(y, boundary, grading: Optional[Grading], samples: int,
 
 def disc_boundary_index(
     y: "hypergeo.LevelSetHypersurface",
-    boundary: Callable[[float], np.ndarray],
+    boundary: Callable[[np.ndarray], np.ndarray],
     grading: Optional[Grading] = None,
     samples: int = 256,
     tol: Tolerances = DEFAULT,
@@ -322,7 +324,7 @@ def connection_integral_index(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) 
 
 def disc_index_detail(
     y: "hypergeo.LevelSetHypersurface",
-    boundary: Callable[[float], np.ndarray],
+    boundary: Callable[[np.ndarray], np.ndarray],
     grading: Optional[Grading] = None,
     samples: int = 256,
     tol: Tolerances = DEFAULT,

@@ -21,8 +21,8 @@ subspace or frame is the unstacked case of the same code.  Frames are
 transported around a closed stack without being built: the determinant
 phases and holonomy of the transported frames are running products of
 overlap determinant phases (see :func:`transport_phases`).  Spanning
-columns and hints are orthonormalized by one routine, modified Gram-Schmidt
-in column order vectorized over the stack.
+columns are orthonormalized by one routine, modified Gram-Schmidt in column
+order vectorized over the stack.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ from __future__ import annotations
 import dataclasses
 import math
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -477,54 +476,19 @@ def _gauge_bases(c: CoisotropicSubspace) -> tuple[np.ndarray, np.ndarray]:
     return np.linalg.svd(complex_coords(c.h_part.basis))[0][..., :c.k], c.kernel.basis
 
 
-def _hint_coefficients(h: np.ndarray, kernel: np.ndarray, hint: AdaptedFrame,
-                       tol: Tolerances) -> np.ndarray:
-    """The Gram-Schmidt Q of the block-diagonal overlaps of the hint with
-    the gauge bases ``h`` (h^* hint_H, complex k x k) and ``kernel``
-    (K' hint_K, real): the hint's columns projected onto the spans and
-    orthonormalized, in gauge coordinates.  A projected column below
-    ``tol.hint_min_norm`` raises ContinuityLossError."""
-    k, n = h.shape[-1], h.shape[-2]
-    o = np.zeros((n, n), dtype=complex)
-    o[:k, :k] = np.conj(h.T) @ complex_coords(hint.e[:, :k])
-    o[k:, k:] = kernel.T @ hint.e[:, k:]
-    try:
-        return _mgs(o, tol.hint_min_norm)[0]
-    except ContinuityLossError as exc:
-        raise ContinuityLossError(f"hint {exc}") from None
-
-
-def adapted_frame(
-    c: CoisotropicSubspace,
-    hint: Optional[AdaptedFrame] = None,
-    tol: Tolerances = DEFAULT,
-) -> AdaptedFrame:
-    """An adapted unitary Darboux frame for a single coisotropic subspace C.
-
-    Without a hint the construction is deterministic: the kernel basis of
-    C and an SVD basis of H_C with canonical phases.  With a hint, each hint
-    column is projected onto the required span and the projections are
-    orthonormalized by Gram-Schmidt in column order; a column whose norm
-    after projection falls below ``tol.hint_min_norm`` raises
-    ContinuityLossError.
-    """
+def adapted_frame(c: CoisotropicSubspace, tol: Tolerances = DEFAULT) -> AdaptedFrame:
+    """An adapted unitary Darboux frame for a single coisotropic subspace C:
+    the kernel basis of C and an SVD basis of H_C with canonical phases."""
     k, n = c.k, c.space.basis.shape[-2] // 2
     h, kernel = _gauge_bases(c)
-    if hint is None:
-        h = _canonical_phases(h)
-    else:
-        coeffs = _hint_coefficients(h, kernel, hint, tol)
-        h, kernel = h @ coeffs[:k, :k], kernel @ coeffs[k:, k:].real
-    e = np.concatenate([real_coords(h), kernel], axis=-1)
+    e = np.concatenate([real_coords(_canonical_phases(h)), kernel], axis=-1)
     frame = AdaptedFrame(k=k, e=e, f=_standard_j(n) @ e)
     _check_frames(c[None], frame[None], tol)
     return frame
 
 
 def transport_phases(
-    c: CoisotropicSubspace,
-    hint: Optional[AdaptedFrame] = None,
-    tol: Tolerances = DEFAULT,
+    c: CoisotropicSubspace, tol: Tolerances = DEFAULT
 ) -> tuple[np.ndarray, complex, int, float]:
     """Determinant phases of the adapted frames carried around a closed
     (M, 2n, n+k) stack, and the frames' holonomy, without building a frame.
@@ -537,18 +501,17 @@ def transport_phases(
     modulus around the loop.
 
     The frames are those of discrete parallel transport.  Member 0's frame
-    is ``hint`` projected onto its spans, or without a hint its gauge basis
-    with canonical phases; every later member takes the frame before it as
-    its hint.  Taking a hint means projecting its columns and
-    orthonormalizing them by Gram-Schmidt in column order, qf, the Q of a
-    QR whose R diagonal is real positive.  In the gauge bases
-    G_i = [h_i | K_i] (unitary SVD bases h_i of the H parts as C^k, the
-    kernel bases K_i as complex vectors) frame i is U_i = G_i B_i, with B_0
-    qf of the hint's overlaps (or I) and B_i = qf(O_i B_{i-1}) for the
-    overlap O_i = diag(h_i^* h_{i-1}, K_i' K_{i-1}).  Since
+    is its gauge basis with canonical phases (the frame of
+    :func:`adapted_frame`); every later member projects the frame before it
+    onto its spans and orthonormalizes the projection by Gram-Schmidt in
+    column order, qf, the Q of a QR whose R diagonal is real positive.  In
+    the gauge bases G_i = [h_i | K_i] (unitary SVD bases h_i of the H parts
+    as C^k, the kernel bases K_i as complex vectors) frame i is
+    U_i = G_i B_i, with B_0 = I and B_i = qf(O_i B_{i-1}) for the overlap
+    O_i = diag(h_i^* h_{i-1}, K_i' K_{i-1}).  Since
     det qf(A) = det A / prod R_jj with every R_jj > 0,
 
-        det U_i / |det U_i| = ph(det G_i) ph(det B_0) prod_{j=1..i} ph(det O_j),
+        det U_i / |det U_i| = ph(det G_i) prod_{j=1..i} ph(det O_j),
 
     with ph(z) = z / |z|: a running product of overlap determinant phases,
     the discrete Berry phase of King-Smith and Vanderbilt (PRB 47, 1651,
@@ -556,22 +519,18 @@ def transport_phases(
     determinant phase the product of all M H-overlap phases, the closing
     overlap O_0 = diag(h_0^* h_{M-1}, K_0' K_{M-1}) included, and kernel
     determinant the product of the kernel-overlap determinant signs; neither
-    depends on the hint or the gauges.  |det O_i| is the product of the
-    projected column norms of step i.
+    depends on the starting frame or the gauges, and another starting frame
+    multiplies the whole stream by one constant unit.  |det O_i| is the
+    product of the projected column norms of step i.
 
     Raises ContinuityLossError naming the member when a gauge basis is not
-    unitary within 10 ``tol.orthonormality``, when an overlap determinant
-    modulus falls below ``tol.hint_min_norm``, or when a projected hint
-    column does.  One stacked determinant per block and per gauge basis
-    is taken: no Python step is taken per member.
+    unitary within 10 ``tol.orthonormality``, or when an overlap determinant
+    modulus falls below ``tol.hint_min_norm``.  One stacked determinant per
+    block and per gauge basis is taken: no Python step is taken per member.
     """
-    k, n = c.k, c.space.basis.shape[-2] // 2
+    n = c.space.basis.shape[-2] // 2
     h, kernel = _gauge_bases(c)
-    start = 1.0
-    if hint is None:
-        h[0] = _canonical_phases(h[0])
-    else:
-        start = np.linalg.det(_hint_coefficients(h[0], kernel[0], hint, tol))
+    h[0] = _canonical_phases(h[0])
     g = np.concatenate([h, complex_coords(kernel)], axis=-1)
     # the overlaps O_i, the closing O_0 first, one determinant per block
     det_h = np.linalg.det(np.conj(_t(h)) @ np.roll(h, 1, axis=0))
@@ -587,7 +546,7 @@ def transport_phases(
             i = int(np.argmax(bad))
             raise ContinuityLossError(f"{what} {value[i]:.3e} {bound}" + _member_note((i,)))
     h_steps, k_signs = det_h / np.abs(det_h), np.sign(det_k)
-    phases = np.linalg.det(g) * start * np.cumprod(
+    phases = np.linalg.det(g) * np.cumprod(
         np.concatenate([[1.0], h_steps[1:] * k_signs[1:]]))
     return (phases / np.abs(phases), complex(np.prod(h_steps)), int(np.prod(k_signs)),
             float(size.min()))

@@ -7,16 +7,16 @@ import numpy as np
 import coiso
 
 
-def reference_transport(c, hint=None, tol=coiso.DEFAULT):
+def reference_transport(c, tol=coiso.DEFAULT):
     """Frames along a stack of coisotropic subspaces, each carried from the
     one before it.
 
-    Member 0's frame is ``hint`` (or, without one, the kernel basis and the
-    SVD basis of the H part with canonical phases) projected onto its
-    kernel and H part; every later member projects the previous frame.  A
-    projection is orthonormalized by two-pass modified Gram-Schmidt in
-    column order.  Returns the (M, 2n, n) frame stack and, per member, the
-    product of its projected column norms (1 for an unhinted member 0).
+    Member 0's frame is the kernel basis and the SVD basis of the H part
+    with canonical phases; every later member projects the previous frame
+    onto its kernel and H part.  A projection is orthonormalized by two-pass
+    modified Gram-Schmidt in column order.  Returns the (M, 2n, n) frame
+    stack and, per member, the product of its projected column norms (1 for
+    member 0).
     """
     k, n = c.k, c.space.basis.shape[-2] // 2
     sizes = np.ones(len(c.space.basis))
@@ -36,7 +36,7 @@ def reference_transport(c, hint=None, tol=coiso.DEFAULT):
 
     hbases = np.linalg.svd(coiso.complex_coords(c.h_part.basis))[0][..., :k]
     e = np.empty(c.kernel.basis.shape[:-1] + (n,))
-    prev = None if hint is None else hint.e
+    prev = None
     for i, (ker, hb) in enumerate(zip(c.kernel.basis, hbases)):
         if prev is None:
             e[i, :, k:] = ker

@@ -53,7 +53,7 @@ def test_02_lagrangian_reduction():
     for n in range(1, 5):
         loop = loop_from_family(
             0, coiso.lagrangian_rotation_family(n, 1), samples=64)
-        ones = MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0j)
+        ones = MaslovSection.from_function(loop.thetas, lambda t: np.ones(len(t)))
         assert abs(maslov_index(loop, ones)) == n
     # 50 random Lagrangian loops against the classical squared-determinant
     # winding oracle, computed from the generating unitaries directly
@@ -62,7 +62,7 @@ def test_02_lagrangian_reduction():
         for seed in range(17):
             gen = coiso.random_unitary_orbit_family(n, 0, coiso.rng(7000 + seed, n))
             loop = loop_from_family(0, gen, samples=128)
-            ones = MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0j)
+            ones = MaslovSection.from_function(loop.thetas, lambda t: np.ones(len(t)))
             mu = maslov_index(loop, ones)
             dets = np.array([
                 np.linalg.det(gen.conjugator) ** 2
@@ -113,7 +113,7 @@ def test_04_frame_independence():
         q = np.stack([np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(loop.m)])
         new_samples = coiso.CoisotropicSubspace(
             space=s.space, k=s.k, kernel=coiso.Subspace(s.kernel.basis @ q), h_part=s.h_part)
-        mixed = coiso.grassmann._closed_loop(1, loop.thetas, new_samples, None,
+        mixed = coiso.grassmann._closed_loop(1, loop.thetas, new_samples,
                                              loop.closure_defect, loop.generator,
                                              coiso.DEFAULT)
         assert_allclose(canonical_section(mixed).samples, base, atol=1e-9)
@@ -153,13 +153,14 @@ def test_06_flat_homotopy_invariance():
     for pair in range(10):
         r = rng.uniform(0.2, 1.0, size=4)
 
-        def w1(theta, _r=r):
-            return np.array([1.0, _r[0] * np.cos(theta),
-                             _r[1] * np.sin(theta), _r[2] * np.cos(theta)])
+        def w1(thetas, _r=r):
+            return np.stack([np.ones_like(thetas), _r[0] * np.cos(thetas),
+                             _r[1] * np.sin(thetas), _r[2] * np.cos(thetas)], axis=-1)
 
-        def w2(theta, _r=r):
-            return np.array([1.0, _r[2] * np.cos(theta) + 0.1 * np.cos(2 * theta),
-                             _r[3] * np.sin(theta), _r[0] * np.sin(theta)])
+        def w2(thetas, _r=r):
+            return np.stack([np.ones_like(thetas),
+                             _r[2] * np.cos(thetas) + 0.1 * np.cos(2 * thetas),
+                             _r[3] * np.sin(thetas), _r[0] * np.sin(thetas)], axis=-1)
 
         i1 = coiso.disc_boundary_index(y, w1, grading, samples=128)
         i2 = coiso.disc_boundary_index(y, w2, grading, samples=128)

@@ -50,7 +50,7 @@ def test_loop_hook_binds_the_samples_of_loop_from_family():
     signature = inspect.signature(grassmann.loop_from_family)
     for args, kwargs, samples in (((1, None), {}, 16),
                                   ((1, None), {"samples": 64, "tol": None}, 64),
-                                  ((1, None, 32), {"hint": None}, 32)):
+                                  ((1, None, 32), {"tol": None}, 32)):
         bound = signature.bind(*args, **kwargs)
         bound.apply_defaults()
         assert bound.arguments["samples"] == samples

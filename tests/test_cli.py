@@ -356,7 +356,7 @@ def test_report_roundtrips_schema():
 
 def test_phase_trace_constant_loop(tmp_path):
     loop = coiso.loop_from_family(1, coiso.constant_family(2, 1), samples=16)
-    sec = coiso.MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0j)
+    sec = coiso.MaslovSection.from_function(loop.thetas, lambda t: np.ones(len(t)))
     path = tmp_path / "trace.csv"
     emit_phase_trace(loop, sec, str(path))
     rows = path.read_text().strip().split("\n")
@@ -368,7 +368,7 @@ def test_phase_trace_constant_loop(tmp_path):
 def test_phase_trace_rotation_spans_minus_two_pi(tmp_path):
     loop = coiso.loop_from_family(
         0, coiso.lagrangian_rotation_family(1, 1), samples=64)
-    sec = coiso.MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0j)
+    sec = coiso.MaslovSection.from_function(loop.thetas, lambda t: np.ones(len(t)))
     path = tmp_path / "trace.csv"
     emit_phase_trace(loop, sec, str(path))
     rows = path.read_text().strip().split("\n")[1:]

@@ -78,9 +78,8 @@ def test_an_angle_at_the_contract_refines_from_either_side():
     # a half turn of a Lagrangian line in C^1 over 8 samples: every
     # consecutive angle is pi/8 up to rounding
     gen = lagrangian_rotation_family(1, 1)
-    worst = float(np.max(loop_from_family(0, gen, samples=8, auto_refine=False,
-                                          tol=coiso.DEFAULT.replace(consecutive_angle=1.0)
-                                          ).consecutive_angles()))
+    worst = float(np.max(loop_from_family(0, gen, samples=8, tol=coiso.DEFAULT.replace(
+        consecutive_angle=1.0, max_loop_samples=8)).consecutive_angles()))
     assert abs(worst - np.pi / 8) < 1e-15
     assert loop_from_family(0, gen, samples=8).m == 16
     # the contract bound 1 ulp above the angle, or below it: a tie either way
@@ -88,7 +87,7 @@ def test_an_angle_at_the_contract_refines_from_either_side():
         tol = coiso.DEFAULT.replace(consecutive_angle=bound)
         assert loop_from_family(0, gen, samples=8, tol=tol).m == 16
         with pytest.raises(DiscontinuousLoopError):
-            loop_from_family(0, gen, samples=8, auto_refine=False, tol=tol)
+            loop_from_family(0, gen, samples=8, tol=tol.replace(max_loop_samples=8))
     # well clear of the margin the angle is inside the contract
     tol = coiso.DEFAULT.replace(consecutive_angle=worst + 1e-12)
     assert loop_from_family(0, gen, samples=8, tol=tol).m == 8
@@ -432,8 +431,8 @@ def test_refined_and_resampled_loops_equal_the_full_grid_build(name):
     assert loop.m > 8
     _assert_same_loop(loop, loop_from_family(k, gen, samples=loop.m))
     fine = loop.resample(2 * loop.m)
-    _assert_same_loop(fine, loop_from_family(k, gen, samples=2 * loop.m,
-                                             hint=loop.hint, auto_refine=False))
+    _assert_same_loop(fine, loop_from_family(
+        k, gen, samples=2 * loop.m, tol=coiso.DEFAULT.replace(max_loop_samples=2 * loop.m)))
 
 
 def test_refined_tangent_loop_equals_the_full_grid_build():
@@ -444,8 +443,6 @@ def test_refined_tangent_loop_equals_the_full_grid_build():
     full, full_points = tangent_boundary_loop(y, boundary, samples=loop.m)
     _assert_same_loop(loop, full)
     assert np.array_equal(points, full_points)
-    # the resample is transported from the loop's hint, the tangent splitting
-    # at the first point
     _assert_same_loop(loop.resample(2 * loop.m),
                       tangent_boundary_loop(y, boundary, samples=2 * loop.m)[0])
 

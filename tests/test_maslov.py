@@ -10,7 +10,6 @@ import coiso
 from coiso import (
     AliasingError,
     MaslovSection,
-    adapted_frame,
     canonical_grading,
     canonical_section,
     constant_family,
@@ -23,7 +22,6 @@ from coiso import (
     winding,
 )
 from coiso.cli import BOUNDARY_FAMILIES
-from coiso.symplin import _standard_j
 from reference_transport import reference_transport
 
 
@@ -44,7 +42,7 @@ def rotation_loop(n, turns=1, samples=64):
 
 
 def ones_section(loop):
-    return MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0.0j)
+    return MaslovSection.from_function(loop.thetas, lambda t: np.ones(len(t)))
 
 
 # ---------------------------------------------------------------------------
@@ -120,6 +118,16 @@ def test_a_jump_at_the_bound_is_ambiguous_from_either_side():
         winding(np.exp(0.5j * np.pi * np.arange(4)))
 
 
+def test_winding_names_the_phase_jump_bound_it_checks():
+    # a fifth of a turn per sample is under the default bound pi/2 and over
+    # a record's bound of 1
+    z = np.exp(2j * np.pi * np.arange(5) / 5)
+    assert winding(z) == 1
+    with pytest.raises(AliasingError,
+                       match=r"^phase jump 1\.257 >= 1\.000; refine the sampling$"):
+        coiso.winding_detail(z, coiso.DEFAULT.replace(phase_jump=1.0))
+
+
 def test_undersampled_canonical_section_raises_aliasing_error():
     # four unitary windings of up to 4 turns on 64 samples: the squared
     # determinant phase steps by pi/2 or more across the closing sample
@@ -181,7 +189,7 @@ def test_index_rotation_loop_n1_is_minus_one():
 def test_index_requires_matching_grid():
     loop = rotation_loop(1)
     other = MaslovSection.from_function(np.arange(32) * 2 * np.pi / 32,
-                                        lambda t: 1.0 + 0j)
+                                        lambda t: np.ones(len(t)))
     with pytest.raises(ValueError):
         maslov_index(loop, other)
 
@@ -256,28 +264,42 @@ def test_polar_factor_of_unitary_loop_is_itself():
 
 
 def _reframe_kernel(loop, seed):
-    """Rebuild the loop with every sample's kernel basis randomly mixed and
-    the frames re-propagated from the mixed initial data."""
+    """Rebuild the loop (0 < k) with every sample's kernel basis mixed by a
+    random orthogonal map and its H-part basis by a random k x k unitary,
+    and the frames re-propagated from the mixed initial data."""
     g = coiso.rng(seed)
     s = loop.samples
-    d = s.kernel.dim
+    d, k = s.kernel.dim, s.k
     q = np.stack([np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(loop.m)])
+    v = np.stack([coiso.symplin.random_unitary(k, g) for _ in range(loop.m)])
+    h = coiso.symplin._gauge_bases(s)[0] @ v
     new_samples = coiso.CoisotropicSubspace(
-        space=s.space, k=s.k, kernel=coiso.Subspace(s.kernel.basis @ q), h_part=s.h_part)
-    return coiso.grassmann._closed_loop(loop.k, loop.thetas, new_samples, None,
+        space=s.space, k=k, kernel=coiso.Subspace(s.kernel.basis @ q),
+        h_part=coiso.Subspace(coiso.real_coords(np.concatenate([h, 1j * h], axis=-1))))
+    return coiso.grassmann._closed_loop(loop.k, loop.thetas, new_samples,
                                         loop.closure_defect, loop.generator, coiso.DEFAULT)
 
 
 def test_kernel_reframing_changes_nothing():
-    gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(50))
-    loop = loop_from_family(1, gen, samples=64)
-    sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
-    mu = maslov_index(loop, sec)
-    base = canonical_section(loop).samples
-    for trial in range(10):
-        mixed = _reframe_kernel(loop, 600 + trial)
-        assert_allclose(canonical_section(mixed).samples, base, atol=1e-9)
-        assert maslov_index(mixed, sec) == mu
+    # a re-framing multiplies the determinant stream by one constant unit,
+    # the change of member 0's frame, and leaves the H holonomy, the Z/2
+    # class and every winding as they are; at k = 2 the canonical phases
+    # of member 0 leave a unitary freedom, so the constant need not be +-1
+    for n, k, seed in ((2, 1, 50), (3, 2, 51)):
+        gen = coiso.random_unitary_orbit_family(n, k, coiso.rng(seed))
+        loop = loop_from_family(k, gen, samples=64)
+        sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
+        mu = maslov_index(loop, sec)
+        base = canonical_section(loop).samples
+        for trial in range(10):
+            mixed = _reframe_kernel(loop, 600 + trial)
+            ratio = mixed.det_phases / loop.det_phases
+            assert np.max(np.abs(ratio - ratio[0])) <= 1e-12
+            assert abs(mixed.h_holonomy - loop.h_holonomy) < 1e-12
+            assert mixed.kernel_sign == loop.kernel_sign
+            assert_allclose(canonical_section(mixed).samples, base * ratio[0] ** 2, atol=1e-9)
+            assert winding(canonical_section(mixed).samples) == winding(base)
+            assert maslov_index(mixed, sec) == mu
 
 
 # ---------------------------------------------------------------------------
@@ -285,28 +307,20 @@ def test_kernel_reframing_changes_nothing():
 
 
 def test_grading_equivariance():
-    # a loop transported from an adapted frame changed by a unitary V
-    # (a phase on H, a sign on the kernel) has every determinant phase
-    # times det V, so a grading read against its canonical section reads
-    # det(V)^{-2} times as much, and the index does not move
-    gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(4))
-    ref = adapted_frame(loop_from_family(1, gen, samples=64).samples[0])
-    loop = loop_from_family(1, gen, samples=64, hint=ref)
-    charge = canonical_grading().section_along(np.zeros((loop.m, 4)), loop)
+    # a loop whose frames change by a unitary V (every sample re-framed, V
+    # the change of member 0's frame) has every determinant phase times
+    # det V, so a grading read against its canonical section reads
+    # det(V)^{-2} times as much, and the index does not move; a diagonal
+    # loop has trivial H holonomy, so the graded section closes
+    loop = loop_from_family(2, coiso.diag_unitary_family(3, 2, [1, -1, 0.5]), samples=64)
+    charge = canonical_grading().section_along(np.zeros((loop.m, 6)), loop)
     sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
-    g = coiso.rng(9)
-    for _ in range(20):
-        phase = np.exp(1j * g.uniform(0, 2 * np.pi))
-        sign = g.choice([-1.0, 1.0])
-        e_new = np.concatenate([
-            (ref.e[:, :1] * phase.real + ref.f[:, :1] * phase.imag),
-            ref.e[:, 1:] * sign,
-        ], axis=1)
-        frame = coiso.AdaptedFrame(k=1, e=e_new, f=_standard_j(2) @ e_new)
-        moved = loop_from_family(1, gen, samples=loop.m, hint=frame, auto_refine=False)
-        assert_allclose(moved.det_phases, loop.det_phases * phase * sign, rtol=0, atol=1e-9)
+    for trial in range(20):
+        moved = _reframe_kernel(loop, 900 + trial)
+        det_v = moved.det_phases[0] / loop.det_phases[0]
+        assert_allclose(moved.det_phases, loop.det_phases * det_v, rtol=0, atol=1e-9)
         assert_allclose(charge.samples / canonical_section(moved).samples,
-                        charge.samples / canonical_section(loop).samples * np.conj(phase) ** 2,
+                        charge.samples / canonical_section(loop).samples * np.conj(det_v) ** 2,
                         rtol=0, atol=1e-9)
         assert maslov_index(moved, sec) == maslov_index(loop, sec)
 
@@ -329,12 +343,58 @@ def test_constant_grading_section_is_gauge_only():
 def test_tangent_stack_equals_members(alpha, p, q, seed, count):
     boundary = BOUNDARY_FAMILIES["latitude"]({"alpha": alpha, "p": p, "q": q})
     loop, points = tangent_boundary_loop(coiso.sphere(2), boundary, samples=16)
-    assert np.array_equal(points, np.stack([boundary(t) for t in loop.thetas]))
+    assert np.array_equal(points, boundary(loop.thetas))
+    for i in range(loop.m):
+        assert np.array_equal(points[i], boundary(loop.thetas[i:i + 1])[0])
     thetas = coiso.rng(seed).uniform(0, 2 * np.pi, size=count)
     stacked = loop.generator(thetas).basis
     assert stacked.shape == (count, 4, 3)
     for i in range(count):
         assert np.array_equal(stacked[i], loop.generator(thetas[i:i + 1]).basis[0])
+
+
+# the parameters of each boundary family
+_BOUNDARY_PARAMS = {
+    "hopf": st.fixed_dictionaries({"power": st.integers(-3, 3)}),
+    "latitude": st.fixed_dictionaries({"alpha": st.floats(0.1, 1.5), "p": st.integers(-3, 3),
+                                       "q": st.integers(-3, 3)}),
+    "planar-circle": st.fixed_dictionaries({"r1": st.floats(0.1, 1.2),
+                                            "r2": st.floats(0.1, 1.2)}),
+}
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(sorted(BOUNDARY_FAMILIES)).flatmap(
+           lambda name: st.tuples(st.just(name), _BOUNDARY_PARAMS[name])),
+       st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=9))
+def test_boundary_families_follow_the_grid_protocol(family, angles):
+    name, params = family
+    boundary = BOUNDARY_FAMILIES[name](params)
+    thetas = np.array(angles)
+    stacked = boundary(thetas)
+    assert stacked.shape == (len(thetas), 4)
+    for i in range(len(thetas)):
+        assert np.array_equal(stacked[i], boundary(thetas[i:i + 1])[0]), (name, i)
+
+
+def test_per_angle_boundary_charge_and_section_are_refused_with_the_shapes():
+    y = coiso.sphere(2)
+    with pytest.raises(ValueError, match=r"expected a stack of shape \(2, 4\), "
+                                         r"got shape \(4,\)"):
+        tangent_boundary_loop(y, lambda theta: np.array([1.0, 0.0, 0.0, 0.0]), samples=16)
+    loop, points = tangent_boundary_loop(y, BOUNDARY_FAMILIES["hopf"]({}), samples=16)
+    m = loop.m
+    for charge, got in ((lambda p: 1.0 + 0j, r"\(\)"),
+                        (lambda p: np.ones(len(p) - 1), rf"\({m - 1},\)")):
+        with pytest.raises(ValueError, match=rf"expected a stack of shape \({m},\), "
+                                             rf"got shape {got}$"):
+            coiso.Grading(charge=charge).section_along(points, loop)
+    with pytest.raises(ValueError, match=rf"expected a stack of shape \({m},\), "
+                                         r"got shape \(\)$"):
+        MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0j)
+    # the vanishing check covers every point at once
+    with pytest.raises(coiso.FrameDegeneracyError, match="grading charge vanished"):
+        coiso.Grading(charge=lambda p: np.arange(len(p)) % 7).section_along(points, loop)
 
 
 def _polar_pushforward_section(a, loop, out, sec):

@@ -119,30 +119,6 @@ def test_adapted_frame_standard_model_is_standard_basis():
     assert_allclose(fr.f, eye[:, 2:], atol=1e-12)
 
 
-def test_adapted_frame_hint_fixed_point():
-    c = random_coisotropic(2, 1, 3)
-    fr = adapted_frame(c)
-    again = adapted_frame(c, hint=fr)
-    assert np.max(np.abs(again.e - fr.e)) < 1e-12
-    assert np.max(np.abs(again.f - fr.f)) < 1e-12
-
-
-def test_adapted_frame_perturbation_tracks_hint():
-    # rotate the standard model by a global phase of size eps; the hinted
-    # frame must stay within O(eps) of the hint
-    eps = 1e-3
-    model = standard_model(2, 1)
-    fr = adapted_frame(model)
-    u = realify(np.exp(1j * eps) * np.eye(2))
-    rotated = classify_coisotropic(Subspace.from_spanning(u @ model.space.basis))
-    moved = adapted_frame(rotated, hint=fr)
-    dist = max(
-        float(np.max(np.linalg.norm(moved.e - fr.e, axis=0))),
-        float(np.max(np.linalg.norm(moved.f - fr.f, axis=0))),
-    )
-    assert dist < 2e-3
-
-
 def test_adapted_frame_darboux_and_j_consistency():
     for seed, k in [(0, 0), (1, 1), (2, 2)]:
         c = random_coisotropic(2, k, seed)
@@ -379,20 +355,19 @@ def _outcome(fn):
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
-       st.integers(0, 40), st.floats(0.0, 1.5), st.sampled_from([16, 64, 256, 512, 1024]),
-       st.booleans())
+       st.integers(0, 40), st.floats(0.0, 1.5), st.sampled_from([16, 64, 256, 512, 1024]))
 # fast conjugated windings, on which one unsegmented overlap product of the
 # frames lost 1e-10 of them
-@example(3, 0, 11, 28, 0.3, 512, False)
-@example(3, 0, 9, 28, 0.3, 512, True)
+@example(3, 0, 11, 28, 0.3, 512)
+@example(3, 0, 9, 28, 0.3, 512)
 # four windings on 64 samples: both routes print the same AliasingError
-@example(4, 0, 2701, 4, 0.0, 16, False)
-def test_transported_frames_follow_their_hints(n, k, seed, winding, wiggle, m, hinted):
+@example(4, 0, 2701, 4, 0.0, 16)
+def test_transported_frames_follow_their_hints(n, k, seed, winding, wiggle, m):
     # conjugated, wiggled loops winding up to 40 times, sampled at up to
     # M = 1024 under the pi/8 contract: the overlap determinant products give
     # the determinant phases, H holonomy, kernel sign and overlap margin of
-    # the sequential hinted chain's frames to 1e-12, and print the same
-    # integers
+    # the sequential chain's frames, each the previous frame projected, to
+    # 1e-12, and print the same integers
     k %= n + 1
     gen = coiso.random_unitary_orbit_family(n, k, seed, max_winding=winding,
                                             wiggle=wiggle)
@@ -401,11 +376,7 @@ def test_transported_frames_follow_their_hints(n, k, seed, winding, wiggle, m, h
         loop = coiso.loop_from_family(k, gen, samples=m, tol=tol)
     except coiso.DiscontinuousLoopError:
         assume(False)
-    if hinted:
-        # a hint from the neighbouring sample: member 0 projects it too
-        loop = coiso.loop_from_family(k, gen, samples=loop.m, hint=adapted_frame(loop.samples[1]),
-                                      auto_refine=False, tol=tol)
-    ref, sizes = reference_transport(loop.samples[np.append(np.arange(loop.m), 0)], loop.hint)
+    ref, sizes = reference_transport(loop.samples[np.append(np.arange(loop.m), 0)])
     u = coiso.complex_coords(ref)
     dets = np.linalg.det(u)
     phases = dets / np.abs(dets)
@@ -426,8 +397,8 @@ def test_transported_frames_follow_their_hints(n, k, seed, winding, wiggle, m, h
 
 def _loop_calls(m, monkeypatch):
     """Calls to the orthonormalization ``_mgs`` and to ``np.linalg.svd``, and
-    all Python and C function calls, made while a loop of M samples is built
-    from a hint.  The generator builds its members without ``_mgs``."""
+    all Python and C function calls, made while a loop of M samples is
+    built.  The generator builds its members without ``_mgs``."""
     base = standard_model(3, 1).space.basis
     windings = np.array([1.0, -2.0, 1.5])
 
@@ -435,7 +406,6 @@ def _loop_calls(m, monkeypatch):
         return Subspace(realify(np.exp(1j * windings * thetas[:, None])[..., None]
                                 * np.eye(3)) @ base)
 
-    hint = adapted_frame(classify_coisotropic(gen(np.array([0.1])))[0])
     counts = {"mgs": 0, "svd": 0, "calls": 0}
     mgs, svd = coiso.symplin._mgs, np.linalg.svd
 
@@ -453,7 +423,7 @@ def _loop_calls(m, monkeypatch):
         patch.setattr(np.linalg, "svd", counted(svd, "svd"))
         sys.setprofile(profile)
         try:
-            loop = coiso.loop_from_family(1, gen, samples=m, hint=hint, auto_refine=False)
+            loop = coiso.loop_from_family(1, gen, samples=m)
         finally:
             sys.setprofile(None)
     assert loop.m == m
@@ -461,11 +431,11 @@ def _loop_calls(m, monkeypatch):
 
 
 def test_transport_takes_no_step_per_sample(monkeypatch):
-    # building a hinted loop orthonormalizes once, the hint's projection,
-    # and takes as many SVDs and function calls at M = 1024 as at M = 256,
-    # where one Python step per sample makes several calls per sample
+    # building a loop orthonormalizes nothing, and takes as many SVDs and
+    # function calls at M = 1024 as at M = 256, where one Python step per
+    # sample makes several calls per sample
     few, many = (_loop_calls(m, monkeypatch) for m in (256, 1024))
-    assert few["mgs"] == many["mgs"] == 1
+    assert few["mgs"] == many["mgs"] == 0
     assert 0 < few["svd"] == many["svd"]
     assert many["calls"] - few["calls"] <= 100
 
@@ -478,9 +448,6 @@ def test_transport_names_the_member_whose_hint_projects_short():
     with pytest.raises(coiso.ContinuityLossError, match=(
             r"^overlap determinant \S+ < 1\.0e-06 \(stack member 3\)$")):
         coiso.transport_phases(stack)
-    with pytest.raises(coiso.ContinuityLossError, match=(
-            r"^hint column 0 projected to norm \S+ < 1\.0e-06$")):
-        coiso.transport_phases(stack[3:], hint=adapted_frame(stack[2]))
     # exactly orthogonal lines: the overlaps are zero, and nothing divides
     # by them
     stack = classify_coisotropic(Subspace(np.array([[[1.0], [0.0]], [[0.0], [1.0]]])))
