@@ -28,9 +28,6 @@ from math import lcm, pi
 from typing import Callable, Optional, Sequence
 
 import numpy as np
-# scipy.linalg is imported inside the functions that call it: importing it
-# takes longer than most experiments run, and only the random loop families
-# and matrix loops use it
 
 from .config import DEFAULT, Tolerances, rng, within_tie
 from .errors import (
@@ -427,22 +424,33 @@ def diag_unitary_family(n: int, k: int, windings: Sequence[float]):
     return gen
 
 
+def _closed_exponential(h1: np.ndarray, h2: np.ndarray, c: complex):
+    """Grid callable of theta -> exp(c x(theta)), x(theta) = (cos theta - 1) h1
+    + sin theta h2, for Hermitian (or real symmetric) h1 and h2.
+
+    x(theta) is Hermitian and vanishes at theta = 0 and 2*pi, so the loop
+    closes.  Its exponential is V diag(exp(c lambda)) V^* from one stacked
+    ``np.linalg.eigh`` of the grid's x, no Python step per angle: unitary
+    for c = i, real symmetric positive definite for c = 1 and real h.
+    """
+    def fn(thetas):
+        c_t, s_t = (np.cos(thetas) - 1)[:, None, None], np.sin(thetas)[:, None, None]
+        lam, v = np.linalg.eigh(c_t * h1 + s_t * h2)
+        return (v * np.exp(c * lam)[:, None, :]) @ np.conj(np.swapaxes(v, -1, -2))
+
+    return fn
+
+
 def _closed_wiggle(n: int, gen: np.random.Generator, scale: float):
-    """A contractible loop of unitaries: exp of a skew-Hermitian path that
-    vanishes at theta = 0 and 2*pi, evaluated on a grid of angles."""
+    """A contractible loop of unitaries on a grid of angles: exp of the
+    skew-Hermitian path (cos theta - 1) s1 + sin theta s2, s1 and s2 drawn
+    from ``gen``; the path is i times the Hermitian path of -i s1, -i s2."""
     def skew(size):
         z = gen.normal(size=(size, size)) + 1j * gen.normal(size=(size, size))
         return scale * (z - np.conj(z.T)) / 2
 
     s1, s2 = skew(n), skew(n)
-
-    def fn(thetas):
-        import scipy.linalg
-
-        x = (np.cos(thetas) - 1)[:, None, None] * s1 + np.sin(thetas)[:, None, None] * s2
-        return scipy.linalg.expm(x)
-
-    return fn
+    return _closed_exponential(-1j * s1, -1j * s2, 1j)
 
 
 def random_unitary_orbit_family(
@@ -510,7 +518,14 @@ STRETCH = 0.3
 def random_symplectic_matrix_loop(
     n: int, seed, samples: int, max_winding: int = 2,
 ) -> SymplecticMatrixLoop:
-    """Unitary loop times a closed positive symplectic stretch."""
+    """Unitary loop times a closed positive symplectic stretch.
+
+    The stretch is exp of (cos theta - 1) S1 + sin theta S2 with S1 and S2
+    symmetric elements [[A, B], [B, -A]] of sp(2n), A and B real symmetric
+    and drawn after the unitary loop: a real symmetric path, so each member
+    is symmetric positive definite and symplectic, and the grid's members
+    come from one stacked ``eigh``.
+    """
     g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
     unitaries = _random_unitary_grid(n, g, max_winding, wiggle=0.3)
 
@@ -518,19 +533,13 @@ def random_symplectic_matrix_loop(
         a = g.normal(size=(size, size))
         return STRETCH * (a + a.T) / 2
 
+    def stretch(a, b):
+        # a symmetric element of sp(2n): [[A, B], [B, -A]], A and B symmetric
+        return np.block([[a, b], [b, -a]])
+
     a1, b1 = sym(n), sym(n)
     a2, b2 = sym(n), sym(n)
-
-    def stretch_fn(thetas):
-        import scipy.linalg
-
-        # symmetric elements of sp(2n): [[A, B], [B, -A]] with A, B symmetric
-        c, s = (np.cos(thetas) - 1)[:, None, None], np.sin(thetas)[:, None, None]
-        a = c * a1 + s * a2
-        b = c * b1 + s * b2
-        x = np.concatenate([np.concatenate([a, b], axis=-1),
-                            np.concatenate([b, -a], axis=-1)], axis=-2)
-        return scipy.linalg.expm(x)
+    stretch_fn = _closed_exponential(stretch(a1, b1), stretch(a2, b2), 1.0)
 
     def fn(thetas):
         return realify(unitaries(thetas)) @ stretch_fn(thetas)

@@ -42,9 +42,6 @@ import itertools
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
-# scipy.linalg is imported inside the function that calls it: importing it
-# takes longer than most experiments run, and only the graph-product fixture
-# uses it
 
 from .config import DEFAULT, Tolerances, rng
 from .errors import (
@@ -973,10 +970,10 @@ FIXTURES = {
 
 
 def _inverse_sqrt_metric(hf: np.ndarray) -> np.ndarray:
-    """(1 + hf^2)^(-1/2), which makes the graph's tangent columns orthonormal."""
-    import scipy.linalg
-
-    return np.linalg.inv(scipy.linalg.sqrtm(np.eye(len(hf)) + hf @ hf).real)
+    """(1 + hf^2)^(-1/2), which makes the graph's tangent columns orthonormal:
+    q diag(1 / sqrt(1 + w^2)) q' from one ``eigh`` of the symmetric hf."""
+    w, q = np.linalg.eigh(hf)
+    return (q / np.sqrt(1 + w ** 2)) @ q.T
 
 
 class LagrangianGraphProduct:

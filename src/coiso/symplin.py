@@ -246,8 +246,10 @@ class Subspace:
         return self.basis @ (_t(self.basis) @ v)
 
 
-def _angles(a: Subspace, b: Subspace) -> np.ndarray:
-    """Principal angles, ascending, member by member (Bjorck-Golub 1973).
+def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
+    """Principal angles between equal-dimensional subspaces, ascending
+    (descending cosines), each in [0, pi/2]; for stacks, one row per member
+    pair (Bjorck-Golub 1973).
 
     Needs orthonormal bases, which a ``Subspace`` holds: with A = ``a.basis``
     and B = ``b.basis`` the cosines are the singular values of A' B and the
@@ -267,17 +269,27 @@ def _angles(a: Subspace, b: Subspace) -> np.ndarray:
                     np.arcsin(np.clip(sines, -1.0, 1.0)))
 
 
-def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
-    """Principal angles between equal-dimensional subspaces, ascending
-    (descending cosines), each in [0, pi/2]; for stacks, one row per
-    member pair."""
-    return _angles(a, b)
-
-
 def largest_principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     """Largest principal angle between paired members of two stacks of
-    equal-dimensional subspaces, one value per member pair."""
-    return np.max(_angles(a, b), axis=-1, initial=0.0)
+    equal-dimensional subspaces, one value per member pair.
+
+    The largest angle has the top sine, the largest singular value of
+    B - A A' B: one stacked SVD.  Where that sine is below 1/2 (an angle
+    below pi/6) every squared cosine is above 3/4 up to rounding, so
+    :func:`principal_angles` reads every angle from its sine and the value
+    is arcsin of the top sine, bit for bit; only the other members take
+    :func:`principal_angles`.
+    """
+    if a.dim != b.dim or a.dim == 0:
+        return np.max(principal_angles(a, b), axis=-1, initial=0.0)
+    top = np.linalg.svd(b.basis - a.basis @ (_t(a.basis) @ b.basis), compute_uv=False)[..., 0]
+    largest = np.asarray(np.arcsin(np.clip(top, -1.0, 1.0)))
+    wide = top >= 0.5
+    if np.any(wide):
+        if a.basis.shape != b.basis.shape:
+            a, b = (Subspace(x) for x in np.broadcast_arrays(a.basis, b.basis))
+        largest[wide] = np.max(principal_angles(a[wide], b[wide]), axis=-1)
+    return largest[()]
 
 
 def spans_equal(a: Subspace, b: Subspace, tol: float = DEFAULT.subspace_equality) -> bool:

@@ -7,12 +7,13 @@ import numpy as np
 import coiso
 
 
-def reference_transport(c, tol=coiso.DEFAULT):
+def reference_transport(c, tol=coiso.DEFAULT, start=None):
     """Frames along a stack of coisotropic subspaces, each carried from the
     one before it.
 
-    Member 0's frame is the kernel basis and the SVD basis of the H part
-    with canonical phases; every later member projects the previous frame
+    Member 0's frame is ``start`` when given, a real (2n, n) adapted frame of
+    member 0 (k H columns, then the kernel columns), else the kernel basis
+    and the SVD basis of the H part with canonical phases; every later member projects the previous frame
     onto its kernel and H part.  A projection is orthonormalized by two-pass
     modified Gram-Schmidt in column order.  Returns the (M, 2n, n) frame
     stack and, per member, the product of its projected column norms (1 for
@@ -38,7 +39,9 @@ def reference_transport(c, tol=coiso.DEFAULT):
     e = np.empty(c.kernel.basis.shape[:-1] + (n,))
     prev = None
     for i, (ker, hb) in enumerate(zip(c.kernel.basis, hbases)):
-        if prev is None:
+        if prev is None and start is not None:
+            e[i] = start
+        elif prev is None:
             e[i, :, k:] = ker
             e[i, :, :k] = coiso.real_coords(coiso.symplin._canonical_phases(hb))
         else:

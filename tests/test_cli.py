@@ -498,17 +498,25 @@ def test_package_runs_as_module():
     assert json.loads(proc.stdout) == SCHEMA
 
 
-def test_pointwise_and_disc_kinds_do_not_import_scipy():
+def test_no_kind_imports_scipy():
+    # every run kind, and the graph-product fixture's frame, with numpy alone
     specs = [
         {"kind": "grassmannian-dim", "parameters": {"n": 3, "k": 1, "points": 2}},
         {"kind": "hypersurface-report", "parameters": {"fixture": "sphere", "points": 2}},
+        {"kind": "minimality-scan", "parameters": {"fixture": "sphere", "points": 2}},
         {"kind": "disc-index", "parameters": {"fixture": "sphere", "loop": "hopf", "M": 64}},
+        {"kind": "maslov-index", "parameters": {"n": 2, "k": 1, "M": 64, "seed": 1,
+                                                "family": "random-unitary-orbit"}},
+        {"kind": "invariance-suite", "parameters": {"n": 2, "k": 1, "M": 64, "trials": 2,
+                                                    "seed": 1}},
     ]
     script = (
         "import json, sys\n"
-        "import coiso.cli\n"
+        "import numpy as np\n"
+        "import coiso, coiso.cli\n"
         "for spec in json.loads(sys.argv[1]):\n"
         "    assert coiso.cli.run(spec).passed, spec\n"
+        "coiso.random_graph_product(11, l=2, m=1).frame(np.array([0.3, -0.2]))\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(specs)],

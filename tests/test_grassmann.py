@@ -1,7 +1,9 @@
 """Loop construction, pushforward, transported frame data."""
 
+import mpmath
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
@@ -363,6 +365,49 @@ def test_matrix_loop_callables_stack_equal_members(n, seed, count):
         assert stacked.shape == (len(thetas), 2 * n, 2 * n)
         for i in range(len(thetas)):
             assert np.array_equal(stacked[i], fn(thetas[i:i + 1])[0]), (maker.__name__, i)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(1, 256), st.integers(0, 2 ** 32 - 1),
+       st.floats(0.0, 2.0))
+def test_closed_exponentials_match_expm(n, m, seed, scale):
+    # the wiggles and stretches of the random families, each member
+    # V diag(exp(c lambda)) V^* from one stacked eigh, against scipy's Pade
+    # expm: wiggles agree to 1e-13 and stay unitary; stretches agree to
+    # 1e-12 of their norm, as far as expm itself is accurate (2e-13 of the
+    # norm at |x| near 3 against 40-digit mpmath), match mpmath to 1e-14 of
+    # it where the two differ most, and stay real and symplectic
+    g = coiso.rng(seed)
+    thetas = g.uniform(0, 2 * np.pi, size=m)
+    c, s = (np.cos(thetas) - 1)[:, None, None], np.sin(thetas)[:, None, None]
+
+    def skew():
+        z = g.normal(size=(n, n)) + 1j * g.normal(size=(n, n))
+        return scale * (z - np.conj(z.T)) / 2
+
+    s1, s2 = skew(), skew()
+    wiggle = coiso.grassmann._closed_exponential(-1j * s1, -1j * s2, 1j)(thetas)
+    assert np.max(np.abs(wiggle - scipy.linalg.expm(c * s1 + s * s2))) <= 1e-13
+    assert np.max(np.abs(np.conj(np.swapaxes(wiggle, -1, -2)) @ wiggle - np.eye(n))) <= 1e-13
+
+    def sym():
+        a = g.normal(size=(n, n))
+        return coiso.grassmann.STRETCH * (a + a.T) / 2
+
+    gens = [np.block([[a, b], [b, -a]]) for a, b in ((sym(), sym()), (sym(), sym()))]
+    stretch = coiso.grassmann._closed_exponential(*gens, 1.0)(thetas)
+    assert not np.iscomplexobj(stretch)
+    x = c * gens[0] + s * gens[1]
+    size = np.max(np.abs(stretch), axis=(-2, -1))
+    gap = np.max(np.abs(stretch - scipy.linalg.expm(x)), axis=(-2, -1)) / size
+    assert np.max(gap) <= 1e-12
+    i = int(np.argmax(gap))
+    with mpmath.workdps(40):
+        exact = np.array(mpmath.expm(mpmath.matrix(x[i].tolist())).tolist(), dtype=float)
+    assert np.max(np.abs(stretch[i] - exact)) <= 1e-14 * size[i]
+    om = coiso.symplin._standard_omega(n)
+    residual = np.max(np.abs(np.swapaxes(stretch, -1, -2) @ om @ stretch - om), axis=(-2, -1))
+    assert np.max(residual / size ** 2) <= 1e-13
 
 
 def test_per_angle_generator_is_refused_with_the_shapes():

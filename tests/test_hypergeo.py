@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
@@ -542,6 +543,18 @@ def test_product_numeric_matches_cubic_oracle():
         num = gp.sff_numeric(x)
         orc = gp.sff_oracle(x)
         assert np.max(np.abs(num.full - orc.full)) < 1e-8
+
+
+def test_inverse_sqrt_metric_matches_sqrtm():
+    # (1 + hf^2)^(-1/2) from one eigh of hf against scipy's Schur sqrtm
+    for seed in range(20):
+        g = coiso.rng(seed)
+        a = g.normal(size=(1 + seed % 4,) * 2)
+        hf = (a + a.T) * (0.5 + seed % 3)
+        got = coiso.hypergeo._inverse_sqrt_metric(hf)
+        metric = np.eye(len(hf)) + hf @ hf
+        assert_allclose(got, np.linalg.inv(scipy.linalg.sqrtm(metric).real), rtol=0, atol=1e-13)
+        assert_allclose(got @ metric @ got, np.eye(len(hf)), rtol=0, atol=1e-13)
 
 
 def test_product_leaf_trilinear_symmetry():

@@ -302,6 +302,33 @@ def test_kernel_reframing_changes_nothing():
             assert maslov_index(mixed, sec) == mu
 
 
+@pytest.mark.parametrize("n, k, seed", [(3, 2, 52), (4, 2, 53)])
+def test_random_starting_frame_moves_the_det_stream_by_one_unit(n, k, seed):
+    # the sequential chain started from a random adapted frame of member 0,
+    # the canonical frame times diag(V, Q) with V in U(k) and Q in O(n-k):
+    # every det phase is the loop's times det(V) det(Q), and the H holonomy
+    # and the kernel sign are the loop's
+    gen = coiso.random_unitary_orbit_family(n, k, coiso.rng(seed))
+    loop = loop_from_family(k, gen, samples=64)
+    closed = loop.samples[np.append(np.arange(loop.m), 0)]
+    canonical = reference_transport(closed)[0][0]
+    for trial in range(10):
+        g = coiso.rng(seed, trial)
+        v = coiso.symplin.random_unitary(k, g)
+        q = np.linalg.qr(g.normal(size=(n - k, n - k)))[0]
+        start = np.concatenate([coiso.real_coords(coiso.complex_coords(canonical[:, :k]) @ v),
+                                canonical[:, k:] @ q], axis=1)
+        u = coiso.complex_coords(reference_transport(closed, start=start)[0])
+        dets = np.linalg.det(u)
+        ratio = dets[:-1] / np.abs(dets[:-1]) / loop.det_phases
+        assert abs(ratio[0] - np.linalg.det(v) * np.linalg.det(q)) <= 1e-12
+        assert np.max(np.abs(ratio - ratio[0])) <= 1e-12
+        mono = np.conj(u[0].T) @ u[-1]
+        holonomy = np.linalg.det(mono[:k, :k])
+        assert abs(holonomy / abs(holonomy) - loop.h_holonomy) <= 1e-12
+        assert np.sign(np.linalg.det(mono[k:, k:]).real) == loop.kernel_sign
+
+
 # ---------------------------------------------------------------------------
 # gradings
 

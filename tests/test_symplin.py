@@ -283,6 +283,23 @@ def test_principal_angles_mixed_pair_near_half_pi(seed, n, u):
     assert abs(coiso.largest_principal_angles(a, b)[0] - angles[0, 1]) < 1e-12
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.data())
+def test_largest_principal_angles_are_the_largest_angles_bit_for_bit(seed, n, data):
+    # members below pi/6 read the top sine alone, the others take
+    # principal_angles: both give its largest value exactly, on stacks that
+    # mix the regimes and against one unstacked subspace
+    m = data.draw(st.integers(1, n))
+    count = data.draw(st.integers(1, 6))
+    u = st.floats(min_value=3.0, max_value=12.0)
+    angles = np.array([[_REGIMES[data.draw(st.sampled_from(list(_REGIMES)))](data.draw(u))
+                        for _ in range(m)] for _ in range(count)])
+    a, b = _rotated_pairs(seed, n, m, angles)
+    for first in (a, a[0]):
+        assert np.array_equal(coiso.largest_principal_angles(first, b),
+                              np.max(principal_angles(first, b), axis=-1))
+
+
 def test_classify_stack_names_the_bad_member():
     good = [random_coisotropic(3, 1, seed).space.basis for seed in range(5)]
     g = np.random.default_rng(7)
