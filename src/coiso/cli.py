@@ -102,13 +102,11 @@ BOUNDARY_FAMILIES = {
 # the range of a tolerance, positive unless listed.  A bound that every
 # value fails, or that makes a check compute nothing, is refused: a check
 # passing below a bound needs a positive one, and so does a defect bound, as
-# rounding leaves some defect.  frame_j may be 0: frames are built with
-# f = j e exactly.  Angles lie in [0, pi/2] (principal) or [0, pi] (phase
-# jumps) and a winding residual in [0, 1/2]; a projected norm below 1 always
-# shows rounding, and a spec's grid has M >= 4.
+# rounding leaves some defect.  Angles lie in [0, pi/2] (principal) or
+# [0, pi] (phase jumps) and a winding residual in [0, 1/2]; a projected norm
+# below 1 always shows rounding, and a spec's grid has M >= 4.
 _POSITIVE = {"exclusiveMinimum": 0}
 _TOLERANCE_RANGES = {
-    "frame_j": {"minimum": 0},
     "max_loop_samples": {"minimum": 4},
     "subspace_equality": {**_POSITIVE, "maximum": pi / 2},
     "consecutive_angle": {**_POSITIVE, "maximum": pi / 2},

@@ -21,8 +21,6 @@ class Tolerances:
 
     orthonormality: float = 1e-10        # basis' G basis == identity
     subspace_equality: float = 1e-8      # max principal angle for span equality
-    darboux: float = 1e-9                # Darboux relations of adapted frames
-    frame_j: float = 1e-12               # f_i == j e_i
     svd_cutoff: float = 1e-10            # null space singular value cutoff
     svd_gap: float = 1e-3                # ill-conditioning gap ratio
     hint_min_norm: float = 1e-6          # floor for overlap dets, bracket columns

@@ -8,7 +8,9 @@ frame, and the H determinant phase and kernel sign of the frame monodromy
 after one circuit.  These are running products of overlap determinant
 phases (``symplin.transport_phases``); no frame is built.
 
-A loop generator is called once per grid: it takes a 1-D array of M angles
+Every loop keeps its generator, and so does every matrix loop: a loop is
+resampled, refined or pushed forward by calling it on the new grid.  A
+loop generator is called once per grid: it takes a 1-D array of M angles
 and returns the stack of its M members, a ``Subspace`` or
 ``CoisotropicSubspace`` of shape (M, 2n, m) whose member i depends on
 theta_i alone; a matrix-loop callable likewise returns an (M, 2n, 2n)
@@ -97,12 +99,6 @@ def _members(generator, thetas: np.ndarray, dim: Optional[int] = None) -> Subspa
     return Subspace(np.ascontiguousarray(value.basis))
 
 
-def _consecutive_angles(spaces: Subspace) -> np.ndarray:
-    """Largest principal angle from each member of a stack to the next,
-    the last one to the first."""
-    return largest_principal_angles(spaces, Subspace(np.roll(spaces.basis, -1, axis=0)))
-
-
 @dataclasses.dataclass(frozen=True)
 class CoisotropicLoop:
     """M uniformly sampled coisotropic subspaces and their transported
@@ -119,6 +115,7 @@ class CoisotropicLoop:
     sign ``kernel_sign`` of its kernel block determinant, the loop's Z/2
     class.  ``overlap_margin`` is the smallest overlap determinant modulus
     of that transport, which ``tol.hint_min_norm`` bounds from below.
+    ``generator`` is the grid callable the samples were taken from.
     """
 
     k: int
@@ -129,7 +126,7 @@ class CoisotropicLoop:
     h_holonomy: complex
     kernel_sign: int
     overlap_margin: float
-    generator: Optional[Callable] = None
+    generator: Callable
 
     @property
     def m(self) -> int:
@@ -155,15 +152,9 @@ class CoisotropicLoop:
         # to it
         return np.exp(-1j * phi * np.arange(self.m) / self.m)
 
-    def consecutive_angles(self) -> np.ndarray:
-        """Largest principal angle from each sample to the next."""
-        return _consecutive_angles(self.samples.space)
-
     def resample(self, m: int, tol: Tolerances = DEFAULT) -> "CoisotropicLoop":
         """The loop on the grid of ``m`` samples, never refined.  On the doubled
         grid only the new (odd) members are generated and classified."""
-        if self.generator is None:
-            raise ValueError("loop has no generator; cannot resample")
         coarse = self.samples if m == 2 * self.m else None
         return _sampled_loop(self.k, self.generator, m, False, coarse, tol)
 
@@ -216,7 +207,9 @@ def _sampled_loop(k, generator, m: int, refine: bool,
 
     stack = _classified_grid(generator, m, dim, coarse, tol)
     while True:
-        worst = float(np.max(_consecutive_angles(stack.space)))
+        # largest principal angle from each member to the next, the last to the first
+        worst = float(np.max(largest_principal_angles(
+            stack.space, Subspace(np.roll(stack.space.basis, -1, axis=0)))))
         if worst < tol.consecutive_angle and not within_tie(worst, tol.consecutive_angle):
             break
         if not refine or 2 * m > tol.max_loop_samples:
@@ -276,11 +269,12 @@ def _closed_loop(k, thetas, stack: CoisotropicSubspace, closure,
 
 @dataclasses.dataclass(frozen=True)
 class SymplecticMatrixLoop:
-    """M sampled 2n x 2n matrices A(theta_i) with A' omega A = omega."""
+    """M sampled 2n x 2n matrices A(theta_i) with A' omega A = omega, on the
+    uniform grid of M angles, and the grid callable ``generator`` they were
+    taken from; :meth:`from_callable` builds one."""
 
-    thetas: np.ndarray
     matrices: np.ndarray
-    generator: Optional[Callable] = None
+    generator: Callable
 
     def __post_init__(self):
         a = np.asarray(self.matrices, dtype=float)
@@ -308,64 +302,36 @@ class SymplecticMatrixLoop:
         (M, 2n, 2n) stack of the matrices A(theta_i), member i depending on
         theta_i alone; any other shape raises ValueError."""
         _check_complex_dim(n)
-        thetas = _thetas(samples)
-        mats = np.asarray(fn(thetas))
+        mats = np.asarray(fn(_thetas(samples)))
         _check_grid_shape(mats.shape, (samples, 2 * n, 2 * n))
-        return cls(thetas=thetas, matrices=mats, generator=fn)
-
-    def resample(self, m: int) -> "SymplecticMatrixLoop":
-        if self.m == m:
-            return self
-        if self.generator is None:
-            raise ValueError("matrix loop has no generator; cannot resample")
-        return SymplecticMatrixLoop.from_callable(
-            self.matrices.shape[-1] // 2, self.generator, m)
+        return cls(matrices=mats, generator=fn)
 
 
 def pushforward(
     a: SymplecticMatrixLoop, loop: CoisotropicLoop, tol: Tolerances = DEFAULT
 ) -> CoisotropicLoop:
-    """The loop theta -> A(theta) . gamma(theta), its samples classified as
-    one stack with frames transported from scratch.  With both generators
-    the image loop's generator evaluates both on each grid in one call.
+    """The loop theta -> A(theta) . gamma(theta), built by
+    :func:`loop_from_family` from one generator that evaluates both loops'
+    generators on each grid in one call.
 
-    Both loops are resampled to the least common multiple of their sample
-    counts, which requires generators when the counts differ.
+    It starts on the least common multiple of the two sample counts and
+    refines from there.  A common grid above ``tol.max_loop_samples``
+    raises DiscontinuousLoopError; an image that fails to classify raises
+    InternalConsistencyError, as a symplectic map keeps a subspace
+    coisotropic.
     """
     m = lcm(a.m, loop.m)
     if m > tol.max_loop_samples:
         raise DiscontinuousLoopError(f"common grid M={m} exceeds the budget")
 
-    failed = "symplectic image of a coisotropic subspace failed to classify"
+    def gen(thetas, _a=a.generator, _l=loop.generator):
+        return Subspace.from_spanning(_a(thetas) @ _as_subspace(_l(thetas)).basis)
 
-    def image(mats, value):
-        return Subspace.from_spanning(mats @ _as_subspace(value).basis)
-
-    if loop.generator is not None and a.generator is not None:
-        agen, lgen = a.generator, loop.generator
-
-        def gen(thetas, _a=agen, _l=lgen):
-            return image(_a(thetas), _l(thetas))
-
-        try:
-            return loop_from_family(loop.k, gen, samples=m, tol=tol)
-        except ClassificationError as exc:
-            raise InternalConsistencyError(failed) from exc
-
-    # sampled data only: stay on the common grid, no refinement possible
-    a = a.resample(m)
-    loop_m = loop if loop.m == m else loop.resample(m, tol)
     try:
-        stack = classify_coisotropic(image(a.matrices, loop_m.samples), tol)
+        return loop_from_family(loop.k, gen, samples=m, tol=tol)
     except ClassificationError as exc:
-        raise InternalConsistencyError(failed) from exc
-    out = _closed_loop(loop.k, _thetas(m), stack, loop_m.closure_defect, None, tol)
-    worst = float(np.max(out.consecutive_angles()))
-    if worst >= tol.consecutive_angle or within_tie(worst, tol.consecutive_angle):
-        raise DiscontinuousLoopError(
-            f"pushforward violated the continuity contract: {worst:.3f}"
-        )
-    return out
+        raise InternalConsistencyError(
+            "symplectic image of a coisotropic subspace failed to classify") from exc
 
 
 # ---------------------------------------------------------------------------

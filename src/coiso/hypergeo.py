@@ -1048,14 +1048,7 @@ class LagrangianGraphProduct:
         minv = _inverse_sqrt_metric(hf)
         full = np.zeros((l, n + m, n + m))
         # kernel block indices inside the e range: m .. n-1
-        for al in range(l):
-            for b in range(l):
-                for c in range(l):
-                    val = np.einsum(
-                        "ijk,i,j,k->", self.cubic,
-                        minv[:, b], minv[:, c], minv[:, al],
-                    )
-                    full[al, m + b, m + c] = val
+        full[:, m:n, m:n] = np.einsum("ijk,ib,jc,ka->abc", self.cubic, minv, minv, minv)
         return SFFBlocks(point=self.embed(x, np.zeros(2 * m)), frame=fr, full=full)
 
     def sff_numeric(self, x: np.ndarray, step: float = 1e-5) -> SFFBlocks:

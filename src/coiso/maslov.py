@@ -204,10 +204,10 @@ def pushforward_section(
     out = pushforward(a, loop, tol)
     if out.m != loop.m:
         # the image loop refined; follow it exactly or give up
-        if loop.generator is None or section.fn is None:
+        if section.fn is None:
             raise ValueError(
-                "incompatible grids: resample loop and section to the "
-                "common grid before pushing forward"
+                f"incompatible grids: the image loop has M={out.m} samples and "
+                "the section, without its function, cannot be resampled"
             )
         loop = loop.resample(out.m, tol)
         section = MaslovSection.from_function(loop.thetas, section.fn)

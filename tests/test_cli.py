@@ -200,8 +200,12 @@ def test_out_of_range_tolerance_exit_two(tmp_path, capsys, overrides):
 
 def test_default_tolerances_lie_in_their_ranges():
     _TOLERANCES_VALIDATOR.validate(DEFAULT.as_dict())
-    assert not _TOLERANCES_VALIDATOR.is_valid({"frame_j": -1e-12})
-    assert _TOLERANCES_VALIDATOR.is_valid({"frame_j": 0})
+    assert not _TOLERANCES_VALIDATOR.is_valid({"max_loop_samples": 3})
+    assert _TOLERANCES_VALIDATOR.is_valid({"max_loop_samples": 4})
+    assert not _TOLERANCES_VALIDATOR.is_valid({"svd_cutoff": 0})
+    # the frame's f = j e and Darboux bounds are gone: naming them is an error
+    for name in ("frame_j", "darboux"):
+        assert not _TOLERANCES_VALIDATOR.is_valid({name: 1e-9})
 
 
 def test_diag_unitary_with_windings_runs():
@@ -334,7 +338,7 @@ def test_directly_built_report_serializes_its_tolerances():
     payload = json.loads(rep.to_json())
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload["tolerances"] == DEFAULT.as_dict()
-    assert len(payload["tolerances"]) == 24
+    assert len(payload["tolerances"]) == 22
 
 
 def test_run_report_carries_the_spec_tolerances():

@@ -59,6 +59,13 @@ def test_lagrangian_rotation_half_turn_is_orthogonal():
     assert_allclose(ang, [np.pi / 2, np.pi / 2], atol=1e-9)
 
 
+def consecutive_angles(loop):
+    """Largest principal angle from each sample to the next, as the loop's
+    continuity contract reads them: one stacked call."""
+    spaces = loop.samples.space
+    return coiso.largest_principal_angles(spaces, Subspace(np.roll(spaces.basis, -1, axis=0)))
+
+
 def test_diag_unitary_loop_classifies_everywhere():
     gen = diag_unitary_family(2, 1, [1.0, 0.0])
     loop = loop_from_family(1, gen, samples=64)
@@ -73,15 +80,16 @@ def test_refinement_triggers_on_coarse_sampling():
     gen = diag_unitary_family(2, 1, [0.0, 1.5])
     loop = loop_from_family(1, gen, samples=8)
     assert loop.m > 8
-    assert np.max(loop.consecutive_angles()) < np.pi / 8
+    assert np.max(consecutive_angles(loop)) < np.pi / 8
 
 
 def test_an_angle_at_the_contract_refines_from_either_side():
     # a half turn of a Lagrangian line in C^1 over 8 samples: every
     # consecutive angle is pi/8 up to rounding
     gen = lagrangian_rotation_family(1, 1)
-    worst = float(np.max(loop_from_family(0, gen, samples=8, tol=coiso.DEFAULT.replace(
-        consecutive_angle=1.0, max_loop_samples=8)).consecutive_angles()))
+    worst = float(np.max(consecutive_angles(loop_from_family(
+        0, gen, samples=8, tol=coiso.DEFAULT.replace(consecutive_angle=1.0,
+                                                     max_loop_samples=8)))))
     assert abs(worst - np.pi / 8) < 1e-15
     assert loop_from_family(0, gen, samples=8).m == 16
     # the contract bound 1 ulp above the angle, or below it: a tie either way
@@ -134,11 +142,9 @@ def test_kernel_dimension_exact_on_every_sample():
 
 
 def test_matrix_loop_validation():
-    with pytest.raises(ValueError):
-        SymplecticMatrixLoop(
-            thetas=np.zeros(1),
-            matrices=2.0 * np.eye(4)[None],   # not symplectic
-        )
+    with pytest.raises(ValueError, match="samples not symplectic"):
+        SymplecticMatrixLoop.from_callable(
+            2, constant_unitaries(2.0 * np.eye(4)), 1)   # not symplectic
 
 
 def test_pushforward_identity():
@@ -181,6 +187,21 @@ def test_pushforward_roundtrip():
     home = pushforward(back, there)
     for s, t in zip(home.samples, loop.samples):
         assert np.max(principal_angles(s.space, t.space)) < 1e-8
+
+
+def test_pushforward_on_unequal_grids_starts_on_their_lcm():
+    loop = loop_from_family(1, coiso.random_unitary_orbit_family(2, 1, coiso.rng(15)),
+                            samples=16)
+    assert loop.m == 64
+    a = coiso.random_unitary_matrix_loop(2, coiso.rng(0), 24)
+    out = pushforward(a, loop)
+    assert out.m == 192
+    # member i is A(theta_i) applied to the loop's member at theta_i
+    image = Subspace.from_spanning(a.generator(out.thetas) @ loop.generator(out.thetas).basis)
+    for s, t in zip(out.samples, image):
+        assert np.max(principal_angles(s.space, t)) < 1e-12
+    with pytest.raises(DiscontinuousLoopError, match="common grid M=192 exceeds the budget"):
+        pushforward(a, loop, coiso.DEFAULT.replace(max_loop_samples=40))
 
 
 def test_transverse_frames_constant_loop():
@@ -242,7 +263,7 @@ def test_canonical_winding_parity_is_the_kernel_sign():
 def test_consecutive_angles_match_per_pair_principal_angles():
     gen = coiso.random_unitary_orbit_family(3, 1, coiso.rng(21))
     loop = loop_from_family(1, gen, samples=32)
-    got = loop.consecutive_angles()
+    got = consecutive_angles(loop)
     assert got.shape == (loop.m,)
     for i in range(loop.m):
         want = np.max(principal_angles(loop.samples[i].space,
@@ -253,9 +274,7 @@ def test_consecutive_angles_match_per_pair_principal_angles():
 def test_loop_holds_its_samples_and_frames_as_stacks():
     loop = loop_from_family(1, coiso.random_unitary_orbit_family(3, 1, coiso.rng(21)),
                             samples=32)
-    # sampled data only: the pushforward by a generator-free matrix loop
-    still = SymplecticMatrixLoop(thetas=loop.thetas,
-                                 matrices=np.tile(np.eye(6), (loop.m, 1, 1)))
+    still = SymplecticMatrixLoop.from_callable(3, constant_unitaries(np.eye(6)), loop.m)
     for out in (loop, pushforward(still, loop)):
         assert out.m == len(out.thetas) == 32
         assert out.samples.space.basis.shape == (32, 6, 4)
@@ -269,9 +288,9 @@ def test_matrix_loop_rejects_a_step_above_half():
     mats = np.stack([np.eye(4)] * 8)
     mats[5] = realify(np.diag([np.exp(1j), 1.0]))   # |e^i - 1| = 0.96
     with pytest.raises(ValueError, match="samples 4 jump by operator norm 0.959"):
-        SymplecticMatrixLoop(thetas=np.zeros(8), matrices=mats)
+        SymplecticMatrixLoop.from_callable(2, lambda t: mats, 8)
     mats[5] = realify(np.diag([np.exp(0.4j), 1.0]))  # |e^0.4i - 1| = 0.40
-    SymplecticMatrixLoop(thetas=np.zeros(8), matrices=mats)
+    SymplecticMatrixLoop.from_callable(2, lambda t: mats, 8)
 
 
 # every routine that builds data from nothing takes n, and refuses n < 1

@@ -545,6 +545,23 @@ def test_product_numeric_matches_cubic_oracle():
         assert np.max(np.abs(num.full - orc.full)) < 1e-8
 
 
+@pytest.mark.parametrize("l, m", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_product_cubic_oracle_matches_its_entrywise_contraction(l, m):
+    # full[a, m+b, m+c] = sum_ijk cubic[i,j,k] minv[i,b] minv[j,c] minv[k,a],
+    # one contraction per entry as the reference
+    for seed in range(5):
+        gp = coiso.random_graph_product(seed, l=l, m=m)
+        x = 0.3 * coiso.rng(seed, 1).normal(size=l)
+        minv = coiso.hypergeo._inverse_sqrt_metric(gp.hess_f(x))
+        want = np.zeros((l, l + 2 * m, l + 2 * m))
+        for a in range(l):
+            for b in range(l):
+                for c in range(l):
+                    want[a, m + b, m + c] = np.einsum(
+                        "ijk,i,j,k->", gp.cubic, minv[:, b], minv[:, c], minv[:, a])
+        assert_allclose(gp.sff_oracle(x).full, want, rtol=0, atol=1e-13)
+
+
 def test_inverse_sqrt_metric_matches_sqrtm():
     # (1 + hf^2)^(-1/2) from one eigh of hf against scipy's Schur sqrtm
     for seed in range(20):

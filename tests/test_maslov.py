@@ -475,6 +475,6 @@ def test_pushforward_section_equals_the_per_sample_computation(case):
     if out.m != loop.m:
         loop = loop.resample(out.m)
         sec = MaslovSection.from_function(loop.thetas, fn)
-        a = a.resample(out.m)
+        a = coiso.SymplecticMatrixLoop.from_callable(n, a.generator, out.m)
     reference = _polar_pushforward_section(a, loop, out, sec)
     assert_allclose(moved.samples, reference, rtol=0, atol=1e-12)
