@@ -40,6 +40,7 @@ from .symplin import (
     omega_pairing,
     principal_angles,
     random_coisotropic,
+    random_unitary,
     real_coords,
     realify,
     spans_equal,
@@ -62,12 +63,12 @@ from .grassmann import (
     unitary_matrix_loop,
 )
 from .maslov import (
-    Grading,
+    BOUNDARY_FAMILIES,
+    LeafwiseSpecial,
     MaslovSection,
-    canonical_grading,
+    WindingDetail,
     canonical_section,
     connection_integral_index,
-    disc_boundary_index,
     disc_index_detail,
     is_leafwise_special,
     maslov_index,
@@ -85,6 +86,7 @@ from .hypergeo import (
     Minimality,
     PointGeometry,
     SFFBlocks,
+    TangentSplitting,
     TransverseCurvature,
     cylinder,
     ellipsoid,

@@ -23,8 +23,8 @@ import dataclasses
 import json
 import sys
 import time
-from math import cos, pi, sin
-from typing import Callable, Optional
+from math import pi
+from typing import Optional
 
 import numpy as np
 import jsonschema
@@ -34,7 +34,7 @@ from .config import DEFAULT, Tolerances, rng
 from .errors import CoisoError
 from . import grassmann, hypergeo, maslov, symplin
 
-__all__ = ["SCHEMA", "run", "emit_phase_trace", "main", "BOUNDARY_FAMILIES"]
+__all__ = ["SCHEMA", "run", "emit_phase_trace", "main"]
 
 
 KINDS = [
@@ -45,58 +45,6 @@ KINDS = [
     "hypersurface-report",
     "minimality-scan",
 ]
-
-
-# ---------------------------------------------------------------------------
-# boundary loop families on hypersurface fixtures: each takes a 1-D array of
-# angles and returns the stack of their points in C^2, one row per angle
-
-
-def _hopf_boundary(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    power = int(params.get("power", 1))
-
-    def w(thetas):
-        z = np.exp(1j * power * thetas)
-        zero = np.zeros_like(thetas)
-        return np.stack([z.real, zero, z.imag, zero], axis=-1)
-
-    return w
-
-
-def _latitude_boundary(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    alpha = float(params.get("alpha", 1.25))
-    p = int(params.get("p", 1))
-    q = int(params.get("q", 0))
-    ca, sa = cos(alpha), sin(alpha)
-
-    def w(thetas):
-        z1 = ca * np.exp(1j * p * thetas)
-        z2 = sa * np.exp(1j * q * thetas)
-        return np.stack([z1.real, z2.real, z1.imag, z2.imag], axis=-1)
-
-    return w
-
-
-def _planar_circle_boundary(params: dict) -> Callable[[np.ndarray], np.ndarray]:
-    r1 = float(params.get("r1", 0.7))
-    r2 = float(params.get("r2", 0.4))
-    # closed curve inside the hyperplane x1 = 1 of C^2
-    def w(thetas):
-        return np.stack([
-            np.ones_like(thetas),
-            r1 * np.cos(thetas),
-            r2 * np.sin(thetas) + 0.2 * r2 * np.sin(2 * thetas),
-            r2 * np.cos(thetas),
-        ], axis=-1)
-
-    return w
-
-
-BOUNDARY_FAMILIES = {
-    "hopf": _hopf_boundary,
-    "latitude": _latitude_boundary,
-    "planar-circle": _planar_circle_boundary,
-}
 
 
 # the range of a tolerance, positive unless listed.  A bound that every
@@ -116,17 +64,21 @@ _TOLERANCE_RANGES = {
     "hint_min_norm": {**_POSITIVE, "exclusiveMaximum": 1},
 }
 
+
+def _closed(**properties) -> dict:
+    """The schema of an object that may hold the named properties only."""
+    return {"type": "object", "properties": properties, "additionalProperties": False}
+
+
+_INTEGER, _NUMBER = {"type": "integer"}, {"type": "number"}
+
 # a spec's ``tolerances`` object and a --tol-file: known names only, each a
 # number (an integer where the field is one) in its range
-_TOLERANCES_SCHEMA = {
-    "type": "object",
-    "properties": {
-        f.name: {"type": "integer" if isinstance(f.default, int) else "number",
-                 **_TOLERANCE_RANGES.get(f.name, _POSITIVE)}
-        for f in dataclasses.fields(Tolerances)
-    },
-    "additionalProperties": False,
-}
+_TOLERANCES_SCHEMA = _closed(**{
+    f.name: {"type": "integer" if isinstance(f.default, int) else "number",
+             **_TOLERANCE_RANGES.get(f.name, _POSITIVE)}
+    for f in dataclasses.fields(Tolerances)
+})
 
 
 SCHEMA = {
@@ -137,66 +89,43 @@ SCHEMA = {
     "additionalProperties": False,
     "properties": {
         "kind": {"enum": KINDS},
-        "parameters": {
-            "type": "object",
-            "properties": {
-                "n": {"type": "integer", "minimum": 1},
-                "k": {"type": "integer", "minimum": 0},
-                "M": {"type": "integer", "minimum": 4},
-                "seed": {"type": "integer"},
-                "points": {"type": "integer", "minimum": 0},
-                "trials": {"type": "integer", "minimum": 1},
-                "family": {"enum": list(grassmann.LOOP_FAMILIES)},
-                "family_params": {"type": "object", "properties": {
-                    "max_winding": {"type": "integer", "minimum": 0},
-                    "turns": {"type": "integer"}}},
-                "fixture": {"enum": list(hypergeo.FIXTURES)},
-                "fixture_params": {"type": "object", "properties": {
-                    "n": {"type": "integer", "minimum": 1},
-                    "r": {"type": "number", "exclusiveMinimum": 0},
-                    "semi_axes": {"type": "array", "minItems": 1,
-                                  "items": {"type": "number", "exclusiveMinimum": 0}},
-                    "terms": {"type": "array", "items": {
-                        "type": "object",
-                        "required": ["coeff", "exponents"],
-                        "properties": {
-                            "coeff": {"type": "number"},
-                            "exponents": {"type": "array",
-                                          "items": {"type": "integer", "minimum": 0}},
-                        }}}}},
-                "loop": {"enum": list(BOUNDARY_FAMILIES)},
-                "loop_params": {"type": "object"},
-                "section": {
+        "parameters": _closed(
+            n={"type": "integer", "minimum": 1},
+            k={"type": "integer", "minimum": 0},
+            M={"type": "integer", "minimum": 4},
+            seed=_INTEGER,
+            points={"type": "integer", "minimum": 0},
+            trials={"type": "integer", "minimum": 1},
+            family={"enum": list(grassmann.LOOP_FAMILIES)},
+            # every key a family, fixture or boundary builder reads, typed
+            family_params=_closed(
+                max_winding={"type": "integer", "minimum": 0}, turns=_INTEGER,
+                seed={"type": "integer", "minimum": 0}, wiggle=_NUMBER, windings={"type": "array", "items": _NUMBER}),
+            fixture={"enum": list(hypergeo.FIXTURES)},
+            fixture_params=_closed(
+                n={"type": "integer", "minimum": 1},
+                r={"type": "number", "exclusiveMinimum": 0},
+                level=_NUMBER,
+                semi_axes={"type": "array", "minItems": 1,
+                           "items": {"type": "number", "exclusiveMinimum": 0}},
+                terms={"type": "array", "items": {
                     "type": "object",
+                    "required": ["coeff", "exponents"],
                     "properties": {
-                        "winding": {"type": "integer"},
-                        "phase0": {"type": "number"},
-                    },
-                    "additionalProperties": False,
-                },
-                "grading_phase": {"type": "number"},
-                "expected_index": {"type": "integer"},
-                "tolerances": _TOLERANCES_SCHEMA,
-            },
-            "additionalProperties": False,
-            # the diag-unitary family needs its windings
-            "if": {"required": ["family"], "properties": {"family": {"const": "diag-unitary"}}},
-            "then": {"required": ["family_params"], "properties": {"family_params": {
-                "required": ["windings"],
-                "properties": {"windings": {"type": "array", "items": {"type": "number"}}}}}},
-        },
-        "output": {
-            "type": "object",
-            "properties": {
-                "path": {"type": "string"},
-                "format": {"enum": ["json", "csv"]},
-            },
-            "additionalProperties": False,
-        },
+                        "coeff": _NUMBER,
+                        "exponents": {"type": "array",
+                                      "items": {"type": "integer", "minimum": 0}},
+                    }}}),
+            loop={"enum": list(maslov.BOUNDARY_FAMILIES)},
+            loop_params=_closed(power=_INTEGER, p=_INTEGER, q=_INTEGER,
+                                alpha=_NUMBER, r1=_NUMBER, r2=_NUMBER),
+            section=_closed(winding=_INTEGER, phase0=_NUMBER),
+            grading_phase=_NUMBER,
+            expected_index=_INTEGER,
+            tolerances=_TOLERANCES_SCHEMA,
+        ),
+        "output": _closed(path={"type": "string"}, format={"enum": ["json", "csv"]}),
     },
-    # the pointwise kinds need at least one point to report on
-    "if": {"properties": {"kind": {"enum": ["hypersurface-report", "minimality-scan"]}}},
-    "then": {"properties": {"parameters": {"properties": {"points": {"minimum": 1}}}}},
 }
 
 
@@ -389,11 +318,11 @@ def _run_invariance_suite(params: dict, tol: Tolerances, seed: int) -> list:
 
 def _run_disc_index(params: dict, tol: Tolerances, seed: int) -> list:
     y = _fixture(params)
-    boundary = BOUNDARY_FAMILIES[params.get("loop", "hopf")](params.get("loop_params", {}))
+    boundary = maslov.BOUNDARY_FAMILIES[params.get("loop", "hopf")](params.get("loop_params", {}))
     m = int(params.get("M", 256))
     phase = float(params.get("grading_phase", 0.0))
-    grading = maslov.Grading(charge=lambda points: np.full(len(points), np.exp(1j * phase)))
-    detail = maslov.disc_index_detail(y, boundary, grading, m, tol)
+    detail = maslov.disc_index_detail(
+        y, boundary, lambda points: np.full(len(points), np.exp(1j * phase)), m, tol)
     return [
         _item("disc_index", detail["index"], residual=detail["residual"]),
         _compare("connection_index", detail["connection_index"], detail["index"]),
@@ -481,7 +410,12 @@ def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
         params = {**_DEFAULT_N_K[kind], **params}
         _require("n" in params and "k" in params, f"{kind} needs n and k")
         _require(params["k"] <= params["n"], f"k={params['k']} exceeds n={params['n']}")
+    if kind in ("hypersurface-report", "minimality-scan"):
+        _require(params.get("points", 1) >= 1, f"{kind} needs at least one point")
     family = params.get("family", "lagrangian-rotation")
+    if family == "diag-unitary":
+        _require("windings" in params.get("family_params", {}),
+                 "the diag-unitary family needs family_params windings")
     if kind == "maslov-index" and family == "lagrangian-rotation":
         _require(params["k"] == 0, "a lagrangian-rotation loop has k = 0")
     if kind == "maslov-index" and family == "diag-unitary":
@@ -503,6 +437,8 @@ def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
         _require(n == 2, f"disc-index boundary loops lie in C^2, the fixture in C^{n}")
     tol = tol.replace(**params.get("tolerances", {}))
     seed = seed_override if seed_override is not None else int(params.get("seed", 0))
+    # a seed keys a numpy SeedSequence, which takes no negative entropy
+    _require(seed >= 0, f"seed {seed} is negative")
     params["seed"] = seed
     return params, tol, seed
 

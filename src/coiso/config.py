@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 
+__all__ = ["Tolerances", "DEFAULT", "rng"]
+
 
 @dataclasses.dataclass(frozen=True)
 class Tolerances:

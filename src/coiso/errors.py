@@ -1,5 +1,12 @@
 """Exception types raised by the geometric operations."""
 
+__all__ = [
+    "CoisoError", "DegenerateInputError", "ClassificationError", "ContinuityLossError",
+    "DiscontinuousLoopError", "AliasingError", "ClosureError", "FrameDegeneracyError",
+    "InternalConsistencyError", "UnnormalizedDefiningFunctionError", "OffSurfaceError",
+    "ExtensionQualityError", "NumericalQualityError",
+]
+
 
 class CoisoError(Exception):
     """Base class for all library errors."""
@@ -40,7 +47,8 @@ class ClosureError(CoisoError):
 
 
 class FrameDegeneracyError(CoisoError):
-    """The transverse contraction lost numerical rank."""
+    """A grading charge fell below 1e-12 at a boundary point, where its phase,
+    the graded section, is undefined; ``maslov.disc_index_detail`` raises it."""
 
 
 class InternalConsistencyError(CoisoError):

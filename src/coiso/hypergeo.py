@@ -75,6 +75,7 @@ __all__ = [
     "Minimality",
     "tangent_splitting",
     "second_fundamental_form",
+    "normal_convention_matrix",
     "point_geometry",
     "leafwise_mean_curvature",
     "levi_form",
@@ -96,8 +97,10 @@ __all__ = [
 # default central-difference step of level sets without analytic derivatives
 FD_STEP = 1e-5
 
-# projections ``sample_points`` tries per point before it gives up
+# projections ``sample_points`` tries per point before it gives up, and the
+# scale of each attempt's Gaussian seed
 SAMPLE_ATTEMPTS = 100
+SAMPLE_OFFSET = 0.5
 
 # Newton iterations and residual of a projection onto the surface
 NEWTON_ITERS = 50
@@ -105,6 +108,13 @@ NEWTON_TOL = 1e-13
 
 # RK4 step along X_rho of the leaf curvature's second difference
 FLOW_STEP = 1e-3
+
+# surface step of the Lie bracket's central differences in
+# ``transverse_curvature_bracket``
+BRACKET_STEP = 1e-4
+
+# parameter step of ``LagrangianGraphProduct.sff_numeric``'s central differences
+PRODUCT_SFF_STEP = 1e-5
 
 # the three trailing axes of a stack of (normal, row, column) blocks
 _BLOCK_AXES = (-3, -2, -1)
@@ -251,14 +261,14 @@ class LevelSetHypersurface:
                lambda w: "grad rho vanished during the projection")
         return rows.reshape(x.shape)
 
-    def sample_points(self, count: int, seed, offset: float = 0.5) -> np.ndarray:
+    def sample_points(self, count: int, seed) -> np.ndarray:
         """Deterministic points on Y: Gaussian seeds projected to the surface.
 
         Each attempt draws a seed x0 and a shift from the generator, in that
-        order, and projects offset * x0 + shift; the points are the first
-        ``count`` attempts that reach the surface.  Attempts are drawn and
-        projected in stacked rounds, each as many as points are still
-        missing, so the generator is read as far as one attempt after
+        order, and projects ``SAMPLE_OFFSET`` * x0 + shift; the points are
+        the first ``count`` attempts that reach the surface.  Attempts are
+        drawn and projected in stacked rounds, each as many as points are
+        still missing, so the generator is read as far as one attempt after
         another would read it.  At most ``SAMPLE_ATTEMPTS`` attempts per
         point are made; when they run out, OffSurfaceError."""
         g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
@@ -266,7 +276,7 @@ class LevelSetHypersurface:
         missing, left = count, budget
         while missing and left:
             draws = g.normal(size=(min(missing, left), 2, self.dim))
-            x, stalled = self._newton(draws[:, 0] * offset + draws[:, 1])
+            x, stalled = self._newton(draws[:, 0] * SAMPLE_OFFSET + draws[:, 1])
             hit = x[~stalled & self.on_surface(x, 1e-9)]
             found.append(hit)
             missing -= len(hit)
@@ -575,7 +585,6 @@ class TransverseCurvature:
 
 def transverse_curvature_bracket(
     geo: PointGeometry,
-    step: float = 1e-4,
     scheme: str = "projection",
 ) -> TransverseCurvature:
     """Bracket-route transverse curvature.
@@ -624,11 +633,11 @@ def transverse_curvature_bracket(
 
     # every field at the two surface steps along each basis field:
     # stepped[..., i, s, jj] is field jj at the step of sign s along field i
-    shift = step * at_p
+    shift = BRACKET_STEP * at_p
     base = p[..., None, :]
     stepped = fields_at(y.project(np.stack([base + shift, base - shift], axis=-2)))
     # deriv[..., i, jj]: central difference of field jj along field i
-    deriv = (stepped[..., 0, :, :] - stepped[..., 1, :, :]) / (2 * step)
+    deriv = (stepped[..., 0, :, :] - stepped[..., 1, :, :]) / (2 * BRACKET_STEP)
     br = deriv - np.swapaxes(deriv, -3, -2)
     upper = np.triu(np.ones((two_k, two_k), dtype=bool), 1)
     scale = np.maximum(1.0, np.max(np.abs(geo.hessian), axis=(-2, -1)))
@@ -885,14 +894,14 @@ def ellipsoid(semi_axes: Sequence[float]) -> LevelSetHypersurface:
     )
 
 
-def from_polynomial(n: int, terms: Sequence[dict],
-                    strict: bool = False) -> LevelSetHypersurface:
+def from_polynomial(n: int, terms: Sequence[dict]) -> LevelSetHypersurface:
     """A defining function given as a polynomial coefficient table.
 
     Each term is {"exponents": [2n ints], "coeff": float} with total degree
     at most 6.  Gradient and Hessian are produced by exact exponent
     manipulation; no code is evaluated.  Each table entry is evaluated at
-    every point of the stack at once.
+    every point of the stack at once.  The gradient need not be unit, so the
+    fixture runs in non-strict mode.
     """
     exps = []
     coefs = []
@@ -947,7 +956,7 @@ def from_polynomial(n: int, terms: Sequence[dict],
         return out
 
     return LevelSetHypersurface(
-        n=n, rho=rho, grad=grad, hess=hess, strict=strict,
+        n=n, rho=rho, grad=grad, hess=hess, strict=False,
         name="polynomial",
     )
 
@@ -1051,7 +1060,7 @@ class LagrangianGraphProduct:
         full[:, m:n, m:n] = np.einsum("ijk,ib,jc,ka->abc", self.cubic, minv, minv, minv)
         return SFFBlocks(point=self.embed(x, np.zeros(2 * m)), frame=fr, full=full)
 
-    def sff_numeric(self, x: np.ndarray, step: float = 1e-5) -> SFFBlocks:
+    def sff_numeric(self, x: np.ndarray) -> SFFBlocks:
         """Blocks by central differences of tangentially extended fields,
         independent of the third-derivative oracle."""
         n, m = self.n, self.m
@@ -1070,13 +1079,13 @@ class LagrangianGraphProduct:
         full = np.zeros((normals.shape[1], cols, cols))
         for i in range(cols):
             vi = t[:, i]
-            xp, wp = pullback_step(vi, step)
-            xm, wm = pullback_step(vi, -step)
+            xp, wp = pullback_step(vi, PRODUCT_SFF_STEP)
+            xm, wm = pullback_step(vi, -PRODUCT_SFF_STEP)
             pp = self.tangent_projector(xp)
             pm = self.tangent_projector(xm)
             for jj in range(cols):
                 vj = t[:, jj]
-                dw = (pp @ vj - pm @ vj) / (2 * step)
+                dw = (pp @ vj - pm @ vj) / (2 * PRODUCT_SFF_STEP)
                 coef = normals.T @ dw
                 full[:, i, jj] += coef
         full = 0.5 * (full + np.transpose(full, (0, 2, 1)))

@@ -15,13 +15,15 @@ All indices are windings of ratios of unit-modulus sample streams taken in
 this common trivialization, between which the frame monodromy cancels.
 The sections themselves close only through ``section_gauge``, whose ramp
 takes the principal branch of the H-block holonomy ``h_holonomy``; the
-printed integer rests on that branch choice.
+printed integer rests on that branch choice.  A disc index winds a graded
+section, the phases of a grading charge callable, against the canonical
+section of the boundary's tangent loop.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from math import pi
+from math import cos, pi, sin
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -45,15 +47,14 @@ from .symplin import Subspace
 
 __all__ = [
     "MaslovSection",
-    "Grading",
-    "canonical_grading",
     "canonical_section",
     "winding",
+    "WindingDetail",
     "winding_detail",
     "maslov_index",
     "pushforward_section",
     "tangent_boundary_loop",
-    "disc_boundary_index",
+    "BOUNDARY_FAMILIES",
     "disc_index_detail",
     "connection_integral_index",
     "is_leafwise_special",
@@ -216,38 +217,6 @@ def pushforward_section(
     return out, MaslovSection(thetas=out.thetas, samples=val / np.abs(val))
 
 
-@dataclasses.dataclass(frozen=True)
-class Grading:
-    """A rule assigning unit transverse charge values on a coisotropic
-    surface.
-
-    ``charge`` maps an (M, 2n) stack of points to the M charges, whose
-    phases are the grading in the parallel trivialization (flat ambient
-    transport is trivial, so a constant charge is parallel; the canonical
-    charge induced by the standard volume form is the constant 1).  In an
-    adapted frame changed by a unitary V the charge reads det(V)^{-2} times
-    as much, the transformation law of the squared transverse canonical
-    bundle.
-    """
-
-    charge: Callable[[np.ndarray], np.ndarray]
-
-    def section_along(self, points: np.ndarray, loop: CoisotropicLoop) -> MaslovSection:
-        """The charge phases at ``points``, one per sample of ``loop``; another
-        shape raises ValueError, a charge below 1e-12 FrameDegeneracyError."""
-        v = np.asarray(self.charge(points), dtype=complex)
-        _check_grid_shape(v.shape, (len(points),))
-        if np.min(np.abs(v)) < 1e-12:
-            raise FrameDegeneracyError("grading charge vanished")
-        return MaslovSection(thetas=loop.thetas, samples=v / np.abs(v) * loop.section_gauge())
-
-
-def canonical_grading() -> Grading:
-    """The grading induced by the standard complex volume form; parallel in
-    the flat ambient space, hence the constant unit charge."""
-    return Grading(charge=lambda points: np.ones(len(points), dtype=complex))
-
-
 def tangent_boundary_loop(
     y: "hypergeo.LevelSetHypersurface",
     boundary: Callable[[np.ndarray], np.ndarray],
@@ -282,31 +251,56 @@ def tangent_boundary_loop(
     return loop, np.asarray(boundary(loop.thetas), dtype=float)
 
 
-def _graded_boundary(y, boundary, grading: Optional[Grading], samples: int,
-                     tol: Tolerances):
-    """``(loop, points, section)``: the tangent loop along the boundary, its
-    boundary points and the grading (canonical when None) as a section."""
-    if grading is None:
-        grading = canonical_grading()
-    loop, points = tangent_boundary_loop(y, boundary, samples, tol)
-    return loop, points, grading.section_along(points, loop)
+# boundary loop families on hypersurface fixtures: each takes its parameter
+# dict and returns a callable that maps a 1-D array of angles to the stack of
+# their points in C^2, one row per angle
 
 
-def disc_boundary_index(
-    y: "hypergeo.LevelSetHypersurface",
-    boundary: Callable[[np.ndarray], np.ndarray],
-    grading: Optional[Grading] = None,
-    samples: int = 256,
-    tol: Tolerances = DEFAULT,
-) -> int:
-    """Index of a disc-boundary map on Y with respect to a grading.
+def _hopf_boundary(params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    power = int(params.get("power", 1))
 
-    Builds the tangent-space loop along the boundary, evaluates the grading
-    as a section in the parallel trivialization and returns its winding
-    against the canonical section.  Depends only on the boundary curve.
-    """
-    loop, _, section = _graded_boundary(y, boundary, grading, samples, tol)
-    return maslov_index(loop, section, tol)
+    def w(thetas):
+        z = np.exp(1j * power * thetas)
+        zero = np.zeros_like(thetas)
+        return np.stack([z.real, zero, z.imag, zero], axis=-1)
+
+    return w
+
+
+def _latitude_boundary(params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    alpha = float(params.get("alpha", 1.25))
+    p = int(params.get("p", 1))
+    q = int(params.get("q", 0))
+    ca, sa = cos(alpha), sin(alpha)
+
+    def w(thetas):
+        z1 = ca * np.exp(1j * p * thetas)
+        z2 = sa * np.exp(1j * q * thetas)
+        return np.stack([z1.real, z2.real, z1.imag, z2.imag], axis=-1)
+
+    return w
+
+
+def _planar_circle_boundary(params: dict) -> Callable[[np.ndarray], np.ndarray]:
+    r1 = float(params.get("r1", 0.7))
+    r2 = float(params.get("r2", 0.4))
+    # closed curve inside the hyperplane x1 = 1 of C^2
+    def w(thetas):
+        return np.stack([
+            np.ones_like(thetas),
+            r1 * np.cos(thetas),
+            r2 * np.sin(thetas) + 0.2 * r2 * np.sin(2 * thetas),
+            r2 * np.cos(thetas),
+        ], axis=-1)
+
+    return w
+
+
+BOUNDARY_FAMILIES = {
+    "hopf": _hopf_boundary,
+    "latitude": _latitude_boundary,
+    "planar-circle": _planar_circle_boundary,
+}
 
 
 def connection_integral_index(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> int:
@@ -325,19 +319,36 @@ def connection_integral_index(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) 
 def disc_index_detail(
     y: "hypergeo.LevelSetHypersurface",
     boundary: Callable[[np.ndarray], np.ndarray],
-    grading: Optional[Grading] = None,
+    charge: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     samples: int = 256,
     tol: Tolerances = DEFAULT,
 ) -> dict:
-    """Both index routes for one boundary loop, with residual bookkeeping."""
-    loop, points, section = _graded_boundary(y, boundary, grading, samples, tol)
+    """Index of a disc-boundary map on a graded Y by both routes, with
+    residual bookkeeping.
+
+    A grading is a parallel section of the squared transverse canonical
+    bundle.  Transport in flat C^n is trivial, so this repository reads a
+    parallel grading as a constant charge.  ``charge`` maps the (M, 2n)
+    stack of boundary points to their M charges (another shape raises
+    ValueError, a charge below 1e-12 FrameDegeneracyError); None is the
+    canonical grading, the constant 1 of the standard complex volume form.
+    The charge phases times the loop's ``section_gauge`` are the graded
+    section, and its winding against the canonical section is the index;
+    :func:`connection_integral_index` is the second route.
+    """
+    loop, points = tangent_boundary_loop(y, boundary, samples, tol)
+    v = (np.ones(len(points), dtype=complex) if charge is None
+         else np.asarray(charge(points), dtype=complex))
+    _check_grid_shape(v.shape, (len(points),))
+    if np.min(np.abs(v)) < 1e-12:
+        raise FrameDegeneracyError("grading charge vanished")
+    section = MaslovSection(thetas=loop.thetas, samples=v / np.abs(v) * loop.section_gauge())
     can = canonical_section(loop, tol)
     detail = winding_detail(section.samples / can.samples, tol)
-    conn = connection_integral_index(loop, tol)
     return {
         "index": detail.value,
         "residual": detail.residual,
-        "connection_index": conn,
+        "connection_index": connection_integral_index(loop, tol),
         "loop": loop,
         "points": points,
         "section": section,

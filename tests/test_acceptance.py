@@ -13,6 +13,7 @@ from numpy.testing import assert_allclose
 
 import coiso
 from coiso import (
+    BOUNDARY_FAMILIES,
     MaslovSection,
     canonical_section,
     cylinder,
@@ -30,7 +31,7 @@ from coiso import (
     transverse_curvature_sff,
     winding,
 )
-from coiso.cli import BOUNDARY_FAMILIES, run
+from coiso.cli import run
 
 
 def _ok(label):
@@ -148,7 +149,6 @@ def test_05_two_route_disc_index():
 
 def test_06_flat_homotopy_invariance():
     y = hyperplane(2)
-    grading = coiso.canonical_grading()
     rng = coiso.rng(606)
     for pair in range(10):
         r = rng.uniform(0.2, 1.0, size=4)
@@ -162,8 +162,8 @@ def test_06_flat_homotopy_invariance():
                              _r[2] * np.cos(thetas) + 0.1 * np.cos(2 * thetas),
                              _r[3] * np.sin(thetas), _r[0] * np.sin(thetas)], axis=-1)
 
-        i1 = coiso.disc_boundary_index(y, w1, grading, samples=128)
-        i2 = coiso.disc_boundary_index(y, w2, grading, samples=128)
+        i1 = coiso.disc_index_detail(y, w1, samples=128)["index"]
+        i2 = coiso.disc_index_detail(y, w2, samples=128)["index"]
         assert i1 == i2, pair
     _ok("6 flat homotopy invariance (10 homotopic pairs, equal indices)")
 

@@ -14,7 +14,6 @@ import pytest
 import coiso
 from coiso import DEFAULT, is_leafwise_special, leafwise_mean_curvature, point_geometry
 from coiso.cli import (
-    BOUNDARY_FAMILIES,
     REPORT_SCHEMA,
     SCHEMA,
     Report,
@@ -143,6 +142,22 @@ def test_run_schema_violation_exit_two(tmp_path):
     ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"phase_jump": "wide"}}),
     ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"phase_jump": None}}),
     ("grassmannian-dim", {"n": 2, "k": 1, "tolerances": {"max_loop_samples": 1.5}}),
+    # every key a builder reads is typed, and an unknown key is refused
+    ("disc-index", {"fixture": "sphere", "loop": "hopf", "loop_params": {"power": "x"}}),
+    ("disc-index", {"fixture": "hyperplane", "loop": "planar-circle",
+                    "fixture_params": {"level": "x"}}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "random-unitary-orbit",
+                      "family_params": {"wiggle": "x"}}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "random-unitary-orbit",
+                      "family_params": {"seed": "x"}}),
+    ("disc-index", {"fixture": "sphere", "loop": "hopf", "loop_params": {"power": 1.5}}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "constant", "family_params": {"seed": 1.5}}),
+    ("disc-index", {"fixture": "sphere", "loop": "hopf", "loop_params": {"powr": 3}}),
+    ("hypersurface-report", {"fixture": "sphere", "fixture_params": {"radius": 3}}),
+    # a seed keys a SeedSequence, which refuses negative entropy
+    ("grassmannian-dim", {"n": 2, "k": 1, "points": 1, "seed": -1}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "random-unitary-orbit",
+                      "family_params": {"seed": -1}}),
 ])
 def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
     path = tmp_path / "bad.json"
@@ -331,6 +346,15 @@ def test_seed_override_changes_report():
     a = run(spec).to_json()
     b = run(spec, seed_override=2).to_json()
     assert a != b
+
+
+def test_negative_seed_override_exit_two(tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "grassmannian-dim",
+                                "parameters": {"n": 2, "k": 1, "points": 1}}))
+    assert main(["run", str(path), "--seed", "-1"]) == 2
+    assert "seed -1 is negative" in capsys.readouterr().err
+    assert main(["run", str(path), "--seed", "1"]) == 0
 
 
 def test_directly_built_report_serializes_its_tolerances():

@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 
 import coiso
 from coiso import (
+    BOUNDARY_FAMILIES,
     ClassificationError,
     DiscontinuousLoopError,
     Subspace,
@@ -24,7 +25,6 @@ from coiso import (
     tangent_boundary_loop,
     unitary_matrix_loop,
 )
-from coiso.cli import BOUNDARY_FAMILIES
 
 
 def diagonals(*entries):

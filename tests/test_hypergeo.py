@@ -463,7 +463,7 @@ def test_fd_convergence_order():
 
 def test_polynomial_fixture_matches_hyperplane():
     terms = [{"exponents": [1, 0, 0, 0], "coeff": 1.0}]
-    y = from_polynomial(2, terms, strict=True)
+    y = from_polynomial(2, terms)
     blocks = point_geometry(y, P_AXIS).blocks
     assert np.max(np.abs(blocks.full)) < 1e-12
     lv = levi_form(point_geometry(y, P_AXIS))
@@ -686,13 +686,13 @@ def half_space():
                                 name="half-space")
 
 
-def replayed_sample_points(y, count, gen, offset=0.5):
+def replayed_sample_points(y, count, gen):
     """Reference: one attempt after another, each projected on its own;
     returns the points and the number of attempts."""
     pts, attempts = [], 0
     while len(pts) < count:
         attempts += 1
-        x0 = gen.normal(size=y.dim) * offset
+        x0 = gen.normal(size=y.dim) * coiso.hypergeo.SAMPLE_OFFSET
         try:
             x = y.project(x0 + gen.normal(size=y.dim))
         except UnnormalizedDefiningFunctionError:

@@ -9,10 +9,11 @@ from numpy.testing import assert_allclose
 import coiso
 from coiso import (
     AliasingError,
+    BOUNDARY_FAMILIES,
     MaslovSection,
-    canonical_grading,
     canonical_section,
     constant_family,
+    disc_index_detail,
     lagrangian_rotation_family,
     loop_from_family,
     maslov_index,
@@ -21,7 +22,6 @@ from coiso import (
     unitary_matrix_loop,
     winding,
 )
-from coiso.cli import BOUNDARY_FAMILIES
 from reference_transport import reference_transport
 
 
@@ -338,9 +338,10 @@ def test_grading_equivariance():
     # the change of member 0's frame) has every determinant phase times
     # det V, so a grading read against its canonical section reads
     # det(V)^{-2} times as much, and the index does not move; a diagonal
-    # loop has trivial H holonomy, so the graded section closes
+    # loop has trivial H holonomy, so the canonical grading's section, the
+    # constant charge 1 times the loop's gauge, closes
     loop = loop_from_family(2, coiso.diag_unitary_family(3, 2, [1, -1, 0.5]), samples=64)
-    charge = canonical_grading().section_along(np.zeros((loop.m, 6)), loop)
+    charge = MaslovSection(thetas=loop.thetas, samples=loop.section_gauge())
     sec = MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
     for trial in range(20):
         moved = _reframe_kernel(loop, 900 + trial)
@@ -353,11 +354,15 @@ def test_grading_equivariance():
 
 
 def test_constant_grading_section_is_gauge_only():
-    loop = loop_from_family(1, constant_family(2, 1), samples=16)
-    grading = canonical_grading()
-    pts = np.zeros((16, 4))
-    sec = grading.section_along(pts, loop)
-    assert_allclose(sec.samples, np.ones(16), atol=1e-12)
+    # a constant charge's section is its phase times the loop's gauge, on a
+    # latitude whose H holonomy makes that gauge a non-trivial ramp
+    boundary = BOUNDARY_FAMILIES["latitude"]({"alpha": 1.25, "p": 1, "q": 0})
+    for charge, unit in ((None, 1.0),
+                         (lambda p: np.full(len(p), 2.0 * np.exp(0.7j)), np.exp(0.7j))):
+        detail = disc_index_detail(coiso.sphere(2), boundary, charge, samples=64)
+        gauge = detail["loop"].section_gauge()
+        assert np.max(np.abs(np.angle(gauge))) > 0.1
+        assert_allclose(detail["section"].samples, unit * gauge, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -409,19 +414,20 @@ def test_per_angle_boundary_charge_and_section_are_refused_with_the_shapes():
     with pytest.raises(ValueError, match=r"expected a stack of shape \(2, 4\), "
                                          r"got shape \(4,\)"):
         tangent_boundary_loop(y, lambda theta: np.array([1.0, 0.0, 0.0, 0.0]), samples=16)
-    loop, points = tangent_boundary_loop(y, BOUNDARY_FAMILIES["hopf"]({}), samples=16)
+    hopf = BOUNDARY_FAMILIES["hopf"]({})
+    loop = tangent_boundary_loop(y, hopf, samples=16)[0]
     m = loop.m
     for charge, got in ((lambda p: 1.0 + 0j, r"\(\)"),
                         (lambda p: np.ones(len(p) - 1), rf"\({m - 1},\)")):
         with pytest.raises(ValueError, match=rf"expected a stack of shape \({m},\), "
                                              rf"got shape {got}$"):
-            coiso.Grading(charge=charge).section_along(points, loop)
+            disc_index_detail(y, hopf, charge, samples=16)
     with pytest.raises(ValueError, match=rf"expected a stack of shape \({m},\), "
                                          r"got shape \(\)$"):
         MaslovSection.from_function(loop.thetas, lambda t: 1.0 + 0j)
     # the vanishing check covers every point at once
     with pytest.raises(coiso.FrameDegeneracyError, match="grading charge vanished"):
-        coiso.Grading(charge=lambda p: np.arange(len(p)) % 7).section_along(points, loop)
+        disc_index_detail(y, hopf, lambda p: np.arange(len(p)) % 7, samples=16)
 
 
 def _polar_pushforward_section(a, loop, out, sec):
