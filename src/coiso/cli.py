@@ -97,10 +97,15 @@ SCHEMA = {
             points={"type": "integer", "minimum": 0},
             trials={"type": "integer", "minimum": 1},
             family={"enum": list(grassmann.LOOP_FAMILIES)},
-            # every key a family, fixture or boundary builder reads, typed
+            # every key a family, fixture or boundary builder reads, typed;
+            # a random orbit winds at most 64 times per coordinate, and its
+            # wiggle scales Gaussian generators by at most 2 pi, past which
+            # the unitaries turn through whole circles
             family_params=_closed(
-                max_winding={"type": "integer", "minimum": 0}, turns=_INTEGER,
-                seed={"type": "integer", "minimum": 0}, wiggle=_NUMBER, windings={"type": "array", "items": _NUMBER}),
+                max_winding={"type": "integer", "minimum": 0, "maximum": 64}, turns=_INTEGER,
+                seed={"type": "integer", "minimum": 0},
+                wiggle={"type": "number", "minimum": 0, "maximum": 2 * pi},
+                windings={"type": "array", "items": _NUMBER}),
             fixture={"enum": list(hypergeo.FIXTURES)},
             fixture_params=_closed(
                 n={"type": "integer", "minimum": 1},

@@ -230,8 +230,9 @@ def tangent_boundary_loop(
     stack of their points; any other shape raises ValueError.  Points must
     lie on Y within the boundary tolerance.  The loop's generator takes the
     surface test and the gradient of all M points as one stack and their
-    tangent spaces from one stacked SVD of the tangent projectors, and
-    returns them unclassified; the loop classifies them in one stacked call.
+    tangent spaces from one stacked ``eigh`` of the tangent projectors (the
+    eigenvectors of eigenvalue 1), and returns them unclassified; the loop
+    classifies them in one stacked call.
     """
     def gen(thetas):
         points = np.asarray(boundary(thetas), dtype=float)
@@ -244,8 +245,7 @@ def tangent_boundary_loop(
         g = y.gradient(points)
         outer = g[:, :, None] * g[:, None, :]
         gg = g[:, None, :] @ g[:, :, None]
-        u = np.linalg.svd(np.eye(y.dim) - outer / gg)[0]
-        return Subspace(u[..., : y.dim - 1])
+        return Subspace(np.linalg.eigh(np.eye(y.dim) - outer / gg)[1][..., 1:])
 
     loop = loop_from_family(y.n - 1, gen, samples=samples, tol=tol)
     return loop, np.asarray(boundary(loop.thetas), dtype=float)
@@ -368,12 +368,13 @@ def is_leafwise_special(
 ) -> LeafwiseSpecial:
     """True iff the leafwise mean curvature one-form vanishes on all sample
     points, read from its norm at each point (``MeanCurvature.alpha_norm``,
-    in the order of ``points``); the witness is the maximizing point."""
-    worst = -1.0
-    arg = None
-    for p, alpha_norm in zip(np.asarray(points, dtype=float), alpha_norms, strict=True):
-        if alpha_norm > worst:
-            worst = alpha_norm
-            arg = p
-    return LeafwiseSpecial(result=worst < tol.leafwise_special,
-                           max_alpha=worst, witness=arg)
+    in the order of ``points``); the witness is the first maximizing point.
+    No point, or a norm count other than the point count, raises
+    ValueError."""
+    points = np.asarray(points, dtype=float)
+    norms = np.asarray(alpha_norms, dtype=float)
+    if norms.shape != points.shape[:1]:
+        raise ValueError(f"{len(norms)} norms for {len(points)} points")
+    i = int(np.argmax(norms))
+    return LeafwiseSpecial(result=bool(norms[i] < tol.leafwise_special),
+                           max_alpha=float(norms[i]), witness=points[i])

@@ -308,14 +308,18 @@ def symplectic_complement(c: Subspace, tol: Tolerances = DEFAULT) -> Subspace:
     """{v : omega(v, c) = 0 for all c in C}, of dimension 2n - dim C; for a
     stack, the stack of the members' complements.
 
-    Computed as the null space of the m x 2n pairing matrix via SVD with
-    singular value cutoff ``tol.svd_cutoff``.
+    With B = ``c.basis`` orthonormal, C^omega = j C^perp, and C^perp is
+    spanned by the eigenvectors of the projector I - B B' whose eigenvalue
+    is 1: one stacked ``eigh``.  The same eigenvalues give the singular
+    values of the m x 2n pairing matrix B' omega, sqrt(1 - lambda) over the
+    m smallest lambda, which are checked against the cutoff
+    ``tol.svd_cutoff`` and the gap ``tol.svd_gap``.
     """
     batch, dim = c.basis.shape[:-2], c.basis.shape[-2]
     if c.dim == 0:
         return Subspace(np.broadcast_to(np.eye(dim), batch + (dim, dim)))
-    pairing = _t(c.basis) @ _standard_omega(dim // 2)
-    _, s, vh = np.linalg.svd(pairing)
+    lam, vecs = np.linalg.eigh(_identity(dim) - c.basis @ _t(c.basis))
+    s = np.sqrt(np.maximum(1.0 - lam[..., :c.dim], 0.0))
     band = (s > tol.svd_cutoff) & (s < tol.svd_gap * s[..., :1])
     if band.any():
         where = tuple(int(i) for i in np.argwhere(band)[0][:-1])
@@ -329,7 +333,7 @@ def symplectic_complement(c: Subspace, tol: Tolerances = DEFAULT) -> Subspace:
     if ranks.min() != rank:
         raise DegenerateInputError(
             f"members of the stack differ in rank: {ranks.min()} to {rank}")
-    return Subspace(_canonical_signs(_t(vh[..., rank:, :])))
+    return Subspace(_canonical_signs(_standard_j(dim // 2) @ vecs[..., rank:]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -391,9 +395,11 @@ def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicS
     if k == 0:
         h_part = Subspace(np.zeros(c.basis.shape[:-1] + (0,)))
     else:
-        proj = c.basis - kernel.basis @ (_t(kernel.basis) @ c.basis)
-        u = np.linalg.svd(proj, full_matrices=False)[0]
-        h_part = Subspace(_canonical_signs(u[..., : 2 * k]))
+        # in C's basis the kernel is x, and the projector onto its
+        # complement I - x x' has eigenvalue 1 on exactly 2k directions
+        x = _t(c.basis) @ kernel.basis
+        vecs = np.linalg.eigh(_identity(c.dim) - x @ _t(x))[1]
+        h_part = Subspace(_canonical_signs(c.basis @ vecs[..., c.dim - 2 * k:]))
         jh = _standard_j(n) @ h_part.basis
         resid = jh - h_part.project(jh)
         resid_norms = np.linalg.norm(resid, axis=-2)
@@ -481,14 +487,22 @@ def _check_frames(c: CoisotropicSubspace, frames: AdaptedFrame, tol: Tolerances)
 
 def _gauge_bases(c: CoisotropicSubspace) -> tuple[np.ndarray, np.ndarray]:
     """The gauge bases of the members of ``c``: unitary bases of the
-    j-invariant parts viewed as C^k (the first k left singular vectors of
-    their complex coordinates) and the kernel bases."""
-    return np.linalg.svd(complex_coords(c.h_part.basis))[0][..., :c.k], c.kernel.basis
+    j-invariant parts viewed as C^k and the kernel bases.
+
+    The H part is the Hermitian complement of the kernel's complex span, so
+    its basis is the top k eigenvectors of I - K K^*, K the kernel in
+    complex coordinates: one stacked ``eigh``.  At k = n that matrix is
+    exactly I, and the basis is the standard one."""
+    n = c.kernel.basis.shape[-2] // 2
+    kc = complex_coords(c.kernel.basis)
+    vecs = np.linalg.eigh(_identity(n) - kc @ np.conj(_t(kc)))[1]
+    return vecs[..., n - c.k:], c.kernel.basis
 
 
 def adapted_frame(c: CoisotropicSubspace, tol: Tolerances = DEFAULT) -> AdaptedFrame:
     """An adapted unitary Darboux frame for a single coisotropic subspace C:
-    the kernel basis of C and an SVD basis of H_C with canonical phases."""
+    the kernel basis of C and the gauge basis of H_C (see
+    :func:`_gauge_bases`) with canonical phases."""
     k, n = c.k, c.space.basis.shape[-2] // 2
     h, kernel = _gauge_bases(c)
     e = np.concatenate([real_coords(_canonical_phases(h)), kernel], axis=-1)
@@ -515,8 +529,9 @@ def transport_phases(
     :func:`adapted_frame`); every later member projects the frame before it
     onto its spans and orthonormalizes the projection by Gram-Schmidt in
     column order, qf, the Q of a QR whose R diagonal is real positive.  In
-    the gauge bases G_i = [h_i | K_i] (unitary SVD bases h_i of the H parts
-    as C^k, the kernel bases K_i as complex vectors) frame i is
+    the gauge bases G_i = [h_i | K_i] (unitary bases h_i of the H parts as
+    C^k, from the projector eighs of :func:`_gauge_bases`, the kernel bases
+    K_i as complex vectors) frame i is
     U_i = G_i B_i, with B_0 = I and B_i = qf(O_i B_{i-1}) for the overlap
     O_i = diag(h_i^* h_{i-1}, K_i' K_{i-1}).  Since
     det qf(A) = det A / prod R_jj with every R_jj > 0,

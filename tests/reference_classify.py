@@ -1,0 +1,30 @@
+"""The symplectic complement and the H part of a subspace by stacked SVDs:
+the oracle that ``symplin.symplectic_complement`` and the H part of
+``symplin.classify_coisotropic`` are checked against."""
+
+import numpy as np
+
+import coiso
+from coiso.symplin import _standard_omega
+
+
+def _t(a):
+    return np.swapaxes(a, -1, -2)
+
+
+def reference_complement(basis, tol=coiso.DEFAULT):
+    """The null space of the m x 2n pairing matrix B' omega of each member
+    of a (..., 2n, m) stack of orthonormal bases B: the right singular
+    vectors past the rank, counted against ``tol.svd_cutoff``."""
+    _, s, vh = np.linalg.svd(_t(basis) @ _standard_omega(basis.shape[-2] // 2))
+    ranks = np.sum(s > tol.svd_cutoff, axis=-1)
+    assert np.all(ranks == ranks.max())
+    return _t(vh[..., int(ranks.max()):, :])
+
+
+def reference_h_part(basis, kernel, k):
+    """The g-orthogonal complement of the kernel inside the span of the
+    basis: the first 2k left singular vectors of the basis with the kernel
+    projected out."""
+    proj = basis - kernel @ (_t(kernel) @ basis)
+    return np.linalg.svd(proj, full_matrices=False)[0][..., :2 * k]

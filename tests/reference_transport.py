@@ -13,11 +13,14 @@ def reference_transport(c, tol=coiso.DEFAULT, start=None):
 
     Member 0's frame is ``start`` when given, a real (2n, n) adapted frame of
     member 0 (k H columns, then the kernel columns), else the kernel basis
-    and the SVD basis of the H part with canonical phases; every later member projects the previous frame
-    onto its kernel and H part.  A projection is orthonormalized by two-pass
-    modified Gram-Schmidt in column order.  Returns the (M, 2n, n) frame
-    stack and, per member, the product of its projected column norms (1 for
-    member 0).
+    and the library's gauge basis of the H part with canonical phases: for
+    k >= 2 the start fixes the det stream only up to a constant unit, so it
+    is the library's.  Every later member projects the previous frame onto
+    its kernel and onto its H part, the H projector read from ``h_part``
+    alone as Z Z^* / 2, Z the complex coordinates of its real orthonormal
+    basis.  A projection is orthonormalized by two-pass modified
+    Gram-Schmidt in column order.  Returns the (M, 2n, n) frame stack and,
+    per member, the product of its projected column norms (1 for member 0).
     """
     k, n = c.k, c.space.basis.shape[-2] // 2
     sizes = np.ones(len(c.space.basis))
@@ -35,18 +38,19 @@ def reference_transport(c, tol=coiso.DEFAULT, start=None):
             q[:, col] = v / norm
         return q
 
-    hbases = np.linalg.svd(coiso.complex_coords(c.h_part.basis))[0][..., :k]
     e = np.empty(c.kernel.basis.shape[:-1] + (n,))
     prev = None
-    for i, (ker, hb) in enumerate(zip(c.kernel.basis, hbases)):
+    for i, (ker, hb) in enumerate(zip(c.kernel.basis, c.h_part.basis)):
         if prev is None and start is not None:
             e[i] = start
         elif prev is None:
+            gauge = coiso.symplin._gauge_bases(c[i])[0]
             e[i, :, k:] = ker
-            e[i, :, :k] = coiso.real_coords(coiso.symplin._canonical_phases(hb))
+            e[i, :, :k] = coiso.real_coords(coiso.symplin._canonical_phases(gauge))
         else:
             e[i, :, k:] = mgs(ker @ (ker.T @ prev[:, k:]), i)
-            pr = hb @ (np.conj(hb.T) @ coiso.complex_coords(prev[:, :k]))
+            z = coiso.complex_coords(hb)
+            pr = z @ (np.conj(z.T) @ coiso.complex_coords(prev[:, :k])) / 2
             e[i, :, :k] = coiso.real_coords(mgs(pr, i))
         prev = e[i]
     return e, sizes

@@ -165,6 +165,23 @@ def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
     assert main(["run", str(path)]) == 2
 
 
+@pytest.mark.parametrize("family_params", [
+    {"wiggle": 1e300}, {"wiggle": 6.3}, {"wiggle": -0.1}, {"max_winding": 65},
+    {"max_winding": 10 ** 30}])
+def test_out_of_range_family_params_exit_two(tmp_path, capsys, family_params):
+    # a wiggle of 1e300 used to reach the library and exit 3 with
+    # DiscontinuousLoopError; the range ends are runnable
+    path = tmp_path / "spec.json"
+    spec = {"kind": "maslov-index", "parameters": {
+        "n": 2, "k": 1, "family": "random-unitary-orbit", "family_params": family_params}}
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+    spec["parameters"]["family_params"] = {"wiggle": 2 * np.pi, "max_winding": 64}
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path), "--out", str(tmp_path / "report.json")]) in (0, 1)
+
+
 REMOVED_TOLERANCES = ["kernel_pairing", "loop_closure", "equivariance", "unit_gradient",
                       "unit_modulus", "fd_step"]
 

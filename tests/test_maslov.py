@@ -484,3 +484,18 @@ def test_pushforward_section_equals_the_per_sample_computation(case):
         a = coiso.SymplecticMatrixLoop.from_callable(n, a.generator, out.m)
     reference = _polar_pushforward_section(a, loop, out, sec)
     assert_allclose(moved.samples, reference, rtol=0, atol=1e-12)
+
+
+def test_leafwise_special_witness_is_the_first_maximizer():
+    # tied largest norms: the witness is the first of them, as a scan that
+    # keeps a strictly larger norm finds it
+    points = np.arange(12.0).reshape(4, 3)
+    for norms, result in (([0.5, 2.0, 2.0, 1.0], False), ([1e-7, 3e-7, 3e-7, 0.0], True)):
+        special = coiso.is_leafwise_special(points, norms)
+        assert special.result is result
+        assert special.max_alpha == norms[1]
+        assert np.array_equal(special.witness, points[1])
+    with pytest.raises(ValueError, match="3 norms for 4 points"):
+        coiso.is_leafwise_special(points, [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError):
+        coiso.is_leafwise_special(points[:0], [])

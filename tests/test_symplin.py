@@ -3,6 +3,7 @@
 import dataclasses
 import sys
 import warnings
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from coiso import (
     symplectic_complement,
 )
 from coiso.symplin import _standard_j, _standard_omega
+from reference_classify import reference_complement, reference_h_part
 from reference_transport import reference_transport
 
 
@@ -326,6 +328,59 @@ def test_classify_stack_members_match_single_calls():
         assert np.array_equal(stack[i].h_part.basis, single.h_part.basis)
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 5),
+       st.integers(0, 2 ** 32 - 1))
+def test_classification_matches_the_svd_reference(n, k, count, seed):
+    # the projector eighs of the library against the SVDs of the reference:
+    # the same kernel and H part spans, a unitary gauge basis spanning the
+    # H projector Z Z^* / 2 of the H part, and a stack (count >= 1) whose
+    # members are the single calls bit for bit; count 0 is a single subspace
+    k %= n + 1
+    g = coiso.rng(seed)
+    bases = [random_coisotropic(n, k, g).space.basis for _ in range(max(count, 1))]
+    space = Subspace(np.stack(bases) if count else bases[0])
+    out = classify_coisotropic(space)
+    kernel = reference_complement(space.basis)
+    h_part = reference_h_part(space.basis, kernel, k)
+    for got, want in ((out.kernel, kernel), (out.h_part, h_part)):
+        assert np.max(coiso.largest_principal_angles(got, Subspace(want))) <= 1e-12
+    gauge = coiso.symplin._gauge_bases(out)[0]
+    gauge_h, z = np.conj(np.swapaxes(gauge, -1, -2)), coiso.complex_coords(out.h_part.basis)
+    assert np.max(np.abs(gauge_h @ gauge - np.eye(k)), initial=0.0) <= 1e-13
+    assert np.max(np.abs(gauge @ gauge_h - z @ np.conj(np.swapaxes(z, -1, -2)) / 2)) <= 1e-12
+    for i in range(count):
+        single = classify_coisotropic(Subspace(bases[i]))
+        assert np.array_equal(out[i].kernel.basis, single.kernel.basis)
+        assert np.array_equal(out[i].h_part.basis, single.h_part.basis)
+        assert np.array_equal(gauge[i], coiso.symplin._gauge_bases(single)[0])
+
+
+def _unchecked_stack(basis):
+    """A stack built around the orthonormality check of ``Subspace``, as
+    ``Subspace.__getitem__`` builds its members."""
+    sub = object.__new__(Subspace)
+    object.__setattr__(sub, "basis", basis)
+    return sub
+
+
+def test_complement_refuses_a_member_near_the_rank_cutoff():
+    # member 2 of a stack of standard models (n = 2, k = 1) has one column
+    # shrunk to 1e-5: its pairing's singular values 1 and 1e-5 straddle
+    # the cutoff, and the error names it
+    stack = np.repeat(standard_model(2, 1).space.basis[None], 4, axis=0)
+    stack[2, :, 1] *= 1e-5
+    with pytest.raises(coiso.DegenerateInputError, match=(
+            r"^singular values straddle the rank cutoff: \[1\.0*\d*e-05\] against largest "
+            r"1\.000e\+00 \(stack member 2\)$")):
+        symplectic_complement(_unchecked_stack(stack))
+    # a zero column drops the member's rank to 2 against the others' 3
+    stack[2, :, 1] = 0.0
+    with pytest.raises(coiso.DegenerateInputError, match=(
+            r"^members of the stack differ in rank: 2 to 3$")):
+        symplectic_complement(_unchecked_stack(stack))
+
+
 def _frame_stack(seed=12, m=9):
     """A classified stack of m random coisotropic subspaces and the stack of
     their adapted frames."""
@@ -407,10 +462,9 @@ def test_transported_frames_follow_their_hints(n, k, seed, winding, wiggle, m):
         assert _outcome(lambda: route(loop)) == _outcome(lambda: route(reference))
 
 
-def _loop_calls(m, monkeypatch):
-    """Calls to the orthonormalization ``_mgs`` and to ``np.linalg.svd``, and
-    all Python and C function calls, made while a loop of M samples is
-    built.  The generator builds its members without ``_mgs``."""
+def _orbit_loop(m):
+    """A (3, 1) loop of diagonal windings, whose generator builds its
+    members without ``_mgs``."""
     base = standard_model(3, 1).space.basis
     windings = np.array([1.0, -2.0, 1.5])
 
@@ -418,24 +472,39 @@ def _loop_calls(m, monkeypatch):
         return Subspace(realify(np.exp(1j * windings * thetas[:, None])[..., None]
                                 * np.eye(3)) @ base)
 
-    counts = {"mgs": 0, "svd": 0, "calls": 0}
+    return coiso.loop_from_family(1, gen, samples=m)
+
+
+def _tangent_loop(m):
+    """The tangent loop of the unit sphere of C^2 along a (2, 1) latitude."""
+    boundary = coiso.BOUNDARY_FAMILIES["latitude"]({"alpha": 0.9, "p": 2, "q": 1})
+    return coiso.tangent_boundary_loop(coiso.sphere(2), boundary, samples=m)[0]
+
+
+def _loop_calls(build, m, monkeypatch):
+    """Calls to the orthonormalization ``_mgs``, the callers of
+    ``np.linalg.svd`` with their call counts, and all Python and C function
+    calls, made while ``build`` builds a loop of M samples."""
+    counts = {"mgs": 0, "svd": Counter(), "calls": 0}
     mgs, svd = coiso.symplin._mgs, np.linalg.svd
 
-    def counted(fn, name):
-        def wrapper(*args, **kwargs):
-            counts[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
+    def counted_mgs(*args, **kwargs):
+        counts["mgs"] += 1
+        return mgs(*args, **kwargs)
+
+    def counted_svd(*args, **kwargs):
+        counts["svd"][sys._getframe(1).f_code.co_name] += 1
+        return svd(*args, **kwargs)
 
     def profile(frame, event, arg):
         counts["calls"] += event in ("call", "c_call")
 
     with monkeypatch.context() as patch:
-        patch.setattr(coiso.symplin, "_mgs", counted(mgs, "mgs"))
-        patch.setattr(np.linalg, "svd", counted(svd, "svd"))
+        patch.setattr(coiso.symplin, "_mgs", counted_mgs)
+        patch.setattr(np.linalg, "svd", counted_svd)
         sys.setprofile(profile)
         try:
-            loop = coiso.loop_from_family(1, gen, samples=m)
+            loop = build(m)
         finally:
             sys.setprofile(None)
     assert loop.m == m
@@ -445,11 +514,15 @@ def _loop_calls(m, monkeypatch):
 def test_transport_takes_no_step_per_sample(monkeypatch):
     # building a loop orthonormalizes nothing, and takes as many SVDs and
     # function calls at M = 1024 as at M = 256, where one Python step per
-    # sample makes several calls per sample
-    few, many = (_loop_calls(m, monkeypatch) for m in (256, 1024))
-    assert few["mgs"] == many["mgs"] == 0
-    assert 0 < few["svd"] == many["svd"]
-    assert many["calls"] - few["calls"] <= 100
+    # sample makes several calls per sample; only the principal angles of
+    # the closure and continuity checks take an SVD, as classification,
+    # gauges and tangent spaces take projector eighs
+    for build in (_orbit_loop, _tangent_loop):
+        few, many = (_loop_calls(build, m, monkeypatch) for m in (256, 1024))
+        assert few["mgs"] == many["mgs"] == 0
+        assert few["svd"] == many["svd"]
+        assert set(few["svd"]) == {"principal_angles", "largest_principal_angles"}
+        assert many["calls"] - few["calls"] <= 100
 
 
 def test_transport_names_the_member_whose_hint_projects_short():
