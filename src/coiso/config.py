@@ -48,7 +48,8 @@ class Tolerances:
         return dataclasses.replace(self, **kwargs)
 
     def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
+        """The fields in declaration order, not deep-copied: each is a scalar."""
+        return {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
 
 
 DEFAULT = Tolerances()

@@ -18,9 +18,11 @@ stack.  The M members are classified by one stacked call into a
 ``CoisotropicSubspace`` of shape (M, 2n, n+k), the continuity contract
 reads one stacked largest principal angle per consecutive pair, and the
 transport takes one stacked determinant per block, with no Python step per
-sample.  A doubled grid (refinement, or ``resample(2 * M)``) reuses its
-even members, which are bitwise the members of the grid it doubles: only
-its odd members are generated and classified.
+sample.  Each grid is built once: the generator's members at 0 and 2*pi
+are compared for closure, not classified; a doubled grid (refinement, or
+``resample(2 * M)``) reuses its even members, bitwise those of the grid it
+doubles, and generates and classifies only its odd members; ``resample``
+keeps the loop's closure defect.
 """
 
 from __future__ import annotations
@@ -49,7 +51,9 @@ from .symplin import (
     standard_model,
     transport_phases,
     _check_complex_dim,
+    _rank_parameter,
     _standard_omega,
+    _unchecked,
 )
 
 __all__ = [
@@ -92,11 +96,12 @@ def _check_grid_shape(got: tuple, want: tuple) -> None:
 def _members(generator, thetas: np.ndarray, dim: Optional[int] = None) -> Subspace:
     """The generator's stack on ``thetas``, C-contiguous as a stack built
     member by member would be.  Its members have ``dim`` = 2n rows when
-    ``dim`` is given, else as many as the trailing axes returned show."""
+    ``dim`` is given, else as many as the trailing axes returned show.  The
+    generator's ``Subspace`` was checked, so the copy is not."""
     value = _as_subspace(generator(thetas))
     rows = value.basis.shape[-2] if dim is None else dim
     _check_grid_shape(value.basis.shape, (len(thetas), rows, value.dim))
-    return Subspace(np.ascontiguousarray(value.basis))
+    return _unchecked(np.ascontiguousarray(value.basis))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -153,10 +158,12 @@ class CoisotropicLoop:
         return np.exp(-1j * phi * np.arange(self.m) / self.m)
 
     def resample(self, m: int, tol: Tolerances = DEFAULT) -> "CoisotropicLoop":
-        """The loop on the grid of ``m`` samples, never refined.  On the doubled
-        grid only the new (odd) members are generated and classified."""
+        """The loop on the grid of ``m`` samples, never refined but held to
+        the continuity contract, with the loop's closure defect; on the
+        doubled grid only the new (odd) members are generated and classified."""
         coarse = self.samples if m == 2 * self.m else None
-        return _sampled_loop(self.k, self.generator, m, False, coarse, tol)
+        return _sampled_loop(self.k, self.generator, m, False, coarse, self.closure_defect,
+                             2 * self.n, tol)
 
 
 def loop_from_family(
@@ -173,7 +180,9 @@ def loop_from_family(
     (M, 2n, m) whose member i depends on theta_i alone; any other shape
     raises ValueError.  It must close: its members at 0 and 2*pi, taken
     from one call, agree within ``tol.generator_closure``; that call fixes
-    the 2n of every later grid.  Refinement doubles the sample count up to
+    the 2n of every later grid and, through their dimension, the rank
+    parameter, which must be ``k``.  Those two members are not classified;
+    grid member 0 is.  Refinement doubles the sample count up to
     ``tol.max_loop_samples`` and then raises DiscontinuousLoopError; an
     angle within ``config.TIE_ULPS`` ulps below ``tol.consecutive_angle``
     counts as at it and refines, so that an exact tie does not hang on the
@@ -182,34 +191,43 @@ def loop_from_family(
     call per M; a doubled grid generates and classifies only its odd
     members.
     """
-    return _sampled_loop(k, generator, samples, True, None, tol)
+    closure, dim = _closure(k, generator, tol)
+    return _sampled_loop(k, generator, samples, True, None, closure, dim, tol)
 
 
-def _sampled_loop(k, generator, m: int, refine: bool,
-                  coarse: Optional[CoisotropicSubspace], tol) -> CoisotropicLoop:
-    """``loop_from_family`` starting on the M-grid, refining only when
-    ``refine``; ``coarse``, when given, is the classified stack of the M/2
-    grid (see ``_classified_grid``)."""
-    ends = classify_coisotropic(_members(generator, np.array([0.0, 2 * pi])), tol)
-    dim = ends.space.basis.shape[-2]
-    if ends.dim:
-        closure = float(np.max(principal_angles(ends.space[0], ends.space[1])))
-    else:
-        closure = 0.0
+def _closure(k, generator, tol) -> tuple[float, int]:
+    """The generator's closure defect and the 2n rows of its members, from
+    one call at 0 and 2*pi.  Raises ClassificationError when their
+    dimension is below n, then DiscontinuousLoopError when they do not
+    close, then ClassificationError when their rank parameter is not
+    ``k``."""
+    ends = _members(generator, np.array([0.0, 2 * pi]))
+    rank = _rank_parameter(ends)
+    closure = float(np.max(principal_angles(ends[0], ends[1]), initial=0.0))
     if closure > tol.generator_closure:
         raise DiscontinuousLoopError(
             f"generator does not close: defect {closure:.3e}"
         )
-    if ends.k != k:
+    if rank != k:
         raise ClassificationError(
-            f"generator produced rank parameter {ends.k}, expected {k}"
+            f"generator produced rank parameter {rank}, expected {k}"
         )
+    return closure, ends.basis.shape[-2]
 
+
+def _sampled_loop(k, generator, m: int, refine: bool,
+                  coarse: Optional[CoisotropicSubspace], closure: float, dim: int,
+                  tol) -> CoisotropicLoop:
+    """The loop of the generator's members on the M-grid, each with ``dim``
+    = 2n rows, refining until the continuity contract holds only when
+    ``refine``.  ``closure`` is the generator's closure defect, and
+    ``coarse``, when given, the classified stack of the M/2 grid (see
+    ``_classified_grid``)."""
     stack = _classified_grid(generator, m, dim, coarse, tol)
     while True:
         # largest principal angle from each member to the next, the last to the first
         worst = float(np.max(largest_principal_angles(
-            stack.space, Subspace(np.roll(stack.space.basis, -1, axis=0)))))
+            stack.space, stack.space[(np.arange(m) + 1) % m])))
         if worst < tol.consecutive_angle and not within_tie(worst, tol.consecutive_angle):
             break
         if not refine or 2 * m > tol.max_loop_samples:
@@ -253,7 +271,7 @@ def _interleaved(even: Subspace, odd: Subspace) -> Subspace:
     ``odd``, laid out in memory as ``even`` is."""
     out = np.empty_like(even.basis, shape=(2 * len(even.basis),) + even.basis.shape[1:])
     out[0::2], out[1::2] = even.basis, odd.basis
-    return Subspace(out)
+    return _unchecked(out)
 
 
 def _closed_loop(k, thetas, stack: CoisotropicSubspace, closure,

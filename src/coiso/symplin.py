@@ -227,9 +227,7 @@ class Subspace:
         b = self.basis[index]
         if b.ndim < 2 or b.shape[-2:] != self.basis.shape[-2:]:
             raise IndexError("only the stack axes of a subspace can be indexed")
-        sub = object.__new__(Subspace)
-        object.__setattr__(sub, "basis", b)
-        return sub
+        return _unchecked(b)
 
     def __iter__(self):
         return _stack_members(self, self.basis)
@@ -244,6 +242,15 @@ class Subspace:
 
     def project(self, v: np.ndarray) -> np.ndarray:
         return self.basis @ (_t(self.basis) @ v)
+
+
+def _unchecked(basis: np.ndarray) -> Subspace:
+    """The ``Subspace`` of a float basis taken or copied from checked stacks
+    (members, reorderings, interleavings), built without checking its
+    orthonormality again."""
+    sub = object.__new__(Subspace)
+    object.__setattr__(sub, "basis", basis)
+    return sub
 
 
 def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
@@ -341,9 +348,11 @@ class CoisotropicSubspace:
     """A certified coisotropic subspace C = H_C + kernel of dimension n + k.
 
     ``kernel`` is the symplectic complement C^omega (dimension n - k) and
-    ``h_part`` the j-invariant g-orthogonal complement of the kernel inside
-    C (dimension 2k).  All three may be stacks of equal shape, one member
-    per subspace of a sampled loop.
+    ``h_part`` the j-invariant g-orthogonal complement H_C of the kernel
+    inside C (dimension 2k), held as [h | j h]: its first k columns are a
+    unitary basis h of H_C as C^k, the gauge basis that frames are built
+    from.  All three may be stacks of equal shape, one member per subspace
+    of a sampled loop.
     """
 
     space: Subspace
@@ -364,6 +373,34 @@ class CoisotropicSubspace:
         return self.space.dim
 
 
+def _rank_parameter(c: Subspace) -> int:
+    """k = dim C - n, the rank parameter C has if coisotropic; raises
+    ClassificationError when dim C < n, which no coisotropic C has."""
+    n = c.basis.shape[-2] // 2
+    if c.dim < n:
+        raise ClassificationError(
+            f"dimension {c.dim} < n = {n}: coisotropic subspaces need dim >= n"
+        )
+    return c.dim - n
+
+
+def _check_inside(v: np.ndarray, c: Subspace, what: str, tol: Tolerances) -> None:
+    """Raise ClassificationError unless every column of every member of the
+    stack ``v`` lies in the matching member of ``c`` within the angle
+    ``tol.subspace_equality``; the error names the worst member and carries
+    its column, the column's residual off C and the angle as witness."""
+    resid = v - c.project(v)
+    resid_norms = np.linalg.norm(resid, axis=-2)
+    if resid_norms.max() > tol.subspace_equality:
+        worst = np.unravel_index(np.argmax(resid_norms), resid_norms.shape)
+        member, col = worst[:-1], worst[-1]
+        angle = float(np.arcsin(min(1.0, resid_norms[worst])))
+        raise ClassificationError(
+            f"{what} by angle {angle:.3e}" + _member_note(member),
+            witness=(v[member][:, col], resid[member][:, col], angle),
+        )
+
+
 def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicSubspace:
     """Certify C as coisotropic, returning its canonical splitting; for a
     stack, every member at once.
@@ -371,45 +408,26 @@ def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicS
     Succeeds iff the symplectic complement of C lies inside C within the
     angle tolerance; otherwise raises ClassificationError carrying the
     violating pair of the worst member.
+
+    H_C is the realified Hermitian complement of the kernel's complex span:
+    ``h_part`` is [h | j h], h the top k eigenvectors of I - K_c K_c^* (K_c
+    the kernel in complex coordinates; exactly I at k = n), a unitary basis
+    of H_C as C^k from one stacked ``eigh``.  It is j-invariant by
+    construction and checked to lie in C as the kernel is.
     """
-    n = c.basis.shape[-2] // 2
-    if c.dim < n:
-        raise ClassificationError(
-            f"dimension {c.dim} < n = {n}: coisotropic subspaces need dim >= n"
-        )
+    k = _rank_parameter(c)
     kernel = symplectic_complement(c, tol)
     if kernel.dim:
-        resid = kernel.basis - c.project(kernel.basis)
-        resid_norms = np.linalg.norm(resid, axis=-2)
-        if resid_norms.max() > tol.subspace_equality:
-            worst = np.unravel_index(np.argmax(resid_norms), resid_norms.shape)
-            member, col = worst[:-1], worst[-1]
-            angle = float(np.arcsin(min(1.0, resid_norms[worst])))
-            raise ClassificationError(
-                f"not coisotropic: kernel direction leaves the subspace "
-                f"by angle {angle:.3e}" + _member_note(member),
-                witness=(kernel.basis[member][:, col], resid[member][:, col], angle),
-            )
-    k = c.dim - n
-    # h_part: g-orthogonal complement of the kernel inside C
+        _check_inside(kernel.basis, c, "not coisotropic: kernel direction leaves the subspace",
+                      tol)
     if k == 0:
         h_part = Subspace(np.zeros(c.basis.shape[:-1] + (0,)))
     else:
-        # in C's basis the kernel is x, and the projector onto its
-        # complement I - x x' has eigenvalue 1 on exactly 2k directions
-        x = _t(c.basis) @ kernel.basis
-        vecs = np.linalg.eigh(_identity(c.dim) - x @ _t(x))[1]
-        h_part = Subspace(_canonical_signs(c.basis @ vecs[..., c.dim - 2 * k:]))
-        jh = _standard_j(n) @ h_part.basis
-        resid = jh - h_part.project(jh)
-        resid_norms = np.linalg.norm(resid, axis=-2)
-        if resid_norms.max() > tol.subspace_equality:
-            worst = np.unravel_index(np.argmax(resid_norms), resid_norms.shape)
-            member, col = worst[:-1], worst[-1]
-            raise ClassificationError(
-                "h_part failed the j-invariance check" + _member_note(member),
-                witness=(h_part.basis[member][:, col], resid[member][:, col], None),
-            )
+        n = c.basis.shape[-2] // 2
+        kc = complex_coords(kernel.basis)
+        h = np.linalg.eigh(_identity(n) - kc @ np.conj(_t(kc)))[1][..., n - k:]
+        h_part = Subspace(real_coords(np.concatenate([h, 1j * h], axis=-1)))
+        _check_inside(h_part.basis, c, "h_part leaves the subspace", tol)
     return CoisotropicSubspace(space=c, k=k, kernel=kernel, h_part=h_part)
 
 
@@ -489,14 +507,10 @@ def _gauge_bases(c: CoisotropicSubspace) -> tuple[np.ndarray, np.ndarray]:
     """The gauge bases of the members of ``c``: unitary bases of the
     j-invariant parts viewed as C^k and the kernel bases.
 
-    The H part is the Hermitian complement of the kernel's complex span, so
-    its basis is the top k eigenvectors of I - K K^*, K the kernel in
-    complex coordinates: one stacked ``eigh``.  At k = n that matrix is
-    exactly I, and the basis is the standard one."""
-    n = c.kernel.basis.shape[-2] // 2
-    kc = complex_coords(c.kernel.basis)
-    vecs = np.linalg.eigh(_identity(n) - kc @ np.conj(_t(kc)))[1]
-    return vecs[..., n - c.k:], c.kernel.basis
+    ``h_part`` holds [h | j h] with h the projector ``eigh``'s gauge basis
+    of :func:`classify_coisotropic`, so the H gauge is its first k columns
+    in complex coordinates, a new array; no decomposition is taken."""
+    return complex_coords(c.h_part.basis[..., :c.k]), c.kernel.basis
 
 
 def adapted_frame(c: CoisotropicSubspace, tol: Tolerances = DEFAULT) -> AdaptedFrame:
@@ -530,8 +544,9 @@ def transport_phases(
     onto its spans and orthonormalizes the projection by Gram-Schmidt in
     column order, qf, the Q of a QR whose R diagonal is real positive.  In
     the gauge bases G_i = [h_i | K_i] (unitary bases h_i of the H parts as
-    C^k, from the projector eighs of :func:`_gauge_bases`, the kernel bases
-    K_i as complex vectors) frame i is
+    C^k, read by :func:`_gauge_bases` off ``h_part``, which the projector
+    eighs of the classification built, the kernel bases K_i as complex
+    vectors) frame i is
     U_i = G_i B_i, with B_0 = I and B_i = qf(O_i B_{i-1}) for the overlap
     O_i = diag(h_i^* h_{i-1}, K_i' K_{i-1}).  Since
     det qf(A) = det A / prod R_jj with every R_jj > 0,
@@ -640,8 +655,8 @@ def measured_grassmannian_dim(c: CoisotropicSubspace, tol: Tolerances = DEFAULT)
     subspaces evaluated as one stack) is subtracted from the ambient
     Grassmannian dimension.
     """
-    frame = adapted_frame(c, tol=tol)
-    t_basis = np.concatenate([frame.h_vectors(), frame.kernel_vectors()], axis=1)
+    # the ordered basis [e_1..e_k | f_1..f_k | kernel] of the classification
+    t_basis = np.concatenate([c.h_part.basis, c.kernel.basis], axis=-1)
     sub = Subspace.from_spanning(t_basis)
     dim = len(t_basis)
     proj = np.eye(dim) - sub.basis @ sub.basis.T

@@ -523,9 +523,10 @@ def test_doubled_grid_generates_only_its_odd_members():
     assert loop.m == 32
     loop.resample(64)
     # the closure check's two angles, then M = 8 and the odd members of 16
-    # and 32; the resample's closure check and the odd members of 64
-    assert [len(t) for t in calls] == [2, 8, 8, 16, 2, 32]
-    for t, m in zip((calls[2], calls[3], calls[5]), (16, 32, 64)):
+    # and 32; the resample keeps the loop's closure and generates only the
+    # odd members of 64
+    assert [len(t) for t in calls] == [2, 8, 8, 16, 32]
+    for t, m in zip(calls[2:], (16, 32, 64)):
         assert np.array_equal(t, (np.arange(m) * (2 * np.pi / m))[1::2])
 
 
@@ -554,3 +555,92 @@ def test_odd_member_failure_names_its_full_grid_index():
     assert loop.m == 32
     with pytest.raises(ClassificationError, match=r"\(stack member 5\)$"):
         loop.resample(64)
+
+
+# ---------------------------------------------------------------------------
+# the ends at 0 and 2*pi: compared, not classified
+
+
+def _recording(family, calls):
+    def gen(thetas):
+        calls.append(thetas)
+        return family(thetas)
+
+    return gen
+
+
+def test_an_open_generator_fails_before_any_grid_call():
+    calls = []
+
+    def open_path(thetas):
+        u = realify(diagonals(1.0, np.exp(0.25j * thetas)))
+        return Subspace.from_spanning(u @ standard_model(2, 1).space.basis)
+
+    with pytest.raises(DiscontinuousLoopError, match=r"^generator does not close: defect "):
+        loop_from_family(1, _recording(open_path, calls), samples=16)
+    assert [list(t) for t in calls] == [[0.0, 2 * np.pi]]
+
+
+def test_the_ends_fix_the_dimension_and_the_rank_parameter():
+    calls = []
+    line = _recording(lambda thetas: Subspace(np.tile(np.eye(4)[:, :1], (len(thetas), 1, 1))),
+                      calls)
+    with pytest.raises(ClassificationError, match=(
+            r"^dimension 1 < n = 2: coisotropic subspaces need dim >= n$")):
+        loop_from_family(0, line, samples=8)
+    with pytest.raises(ClassificationError, match=(
+            r"^generator produced rank parameter 1, expected 0$")):
+        loop_from_family(0, _recording(constant_family(2, 1), calls), samples=8)
+    assert [len(t) for t in calls] == [2, 2]
+
+
+def test_a_member_0_that_is_not_coisotropic_is_named_on_the_grid():
+    # a closed loop of Lagrangian planes of C^2 whose members at 0 and 2*pi
+    # are the symplectic plane span(e_1, f_1): the ends close and have
+    # rank parameter 0, and grid member 0 fails to classify
+    base = standard_model(2, 0).space.basis
+
+    def gen(thetas):
+        basis = realify(diagonals(np.exp(1j * thetas), 1.0)) @ base
+        basis[np.isclose(np.cos(thetas), 1.0, rtol=0, atol=1e-12)] = np.eye(4)[:, [0, 2]]
+        return Subspace(basis)
+
+    with pytest.raises(ClassificationError, match=(
+            r"^not coisotropic: kernel direction leaves the subspace by angle 1\.571e\+00 "
+            r"\(stack member 0\)$")):
+        loop_from_family(0, gen, samples=8)
+
+
+# the builds whose decompositions are counted: (k, generator); the orbit's
+# generator takes one eigh per call, for its wiggle
+COUNTED = {
+    "orbit-n3k1": lambda: (1, coiso.random_unitary_orbit_family(3, 1, 23)),
+    "orbit-n2k0": lambda: (0, coiso.random_unitary_orbit_family(2, 0, 29)),
+    "diag-unitary-n3k3": lambda: (3, diag_unitary_family(3, 3, [1.0, -2.0, 0.0])),
+}
+
+
+@pytest.mark.parametrize("name", COUNTED)
+def test_each_grid_is_built_once(name, linalg_calls):
+    # one closure call and one grid call per build, each grid classified
+    # with one complement and (0 < k) one gauge eigh, and the continuity
+    # contract's one SVD; the counts do not grow with M, and resample(2M)
+    # generates and classifies the odd members only
+    k, family = COUNTED[name]()
+    generator_eighs = 1 if name.startswith("orbit") else 0
+    classify_eighs = 2 if k else 1
+    counts = {}
+    for m in (256, 1024):
+        calls = []
+        linalg_calls.clear()
+        loop = loop_from_family(k, _recording(family, calls), samples=m)
+        assert loop.m == m
+        assert [len(t) for t in calls] == [2, m]
+        assert linalg_calls["eigh"] == 2 * generator_eighs + classify_eighs
+        counts[m] = dict(linalg_calls)
+        calls.clear()
+        linalg_calls.clear()
+        fine = loop.resample(2 * m)
+        assert len(calls) == 1 and np.array_equal(calls[0], fine.thetas[1::2])
+        assert linalg_calls["eigh"] == generator_eighs + classify_eighs
+    assert counts[256] == counts[1024]

@@ -25,7 +25,7 @@ from coiso import (
     standard_model,
     symplectic_complement,
 )
-from coiso.symplin import _standard_j, _standard_omega
+from coiso.symplin import _standard_j, _standard_omega, _unchecked
 from reference_classify import reference_complement, reference_h_part
 from reference_transport import reference_transport
 
@@ -356,14 +356,6 @@ def test_classification_matches_the_svd_reference(n, k, count, seed):
         assert np.array_equal(gauge[i], coiso.symplin._gauge_bases(single)[0])
 
 
-def _unchecked_stack(basis):
-    """A stack built around the orthonormality check of ``Subspace``, as
-    ``Subspace.__getitem__`` builds its members."""
-    sub = object.__new__(Subspace)
-    object.__setattr__(sub, "basis", basis)
-    return sub
-
-
 def test_complement_refuses_a_member_near_the_rank_cutoff():
     # member 2 of a stack of standard models (n = 2, k = 1) has one column
     # shrunk to 1e-5: its pairing's singular values 1 and 1e-5 straddle
@@ -373,12 +365,12 @@ def test_complement_refuses_a_member_near_the_rank_cutoff():
     with pytest.raises(coiso.DegenerateInputError, match=(
             r"^singular values straddle the rank cutoff: \[1\.0*\d*e-05\] against largest "
             r"1\.000e\+00 \(stack member 2\)$")):
-        symplectic_complement(_unchecked_stack(stack))
+        symplectic_complement(_unchecked(stack))
     # a zero column drops the member's rank to 2 against the others' 3
     stack[2, :, 1] = 0.0
     with pytest.raises(coiso.DegenerateInputError, match=(
             r"^members of the stack differ in rank: 2 to 3$")):
-        symplectic_complement(_unchecked_stack(stack))
+        symplectic_complement(_unchecked(stack))
 
 
 def _frame_stack(seed=12, m=9):
@@ -686,3 +678,53 @@ def test_stack_iterates_over_its_members():
         assert np.array_equal(c.kernel.basis, stack.kernel.basis[i])
         assert np.array_equal(f.e, frames.e[i]) and np.array_equal(f.f, frames.f[i])
     assert [s.basis.shape for s in stack.h_part] == [(6, 2)] * 4
+
+
+# ---------------------------------------------------------------------------
+# the H gauge basis is taken once, in classification
+
+
+@pytest.mark.parametrize("n, k, count", [(2, 1, 0), (3, 1, 5), (3, 2, 4), (3, 3, 3), (4, 2, 6)])
+def test_h_part_is_the_realified_gauge_eigh(n, k, count):
+    # h_part is [h | j h], h the top k eigenvectors of a fresh stacked eigh
+    # of I - K_c K_c^*, bit for bit, and the H gauge is h
+    g = coiso.rng(70 + n + k)
+    bases = [random_coisotropic(n, k, g).space.basis for _ in range(max(count, 1))]
+    out = classify_coisotropic(Subspace(np.stack(bases) if count else bases[0]))
+    kc = coiso.complex_coords(out.kernel.basis)
+    h = np.linalg.eigh(np.eye(n) - kc @ np.conj(np.swapaxes(kc, -1, -2)))[1][..., n - k:]
+    assert np.array_equal(out.h_part.basis,
+                          coiso.real_coords(np.concatenate([h, 1j * h], axis=-1)))
+    assert np.array_equal(coiso.symplin._gauge_bases(out)[0], h)
+
+
+def test_h_part_outside_the_subspace_is_refused(monkeypatch):
+    # the standard model C + R of C^2 with a kernel that lies in it but is
+    # not its symplectic complement: span(e_1) in place of span(e_2); the H
+    # part of that kernel is span(e_2, f_2), and f_2 leaves the subspace
+    model = standard_model(2, 1).space
+    wrong = Subspace(np.stack([model.basis, model.basis])[..., :1])
+    monkeypatch.setattr(coiso.symplin, "symplectic_complement", lambda c, tol: wrong)
+    with pytest.raises(ClassificationError, match=(
+            r"^h_part leaves the subspace by angle 1\.571e\+00 \(stack member 0\)$")) as err:
+        classify_coisotropic(Subspace(np.stack([model.basis, model.basis])))
+    vec, resid, angle = err.value.witness
+    assert_allclose(np.abs(vec), basis_vec(2, 3), atol=1e-15)
+    assert_allclose(resid, vec, atol=1e-15)
+    assert angle == np.pi / 2
+
+
+def test_frames_and_transport_take_no_decomposition(linalg_calls):
+    # classification takes the complement and the gauge eigh per stack at
+    # 0 < k, the complement alone at k = 0; frames and transport take none
+    for n, k, eighs in ((3, 1, 2), (3, 3, 2), (2, 0, 1)):
+        g = coiso.rng(80 + k)
+        spaces = Subspace(np.stack([random_coisotropic(n, k, g).space.basis
+                                    for _ in range(16)]))
+        linalg_calls.clear()
+        stack = classify_coisotropic(spaces)
+        assert linalg_calls == Counter(eigh=eighs)
+        linalg_calls.clear()
+        coiso.transport_phases(stack)
+        adapted_frame(stack[3])
+        assert not linalg_calls
