@@ -37,13 +37,11 @@ from .symplin import (
     grassmannian_dim,
     largest_principal_angles,
     measured_grassmannian_dim,
-    omega_pairing,
     principal_angles,
     random_coisotropic,
     random_unitary,
     real_coords,
     realify,
-    spans_equal,
     standard_model,
     symplectic_complement,
     transport_phases,
@@ -96,7 +94,6 @@ from .hypergeo import (
     leaf_minimality,
     leafwise_mean_curvature,
     levi_form,
-    normal_convention_matrix,
     point_geometry,
     random_graph_product,
     second_fundamental_form,

@@ -75,7 +75,6 @@ __all__ = [
     "Minimality",
     "tangent_splitting",
     "second_fundamental_form",
-    "normal_convention_matrix",
     "point_geometry",
     "leafwise_mean_curvature",
     "levi_form",
@@ -455,14 +454,6 @@ def point_geometry(
         blocks=second_fundamental_form(p, spl.frame, spl.nu, normalized_hessian, tol),
         tol=tol,
     )
-
-
-def normal_convention_matrix(blocks: SFFBlocks, nu: np.ndarray) -> np.ndarray:
-    """The same form read against the outward unit normal:
-    S_nu(v, w) = <S(v, w), nu>.  On the unit sphere this is -identity."""
-    normals = blocks.frame.f[..., blocks.frame.k:]
-    coef = np.einsum("...ia,...i->...a", normals, nu)
-    return np.einsum("...a,...aij->...ij", coef, blocks.full)
 
 
 @dataclasses.dataclass(frozen=True)

@@ -17,7 +17,10 @@ A loop's samples are handled as one stack: a ``Subspace`` may hold a
 a stack of splittings and an ``AdaptedFrame`` a stack of (..., 2n, n)
 frames.  Classification, complements, principal angles and frame checks
 act on every member with one stacked ``np.linalg`` call per step.  A single
-subspace or frame is the unstacked case of the same code.  Frames are
+subspace or frame is the unstacked case of the same code.  Random unitaries
+and coisotropic subspaces are drawn as stacks with numpy's ``size``, a stack
+reading the generator as successive single draws do, and the Grassmannian's
+dimension is measured at every member of a stack at once.  Frames are
 transported around a closed stack without being built: the determinant
 phases and holonomy of the transported frames are running products of
 overlap determinant phases (see :func:`transport_phases`).  Spanning
@@ -49,8 +52,6 @@ __all__ = [
     "realify",
     "principal_angles",
     "largest_principal_angles",
-    "spans_equal",
-    "omega_pairing",
     "symplectic_complement",
     "classify_coisotropic",
     "adapted_frame",
@@ -297,18 +298,6 @@ def largest_principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
             a, b = (Subspace(x) for x in np.broadcast_arrays(a.basis, b.basis))
         largest[wide] = np.max(principal_angles(a[wide], b[wide]), axis=-1)
     return largest[()]
-
-
-def spans_equal(a: Subspace, b: Subspace, tol: float = DEFAULT.subspace_equality) -> bool:
-    if a.dim != b.dim:
-        return False
-    if a.dim == 0:
-        return True
-    return float(np.max(principal_angles(a, b))) < tol
-
-
-def omega_pairing(a: Subspace, b: Subspace) -> np.ndarray:
-    return _t(a.basis) @ _standard_omega(a.basis.shape[-2] // 2) @ b.basis
 
 
 def symplectic_complement(c: Subspace, tol: Tolerances = DEFAULT) -> Subspace:
@@ -600,13 +589,19 @@ def grassmannian_dim(n: int, k: int) -> int:
     return (n + 3 * k + 1) * (n - k) // 2
 
 
-def random_unitary(n: int, gen: np.random.Generator) -> np.ndarray:
-    """Haar-ish random unitary: QR of a complex Gaussian, phases fixed."""
+def random_unitary(n: int, gen: np.random.Generator, size: tuple = ()) -> np.ndarray:
+    """Haar-ish random unitary: QR of a complex Gaussian, phases fixed.
+
+    ``size`` is numpy's: a stack of that shape, (*size, n, n), from one
+    draw of the generator and one stacked QR.  Each member's real and
+    imaginary Gaussians are drawn in turn, so the stack reads the generator
+    as successive single calls do, and its members are theirs bit for bit.
+    """
     _check_complex_dim(n)
-    z = gen.normal(size=(n, n)) + 1j * gen.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diagonal(r)
-    return q * (d / np.abs(d))
+    x = gen.normal(size=tuple(size) + (2, n, n))
+    q, r = np.linalg.qr(x[..., 0, :, :] + 1j * x[..., 1, :, :])
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
 
 
 def standard_model(n: int, k: int) -> CoisotropicSubspace:
@@ -619,19 +614,28 @@ def standard_model(n: int, k: int) -> CoisotropicSubspace:
     return classify_coisotropic(Subspace(cols))
 
 
-def random_coisotropic(n: int, k: int, seed, tol: Tolerances = DEFAULT) -> CoisotropicSubspace:
-    """U . (C^k + R^{n-k}) for a seeded Haar-ish random unitary U."""
+def random_coisotropic(n: int, k: int, seed, tol: Tolerances = DEFAULT,
+                       size: tuple = ()) -> CoisotropicSubspace:
+    """U . (C^k + R^{n-k}) for a seeded Haar-ish random unitary U; with
+    ``size``, the stack of that shape from :func:`random_unitary`'s stack,
+    classified by one call.
+
+    U's columns are orthonormal to rounding, so the model's image is its
+    basis as it is, with ``Subspace``'s orthonormality check and no
+    re-orthonormalization.
+    """
     gen = seed if isinstance(seed, np.random.Generator) else rng(seed)
-    u = realify(random_unitary(n, gen))
+    u = realify(random_unitary(n, gen, size))
     model = standard_model(n, k)
-    return classify_coisotropic(Subspace.from_spanning(u @ model.space.basis), tol)
+    return classify_coisotropic(Subspace(u @ model.space.basis), tol)
 
 
 def _schur_constraint(t_basis: np.ndarray, perp: np.ndarray, k: int,
                       z: np.ndarray) -> np.ndarray:
     """Upper triangle of the kernel-block Schur complement of the restricted
     form on the subspace perturbed by ``z``, one row per member of a
-    (..., m, 2n - m) stack of perturbations; zero iff the perturbation stays
+    (..., m, 2n - m) stack of perturbations, against which the bases
+    ``t_basis`` and ``perp`` broadcast; zero iff the perturbation stays
     coisotropic to first order."""
     cols = t_basis + perp @ _t(z)
     om = _t(cols) @ _standard_omega(cols.shape[-2] // 2) @ cols
@@ -644,32 +648,34 @@ def _schur_constraint(t_basis: np.ndarray, perp: np.ndarray, k: int,
     return s[..., iu[0], iu[1]]
 
 
-def measured_grassmannian_dim(c: CoisotropicSubspace, tol: Tolerances = DEFAULT) -> int:
+def measured_grassmannian_dim(c: CoisotropicSubspace, tol: Tolerances = DEFAULT):
     """Tangent-space dimension of the coisotropic Grassmannian at C,
-    measured numerically.
+    measured numerically: an ``int`` for a single C, and for a stack an
+    integer array with one dimension per member, from one stacked call of
+    each decomposition.
 
     Nearby (n+k)-dimensional subspaces are graphs over C; the coisotropy
     condition is the vanishing of the kernel-block Schur complement of the
     restricted symplectic form.  The rank of its finite-difference Jacobian
     (central differences of size ``tol.rank_step``, all 2 x npar perturbed
-    subspaces evaluated as one stack) is subtracted from the ambient
-    Grassmannian dimension.
+    subspaces of every member evaluated as one stack) is subtracted from the
+    ambient Grassmannian dimension.
     """
-    # the ordered basis [e_1..e_k | f_1..f_k | kernel] of the classification
-    t_basis = np.concatenate([c.h_part.basis, c.kernel.basis], axis=-1)
-    sub = Subspace.from_spanning(t_basis)
-    dim = len(t_basis)
-    proj = np.eye(dim) - sub.basis @ sub.basis.T
-    u, s, _ = np.linalg.svd(proj)
-    perp = u[:, : dim - sub.dim]
-    npar = sub.dim * perp.shape[1]
+    # the ordered basis [e_1..e_k | f_1..f_k | kernel] of the classification,
+    # orthonormal as it is: ``Subspace`` checks it
+    sub = Subspace(np.concatenate([c.h_part.basis, c.kernel.basis], axis=-1))
+    batch, (dim, m) = sub.basis.shape[:-2], sub.basis.shape[-2:]
+    u = np.linalg.svd(_identity(dim) - sub.basis @ _t(sub.basis))[0]
+    npar = m * (dim - m)
     step = tol.rank_step
     # perturbation a moves entry a of the (dim, 2n - dim) graph matrix
-    z = (step * np.eye(npar)).reshape(npar, sub.dim, perp.shape[1])
-    f = _schur_constraint(t_basis, perp, c.k, np.concatenate([z, -z]))
+    z = (step * np.eye(npar)).reshape(npar, m, dim - m)
+    f = _schur_constraint(sub.basis[..., None, :, :], u[..., None, :, :dim - m], c.k,
+                          np.concatenate([z, -z]))
     if f.shape[-1] == 0:
-        return npar
-    jac = _t(f[:npar] - f[npar:]) / (2 * step)
-    sv = np.linalg.svd(jac, compute_uv=False)
-    rank = int(np.sum(sv > max(1e-7, 1e-6 * sv[0])))
-    return npar - rank
+        ranks = np.zeros(batch, dtype=int)
+    else:
+        jac = _t(f[..., :npar, :] - f[..., npar:, :]) / (2 * step)
+        sv = np.linalg.svd(jac, compute_uv=False)
+        ranks = np.sum(sv > np.maximum(1e-7, 1e-6 * sv[..., :1]), axis=-1)
+    return npar - ranks if batch else npar - int(ranks)

@@ -1,11 +1,12 @@
 """The symplectic complement and the H part of a subspace by stacked SVDs:
 the oracle that ``symplin.symplectic_complement`` and the H part of
-``symplin.classify_coisotropic`` are checked against."""
+``symplin.classify_coisotropic`` are checked against; span equality and the
+omega pairing that the classification tests read."""
 
 import numpy as np
 
 import coiso
-from coiso.symplin import _standard_omega
+from coiso.symplin import _standard_omega, principal_angles
 
 
 def _t(a):
@@ -28,3 +29,19 @@ def reference_h_part(basis, kernel, k):
     projected out."""
     proj = basis - kernel @ (_t(kernel) @ basis)
     return np.linalg.svd(proj, full_matrices=False)[0][..., :2 * k]
+
+
+def spans_equal(a, b, tol=coiso.DEFAULT.subspace_equality):
+    """Whether two subspaces are equal: equal dimensions and every principal
+    angle below ``tol``."""
+    if a.dim != b.dim:
+        return False
+    if a.dim == 0:
+        return True
+    return float(np.max(principal_angles(a, b))) < tol
+
+
+def omega_pairing(a, b):
+    """The matrix omega(a_i, b_j) of the basis columns of two subspaces, one
+    per member pair of two stacks."""
+    return _t(a.basis) @ _standard_omega(a.basis.shape[-2] // 2) @ b.basis

@@ -1,6 +1,7 @@
 """Experiment runner: schema, reports, traces, exit codes, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import coiso
 from coiso import DEFAULT, is_leafwise_special, leafwise_mean_curvature, point_geometry
@@ -18,6 +20,7 @@ from coiso.cli import (
     SCHEMA,
     Report,
     _TOLERANCES_VALIDATOR,
+    _dumps,
     emit_phase_trace,
     main,
     run,
@@ -29,6 +32,11 @@ def test_schema_subcommand(capsys):
     out = capsys.readouterr().out
     parsed = json.loads(out)
     assert parsed["properties"]["kind"]["enum"]
+
+
+def test_schema_subcommand_prints_the_json_dumps_bytes(capsys):
+    assert main(["schema"]) == 0
+    assert capsys.readouterr().out == json.dumps(SCHEMA, sort_keys=True, indent=2) + "\n"
 
 
 def test_schema_rejects_unknown_kind():
@@ -397,6 +405,85 @@ def test_report_roundtrips_schema():
     payload = json.loads(rep.to_json())
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload == json.loads(json.dumps(payload))
+
+
+# one small spec per kind, and one whose report carries an error
+ONE_PER_KIND = [
+    {"kind": "grassmannian-dim", "parameters": {"n": 3, "k": 1, "points": 3, "seed": 4}},
+    {"kind": "maslov-index", "parameters": {"n": 2, "k": 1, "M": 64, "seed": 1,
+                                            "family": "random-unitary-orbit"}},
+    {"kind": "invariance-suite", "parameters": {"n": 2, "k": 1, "M": 64, "trials": 1,
+                                                "seed": 1}},
+    {"kind": "disc-index", "parameters": {"fixture": "sphere", "loop": "hopf", "M": 64}},
+    {"kind": "hypersurface-report", "parameters": {"fixture": "cylinder", "points": 2,
+                                                   "seed": 1}},
+    {"kind": "minimality-scan", "parameters": {"fixture": "sphere", "points": 2, "seed": 1}},
+    {"kind": "disc-index", "parameters": {"fixture": "hyperplane", "loop": "hopf", "M": 64}},
+]
+
+
+@pytest.mark.parametrize("spec", ONE_PER_KIND, ids=lambda spec: spec["kind"])
+def test_report_json_is_the_json_dumps_bytes(spec):
+    report = run(spec)
+    assert report.to_json() == json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+
+
+_TEXT = st.text() | st.sampled_from(['"', "\\", '\\"\x00\x1f\n\t\x7f', "é ∮ 𝔸 \u2028"])
+_FLOATS = st.floats() | st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e300])
+_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | _FLOATS | _TEXT,
+    lambda inner: (st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+                   | st.dictionaries(_TEXT, inner, max_size=4)),
+    max_leaves=40)
+
+
+@settings(max_examples=300)
+@given(_VALUES)
+def test_writer_is_json_dumps_with_sorted_keys_and_indent(value):
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+def test_writer_takes_float_subclasses_as_json_does():
+    value = {"a": [np.float64(0.1), np.float64(-np.inf)], "b": np.float64(1e-300)}
+    assert _dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("bad", [np.int64(1), np.bool_(True), {1, 2}, object()],
+                         ids=["int64", "bool_", "set", "object"])
+def test_writer_refuses_what_json_refuses(bad):
+    for value in (bad, [1, bad], {"key": bad}):
+        with pytest.raises(TypeError):
+            json.dumps(value, sort_keys=True, indent=2)
+        with pytest.raises(TypeError):
+            _dumps(value)
+
+
+def test_grassmannian_dim_decompositions_do_not_grow_with_points(linalg_calls):
+    # the points are drawn, classified and measured as one stack
+    counts = []
+    for points in (2, 16):
+        linalg_calls.clear()
+        report = run({"kind": "grassmannian-dim",
+                      "parameters": {"n": 3, "k": 1, "points": points, "seed": 4}})
+        assert report.passed and len(report.items) == points + 1
+        counts.append(dict(linalg_calls))
+    assert counts[0] == counts[1]
+    assert set(counts[0]) == {"eigh", "svd", "qr"}
+
+
+def test_grassmannian_dim_points_past_one_stack(monkeypatch):
+    spec = {"kind": "grassmannian-dim", "parameters": {"n": 2, "k": 1, "points": 5, "seed": 3}}
+    whole = run(spec).to_json()
+    sizes = []
+
+    def recorded(n, k, seed, tol, size, _draw=coiso.symplin.random_coisotropic):
+        sizes.append(size)
+        return _draw(n, k, seed, tol, size)
+
+    monkeypatch.setattr(coiso.cli, "_POINTS_PER_STACK", 2)
+    monkeypatch.setattr(coiso.symplin, "random_coisotropic", recorded)
+    assert run(spec).to_json() == whole
+    assert sizes == [(2,), (2,), (1,)]
 
 
 def test_phase_trace_constant_loop(tmp_path):

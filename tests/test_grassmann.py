@@ -362,7 +362,7 @@ def _basis(value):
     return value.space.basis if isinstance(value, coiso.CoisotropicSubspace) else value.basis
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(1, 4), st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 9))
 def test_loop_family_stack_equals_members(n, data, seed, count):
     k = data.draw(st.integers(0, n))
@@ -374,7 +374,7 @@ def test_loop_family_stack_equals_members(n, data, seed, count):
             assert np.array_equal(stacked[i], _basis(gen(thetas[i:i + 1]))[0]), (name, i)
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(1, 4), st.integers(0, 2 ** 32 - 1), st.integers(1, 9))
 def test_matrix_loop_callables_stack_equal_members(n, seed, count):
     thetas = _grid(count, seed)
@@ -386,7 +386,7 @@ def test_matrix_loop_callables_stack_equal_members(n, seed, count):
             assert np.array_equal(stacked[i], fn(thetas[i:i + 1])[0]), (maker.__name__, i)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(1, 4), st.integers(1, 256), st.integers(0, 2 ** 32 - 1),
        st.floats(0.0, 2.0))
 def test_closed_exponentials_match_expm(n, m, seed, scale):

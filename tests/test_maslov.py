@@ -152,7 +152,7 @@ def test_canonical_section_reads_the_phase_jump_it_is_passed():
                           coiso.DEFAULT.replace(phase_jump=jump / 2))
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(-3, 3), st.integers(-3, 3), st.floats(0, 2 * np.pi))
 def test_winding_additivity(m1, m2, phase):
     m = 16 * (abs(m1) + abs(m2) + 1)
@@ -369,7 +369,7 @@ def test_constant_grading_section_is_gauge_only():
 # stacked evaluation: every member equals the per-sample computation
 
 
-@settings(max_examples=15, deadline=None)
+@settings(max_examples=15)
 @given(st.floats(0.2, 1.4), st.integers(-2, 2), st.integers(-2, 2),
        st.integers(0, 2 ** 32 - 1), st.integers(1, 9))
 def test_tangent_stack_equals_members(alpha, p, q, seed, count):
@@ -395,7 +395,7 @@ _BOUNDARY_PARAMS = {
 }
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.sampled_from(sorted(BOUNDARY_FAMILIES)).flatmap(
            lambda name: st.tuples(st.just(name), _BOUNDARY_PARAMS[name])),
        st.lists(st.floats(0, 2 * np.pi), min_size=1, max_size=9))
@@ -457,7 +457,7 @@ def _pushforward_cases(draw):
             draw(st.integers(0, 2 ** 32 - 1)), draw(st.integers(1, 2)))
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=20)
 @given(_pushforward_cases())
 @example((2, 1, 0, 50_097, 1))
 @example((2, 1, 1, 50_098, 1))

@@ -21,12 +21,16 @@ from coiso import (
     principal_angles,
     random_coisotropic,
     realify,
-    spans_equal,
     standard_model,
     symplectic_complement,
 )
 from coiso.symplin import _standard_j, _standard_omega, _unchecked
-from reference_classify import reference_complement, reference_h_part
+from reference_classify import (
+    omega_pairing,
+    reference_complement,
+    reference_h_part,
+    spans_equal,
+)
 from reference_transport import reference_transport
 
 
@@ -102,15 +106,15 @@ def test_classify_standard_model():
 def test_classify_kernel_pairing_scan():
     members = [random_coisotropic(3, 1, seed) for seed in range(5)]
     for c in members:
-        pairing = coiso.omega_pairing(c.kernel, c.space)
+        pairing = omega_pairing(c.kernel, c.space)
         assert np.max(np.abs(pairing)) < 1e-9
     # the same pairings on a stack of the first four subspaces
     kernels = Subspace(np.stack([c.kernel.basis for c in members[:4]]))
     spaces = Subspace(np.stack([c.space.basis for c in members[:4]]))
-    stacked = coiso.omega_pairing(kernels, spaces)
+    stacked = omega_pairing(kernels, spaces)
     assert stacked.shape == (4, 2, 4)
     for i, c in enumerate(members[:4]):
-        assert np.array_equal(stacked[i], coiso.omega_pairing(c.kernel, c.space))
+        assert np.array_equal(stacked[i], omega_pairing(c.kernel, c.space))
 
 
 def test_adapted_frame_standard_model_is_standard_basis():
@@ -180,7 +184,7 @@ def test_principal_angles_dimension_mismatch():
         principal_angles(a, b)
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(st.floats(min_value=0.01, max_value=1.5))
 def test_principal_angle_of_rotation(t):
     a = Subspace(basis_vec(2, 0)[:, None])
@@ -212,6 +216,41 @@ def test_measured_dimension_matches_formula_spot_checks():
     for n, k in [(2, 1), (3, 2)]:
         c = random_coisotropic(n, k, 21)
         assert coiso.measured_grassmannian_dim(c) == grassmannian_dim(n, k)
+
+
+def test_stacked_draws_are_the_successive_single_draws():
+    # a stack of P reads the generator as P single calls do: the same
+    # members bit for bit, and the generators end in the same state
+    for n in range(1, 6):
+        for k in range(n + 1):
+            for p in range(1, 6):
+                a, b = coiso.rng(600 + n, 10 * k + p), coiso.rng(600 + n, 10 * k + p)
+                unitaries = coiso.random_unitary(n, a, (p,))
+                assert unitaries.shape == (p, n, n)
+                for member in unitaries:
+                    assert np.array_equal(member, coiso.random_unitary(n, b))
+                stack = random_coisotropic(n, k, a, size=(p,))
+                for member in stack:
+                    single = random_coisotropic(n, k, b)
+                    for part in ("space", "kernel", "h_part"):
+                        assert np.array_equal(getattr(member, part).basis,
+                                              getattr(single, part).basis), (n, k, p, part)
+                assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+    # a size of two axes lays the same draws out in C order
+    flat = coiso.random_unitary(2, coiso.rng(5), (6,))
+    assert np.array_equal(coiso.random_unitary(2, coiso.rng(5), (2, 3)),
+                          flat.reshape(2, 3, 2, 2))
+
+
+def test_measured_dimension_of_a_stack_is_its_members():
+    for n in range(1, 6):
+        for k in range(n + 1):
+            stack = random_coisotropic(n, k, 700 + 10 * n + k, size=(3,))
+            dims = coiso.measured_grassmannian_dim(stack)
+            singles = [coiso.measured_grassmannian_dim(c) for c in stack]
+            assert all(type(d) is int for d in singles)
+            assert dims.shape == (3,)
+            assert dims.tolist() == singles == [grassmannian_dim(n, k)] * 3
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +294,7 @@ def _angle_stacks(draw, regimes):
     return draw(st.integers(0, 2 ** 32 - 1)), n, m, angles
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_angle_stacks(list(_REGIMES)))
 def test_largest_principal_angles_match_scipy(case):
     seed, n, m, angles = case
@@ -271,7 +310,7 @@ def test_largest_principal_angles_match_scipy(case):
         assert_allclose(every[i], np.sort(want), rtol=0, atol=1e-12)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 3),
        st.floats(min_value=3.0, max_value=12.0))
 def test_principal_angles_mixed_pair_near_half_pi(seed, n, u):
@@ -285,7 +324,7 @@ def test_principal_angles_mixed_pair_near_half_pi(seed, n, u):
     assert abs(coiso.largest_principal_angles(a, b)[0] - angles[0, 1]) < 1e-12
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3), st.data())
 def test_largest_principal_angles_are_the_largest_angles_bit_for_bit(seed, n, data):
     # members below pi/6 read the top sine alone, the others take
@@ -328,7 +367,7 @@ def test_classify_stack_members_match_single_calls():
         assert np.array_equal(stack[i].h_part.basis, single.h_part.basis)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 5),
        st.integers(0, 2 ** 32 - 1))
 def test_classification_matches_the_svd_reference(n, k, count, seed):
@@ -412,7 +451,7 @@ def _outcome(fn):
         return type(exc).__name__
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(1, 4), st.integers(0, 4), st.integers(0, 2 ** 32 - 1),
        st.integers(0, 40), st.floats(0.0, 1.5), st.sampled_from([16, 64, 256, 512, 1024]))
 # fast conjugated windings, on which one unsegmented overlap product of the
@@ -580,7 +619,7 @@ def _reference_mgs(cols):
     return q
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_spanning_stacks())
 def test_from_spanning_stack_equals_members(cols):
     stacked = Subspace.from_spanning(cols).basis
@@ -590,7 +629,7 @@ def test_from_spanning_stack_equals_members(cols):
         assert np.array_equal(stacked[i], _reference_mgs(cols[i]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_spanning_stacks(complex_entries=True))
 def test_complex_mgs_is_the_positive_diagonal_qr(cols):
     # member by member the arithmetic of one matrix, and the Q of LAPACK's
@@ -605,7 +644,7 @@ def test_complex_mgs_is_the_positive_diagonal_qr(cols):
     assert_allclose(norms, np.abs(d), rtol=1e-13, atol=0)
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=40)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 4), st.integers(1, 5))
 def test_realify_stack_equals_members(seed, n, count):
     g = coiso.rng(seed)
@@ -618,7 +657,7 @@ def test_realify_stack_equals_members(seed, n, count):
         assert np.array_equal(stacked[i], np.block([[a, -b], [b, a]]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(_spanning_stacks())
 def test_coords_stack_equals_members(v):
     z = coiso.complex_coords(v)
@@ -630,7 +669,7 @@ def test_coords_stack_equals_members(v):
         assert np.array_equal(back[i], coiso.real_coords(z[i]))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60)
 @given(st.integers(1, 4), st.data(), st.integers(1, 5), st.integers(0, 2 ** 32 - 1))
 def test_adapted_frame_stack_equals_members(n, data, count, seed):
     k = data.draw(st.integers(0, n))
@@ -647,7 +686,7 @@ def test_adapted_frame_stack_equals_members(n, data, count, seed):
         frames[0, 0]
 
 
-@settings(max_examples=30, deadline=None)
+@settings(max_examples=30)
 @given(st.integers(0, 2 ** 32 - 1), st.integers(2, 5), st.data())
 def test_from_spanning_names_the_rank_deficient_member(seed, count, data):
     bad = data.draw(st.integers(0, count - 1))
