@@ -73,6 +73,12 @@ def _closed(**properties) -> dict:
 
 _INTEGER, _NUMBER = {"type": "integer"}, {"type": "number"}
 
+# turn counts and windings lie in [-64, 64], as a random orbit's do, and an
+# expected index in [-2**53, 2**53], where a float holds every integer
+_TURNS = {"minimum": -64, "maximum": 64}
+_WINDING = {**_INTEGER, **_TURNS}
+_INDEX = {**_INTEGER, "minimum": -2 ** 53, "maximum": 2 ** 53}
+
 # a spec's ``tolerances`` object and a --tol-file: known names only, each a
 # number (an integer where the field is one) in its range
 _TOLERANCES_SCHEMA = _closed(**{
@@ -103,10 +109,10 @@ SCHEMA = {
             # wiggle scales Gaussian generators by at most 2 pi, past which
             # the unitaries turn through whole circles
             family_params=_closed(
-                max_winding={"type": "integer", "minimum": 0, "maximum": 64}, turns=_INTEGER,
+                max_winding={"type": "integer", "minimum": 0, "maximum": 64}, turns=_WINDING,
                 seed={"type": "integer", "minimum": 0},
                 wiggle={"type": "number", "minimum": 0, "maximum": 2 * pi},
-                windings={"type": "array", "items": _NUMBER}),
+                windings={"type": "array", "items": {**_NUMBER, **_TURNS}}),
             fixture={"enum": list(hypergeo.FIXTURES)},
             fixture_params=_closed(
                 n={"type": "integer", "minimum": 1},
@@ -123,11 +129,11 @@ SCHEMA = {
                                       "items": {"type": "integer", "minimum": 0}},
                     }}}),
             loop={"enum": list(maslov.BOUNDARY_FAMILIES)},
-            loop_params=_closed(power=_INTEGER, p=_INTEGER, q=_INTEGER,
+            loop_params=_closed(power=_WINDING, p=_WINDING, q=_WINDING,
                                 alpha=_NUMBER, r1=_NUMBER, r2=_NUMBER),
-            section=_closed(winding=_INTEGER, phase0=_NUMBER),
+            section=_closed(winding=_WINDING, phase0=_NUMBER),
             grading_phase=_NUMBER,
-            expected_index=_INTEGER,
+            expected_index=_INDEX,
             tolerances=_TOLERANCES_SCHEMA,
         ),
         "output": _closed(path={"type": "string"}, format={"enum": ["json", "csv"]}),

@@ -18,7 +18,8 @@ class Tolerances:
     Defaults suit double precision at the sizes the library targets (n <= 6).
     Two type invariants check against ``DEFAULT`` by design, as their
     objects are built without a record: ``Subspace`` orthonormality and the
-    closure jump of a ``MaslovSection`` (``phase_jump``).
+    closure jump of a ``MaslovSection`` (``phase_jump``).  Nor do the
+    ``SymplecticMatrixLoop`` checks read a record: they use literals 1e-9 and 0.5.
     """
 
     orthonormality: float = 1e-10        # basis' G basis == identity

@@ -50,6 +50,7 @@ from .symplin import (
     realify,
     standard_model,
     transport_phases,
+    _check,
     _check_complex_dim,
     _rank_parameter,
     _standard_omega,
@@ -301,12 +302,8 @@ class SymplecticMatrixLoop:
         if worst > 1e-9:
             raise ValueError(f"samples not symplectic: residual {worst:.3e}")
         steps = np.linalg.norm(np.roll(a, -1, axis=0) - a, 2, axis=(-2, -1))
-        jumps = np.flatnonzero(steps > 0.5)
-        if jumps.size:
-            i = int(jumps[0])
-            raise ValueError(
-                f"consecutive samples {i} jump by operator norm {steps[i]:.3f} > 0.5"
-            )
+        _check(steps > 0.5, ValueError, lambda w: f"consecutive samples {w[0]} jump by "
+               f"operator norm {steps[w]:.3f} > 0.5", trailing=1)
         object.__setattr__(self, "matrices", a)
 
     @property

@@ -55,7 +55,7 @@ from .symplin import (
     AdaptedFrame,
     Subspace,
     _canonical_phases,
-    _member_note,
+    _check,
     _mgs,
     _standard_j,
     _standard_omega,
@@ -127,16 +127,6 @@ def _norm(v: np.ndarray) -> np.ndarray:
 def _apply_j(n: int, v: np.ndarray) -> np.ndarray:
     """j v for a (..., 2n) stack of vectors."""
     return (_standard_j(n) @ v[..., None])[..., 0]
-
-
-def _check(bad: np.ndarray, error: type, message: Callable[[tuple], str],
-           trailing: int = 0) -> None:
-    """Raise ``error`` for the first true entry of the boolean stack ``bad``:
-    ``message`` words it from its index, and the note names the stack
-    member, the index without its last ``trailing`` axes."""
-    if np.any(bad):
-        where = tuple(int(i) for i in np.argwhere(bad)[0])
-        raise error(message(where) + _member_note(where[:len(where) - trailing]))
 
 
 def _fd_gradient(f: Callable, x: np.ndarray, h: float) -> np.ndarray:
@@ -342,7 +332,6 @@ class SFFBlocks:
     are built.
     """
 
-    point: np.ndarray
     frame: AdaptedFrame
     full: np.ndarray
     tol: Tolerances = dataclasses.field(default=DEFAULT, repr=False, compare=False)
@@ -382,26 +371,25 @@ class SFFBlocks:
 
 
 def second_fundamental_form(
-    p: np.ndarray,
     frame: AdaptedFrame,
     nu: np.ndarray,
     normalized_hessian: np.ndarray,
     tol: Tolerances = DEFAULT,
 ) -> SFFBlocks:
-    """SFF blocks of Y at p in an adapted frame, member by member for stacks.
+    """SFF blocks of Y in an adapted frame, member by member for stacks.
 
     For a level set with unit normal nu = grad(rho)/|grad(rho)| the
     normal-valued form on tangent vectors is
     S(v, w) = -(<Hess(rho) v, w> / |grad rho|) nu, and the blocks are its
     pairings with the frame normals f_alpha; ``normalized_hessian`` is
-    Hess(rho) / |grad rho| at p.
+    Hess(rho) / |grad rho| at the point.
     """
     t = frame.tangent_basis()
     ht = _t(t) @ normalized_hessian @ t
     normals = frame.f[..., frame.k:]
     signs = -np.vecdot(nu[..., None], normals, axis=-2)   # f_n = -nu gives +1
     full = signs[..., None, None] * ht[..., None, :, :]
-    return SFFBlocks(point=p, frame=frame, full=full, tol=tol)
+    return SFFBlocks(frame=frame, full=full, tol=tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -432,8 +420,7 @@ class PointGeometry:
     def in_frame(self, frame: AdaptedFrame) -> "PointGeometry":
         """The same points read in other adapted frames: the SFF blocks are
         re-read from the same Hessians, every other field is kept."""
-        blocks = second_fundamental_form(
-            self.point, frame, self.nu, self.normalized_hessian, self.tol)
+        blocks = second_fundamental_form(frame, self.nu, self.normalized_hessian, self.tol)
         return dataclasses.replace(self, frame=frame, blocks=blocks)
 
 
@@ -451,7 +438,7 @@ def point_geometry(
         y=y, point=p, nu=spl.nu, x_rho=spl.x_rho, njf=spl.njf, frame=spl.frame,
         hessian=hessian, gradient_norm=gradient_norm,
         normalized_hessian=normalized_hessian,
-        blocks=second_fundamental_form(p, spl.frame, spl.nu, normalized_hessian, tol),
+        blocks=second_fundamental_form(spl.frame, spl.nu, normalized_hessian, tol),
         tol=tol,
     )
 
@@ -513,7 +500,6 @@ class LeviForm:
     convention factor 1/2 makes the unit sphere value 1.
     """
 
-    basis: np.ndarray
     two_form: np.ndarray
     hermitian: np.ndarray
     eigenvalues: np.ndarray
@@ -528,7 +514,6 @@ def levi_form(geo: PointGeometry) -> LeviForm:
     hermitian = 0.5 * (_t(basis) @ hess @ basis + _t(jb) @ hess @ jb)
     eig = np.linalg.eigvalsh(hermitian)
     return LeviForm(
-        basis=basis,
         two_form=two_form,
         hermitian=hermitian,
         eigenvalues=eig,
@@ -546,7 +531,6 @@ class TransverseCurvature:
     parts are populated by the second-fundamental-form route only.
     """
 
-    basis: np.ndarray
     components: np.ndarray
     f20: Optional[np.ndarray] = None
     f11: Optional[np.ndarray] = None
@@ -641,7 +625,7 @@ def transverse_curvature_bracket(
     i, jj = np.nonzero(upper)
     comps[..., i, jj, :] = coef[..., i, jj, :]
     comps[..., jj, i, :] = -coef[..., i, jj, :]
-    return TransverseCurvature(basis=basis, components=comps)
+    return TransverseCurvature(components=comps)
 
 
 def transverse_curvature_sff(geo: PointGeometry) -> TransverseCurvature:
@@ -676,8 +660,7 @@ def transverse_curvature_sff(geo: PointGeometry) -> TransverseCurvature:
     m_anti = 0.5 * (m_blk - np.swapaxes(m_blk, -3, -2))
     f20 = (e_blk - g_blk) / 8.0 - 0.25j * m_anti
     f11 = (e_blk + g_blk) / 4.0 + 0.5j * m_sym
-    out = TransverseCurvature(
-        basis=blocks.frame.h_vectors(), components=comps, f20=f20, f11=f11, f02=np.conj(f20))
+    out = TransverseCurvature(components=comps, f20=f20, f11=f11, f02=np.conj(f20))
     bound = geo.tol.type_reassembly
     resid = np.max(np.abs(out.reassembled(bound) - comps), axis=_BLOCK_AXES, initial=0.0)
     _check(resid > bound, InternalConsistencyError,
@@ -723,8 +706,6 @@ class Minimality:
     curvature_vector: np.ndarray
     blocks_vector: np.ndarray
     consistency_residual: np.ndarray
-    c_contractions: np.ndarray
-    a_contractions: np.ndarray
 
 
 def _rk4(f: Callable, x: np.ndarray, h) -> np.ndarray:
@@ -761,8 +742,8 @@ def leaf_minimality(geo: PointGeometry) -> Minimality:
 
     blocks = geo.blocks
     n, k = blocks.n, blocks.k
-    c_con = blocks.c[..., 0, :, n - 1].copy()       # C^n_{a, n}
-    a_con = blocks.a[..., 0, :k, n - 1].copy()      # A^n_{a, n}
+    c_con = blocks.c[..., 0, :, n - 1]    # C^n_{a, n}
+    a_con = blocks.a[..., 0, :k, n - 1]   # A^n_{a, n}
     e_h = geo.frame.e[..., :k]
     f_h = geo.frame.f[..., :k]
     blocks_vec = (-e_h @ c_con[..., None])[..., 0] + (f_h @ a_con[..., None])[..., 0]
@@ -776,8 +757,6 @@ def leaf_minimality(geo: PointGeometry) -> Minimality:
         curvature_vector=kappa,
         blocks_vector=blocks_vec,
         consistency_residual=resid,
-        c_contractions=c_con,
-        a_contractions=a_con,
     )
 
 
@@ -1049,38 +1028,29 @@ class LagrangianGraphProduct:
         full = np.zeros((l, n + m, n + m))
         # kernel block indices inside the e range: m .. n-1
         full[:, m:n, m:n] = np.einsum("ijk,ib,jc,ka->abc", self.cubic, minv, minv, minv)
-        return SFFBlocks(point=self.embed(x, np.zeros(2 * m)), frame=fr, full=full)
+        return SFFBlocks(frame=fr, full=full)
 
     def sff_numeric(self, x: np.ndarray) -> SFFBlocks:
         """Blocks by central differences of tangentially extended fields,
         independent of the third-derivative oracle."""
-        n, m = self.n, self.m
         fr = self.frame(x)
         t = fr.tangent_basis()
-        normals = fr.f[:, m:]
-        w0 = np.zeros(2 * m)
-
-        def pullback_step(v, s):
-            # move the surface parameters by the tangent vector's components
-            dx = v[: self.l] * s
-            dw = np.concatenate([v[self.l: n], v[n + self.l:]]) * s
-            return x + dx, w0 + dw
-
+        normals = fr.f[:, self.m:]
         cols = t.shape[1]
         full = np.zeros((normals.shape[1], cols, cols))
         for i in range(cols):
-            vi = t[:, i]
-            xp, wp = pullback_step(vi, PRODUCT_SFF_STEP)
-            xm, wm = pullback_step(vi, -PRODUCT_SFF_STEP)
-            pp = self.tangent_projector(xp)
-            pm = self.tangent_projector(xm)
+            # step the graph parameters by the tangent vector's x components:
+            # no tangent space depends on the C^m factor
+            dx = t[: self.l, i] * PRODUCT_SFF_STEP
+            pp = self.tangent_projector(x + dx)
+            pm = self.tangent_projector(x - dx)
             for jj in range(cols):
                 vj = t[:, jj]
                 dw = (pp @ vj - pm @ vj) / (2 * PRODUCT_SFF_STEP)
                 coef = normals.T @ dw
                 full[:, i, jj] += coef
         full = 0.5 * (full + np.transpose(full, (0, 2, 1)))
-        return SFFBlocks(point=self.embed(x, w0), frame=fr, full=full)
+        return SFFBlocks(frame=fr, full=full)
 
 
 def random_graph_product(seed, l: int = 2, m: int = 1,

@@ -43,7 +43,7 @@ from .grassmann import (
     loop_from_family,
     pushforward,
 )
-from .symplin import Subspace
+from .symplin import Subspace, _check
 
 __all__ = [
     "MaslovSection",
@@ -237,11 +237,8 @@ def tangent_boundary_loop(
     def gen(thetas):
         points = np.asarray(boundary(thetas), dtype=float)
         _check_grid_shape(points.shape, (len(thetas), y.dim))
-        off = np.flatnonzero(~y.on_surface(points, tol.boundary_on_surface))
-        if off.size:
-            raise OffSurfaceError(
-                f"boundary point at theta={thetas[off[0]]:.4f} is off the surface"
-            )
+        _check(~y.on_surface(points, tol.boundary_on_surface), OffSurfaceError, lambda w:
+               f"boundary point at theta={thetas[w[0]]:.4f} is off the surface", trailing=1)
         g = y.gradient(points)
         outer = g[:, :, None] * g[:, None, :]
         gg = g[:, None, :] @ g[:, :, None]

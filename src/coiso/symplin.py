@@ -16,8 +16,10 @@ A loop's samples are handled as one stack: a ``Subspace`` may hold a
 (..., 2n, m) array of equal-dimensional members, a ``CoisotropicSubspace``
 a stack of splittings and an ``AdaptedFrame`` a stack of (..., 2n, n)
 frames.  Classification, complements, principal angles and frame checks
-act on every member with one stacked ``np.linalg`` call per step.  A single
-subspace or frame is the unstacked case of the same code.  Random unitaries
+act on every member with one stacked ``np.linalg`` call per step.  A check
+on a stack raises for its first failing member and names it through
+``_check``, which every module's stacked checks call.  A single subspace
+or frame is the unstacked case of the same code.  Random unitaries
 and coisotropic subspaces are drawn as stacks with numpy's ``size``, a stack
 reading the generator as successive single draws do, and the Grassmannian's
 dimension is measured at every member of a stack at once.  Frames are
@@ -72,6 +74,15 @@ def _t(a: np.ndarray) -> np.ndarray:
 def _member_note(index: tuple) -> str:
     """Names the failing member of a stack in an error message."""
     return f" (stack member {', '.join(map(str, index))})" if index else ""
+
+
+def _check(bad: np.ndarray, error: type, message, trailing: int = 0) -> None:
+    """Raise ``error`` for the first true entry, in C order, of the boolean
+    stack ``bad``: ``message`` words it from its index, and the note names
+    the stack member, the index without its last ``trailing`` axes."""
+    if np.count_nonzero(bad):
+        where = tuple(int(i) for i in np.argwhere(bad)[0])
+        raise error(message(where) + _member_note(where[:len(where) - trailing]))
 
 
 @lru_cache(maxsize=32)
@@ -158,13 +169,8 @@ def _mgs(cols: np.ndarray, min_norm: float) -> tuple[np.ndarray, np.ndarray]:
                 v = v - np.vecdot(qk, v, keepdims=True) * qk
         v = np.ascontiguousarray(v)
         nv = np.sqrt(np.vecdot(v, v, keepdims=True).real, out=norms[..., i:i + 1])
-        short = nv < min_norm
-        if np.count_nonzero(short):
-            where = tuple(int(j) for j in np.argwhere(short)[0])
-            raise ContinuityLossError(
-                f"column {i} projected to norm {nv[where]:.3e} < {min_norm:.1e}"
-                + _member_note(where[:-1])
-            )
+        _check(nv < min_norm, ContinuityLossError, lambda w: f"column {i} projected to "
+               f"norm {nv[w]:.3e} < {min_norm:.1e}", trailing=1)
         np.divide(v, np.maximum(nv, _TINY), out=columns[i])
     return q, norms
 
@@ -317,13 +323,9 @@ def symplectic_complement(c: Subspace, tol: Tolerances = DEFAULT) -> Subspace:
     lam, vecs = np.linalg.eigh(_identity(dim) - c.basis @ _t(c.basis))
     s = np.sqrt(np.maximum(1.0 - lam[..., :c.dim], 0.0))
     band = (s > tol.svd_cutoff) & (s < tol.svd_gap * s[..., :1])
-    if band.any():
-        where = tuple(int(i) for i in np.argwhere(band)[0][:-1])
-        raise DegenerateInputError(
-            "singular values straddle the rank cutoff: "
-            f"{s[where][band[where]]} against largest {s[where][0]:.3e}"
-            + _member_note(where)
-        )
+    _check(band, DegenerateInputError,
+           lambda w: "singular values straddle the rank cutoff: "
+           f"{s[w[:-1]][band[w[:-1]]]} against largest {s[w[:-1]][0]:.3e}", trailing=1)
     ranks = np.sum(s > tol.svd_cutoff, axis=-1)
     rank = int(ranks.max())
     if ranks.min() != rank:
@@ -485,11 +487,8 @@ def _check_frames(c: CoisotropicSubspace, frames: AdaptedFrame, tol: Tolerances)
          largest_escape(c.kernel, frames.kernel_vectors()), tol.subspace_equality),
     )
     for what, defect, bound in checks:
-        over = defect > bound
-        if over.any():
-            i = int(np.argmax(over))
-            raise ContinuityLossError(
-                f"frame {i} {what}: defect {defect[i]:.3e} > {bound:.1e}")
+        _check(defect > bound, ContinuityLossError, lambda w: f"frame {w[0]} {what}: "
+               f"defect {defect[w]:.3e} > {bound:.1e}", trailing=1)
 
 
 def _gauge_bases(c: CoisotropicSubspace) -> tuple[np.ndarray, np.ndarray]:
@@ -566,14 +565,10 @@ def transport_phases(
     det_k = np.linalg.det(_t(kernel) @ np.roll(kernel, 1, axis=0))
     defect = np.abs(np.conj(_t(g)) @ g - _identity(n)).max(axis=(-2, -1))
     size = np.abs(det_h) * np.abs(det_k)
-    for what, bad, value, bound in (
-            ("gauge basis is not unitary: defect", defect > 10 * tol.orthonormality, defect,
-             f"> {10 * tol.orthonormality:.1e}"),
-            ("overlap determinant", size < tol.hint_min_norm, size,
-             f"< {tol.hint_min_norm:.1e}")):
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ContinuityLossError(f"{what} {value[i]:.3e} {bound}" + _member_note((i,)))
+    _check(defect > 10 * tol.orthonormality, ContinuityLossError, lambda w: "gauge basis is "
+           f"not unitary: defect {defect[w]:.3e} > {10 * tol.orthonormality:.1e}")
+    _check(size < tol.hint_min_norm, ContinuityLossError,
+           lambda w: f"overlap determinant {size[w]:.3e} < {tol.hint_min_norm:.1e}")
     h_steps, k_signs = det_h / np.abs(det_h), np.sign(det_k)
     phases = np.linalg.det(g) * np.cumprod(
         np.concatenate([[1.0], h_steps[1:] * k_signs[1:]]))

@@ -166,6 +166,21 @@ def test_run_schema_violation_exit_two(tmp_path):
     ("grassmannian-dim", {"n": 2, "k": 1, "points": 1, "seed": -1}),
     ("maslov-index", {"n": 2, "k": 1, "family": "random-unitary-orbit",
                       "family_params": {"seed": -1}}),
+    # a turn count or winding past 64, or an expected index past 2**53, is
+    # bad input; a 401-digit one used to overflow a float and exit 1
+    ("maslov-index", {"n": 2, "k": 0, "M": 64, "family": "lagrangian-rotation",
+                      "family_params": {"turns": 10 ** 400}}),
+    ("disc-index", {"fixture": "sphere", "loop": "hopf", "loop_params": {"power": 10 ** 400}}),
+    ("disc-index", {"fixture": "sphere", "loop": "latitude", "loop_params": {"p": 10 ** 400}}),
+    ("disc-index", {"fixture": "sphere", "loop": "latitude", "loop_params": {"q": -10 ** 400}}),
+    ("maslov-index", {"n": 2, "k": 1, "family": "random-unitary-orbit",
+                      "section": {"winding": 10 ** 400}}),
+    ("disc-index", {"fixture": "sphere", "loop": "hopf", "M": 64, "expected_index": 10 ** 400}),
+    ("disc-index", {"fixture": "sphere", "loop": "hopf", "expected_index": 2 ** 53 + 1}),
+    ("maslov-index", {"n": 2, "k": 2, "family": "diag-unitary",
+                      "family_params": {"windings": [1e300, 0]}}),
+    ("maslov-index", {"n": 2, "k": 0, "family": "lagrangian-rotation",
+                      "family_params": {"turns": 65}}),
 ])
 def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
     path = tmp_path / "bad.json"

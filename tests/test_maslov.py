@@ -385,6 +385,21 @@ def test_tangent_stack_equals_members(alpha, p, q, seed, count):
         assert np.array_equal(stacked[i], loop.generator(thetas[i:i + 1]).basis[0])
 
 
+def test_off_surface_boundary_point_is_named_by_its_angle():
+    # the Hopf circle with its point at theta = pi pushed off the sphere; the
+    # 16-point grid holds that angle and no other within 0.1 of it
+    hopf = BOUNDARY_FAMILIES["hopf"]({})
+
+    def moved(thetas):
+        points = hopf(thetas)
+        points[np.abs(thetas - np.pi) < 0.1] *= 1.5
+        return points
+
+    with pytest.raises(coiso.OffSurfaceError,
+                       match=r"^boundary point at theta=3\.1416 is off the surface$"):
+        tangent_boundary_loop(coiso.sphere(2), moved, samples=16)
+
+
 # the parameters of each boundary family
 _BOUNDARY_PARAMS = {
     "hopf": st.fixed_dictionaries({"power": st.integers(-3, 3)}),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from numpy.testing import assert_allclose
 
 import coiso
@@ -24,7 +25,7 @@ from coiso import (
     standard_model,
     symplectic_complement,
 )
-from coiso.symplin import _standard_j, _standard_omega, _unchecked
+from coiso.symplin import _check, _standard_j, _standard_omega, _unchecked
 from reference_classify import (
     omega_pairing,
     reference_complement,
@@ -698,6 +699,32 @@ def test_from_spanning_names_the_rank_deficient_member(seed, count, data):
     with pytest.raises(coiso.ContinuityLossError,
                        match=r"^column 2 projected to norm \S+ < 1\.0e-12$"):
         Subspace.from_spanning(cols[bad])
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([(), (3,), (2, 3), (2, 3, 4)]).flatmap(
+    lambda shape: st.tuples(hnp.arrays(bool, shape), st.integers(0, len(shape)))))
+def test_check_raises_for_the_first_true_entry(case):
+    # the first true index in C order is worded, and the note names its
+    # leading ndim - trailing entries, or is left out when there are none
+    bad, trailing = case
+    worded = []
+
+    def message(where):
+        worded.append(where)
+        return f"entry {where}"
+
+    if not bad.any():
+        _check(bad, ValueError, message, trailing)
+        assert not worded
+        return
+    first = next(i for i in np.ndindex(bad.shape) if bad[i])
+    member = first[:bad.ndim - trailing]
+    note = f" (stack member {', '.join(map(str, member))})" if member else ""
+    with pytest.raises(ValueError) as err:
+        _check(bad, ValueError, message, trailing)
+    assert str(err.value) == f"entry {first}{note}"
+    assert worded == [first] and all(type(i) is int for i in worded[0])
 
 
 def test_single_subspace_or_frame_is_not_iterable():
