@@ -17,11 +17,13 @@ class DegenerateInputError(CoisoError):
 
 
 class ClassificationError(CoisoError):
-    """A subspace failed the coisotropy test.
+    """A subspace failed the coisotropy test, or a splitting its
+    certification (``symplin._certify``).
 
-    ``witness`` carries ``(vector, residual, angle)``: a kernel vector of the
-    symplectic complement, its component outside the candidate subspace and
-    the offending principal angle.
+    ``witness``, when a vector left the subspace, carries
+    ``(vector, residual, angle)``: that kernel or H-part vector, its
+    component outside the candidate subspace and the offending principal
+    angle.
     """
 
     def __init__(self, message, witness=None):
@@ -59,7 +61,8 @@ class InternalConsistencyError(CoisoError):
 
 
 class UnnormalizedDefiningFunctionError(CoisoError):
-    """|grad rho| deviates from 1 beyond tolerance in strict mode."""
+    """|grad rho| deviates from 1 beyond tolerance in strict mode, or
+    vanishes (below 1e-12) where a unit normal is needed."""
 
 
 class OffSurfaceError(CoisoError):

@@ -14,14 +14,19 @@ loop generator is called once per grid: it takes a 1-D array of M angles
 and returns the stack of its M members, a ``Subspace`` or
 ``CoisotropicSubspace`` of shape (M, 2n, m) whose member i depends on
 theta_i alone; a matrix-loop callable likewise returns an (M, 2n, 2n)
-stack.  The M members are classified by one stacked call into a
-``CoisotropicSubspace`` of shape (M, 2n, n+k), the continuity contract
-reads one stacked largest principal angle per consecutive pair, and the
-transport takes one stacked determinant per block, with no Python step per
-sample.  Each grid is built once: the generator's members at 0 and 2*pi
-are compared for closure, not classified; a doubled grid (refinement, or
+stack.  A ``Subspace`` stack is classified by one stacked call into a
+``CoisotropicSubspace`` of shape (M, 2n, n+k); the splitting of a
+``CoisotropicSubspace`` stack is certified as it is handed over, not
+reclassified (``symplin._certify``, which the classification ends in too).
+Every named family hands over the splitting read off the unitary u(theta)
+with gamma(theta) = u(theta) . (C^k + R^{n-k}), so its loops take no
+decomposition to split their samples.  The continuity contract reads one
+stacked largest principal angle per consecutive pair, and the transport
+takes one stacked determinant per block, with no Python step per sample.
+Each grid is built once: the generator's members at 0 and 2*pi are
+compared for closure, not certified; a doubled grid (refinement, or
 ``resample(2 * M)``) reuses its even members, bitwise those of the grid it
-doubles, and generates and classifies only its odd members; ``resample``
+doubles, and generates and certifies only its odd members; ``resample``
 keeps the loop's closure defect.
 """
 
@@ -50,9 +55,12 @@ from .symplin import (
     realify,
     standard_model,
     transport_phases,
+    _certify,
     _check,
     _check_complex_dim,
+    _check_model,
     _rank_parameter,
+    _splitting,
     _standard_omega,
     _unchecked,
 )
@@ -94,15 +102,34 @@ def _check_grid_shape(got: tuple, want: tuple) -> None:
             f"stack of shape {want}, got shape {got}")
 
 
-def _members(generator, thetas: np.ndarray, dim: Optional[int] = None) -> Subspace:
-    """The generator's stack on ``thetas``, C-contiguous as a stack built
-    member by member would be.  Its members have ``dim`` = 2n rows when
-    ``dim`` is given, else as many as the trailing axes returned show.  The
-    generator's ``Subspace`` was checked, so the copy is not."""
-    value = _as_subspace(generator(thetas))
-    rows = value.basis.shape[-2] if dim is None else dim
-    _check_grid_shape(value.basis.shape, (len(thetas), rows, value.dim))
-    return _unchecked(np.ascontiguousarray(value.basis))
+def _contiguous(s: Subspace) -> Subspace:
+    """``s`` C-contiguous, as a stack built member by member would be; a
+    copy of a checked stack is not checked again."""
+    return _unchecked(np.ascontiguousarray(s.basis))
+
+
+def _members(generator, thetas: np.ndarray, dim: Optional[int] = None):
+    """The generator's stack on ``thetas``, a ``Subspace`` or
+    ``CoisotropicSubspace`` with C-contiguous arrays.  Its members have
+    ``dim`` = 2n rows when ``dim`` is given, else as many as the trailing
+    axes returned show."""
+    value = generator(thetas)
+    space = _as_subspace(value)
+    rows = space.basis.shape[-2] if dim is None else dim
+    _check_grid_shape(space.basis.shape, (len(thetas), rows, space.dim))
+    if isinstance(value, CoisotropicSubspace):
+        return CoisotropicSubspace(space=_contiguous(space), k=value.k,
+                                   kernel=_contiguous(value.kernel),
+                                   h_part=_contiguous(value.h_part))
+    return _contiguous(space)
+
+
+def _certified(value, tol) -> CoisotropicSubspace:
+    """A generator's stack split and certified: a handed-over splitting is
+    certified as it is, a ``Subspace`` classified."""
+    if isinstance(value, CoisotropicSubspace):
+        return _certify(value, tol)
+    return classify_coisotropic(value, tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -110,7 +137,7 @@ class CoisotropicLoop:
     """M uniformly sampled coisotropic subspaces and their transported
     frames' determinant data.
 
-    ``samples`` is the classified stack of shape (M, 2n, n+k), member i
+    ``samples`` is the certified stack of shape (M, 2n, n+k), member i
     belonging to ``thetas[i]``.  ``closure_defect`` is the principal-angle
     distance between the generator's value at 2*pi and sample 0.  The
     frames U_i transported from sample 0's adapted frame (see
@@ -161,7 +188,7 @@ class CoisotropicLoop:
     def resample(self, m: int, tol: Tolerances = DEFAULT) -> "CoisotropicLoop":
         """The loop on the grid of ``m`` samples, never refined but held to
         the continuity contract, with the loop's closure defect; on the
-        doubled grid only the new (odd) members are generated and classified."""
+        doubled grid only the new (odd) members are generated and certified."""
         coarse = self.samples if m == 2 * self.m else None
         return _sampled_loop(self.k, self.generator, m, False, coarse, self.closure_defect,
                              2 * self.n, tol)
@@ -179,17 +206,20 @@ def loop_from_family(
     The generator is called once per grid: given a 1-D array of M angles it
     returns a ``Subspace`` or ``CoisotropicSubspace`` stack of shape
     (M, 2n, m) whose member i depends on theta_i alone; any other shape
-    raises ValueError.  It must close: its members at 0 and 2*pi, taken
+    raises ValueError.  A ``Subspace`` stack is classified; a returned
+    splitting is certified, not reclassified (``symplin._certify``), and a
+    bad one raises ClassificationError naming its member.  The generator
+    must close: its members at 0 and 2*pi, taken
     from one call, agree within ``tol.generator_closure``; that call fixes
     the 2n of every later grid and, through their dimension, the rank
-    parameter, which must be ``k``.  Those two members are not classified;
+    parameter, which must be ``k``.  Those two members are not certified;
     grid member 0 is.  Refinement doubles the sample count up to
     ``tol.max_loop_samples`` and then raises DiscontinuousLoopError; an
     angle within ``config.TIE_ULPS`` ulps below ``tol.consecutive_angle``
     counts as at it and refines, so that an exact tie does not hang on the
-    last bit.  Classification failures of generator output propagate
-    unchanged.  The members of a grid are classified together, one stacked
-    call per M; a doubled grid generates and classifies only its odd
+    last bit.  Certification failures of generator output propagate
+    unchanged.  The members of a grid are certified together, one stacked
+    call per M; a doubled grid generates and certifies only its odd
     members.
     """
     closure, dim = _closure(k, generator, tol)
@@ -202,7 +232,7 @@ def _closure(k, generator, tol) -> tuple[float, int]:
     dimension is below n, then DiscontinuousLoopError when they do not
     close, then ClassificationError when their rank parameter is not
     ``k``."""
-    ends = _members(generator, np.array([0.0, 2 * pi]))
+    ends = _as_subspace(_members(generator, np.array([0.0, 2 * pi])))
     rank = _rank_parameter(ends)
     closure = float(np.max(principal_angles(ends[0], ends[1]), initial=0.0))
     if closure > tol.generator_closure:
@@ -222,9 +252,9 @@ def _sampled_loop(k, generator, m: int, refine: bool,
     """The loop of the generator's members on the M-grid, each with ``dim``
     = 2n rows, refining until the continuity contract holds only when
     ``refine``.  ``closure`` is the generator's closure defect, and
-    ``coarse``, when given, the classified stack of the M/2 grid (see
-    ``_classified_grid``)."""
-    stack = _classified_grid(generator, m, dim, coarse, tol)
+    ``coarse``, when given, the certified stack of the M/2 grid (see
+    ``_certified_grid``)."""
+    stack = _certified_grid(generator, m, dim, coarse, tol)
     while True:
         # largest principal angle from each member to the next, the last to the first
         worst = float(np.max(largest_principal_angles(
@@ -236,35 +266,34 @@ def _sampled_loop(k, generator, m: int, refine: bool,
                 f"consecutive angle {worst:.3f} at M={m}; refinement budget exhausted"
             )
         m *= 2
-        stack = _classified_grid(generator, m, dim, stack, tol)
+        stack = _certified_grid(generator, m, dim, stack, tol)
 
     return _closed_loop(k, _thetas(m), stack, closure, generator, tol)
 
 
-def _classified_grid(generator, m: int, dim: int, coarse: Optional[CoisotropicSubspace],
+def _certified_grid(generator, m: int, dim: int, coarse: Optional[CoisotropicSubspace],
                      tol) -> CoisotropicSubspace:
     """The generator's members on the M-grid, each with ``dim`` = 2n rows,
-    classified as one stack.
+    certified as one stack (see ``_certified``).
 
-    ``coarse``, when given, is the classified stack of the M/2 grid.  Its
+    ``coarse``, when given, is the certified stack of the M/2 grid.  Its
     angles are bitwise the even angles of this grid (the ratio is a power of
-    two), so only the odd members are generated and classified, and the two
-    stacks are interleaved.  When the odd members fail to classify, the
-    whole grid is classified instead, so that the error names its member on
-    this grid.
+    two), so only the odd members are generated and certified, and the two
+    stacks are interleaved.  When the odd members fail, the whole grid is
+    certified instead, so that the error names its member on this grid.
     """
     thetas = _thetas(m)
     if coarse is not None:
         try:
-            odd = classify_coisotropic(_members(generator, thetas[1::2].copy(), dim), tol)
+            odd = _certified(_members(generator, thetas[1::2].copy(), dim), tol)
         except CoisoError:
-            pass   # the whole-grid classification below raises it on this grid
+            pass   # the whole-grid certification below raises it on this grid
         else:
             return CoisotropicSubspace(
                 space=_interleaved(coarse.space, odd.space), k=coarse.k,
                 kernel=_interleaved(coarse.kernel, odd.kernel),
                 h_part=_interleaved(coarse.h_part, odd.h_part))
-    return classify_coisotropic(_members(generator, thetas, dim), tol)
+    return _certified(_members(generator, thetas, dim), tol)
 
 
 def _interleaved(even: Subspace, odd: Subspace) -> Subspace:
@@ -277,7 +306,7 @@ def _interleaved(even: Subspace, odd: Subspace) -> Subspace:
 
 def _closed_loop(k, thetas, stack: CoisotropicSubspace, closure,
                  generator, tol) -> CoisotropicLoop:
-    """The loop of a classified stack, its frames transported around the
+    """The loop of a certified stack, its frames transported around the
     samples and once more onto sample 0."""
     phases, holonomy, sign, margin = transport_phases(stack, tol)
     return CoisotropicLoop(
@@ -299,9 +328,16 @@ class SymplecticMatrixLoop:
         a = np.asarray(self.matrices, dtype=float)
         om = _standard_omega(a.shape[-1] // 2)
         worst = float(np.max(np.abs(np.swapaxes(a, -1, -2) @ om @ a - om)))
-        if worst > 1e-9:
+        if not worst <= 1e-9:
             raise ValueError(f"samples not symplectic: residual {worst:.3e}")
-        steps = np.linalg.norm(np.roll(a, -1, axis=0) - a, 2, axis=(-2, -1))
+        # the operator norm of a step is at most its Frobenius norm, so only
+        # a step whose Frobenius norm exceeds 0.5 (less a relative 1e-12 for
+        # rounding) can fail, and only those take the operator norm's SVD
+        diff = np.roll(a, -1, axis=0) - a
+        steps = np.linalg.norm(diff, axis=(-2, -1))
+        wide = steps > 0.5 * (1 - 1e-12)
+        if np.count_nonzero(wide):
+            steps[wide] = np.linalg.norm(diff[wide], 2, axis=(-2, -1))
         _check(steps > 0.5, ValueError, lambda w: f"consecutive samples {w[0]} jump by "
                f"operator norm {steps[w]:.3f} > 0.5", trailing=1)
         object.__setattr__(self, "matrices", a)
@@ -350,7 +386,9 @@ def pushforward(
 
 
 # ---------------------------------------------------------------------------
-# named loop families
+# named loop families: each generator builds the unitaries u(theta) with
+# gamma(theta) = u(theta) . (C^k + R^{n-k}) and hands over their splitting,
+# the H gauge basis u[:, :k] and the kernel u[:, k:] (``symplin._splitting``)
 
 
 def _diagonals(d: np.ndarray) -> np.ndarray:
@@ -377,11 +415,10 @@ def constant_family(n: int, k: int, seed=None):
 def lagrangian_rotation_family(n: int, turns: int = 1):
     """gamma(theta) = exp(i * turns * theta / 2) . R^n, a Lagrangian loop."""
     _check_complex_dim(n)
-    base = np.eye(2 * n)[:, :n]
 
     def gen(thetas):
-        u = realify(np.exp(1j * turns * thetas / 2)[:, None, None] * np.eye(n))
-        return Subspace.from_spanning(u @ base)
+        u = np.exp(1j * turns * thetas / 2)[:, None, None] * np.eye(n)
+        return _splitting(u[..., :0], u)
 
     return gen
 
@@ -392,15 +429,14 @@ def diag_unitary_family(n: int, k: int, windings: Sequence[float]):
     Entries acting on the kernel coordinates (j > k) may carry half-integer
     windings: the half turn lands in the isotropy group of the model.
     """
-    _check_complex_dim(n)
+    _check_model(n, k)
     if len(windings) != n:
         raise ValueError("need one winding per complex coordinate")
     w = np.asarray(windings, dtype=float)
-    base = standard_model(n, k).space.basis
 
     def gen(thetas):
-        u = realify(_diagonals(np.exp(1j * w * thetas[:, None])))
-        return Subspace.from_spanning(u @ base)
+        u = _diagonals(np.exp(1j * w * thetas[:, None]))
+        return _splitting(u[..., :k], u[..., k:])
 
     return gen
 
@@ -444,17 +480,17 @@ def random_unitary_orbit_family(
     integer windings mu_j on the H coordinates, half-integer allowed on the
     kernel coordinates.
     """
+    _check_model(n, k)
     g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
     v = random_unitary(n, g)
     wig = _closed_wiggle(n, g, wiggle)
     mu = np.empty(n)
     mu[:k] = g.integers(-max_winding, max_winding + 1, size=k)
     mu[k:] = g.integers(-2 * max_winding, 2 * max_winding + 1, size=n - k) / 2.0
-    base = standard_model(n, k).space.basis
 
     def gen(thetas):
         u = v @ wig(thetas) @ _diagonals(np.exp(1j * mu * thetas[:, None]))
-        return Subspace.from_spanning(realify(u) @ base)
+        return _splitting(u[..., :k], u[..., k:])
 
     gen.windings = mu
     gen.conjugator = v

@@ -34,6 +34,7 @@ from .errors import (
     ClosureError,
     FrameDegeneracyError,
     OffSurfaceError,
+    UnnormalizedDefiningFunctionError,
 )
 from . import hypergeo
 from .grassmann import (
@@ -43,7 +44,7 @@ from .grassmann import (
     loop_from_family,
     pushforward,
 )
-from .symplin import Subspace, _check
+from .symplin import _check, _splitting
 
 __all__ = [
     "MaslovSection",
@@ -228,11 +229,15 @@ def tangent_boundary_loop(
     Returns ``(loop, points)``, ``points`` the boundary points on the loop's
     grid.  Given a 1-D array of M angles, ``boundary`` returns the (M, 2n)
     stack of their points; any other shape raises ValueError.  Points must
-    lie on Y within the boundary tolerance.  The loop's generator takes the
-    surface test and the gradient of all M points as one stack and their
-    tangent spaces from one stacked ``eigh`` of the tangent projectors (the
-    eigenvectors of eigenvalue 1), and returns them unclassified; the loop
-    classifies them in one stacked call.
+    lie on Y within the boundary tolerance, and the gradient of rho must not
+    vanish there: a gradient norm below 1e-12 raises
+    UnnormalizedDefiningFunctionError naming the angle.  The loop's
+    generator takes the surface test and the gradient of all M points as
+    one stack and hands over the tangent spaces' splittings in closed form
+    from the unit normals nu (as complex vectors): the kernel j nu, and H
+    the complex complement of nu, with the unitary basis of
+    :func:`_normal_complement`.  The loop certifies them in one stacked
+    call; no decomposition is taken.
     """
     def gen(thetas):
         points = np.asarray(boundary(thetas), dtype=float)
@@ -240,12 +245,35 @@ def tangent_boundary_loop(
         _check(~y.on_surface(points, tol.boundary_on_surface), OffSurfaceError, lambda w:
                f"boundary point at theta={thetas[w[0]]:.4f} is off the surface", trailing=1)
         g = y.gradient(points)
-        outer = g[:, :, None] * g[:, None, :]
-        gg = g[:, None, :] @ g[:, :, None]
-        return Subspace(np.linalg.eigh(np.eye(y.dim) - outer / gg)[1][..., 1:])
+        norm = hypergeo._norm(g)
+        _check(norm < 1e-12, UnnormalizedDefiningFunctionError,
+               lambda w: f"grad rho vanished at theta={thetas[w[0]]:.4f}", trailing=1)
+        nu = (g[:, :y.n] + 1j * g[:, y.n:]) / norm[:, None]
+        return _splitting(_normal_complement(nu), 1j * nu[:, :, None])
 
     loop = loop_from_family(y.n - 1, gen, samples=samples, tol=tol)
     return loop, np.asarray(boundary(loop.thetas), dtype=float)
+
+
+def _normal_complement(nu: np.ndarray) -> np.ndarray:
+    """A unitary basis of the complex complement of each unit vector of an
+    (M, n) stack, as an (M, n, n-1) stack, computed elementwise with no
+    LAPACK call.
+
+    The basis is columns 2..n of the complex Householder reflector
+    I - 2 v v^* / |v|^2 with v = nu + alpha e_1, alpha the phase of nu_1 (1
+    where nu_1 = 0), which maps e_1 to a unit multiple of nu.  For unit nu,
+    |v|^2 = 2 (1 + |nu_1|) >= 2, so column j is
+    e_j - v conj(nu_j) / (1 + |nu_1|).
+    """
+    first = nu[:, 0]
+    mod = np.abs(first)
+    alpha = np.where(mod > 0, first / np.where(mod > 0, mod, 1.0), 1.0)
+    v = nu.copy()
+    v[:, 0] += alpha
+    h = -v[:, :, None] * (np.conj(nu[:, None, 1:]) / (1.0 + mod)[:, None, None])
+    h[:, 1:, :] += np.eye(nu.shape[-1] - 1)
+    return h
 
 
 # boundary loop families on hypersurface fixtures: each takes its parameter

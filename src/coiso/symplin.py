@@ -16,7 +16,9 @@ A loop's samples are handled as one stack: a ``Subspace`` may hold a
 (..., 2n, m) array of equal-dimensional members, a ``CoisotropicSubspace``
 a stack of splittings and an ``AdaptedFrame`` a stack of (..., 2n, n)
 frames.  Classification, complements, principal angles and frame checks
-act on every member with one stacked ``np.linalg`` call per step.  A check
+act on every member with one stacked ``np.linalg`` call per step.  One
+routine, ``_certify``, certifies a splitting as coisotropic, whether the
+classification computed it or a loop generator handed it over.  A check
 on a stack raises for its first failing member and names it through
 ``_check``, which every module's stacked checks call.  A single subspace
 or frame is the unstacked case of the same code.  Random unitaries
@@ -223,7 +225,8 @@ class Subspace:
         if b.ndim < 2 or b.shape[-2] % 2 != 0:
             raise ValueError("basis must be a 2n x m matrix or a stack of them")
         gram = _t(b) @ b
-        if gram.size and np.max(np.abs(gram - np.eye(b.shape[-1]))) > DEFAULT.orthonormality:
+        # a non-finite entry fails the comparison, and so the check
+        if gram.size and not np.max(np.abs(gram - np.eye(b.shape[-1]))) <= DEFAULT.orthonormality:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
 
@@ -253,8 +256,8 @@ class Subspace:
 
 def _unchecked(basis: np.ndarray) -> Subspace:
     """The ``Subspace`` of a float basis taken or copied from checked stacks
-    (members, reorderings, interleavings), built without checking its
-    orthonormality again."""
+    (members, reorderings, interleavings), or of one that :func:`_certify`
+    checks, built without checking its orthonormality here."""
     sub = object.__new__(Subspace)
     object.__setattr__(sub, "basis", basis)
     return sub
@@ -336,14 +339,17 @@ def symplectic_complement(c: Subspace, tol: Tolerances = DEFAULT) -> Subspace:
 
 @dataclasses.dataclass(frozen=True)
 class CoisotropicSubspace:
-    """A certified coisotropic subspace C = H_C + kernel of dimension n + k.
+    """A coisotropic subspace C = H_C + kernel of dimension n + k, with its
+    splitting.
 
     ``kernel`` is the symplectic complement C^omega (dimension n - k) and
     ``h_part`` the j-invariant g-orthogonal complement H_C of the kernel
     inside C (dimension 2k), held as [h | j h]: its first k columns are a
     unitary basis h of H_C as C^k, the gauge basis that frames are built
     from.  All three may be stacks of equal shape, one member per subspace
-    of a sampled loop.
+    of a sampled loop.  Building one certifies nothing: the splitting that
+    :func:`classify_coisotropic` returns, or that a loop generator hands
+    over, is certified by :func:`_certify`.
     """
 
     space: Subspace
@@ -382,14 +388,75 @@ def _check_inside(v: np.ndarray, c: Subspace, what: str, tol: Tolerances) -> Non
     its column, the column's residual off C and the angle as witness."""
     resid = v - c.project(v)
     resid_norms = np.linalg.norm(resid, axis=-2)
-    if resid_norms.max() > tol.subspace_equality:
+    if not resid_norms.max() <= tol.subspace_equality:
+        # argmax takes the first NaN, if any, as the worst
         worst = np.unravel_index(np.argmax(resid_norms), resid_norms.shape)
         member, col = worst[:-1], worst[-1]
-        angle = float(np.arcsin(min(1.0, resid_norms[worst])))
+        angle = float(np.arcsin(np.minimum(1.0, resid_norms[worst])))
         raise ClassificationError(
             f"{what} by angle {angle:.3e}" + _member_note(member),
             witness=(v[member][:, col], resid[member][:, col], angle),
         )
+
+
+def _certify(c: CoisotropicSubspace, tol: Tolerances = DEFAULT) -> CoisotropicSubspace:
+    """Certify the splitting ``c`` of C as coisotropic and return it; for a
+    stack, every member at once.  Every certified splitting passes here,
+    the classification's included.
+
+    Raises ClassificationError, naming a failing member of a stack, unless
+    in turn: C, the kernel K and the H part have n + k, n - k and 2k
+    columns and the stack and row shape of C; K and ``h_part`` lie in C
+    (:func:`_check_inside`, naming the worst member); [h_part | K] is
+    orthonormal and ``h_part`` is [h | j h], each within
+    ``tol.orthonormality``; and B' omega K (B the basis of C) has no column
+    of norm above ``tol.subspace_equality``, so that K, of dimension
+    2n - dim C, is C^omega.  Each check can fail while those before it
+    pass, and a non-finite entry fails the check that reads it.
+    """
+    space, kernel, h_part, k = c.space.basis, c.kernel.basis, c.h_part.basis, c.k
+    n = space.shape[-2] // 2
+    lead = space.shape[:-1]
+    shapes = (space.shape, kernel.shape, h_part.shape)
+    want = (lead + (n + k,), lead + (n - k,), lead + (2 * k,))
+    if shapes != want:
+        raise ClassificationError(
+            f"a splitting with k = {k} needs (space, kernel, h_part) of shapes {want}, "
+            f"got {shapes}")
+    if k < n:
+        _check_inside(kernel, c.space, "not coisotropic: kernel direction leaves the subspace",
+                      tol)
+    if k:
+        _check_inside(h_part, c.space, "h_part leaves the subspace", tol)
+    frame = np.concatenate([h_part, kernel], axis=-1)
+    pairing = np.linalg.norm(_t(space) @ (_standard_omega(n) @ kernel), axis=-2)
+    checks = (
+        ("[h_part | kernel] is not orthonormal",
+         np.abs(_t(frame) @ frame - _identity(n + k)).max(axis=(-2, -1)), tol.orthonormality),
+        ("h_part is not [h | j h]",
+         np.abs(h_part[..., k:] - _standard_j(n) @ h_part[..., :k]).max(
+             axis=(-2, -1), initial=0.0), tol.orthonormality),
+        ("kernel is not omega-orthogonal to the subspace",
+         pairing.max(axis=-1, initial=0.0), tol.subspace_equality),
+    )
+    for what, defect, bound in checks:
+        _check(~(defect <= bound), ClassificationError,
+               lambda w: f"{what}: defect {defect[w]:.3e} > {bound:.1e}")
+    return c
+
+
+def _splitting(h: np.ndarray, kernel: np.ndarray) -> CoisotropicSubspace:
+    """The splitting with H gauge basis ``h`` and kernel ``kernel``, given
+    as complex (..., n, k) and (..., n, n-k) stacks whose joined columns
+    [h | kernel] are unitary: C = [h | kernel | j h] realified, checked by
+    ``Subspace``, with the kernel and [h | j h] read off its columns.  The
+    splitting is not certified (see :func:`_certify`)."""
+    k, n = h.shape[-1], h.shape[-2]
+    space = Subspace(real_coords(np.concatenate([h, kernel, 1j * h], axis=-1)))
+    b = space.basis
+    return CoisotropicSubspace(space=space, k=k, kernel=_unchecked(b[..., k:n]),
+                               h_part=_unchecked(np.concatenate([b[..., :k], b[..., n:]],
+                                                                axis=-1)))
 
 
 def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicSubspace:
@@ -403,23 +470,20 @@ def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicS
     H_C is the realified Hermitian complement of the kernel's complex span:
     ``h_part`` is [h | j h], h the top k eigenvectors of I - K_c K_c^* (K_c
     the kernel in complex coordinates; exactly I at k = n), a unitary basis
-    of H_C as C^k from one stacked ``eigh``.  It is j-invariant by
-    construction and checked to lie in C as the kernel is.
+    of H_C as C^k from one stacked ``eigh``.  The splitting is certified by
+    :func:`_certify`, as a loop generator's is.
     """
     k = _rank_parameter(c)
     kernel = symplectic_complement(c, tol)
-    if kernel.dim:
-        _check_inside(kernel.basis, c, "not coisotropic: kernel direction leaves the subspace",
-                      tol)
     if k == 0:
-        h_part = Subspace(np.zeros(c.basis.shape[:-1] + (0,)))
+        h_part = np.zeros(c.basis.shape[:-1] + (0,))
     else:
         n = c.basis.shape[-2] // 2
         kc = complex_coords(kernel.basis)
         h = np.linalg.eigh(_identity(n) - kc @ np.conj(_t(kc)))[1][..., n - k:]
-        h_part = Subspace(real_coords(np.concatenate([h, 1j * h], axis=-1)))
-        _check_inside(h_part.basis, c, "h_part leaves the subspace", tol)
-    return CoisotropicSubspace(space=c, k=k, kernel=kernel, h_part=h_part)
+        h_part = real_coords(np.concatenate([h, 1j * h], axis=-1))
+    return _certify(CoisotropicSubspace(space=c, k=k, kernel=kernel, h_part=_unchecked(h_part)),
+                    tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -599,14 +663,23 @@ def random_unitary(n: int, gen: np.random.Generator, size: tuple = ()) -> np.nda
     return q * (d / np.abs(d))[..., None, :]
 
 
-def standard_model(n: int, k: int) -> CoisotropicSubspace:
-    """The model C^k + R^{n-k}: span(e_1..e_n, f_1..f_k)."""
+def _check_model(n: int, k: int) -> None:
+    """ValueError unless C^k + R^{n-k} is a model: n positive, 0 <= k <= n."""
     _check_complex_dim(n)
     if not (0 <= k <= n):
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}")
-    eye = np.eye(2 * n)
-    cols = np.concatenate([eye[:, :n], eye[:, n: n + k]], axis=1)
-    return classify_coisotropic(Subspace(cols))
+
+
+def _model_basis(n: int, k: int) -> np.ndarray:
+    """The basis (e_1..e_n, f_1..f_k) of the model C^k + R^{n-k}: the first
+    n + k columns of the identity."""
+    _check_model(n, k)
+    return np.eye(2 * n)[:, :n + k]
+
+
+def standard_model(n: int, k: int) -> CoisotropicSubspace:
+    """The model C^k + R^{n-k}: span(e_1..e_n, f_1..f_k)."""
+    return classify_coisotropic(Subspace(_model_basis(n, k)))
 
 
 def random_coisotropic(n: int, k: int, seed, tol: Tolerances = DEFAULT,
@@ -617,12 +690,12 @@ def random_coisotropic(n: int, k: int, seed, tol: Tolerances = DEFAULT,
 
     U's columns are orthonormal to rounding, so the model's image is its
     basis as it is, with ``Subspace``'s orthonormality check and no
-    re-orthonormalization.
+    re-orthonormalization; the model itself is not classified.
     """
+    model = _model_basis(n, k)
     gen = seed if isinstance(seed, np.random.Generator) else rng(seed)
     u = realify(random_unitary(n, gen, size))
-    model = standard_model(n, k)
-    return classify_coisotropic(Subspace(u @ model.space.basis), tol)
+    return classify_coisotropic(Subspace(u @ model), tol)
 
 
 def _schur_constraint(t_basis: np.ndarray, perp: np.ndarray, k: int,

@@ -354,6 +354,25 @@ def test_zero_gradient_surface_exits_three_without_warning(tmp_path):
     assert json.loads(out.read_text())["error"].startswith("OffSurfaceError")
 
 
+def test_boundary_on_a_critical_circle_exits_three_with_the_angle(tmp_path):
+    # rho = (|z_1|^2 - 1)^2 + 1 is 1 on the Hopf circle |z_1| = 1, where its
+    # gradient vanishes: the tangent loop names the angle before dividing
+    terms = [{"coeff": c, "exponents": e} for c, e in (
+        (1.0, [4, 0, 0, 0]), (2.0, [2, 0, 2, 0]), (1.0, [0, 0, 4, 0]),
+        (-2.0, [2, 0, 0, 0]), (-2.0, [0, 0, 2, 0]), (2.0, [0, 0, 0, 0]))]
+    spec = {"kind": "disc-index",
+            "parameters": {"fixture": "polynomial", "loop": "hopf", "M": 64,
+                           "fixture_params": {"n": 2, "terms": terms}}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    out = tmp_path / "report.json"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", str(path), "--out", str(out)]) == 3
+    assert json.loads(out.read_text())["error"] == (
+        "UnnormalizedDefiningFunctionError: grad rho vanished at theta=0.0000")
+
+
 @pytest.mark.parametrize("fixture", ["sphere", "cylinder"])
 def test_circle_of_radius_r_runs_as_a_hypersurface(tmp_path, fixture):
     # n = 1: Y is a circle in C, k = 0, and the null leaf is the circle

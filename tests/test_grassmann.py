@@ -25,6 +25,7 @@ from coiso import (
     tangent_boundary_loop,
     unitary_matrix_loop,
 )
+from coiso.symplin import _standard_j, _unchecked
 
 
 def diagonals(*entries):
@@ -197,7 +198,8 @@ def test_pushforward_on_unequal_grids_starts_on_their_lcm():
     out = pushforward(a, loop)
     assert out.m == 192
     # member i is A(theta_i) applied to the loop's member at theta_i
-    image = Subspace.from_spanning(a.generator(out.thetas) @ loop.generator(out.thetas).basis)
+    image = Subspace.from_spanning(
+        a.generator(out.thetas) @ loop.generator(out.thetas).space.basis)
     for s, t in zip(out.samples, image):
         assert np.max(principal_angles(s.space, t)) < 1e-12
     with pytest.raises(DiscontinuousLoopError, match="common grid M=192 exceeds the budget"):
@@ -293,6 +295,25 @@ def test_matrix_loop_rejects_a_step_above_half():
     SymplecticMatrixLoop.from_callable(2, lambda t: mats, 8)
 
 
+@settings(max_examples=30)
+@given(st.integers(1, 3), st.integers(0, 2 ** 32 - 1), st.sampled_from([8, 12, 16, 24, 32, 64]))
+def test_matrix_loop_jump_check_matches_every_operator_norm(n, seed, m):
+    # only steps whose Frobenius norm exceeds 0.5 take the operator norm's
+    # SVD; the first failing member and its message are those of the
+    # operator norms of all steps
+    fn = coiso.random_symplectic_matrix_loop(n, coiso.rng(seed), 512).generator
+    mats = fn(np.arange(m) * (2 * np.pi / m))
+    steps = np.linalg.norm(np.roll(mats, -1, axis=0) - mats, 2, axis=(-2, -1))
+    bad = np.flatnonzero(steps > 0.5)
+    if len(bad):
+        i = bad[0]
+        with pytest.raises(ValueError, match=(
+                rf"^consecutive samples {i} jump by operator norm {steps[i]:.3f} > 0\.5$")):
+            SymplecticMatrixLoop.from_callable(n, fn, m)
+    else:
+        SymplecticMatrixLoop.from_callable(n, fn, m)
+
+
 # every routine that builds data from nothing takes n, and refuses n < 1
 BUILDERS_FROM_N = {
     "standard_model": lambda n: standard_model(n, 0),
@@ -350,7 +371,7 @@ def test_loop_family_builders_hold_the_defaults():
         "lagrangian-rotation": coiso.lagrangian_rotation_family(n, 1),
     }
     for name, gen in direct.items():
-        assert np.array_equal(_basis(built[name](thetas)), _basis(gen(thetas))), name
+        assert np.array_equal(built[name](thetas).space.basis, gen(thetas).space.basis), name
 
 
 def _grid(draw_count, seed):
@@ -358,20 +379,26 @@ def _grid(draw_count, seed):
     return np.concatenate([g.uniform(0, 2 * np.pi, size=draw_count), [0.0, 2 * np.pi]])
 
 
-def _basis(value):
-    return value.space.basis if isinstance(value, coiso.CoisotropicSubspace) else value.basis
+SPLIT = ("space", "kernel", "h_part")
 
 
 @settings(max_examples=40)
 @given(st.integers(1, 4), st.data(), st.integers(0, 2 ** 32 - 1), st.integers(1, 9))
 def test_loop_family_stack_equals_members(n, data, seed, count):
+    # every family hands over its splitting, and each part of a member is
+    # the part of the stack of one
     k = data.draw(st.integers(0, n))
     thetas = _grid(count, seed)
     for name, gen in _family_generators(n, k, seed).items():
-        stacked = _basis(gen(thetas))
-        assert stacked.shape[:2] == (len(thetas), 2 * n), name
+        stacked = gen(thetas)
+        rank = 0 if name == "lagrangian-rotation" else k
+        assert isinstance(stacked, coiso.CoisotropicSubspace) and stacked.k == rank, name
+        assert stacked.space.basis.shape == (len(thetas), 2 * n, n + rank), name
         for i in range(len(thetas)):
-            assert np.array_equal(stacked[i], _basis(gen(thetas[i:i + 1]))[0]), (name, i)
+            single = gen(thetas[i:i + 1])
+            for part in SPLIT:
+                assert np.array_equal(getattr(stacked, part).basis[i],
+                                      getattr(single, part).basis[0]), (name, i, part)
 
 
 @settings(max_examples=30)
@@ -611,24 +638,27 @@ def test_a_member_0_that_is_not_coisotropic_is_named_on_the_grid():
         loop_from_family(0, gen, samples=8)
 
 
-# the builds whose decompositions are counted: (k, generator); the orbit's
-# generator takes one eigh per call, for its wiggle
+# the builds whose decompositions are counted: (k, generator, the eighs of
+# one generator call); the orbit's generator takes one eigh per call, for its
+# wiggle, and the tangent generator none
 COUNTED = {
-    "orbit-n3k1": lambda: (1, coiso.random_unitary_orbit_family(3, 1, 23)),
-    "orbit-n2k0": lambda: (0, coiso.random_unitary_orbit_family(2, 0, 29)),
-    "diag-unitary-n3k3": lambda: (3, diag_unitary_family(3, 3, [1.0, -2.0, 0.0])),
+    "orbit-n3k1": lambda: (1, coiso.random_unitary_orbit_family(3, 1, 23), 1),
+    "orbit-n2k0": lambda: (0, coiso.random_unitary_orbit_family(2, 0, 29), 1),
+    "diag-unitary-n3k3": lambda: (3, diag_unitary_family(3, 3, [1.0, -2.0, 0.0]), 0),
+    "tangent-latitude": lambda: (1, tangent_boundary_loop(
+        coiso.sphere(2), BOUNDARY_FAMILIES["latitude"]({"alpha": 1.25, "p": 1, "q": 0}),
+        samples=16)[0].generator, 0),
 }
 
 
 @pytest.mark.parametrize("name", COUNTED)
 def test_each_grid_is_built_once(name, linalg_calls):
-    # one closure call and one grid call per build, each grid classified
-    # with one complement and (0 < k) one gauge eigh, and the continuity
-    # contract's one SVD; the counts do not grow with M, and resample(2M)
-    # generates and classifies the odd members only
-    k, family = COUNTED[name]()
-    generator_eighs = 1 if name.startswith("orbit") else 0
-    classify_eighs = 2 if k else 1
+    # one closure call and one grid call per build; each grid's handed-over
+    # splitting is certified with no decomposition, so the generator's own
+    # eighs are all the eighs taken, and the continuity contract takes its
+    # one SVD; the counts do not grow with M, and resample(2M) generates and
+    # certifies the odd members only
+    k, family, generator_eighs = COUNTED[name]()
     counts = {}
     for m in (256, 1024):
         calls = []
@@ -636,11 +666,152 @@ def test_each_grid_is_built_once(name, linalg_calls):
         loop = loop_from_family(k, _recording(family, calls), samples=m)
         assert loop.m == m
         assert [len(t) for t in calls] == [2, m]
-        assert linalg_calls["eigh"] == 2 * generator_eighs + classify_eighs
+        assert linalg_calls["eigh"] == 2 * generator_eighs
         counts[m] = dict(linalg_calls)
         calls.clear()
         linalg_calls.clear()
         fine = loop.resample(2 * m)
         assert len(calls) == 1 and np.array_equal(calls[0], fine.thetas[1::2])
-        assert linalg_calls["eigh"] == generator_eighs + classify_eighs
+        assert linalg_calls["eigh"] == generator_eighs
     assert counts[256] == counts[1024]
+
+
+# ---------------------------------------------------------------------------
+# handed-over splittings: certified, not reclassified
+
+def _orbit_with(member_fix, n=3, k=1, at=3):
+    """An orbit generator whose grid member ``at`` of the 8-grid is replaced
+    by ``member_fix(space, kernel, h_part)``, three real bases, returned
+    as the three new bases; the ends at 0 and 2*pi are left as they are."""
+    orbit = coiso.random_unitary_orbit_family(n, k, 41)
+
+    def gen(thetas):
+        c = orbit(thetas)
+        parts = [getattr(c, part).basis.copy() for part in SPLIT]
+        for i in np.flatnonzero(np.isclose(thetas, at * np.pi / 4, rtol=0, atol=1e-12)):
+            for part, new in zip(parts, member_fix(*(p[i] for p in parts))):
+                part[i] = new
+        return coiso.CoisotropicSubspace(space=_unchecked(parts[0]), k=k,
+                                         kernel=_unchecked(parts[1]), h_part=_unchecked(parts[2]))
+
+    return gen
+
+
+def _symplectic_4_space(space, kernel, h_part):
+    # span(e_1, e_2, f_1, f_2) of C^3, laid out [h | kernel | j h]: H =
+    # span(e_1, f_1) and kernel span(e_2, f_2), inside it and orthogonal to H
+    # but not isotropic, so not the symplectic complement
+    eye = np.eye(6)
+    return eye[:, [0, 1, 4, 3]], eye[:, [1, 4]], eye[:, [0, 3]]
+
+
+def _swap_h_and_kernel(space, kernel, h_part):
+    # kernel [u_1 | u_3] and H gauge basis u_2: the kernel lies in C, and
+    # j u_2 leaves it
+    return space, np.stack([space[:, 0], kernel[:, 1]], axis=-1), \
+        np.stack([kernel[:, 0], _standard_j(3) @ kernel[:, 0]], axis=-1)
+
+
+def _with_nan(space, kernel, h_part):
+    space = space.copy()
+    space[0, 0] = np.nan
+    return space, kernel, h_part
+
+
+# in the order of the checks; each breaks one member so that the checks
+# before its own pass
+BAD_SPLITTINGS = {
+    "kernel-inside": (lambda s, kr, h: (_symplectic_4_space(s, kr, h)[0], kr, h),
+                      r"not coisotropic: kernel direction leaves the subspace by angle "
+                      r"[0-9.]+e[+-]\d\d"),
+    "nan": (_with_nan, r"not coisotropic: kernel direction leaves the subspace by angle nan"),
+    "h-part-inside": (_swap_h_and_kernel,
+                      r"h_part leaves the subspace by angle 1\.571e\+00"),
+    "orthonormality": (lambda s, kr, h: (s, np.stack([h[:, 0], kr[:, 1]], axis=-1), h),
+                       r"\[h_part \| kernel\] is not orthonormal: defect 1\.000e\+00 > 1\.0e-10"),
+    "form": (lambda s, kr, h: (s, kr, np.stack([h[:, 0], -h[:, 1]], axis=-1)),
+             r"h_part is not \[h \| j h\]: defect [0-9.]+e[+-]\d\d > 1\.0e-10"),
+    "pairing": (_symplectic_4_space,
+                r"kernel is not omega-orthogonal to the subspace: defect 1\.000e\+00 > "
+                r"1\.0e-08"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_SPLITTINGS)
+def test_each_certification_check_refuses_a_bad_splitting(name):
+    # the loop refuses a broken member of an orbit's 8-grid, naming it
+    fix, message = BAD_SPLITTINGS[name]
+    with pytest.raises(ClassificationError, match=rf"^{message} \(stack member 3\)$"):
+        loop_from_family(1, _orbit_with(fix), samples=8)
+
+
+def test_a_splitting_of_the_wrong_shape_is_refused():
+    orbit = coiso.random_unitary_orbit_family(3, 1, 41)
+
+    def gen(thetas):
+        c = orbit(thetas)
+        return coiso.CoisotropicSubspace(space=c.space, k=2, kernel=c.kernel, h_part=c.h_part)
+
+    with pytest.raises(ClassificationError, match=(
+            r"^a splitting with k = 2 needs \(space, kernel, h_part\) of shapes "
+            r"\(\(8, 6, 5\), \(8, 6, 1\), \(8, 6, 4\)\), got "
+            r"\(\(8, 6, 4\), \(8, 6, 2\), \(8, 6, 2\)\)$")):
+        loop_from_family(1, gen, samples=8)
+
+
+def _torus_orbit(semi_axes, radii, powers):
+    """The boundary theta -> (a_j r_j exp(i p_j theta))_j on the ellipsoid
+    of semi-axes a_j, for radii with sum r_j^2 = 1."""
+    a, r, p = (np.asarray(x, dtype=float) for x in (semi_axes, radii, powers))
+
+    def w(thetas):
+        z = a * r * np.exp(1j * p * thetas[:, None])
+        return np.concatenate([z.real, z.imag], axis=-1)
+
+    return w
+
+
+def _outcome(loop):
+    """The loop's printed integer against the section exp(i theta), or the
+    error that refuses it."""
+    try:
+        section = coiso.MaslovSection.from_function(loop.thetas, lambda t: np.exp(1j * t))
+        return coiso.maslov_index(loop, section)
+    except coiso.CoisoError as exc:
+        return type(exc).__name__
+
+
+def _oracle_cases():
+    for n in (2, 3, 4):
+        for k in range(n + 1):
+            for seed in (0, 1):
+                yield (f"orbit-n{n}k{k}-{seed}", k,
+                       coiso.random_unitary_orbit_family(n, k, 900 + 10 * n + seed), 64)
+    surfaces = {
+        "sphere-latitude": (coiso.sphere(2), BOUNDARY_FAMILIES["latitude"](
+            {"alpha": 0.9, "p": 1, "q": -2})),
+        "sphere-hopf": (coiso.sphere(2), BOUNDARY_FAMILIES["hopf"]({"power": 2})),
+        "sphere-n3": (coiso.sphere(3), _torus_orbit([1, 1, 1], [0.6, 0.64, 0.48], [1, 0, -1])),
+        "ellipsoid-n2": (coiso.ellipsoid([1.0, 1.7]), _torus_orbit([1.0, 1.7], [0.8, 0.6],
+                                                                   [1, 2])),
+        "ellipsoid-n3": (coiso.ellipsoid([0.8, 1.2, 1.5]),
+                         _torus_orbit([0.8, 1.2, 1.5], [0.6, 0.64, 0.48], [2, -1, 1])),
+    }
+    for name, (y, boundary) in surfaces.items():
+        yield (name, y.n - 1, tangent_boundary_loop(y, boundary, samples=16)[0].generator, 256)
+
+
+@pytest.mark.parametrize("case", _oracle_cases(), ids=lambda case: case[0])
+def test_certified_loops_agree_with_reclassified_ones(case):
+    # the loop of a handed-over splitting against the loop of its space
+    # classified: the same grid, integer, holonomy and Z/2 class, and det
+    # streams equal up to one constant unit (another starting frame)
+    _, k, gen, m = case
+    certified = loop_from_family(k, gen, samples=m)
+    classified = loop_from_family(k, lambda thetas: gen(thetas).space, samples=m)
+    assert certified.m == classified.m
+    assert _outcome(certified) == _outcome(classified)
+    assert abs(certified.h_holonomy - classified.h_holonomy) <= 1e-12
+    assert certified.kernel_sign == classified.kernel_sign
+    ratio = certified.det_phases ** 2 / classified.det_phases ** 2
+    assert np.max(np.abs(ratio - ratio[0])) <= 1e-12

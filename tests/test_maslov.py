@@ -379,10 +379,13 @@ def test_tangent_stack_equals_members(alpha, p, q, seed, count):
     for i in range(loop.m):
         assert np.array_equal(points[i], boundary(loop.thetas[i:i + 1])[0])
     thetas = coiso.rng(seed).uniform(0, 2 * np.pi, size=count)
-    stacked = loop.generator(thetas).basis
-    assert stacked.shape == (count, 4, 3)
+    stacked = loop.generator(thetas)
+    assert stacked.space.basis.shape == (count, 4, 3)
     for i in range(count):
-        assert np.array_equal(stacked[i], loop.generator(thetas[i:i + 1]).basis[0])
+        single = loop.generator(thetas[i:i + 1])
+        for part in ("space", "kernel", "h_part"):
+            assert np.array_equal(getattr(stacked, part).basis[i],
+                                  getattr(single, part).basis[0]), part
 
 
 def test_off_surface_boundary_point_is_named_by_its_angle():
@@ -449,12 +452,16 @@ def _polar_pushforward_section(a, loop, out, sec):
     """The pushed section sample by sample through the unitary polar factor
     Q of A: the section picks up det(r)^2 det(Q)^2 with r = (Q U)^* U_out,
     the change from the moved frames to the image loop's frames.  The
-    frames U and U_out are transported sequentially."""
+    frames U and U_out are transported sequentially.  At k = n the
+    canonical section is identically 1, the det stream of frames that start
+    at the standard basis, so both transports start there; a loop's own
+    gauge at member 0 (a generator's unitary) may start elsewhere."""
     n = loop.n
+    start = np.eye(2 * n)[:, :n] if loop.k == n else None
     raw = sec.samples / loop.section_gauge()
     gauge = out.section_gauge()
-    frames = coiso.complex_coords(reference_transport(loop.samples)[0])
-    out_frames = coiso.complex_coords(reference_transport(out.samples)[0])
+    frames = coiso.complex_coords(reference_transport(loop.samples, start=start)[0])
+    out_frames = coiso.complex_coords(reference_transport(out.samples, start=start)[0])
     moved = np.empty(out.m, dtype=complex)
     for i in range(out.m):
         q, _ = scipy.linalg.polar(a.matrices[i])

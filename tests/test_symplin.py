@@ -61,6 +61,16 @@ def test_subspace_orthonormality_enforced():
     assert_allclose(ok.basis.T @ ok.basis, np.eye(2), atol=1e-12)
 
 
+def test_subspace_refuses_a_non_finite_basis():
+    # NaN fails every comparison, so a bare "defect > tol" let it through
+    with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+        Subspace(np.full((4, 3), np.nan))
+    stack = np.stack([np.eye(4)[:, :2]] * 3)
+    stack[1, 0, 0] = np.inf
+    with pytest.raises(ValueError, match="basis columns are not orthonormal"):
+        Subspace(stack)
+
+
 def test_complement_whole_space_is_zero():
     whole = Subspace(np.eye(4))
     comp = symplectic_complement(whole)
@@ -579,8 +589,8 @@ def test_transport_names_the_member_whose_gauge_basis_is_not_unitary():
     # Lagrangian planes of C^2; member 2's kernel replaced by the symplectic
     # plane span(e_1, f_1), whose complex coordinates (1, 0) and (i, 0) are
     # not orthogonal
-    stack = coiso.grassmann._classified_grid(coiso.lagrangian_rotation_family(2), 8, 4,
-                                             None, coiso.DEFAULT)
+    stack = coiso.grassmann._certified_grid(coiso.lagrangian_rotation_family(2), 8, 4,
+                                            None, coiso.DEFAULT)
     kernel = stack.kernel.basis.copy()
     kernel[2] = np.eye(4)[:, [0, 2]]
     bad = coiso.CoisotropicSubspace(space=stack.space, k=0, kernel=Subspace(kernel),
