@@ -34,9 +34,9 @@ class ClassificationError(CoisoError):
 class ContinuityLossError(CoisoError):
     """A loop step's overlap determinant modulus, or a projected column of the
     ``hypergeo`` transport bracket, below ``hint_min_norm``; a gauge basis
-    that is not unitary; a ``Subspace.from_spanning`` column below
-    ``SPANNING_MIN_NORM``; or a failed ``adapted_frame`` check.  The caller
-    must refine."""
+    that is not unitary; a ``Subspace.from_spanning`` column, or a column
+    of a pushforward's image kernel, below ``SPANNING_MIN_NORM``; or a failed
+    ``adapted_frame`` check.  The caller must refine."""
 
 
 class DiscontinuousLoopError(CoisoError):
@@ -52,8 +52,10 @@ class ClosureError(CoisoError):
 
 
 class FrameDegeneracyError(CoisoError):
-    """A grading charge fell below 1e-12 at a boundary point, where its phase,
-    the graded section, is undefined; ``maslov.disc_index_detail`` raises it."""
+    """A grading charge fell below 1e-12 at a boundary point, or a section
+    value at an angle, where its phase is undefined;
+    ``maslov.disc_index_detail`` and ``maslov.MaslovSection.from_function``
+    raise it."""
 
 
 class InternalConsistencyError(CoisoError):

@@ -20,9 +20,13 @@ stack.  A ``Subspace`` stack is classified by one stacked call into a
 reclassified (``symplin._certify``, which the classification ends in too).
 Every named family hands over the splitting read off the unitary u(theta)
 with gamma(theta) = u(theta) . (C^k + R^{n-k}), so its loops take no
-decomposition to split their samples.  The continuity contract reads one
-stacked largest principal angle per consecutive pair, and the transport
-takes one stacked determinant per block, with no Python step per sample.
+decomposition to split their samples.  Nor does ``pushforward``: its image
+splitting is read off A . K, K the source's kernel, and an image that fails
+certification raises InternalConsistencyError.  Its generator reads the
+stored members of both loops on their own grids.  The continuity contract
+reads one stacked largest principal angle per consecutive pair, and the
+transport takes one stacked determinant per block, with no Python step per
+sample.
 Each grid is built once: the generator's members at 0 and 2*pi are
 compared for closure, not certified; a doubled grid (refinement, or
 ``resample(2 * M)``) reuses its even members, bitwise those of the grid it
@@ -46,9 +50,11 @@ from .errors import (
     InternalConsistencyError,
 )
 from .symplin import (
+    SPANNING_MIN_NORM,
     CoisotropicSubspace,
     Subspace,
     classify_coisotropic,
+    complex_coords,
     largest_principal_angles,
     principal_angles,
     random_unitary,
@@ -59,6 +65,8 @@ from .symplin import (
     _check,
     _check_complex_dim,
     _check_model,
+    _complex_complement,
+    _mgs,
     _rank_parameter,
     _splitting,
     _standard_omega,
@@ -315,6 +323,17 @@ def _closed_loop(k, thetas, stack: CoisotropicSubspace, closure,
     )
 
 
+def _symplectic(matrices) -> np.ndarray:
+    """The stack ``matrices`` as a float array; ValueError unless every
+    member A has A' omega A = omega within 1e-9."""
+    a = np.asarray(matrices, dtype=float)
+    om = _standard_omega(a.shape[-1] // 2)
+    worst = float(np.max(np.abs(np.swapaxes(a, -1, -2) @ om @ a - om)))
+    if not worst <= 1e-9:
+        raise ValueError(f"samples not symplectic: residual {worst:.3e}")
+    return a
+
+
 @dataclasses.dataclass(frozen=True)
 class SymplecticMatrixLoop:
     """M sampled 2n x 2n matrices A(theta_i) with A' omega A = omega, on the
@@ -325,11 +344,7 @@ class SymplecticMatrixLoop:
     generator: Callable
 
     def __post_init__(self):
-        a = np.asarray(self.matrices, dtype=float)
-        om = _standard_omega(a.shape[-1] // 2)
-        worst = float(np.max(np.abs(np.swapaxes(a, -1, -2) @ om @ a - om)))
-        if not worst <= 1e-9:
-            raise ValueError(f"samples not symplectic: residual {worst:.3e}")
+        a = _symplectic(self.matrices)
         # the operator norm of a step is at most its Frobenius norm, so only
         # a step whose Frobenius norm exceeds 0.5 (less a relative 1e-12 for
         # rounding) can fail, and only those take the operator norm's SVD
@@ -362,27 +377,47 @@ def pushforward(
     a: SymplecticMatrixLoop, loop: CoisotropicLoop, tol: Tolerances = DEFAULT
 ) -> CoisotropicLoop:
     """The loop theta -> A(theta) . gamma(theta), built by
-    :func:`loop_from_family` from one generator that evaluates both loops'
-    generators on each grid in one call.
+    :func:`loop_from_family` from one generator that hands over the image's
+    splitting.
+
+    A symplectic A maps C^omega onto (A C)^omega, so the image's kernel is
+    the Gram-Schmidt basis of A K, K the source's kernel (a column below
+    ``SPANNING_MIN_NORM`` raises ContinuityLossError), and its H part the
+    complex complement of that span (``symplin._complex_complement``).  The
+    generator reads ``loop.samples`` and ``a.matrices`` on their own grids
+    and calls the loops' generators on any other (the closure ends, the odd
+    members of a refinement, a finer common grid): a source ``Subspace`` is
+    classified first, and matrices that are not symplectic within 1e-9
+    raise ValueError, since at n - k = 1 certification cannot tell.
 
     It starts on the least common multiple of the two sample counts and
     refines from there.  A common grid above ``tol.max_loop_samples``
-    raises DiscontinuousLoopError; an image that fails to classify raises
+    raises DiscontinuousLoopError; an image that fails certification raises
     InternalConsistencyError, as a symplectic map keeps a subspace
     coisotropic.
     """
     m = lcm(a.m, loop.m)
     if m > tol.max_loop_samples:
         raise DiscontinuousLoopError(f"common grid M={m} exceeds the budget")
+    matrix_thetas = _thetas(a.m)
 
-    def gen(thetas, _a=a.generator, _l=loop.generator):
-        return Subspace.from_spanning(_a(thetas) @ _as_subspace(_l(thetas)).basis)
+    def gen(thetas):
+        if np.array_equal(thetas, loop.thetas):
+            source = loop.samples
+        else:
+            source = _certified(_members(loop.generator, thetas, 2 * loop.n), tol)
+        if np.array_equal(thetas, matrix_thetas):
+            mats = a.matrices
+        else:
+            mats = _symplectic(a.generator(thetas))
+        kernel = complex_coords(_mgs(mats @ source.kernel.basis, SPANNING_MIN_NORM)[0])
+        return _splitting(_complex_complement(kernel), kernel)
 
     try:
         return loop_from_family(loop.k, gen, samples=m, tol=tol)
     except ClassificationError as exc:
         raise InternalConsistencyError(
-            "symplectic image of a coisotropic subspace failed to classify") from exc
+            "symplectic image of a coisotropic subspace failed certification") from exc
 
 
 # ---------------------------------------------------------------------------

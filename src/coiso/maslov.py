@@ -44,7 +44,7 @@ from .grassmann import (
     loop_from_family,
     pushforward,
 )
-from .symplin import _check, _splitting
+from .symplin import _check, _complex_complement, _splitting
 
 __all__ = [
     "MaslovSection",
@@ -66,6 +66,10 @@ __all__ = [
 # largest ||z| - 1| a section sample may show
 UNIT_MODULUS = 1e-9
 
+# smallest modulus a section value or a grading charge may have: below it
+# their phase is undefined
+MIN_MODULUS = 1e-12
+
 
 @dataclasses.dataclass(frozen=True)
 class MaslovSection:
@@ -82,7 +86,8 @@ class MaslovSection:
 
     def __post_init__(self):
         z = np.asarray(self.samples, dtype=complex)
-        if np.max(np.abs(np.abs(z) - 1.0)) > UNIT_MODULUS:
+        # a NaN sample fails the comparison, and so the check
+        if not np.max(np.abs(np.abs(z) - 1.0)) <= UNIT_MODULUS:
             raise ValueError("section samples must have unit modulus")
         jumps = np.abs(np.angle(np.roll(z, -1) / z))
         if z.size > 1 and jumps[-1] >= DEFAULT.phase_jump:
@@ -97,11 +102,16 @@ class MaslovSection:
     def from_function(cls, thetas: np.ndarray, fn: Callable[[np.ndarray], np.ndarray]
                       ) -> "MaslovSection":
         """The section of ``fn``, normalized: given the 1-D array of M angles
-        it returns their M values; any other shape raises ValueError."""
+        it returns their M values; any other shape raises ValueError, and a
+        value of modulus below ``MIN_MODULUS`` FrameDegeneracyError naming
+        its angle."""
         thetas = np.asarray(thetas, dtype=float)
         vals = np.asarray(fn(thetas), dtype=complex)
         _check_grid_shape(vals.shape, thetas.shape)
-        return cls(thetas=thetas, samples=vals / np.abs(vals), fn=fn)
+        mod = np.abs(vals)
+        _check(mod < MIN_MODULUS, FrameDegeneracyError,
+               lambda w: f"section value vanished at theta={thetas[w[0]]:.4f}", trailing=1)
+        return cls(thetas=thetas, samples=vals / mod, fn=fn)
 
 
 def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> MaslovSection:
@@ -236,7 +246,7 @@ def tangent_boundary_loop(
     one stack and hands over the tangent spaces' splittings in closed form
     from the unit normals nu (as complex vectors): the kernel j nu, and H
     the complex complement of nu, with the unitary basis of
-    :func:`_normal_complement`.  The loop certifies them in one stacked
+    ``symplin._complex_complement``.  The loop certifies them in one stacked
     call; no decomposition is taken.
     """
     def gen(thetas):
@@ -249,31 +259,10 @@ def tangent_boundary_loop(
         _check(norm < 1e-12, UnnormalizedDefiningFunctionError,
                lambda w: f"grad rho vanished at theta={thetas[w[0]]:.4f}", trailing=1)
         nu = (g[:, :y.n] + 1j * g[:, y.n:]) / norm[:, None]
-        return _splitting(_normal_complement(nu), 1j * nu[:, :, None])
+        return _splitting(_complex_complement(nu[:, :, None]), 1j * nu[:, :, None])
 
     loop = loop_from_family(y.n - 1, gen, samples=samples, tol=tol)
     return loop, np.asarray(boundary(loop.thetas), dtype=float)
-
-
-def _normal_complement(nu: np.ndarray) -> np.ndarray:
-    """A unitary basis of the complex complement of each unit vector of an
-    (M, n) stack, as an (M, n, n-1) stack, computed elementwise with no
-    LAPACK call.
-
-    The basis is columns 2..n of the complex Householder reflector
-    I - 2 v v^* / |v|^2 with v = nu + alpha e_1, alpha the phase of nu_1 (1
-    where nu_1 = 0), which maps e_1 to a unit multiple of nu.  For unit nu,
-    |v|^2 = 2 (1 + |nu_1|) >= 2, so column j is
-    e_j - v conj(nu_j) / (1 + |nu_1|).
-    """
-    first = nu[:, 0]
-    mod = np.abs(first)
-    alpha = np.where(mod > 0, first / np.where(mod > 0, mod, 1.0), 1.0)
-    v = nu.copy()
-    v[:, 0] += alpha
-    h = -v[:, :, None] * (np.conj(nu[:, None, 1:]) / (1.0 + mod)[:, None, None])
-    h[:, 1:, :] += np.eye(nu.shape[-1] - 1)
-    return h
 
 
 # boundary loop families on hypersurface fixtures: each takes its parameter
@@ -355,8 +344,9 @@ def disc_index_detail(
     bundle.  Transport in flat C^n is trivial, so this repository reads a
     parallel grading as a constant charge.  ``charge`` maps the (M, 2n)
     stack of boundary points to their M charges (another shape raises
-    ValueError, a charge below 1e-12 FrameDegeneracyError); None is the
-    canonical grading, the constant 1 of the standard complex volume form.
+    ValueError, a charge below ``MIN_MODULUS`` FrameDegeneracyError); None
+    is the canonical grading, the constant 1 of the standard complex volume
+    form.
     The charge phases times the loop's ``section_gauge`` are the graded
     section, and its winding against the canonical section is the index;
     :func:`connection_integral_index` is the second route.
@@ -365,7 +355,7 @@ def disc_index_detail(
     v = (np.ones(len(points), dtype=complex) if charge is None
          else np.asarray(charge(points), dtype=complex))
     _check_grid_shape(v.shape, (len(points),))
-    if np.min(np.abs(v)) < 1e-12:
+    if np.min(np.abs(v)) < MIN_MODULUS:
         raise FrameDegeneracyError("grading charge vanished")
     section = MaslovSection(thetas=loop.thetas, samples=v / np.abs(v) * loop.section_gauge())
     can = canonical_section(loop, tol)

@@ -141,7 +141,8 @@ def realify(u: np.ndarray) -> np.ndarray:
                            np.concatenate([b, a], axis=-1)], axis=-2)
 
 
-# the smallest projected column norm ``Subspace.from_spanning`` accepts
+# the smallest projected column norm ``Subspace.from_spanning`` and the
+# Gram-Schmidt of a pushforward's image kernel accept
 SPANNING_MIN_NORM = 1e-12
 
 # the smallest normal float: a norm floored at it divides a zero column to
@@ -224,8 +225,10 @@ class Subspace:
         b = np.asarray(self.basis, dtype=float)
         if b.ndim < 2 or b.shape[-2] % 2 != 0:
             raise ValueError("basis must be a 2n x m matrix or a stack of them")
+        if not np.all(np.isfinite(b)):
+            raise ValueError("basis columns are not orthonormal: a non-finite entry")
         gram = _t(b) @ b
-        # a non-finite entry fails the comparison, and so the check
+        # an overflowing Gram entry fails the comparison, and so the check
         if gram.size and not np.max(np.abs(gram - np.eye(b.shape[-1]))) <= DEFAULT.orthonormality:
             raise ValueError("basis columns are not orthonormal")
         object.__setattr__(self, "basis", b)
@@ -448,15 +451,50 @@ def _certify(c: CoisotropicSubspace, tol: Tolerances = DEFAULT) -> CoisotropicSu
 def _splitting(h: np.ndarray, kernel: np.ndarray) -> CoisotropicSubspace:
     """The splitting with H gauge basis ``h`` and kernel ``kernel``, given
     as complex (..., n, k) and (..., n, n-k) stacks whose joined columns
-    [h | kernel] are unitary: C = [h | kernel | j h] realified, checked by
-    ``Subspace``, with the kernel and [h | j h] read off its columns.  The
-    splitting is not certified (see :func:`_certify`)."""
+    [h | kernel] are unitary: C = [h | kernel | j h] realified, with the
+    kernel and [h | j h] read off its columns.  Nothing is checked here:
+    :func:`_certify` checks the splitting, and the orthonormality of
+    [h_part | kernel], the columns of C reordered, with it."""
     k, n = h.shape[-1], h.shape[-2]
-    space = Subspace(real_coords(np.concatenate([h, kernel, 1j * h], axis=-1)))
-    b = space.basis
-    return CoisotropicSubspace(space=space, k=k, kernel=_unchecked(b[..., k:n]),
+    b = real_coords(np.concatenate([h, kernel, 1j * h], axis=-1))
+    return CoisotropicSubspace(space=_unchecked(b), k=k, kernel=_unchecked(b[..., k:n]),
                                h_part=_unchecked(np.concatenate([b[..., :k], b[..., n:]],
                                                                 axis=-1)))
+
+
+def _complex_complement(q: np.ndarray) -> np.ndarray:
+    """A unitary basis of the complex complement of the span of each member
+    of an (..., n, c) stack of orthonormal complex columns, as an
+    (..., n, n-c) stack, computed elementwise with no LAPACK call.
+
+    The complement of a unit vector nu of C^d is spanned by columns 2..d of
+    the complex Householder reflector I - 2 v v^* / |v|^2 with
+    v = nu + alpha e_1, alpha the phase of nu_1 (1 where nu_1 = 0), which
+    maps e_1 to a unit multiple of nu.  For unit nu, |v|^2 = 2 (1 + |nu_1|)
+    >= 2, so column j is e_j - v conj(nu_j) / (1 + |nu_1|).  The columns are
+    taken in order: each step's complement basis h carries the next step's
+    columns, as the coordinates h^* q of the ones still to come, and the
+    basis is the product of the steps' h.
+    """
+    n, c = q.shape[-2:]
+    if c == n:
+        return np.zeros(q.shape[:-1] + (0,), dtype=complex)
+    if c == 0:
+        return np.broadcast_to(_identity(n).astype(complex), q.shape[:-1] + (n,))
+    basis = None
+    for i in range(c):
+        nu = q[..., 0]
+        first = nu[..., 0]
+        mod = np.abs(first)
+        alpha = np.where(mod > 0, first / np.where(mod > 0, mod, 1.0), 1.0)
+        v = nu.copy()
+        v[..., 0] += alpha
+        h = -v[..., :, None] * (np.conj(nu[..., None, 1:]) / (1.0 + mod)[..., None, None])
+        h[..., 1:, :] += _identity(nu.shape[-1] - 1)
+        basis = h if basis is None else basis @ h
+        if i + 1 < c:
+            q = np.conj(_t(h)) @ q[..., 1:]
+    return basis
 
 
 def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicSubspace:
@@ -559,9 +597,10 @@ def _gauge_bases(c: CoisotropicSubspace) -> tuple[np.ndarray, np.ndarray]:
     """The gauge bases of the members of ``c``: unitary bases of the
     j-invariant parts viewed as C^k and the kernel bases.
 
-    ``h_part`` holds [h | j h] with h the projector ``eigh``'s gauge basis
-    of :func:`classify_coisotropic`, so the H gauge is its first k columns
-    in complex coordinates, a new array; no decomposition is taken."""
+    ``h_part`` holds [h | j h] with h the gauge basis of the splitting, as
+    the classification's projector ``eigh`` built it or a loop generator
+    handed it over, so the H gauge is its first k columns in complex
+    coordinates, a new array; no decomposition is taken."""
     return complex_coords(c.h_part.basis[..., :c.k]), c.kernel.basis
 
 
@@ -596,9 +635,9 @@ def transport_phases(
     onto its spans and orthonormalizes the projection by Gram-Schmidt in
     column order, qf, the Q of a QR whose R diagonal is real positive.  In
     the gauge bases G_i = [h_i | K_i] (unitary bases h_i of the H parts as
-    C^k, read by :func:`_gauge_bases` off ``h_part``, which the projector
-    eighs of the classification built, the kernel bases K_i as complex
-    vectors) frame i is
+    C^k, read by :func:`_gauge_bases` off ``h_part``, as the loop's
+    generator handed it over or the classification built it, the kernel
+    bases K_i as complex vectors) frame i is
     U_i = G_i B_i, with B_0 = I and B_i = qf(O_i B_{i-1}) for the overlap
     O_i = diag(h_i^* h_{i-1}, K_i' K_{i-1}).  Since
     det qf(A) = det A / prod R_jj with every R_jj > 0,

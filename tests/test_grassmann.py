@@ -1,5 +1,7 @@
 """Loop construction, pushforward, transported frame data."""
 
+import dataclasses
+
 import mpmath
 import numpy as np
 import pytest
@@ -12,6 +14,7 @@ from coiso import (
     BOUNDARY_FAMILIES,
     ClassificationError,
     DiscontinuousLoopError,
+    InternalConsistencyError,
     Subspace,
     SymplecticMatrixLoop,
     constant_family,
@@ -204,6 +207,75 @@ def test_pushforward_on_unequal_grids_starts_on_their_lcm():
         assert np.max(principal_angles(s.space, t)) < 1e-12
     with pytest.raises(DiscontinuousLoopError, match="common grid M=192 exceeds the budget"):
         pushforward(a, loop, coiso.DEFAULT.replace(max_loop_samples=40))
+
+
+def _projectors(basis):
+    return basis @ np.swapaxes(basis, -1, -2)
+
+
+@pytest.mark.parametrize("matrix_loop", ["unitary", "symplectic"])
+@pytest.mark.parametrize("n,k", [(n, k) for n in (2, 3, 4) for k in range(n + 1)])
+def test_pushforward_hands_over_the_splitting_of_the_image(n, k, matrix_loop):
+    # oracle: the image kernel span(A K) and its complex complement are the
+    # splitting that classifying the orthonormalized A C gives
+    loop = loop_from_family(k, coiso.random_unitary_orbit_family(n, k, coiso.rng(10 * n + k)),
+                            samples=256)
+    build = {"unitary": coiso.random_unitary_matrix_loop,
+             "symplectic": coiso.random_symplectic_matrix_loop}[matrix_loop]
+    a = build(n, coiso.rng(10 * n + k, 5), loop.m)
+    out = pushforward(a, loop)
+    ref = coiso.classify_coisotropic(Subspace.from_spanning(
+        a.generator(out.thetas) @ loop.generator(out.thetas).space.basis))
+    for part in ("kernel", "h_part"):
+        got, want = (_projectors(getattr(s, part).basis) for s in (out.samples, ref))
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-12, part
+
+
+def _recorded(name, fn, calls):
+    def wrapped(thetas):
+        calls.append((name, len(thetas)))
+        return fn(thetas)
+
+    return wrapped
+
+
+def test_pushforward_reads_the_stored_members_on_equal_grids():
+    calls = []
+    loop = loop_from_family(1, coiso.random_unitary_orbit_family(2, 1, coiso.rng(15)),
+                            samples=64)
+    a = coiso.random_unitary_matrix_loop(2, coiso.rng(0), 64)
+    out = pushforward(
+        SymplecticMatrixLoop(matrices=a.matrices, generator=_recorded("a", a.generator, calls)),
+        dataclasses.replace(loop, generator=_recorded("loop", loop.generator, calls)))
+    assert out.m == 64
+    # only the closure check's two angles call the generators
+    assert calls == [("loop", 2), ("a", 2)]
+
+
+def test_an_image_failing_certification_is_an_internal_error(monkeypatch):
+    # the source is classified by symplin, so only the image meets the patch
+    orbit = coiso.random_unitary_orbit_family(2, 1, coiso.rng(15))
+    loop = loop_from_family(1, lambda thetas: orbit(thetas).space, samples=64)
+    a = coiso.random_unitary_matrix_loop(2, coiso.rng(0), 64)
+
+    def refuse(c, tol):
+        raise ClassificationError("refused")
+
+    monkeypatch.setattr(coiso.grassmann, "_certify", refuse)
+    with pytest.raises(InternalConsistencyError, match="failed certification"):
+        pushforward(a, loop)
+
+
+def test_pushforward_refuses_matrices_that_are_not_symplectic_off_their_grid():
+    # A(theta) = I + 0.1 sin(12 theta) diag(1, 0, 0, 0) is the identity on
+    # its own 24-grid, but the common 192-grid reads it between
+    loop = loop_from_family(1, coiso.random_unitary_orbit_family(2, 1, coiso.rng(15)),
+                            samples=64)
+    a = SymplecticMatrixLoop.from_callable(
+        2, lambda t: np.eye(4) + 0.1 * np.sin(12 * t)[:, None, None] * np.diag([1.0, 0, 0, 0]),
+        24)
+    with pytest.raises(ValueError, match="samples not symplectic"):
+        pushforward(a, loop)
 
 
 def test_transverse_frames_constant_loop():

@@ -81,6 +81,19 @@ def test_section_invariants():
         MaslovSection(thetas=loop.thetas, samples=2.0 * np.ones(loop.m))
 
 
+def test_section_refuses_a_nan_sample():
+    # NaN fails every comparison, so a bare "defect > tol" let it through
+    with pytest.raises(ValueError, match="section samples must have unit modulus"):
+        MaslovSection(thetas=np.arange(4.0), samples=[1, np.nan, 1, 1])
+
+
+def test_section_function_refuses_a_vanishing_value():
+    loop = rotation_loop(1)
+    with pytest.raises(coiso.FrameDegeneracyError,
+                       match=r"^section value vanished at theta=0\.0000$"):
+        MaslovSection.from_function(loop.thetas, lambda t: np.sin(t) + 0j)
+
+
 # ---------------------------------------------------------------------------
 # winding
 

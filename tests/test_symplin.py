@@ -25,7 +25,13 @@ from coiso import (
     standard_model,
     symplectic_complement,
 )
-from coiso.symplin import _check, _standard_j, _standard_omega, _unchecked
+from coiso.symplin import (
+    _check,
+    _complex_complement,
+    _standard_j,
+    _standard_omega,
+    _unchecked,
+)
 from reference_classify import (
     omega_pairing,
     reference_complement,
@@ -61,6 +67,7 @@ def test_subspace_orthonormality_enforced():
     assert_allclose(ok.basis.T @ ok.basis, np.eye(2), atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error")
 def test_subspace_refuses_a_non_finite_basis():
     # NaN fails every comparison, so a bare "defect > tol" let it through
     with pytest.raises(ValueError, match="basis columns are not orthonormal"):
@@ -262,6 +269,19 @@ def test_measured_dimension_of_a_stack_is_its_members():
             assert all(type(d) is int for d in singles)
             assert dims.shape == (3,)
             assert dims.tolist() == singles == [grassmannian_dim(n, k)] * 3
+
+
+def test_complex_complement_completes_orthonormal_columns_to_a_unitary():
+    # columns of stacked random unitaries, one with a zero first entry
+    # (the reflector's phase is 1 there)
+    for n in range(1, 6):
+        u = coiso.random_unitary(n, coiso.rng(40 + n), (4,))
+        u[1] = np.roll(np.eye(n, dtype=complex), 1, axis=0)
+        for c in range(n + 1):
+            comp = _complex_complement(u[..., :c])
+            assert comp.shape == (4, n, n - c)
+            full = np.concatenate([u[..., :c], comp], axis=-1)
+            assert np.max(np.abs(np.conj(np.swapaxes(full, -1, -2)) @ full - np.eye(n))) < 1e-14
 
 
 # ---------------------------------------------------------------------------
