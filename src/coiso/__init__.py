@@ -18,7 +18,6 @@ from .errors import (
     ClosureError,
     CoisoError,
     ContinuityLossError,
-    DegenerateInputError,
     DiscontinuousLoopError,
     ExtensionQualityError,
     FrameDegeneracyError,

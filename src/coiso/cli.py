@@ -24,7 +24,7 @@ import json
 import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
-from math import pi
+from math import isfinite, pi
 from typing import Optional
 
 import numpy as np
@@ -61,7 +61,6 @@ _TOLERANCE_RANGES = {
     "consecutive_angle": {**_POSITIVE, "maximum": pi / 2},
     "phase_jump": {**_POSITIVE, "maximum": pi},
     "winding_residual": {**_POSITIVE, "maximum": 0.5},
-    "svd_gap": {**_POSITIVE, "exclusiveMaximum": 1},
     "hint_min_norm": {**_POSITIVE, "exclusiveMaximum": 1},
 }
 
@@ -504,6 +503,12 @@ def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
         windings = params["family_params"]["windings"]
         _require(len(windings) == params["n"], f"diag-unitary needs one winding per "
                  f"complex coordinate, got {len(windings)} for n={params['n']}")
+        # only the kernel coordinates j >= k move the subspace, and a grid
+        # resolves a winding w while each step turns it by |w| 2 pi / M <= pi / 2
+        fastest = max((abs(w) for w in windings[params["k"]:]), default=0)
+        m = params.get("M", 64)
+        _require(m >= 4 * fastest, f"a grid of M={m} aliases the kernel winding {fastest} "
+                 f"of diag-unitary: it needs M >= {4 * fastest}")
     fixture = params.get("fixture")
     missing = [name for name in _FIXTURE_NEEDS.get(fixture, [])
                if name not in params.get("fixture_params", {})]
@@ -564,6 +569,16 @@ def emit_phase_trace(loop, section, path, tol: Tolerances = DEFAULT) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _finite(literal: str) -> float:
+    """A JSON number literal as a float; ``NaN``, ``Infinity``,
+    ``-Infinity`` and a literal that overflows to infinity raise ValueError,
+    since no range check refuses NaN and no parameter means infinity."""
+    value = float(literal)
+    if not isfinite(value):
+        raise ValueError(f"non-finite number {literal}")
+    return value
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="coiso",
@@ -583,18 +598,19 @@ def main(argv=None) -> int:
         print(_dumps(SCHEMA))
         return 0
 
+    # a decoding error and a non-finite number are both ValueErrors
     try:
         with open(args.spec) as fh:
-            spec = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            spec = json.load(fh, parse_float=_finite, parse_constant=_finite)
+    except (OSError, ValueError) as exc:
         print(f"cannot read spec: {exc}", file=sys.stderr)
         return 2
     tol = DEFAULT
     if args.tol_file:
         try:
             with open(args.tol_file) as fh:
-                overrides = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+                overrides = json.load(fh, parse_float=_finite, parse_constant=_finite)
+        except (OSError, ValueError) as exc:
             print(f"cannot read tolerance file: {exc}", file=sys.stderr)
             return 2
         try:

@@ -20,12 +20,13 @@ class Tolerances:
     objects are built without a record: ``Subspace`` orthonormality and the
     closure jump of a ``MaslovSection`` (``phase_jump``).  Nor do the
     ``SymplecticMatrixLoop`` checks read a record: they use literals 1e-9 and 0.5.
+    No field is a rank cutoff for the symplectic complement: a ``Subspace``
+    is orthonormal, so its complement's dimension is 2n - dim C with no
+    rank to decide.
     """
 
     orthonormality: float = 1e-10        # basis' G basis == identity
     subspace_equality: float = 1e-8      # max principal angle for span equality
-    svd_cutoff: float = 1e-10            # null space singular value cutoff
-    svd_gap: float = 1e-3                # ill-conditioning gap ratio
     hint_min_norm: float = 1e-6          # floor for overlap dets, bracket columns
     generator_closure: float = 1e-10     # generator(0) vs generator(2*pi)
     consecutive_angle: float = math.pi / 8

@@ -1,7 +1,7 @@
 """Exception types raised by the geometric operations."""
 
 __all__ = [
-    "CoisoError", "DegenerateInputError", "ClassificationError", "ContinuityLossError",
+    "CoisoError", "ClassificationError", "ContinuityLossError",
     "DiscontinuousLoopError", "AliasingError", "ClosureError", "FrameDegeneracyError",
     "InternalConsistencyError", "UnnormalizedDefiningFunctionError", "OffSurfaceError",
     "ExtensionQualityError", "NumericalQualityError",
@@ -10,10 +10,6 @@ __all__ = [
 
 class CoisoError(Exception):
     """Base class for all library errors."""
-
-
-class DegenerateInputError(CoisoError):
-    """Singular values straddle the rank cutoff; input too ill-conditioned."""
 
 
 class ClassificationError(CoisoError):

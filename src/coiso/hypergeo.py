@@ -398,11 +398,11 @@ class PointGeometry:
     computed once by ``point_geometry`` and read by every pointwise routine.
 
     ``nu``, ``x_rho``, ``njf`` and ``frame`` come from one stacked
-    ``tangent_splitting`` call; ``hessian`` is the raw Hessian of rho,
-    ``gradient_norm`` is |grad rho| and ``normalized_hessian`` their
-    quotient; ``blocks`` are the SFF blocks in ``frame``.  Every field
-    carries the stack axes of ``point``.  ``tol`` is the tolerance record
-    every check on this record reads.
+    ``tangent_splitting`` call; ``hessian`` is the raw Hessian of rho and
+    ``normalized_hessian`` its quotient by |grad rho|; ``blocks`` are the
+    SFF blocks in ``frame``.  Every field carries the stack axes of
+    ``point``.  ``tol`` is the tolerance record every check on this record
+    reads.
     """
 
     y: LevelSetHypersurface
@@ -412,7 +412,6 @@ class PointGeometry:
     njf: Subspace
     frame: AdaptedFrame
     hessian: np.ndarray
-    gradient_norm: np.ndarray
     normalized_hessian: np.ndarray
     blocks: SFFBlocks
     tol: Tolerances
@@ -432,12 +431,10 @@ def point_geometry(
     p = np.asarray(p, dtype=float)
     spl = tangent_splitting(y, p, tol)
     hessian = y.hessian(p)
-    gradient_norm = y.gradient_norm(p)
-    normalized_hessian = hessian / np.asarray(gradient_norm)[..., None, None]
+    normalized_hessian = hessian / np.asarray(y.gradient_norm(p))[..., None, None]
     return PointGeometry(
         y=y, point=p, nu=spl.nu, x_rho=spl.x_rho, njf=spl.njf, frame=spl.frame,
-        hessian=hessian, gradient_norm=gradient_norm,
-        normalized_hessian=normalized_hessian,
+        hessian=hessian, normalized_hessian=normalized_hessian,
         blocks=second_fundamental_form(spl.frame, spl.nu, normalized_hessian, tol),
         tol=tol,
     )

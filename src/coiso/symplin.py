@@ -41,11 +41,7 @@ from functools import lru_cache
 import numpy as np
 
 from .config import DEFAULT, Tolerances, rng
-from .errors import (
-    ClassificationError,
-    ContinuityLossError,
-    DegenerateInputError,
-)
+from .errors import ClassificationError, ContinuityLossError
 
 __all__ = [
     "Subspace",
@@ -312,32 +308,22 @@ def largest_principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     return largest[()]
 
 
-def symplectic_complement(c: Subspace, tol: Tolerances = DEFAULT) -> Subspace:
+def symplectic_complement(c: Subspace) -> Subspace:
     """{v : omega(v, c) = 0 for all c in C}, of dimension 2n - dim C; for a
     stack, the stack of the members' complements.
 
     With B = ``c.basis`` orthonormal, C^omega = j C^perp, and C^perp is
     spanned by the eigenvectors of the projector I - B B' whose eigenvalue
-    is 1: one stacked ``eigh``.  The same eigenvalues give the singular
-    values of the m x 2n pairing matrix B' omega, sqrt(1 - lambda) over the
-    m smallest lambda, which are checked against the cutoff
-    ``tol.svd_cutoff`` and the gap ``tol.svd_gap``.
+    is 1, the last 2n - dim C of one stacked ``eigh``.  No rank is decided:
+    the pairing matrix B' omega of an orthonormal B has every singular value
+    1, as omega is orthogonal, so its null space always has dimension
+    2n - dim C.
     """
     batch, dim = c.basis.shape[:-2], c.basis.shape[-2]
     if c.dim == 0:
         return Subspace(np.broadcast_to(np.eye(dim), batch + (dim, dim)))
-    lam, vecs = np.linalg.eigh(_identity(dim) - c.basis @ _t(c.basis))
-    s = np.sqrt(np.maximum(1.0 - lam[..., :c.dim], 0.0))
-    band = (s > tol.svd_cutoff) & (s < tol.svd_gap * s[..., :1])
-    _check(band, DegenerateInputError,
-           lambda w: "singular values straddle the rank cutoff: "
-           f"{s[w[:-1]][band[w[:-1]]]} against largest {s[w[:-1]][0]:.3e}", trailing=1)
-    ranks = np.sum(s > tol.svd_cutoff, axis=-1)
-    rank = int(ranks.max())
-    if ranks.min() != rank:
-        raise DegenerateInputError(
-            f"members of the stack differ in rank: {ranks.min()} to {rank}")
-    return Subspace(_canonical_signs(_standard_j(dim // 2) @ vecs[..., rank:]))
+    vecs = np.linalg.eigh(_identity(dim) - c.basis @ _t(c.basis))[1]
+    return Subspace(_canonical_signs(_standard_j(dim // 2) @ vecs[..., c.dim:]))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -512,7 +498,7 @@ def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicS
     :func:`_certify`, as a loop generator's is.
     """
     k = _rank_parameter(c)
-    kernel = symplectic_complement(c, tol)
+    kernel = symplectic_complement(c)
     if k == 0:
         h_part = np.zeros(c.basis.shape[:-1] + (0,))
     else:

@@ -13,12 +13,17 @@ def _t(a):
     return np.swapaxes(a, -1, -2)
 
 
-def reference_complement(basis, tol=coiso.DEFAULT):
+# the singular value at or below which the reference counts a direction of
+# the pairing matrix as null
+RANK_CUTOFF = 1e-10
+
+
+def reference_complement(basis):
     """The null space of the m x 2n pairing matrix B' omega of each member
     of a (..., 2n, m) stack of orthonormal bases B: the right singular
-    vectors past the rank, counted against ``tol.svd_cutoff``."""
+    vectors past the rank, counted against ``RANK_CUTOFF``."""
     _, s, vh = np.linalg.svd(_t(basis) @ _standard_omega(basis.shape[-2] // 2))
-    ranks = np.sum(s > tol.svd_cutoff, axis=-1)
+    ranks = np.sum(s > RANK_CUTOFF, axis=-1)
     assert np.all(ranks == ranks.max())
     return _t(vh[..., int(ranks.max()):, :])
 

@@ -181,6 +181,15 @@ def test_run_schema_violation_exit_two(tmp_path):
                       "family_params": {"windings": [1e300, 0]}}),
     ("maslov-index", {"n": 2, "k": 0, "family": "lagrangian-rotation",
                       "family_params": {"turns": 65}}),
+    # a grid that aliases a kernel winding: M = 4 and 8 read e^{8 i theta} as
+    # 1 and printed index 0, where M >= 32 gives -16; the default M = 64
+    # against a kernel winding 17
+    ("maslov-index", {"n": 2, "k": 1, "M": 4, "family": "diag-unitary",
+                      "family_params": {"windings": [0, 8]}}),
+    ("maslov-index", {"n": 2, "k": 1, "M": 8, "family": "diag-unitary",
+                      "family_params": {"windings": [0, 8]}}),
+    ("maslov-index", {"n": 2, "k": 0, "family": "diag-unitary",
+                      "family_params": {"windings": [0, -17]}}),
 ])
 def test_run_unknown_name_exit_two(tmp_path, kind, parameters):
     path = tmp_path / "bad.json"
@@ -206,7 +215,57 @@ def test_out_of_range_family_params_exit_two(tmp_path, capsys, family_params):
 
 
 REMOVED_TOLERANCES = ["kernel_pairing", "loop_closure", "equivariance", "unit_gradient",
-                      "unit_modulus", "fd_step"]
+                      "unit_modulus", "fd_step", "svd_cutoff", "svd_gap"]
+
+
+def test_diag_unitary_grid_resolving_the_kernel_windings_runs():
+    # M = 4 max |w_j| over the kernel coordinates j >= k is the coarsest
+    # grid accepted; the H coordinate's winding 40 does not move the subspace
+    for windings, want in (([0, 8], -16), ([40, 8], -16)):
+        spec = {"kind": "maslov-index", "parameters": {
+            "n": 2, "k": 1, "M": 32, "family": "diag-unitary",
+            "family_params": {"windings": windings}}}
+        assert run(spec).items[0]["value"] == want
+
+
+# number literals json reads as NaN or infinity; no range check refuses NaN,
+# and each of these reached the library: the first two flipped minimal[i],
+# the grading phase, wiggle and level ended in a ValueError or LinAlgError
+# (exit 3), and the infinite rank step exited 0
+NON_FINITE_SPECS = [
+    ('minimality-scan', '{"fixture": "sphere", "points": 2, "seed": 1, '
+                        '"tolerances": {"minimality": NaN}}'),
+    ('minimality-scan', '{"fixture": "ellipsoid", "fixture_params": {"semi_axes": [1.0, 1.7]}, '
+                        '"points": 2, "seed": 1, "tolerances": {"minimality": 1e999}}'),
+    ('disc-index', '{"fixture": "sphere", "loop": "hopf", "M": 64, "grading_phase": NaN}'),
+    ('maslov-index', '{"n": 2, "k": 1, "family": "random-unitary-orbit", '
+                     '"family_params": {"wiggle": NaN}}'),
+    ('grassmannian-dim', '{"n": 2, "k": 1, "points": 1, "tolerances": {"rank_step": Infinity}}'),
+    ('disc-index', '{"fixture": "hyperplane", "loop": "planar-circle", '
+                   '"fixture_params": {"level": -Infinity}}'),
+]
+
+
+@pytest.mark.parametrize("kind, parameters", NON_FINITE_SPECS)
+def test_non_finite_number_in_a_spec_exit_two(tmp_path, capsys, kind, parameters):
+    path = tmp_path / "spec.json"
+    path.write_text(f'{{"kind": "{kind}", "parameters": {parameters}}}')
+    assert main(["run", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cannot read spec: non-finite number ")
+
+
+@pytest.mark.parametrize("text", ['{"winding_residual": NaN}', '{"minimality": 1e999}',
+                                  '{"rank_step": -Infinity}'])
+def test_non_finite_number_in_a_tolerance_file_exit_two(tmp_path, capsys, text):
+    # {"winding_residual": NaN} exited 0
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "grassmannian-dim", "parameters": {"n": 2, "k": 1}}))
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(text)
+    assert main(["run", str(spec_path), "--tol-file", str(tol_path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("cannot read tolerance file: non-finite number ")
 
 
 @pytest.mark.parametrize("overrides", [
@@ -257,7 +316,7 @@ def test_default_tolerances_lie_in_their_ranges():
     _TOLERANCES_VALIDATOR.validate(DEFAULT.as_dict())
     assert not _TOLERANCES_VALIDATOR.is_valid({"max_loop_samples": 3})
     assert _TOLERANCES_VALIDATOR.is_valid({"max_loop_samples": 4})
-    assert not _TOLERANCES_VALIDATOR.is_valid({"svd_cutoff": 0})
+    assert not _TOLERANCES_VALIDATOR.is_valid({"orthonormality": 0})
     # the frame's f = j e and Darboux bounds are gone: naming them is an error
     for name in ("frame_j", "darboux"):
         assert not _TOLERANCES_VALIDATOR.is_valid({name: 1e-9})
@@ -421,7 +480,7 @@ def test_directly_built_report_serializes_its_tolerances():
     payload = json.loads(rep.to_json())
     jsonschema.validate(payload, REPORT_SCHEMA)
     assert payload["tolerances"] == DEFAULT.as_dict()
-    assert len(payload["tolerances"]) == 22
+    assert len(payload["tolerances"]) == 20
 
 
 def test_run_report_carries_the_spec_tolerances():
