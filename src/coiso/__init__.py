@@ -24,6 +24,7 @@ from .errors import (
     InternalConsistencyError,
     NumericalQualityError,
     OffSurfaceError,
+    SpecError,
     UnnormalizedDefiningFunctionError,
 )
 from .symplin import (

@@ -25,14 +25,15 @@ import sys
 import time
 from json.encoder import encode_basestring_ascii as _quote
 from math import isfinite, pi
+from operator import ge, gt, le, lt
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-import jsonschema
 
 from . import __version__
 from .config import DEFAULT, Tolerances, rng
-from .errors import CoisoError
+from .errors import CoisoError, SpecError
 from . import grassmann, hypergeo, maslov, symplin
 
 __all__ = ["SCHEMA", "run", "emit_phase_trace", "main"]
@@ -140,55 +141,82 @@ SCHEMA = {
 }
 
 
-# SCHEMA is a constant: it is checked against its meta-schema, and its
-# validator built, once per process
-jsonschema.Draft7Validator.check_schema(SCHEMA)
-_VALIDATOR = jsonschema.Draft7Validator(SCHEMA)
-_TOLERANCES_VALIDATOR = jsonschema.Draft7Validator(_TOLERANCES_SCHEMA)
-
-
-class _CheckedSchema:
-    """The ``cls`` with which ``jsonschema.validate`` checks SCHEMA and builds
-    its validator: the check was made at import, and the validator built
-    then is returned."""
-
-    @staticmethod
-    def check_schema(schema) -> None:
-        pass
-
-    def __new__(cls, schema):
-        return _VALIDATOR
-
-
-REPORT_SCHEMA = {
-    "$schema": "http://json-schema.org/draft-07/schema#",
-    "title": "coiso report",
-    "type": "object",
-    "required": ["kind", "spec", "version", "seed", "passed", "items", "tolerances"],
-    "properties": {
-        "kind": {"enum": KINDS},
-        "spec": {"type": "object"},
-        "version": {"type": "string"},
-        "seed": {"type": ["integer", "null"]},
-        "passed": {"type": "boolean"},
-        "error": {"type": ["string", "null"]},
-        "items": {
-            "type": "array",
-            "items": {
-                "type": "object",
-                "required": ["name", "value"],
-                "properties": {
-                    "name": {"type": "string"},
-                    "value": {},
-                    "oracle": {},
-                    "residual": {"type": ["number", "null"]},
-                    "passed": {"type": "boolean"},
-                },
-            },
-        },
-        "tolerances": {"type": "object"},
-    },
+# the Draft-7 types SCHEMA names: an integer-valued float is an integer, and
+# a bool is neither an integer nor a number
+_TYPES = {
+    "object": lambda value: isinstance(value, dict),
+    "array": lambda value: isinstance(value, list),
+    "string": lambda value: isinstance(value, str),
+    "integer": lambda value: (isinstance(value, int) and not isinstance(value, bool)
+                              or isinstance(value, float) and value.is_integer()),
+    "number": lambda value: isinstance(value, (int, float)) and not isinstance(value, bool),
 }
+
+# the range keywords: the test a number fails, and the refusal's wording
+_BOUNDS = (
+    ("minimum", lt, "is less than the minimum of"),
+    ("maximum", gt, "is greater than the maximum of"),
+    ("exclusiveMinimum", le, "is less than or equal to the minimum of"),
+    ("exclusiveMaximum", ge, "is greater than or equal to the maximum of"),
+)
+
+
+def _refusal(path: str, text: str) -> SpecError:
+    return SpecError(f"{path}: {text}" if path else text)
+
+
+def _validate(instance, schema: dict, path: str = "") -> None:
+    """Raise SpecError for the first value of the JSON value ``instance``
+    that ``schema`` refuses, named by its JSON path (``path`` is that of
+    ``instance``), or for a non-finite number.
+
+    ``schema`` may use only the Draft-7 keywords of SCHEMA: ``type`` (one
+    name), ``enum`` (of strings, which no other JSON value equals),
+    ``required``, ``properties``, ``additionalProperties: false``,
+    ``items`` (one schema), ``minItems``, ``minimum``, ``maximum``,
+    ``exclusiveMinimum`` and ``exclusiveMaximum``.  Each applies as in
+    Draft 7, so a finite value is refused here exactly when a Draft-7
+    validator refuses it; the wording after the path is ``jsonschema``'s.
+    """
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](instance):
+        raise _refusal(path, f"{instance!r} is not of type {kind!r}")
+    if "enum" in schema and instance not in schema["enum"]:
+        raise _refusal(path, f"{instance!r} is not one of {schema['enum']!r}")
+    if isinstance(instance, dict):
+        for name in schema.get("required", ()):
+            if name not in instance:
+                raise _refusal(path, f"{name!r} is a required property")
+        properties = schema.get("properties", {})
+        if schema.get("additionalProperties", True) is False:
+            extra = sorted(instance.keys() - properties.keys(), key=str)
+            if extra:
+                raise _refusal(path, f"Additional properties are not allowed "
+                               f"({', '.join(map(repr, extra))} "
+                               f"{'was' if len(extra) == 1 else 'were'} unexpected)")
+        for name, value in instance.items():
+            if name in properties:
+                _validate(value, properties[name], f"{path}.{name}" if path else name)
+    elif isinstance(instance, list):
+        least = schema.get("minItems", 0)
+        if len(instance) < least:
+            raise _refusal(path, f"{instance!r} "
+                           f"{'should be non-empty' if least == 1 else 'is too short'}")
+        if "items" in schema:
+            for i, value in enumerate(instance):
+                _validate(value, schema["items"], f"{path}[{i}]")
+    elif isinstance(instance, float) and not isfinite(instance):
+        raise _refusal(path, f"{instance!r} is not a finite number")
+    elif _TYPES["number"](instance):
+        for keyword, fails, wording in _BOUNDS:
+            if keyword in schema and fails(instance, schema[keyword]):
+                raise _refusal(path, f"{instance!r} {wording} {schema[keyword]!r}")
+
+
+# the binding through which ``_prepare`` validates each spec: the benchmark's
+# tracer (``bench/tracing.py``) wraps ``cli.jsonschema.validate`` by name, so
+# the name stays until the benchmark renames that span (ROADMAP item 10)
+jsonschema = SimpleNamespace(validate=_validate)
 
 
 @dataclasses.dataclass
@@ -339,12 +367,12 @@ def _run_grassmannian_dim(params: dict, tol: Tolerances, seed: int) -> list:
 
 
 def _maslov_pair(params: dict, tol: Tolerances, seed: int):
-    """A maslov-index spec's loop, family name, section winding w and section
-    exp(i(w theta + phase0)) on the loop's grid (``fn`` resamples it)."""
-    n, k = int(params["n"]), int(params["k"])
+    """A prepared maslov-index spec's loop, family name, section winding w and
+    section exp(i(w theta + phase0)) on the loop's grid (``fn`` resamples
+    it)."""
     fam = params.get("family", "lagrangian-rotation")
-    gen = grassmann.LOOP_FAMILIES[fam](n, k, params.get("family_params", {}), seed)
-    loop = grassmann.loop_from_family(k, gen, samples=int(params.get("M", 64)), tol=tol)
+    loop = grassmann.loop_from_family(
+        int(params["k"]), params["generator"], samples=int(params.get("M", 64)), tol=tol)
     sec = params.get("section", {})
     w = int(sec.get("winding", 0))
     phase0 = float(sec.get("phase0", 0.0))
@@ -472,19 +500,20 @@ _FIXTURE_NEEDS = {"ellipsoid": ["semi_axes"], "polynomial": ["n", "terms"]}
 
 def _require(ok: bool, message: str) -> None:
     if not ok:
-        raise jsonschema.ValidationError(message)
+        raise SpecError(message)
 
 
 def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
     """``(params, tol, seed)`` of a validated experiment: the parameters with
-    the seed and default n and k filled in, and the spec's tolerances merged
-    over ``tol``.  Bad input raises jsonschema.ValidationError.
+    the seed and default n and k filled in, and a maslov-index spec's drawn
+    loop family under ``generator``; and the spec's tolerances merged over
+    ``tol``.  Bad input raises SpecError.
 
     The schema holds each field's own rules; the rules that tie a field to
     another field's value are checked here, where they cost microseconds
     (each ``if``/``then`` of the schema costs a spec far more).
     """
-    jsonschema.validate(spec, SCHEMA, cls=_CheckedSchema)
+    jsonschema.validate(spec, SCHEMA)
     kind = spec["kind"]
     params = dict(spec["parameters"])
     if kind in _DEFAULT_N_K:
@@ -503,12 +532,6 @@ def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
         windings = params["family_params"]["windings"]
         _require(len(windings) == params["n"], f"diag-unitary needs one winding per "
                  f"complex coordinate, got {len(windings)} for n={params['n']}")
-        # only the kernel coordinates j >= k move the subspace, and a grid
-        # resolves a winding w while each step turns it by |w| 2 pi / M <= pi / 2
-        fastest = max((abs(w) for w in windings[params["k"]:]), default=0)
-        m = params.get("M", 64)
-        _require(m >= 4 * fastest, f"a grid of M={m} aliases the kernel winding {fastest} "
-                 f"of diag-unitary: it needs M >= {4 * fastest}")
     fixture = params.get("fixture")
     missing = [name for name in _FIXTURE_NEEDS.get(fixture, [])
                if name not in params.get("fixture_params", {})]
@@ -527,12 +550,27 @@ def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
     # a seed keys a numpy SeedSequence, which takes no negative entropy
     _require(seed >= 0, f"seed {seed} is negative")
     params["seed"] = seed
+    if kind == "maslov-index":
+        # the family is drawn once, here, since the windings it draws bound
+        # the grid: only the kernel coordinates j >= k move the subspace, and
+        # a grid resolves a winding w while each step turns it by
+        # |w| 2 pi / M <= pi / 2
+        k = int(params["k"])
+        gen = grassmann.LOOP_FAMILIES[family](
+            int(params["n"]), k, params.get("family_params", {}), seed)
+        if hasattr(gen, "windings"):
+            fastest = float(np.max(np.abs(gen.windings[k:]), initial=0.0))
+            m = int(params.get("M", 64))
+            _require(m >= 4 * fastest, f"a grid of M={m} aliases the kernel winding "
+                     f"{fastest:g} of {family}: it needs M >= {4 * fastest:g}")
+        params["generator"] = gen
     return params, tol, seed
 
 
 def run(spec: dict, tol: Tolerances = DEFAULT,
         seed_override: Optional[int] = None) -> Report:
-    """Validate and execute one experiment; deterministic given the seed."""
+    """Validate and execute one experiment; deterministic given the seed.
+    Bad input raises SpecError."""
     return _execute(spec, *_prepare(spec, tol, seed_override))
 
 
@@ -614,15 +652,15 @@ def main(argv=None) -> int:
             print(f"cannot read tolerance file: {exc}", file=sys.stderr)
             return 2
         try:
-            _TOLERANCES_VALIDATOR.validate(overrides)
-        except jsonschema.ValidationError as exc:
-            print(f"bad tolerance file: {exc.message}", file=sys.stderr)
+            _validate(overrides, _TOLERANCES_SCHEMA)
+        except SpecError as exc:
+            print(f"bad tolerance file: {exc}", file=sys.stderr)
             return 2
         tol = tol.replace(**overrides)
     try:
         prepared = _prepare(spec, tol, args.seed)
-    except jsonschema.ValidationError as exc:
-        print(f"bad input: {exc.message}", file=sys.stderr)
+    except SpecError as exc:
+        print(f"bad input: {exc}", file=sys.stderr)
         return 2
 
     out_path = args.out or spec.get("output", {}).get("path")

@@ -1,15 +1,22 @@
-"""Exception types raised by the geometric operations."""
+"""Exception types raised by the geometric operations and the spec checks."""
 
 __all__ = [
     "CoisoError", "ClassificationError", "ContinuityLossError",
     "DiscontinuousLoopError", "AliasingError", "ClosureError", "FrameDegeneracyError",
     "InternalConsistencyError", "UnnormalizedDefiningFunctionError", "OffSurfaceError",
-    "ExtensionQualityError", "NumericalQualityError",
+    "ExtensionQualityError", "NumericalQualityError", "SpecError",
 ]
 
 
 class CoisoError(Exception):
     """Base class for all library errors."""
+
+
+class SpecError(ValueError):
+    """An experiment spec or tolerance file that ``coiso.cli`` refuses: a
+    value its schema refuses, named by its JSON path, or parameters that do
+    not fit together.  It is bad input (``coiso run`` exits 2), not a failed
+    computation, so it is no ``CoisoError``."""
 
 
 class ClassificationError(CoisoError):

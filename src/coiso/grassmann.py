@@ -473,6 +473,7 @@ def diag_unitary_family(n: int, k: int, windings: Sequence[float]):
         u = _diagonals(np.exp(1j * w * thetas[:, None]))
         return _splitting(u[..., :k], u[..., k:])
 
+    gen.windings = w
     return gen
 
 

@@ -58,3 +58,11 @@ def test_loop_hook_binds_the_samples_of_loop_from_family():
 
 def test_from_callable_takes_three_positional_arguments():
     inspect.signature(grassmann.SymplecticMatrixLoop.from_callable).bind(2, None, 16)
+
+
+def test_the_schema_span_wraps_the_library_validator():
+    # tracing.EXTRA's "cli.jsonschema.validate" wraps the validate of the
+    # binding cli.jsonschema, through which _prepare checks every spec
+    from coiso import cli
+    assert cli.jsonschema.validate is cli._validate
+    assert '"cli.jsonschema.validate"' in TRACING.read_text()

@@ -1,5 +1,6 @@
 """Experiment runner: schema, reports, traces, exit codes, determinism."""
 
+import copy
 import json
 import math
 import os
@@ -16,15 +17,25 @@ from hypothesis import given, settings, strategies as st
 import coiso
 from coiso import DEFAULT, is_leafwise_special, leafwise_mean_curvature, point_geometry
 from coiso.cli import (
-    REPORT_SCHEMA,
     SCHEMA,
     Report,
-    _TOLERANCES_VALIDATOR,
+    _TOLERANCES_SCHEMA,
     _dumps,
+    _validate,
     emit_phase_trace,
     main,
     run,
 )
+from reference_report import REPORT_SCHEMA
+
+
+def _accepts(instance, schema) -> bool:
+    """Whether the library validator accepts ``instance`` against ``schema``."""
+    try:
+        _validate(instance, schema)
+    except coiso.SpecError:
+        return False
+    return True
 
 
 def test_schema_subcommand(capsys):
@@ -42,6 +53,8 @@ def test_schema_subcommand_prints_the_json_dumps_bytes(capsys):
 def test_schema_rejects_unknown_kind():
     with pytest.raises(jsonschema.ValidationError):
         jsonschema.validate({"kind": "nope", "parameters": {}}, SCHEMA)
+    with pytest.raises(coiso.SpecError, match=r"^kind: 'nope' is not one of \["):
+        _validate({"kind": "nope", "parameters": {}}, SCHEMA)
 
 
 def test_run_grassmannian_dim_report():
@@ -88,6 +101,58 @@ def test_run_schema_violation_exit_two(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"kind": "nope", "parameters": {}}))
     assert main(["run", str(path)]) == 2
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"kind": "maslov-index", "parameters": {"n": 2, "k": 1, "family": "random-unitary-orbit",
+                                             "family_params": {"wiggle": 6.3}}},
+     "parameters.family_params.wiggle: 6.3 is greater than the maximum of 6.283185307179586"),
+    ({"kind": "minimality-scan", "parameters": {"fixture": "polynomial", "fixture_params": {
+        "n": 2, "terms": [{"coeff": 1.0, "exponents": [2, 0, -1, 0]}]}}},
+     "parameters.fixture_params.terms[0].exponents[2]: -1 is less than the minimum of 0"),
+    ({"kind": "disc-index", "parameters": {"fixture": "sphere", "loop_params": {"powr": 3}}},
+     "parameters.loop_params: Additional properties are not allowed ('powr' was unexpected)"),
+    ({"kind": "disc-index", "parameters": {}, "outptu": {}, "extra": 1},
+     "Additional properties are not allowed ('extra', 'outptu' were unexpected)"),
+    ({"kind": "disc-index"}, "'parameters' is a required property"),
+    ({"kind": "grassmannian-dim", "parameters": {
+        "n": 2, "k": 1, "tolerances": {"max_loop_samples": 1.5}}},
+     "parameters.tolerances.max_loop_samples: 1.5 is not of type 'integer'"),
+    ({"kind": "minimality-scan", "parameters": {
+        "fixture": "ellipsoid", "fixture_params": {"semi_axes": []}}},
+     "parameters.fixture_params.semi_axes: [] should be non-empty"),
+    ({"kind": "disc-index", "parameters": {"fixture": "sphere", "fixture_params": {"r": 0}}},
+     "parameters.fixture_params.r: 0 is less than or equal to the minimum of 0"),
+    ({"kind": "grassmannian-dim", "parameters": {
+        "n": 2, "k": 1, "tolerances": {"hint_min_norm": 1}}},
+     "parameters.tolerances.hint_min_norm: 1 is greater than or equal to the maximum of 1"),
+    ({"kind": "disc-index", "parameters": {"fixture": "sphere"}, "output": {"format": "xml"}},
+     "output.format: 'xml' is not one of ['json', 'csv']"),
+])
+def test_refusal_names_the_json_path(tmp_path, capsys, spec, message):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == f"bad input: {message}\n"
+    with pytest.raises(coiso.SpecError) as refused:
+        run(spec)
+    assert str(refused.value) == message
+    assert isinstance(refused.value, ValueError)
+    assert not isinstance(refused.value, coiso.CoisoError)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"max_loop_samples": 1.5}, "max_loop_samples: 1.5 is not of type 'integer'"),
+    ([1.0], "[1.0] is not of type 'object'"),
+    ({"phase_jump": 0}, "phase_jump: 0 is less than or equal to the minimum of 0"),
+])
+def test_tolerance_file_refusal_names_the_field(tmp_path, capsys, overrides, message):
+    spec_path = tmp_path / "spec.json"
+    spec_path.write_text(json.dumps({"kind": "grassmannian-dim", "parameters": {"n": 2, "k": 1}}))
+    tol_path = tmp_path / "tol.json"
+    tol_path.write_text(json.dumps(overrides))
+    assert main(["run", str(spec_path), "--tol-file", str(tol_path)]) == 2
+    assert capsys.readouterr().err == f"bad tolerance file: {message}\n"
 
 
 @pytest.mark.parametrize("kind,parameters", [
@@ -220,12 +285,38 @@ REMOVED_TOLERANCES = ["kernel_pairing", "loop_closure", "equivariance", "unit_gr
 
 def test_diag_unitary_grid_resolving_the_kernel_windings_runs():
     # M = 4 max |w_j| over the kernel coordinates j >= k is the coarsest
-    # grid accepted; the H coordinate's winding 40 does not move the subspace
-    for windings, want in (([0, 8], -16), ([40, 8], -16)):
+    # grid accepted; the H coordinate's winding 40 does not move the subspace.
+    # A k of 1.0 is a Draft-7 integer: it used to slice the windings and
+    # raise TypeError
+    for windings, k, want in (([0, 8], 1, -16), ([40, 8], 1, -16), ([0, 8], 1.0, -16)):
         spec = {"kind": "maslov-index", "parameters": {
-            "n": 2, "k": 1, "M": 32, "family": "diag-unitary",
+            "n": 2, "k": k, "M": 32, "family": "diag-unitary",
             "family_params": {"windings": windings}}}
         assert run(spec).items[0]["value"] == want
+
+
+def test_random_orbit_grid_that_aliases_a_drawn_kernel_winding_exit_two(tmp_path, capsys):
+    # its windings are [-6, 15.5]: M = 4 printed index 1, where M >= 62 gives
+    # -31; the H winding -6 does not move the subspace
+    params = {"n": 2, "k": 1, "seed": 0, "M": 4, "family": "random-unitary-orbit",
+              "family_params": {"max_winding": 64, "wiggle": 0.0}}
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps({"kind": "maslov-index", "parameters": params}))
+    assert main(["run", str(path)]) == 2
+    assert capsys.readouterr().err == ("bad input: a grid of M=4 aliases the kernel winding "
+                                       "15.5 of random-unitary-orbit: it needs M >= 62\n")
+    for m in (62, 64):
+        report = run({"kind": "maslov-index", "parameters": {**params, "M": m}})
+        assert report.items[0]["value"] == -31
+
+
+def test_diag_unitary_aliasing_text():
+    spec = {"kind": "maslov-index", "parameters": {
+        "n": 2, "k": 1, "M": 4, "family": "diag-unitary", "family_params": {"windings": [0, 8]}}}
+    with pytest.raises(coiso.SpecError) as refused:
+        run(spec)
+    assert str(refused.value) == ("a grid of M=4 aliases the kernel winding 8 of diag-unitary: "
+                                  "it needs M >= 32")
 
 
 # number literals json reads as NaN or infinity; no range check refuses NaN,
@@ -253,6 +344,14 @@ def test_non_finite_number_in_a_spec_exit_two(tmp_path, capsys, kind, parameters
     assert main(["run", str(path)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("cannot read spec: non-finite number ")
+
+
+@pytest.mark.parametrize("kind, parameters", NON_FINITE_SPECS)
+def test_non_finite_number_in_a_spec_dict_raises_spec_error(kind, parameters):
+    # the library entry reads no JSON text: the validator refuses the number
+    spec = json.loads(f'{{"kind": "{kind}", "parameters": {parameters}}}')
+    with pytest.raises(coiso.SpecError, match="is not a finite number$"):
+        run(spec)
 
 
 @pytest.mark.parametrize("text", ['{"winding_residual": NaN}', '{"minimality": 1e999}',
@@ -313,13 +412,13 @@ def test_out_of_range_tolerance_exit_two(tmp_path, capsys, overrides):
 
 
 def test_default_tolerances_lie_in_their_ranges():
-    _TOLERANCES_VALIDATOR.validate(DEFAULT.as_dict())
-    assert not _TOLERANCES_VALIDATOR.is_valid({"max_loop_samples": 3})
-    assert _TOLERANCES_VALIDATOR.is_valid({"max_loop_samples": 4})
-    assert not _TOLERANCES_VALIDATOR.is_valid({"orthonormality": 0})
+    _validate(DEFAULT.as_dict(), _TOLERANCES_SCHEMA)
+    assert not _accepts({"max_loop_samples": 3}, _TOLERANCES_SCHEMA)
+    assert _accepts({"max_loop_samples": 4}, _TOLERANCES_SCHEMA)
+    assert not _accepts({"orthonormality": 0}, _TOLERANCES_SCHEMA)
     # the frame's f = j e and Darboux bounds are gone: naming them is an error
     for name in ("frame_j", "darboux"):
-        assert not _TOLERANCES_VALIDATOR.is_valid({name: 1e-9})
+        assert not _accepts({name: 1e-9}, _TOLERANCES_SCHEMA)
 
 
 def test_diag_unitary_with_windings_runs():
@@ -646,18 +745,15 @@ def test_csv_trace_reads_the_spec_tolerances(tmp_path):
 
 
 class _CountingSchema:
-    """Stands in for the ``jsonschema`` module inside ``coiso.cli``, counting
+    """Stands in for the ``jsonschema`` binding of ``coiso.cli``, counting
     ``validate`` calls."""
 
     def __init__(self):
         self.calls = 0
 
-    def validate(self, *args, **kwargs):
+    def validate(self, instance, schema):
         self.calls += 1
-        return jsonschema.validate(*args, **kwargs)
-
-    def __getattr__(self, name):
-        return getattr(jsonschema, name)
+        return _validate(instance, schema)
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
@@ -674,20 +770,159 @@ def test_main_validates_each_spec_once(tmp_path, monkeypatch, fmt):
 
 
 def test_schema_is_checked_once_per_process(monkeypatch):
-    checks = []
-    original = jsonschema.Draft7Validator.check_schema.__func__
+    # SCHEMA is checked against its meta-schema by the test below, never by
+    # a run: neither a run nor a refusal reaches jsonschema, every check of
+    # which iterates a Draft7Validator's errors
+    calls = []
+    iter_errors = jsonschema.Draft7Validator.iter_errors
 
-    def counting(cls, schema, *args, **kwargs):
-        checks.append(schema)
-        return original(cls, schema, *args, **kwargs)
+    def counting(self, *args, **kwargs):
+        calls.append(args)
+        return iter_errors(self, *args, **kwargs)
 
-    monkeypatch.setattr(jsonschema.Draft7Validator, "check_schema", classmethod(counting))
+    monkeypatch.setattr(jsonschema.Draft7Validator, "iter_errors", counting)
     specs = [{"kind": "grassmannian-dim", "parameters": {"n": 2, "k": 1, "seed": s}}
              for s in range(5)]
     assert all(run(spec).passed for spec in specs)
-    with pytest.raises(jsonschema.ValidationError):
+    with pytest.raises(coiso.SpecError, match=r"^parameters\.k: -1 is less than the minimum of 0$"):
         run({"kind": "grassmannian-dim", "parameters": {"n": 2, "k": -1}})
-    assert checks == []
+    assert calls == []
+    jsonschema.Draft7Validator.check_schema(SCHEMA)
+    assert calls
+
+
+def test_schema_is_a_draft7_schema():
+    jsonschema.Draft7Validator.check_schema(SCHEMA)
+    jsonschema.Draft7Validator.check_schema(_TOLERANCES_SCHEMA)
+    jsonschema.Draft7Validator.check_schema(REPORT_SCHEMA)
+
+
+# the Draft-7 keywords the library validator applies; "$schema" and "title"
+# annotate the root and constrain nothing
+VALIDATED_KEYWORDS = {"type", "enum", "required", "properties", "additionalProperties",
+                      "items", "minItems", "minimum", "maximum", "exclusiveMinimum",
+                      "exclusiveMaximum"}
+
+
+def _subschemas(schema):
+    yield schema
+    for sub in schema.get("properties", {}).values():
+        yield from _subschemas(sub)
+    if "items" in schema:
+        yield from _subschemas(schema["items"])
+
+
+@pytest.mark.parametrize("schema", [SCHEMA, _TOLERANCES_SCHEMA], ids=["spec", "tolerances"])
+def test_schemas_use_only_the_validated_keywords(schema):
+    for node in _subschemas(schema):
+        assert set(node) - {"$schema", "title"} <= VALIDATED_KEYWORDS, node
+        assert isinstance(node.get("type", ""), str)
+        assert node.get("additionalProperties", False) is False
+        assert isinstance(node.get("items", {}), dict)
+        assert all(isinstance(value, str) for value in node.get("enum", []))
+
+
+POOL = json.loads((Path(__file__).resolve().parents[1] / "bench" / "pool.json").read_text())
+POOL_SPECS = [entry["spec"] for workload in ("loops", "disc", "pointwise")
+              for _, entry in sorted(POOL[workload].items())]
+_BOUND_KEYWORDS = ("minimum", "maximum", "exclusiveMinimum", "exclusiveMaximum")
+
+
+def _near(schema) -> list:
+    """Values at the edges of one subschema: its bounds and the numbers
+    beside them, as integers and floats, its names and a value of each
+    other JSON type."""
+    values = [True, None, "json", [], {}, 2.0, 2, -0.0]
+    for bound in (schema[word] for word in _BOUND_KEYWORDS if word in schema):
+        values += [bound, float(bound), math.nextafter(bound, -math.inf),
+                   math.nextafter(bound, math.inf), round(bound) - 1, round(bound) + 1]
+    values += schema.get("enum", [])
+    if "items" in schema:
+        values += [[value] for value in _near(schema["items"])]
+    return values
+
+
+# the edges of every subschema, and a few more values
+_EDGES = [value for schema in (SCHEMA, _TOLERANCES_SCHEMA) for node in _subschemas(schema)
+          for value in _near(node)] + [False, "", 0.5, 1e300, -1e300, 10 ** 400]
+_KEYS = st.sampled_from(sorted({name for node in _subschemas(SCHEMA)
+                                for name in node.get("properties", {})})) | st.text(max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(_KEYS, inner, max_size=3),
+    max_leaves=8)
+# half the values drawn lie at an edge; every value is a fresh copy
+_VALUES = (st.sampled_from(_EDGES) | _JSON).map(copy.deepcopy)
+_DRAFT7 = jsonschema.Draft7Validator(SCHEMA)
+_DRAFT7_TOLERANCES = jsonschema.Draft7Validator(_TOLERANCES_SCHEMA)
+
+
+def _slots(value, schema):
+    """``(container, key, subschema)`` for each entry of each dict and list
+    within ``value``, each property its schema names, a new random key
+    (None) and a list's next index."""
+    if isinstance(value, dict):
+        properties = schema.get("properties", {})
+        yield value, None, {}
+        for key in sorted(value.keys() | properties.keys()):
+            yield value, key, properties.get(key, {})
+            if key in value:
+                yield from _slots(value[key], properties.get(key, {}))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield value, i, schema.get("items", {})
+            yield from _slots(item, schema.get("items", {}))
+        yield value, len(value), schema.get("items", {})
+
+
+def _mutate(value, schema, data) -> None:
+    """Set, add or delete one entry within ``value``: a new value lies at an
+    edge of the entry's subschema, at an edge of the schemas, or anywhere."""
+    container, key, sub = data.draw(st.sampled_from(list(_slots(value, schema))))
+    if key is None:
+        key = data.draw(_KEYS)
+    new = st.sampled_from(_near(sub)).map(copy.deepcopy) | _VALUES
+    present = key in container if isinstance(container, dict) else key < len(container)
+    if present and data.draw(st.integers(0, 3)) == 0:
+        del container[key]
+    elif present or isinstance(container, dict):
+        container[key] = data.draw(new)
+    else:
+        container.append(data.draw(new))
+
+
+def test_validator_agrees_with_draft7_at_the_edges_of_every_subschema():
+    for schema in (SCHEMA, _TOLERANCES_SCHEMA):
+        for node in _subschemas(schema):
+            draft7 = jsonschema.Draft7Validator(node)
+            for value in _EDGES:
+                assert _accepts(value, node) == draft7.is_valid(value), (node, value)
+
+
+@settings(max_examples=500)
+@given(st.sampled_from(POOL_SPECS), st.integers(0, 3), st.data())
+def test_validator_agrees_with_draft7_on_mutated_pool_specs(spec, mutations, data):
+    spec = copy.deepcopy(spec)
+    for _ in range(mutations):
+        _mutate(spec, SCHEMA, data)
+    assert _accepts(spec, SCHEMA) == _DRAFT7.is_valid(spec), spec
+
+
+@settings(max_examples=200)
+@given(st.booleans(), st.integers(0, 3), st.data())
+def test_validator_agrees_with_draft7_on_tolerances(full, mutations, data):
+    overrides = DEFAULT.as_dict() if full else {}
+    for _ in range(mutations):
+        _mutate(overrides, _TOLERANCES_SCHEMA, data)
+    assert _accepts(overrides, _TOLERANCES_SCHEMA) == _DRAFT7_TOLERANCES.is_valid(overrides)
+
+
+@settings(max_examples=200)
+@given(_VALUES)
+def test_validator_agrees_with_draft7_on_any_json_value(value):
+    assert _accepts(value, SCHEMA) == _DRAFT7.is_valid(value)
+    assert _accepts(value, _TOLERANCES_SCHEMA) == _DRAFT7_TOLERANCES.is_valid(value)
 
 
 def _child_env():
@@ -720,7 +955,8 @@ def test_package_runs_as_module():
 
 
 def test_no_kind_imports_scipy():
-    # every run kind, and the graph-product fixture's frame, with numpy alone
+    # every run kind, and the graph-product fixture's frame, with numpy alone:
+    # neither scipy nor jsonschema is imported
     specs = [
         {"kind": "grassmannian-dim", "parameters": {"n": 3, "k": 1, "points": 2}},
         {"kind": "hypersurface-report", "parameters": {"fixture": "sphere", "points": 2}},
@@ -737,8 +973,15 @@ def test_no_kind_imports_scipy():
         "import coiso, coiso.cli\n"
         "for spec in json.loads(sys.argv[1]):\n"
         "    assert coiso.cli.run(spec).passed, spec\n"
+        "try:\n"
+        "    coiso.cli.run({'kind': 'grassmannian-dim', 'parameters': {'n': 2, 'k': -1}})\n"
+        "except coiso.SpecError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('a negative k was accepted')\n"
         "coiso.random_graph_product(11, l=2, m=1).frame(np.array([0.3, -0.2]))\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(sorted(m for m in sys.modules\n"
+        "             if m.split('.')[0] in ('scipy', 'jsonschema')))\n"
     )
     proc = subprocess.run([sys.executable, "-c", script, json.dumps(specs)],
                           capture_output=True, text=True, env=_child_env())
