@@ -20,13 +20,14 @@ class SpecError(ValueError):
 
 
 class ClassificationError(CoisoError):
-    """A subspace failed the coisotropy test, or a splitting its
-    certification (``symplin._certify``).
+    """A subspace failed the coisotropy test of ``classify_coisotropic``,
+    or a splitting its certification (``symplin._certify``: a gauge of the
+    wrong shape, not unitary, or with a kernel that is not isotropic).
 
-    ``witness``, when a vector left the subspace, carries
-    ``(vector, residual, angle)``: that kernel or H-part vector, its
-    component outside the candidate subspace and the offending principal
-    angle.
+    ``witness`` is set by classification alone, when a vector left the
+    subspace: ``(vector, residual, angle)``, that kernel or H-part vector,
+    its component outside the candidate subspace and the offending
+    principal angle.
     """
 
     def __init__(self, message, witness=None):
@@ -55,8 +56,8 @@ class ClosureError(CoisoError):
 
 
 class FrameDegeneracyError(CoisoError):
-    """A grading charge fell below 1e-12 at a boundary point, or a section
-    value at an angle, where its phase is undefined;
+    """A grading charge fell below 1e-12 or was not finite at a boundary
+    point, or a section value at an angle, where its phase is undefined;
     ``maslov.disc_index_detail`` and ``maslov.MaslovSection.from_function``
     raise it."""
 

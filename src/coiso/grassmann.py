@@ -12,16 +12,17 @@ Every loop keeps its generator, and so does every matrix loop: a loop is
 resampled, refined or pushed forward by calling it on the new grid.  A
 loop generator is called once per grid: it takes a 1-D array of M angles
 and returns the stack of its M members, a ``Subspace`` or
-``CoisotropicSubspace`` of shape (M, 2n, m) whose member i depends on
-theta_i alone; a matrix-loop callable likewise returns an (M, 2n, 2n)
+``CoisotropicSubspace`` whose space has shape (M, 2n, m) and whose member i
+depends on theta_i alone; a matrix-loop callable likewise returns an (M, 2n, 2n)
 stack.  A ``Subspace`` stack is classified by one stacked call into a
-``CoisotropicSubspace`` of shape (M, 2n, n+k); the splitting of a
-``CoisotropicSubspace`` stack is certified as it is handed over, not
-reclassified (``symplin._certify``, which the classification ends in too).
-Every named family hands over the splitting read off the unitary u(theta)
-with gamma(theta) = u(theta) . (C^k + R^{n-k}), so its loops take no
-decomposition to split their samples.  Nor does ``pushforward``: its image
-splitting is read off A . K, K the source's kernel, and an image that fails
+``CoisotropicSubspace``, whose gauge stack has shape (M, n, n); the gauge of
+a ``CoisotropicSubspace`` stack is certified unitary as it is handed over,
+not reclassified (``symplin._certify``, which the classification ends in
+too).  Every named family hands over its unitary u(theta), with
+gamma(theta) = u(theta) . (C^k + R^{n-k}), as the gauge, so its loops take
+no decomposition to split their samples.  Nor does ``pushforward``: its
+image gauge is built from A . K, K the source's kernel
+(``CoisotropicSubspace.from_kernel``), and an image that fails
 certification raises InternalConsistencyError.  Its generator reads the
 stored members of both loops on their own grids.  The continuity contract
 reads one stacked largest principal angle per consecutive pair, and the
@@ -65,10 +66,8 @@ from .symplin import (
     _check,
     _check_complex_dim,
     _check_model,
-    _complex_complement,
     _mgs,
     _rank_parameter,
-    _splitting,
     _standard_omega,
     _unchecked,
 )
@@ -90,6 +89,9 @@ __all__ = [
 
 
 def _thetas(m: int) -> np.ndarray:
+    """The uniform grid of ``m`` angles; ValueError for a count below 1."""
+    if m < 1:
+        raise ValueError(f"a loop needs at least 1 sample, got {m}")
     return np.arange(m) * (2 * pi / m)
 
 
@@ -110,26 +112,23 @@ def _check_grid_shape(got: tuple, want: tuple) -> None:
             f"stack of shape {want}, got shape {got}")
 
 
-def _contiguous(s: Subspace) -> Subspace:
-    """``s`` C-contiguous, as a stack built member by member would be; a
-    copy of a checked stack is not checked again."""
-    return _unchecked(np.ascontiguousarray(s.basis))
-
-
 def _members(generator, thetas: np.ndarray, dim: Optional[int] = None):
     """The generator's stack on ``thetas``, a ``Subspace`` or
-    ``CoisotropicSubspace`` with C-contiguous arrays.  Its members have
-    ``dim`` = 2n rows when ``dim`` is given, else as many as the trailing
-    axes returned show."""
+    ``CoisotropicSubspace`` whose array is C-contiguous, as a stack built
+    member by member would be.  Its members have ``dim`` = 2n rows when
+    ``dim`` is given, else as many as the trailing axes returned show.  A
+    splitting's space is not built: its shape is read off the gauge."""
     value = generator(thetas)
-    space = _as_subspace(value)
-    rows = space.basis.shape[-2] if dim is None else dim
-    _check_grid_shape(space.basis.shape, (len(thetas), rows, space.dim))
     if isinstance(value, CoisotropicSubspace):
-        return CoisotropicSubspace(space=_contiguous(space), k=value.k,
-                                   kernel=_contiguous(value.kernel),
-                                   h_part=_contiguous(value.h_part))
-    return _contiguous(space)
+        g = value.gauge.shape
+        shape = g[:-2] + (2 * g[-2], value.dim) if len(g) > 1 else g
+    else:
+        shape = _as_subspace(value).basis.shape
+    rows = shape[-2] if dim is None and len(shape) > 1 else dim
+    _check_grid_shape(shape, (len(thetas), rows, shape[-1]))
+    if isinstance(value, CoisotropicSubspace):
+        return CoisotropicSubspace(k=value.k, gauge=np.ascontiguousarray(value.gauge))
+    return _unchecked(np.ascontiguousarray(value.basis))
 
 
 def _certified(value, tol) -> CoisotropicSubspace:
@@ -175,7 +174,7 @@ class CoisotropicLoop:
 
     @property
     def n(self) -> int:
-        return self.samples.space.basis.shape[-2] // 2
+        return self.samples.gauge.shape[-1]
 
     def section_gauge(self) -> np.ndarray:
         """Unit phases periodizing the frame trivialization of sections.
@@ -212,11 +211,12 @@ def loop_from_family(
     samples stay within the max-principal-angle contract (pi/8).
 
     The generator is called once per grid: given a 1-D array of M angles it
-    returns a ``Subspace`` or ``CoisotropicSubspace`` stack of shape
-    (M, 2n, m) whose member i depends on theta_i alone; any other shape
-    raises ValueError.  A ``Subspace`` stack is classified; a returned
-    splitting is certified, not reclassified (``symplin._certify``), and a
-    bad one raises ClassificationError naming its member.  The generator
+    returns a ``Subspace`` or ``CoisotropicSubspace`` stack of M members
+    whose member i depends on theta_i alone, a space of shape (M, 2n, m);
+    any other shape, or a count below 1, raises ValueError.  A ``Subspace``
+    stack is classified; a returned splitting is certified, not
+    reclassified (``symplin._certify``), and a gauge that is not unitary
+    raises ClassificationError naming its member.  The generator
     must close: its members at 0 and 2*pi, taken
     from one call, agree within ``tol.generator_closure``; that call fixes
     the 2n of every later grid and, through their dimension, the rank
@@ -265,8 +265,8 @@ def _sampled_loop(k, generator, m: int, refine: bool,
     stack = _certified_grid(generator, m, dim, coarse, tol)
     while True:
         # largest principal angle from each member to the next, the last to the first
-        worst = float(np.max(largest_principal_angles(
-            stack.space, stack.space[(np.arange(m) + 1) % m])))
+        space = stack.space
+        worst = float(np.max(largest_principal_angles(space, space[(np.arange(m) + 1) % m])))
         if worst < tol.consecutive_angle and not within_tie(worst, tol.consecutive_angle):
             break
         if not refine or 2 * m > tol.max_loop_samples:
@@ -297,19 +297,16 @@ def _certified_grid(generator, m: int, dim: int, coarse: Optional[CoisotropicSub
         except CoisoError:
             pass   # the whole-grid certification below raises it on this grid
         else:
-            return CoisotropicSubspace(
-                space=_interleaved(coarse.space, odd.space), k=coarse.k,
-                kernel=_interleaved(coarse.kernel, odd.kernel),
-                h_part=_interleaved(coarse.h_part, odd.h_part))
+            return _interleaved(coarse, odd)
     return _certified(_members(generator, thetas, dim), tol)
 
 
-def _interleaved(even: Subspace, odd: Subspace) -> Subspace:
+def _interleaved(even: CoisotropicSubspace, odd: CoisotropicSubspace) -> CoisotropicSubspace:
     """The stack whose members 0, 2, 4, ... are ``even`` and 1, 3, 5, ...
-    ``odd``, laid out in memory as ``even`` is."""
-    out = np.empty_like(even.basis, shape=(2 * len(even.basis),) + even.basis.shape[1:])
-    out[0::2], out[1::2] = even.basis, odd.basis
-    return _unchecked(out)
+    ``odd``, its gauge laid out in memory as ``even``'s is."""
+    out = np.empty_like(even.gauge, shape=(2 * len(even.gauge),) + even.gauge.shape[1:])
+    out[0::2], out[1::2] = even.gauge, odd.gauge
+    return CoisotropicSubspace(k=even.k, gauge=out)
 
 
 def _closed_loop(k, thetas, stack: CoisotropicSubspace, closure,
@@ -382,8 +379,9 @@ def pushforward(
 
     A symplectic A maps C^omega onto (A C)^omega, so the image's kernel is
     the Gram-Schmidt basis of A K, K the source's kernel (a column below
-    ``SPANNING_MIN_NORM`` raises ContinuityLossError), and its H part the
-    complex complement of that span (``symplin._complex_complement``).  The
+    ``SPANNING_MIN_NORM`` raises ContinuityLossError), and its H gauge
+    basis that of the complex complement of that span
+    (``CoisotropicSubspace.from_kernel``).  The
     generator reads ``loop.samples`` and ``a.matrices`` on their own grids
     and calls the loops' generators on any other (the closure ends, the odd
     members of a refinement, a finer common grid): a source ``Subspace`` is
@@ -411,7 +409,7 @@ def pushforward(
         else:
             mats = _symplectic(a.generator(thetas))
         kernel = complex_coords(_mgs(mats @ source.kernel.basis, SPANNING_MIN_NORM)[0])
-        return _splitting(_complex_complement(kernel), kernel)
+        return CoisotropicSubspace.from_kernel(kernel)
 
     try:
         return loop_from_family(loop.k, gen, samples=m, tol=tol)
@@ -422,8 +420,8 @@ def pushforward(
 
 # ---------------------------------------------------------------------------
 # named loop families: each generator builds the unitaries u(theta) with
-# gamma(theta) = u(theta) . (C^k + R^{n-k}) and hands over their splitting,
-# the H gauge basis u[:, :k] and the kernel u[:, k:] (``symplin._splitting``)
+# gamma(theta) = u(theta) . (C^k + R^{n-k}) and hands them over as the
+# gauges of their splittings: the H gauge basis u[:, :k], the kernel u[:, k:]
 
 
 def _diagonals(d: np.ndarray) -> np.ndarray:
@@ -452,8 +450,8 @@ def lagrangian_rotation_family(n: int, turns: int = 1):
     _check_complex_dim(n)
 
     def gen(thetas):
-        u = np.exp(1j * turns * thetas / 2)[:, None, None] * np.eye(n)
-        return _splitting(u[..., :0], u)
+        return CoisotropicSubspace(k=0, gauge=np.exp(1j * turns * thetas / 2)[:, None, None]
+                                   * np.eye(n))
 
     return gen
 
@@ -470,8 +468,7 @@ def diag_unitary_family(n: int, k: int, windings: Sequence[float]):
     w = np.asarray(windings, dtype=float)
 
     def gen(thetas):
-        u = _diagonals(np.exp(1j * w * thetas[:, None]))
-        return _splitting(u[..., :k], u[..., k:])
+        return CoisotropicSubspace(k=k, gauge=_diagonals(np.exp(1j * w * thetas[:, None])))
 
     gen.windings = w
     return gen
@@ -526,7 +523,7 @@ def random_unitary_orbit_family(
 
     def gen(thetas):
         u = v @ wig(thetas) @ _diagonals(np.exp(1j * mu * thetas[:, None]))
-        return _splitting(u[..., :k], u[..., k:])
+        return CoisotropicSubspace(k=k, gauge=u)
 
     gen.windings = mu
     gen.conjugator = v

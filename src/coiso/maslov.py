@@ -44,7 +44,7 @@ from .grassmann import (
     loop_from_family,
     pushforward,
 )
-from .symplin import _check, _complex_complement, _splitting
+from .symplin import CoisotropicSubspace, _check, _complex_complement
 
 __all__ = [
     "MaslovSection",
@@ -66,9 +66,21 @@ __all__ = [
 # largest ||z| - 1| a section sample may show
 UNIT_MODULUS = 1e-9
 
-# smallest modulus a section value or a grading charge may have: below it
-# their phase is undefined
+# smallest modulus a section value or a grading charge may have: below it,
+# and at a non-finite value, their phase is undefined
 MIN_MODULUS = 1e-12
+
+
+def _check_phases(values: np.ndarray, thetas: np.ndarray, what: str) -> np.ndarray:
+    """The moduli of ``values``, one per angle of ``thetas``;
+    FrameDegeneracyError naming the first angle whose value has modulus
+    below ``MIN_MODULUS`` or is not finite."""
+    mod = np.abs(values)
+    # a NaN fails the comparison, and so the check
+    _check(~(mod >= MIN_MODULUS) | np.isinf(mod), FrameDegeneracyError, lambda w: f"{what} "
+           f"{'vanished' if mod[w] < MIN_MODULUS else 'is not finite'} at "
+           f"theta={thetas[w[0]]:.4f}", trailing=1)
+    return mod
 
 
 @dataclasses.dataclass(frozen=True)
@@ -103,15 +115,13 @@ class MaslovSection:
                       ) -> "MaslovSection":
         """The section of ``fn``, normalized: given the 1-D array of M angles
         it returns their M values; any other shape raises ValueError, and a
-        value of modulus below ``MIN_MODULUS`` FrameDegeneracyError naming
-        its angle."""
+        value of modulus below ``MIN_MODULUS``, or not finite,
+        FrameDegeneracyError naming its angle."""
         thetas = np.asarray(thetas, dtype=float)
         vals = np.asarray(fn(thetas), dtype=complex)
         _check_grid_shape(vals.shape, thetas.shape)
-        mod = np.abs(vals)
-        _check(mod < MIN_MODULUS, FrameDegeneracyError,
-               lambda w: f"section value vanished at theta={thetas[w[0]]:.4f}", trailing=1)
-        return cls(thetas=thetas, samples=vals / mod, fn=fn)
+        return cls(thetas=thetas, samples=vals / _check_phases(vals, thetas, "section value"),
+                   fn=fn)
 
 
 def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> MaslovSection:
@@ -243,11 +253,12 @@ def tangent_boundary_loop(
     vanish there: a gradient norm below 1e-12 raises
     UnnormalizedDefiningFunctionError naming the angle.  The loop's
     generator takes the surface test and the gradient of all M points as
-    one stack and hands over the tangent spaces' splittings in closed form
-    from the unit normals nu (as complex vectors): the kernel j nu, and H
-    the complex complement of nu, with the unitary basis of
-    ``symplin._complex_complement``.  The loop certifies them in one stacked
-    call; no decomposition is taken.
+    one stack and hands over the tangent spaces' gauges [h | j nu] in closed
+    form from the unit normals nu (as complex vectors): the kernel j nu, and
+    h the unitary basis of the complex complement of nu from
+    ``symplin._complex_complement`` (see ``CoisotropicSubspace.from_kernel``).
+    The loop certifies the gauges in one stacked call; no decomposition is
+    taken.
     """
     def gen(thetas):
         points = np.asarray(boundary(thetas), dtype=float)
@@ -258,8 +269,9 @@ def tangent_boundary_loop(
         norm = hypergeo._norm(g)
         _check(norm < 1e-12, UnnormalizedDefiningFunctionError,
                lambda w: f"grad rho vanished at theta={thetas[w[0]]:.4f}", trailing=1)
-        nu = (g[:, :y.n] + 1j * g[:, y.n:]) / norm[:, None]
-        return _splitting(_complex_complement(nu[:, :, None]), 1j * nu[:, :, None])
+        nu = ((g[:, :y.n] + 1j * g[:, y.n:]) / norm[:, None])[:, :, None]
+        return CoisotropicSubspace(k=y.n - 1, gauge=np.concatenate(
+            [_complex_complement(nu), 1j * nu], axis=-1))
 
     loop = loop_from_family(y.n - 1, gen, samples=samples, tol=tol)
     return loop, np.asarray(boundary(loop.thetas), dtype=float)
@@ -344,7 +356,8 @@ def disc_index_detail(
     bundle.  Transport in flat C^n is trivial, so this repository reads a
     parallel grading as a constant charge.  ``charge`` maps the (M, 2n)
     stack of boundary points to their M charges (another shape raises
-    ValueError, a charge below ``MIN_MODULUS`` FrameDegeneracyError); None
+    ValueError, a charge below ``MIN_MODULUS`` or not finite
+    FrameDegeneracyError naming its angle); None
     is the canonical grading, the constant 1 of the standard complex volume
     form.
     The charge phases times the loop's ``section_gauge`` are the graded
@@ -355,9 +368,8 @@ def disc_index_detail(
     v = (np.ones(len(points), dtype=complex) if charge is None
          else np.asarray(charge(points), dtype=complex))
     _check_grid_shape(v.shape, (len(points),))
-    if np.min(np.abs(v)) < MIN_MODULUS:
-        raise FrameDegeneracyError("grading charge vanished")
-    section = MaslovSection(thetas=loop.thetas, samples=v / np.abs(v) * loop.section_gauge())
+    mod = _check_phases(v, loop.thetas, "grading charge")
+    section = MaslovSection(thetas=loop.thetas, samples=v / mod * loop.section_gauge())
     can = canonical_section(loop, tol)
     detail = winding_detail(section.samples / can.samples, tol)
     return {

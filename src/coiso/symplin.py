@@ -14,11 +14,13 @@ subspace from nothing (``standard_model``, ``random_coisotropic``) take n.
 
 A loop's samples are handled as one stack: a ``Subspace`` may hold a
 (..., 2n, m) array of equal-dimensional members, a ``CoisotropicSubspace``
-a stack of splittings and an ``AdaptedFrame`` a stack of (..., 2n, n)
-frames.  Classification, complements, principal angles and frame checks
-act on every member with one stacked ``np.linalg`` call per step.  One
-routine, ``_certify``, certifies a splitting as coisotropic, whether the
-classification computed it or a loop generator handed it over.  A check
+a (..., n, n) stack of unitary gauges and an ``AdaptedFrame`` a stack of
+(..., 2n, n) frames.  Classification, complements, principal angles and
+frame checks act on every member with one stacked ``np.linalg`` call per
+step.  A splitting is its gauge u = [h | K], a point of
+U(n)/(U(k) x O(n-k)), and one routine, ``_certify``, certifies it from one
+product u^* u, whether the classification computed it or a loop
+generator handed it over.  A check
 on a stack raises for its first failing member and names it through
 ``_check``, which every module's stacked checks call.  A single subspace
 or frame is the unstacked case of the same code.  Random unitaries
@@ -328,35 +330,66 @@ def symplectic_complement(c: Subspace) -> Subspace:
 
 @dataclasses.dataclass(frozen=True)
 class CoisotropicSubspace:
-    """A coisotropic subspace C = H_C + kernel of dimension n + k, with its
-    splitting.
+    """A coisotropic subspace C = H_C + kernel of dimension n + k, held as
+    its unitary gauge.
 
-    ``kernel`` is the symplectic complement C^omega (dimension n - k) and
-    ``h_part`` the j-invariant g-orthogonal complement H_C of the kernel
-    inside C (dimension 2k), held as [h | j h]: its first k columns are a
-    unitary basis h of H_C as C^k, the gauge basis that frames are built
-    from.  All three may be stacks of equal shape, one member per subspace
-    of a sampled loop.  Building one certifies nothing: the splitting that
-    :func:`classify_coisotropic` returns, or that a loop generator hands
-    over, is certified by :func:`_certify`.
+    ``gauge`` is a complex (..., n, n) unitary u = [h | K] with
+    C = u . (C^k + R^{n-k}): its first k columns h are a unitary basis of
+    H_C as C^k, the basis that frames are built from, and the rest K is the
+    kernel C^omega (dimension n - k) written as complex vectors.  A stack
+    holds one member per subspace of a sampled loop.  The real bases are
+    read off u, built anew on each access: ``space`` is C as [h | K | j h],
+    ``kernel`` is K, and ``h_part`` is the j-invariant g-orthogonal
+    complement H_C of the kernel inside C (dimension 2k) as [h | j h].
+    Building one certifies
+    nothing: the gauge that :func:`classify_coisotropic` returns, or that a
+    loop generator hands over, is certified by :func:`_certify`.
     """
 
-    space: Subspace
     k: int
-    kernel: Subspace
-    h_part: Subspace
+    gauge: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "gauge", np.asarray(self.gauge, dtype=complex))
+
+    @classmethod
+    def from_kernel(cls, kernel: np.ndarray) -> "CoisotropicSubspace":
+        """The splitting whose kernel is the complex (..., n, n-k) stack
+        ``kernel`` of orthonormal columns, isotropic as real vectors: the
+        gauge is the unitary basis of their complex complement
+        (:func:`_complex_complement`) joined to them.  Nothing is checked.
+        Only ``maslov.tangent_boundary_loop`` builds its own, [complement of
+        nu | j nu]: this complement of j nu rounds unlike that of nu."""
+        return cls(k=kernel.shape[-2] - kernel.shape[-1],
+                   gauge=np.concatenate([_complex_complement(kernel), kernel], axis=-1))
+
+    @property
+    def space(self) -> Subspace:
+        h = self.gauge[..., :self.k]
+        return _unchecked(real_coords(np.concatenate([self.gauge, 1j * h], axis=-1)))
+
+    @property
+    def kernel(self) -> Subspace:
+        return _unchecked(real_coords(self.gauge[..., self.k:]))
+
+    @property
+    def h_part(self) -> Subspace:
+        h = self.gauge[..., :self.k]
+        return _unchecked(real_coords(np.concatenate([h, 1j * h], axis=-1)))
 
     def __getitem__(self, index) -> "CoisotropicSubspace":
         """Members of a stack, selected by a NumPy index on the stack axes."""
-        return CoisotropicSubspace(space=self.space[index], k=self.k,
-                                   kernel=self.kernel[index], h_part=self.h_part[index])
+        gauge = self.gauge[index]
+        if gauge.ndim < 2 or gauge.shape[-2:] != self.gauge.shape[-2:]:
+            raise IndexError("only the stack axes of a subspace can be indexed")
+        return CoisotropicSubspace(k=self.k, gauge=gauge)
 
     def __iter__(self):
-        return _stack_members(self, self.space.basis)
+        return _stack_members(self, self.gauge)
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return self.gauge.shape[-1] + self.k
 
 
 def _rank_parameter(c: Subspace) -> int:
@@ -393,59 +426,32 @@ def _certify(c: CoisotropicSubspace, tol: Tolerances = DEFAULT) -> CoisotropicSu
     stack, every member at once.  Every certified splitting passes here,
     the classification's included.
 
-    Raises ClassificationError, naming a failing member of a stack, unless
-    in turn: C, the kernel K and the H part have n + k, n - k and 2k
-    columns and the stack and row shape of C; K and ``h_part`` lie in C
-    (:func:`_check_inside`, naming the worst member); [h_part | K] is
-    orthonormal and ``h_part`` is [h | j h], each within
-    ``tol.orthonormality``; and B' omega K (B the basis of C) has no column
-    of norm above ``tol.subspace_equality``, so that K, of dimension
-    2n - dim C, is C^omega.  Each check can fail while those before it
-    pass, and a non-finite entry fails the check that reads it.
+    Raises ClassificationError unless the gauge u has shape (..., n, n) with
+    0 <= k <= n, and then, naming the first failing member of a stack,
+    unless u^* u - I has every entry within ``tol.orthonormality`` but for
+    Im K^* K, the kernel's omega-pairing with itself, held to the angle
+    tolerance ``tol.subspace_equality`` (a pushed-forward kernel is isotropic
+    only as far as its matrices are symplectic); a non-finite entry fails.
+    A unitary u = [h | K] is all a splitting needs: its real columns
+    [h | K | j h] are orthonormal, K is isotropic (Im K^* K = 0) and
+    omega-orthogonal to [h | j h], so C is coisotropic with C^omega = K, and
+    [h | j h] is the j-invariant complement of K inside C.
     """
-    space, kernel, h_part, k = c.space.basis, c.kernel.basis, c.h_part.basis, c.k
-    n = space.shape[-2] // 2
-    lead = space.shape[:-1]
-    shapes = (space.shape, kernel.shape, h_part.shape)
-    want = (lead + (n + k,), lead + (n - k,), lead + (2 * k,))
-    if shapes != want:
+    u, k = c.gauge, c.k
+    if u.ndim < 2 or u.shape[-1] != u.shape[-2] or not 0 <= k <= u.shape[-1]:
         raise ClassificationError(
-            f"a splitting with k = {k} needs (space, kernel, h_part) of shapes {want}, "
-            f"got {shapes}")
-    if k < n:
-        _check_inside(kernel, c.space, "not coisotropic: kernel direction leaves the subspace",
-                      tol)
-    if k:
-        _check_inside(h_part, c.space, "h_part leaves the subspace", tol)
-    frame = np.concatenate([h_part, kernel], axis=-1)
-    pairing = np.linalg.norm(_t(space) @ (_standard_omega(n) @ kernel), axis=-2)
-    checks = (
-        ("[h_part | kernel] is not orthonormal",
-         np.abs(_t(frame) @ frame - _identity(n + k)).max(axis=(-2, -1)), tol.orthonormality),
-        ("h_part is not [h | j h]",
-         np.abs(h_part[..., k:] - _standard_j(n) @ h_part[..., :k]).max(
-             axis=(-2, -1), initial=0.0), tol.orthonormality),
-        ("kernel is not omega-orthogonal to the subspace",
-         pairing.max(axis=-1, initial=0.0), tol.subspace_equality),
-    )
-    for what, defect, bound in checks:
-        _check(~(defect <= bound), ClassificationError,
-               lambda w: f"{what}: defect {defect[w]:.3e} > {bound:.1e}")
+            f"a splitting with k = {k} needs a gauge of shape (..., n, n) with n >= {k}, "
+            f"got {u.shape}")
+    gram = np.conj(_t(u)) @ u - _identity(u.shape[-1])
+    pairing = gram[..., k:, k:]
+    isotropy = np.abs(pairing.imag).max(axis=(-2, -1), initial=0.0)
+    pairing.imag = 0.0
+    defect = np.abs(gram).max(axis=(-2, -1))
+    _check(~(defect <= tol.orthonormality), ClassificationError, lambda w: "gauge is not "
+           f"unitary: defect {defect[w]:.3e} > {tol.orthonormality:.1e}")
+    _check(~(isotropy <= tol.subspace_equality), ClassificationError, lambda w: "kernel is "
+           f"not isotropic: defect {isotropy[w]:.3e} > {tol.subspace_equality:.1e}")
     return c
-
-
-def _splitting(h: np.ndarray, kernel: np.ndarray) -> CoisotropicSubspace:
-    """The splitting with H gauge basis ``h`` and kernel ``kernel``, given
-    as complex (..., n, k) and (..., n, n-k) stacks whose joined columns
-    [h | kernel] are unitary: C = [h | kernel | j h] realified, with the
-    kernel and [h | j h] read off its columns.  Nothing is checked here:
-    :func:`_certify` checks the splitting, and the orthonormality of
-    [h_part | kernel], the columns of C reordered, with it."""
-    k, n = h.shape[-1], h.shape[-2]
-    b = real_coords(np.concatenate([h, kernel, 1j * h], axis=-1))
-    return CoisotropicSubspace(space=_unchecked(b), k=k, kernel=_unchecked(b[..., k:n]),
-                               h_part=_unchecked(np.concatenate([b[..., :k], b[..., n:]],
-                                                                axis=-1)))
 
 
 def _complex_complement(q: np.ndarray) -> np.ndarray:
@@ -492,22 +498,27 @@ def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicS
     violating pair of the worst member.
 
     H_C is the realified Hermitian complement of the kernel's complex span:
-    ``h_part`` is [h | j h], h the top k eigenvectors of I - K_c K_c^* (K_c
-    the kernel in complex coordinates; exactly I at k = n), a unitary basis
-    of H_C as C^k from one stacked ``eigh``.  The splitting is certified by
-    :func:`_certify`, as a loop generator's is.
+    its gauge basis h is the top k eigenvectors of I - K_c K_c^* (K_c the
+    kernel in complex coordinates; exactly I at k = n), a unitary basis of
+    H_C as C^k from one stacked ``eigh``, and ``h_part`` = [h | j h] must
+    lie in C too.  The gauge [h | K_c] is certified by :func:`_certify`, as
+    a loop generator's is.
     """
     k = _rank_parameter(c)
+    n = c.basis.shape[-2] // 2
     kernel = symplectic_complement(c)
+    if k < n:
+        _check_inside(kernel.basis, c, "not coisotropic: kernel direction leaves the subspace",
+                      tol)
+    kc = complex_coords(kernel.basis)
     if k == 0:
-        h_part = np.zeros(c.basis.shape[:-1] + (0,))
+        h = kc[..., :0]
     else:
-        n = c.basis.shape[-2] // 2
-        kc = complex_coords(kernel.basis)
         h = np.linalg.eigh(_identity(n) - kc @ np.conj(_t(kc)))[1][..., n - k:]
-        h_part = real_coords(np.concatenate([h, 1j * h], axis=-1))
-    return _certify(CoisotropicSubspace(space=c, k=k, kernel=kernel, h_part=_unchecked(h_part)),
-                    tol)
+    split = CoisotropicSubspace(k=k, gauge=np.concatenate([h, kc], axis=-1))
+    if k:
+        _check_inside(split.h_part.basis, c, "h_part leaves the subspace", tol)
+    return _certify(split, tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -579,24 +590,13 @@ def _check_frames(c: CoisotropicSubspace, frames: AdaptedFrame, tol: Tolerances)
                f"defect {defect[w]:.3e} > {bound:.1e}", trailing=1)
 
 
-def _gauge_bases(c: CoisotropicSubspace) -> tuple[np.ndarray, np.ndarray]:
-    """The gauge bases of the members of ``c``: unitary bases of the
-    j-invariant parts viewed as C^k and the kernel bases.
-
-    ``h_part`` holds [h | j h] with h the gauge basis of the splitting, as
-    the classification's projector ``eigh`` built it or a loop generator
-    handed it over, so the H gauge is its first k columns in complex
-    coordinates, a new array; no decomposition is taken."""
-    return complex_coords(c.h_part.basis[..., :c.k]), c.kernel.basis
-
-
 def adapted_frame(c: CoisotropicSubspace, tol: Tolerances = DEFAULT) -> AdaptedFrame:
     """An adapted unitary Darboux frame for a single coisotropic subspace C:
-    the kernel basis of C and the gauge basis of H_C (see
-    :func:`_gauge_bases`) with canonical phases."""
-    k, n = c.k, c.space.basis.shape[-2] // 2
-    h, kernel = _gauge_bases(c)
-    e = np.concatenate([real_coords(_canonical_phases(h)), kernel], axis=-1)
+    the kernel basis of C and the gauge basis h of H_C with canonical
+    phases."""
+    k, n = c.k, c.gauge.shape[-1]
+    e = np.concatenate([real_coords(_canonical_phases(c.gauge[..., :k])), c.kernel.basis],
+                       axis=-1)
     frame = AdaptedFrame(k=k, e=e, f=_standard_j(n) @ e)
     _check_frames(c[None], frame[None], tol)
     return frame
@@ -620,10 +620,9 @@ def transport_phases(
     :func:`adapted_frame`); every later member projects the frame before it
     onto its spans and orthonormalizes the projection by Gram-Schmidt in
     column order, qf, the Q of a QR whose R diagonal is real positive.  In
-    the gauge bases G_i = [h_i | K_i] (unitary bases h_i of the H parts as
-    C^k, read by :func:`_gauge_bases` off ``h_part``, as the loop's
-    generator handed it over or the classification built it, the kernel
-    bases K_i as complex vectors) frame i is
+    the gauges G_i = [h_i | K_i] (unitary bases h_i of the H parts as C^k
+    and the kernel bases K_i as complex vectors, as the loop's generator
+    handed them over or the classification built them) frame i is
     U_i = G_i B_i, with B_0 = I and B_i = qf(O_i B_{i-1}) for the overlap
     O_i = diag(h_i^* h_{i-1}, K_i' K_{i-1}).  Since
     det qf(A) = det A / prod R_jj with every R_jj > 0,
@@ -645,10 +644,10 @@ def transport_phases(
     modulus falls below ``tol.hint_min_norm``.  One stacked determinant per
     block and per gauge basis is taken: no Python step is taken per member.
     """
-    n = c.space.basis.shape[-2] // 2
-    h, kernel = _gauge_bases(c)
-    h[0] = _canonical_phases(h[0])
-    g = np.concatenate([h, complex_coords(kernel)], axis=-1)
+    k, n = c.k, c.gauge.shape[-1]
+    g = c.gauge.copy()
+    g[0, :, :k] = _canonical_phases(g[0, :, :k])
+    h, kernel = g[..., :k], c.kernel.basis
     # the overlaps O_i, the closing O_0 first, one determinant per block
     det_h = np.linalg.det(np.conj(_t(h)) @ np.roll(h, 1, axis=0))
     det_k = np.linalg.det(_t(kernel) @ np.roll(kernel, 1, axis=0))
@@ -695,32 +694,20 @@ def _check_model(n: int, k: int) -> None:
         raise ValueError(f"k must satisfy 0 <= k <= n, got k={k}")
 
 
-def _model_basis(n: int, k: int) -> np.ndarray:
-    """The basis (e_1..e_n, f_1..f_k) of the model C^k + R^{n-k}: the first
-    n + k columns of the identity."""
-    _check_model(n, k)
-    return np.eye(2 * n)[:, :n + k]
-
-
 def standard_model(n: int, k: int) -> CoisotropicSubspace:
-    """The model C^k + R^{n-k}: span(e_1..e_n, f_1..f_k)."""
-    return classify_coisotropic(Subspace(_model_basis(n, k)))
+    """The model C^k + R^{n-k}: span(e_1..e_n, f_1..f_k), of gauge I."""
+    _check_model(n, k)
+    return CoisotropicSubspace(k=k, gauge=np.eye(n, dtype=complex))
 
 
 def random_coisotropic(n: int, k: int, seed, tol: Tolerances = DEFAULT,
                        size: tuple = ()) -> CoisotropicSubspace:
-    """U . (C^k + R^{n-k}) for a seeded Haar-ish random unitary U; with
-    ``size``, the stack of that shape from :func:`random_unitary`'s stack,
-    classified by one call.
-
-    U's columns are orthonormal to rounding, so the model's image is its
-    basis as it is, with ``Subspace``'s orthonormality check and no
-    re-orthonormalization; the model itself is not classified.
-    """
-    model = _model_basis(n, k)
+    """U . (C^k + R^{n-k}) for a seeded Haar-ish random unitary U, the
+    certified splitting of gauge U; with ``size``, the stack of that shape
+    from :func:`random_unitary`'s stack.  Nothing is classified."""
+    _check_model(n, k)
     gen = seed if isinstance(seed, np.random.Generator) else rng(seed)
-    u = realify(random_unitary(n, gen, size))
-    return classify_coisotropic(Subspace(u @ model), tol)
+    return _certify(CoisotropicSubspace(k=k, gauge=random_unitary(n, gen, size)), tol)
 
 
 def _schur_constraint(t_basis: np.ndarray, perp: np.ndarray, k: int,
@@ -754,7 +741,7 @@ def measured_grassmannian_dim(c: CoisotropicSubspace, tol: Tolerances = DEFAULT)
     subspaces of every member evaluated as one stack) is subtracted from the
     ambient Grassmannian dimension.
     """
-    # the ordered basis [e_1..e_k | f_1..f_k | kernel] of the classification,
+    # the ordered basis [e_1..e_k | f_1..f_k | kernel] of the splitting,
     # orthonormal as it is: ``Subspace`` checks it
     sub = Subspace(np.concatenate([c.h_part.basis, c.kernel.basis], axis=-1))
     batch, (dim, m) = sub.basis.shape[:-2], sub.basis.shape[-2:]

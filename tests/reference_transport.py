@@ -44,7 +44,7 @@ def reference_transport(c, tol=coiso.DEFAULT, start=None):
         if prev is None and start is not None:
             e[i] = start
         elif prev is None:
-            gauge = coiso.symplin._gauge_bases(c[i])[0]
+            gauge = c[i].gauge[:, :k]
             e[i, :, k:] = ker
             e[i, :, :k] = coiso.real_coords(coiso.symplin._canonical_phases(gauge))
         else:

@@ -113,7 +113,7 @@ def test_04_frame_independence():
         d = s.kernel.dim
         q = np.stack([np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(loop.m)])
         new_samples = coiso.CoisotropicSubspace(
-            space=s.space, k=s.k, kernel=coiso.Subspace(s.kernel.basis @ q), h_part=s.h_part)
+            k=s.k, gauge=np.concatenate([s.gauge[..., :s.k], s.gauge[..., s.k:] @ q], axis=-1))
         mixed = coiso.grassmann._closed_loop(1, loop.thetas, new_samples,
                                              loop.closure_defect, loop.generator,
                                              coiso.DEFAULT)

@@ -28,7 +28,6 @@ from coiso import (
     tangent_boundary_loop,
     unitary_matrix_loop,
 )
-from coiso.symplin import _standard_j, _unchecked
 
 
 def diagonals(*entries):
@@ -276,6 +275,25 @@ def test_pushforward_refuses_matrices_that_are_not_symplectic_off_their_grid():
         24)
     with pytest.raises(ValueError, match="samples not symplectic"):
         pushforward(a, loop)
+
+
+def test_pushforward_takes_matrices_symplectic_to_within_their_bound():
+    # A = I + eps P is symplectic only to a residual of about 5e-10, within
+    # the 1e-9 that SymplecticMatrixLoop accepts; the image kernels are
+    # isotropic only as far, within the bound certification puts on that
+    n = 3
+    loop = loop_from_family(1, coiso.random_unitary_orbit_family(n, 1, 5), samples=64)
+    om = coiso.symplin._standard_omega(n)
+    p = coiso.rng(1).normal(size=(2 * n, 2 * n))
+    p *= 5e-10 / np.abs(p.T @ om + om @ p).max()
+    a = SymplecticMatrixLoop.from_callable(
+        n, lambda t: np.broadcast_to(np.eye(2 * n) + p, (len(t), 2 * n, 2 * n)), 64)
+    residual = np.abs(np.swapaxes(a.matrices, -1, -2) @ om @ a.matrices - om).max()
+    assert 4e-10 < residual < 6e-10
+    out = pushforward(a, loop)
+    assert out.m == loop.m
+    for s, t in zip(out.samples, loop.samples):
+        assert np.max(principal_angles(s.space, t.space)) < 1e-8
 
 
 def test_transverse_frames_constant_loop():
@@ -544,6 +562,15 @@ def test_per_angle_generator_is_refused_with_the_shapes():
         loop_from_family(1, one_short, samples=8)
 
 
+@pytest.mark.parametrize("samples", [0, -4])
+def test_a_sample_count_below_one_is_refused(samples):
+    message = rf"^a loop needs at least 1 sample, got {samples}$"
+    with pytest.raises(ValueError, match=message):
+        loop_from_family(1, diag_unitary_family(2, 1, [1, 0]), samples=samples)
+    with pytest.raises(ValueError, match=message):
+        SymplecticMatrixLoop.from_callable(2, constant_unitaries(np.eye(4)), samples)
+
+
 def test_per_angle_matrix_callable_is_refused_with_the_shapes():
     with pytest.raises(ValueError, match=r"expected a stack of shape \(8, 4, 4\), "
                                          r"got shape \(4, 4\)"):
@@ -752,60 +779,32 @@ def test_each_grid_is_built_once(name, linalg_calls):
 # handed-over splittings: certified, not reclassified
 
 def _orbit_with(member_fix, n=3, k=1, at=3):
-    """An orbit generator whose grid member ``at`` of the 8-grid is replaced
-    by ``member_fix(space, kernel, h_part)``, three real bases, returned
-    as the three new bases; the ends at 0 and 2*pi are left as they are."""
+    """An orbit generator whose grid member ``at`` of the 8-grid has its
+    gauge replaced by ``member_fix(gauge)``; the ends at 0 and 2*pi are
+    left as they are."""
     orbit = coiso.random_unitary_orbit_family(n, k, 41)
 
     def gen(thetas):
-        c = orbit(thetas)
-        parts = [getattr(c, part).basis.copy() for part in SPLIT]
+        gauge = orbit(thetas).gauge.copy()
         for i in np.flatnonzero(np.isclose(thetas, at * np.pi / 4, rtol=0, atol=1e-12)):
-            for part, new in zip(parts, member_fix(*(p[i] for p in parts))):
-                part[i] = new
-        return coiso.CoisotropicSubspace(space=_unchecked(parts[0]), k=k,
-                                         kernel=_unchecked(parts[1]), h_part=_unchecked(parts[2]))
+            gauge[i] = member_fix(gauge[i])
+        return coiso.CoisotropicSubspace(k=k, gauge=gauge)
 
     return gen
 
 
-def _symplectic_4_space(space, kernel, h_part):
-    # span(e_1, e_2, f_1, f_2) of C^3, laid out [h | kernel | j h]: H =
-    # span(e_1, f_1) and kernel span(e_2, f_2), inside it and orthogonal to H
-    # but not isotropic, so not the symplectic complement
-    eye = np.eye(6)
-    return eye[:, [0, 1, 4, 3]], eye[:, [1, 4]], eye[:, [0, 3]]
+def _with_nan(gauge):
+    gauge = gauge.copy()
+    gauge[0, 0] = np.nan
+    return gauge
 
 
-def _swap_h_and_kernel(space, kernel, h_part):
-    # kernel [u_1 | u_3] and H gauge basis u_2: the kernel lies in C, and
-    # j u_2 leaves it
-    return space, np.stack([space[:, 0], kernel[:, 1]], axis=-1), \
-        np.stack([kernel[:, 0], _standard_j(3) @ kernel[:, 0]], axis=-1)
-
-
-def _with_nan(space, kernel, h_part):
-    space = space.copy()
-    space[0, 0] = np.nan
-    return space, kernel, h_part
-
-
-# in the order of the checks; each breaks one member so that the checks
-# before its own pass
+# each breaks the unitarity of one member; a handed-over unitary gauge
+# cannot break any other property of a splitting
 BAD_SPLITTINGS = {
-    "kernel-inside": (lambda s, kr, h: (_symplectic_4_space(s, kr, h)[0], kr, h),
-                      r"not coisotropic: kernel direction leaves the subspace by angle "
-                      r"[0-9.]+e[+-]\d\d"),
-    "nan": (_with_nan, r"not coisotropic: kernel direction leaves the subspace by angle nan"),
-    "h-part-inside": (_swap_h_and_kernel,
-                      r"h_part leaves the subspace by angle 1\.571e\+00"),
-    "orthonormality": (lambda s, kr, h: (s, np.stack([h[:, 0], kr[:, 1]], axis=-1), h),
-                       r"\[h_part \| kernel\] is not orthonormal: defect 1\.000e\+00 > 1\.0e-10"),
-    "form": (lambda s, kr, h: (s, kr, np.stack([h[:, 0], -h[:, 1]], axis=-1)),
-             r"h_part is not \[h \| j h\]: defect [0-9.]+e[+-]\d\d > 1\.0e-10"),
-    "pairing": (_symplectic_4_space,
-                r"kernel is not omega-orthogonal to the subspace: defect 1\.000e\+00 > "
-                r"1\.0e-08"),
+    "nan": (_with_nan, r"gauge is not unitary: defect nan > 1\.0e-10"),
+    "orthonormality": (lambda u: np.stack([u[:, 0], u[:, 0], u[:, 2]], axis=-1),
+                       r"gauge is not unitary: defect 1\.000e\+00 > 1\.0e-10"),
 }
 
 
@@ -818,16 +817,17 @@ def test_each_certification_check_refuses_a_bad_splitting(name):
 
 
 def test_a_splitting_of_the_wrong_shape_is_refused():
+    # the grid calls hand over (8, 3, 2) gauges, whose spaces have the
+    # grid's shape; the ends at 0 and 2*pi are whole
     orbit = coiso.random_unitary_orbit_family(3, 1, 41)
 
     def gen(thetas):
         c = orbit(thetas)
-        return coiso.CoisotropicSubspace(space=c.space, k=2, kernel=c.kernel, h_part=c.h_part)
+        return c if len(thetas) == 2 else coiso.CoisotropicSubspace(k=1, gauge=c.gauge[..., :2])
 
     with pytest.raises(ClassificationError, match=(
-            r"^a splitting with k = 2 needs \(space, kernel, h_part\) of shapes "
-            r"\(\(8, 6, 5\), \(8, 6, 1\), \(8, 6, 4\)\), got "
-            r"\(\(8, 6, 4\), \(8, 6, 2\), \(8, 6, 2\)\)$")):
+            r"^a splitting with k = 1 needs a gauge of shape \(\.\.\., n, n\) with n >= 1, "
+            r"got \(8, 3, 2\)$")):
         loop_from_family(1, gen, samples=8)
 
 

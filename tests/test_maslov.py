@@ -94,6 +94,15 @@ def test_section_function_refuses_a_vanishing_value():
         MaslovSection.from_function(loop.thetas, lambda t: np.sin(t) + 0j)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, complex(np.nan, 1.0)])
+def test_section_function_refuses_a_non_finite_value(value):
+    # NaN fails "modulus below the floor", so the check compares the other
+    # way round; the refusal is typed and names the angle
+    with pytest.raises(coiso.FrameDegeneracyError,
+                       match=r"^section value is not finite at theta=1\.0000$"):
+        MaslovSection.from_function(np.arange(4.0), lambda t: np.where(t == 1, value, 1.0 + 0j))
+
+
 # ---------------------------------------------------------------------------
 # winding
 
@@ -285,10 +294,8 @@ def _reframe_kernel(loop, seed):
     d, k = s.kernel.dim, s.k
     q = np.stack([np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(loop.m)])
     v = np.stack([coiso.symplin.random_unitary(k, g) for _ in range(loop.m)])
-    h = coiso.symplin._gauge_bases(s)[0] @ v
     new_samples = coiso.CoisotropicSubspace(
-        space=s.space, k=k, kernel=coiso.Subspace(s.kernel.basis @ q),
-        h_part=coiso.Subspace(coiso.real_coords(np.concatenate([h, 1j * h], axis=-1))))
+        k=k, gauge=np.concatenate([s.gauge[..., :k] @ v, s.gauge[..., k:] @ q], axis=-1))
     return coiso.grassmann._closed_loop(loop.k, loop.thetas, new_samples,
                                         loop.closure_defect, loop.generator, coiso.DEFAULT)
 
@@ -459,6 +466,17 @@ def test_per_angle_boundary_charge_and_section_are_refused_with_the_shapes():
     # the vanishing check covers every point at once
     with pytest.raises(coiso.FrameDegeneracyError, match="grading charge vanished"):
         disc_index_detail(y, hopf, lambda p: np.arange(len(p)) % 7, samples=16)
+
+
+def test_a_non_finite_grading_charge_is_refused_at_its_angle():
+    # refused before any division: with warnings as errors, no
+    # RuntimeWarning comes first
+    y, hopf = coiso.sphere(2), BOUNDARY_FAMILIES["hopf"]({})
+    m = tangent_boundary_loop(y, hopf, samples=16)[0].m
+    with pytest.raises(coiso.FrameDegeneracyError, match=(
+            rf"^grading charge is not finite at theta={5 * 2 * np.pi / m:.4f}$")):
+        disc_index_detail(y, hopf, lambda p: np.where(np.arange(len(p)) == 5, np.nan, 1.0),
+                          samples=16)
 
 
 def _polar_pushforward_section(a, loop, out, sec):

@@ -26,6 +26,7 @@ from coiso import (
     symplectic_complement,
 )
 from coiso.symplin import (
+    _certify,
     _check,
     _complex_complement,
     _standard_j,
@@ -436,7 +437,7 @@ def test_classification_matches_the_svd_reference(n, k, count, seed):
     h_part = reference_h_part(space.basis, kernel, k)
     for got, want in ((out.kernel, kernel), (out.h_part, h_part)):
         assert np.max(coiso.largest_principal_angles(got, Subspace(want))) <= 1e-12
-    gauge = coiso.symplin._gauge_bases(out)[0]
+    gauge = out.gauge[..., :k]
     gauge_h, z = np.conj(np.swapaxes(gauge, -1, -2)), coiso.complex_coords(out.h_part.basis)
     assert np.max(np.abs(gauge_h @ gauge - np.eye(k)), initial=0.0) <= 1e-13
     assert np.max(np.abs(gauge @ gauge_h - z @ np.conj(np.swapaxes(z, -1, -2)) / 2)) <= 1e-12
@@ -444,7 +445,64 @@ def test_classification_matches_the_svd_reference(n, k, count, seed):
         single = classify_coisotropic(Subspace(bases[i]))
         assert np.array_equal(out[i].kernel.basis, single.kernel.basis)
         assert np.array_equal(out[i].h_part.basis, single.h_part.basis)
-        assert np.array_equal(gauge[i], coiso.symplin._gauge_bases(single)[0])
+        assert np.array_equal(gauge[i], single.gauge[..., :k])
+
+
+@settings(max_examples=60)
+@given(st.integers(1, 5), st.data(), st.integers(0, 4), st.integers(0, 2 ** 32 - 1))
+def test_a_unitary_gauge_is_a_coisotropic_splitting(n, data, count, seed):
+    # the premise of certification by unitarity alone: for a random unitary
+    # u = [h | K], the kernel and H part read off it are the reference's
+    # complement and H part of its space, and classifying that space gives
+    # the same spans; a stack (count >= 1) or a single gauge (count 0)
+    k = data.draw(st.integers(0, n))
+    u = coiso.random_unitary(n, coiso.rng(seed), (count,) if count else ())
+    c = _certify(coiso.CoisotropicSubspace(k=k, gauge=u))
+    kernel = reference_complement(c.space.basis)
+    want = {"kernel": kernel, "h_part": reference_h_part(c.space.basis, kernel, k)}
+    for part, basis in want.items():
+        assert np.max(coiso.largest_principal_angles(getattr(c, part), Subspace(basis))) <= 1e-12
+    classified = classify_coisotropic(c.space)
+    assert classified.k == k
+    for part in ("space", "kernel", "h_part"):
+        assert np.max(coiso.largest_principal_angles(getattr(classified, part),
+                                                     getattr(c, part))) <= 1e-12
+    # pushed past the unitarity bound, a gauge is refused, naming its member
+    member = data.draw(st.integers(0, max(count, 1) - 1))
+    at = (member,) if count else ()
+    u[at] *= 1 + 1e-10
+    note = rf" \(stack member {member}\)" if count else ""
+    with pytest.raises(ClassificationError, match=(
+            rf"^gauge is not unitary: defect 2\.\d{{3}}e-10 > 1\.0e-10{note}$")):
+        _certify(coiso.CoisotropicSubspace(k=k, gauge=u))
+
+
+def test_certification_bounds_the_kernel_isotropy_by_the_angle_tolerance():
+    # kernel column 2 of member 2 turned by i eps towards column 1: the
+    # gauge stays unitary to eps^2 but for Im K^* K = eps, which is bounded
+    # by subspace_equality (1e-8), not by orthonormality (1e-10)
+    u = coiso.random_unitary(3, coiso.rng(7), (4,))
+    u[2, :, 2] += 1e-9j * u[2, :, 1]
+    _certify(coiso.CoisotropicSubspace(k=1, gauge=u))
+    tight = dataclasses.replace(coiso.DEFAULT, subspace_equality=1e-10)
+    with pytest.raises(ClassificationError, match=(
+            r"^kernel is not isotropic: defect 1\.000e-09 > 1\.0e-10 \(stack member 2\)$")):
+        _certify(coiso.CoisotropicSubspace(k=1, gauge=u), tight)
+    u[2, :, 2] += 1e-7j * u[2, :, 1]
+    with pytest.raises(ClassificationError, match=(
+            r"^kernel is not isotropic: defect 1\.010e-07 > 1\.0e-08 \(stack member 2\)$")):
+        _certify(coiso.CoisotropicSubspace(k=1, gauge=u))
+
+
+def test_a_real_or_integer_gauge_is_held_as_complex():
+    # an integer orthogonal gauge is a unitary one; held as complex, its
+    # transport re-phases a copy of it with no ComplexWarning and no
+    # truncation
+    c = coiso.CoisotropicSubspace(k=1, gauge=np.stack([np.eye(2, dtype=int)] * 4))
+    assert c.gauge.dtype == complex
+    phases, holonomy, sign, margin = coiso.transport_phases(_certify(c))
+    assert_allclose(phases, 1.0, atol=1e-15)
+    assert (holonomy, sign, margin) == (1.0, 1, 1.0)
 
 
 def _frame_stack(seed=12, m=9):
@@ -610,18 +668,16 @@ def test_transport_names_the_member_whose_hint_projects_short():
 
 
 def test_transport_names_the_member_whose_gauge_basis_is_not_unitary():
-    # Lagrangian planes of C^2; member 2's kernel replaced by the symplectic
-    # plane span(e_1, f_1), whose complex coordinates (1, 0) and (i, 0) are
-    # not orthogonal
+    # Lagrangian planes of C^2; in a splitting built without certification,
+    # member 2's kernel replaced by the symplectic plane span(e_1, f_1),
+    # whose complex coordinates (1, 0) and (i, 0) are not orthogonal
     stack = coiso.grassmann._certified_grid(coiso.lagrangian_rotation_family(2), 8, 4,
                                             None, coiso.DEFAULT)
-    kernel = stack.kernel.basis.copy()
-    kernel[2] = np.eye(4)[:, [0, 2]]
-    bad = coiso.CoisotropicSubspace(space=stack.space, k=0, kernel=Subspace(kernel),
-                                    h_part=stack.h_part)
+    gauge = stack.gauge.copy()
+    gauge[2] = [[1, 1j], [0, 0]]
     with pytest.raises(coiso.ContinuityLossError, match=(
             r"^gauge basis is not unitary: defect 1\.000e\+00 > 1\.0e-09 \(stack member 2\)$")):
-        coiso.transport_phases(bad)
+        coiso.transport_phases(coiso.CoisotropicSubspace(k=0, gauge=gauge))
 
 
 # ---------------------------------------------------------------------------
@@ -795,7 +851,7 @@ def test_h_part_is_the_realified_gauge_eigh(n, k, count):
     h = np.linalg.eigh(np.eye(n) - kc @ np.conj(np.swapaxes(kc, -1, -2)))[1][..., n - k:]
     assert np.array_equal(out.h_part.basis,
                           coiso.real_coords(np.concatenate([h, 1j * h], axis=-1)))
-    assert np.array_equal(coiso.symplin._gauge_bases(out)[0], h)
+    assert np.array_equal(out.gauge[..., :k], h)
 
 
 def test_h_part_outside_the_subspace_is_refused(monkeypatch):
