@@ -11,23 +11,19 @@ phases (``symplin.transport_phases``); no frame is built.
 Every loop keeps its generator, and so does every matrix loop: a loop is
 resampled, refined or pushed forward by calling it on the new grid.  A
 loop generator is called once per grid: it takes a 1-D array of M angles
-and returns the stack of its M members, a ``Subspace`` or
-``CoisotropicSubspace`` whose space has shape (M, 2n, m) and whose member i
-depends on theta_i alone; a matrix-loop callable likewise returns an (M, 2n, 2n)
-stack.  A ``Subspace`` stack is classified by one stacked call into a
-``CoisotropicSubspace``, whose gauge stack has shape (M, n, n); the gauge of
-a ``CoisotropicSubspace`` stack is certified unitary as it is handed over,
-not reclassified (``symplin._certify``, which the classification ends in
-too).  Every named family hands over its unitary u(theta), with
-gamma(theta) = u(theta) . (C^k + R^{n-k}), as the gauge, so its loops take
-no decomposition to split their samples.  Nor does ``pushforward``: its
-image gauge is built from A . K, K the source's kernel
-(``CoisotropicSubspace.from_kernel``), and an image that fails
-certification raises InternalConsistencyError.  Its generator reads the
-stored members of both loops on their own grids.  The continuity contract
-reads one stacked largest principal angle per consecutive pair, and the
-transport takes one stacked determinant per block, with no Python step per
-sample.
+and hands over the ``CoisotropicSubspace`` stack of its M members, member i
+depending on theta_i alone, as its gauges, an (M, n, n) stack of unitaries
+u(theta_i) with gamma(theta_i) = u(theta_i) . (C^k + R^{n-k}); a matrix-loop
+callable likewise returns an (M, 2n, 2n) stack.  The gauges are certified
+unitary as they are handed over (``symplin._certify``), never classified,
+so no loop takes a decomposition to split its samples.  Every named family
+hands over its u(theta); ``pushforward`` hands over the image gauge built
+from A . K, K the source's kernel (``CoisotropicSubspace.from_kernel``),
+and an image that fails certification raises InternalConsistencyError.  Its
+generator reads the stored members of both loops on their own grids.  The
+continuity contract reads one stacked largest principal angle per
+consecutive pair, and the transport takes one stacked determinant per
+block, with no Python step per sample.
 Each grid is built once: the generator's members at 0 and 2*pi are
 compared for closure, not certified; a doubled grid (refinement, or
 ``resample(2 * M)``) reuses its even members, bitwise those of the grid it
@@ -53,8 +49,6 @@ from .errors import (
 from .symplin import (
     SPANNING_MIN_NORM,
     CoisotropicSubspace,
-    Subspace,
-    classify_coisotropic,
     complex_coords,
     largest_principal_angles,
     principal_angles,
@@ -67,9 +61,7 @@ from .symplin import (
     _check_complex_dim,
     _check_model,
     _mgs,
-    _rank_parameter,
     _standard_omega,
-    _unchecked,
 )
 
 __all__ = [
@@ -95,14 +87,6 @@ def _thetas(m: int) -> np.ndarray:
     return np.arange(m) * (2 * pi / m)
 
 
-def _as_subspace(value) -> Subspace:
-    if isinstance(value, CoisotropicSubspace):
-        return value.space
-    if isinstance(value, Subspace):
-        return value
-    raise TypeError("generator must return Subspace or CoisotropicSubspace")
-
-
 def _check_grid_shape(got: tuple, want: tuple) -> None:
     """ValueError unless a loop callable returned the stack shape ``want``,
     one member per angle of the grid."""
@@ -112,31 +96,19 @@ def _check_grid_shape(got: tuple, want: tuple) -> None:
             f"stack of shape {want}, got shape {got}")
 
 
-def _members(generator, thetas: np.ndarray, dim: Optional[int] = None):
-    """The generator's stack on ``thetas``, a ``Subspace`` or
-    ``CoisotropicSubspace`` whose array is C-contiguous, as a stack built
-    member by member would be.  Its members have ``dim`` = 2n rows when
-    ``dim`` is given, else as many as the trailing axes returned show.  A
-    splitting's space is not built: its shape is read off the gauge."""
+def _members(generator, thetas: np.ndarray, n: Optional[int] = None) -> CoisotropicSubspace:
+    """The generator's splitting stack on ``thetas``, its gauge C-contiguous,
+    as a stack built member by member would be.  TypeError unless the
+    generator returned a ``CoisotropicSubspace``, ValueError unless its gauge
+    has shape (M, n, n), n read off the gauge when not given."""
     value = generator(thetas)
-    if isinstance(value, CoisotropicSubspace):
-        g = value.gauge.shape
-        shape = g[:-2] + (2 * g[-2], value.dim) if len(g) > 1 else g
-    else:
-        shape = _as_subspace(value).basis.shape
-    rows = shape[-2] if dim is None and len(shape) > 1 else dim
-    _check_grid_shape(shape, (len(thetas), rows, shape[-1]))
-    if isinstance(value, CoisotropicSubspace):
-        return CoisotropicSubspace(k=value.k, gauge=np.ascontiguousarray(value.gauge))
-    return _unchecked(np.ascontiguousarray(value.basis))
-
-
-def _certified(value, tol) -> CoisotropicSubspace:
-    """A generator's stack split and certified: a handed-over splitting is
-    certified as it is, a ``Subspace`` classified."""
-    if isinstance(value, CoisotropicSubspace):
-        return _certify(value, tol)
-    return classify_coisotropic(value, tol)
+    if not isinstance(value, CoisotropicSubspace):
+        raise TypeError(f"a loop generator must return a CoisotropicSubspace, "
+                        f"got {type(value).__name__}")
+    shape = value.gauge.shape
+    n = shape[-2] if n is None and len(shape) > 1 else n
+    _check_grid_shape(shape, (len(thetas), n, n))
+    return CoisotropicSubspace(k=value.k, gauge=np.ascontiguousarray(value.gauge))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -144,8 +116,9 @@ class CoisotropicLoop:
     """M uniformly sampled coisotropic subspaces and their transported
     frames' determinant data.
 
-    ``samples`` is the certified stack of shape (M, 2n, n+k), member i
-    belonging to ``thetas[i]``.  ``closure_defect`` is the principal-angle
+    ``samples`` is the certified splitting stack, its gauges of shape
+    (M, n, n), member i belonging to ``thetas[i]``; ``k`` and ``n`` are
+    read off it.  ``closure_defect`` is the principal-angle
     distance between the generator's value at 2*pi and sample 0.  The
     frames U_i transported from sample 0's adapted frame (see
     :func:`~coiso.symplin.transport_phases`) are not kept: ``det_phases``
@@ -158,7 +131,6 @@ class CoisotropicLoop:
     ``generator`` is the grid callable the samples were taken from.
     """
 
-    k: int
     thetas: np.ndarray
     samples: CoisotropicSubspace
     closure_defect: float
@@ -171,6 +143,10 @@ class CoisotropicLoop:
     @property
     def m(self) -> int:
         return len(self.thetas)
+
+    @property
+    def k(self) -> int:
+        return self.samples.k
 
     @property
     def n(self) -> int:
@@ -197,13 +173,12 @@ class CoisotropicLoop:
         the continuity contract, with the loop's closure defect; on the
         doubled grid only the new (odd) members are generated and certified."""
         coarse = self.samples if m == 2 * self.m else None
-        return _sampled_loop(self.k, self.generator, m, False, coarse, self.closure_defect,
-                             2 * self.n, tol)
+        return _sampled_loop(self.generator, m, False, coarse, self.closure_defect, self.n, tol)
 
 
 def loop_from_family(
     k: int,
-    generator: Callable[[np.ndarray], object],
+    generator: Callable[[np.ndarray], CoisotropicSubspace],
     samples: int = 16,
     tol: Tolerances = DEFAULT,
 ) -> CoisotropicLoop:
@@ -211,17 +186,18 @@ def loop_from_family(
     samples stay within the max-principal-angle contract (pi/8).
 
     The generator is called once per grid: given a 1-D array of M angles it
-    returns a ``Subspace`` or ``CoisotropicSubspace`` stack of M members
-    whose member i depends on theta_i alone, a space of shape (M, 2n, m);
-    any other shape, or a count below 1, raises ValueError.  A ``Subspace``
-    stack is classified; a returned splitting is certified, not
-    reclassified (``symplin._certify``), and a gauge that is not unitary
-    raises ClassificationError naming its member.  The generator
-    must close: its members at 0 and 2*pi, taken
-    from one call, agree within ``tol.generator_closure``; that call fixes
-    the 2n of every later grid and, through their dimension, the rank
-    parameter, which must be ``k``.  Those two members are not certified;
-    grid member 0 is.  Refinement doubles the sample count up to
+    hands over the ``CoisotropicSubspace`` stack of M members whose member i
+    depends on theta_i alone, its gauges of shape (M, n, n); any other type
+    raises TypeError, any other shape, or a count below 1, ValueError.  The
+    gauges are certified, never classified (``symplin._certify``), and one
+    that is not unitary raises ClassificationError naming its member.  A
+    generator ``gen`` of ``Subspace`` stacks is wrapped to classify its own
+    members, ``lambda t: classify(gen(t))`` with ``classify`` the
+    classification of ``symplin``.  The generator must close: its members
+    at 0 and 2*pi, taken from one call, agree within
+    ``tol.generator_closure``; that call fixes the n of every later grid,
+    and its rank parameter must be ``k``.  Those two members are not
+    certified; grid member 0 is.  Refinement doubles the sample count up to
     ``tol.max_loop_samples`` and then raises DiscontinuousLoopError; an
     angle within ``config.TIE_ULPS`` ulps below ``tol.consecutive_angle``
     counts as at it and refines, so that an exact tie does not hang on the
@@ -230,39 +206,37 @@ def loop_from_family(
     call per M; a doubled grid generates and certifies only its odd
     members.
     """
-    closure, dim = _closure(k, generator, tol)
-    return _sampled_loop(k, generator, samples, True, None, closure, dim, tol)
+    closure, n = _closure(k, generator, tol)
+    return _sampled_loop(generator, samples, True, None, closure, n, tol)
 
 
 def _closure(k, generator, tol) -> tuple[float, int]:
-    """The generator's closure defect and the 2n rows of its members, from
-    one call at 0 and 2*pi.  Raises ClassificationError when their
-    dimension is below n, then DiscontinuousLoopError when they do not
-    close, then ClassificationError when their rank parameter is not
+    """The generator's closure defect and the n of its gauges, from one call
+    at 0 and 2*pi.  Raises DiscontinuousLoopError when the two members do
+    not close, then ClassificationError when their rank parameter is not
     ``k``."""
-    ends = _as_subspace(_members(generator, np.array([0.0, 2 * pi])))
-    rank = _rank_parameter(ends)
-    closure = float(np.max(principal_angles(ends[0], ends[1]), initial=0.0))
+    ends = _members(generator, np.array([0.0, 2 * pi]))
+    space = ends.space
+    closure = float(np.max(principal_angles(space[0], space[1]), initial=0.0))
     if closure > tol.generator_closure:
         raise DiscontinuousLoopError(
             f"generator does not close: defect {closure:.3e}"
         )
-    if rank != k:
+    if ends.k != k:
         raise ClassificationError(
-            f"generator produced rank parameter {rank}, expected {k}"
+            f"generator produced rank parameter {ends.k}, expected {k}"
         )
-    return closure, ends.basis.shape[-2]
+    return closure, ends.gauge.shape[-1]
 
 
-def _sampled_loop(k, generator, m: int, refine: bool,
-                  coarse: Optional[CoisotropicSubspace], closure: float, dim: int,
-                  tol) -> CoisotropicLoop:
-    """The loop of the generator's members on the M-grid, each with ``dim``
-    = 2n rows, refining until the continuity contract holds only when
+def _sampled_loop(generator, m: int, refine: bool, coarse: Optional[CoisotropicSubspace],
+                  closure: float, n: int, tol) -> CoisotropicLoop:
+    """The loop of the generator's members on the M-grid, each of gauge
+    n x n, refining until the continuity contract holds only when
     ``refine``.  ``closure`` is the generator's closure defect, and
     ``coarse``, when given, the certified stack of the M/2 grid (see
     ``_certified_grid``)."""
-    stack = _certified_grid(generator, m, dim, coarse, tol)
+    stack = _certified_grid(generator, m, n, coarse, tol)
     while True:
         # largest principal angle from each member to the next, the last to the first
         space = stack.space
@@ -274,15 +248,15 @@ def _sampled_loop(k, generator, m: int, refine: bool,
                 f"consecutive angle {worst:.3f} at M={m}; refinement budget exhausted"
             )
         m *= 2
-        stack = _certified_grid(generator, m, dim, stack, tol)
+        stack = _certified_grid(generator, m, n, stack, tol)
 
-    return _closed_loop(k, _thetas(m), stack, closure, generator, tol)
+    return _closed_loop(_thetas(m), stack, closure, generator, tol)
 
 
-def _certified_grid(generator, m: int, dim: int, coarse: Optional[CoisotropicSubspace],
+def _certified_grid(generator, m: int, n: int, coarse: Optional[CoisotropicSubspace],
                      tol) -> CoisotropicSubspace:
-    """The generator's members on the M-grid, each with ``dim`` = 2n rows,
-    certified as one stack (see ``_certified``).
+    """The generator's members on the M-grid, their gauges n x n, certified
+    as one stack by ``symplin._certify``.
 
     ``coarse``, when given, is the certified stack of the M/2 grid.  Its
     angles are bitwise the even angles of this grid (the ratio is a power of
@@ -293,12 +267,12 @@ def _certified_grid(generator, m: int, dim: int, coarse: Optional[CoisotropicSub
     thetas = _thetas(m)
     if coarse is not None:
         try:
-            odd = _certified(_members(generator, thetas[1::2].copy(), dim), tol)
+            odd = _certify(_members(generator, thetas[1::2].copy(), n), tol)
         except CoisoError:
             pass   # the whole-grid certification below raises it on this grid
         else:
             return _interleaved(coarse, odd)
-    return _certified(_members(generator, thetas, dim), tol)
+    return _certify(_members(generator, thetas, n), tol)
 
 
 def _interleaved(even: CoisotropicSubspace, odd: CoisotropicSubspace) -> CoisotropicSubspace:
@@ -309,13 +283,13 @@ def _interleaved(even: CoisotropicSubspace, odd: CoisotropicSubspace) -> Coisotr
     return CoisotropicSubspace(k=even.k, gauge=out)
 
 
-def _closed_loop(k, thetas, stack: CoisotropicSubspace, closure,
-                 generator, tol) -> CoisotropicLoop:
+def _closed_loop(thetas, stack: CoisotropicSubspace, closure, generator,
+                 tol) -> CoisotropicLoop:
     """The loop of a certified stack, its frames transported around the
     samples and once more onto sample 0."""
     phases, holonomy, sign, margin = transport_phases(stack, tol)
     return CoisotropicLoop(
-        k=k, thetas=thetas, samples=stack, closure_defect=closure, det_phases=phases,
+        thetas=thetas, samples=stack, closure_defect=closure, det_phases=phases,
         h_holonomy=holonomy, kernel_sign=sign, overlap_margin=margin, generator=generator,
     )
 
@@ -381,12 +355,12 @@ def pushforward(
     the Gram-Schmidt basis of A K, K the source's kernel (a column below
     ``SPANNING_MIN_NORM`` raises ContinuityLossError), and its H gauge
     basis that of the complex complement of that span
-    (``CoisotropicSubspace.from_kernel``).  The
-    generator reads ``loop.samples`` and ``a.matrices`` on their own grids
-    and calls the loops' generators on any other (the closure ends, the odd
-    members of a refinement, a finer common grid): a source ``Subspace`` is
-    classified first, and matrices that are not symplectic within 1e-9
-    raise ValueError, since at n - k = 1 certification cannot tell.
+    (``CoisotropicSubspace.from_kernel``).  The generator reads
+    ``loop.samples`` and ``a.matrices`` on their own grids and calls the
+    loops' generators on any other (the closure ends, the odd members of a
+    refinement, a finer common grid): the source's handed-over gauges are
+    certified first, and matrices that are not symplectic within 1e-9 raise
+    ValueError, since at n - k = 1 certification cannot tell.
 
     It starts on the least common multiple of the two sample counts and
     refines from there.  A common grid above ``tol.max_loop_samples``
@@ -403,7 +377,7 @@ def pushforward(
         if np.array_equal(thetas, loop.thetas):
             source = loop.samples
         else:
-            source = _certified(_members(loop.generator, thetas, 2 * loop.n), tol)
+            source = _certify(_members(loop.generator, thetas, loop.n), tol)
         if np.array_equal(thetas, matrix_thetas):
             mats = a.matrices
         else:

@@ -261,7 +261,7 @@ class LevelSetHypersurface:
         another would read it.  At most ``SAMPLE_ATTEMPTS`` attempts per
         point are made; when they run out, OffSurfaceError."""
         g = rng(seed) if not isinstance(seed, np.random.Generator) else seed
-        found, budget = [], SAMPLE_ATTEMPTS * count
+        found, budget = [np.empty((0, self.dim))], SAMPLE_ATTEMPTS * count
         missing, left = count, budget
         while missing and left:
             draws = g.normal(size=(min(missing, left), 2, self.dim))
@@ -979,21 +979,8 @@ class LagrangianGraphProduct:
         self.n = l + m
         self.k = m
 
-    def grad_f(self, x: np.ndarray) -> np.ndarray:
-        return self.quad @ x + 0.5 * np.einsum("ijk,j,k->i", self.cubic, x, x)
-
     def hess_f(self, x: np.ndarray) -> np.ndarray:
         return self.quad + np.einsum("ijk,k->ij", self.cubic, x)
-
-    def embed(self, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Real coordinates of the point (x + i grad f(x), w) in C^{l+m}."""
-        n = self.n
-        out = np.zeros(2 * n)
-        out[: self.l] = x
-        out[self.l: n] = w[: self.m]
-        out[n: n + self.l] = self.grad_f(x)
-        out[n + self.l:] = w[self.m:]
-        return out
 
     def frame(self, x: np.ndarray) -> AdaptedFrame:
         """Adapted frame: e_1..e_m the C^m directions, e_{m+1}..e_n an

@@ -44,7 +44,7 @@ from .grassmann import (
     loop_from_family,
     pushforward,
 )
-from .symplin import CoisotropicSubspace, _check, _complex_complement
+from .symplin import CoisotropicSubspace, _check
 
 __all__ = [
     "MaslovSection",
@@ -253,12 +253,10 @@ def tangent_boundary_loop(
     vanish there: a gradient norm below 1e-12 raises
     UnnormalizedDefiningFunctionError naming the angle.  The loop's
     generator takes the surface test and the gradient of all M points as
-    one stack and hands over the tangent spaces' gauges [h | j nu] in closed
-    form from the unit normals nu (as complex vectors): the kernel j nu, and
-    h the unitary basis of the complex complement of nu from
-    ``symplin._complex_complement`` (see ``CoisotropicSubspace.from_kernel``).
-    The loop certifies the gauges in one stacked call; no decomposition is
-    taken.
+    one stack and hands over the tangent spaces' gauges in closed form from
+    the unit normals nu (as complex vectors): the splitting of kernel j nu
+    from ``CoisotropicSubspace.from_kernel``.  The loop certifies the
+    gauges in one stacked call; no decomposition is taken.
     """
     def gen(thetas):
         points = np.asarray(boundary(thetas), dtype=float)
@@ -270,8 +268,7 @@ def tangent_boundary_loop(
         _check(norm < 1e-12, UnnormalizedDefiningFunctionError,
                lambda w: f"grad rho vanished at theta={thetas[w[0]]:.4f}", trailing=1)
         nu = ((g[:, :y.n] + 1j * g[:, y.n:]) / norm[:, None])[:, :, None]
-        return CoisotropicSubspace(k=y.n - 1, gauge=np.concatenate(
-            [_complex_complement(nu), 1j * nu], axis=-1))
+        return CoisotropicSubspace.from_kernel(1j * nu)
 
     loop = loop_from_family(y.n - 1, gen, samples=samples, tol=tol)
     return loop, np.asarray(boundary(loop.thetas), dtype=float)

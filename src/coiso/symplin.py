@@ -357,9 +357,7 @@ class CoisotropicSubspace:
         """The splitting whose kernel is the complex (..., n, n-k) stack
         ``kernel`` of orthonormal columns, isotropic as real vectors: the
         gauge is the unitary basis of their complex complement
-        (:func:`_complex_complement`) joined to them.  Nothing is checked.
-        Only ``maslov.tangent_boundary_loop`` builds its own, [complement of
-        nu | j nu]: this complement of j nu rounds unlike that of nu."""
+        (:func:`_complex_complement`) joined to them.  Nothing is checked."""
         return cls(k=kernel.shape[-2] - kernel.shape[-1],
                    gauge=np.concatenate([_complex_complement(kernel), kernel], axis=-1))
 
@@ -502,7 +500,8 @@ def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicS
     kernel in complex coordinates; exactly I at k = n), a unitary basis of
     H_C as C^k from one stacked ``eigh``, and ``h_part`` = [h | j h] must
     lie in C too.  The gauge [h | K_c] is certified by :func:`_certify`, as
-    a loop generator's is.
+    a loop generator's is.  A loop generator ``gen`` of ``Subspace`` stacks
+    hands over splittings as ``lambda t: classify_coisotropic(gen(t))``.
     """
     k = _rank_parameter(c)
     n = c.basis.shape[-2] // 2

@@ -114,9 +114,8 @@ def test_04_frame_independence():
         q = np.stack([np.linalg.qr(g.normal(size=(d, d)))[0] for _ in range(loop.m)])
         new_samples = coiso.CoisotropicSubspace(
             k=s.k, gauge=np.concatenate([s.gauge[..., :s.k], s.gauge[..., s.k:] @ q], axis=-1))
-        mixed = coiso.grassmann._closed_loop(1, loop.thetas, new_samples,
-                                             loop.closure_defect, loop.generator,
-                                             coiso.DEFAULT)
+        mixed = coiso.grassmann._closed_loop(loop.thetas, new_samples, loop.closure_defect,
+                                             loop.generator, coiso.DEFAULT)
         assert_allclose(canonical_section(mixed).samples, base, atol=1e-9)
         assert maslov_index(mixed, section) == mu
     _ok("4 frame independence (50 kernel re-framings, index change 0)")

@@ -5,7 +5,10 @@
 check on a stack calls one of them.  This test parses the library's modules
 without running them and checks that ``_member_note``, the text that names a
 member, is called from those two functions only, and that no other module
-defines a function named ``_check`` of its own.
+defines a function named ``_check`` of its own.  It also checks that no
+module but ``symplin`` names ``classify_coisotropic``, which the package
+only re-exports: every loop certifies the splittings its generator hands
+over, and none classifies.
 """
 
 import ast
@@ -51,3 +54,21 @@ def test_only_symplin_defines_check():
                for node in ast.walk(tree)
                if isinstance(node, _FUNCTION) and node.name == "_check"]
     assert defined == [("symplin", "_check")]
+
+
+def _naming(tree, name: str) -> list:
+    """The nodes of ``tree`` that name ``name``: a reference, an attribute,
+    an imported alias or a definition."""
+    return [node for node in ast.walk(tree)
+            if (isinstance(node, ast.Name) and node.id == name)
+            or (isinstance(node, ast.Attribute) and node.attr == name)
+            or (isinstance(node, ast.alias) and name in (node.name, node.asname))
+            or (isinstance(node, _FUNCTION) and node.name == name)]
+
+
+def test_only_symplin_names_classify_coisotropic():
+    naming = {module: nodes for module, tree in _modules()
+              if (nodes := _naming(tree, "classify_coisotropic"))}
+    assert set(naming) == {"__init__", "symplin"}
+    # the package's public surface imports it, and does nothing else with it
+    assert all(isinstance(node, ast.alias) for node in naming["__init__"])

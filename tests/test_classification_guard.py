@@ -2,23 +2,23 @@
 
 Every named loop family hands over the splitting read off its unitaries,
 and ``pushforward`` hands over the image's, read off A . K; both are
-certified, not classified.  This test makes ``grassmann``'s
-``classify_coisotropic`` raise and runs every ``maslov-index`` and
-``invariance-suite`` spec of ``bench/pool.json`` through ``coiso.cli.run``:
+certified, never classified.  This test makes every binding of
+``symplin.classify_coisotropic`` in a ``coiso`` module namespace raise and
+runs every ``loops`` spec of ``bench/pool.json`` through ``coiso.cli.run``:
 each must still give the outcome committed there, compared as the
 benchmark compares it (``bench/workloads.py``).
 """
 
 import importlib.util
+import sys
 from pathlib import Path
 
 import pytest
 
 import coiso.cli
-from coiso import grassmann
+from coiso import symplin
 
 WORKLOADS = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-KINDS = ("maslov-index", "invariance-suite")
 
 
 def _workloads():
@@ -30,16 +30,21 @@ def _workloads():
 
 def test_loops_specs_keep_their_outcomes_without_classification(monkeypatch):
     workloads = _workloads()
-    entries = {key: entry for key, entry in workloads.load_pool()["loops"].items()
-               if entry["spec"]["kind"] in KINDS}
-    assert {entry["spec"]["kind"] for entry in entries.values()} == set(KINDS)
+    entries = workloads.load_pool()["loops"]
+    assert entries
 
     def refuse(c, tol=None):
         raise AssertionError("a loop classified its samples")
 
-    monkeypatch.setattr(grassmann, "classify_coisotropic", refuse)
+    classify = symplin.classify_coisotropic
+    bindings = [module for name, module in list(sys.modules.items())
+                if (name == "coiso" or name.startswith("coiso."))
+                and vars(module).get("classify_coisotropic") is classify]
+    assert {module.__name__ for module in bindings} >= {"coiso", "coiso.symplin"}
+    for module in bindings:
+        monkeypatch.setattr(module, "classify_coisotropic", refuse)
     with pytest.raises(AssertionError, match="classified"):
-        grassmann._certified(grassmann.standard_model(1, 0).space, None)
+        coiso.classify_coisotropic(symplin.standard_model(1, 0).space)
     mismatched = {}
     for key, entry in sorted(entries.items()):
         report = error = None

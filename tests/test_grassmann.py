@@ -1,6 +1,7 @@
 """Loop construction, pushforward, transported frame data."""
 
 import dataclasses
+import sys
 
 import mpmath
 import numpy as np
@@ -17,6 +18,7 @@ from coiso import (
     InternalConsistencyError,
     Subspace,
     SymplecticMatrixLoop,
+    classify_coisotropic,
     constant_family,
     diag_unitary_family,
     lagrangian_rotation_family,
@@ -111,7 +113,7 @@ def test_refinement_budget_exhausts():
 
     def jumpy(thetas):
         u = realify(diagonals(1.0, np.exp(37j * thetas)))
-        return Subspace.from_spanning(u @ standard_model(2, 1).space.basis)
+        return classify_coisotropic(Subspace.from_spanning(u @ standard_model(2, 1).space.basis))
 
     with pytest.raises(DiscontinuousLoopError):
         loop_from_family(1, jumpy, samples=8, tol=tol)
@@ -120,7 +122,7 @@ def test_refinement_budget_exhausts():
 def test_open_generator_rejected():
     def open_path(thetas):
         u = realify(diagonals(1.0, np.exp(0.25j * thetas)))
-        return Subspace.from_spanning(u @ standard_model(2, 1).space.basis)
+        return classify_coisotropic(Subspace.from_spanning(u @ standard_model(2, 1).space.basis))
 
     with pytest.raises(DiscontinuousLoopError):
         loop_from_family(1, open_path, samples=16)
@@ -252,13 +254,17 @@ def test_pushforward_reads_the_stored_members_on_equal_grids():
 
 
 def test_an_image_failing_certification_is_an_internal_error(monkeypatch):
-    # the source is classified by symplin, so only the image meets the patch
-    orbit = coiso.random_unitary_orbit_family(2, 1, coiso.rng(15))
-    loop = loop_from_family(1, lambda thetas: orbit(thetas).space, samples=64)
+    # only the image's grid certification refuses; the source's, in the
+    # image generator, passes
+    loop = loop_from_family(1, coiso.random_unitary_orbit_family(2, 1, coiso.rng(15)),
+                            samples=64)
     a = coiso.random_unitary_matrix_loop(2, coiso.rng(0), 64)
+    certify = coiso.grassmann._certify
 
     def refuse(c, tol):
-        raise ClassificationError("refused")
+        if sys._getframe(1).f_code.co_name == "_certified_grid":
+            raise ClassificationError("refused")
+        return certify(c, tol)
 
     monkeypatch.setattr(coiso.grassmann, "_certify", refuse)
     with pytest.raises(InternalConsistencyError, match="failed certification"):
@@ -550,15 +556,15 @@ def test_per_angle_generator_is_refused_with_the_shapes():
     def per_angle(theta):
         return standard_model(2, 1)
 
-    with pytest.raises(ValueError, match=r"expected a stack of shape \(2, 4, 3\), "
-                                         r"got shape \(4, 3\)"):
+    with pytest.raises(ValueError, match=r"expected a stack of shape \(2, 2, 2\), "
+                                         r"got shape \(2, 2\)"):
         loop_from_family(1, per_angle, samples=8)
 
     def one_short(thetas):
         return constant_family(2, 1)(thetas[1:])
 
-    with pytest.raises(ValueError, match=r"expected a stack of shape \(2, 4, 3\), "
-                                         r"got shape \(1, 4, 3\)"):
+    with pytest.raises(ValueError, match=r"expected a stack of shape \(2, 2, 2\), "
+                                         r"got shape \(1, 2, 2\)"):
         loop_from_family(1, one_short, samples=8)
 
 
@@ -659,13 +665,14 @@ def test_doubled_grid_generates_only_its_odd_members():
 def _rotation_with_a_symplectic_plane(bad_theta):
     """Lagrangian planes of C^2 turned by exp(1.5 i theta) in the first
     coordinate, except at ``bad_theta``: there the member is the symplectic
-    plane span(e_1, f_1), which is not coisotropic."""
+    plane span(e_1, f_1), which is not coisotropic and fails the
+    generator's classification of its members."""
     base = standard_model(2, 0).space.basis
 
     def gen(thetas):
         basis = realify(diagonals(np.exp(1.5j * thetas), 1.0)) @ base
         basis[np.isclose(thetas, bad_theta, rtol=0, atol=1e-12)] = np.eye(4)[:, [0, 2]]
-        return Subspace(basis)
+        return classify_coisotropic(Subspace(basis))
 
     return gen
 
@@ -700,7 +707,7 @@ def test_an_open_generator_fails_before_any_grid_call():
 
     def open_path(thetas):
         u = realify(diagonals(1.0, np.exp(0.25j * thetas)))
-        return Subspace.from_spanning(u @ standard_model(2, 1).space.basis)
+        return classify_coisotropic(Subspace.from_spanning(u @ standard_model(2, 1).space.basis))
 
     with pytest.raises(DiscontinuousLoopError, match=r"^generator does not close: defect "):
         loop_from_family(1, _recording(open_path, calls), samples=16)
@@ -708,11 +715,13 @@ def test_an_open_generator_fails_before_any_grid_call():
 
 
 def test_the_ends_fix_the_dimension_and_the_rank_parameter():
+    # a line of C^2 handed over as a (2, 1) gauge is not a splitting
     calls = []
-    line = _recording(lambda thetas: Subspace(np.tile(np.eye(4)[:, :1], (len(thetas), 1, 1))),
-                      calls)
-    with pytest.raises(ClassificationError, match=(
-            r"^dimension 1 < n = 2: coisotropic subspaces need dim >= n$")):
+    line = _recording(lambda thetas: coiso.CoisotropicSubspace(
+        k=0, gauge=np.tile(np.eye(2)[:, :1], (len(thetas), 1, 1))), calls)
+    with pytest.raises(ValueError, match=(
+            r"^a loop callable must return one member per angle: expected a stack of shape "
+            r"\(2, 2, 2\), got shape \(2, 2, 1\)$")):
         loop_from_family(0, line, samples=8)
     with pytest.raises(ClassificationError, match=(
             r"^generator produced rank parameter 1, expected 0$")):
@@ -720,16 +729,33 @@ def test_the_ends_fix_the_dimension_and_the_rank_parameter():
     assert [len(t) for t in calls] == [2, 2]
 
 
+def test_a_subspace_generator_is_refused_before_any_grid_call():
+    # a generator hands over splittings; one of bare subspaces is refused on
+    # the closure call, and classifying its members inside it is the way
+    calls = []
+    base = standard_model(2, 1).space[None]
+
+    def spaces(thetas):
+        return base[np.zeros(len(thetas), dtype=int)]
+
+    with pytest.raises(TypeError, match=(
+            r"^a loop generator must return a CoisotropicSubspace, got Subspace$")):
+        loop_from_family(1, _recording(spaces, calls), samples=8)
+    assert [len(t) for t in calls] == [2]
+    loop = loop_from_family(1, lambda thetas: classify_coisotropic(spaces(thetas)), samples=8)
+    assert loop.m == 8 and loop.k == 1
+
+
 def test_a_member_0_that_is_not_coisotropic_is_named_on_the_grid():
     # a closed loop of Lagrangian planes of C^2 whose members at 0 and 2*pi
-    # are the symplectic plane span(e_1, f_1): the ends close and have
-    # rank parameter 0, and grid member 0 fails to classify
+    # are the symplectic plane span(e_1, f_1): the generator's classification
+    # of the ends names member 0
     base = standard_model(2, 0).space.basis
 
     def gen(thetas):
         basis = realify(diagonals(np.exp(1j * thetas), 1.0)) @ base
         basis[np.isclose(np.cos(thetas), 1.0, rtol=0, atol=1e-12)] = np.eye(4)[:, [0, 2]]
-        return Subspace(basis)
+        return classify_coisotropic(Subspace(basis))
 
     with pytest.raises(ClassificationError, match=(
             r"^not coisotropic: kernel direction leaves the subspace by angle 1\.571e\+00 "
@@ -817,17 +843,16 @@ def test_each_certification_check_refuses_a_bad_splitting(name):
 
 
 def test_a_splitting_of_the_wrong_shape_is_refused():
-    # the grid calls hand over (8, 3, 2) gauges, whose spaces have the
-    # grid's shape; the ends at 0 and 2*pi are whole
+    # the grid calls hand over (8, 3, 2) gauges; the ends at 0 and 2*pi are
+    # whole and fix n = 3
     orbit = coiso.random_unitary_orbit_family(3, 1, 41)
 
     def gen(thetas):
         c = orbit(thetas)
         return c if len(thetas) == 2 else coiso.CoisotropicSubspace(k=1, gauge=c.gauge[..., :2])
 
-    with pytest.raises(ClassificationError, match=(
-            r"^a splitting with k = 1 needs a gauge of shape \(\.\.\., n, n\) with n >= 1, "
-            r"got \(8, 3, 2\)$")):
+    with pytest.raises(ValueError, match=(
+            r"expected a stack of shape \(8, 3, 3\), got shape \(8, 3, 2\)$")):
         loop_from_family(1, gen, samples=8)
 
 
@@ -880,7 +905,8 @@ def test_certified_loops_agree_with_reclassified_ones(case):
     # streams equal up to one constant unit (another starting frame)
     _, k, gen, m = case
     certified = loop_from_family(k, gen, samples=m)
-    classified = loop_from_family(k, lambda thetas: gen(thetas).space, samples=m)
+    classified = loop_from_family(k, lambda thetas: classify_coisotropic(gen(thetas).space),
+                                  samples=m)
     assert certified.m == classified.m
     assert _outcome(certified) == _outcome(classified)
     assert abs(certified.h_holonomy - classified.h_holonomy) <= 1e-12

@@ -112,6 +112,16 @@ def test_sff_sphere_is_minus_identity_against_outward_normal():
         assert np.array_equal(stacked[i], member)
 
 
+def test_zero_sample_points_are_an_empty_stack():
+    # no attempt is drawn, and the empty stack has every point's geometry
+    for y in (sphere(2), ellipsoid([1.0, 1.5, 2.0]), cylinder(2)):
+        g = coiso.rng(5)
+        pts = y.sample_points(0, g)
+        assert pts.shape == (0, y.dim) and pts.dtype == float
+        assert g.normal() == coiso.rng(5).normal()
+        assert point_geometry(y, pts).hessian.shape == (0, y.dim, y.dim)
+
+
 def test_sff_ellipsoid_axis_principal_curvatures():
     a1, a2 = 1.0, 1.3
     y = ellipsoid([a1, a2])

@@ -296,8 +296,8 @@ def _reframe_kernel(loop, seed):
     v = np.stack([coiso.symplin.random_unitary(k, g) for _ in range(loop.m)])
     new_samples = coiso.CoisotropicSubspace(
         k=k, gauge=np.concatenate([s.gauge[..., :k] @ v, s.gauge[..., k:] @ q], axis=-1))
-    return coiso.grassmann._closed_loop(loop.k, loop.thetas, new_samples,
-                                        loop.closure_defect, loop.generator, coiso.DEFAULT)
+    return coiso.grassmann._closed_loop(loop.thetas, new_samples, loop.closure_defect,
+                                        loop.generator, coiso.DEFAULT)
 
 
 def test_kernel_reframing_changes_nothing():

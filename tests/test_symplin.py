@@ -593,8 +593,8 @@ def _orbit_loop(m):
     windings = np.array([1.0, -2.0, 1.5])
 
     def gen(thetas):
-        return Subspace(realify(np.exp(1j * windings * thetas[:, None])[..., None]
-                                * np.eye(3)) @ base)
+        return classify_coisotropic(Subspace(
+            realify(np.exp(1j * windings * thetas[:, None])[..., None] * np.eye(3)) @ base))
 
     return coiso.loop_from_family(1, gen, samples=m)
 
@@ -671,7 +671,7 @@ def test_transport_names_the_member_whose_gauge_basis_is_not_unitary():
     # Lagrangian planes of C^2; in a splitting built without certification,
     # member 2's kernel replaced by the symplectic plane span(e_1, f_1),
     # whose complex coordinates (1, 0) and (i, 0) are not orthogonal
-    stack = coiso.grassmann._certified_grid(coiso.lagrangian_rotation_family(2), 8, 4,
+    stack = coiso.grassmann._certified_grid(coiso.lagrangian_rotation_family(2), 8, 2,
                                             None, coiso.DEFAULT)
     gauge = stack.gauge.copy()
     gauge[2] = [[1, 1j], [0, 0]]
