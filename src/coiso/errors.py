@@ -37,10 +37,10 @@ class ClassificationError(CoisoError):
 
 class ContinuityLossError(CoisoError):
     """A loop step's overlap determinant modulus, or a projected column of the
-    ``hypergeo`` transport bracket, below ``hint_min_norm``; a gauge basis
-    that is not unitary; a ``Subspace.from_spanning`` column, or a column
-    of a pushforward's image kernel, below ``SPANNING_MIN_NORM``; or a failed
-    ``adapted_frame`` check.  The caller must refine."""
+    ``hypergeo`` transport bracket, below ``hint_min_norm``; a
+    ``Subspace.from_spanning`` column, or a column of a pushforward's image
+    kernel, below ``SPANNING_MIN_NORM``; or a failed ``adapted_frame``
+    check.  The caller must refine."""
 
 
 class DiscontinuousLoopError(CoisoError):

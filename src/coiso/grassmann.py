@@ -21,8 +21,10 @@ hands over its u(theta); ``pushforward`` hands over the image gauge built
 from A . K, K the source's kernel (``CoisotropicSubspace.from_kernel``),
 and an image that fails certification raises InternalConsistencyError.  Its
 generator reads the stored members of both loops on their own grids.  The
-continuity contract reads one stacked largest principal angle per
-consecutive pair, and the transport takes one stacked determinant per
+continuity contract (one stacked largest angle per consecutive pair) and
+the closure check read principal angles off the kernels K: C and C' of
+equal dimension have the nonzero angles of C^perp = jK and C'^perp = jK'
+(Bjorck-Golub 1973).  The transport takes one stacked determinant per
 block, with no Python step per sample.
 Each grid is built once: the generator's members at 0 and 2*pi are
 compared for closure, not certified; a doubled grid (refinement, or
@@ -51,7 +53,6 @@ from .symplin import (
     CoisotropicSubspace,
     complex_coords,
     largest_principal_angles,
-    principal_angles,
     random_unitary,
     realify,
     standard_model,
@@ -118,9 +119,10 @@ class CoisotropicLoop:
 
     ``samples`` is the certified splitting stack, its gauges of shape
     (M, n, n), member i belonging to ``thetas[i]``; ``k`` and ``n`` are
-    read off it.  ``closure_defect`` is the principal-angle
-    distance between the generator's value at 2*pi and sample 0.  The
-    frames U_i transported from sample 0's adapted frame (see
+    read off it.  ``closure_defect`` is the largest principal angle
+    between the kernels of the generator's value at 2*pi and of sample 0,
+    the subspaces' angle (see the module docstring).  The frames U_i
+    transported from sample 0's adapted frame (see
     :func:`~coiso.symplin.transport_phases`) are not kept: ``det_phases``
     holds det(U_i) / |det U_i|.  The subspace loop must close; the frames
     need not, and their monodromy after one more step onto sample 0 is
@@ -183,7 +185,8 @@ def loop_from_family(
     tol: Tolerances = DEFAULT,
 ) -> CoisotropicLoop:
     """Sample a parametric family into a loop, refining until consecutive
-    samples stay within the max-principal-angle contract (pi/8).
+    samples stay within the max-principal-angle contract (pi/8), read off
+    their kernels K, as C^perp = jK has the nonzero angles of C.
 
     The generator is called once per grid: given a 1-D array of M angles it
     hands over the ``CoisotropicSubspace`` stack of M members whose member i
@@ -216,8 +219,7 @@ def _closure(k, generator, tol) -> tuple[float, int]:
     not close, then ClassificationError when their rank parameter is not
     ``k``."""
     ends = _members(generator, np.array([0.0, 2 * pi]))
-    space = ends.space
-    closure = float(np.max(principal_angles(space[0], space[1]), initial=0.0))
+    closure = float(largest_principal_angles(*ends.kernel))
     if closure > tol.generator_closure:
         raise DiscontinuousLoopError(
             f"generator does not close: defect {closure:.3e}"
@@ -238,9 +240,9 @@ def _sampled_loop(generator, m: int, refine: bool, coarse: Optional[CoisotropicS
     ``_certified_grid``)."""
     stack = _certified_grid(generator, m, n, coarse, tol)
     while True:
-        # largest principal angle from each member to the next, the last to the first
-        space = stack.space
-        worst = float(np.max(largest_principal_angles(space, space[(np.arange(m) + 1) % m])))
+        # largest principal angle from each kernel to the next, the last to the first
+        kernel = stack.kernel
+        worst = float(np.max(largest_principal_angles(kernel, kernel[(np.arange(m) + 1) % m])))
         if worst < tol.consecutive_angle and not within_tie(worst, tol.consecutive_angle):
             break
         if not refine or 2 * m > tol.max_loop_samples:

@@ -65,10 +65,10 @@ def test_lagrangian_rotation_half_turn_is_orthogonal():
 
 
 def consecutive_angles(loop):
-    """Largest principal angle from each sample to the next, as the loop's
-    continuity contract reads them: one stacked call."""
-    spaces = loop.samples.space
-    return coiso.largest_principal_angles(spaces, Subspace(np.roll(spaces.basis, -1, axis=0)))
+    """Largest principal angle from each sample's kernel to the next's, as
+    the loop's continuity contract reads them: one stacked call."""
+    kernels = loop.samples.kernel
+    return coiso.largest_principal_angles(kernels, Subspace(np.roll(kernels.basis, -1, axis=0)))
 
 
 def test_diag_unitary_loop_classifies_everywhere():
@@ -359,14 +359,19 @@ def test_canonical_winding_parity_is_the_kernel_sign():
 
 
 def test_consecutive_angles_match_per_pair_principal_angles():
-    gen = coiso.random_unitary_orbit_family(3, 1, coiso.rng(21))
-    loop = loop_from_family(1, gen, samples=32)
-    got = consecutive_angles(loop)
-    assert got.shape == (loop.m,)
-    for i in range(loop.m):
-        want = np.max(principal_angles(loop.samples[i].space,
-                                       loop.samples[(i + 1) % loop.m].space))
-        assert abs(got[i] - want) < 1e-12
+    # the kernels' largest angles are those of the whole (n + k)-dimensional
+    # subspaces, C^perp = jK having the nonzero angles of C; at k = n the
+    # kernel is empty and the angle 0
+    for n, k in ((2, 0), (3, 1), (3, 2), (4, 1), (5, 2), (3, 3)):
+        gen = coiso.random_unitary_orbit_family(n, k, coiso.rng(21 + 10 * n + k))
+        loop = loop_from_family(k, gen, samples=32)
+        got = consecutive_angles(loop)
+        assert got.shape == (loop.m,)
+        for i in range(loop.m):
+            want = np.max(principal_angles(loop.samples[i].space,
+                                           loop.samples[(i + 1) % loop.m].space))
+            assert abs(got[i] - want) < 1e-12, (n, k, i)
+        assert k < n or not got.any()
 
 
 def test_loop_holds_its_samples_and_frames_as_stacks():
@@ -854,6 +859,50 @@ def test_a_splitting_of_the_wrong_shape_is_refused():
     with pytest.raises(ValueError, match=(
             r"expected a stack of shape \(8, 3, 3\), got shape \(8, 3, 2\)$")):
         loop_from_family(1, gen, samples=8)
+
+
+def _nearly_isotropic(eps):
+    """The constant n = 3, k = 1 gauge [e_1 | e_2 | e_3 + i eps e_2], whose
+    kernel has Im K^* K = eps off its diagonal and is otherwise unitary to
+    eps^2."""
+    u = np.eye(3, dtype=complex)
+    u[1, 2] = 1j * eps
+    return lambda thetas: coiso.CoisotropicSubspace(k=1, gauge=np.tile(u, (len(thetas), 1, 1)))
+
+
+def test_certification_and_transport_decide_unitarity_alike():
+    # the kernel's isotropy is held to subspace_equality (1e-8) by
+    # certification, and transport refuses nothing that certification
+    # accepts: at 2e-9 and 5e-9 the loop builds, at 2e-8 member 0 is refused
+    for eps in (2e-9, 5e-9):
+        loop = loop_from_family(1, _nearly_isotropic(eps), samples=8)
+        assert loop.m == 8 and loop.kernel_sign == 1
+    gen = _nearly_isotropic(2e-8)
+    message = r"^kernel is not isotropic: defect 2\.000e-08 > 1\.0e-08 \(stack member 0\)$"
+    with pytest.raises(ClassificationError, match=message):
+        loop_from_family(1, gen, samples=8)
+    with pytest.raises(ClassificationError, match=message):
+        coiso.transport_phases(gen(np.zeros(8)))
+
+
+def test_loops_never_build_the_real_basis_of_their_samples(monkeypatch):
+    # construction, refinement, resampling, pushforward and the tangent
+    # loop read the gauge's kernel, never the (n + k)-column real basis
+    def refuse(self):
+        raise AssertionError("a loop built the real basis of a sample")
+
+    monkeypatch.setattr(coiso.CoisotropicSubspace, "space", property(refuse))
+    loop = loop_from_family(1, coiso.random_unitary_orbit_family(3, 1, coiso.rng(21)),
+                            samples=4)
+    assert loop.m > 4
+    assert loop.resample(2 * loop.m).m == 2 * loop.m
+    matrices = unitary_matrix_loop(3, lambda t: diagonals(np.exp(1j * t), 1.0, np.exp(-2j * t)),
+                                   loop.m)
+    assert pushforward(matrices, loop).m >= loop.m
+    boundary = BOUNDARY_FAMILIES["latitude"]({"alpha": 0.9, "p": 2, "q": 1})
+    assert tangent_boundary_loop(coiso.sphere(2), boundary, samples=64)[0].m >= 64
+    with pytest.raises(AssertionError, match="real basis"):
+        loop.samples.space
 
 
 def _torus_orbit(semi_axes, radii, powers):

@@ -638,14 +638,14 @@ def _loop_calls(build, m, monkeypatch):
 def test_transport_takes_no_step_per_sample(monkeypatch):
     # building a loop orthonormalizes nothing, and takes as many SVDs and
     # function calls at M = 1024 as at M = 256, where one Python step per
-    # sample makes several calls per sample; only the principal angles of
-    # the closure and continuity checks take an SVD, as classification,
-    # gauges and tangent spaces take projector eighs
+    # sample makes several calls per sample; only the largest principal
+    # angles of the closure and continuity checks take an SVD, as
+    # classification, gauges and tangent spaces take projector eighs
     for build in (_orbit_loop, _tangent_loop):
         few, many = (_loop_calls(build, m, monkeypatch) for m in (256, 1024))
         assert few["mgs"] == many["mgs"] == 0
         assert few["svd"] == many["svd"]
-        assert set(few["svd"]) == {"principal_angles", "largest_principal_angles"}
+        assert set(few["svd"]) == {"largest_principal_angles"}
         assert many["calls"] - few["calls"] <= 100
 
 
@@ -670,13 +670,14 @@ def test_transport_names_the_member_whose_hint_projects_short():
 def test_transport_names_the_member_whose_gauge_basis_is_not_unitary():
     # Lagrangian planes of C^2; in a splitting built without certification,
     # member 2's kernel replaced by the symplectic plane span(e_1, f_1),
-    # whose complex coordinates (1, 0) and (i, 0) are not orthogonal
+    # whose complex coordinates (1, 0) and (i, 0) are not orthogonal: u^* u
+    # - I is Im K^* K alone, and transport refuses it as certification does
     stack = coiso.grassmann._certified_grid(coiso.lagrangian_rotation_family(2), 8, 2,
                                             None, coiso.DEFAULT)
     gauge = stack.gauge.copy()
     gauge[2] = [[1, 1j], [0, 0]]
-    with pytest.raises(coiso.ContinuityLossError, match=(
-            r"^gauge basis is not unitary: defect 1\.000e\+00 > 1\.0e-09 \(stack member 2\)$")):
+    with pytest.raises(ClassificationError, match=(
+            r"^kernel is not isotropic: defect 1\.000e\+00 > 1\.0e-08 \(stack member 2\)$")):
         coiso.transport_phases(coiso.CoisotropicSubspace(k=0, gauge=gauge))
 
 
