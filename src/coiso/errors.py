@@ -24,10 +24,9 @@ class ClassificationError(CoisoError):
     or a splitting its certification (``symplin._certify``: a gauge of the
     wrong shape, not unitary, or with a kernel that is not isotropic).
 
-    ``witness`` is set by classification alone, when a vector left the
-    subspace: ``(vector, residual, angle)``, that kernel or H-part vector,
-    its component outside the candidate subspace and the offending
-    principal angle.
+    ``witness`` is set by classification alone, when a kernel vector left
+    the subspace: ``(vector, residual, angle)``, that vector, its component
+    outside the candidate subspace and the offending principal angle.
     """
 
     def __init__(self, message, witness=None):
@@ -37,10 +36,9 @@ class ClassificationError(CoisoError):
 
 class ContinuityLossError(CoisoError):
     """A loop step's overlap determinant modulus, or a projected column of the
-    ``hypergeo`` transport bracket, below ``hint_min_norm``; a
+    ``hypergeo`` transport bracket, below ``hint_min_norm``; or a
     ``Subspace.from_spanning`` column, or a column of a pushforward's image
-    kernel, below ``SPANNING_MIN_NORM``; or a failed ``adapted_frame``
-    check.  The caller must refine."""
+    kernel, below ``SPANNING_MIN_NORM``.  The caller must refine."""
 
 
 class DiscontinuousLoopError(CoisoError):

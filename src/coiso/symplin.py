@@ -15,12 +15,13 @@ subspace from nothing (``standard_model``, ``random_coisotropic``) take n.
 A loop's samples are handled as one stack: a ``Subspace`` may hold a
 (..., 2n, m) array of equal-dimensional members, a ``CoisotropicSubspace``
 a (..., n, n) stack of unitary gauges and an ``AdaptedFrame`` a stack of
-(..., 2n, n) frames.  Classification, complements, principal angles and
-frame checks act on every member with one stacked ``np.linalg`` call per
-step.  A splitting is its gauge u = [h | K], a point of
-U(n)/(U(k) x O(n-k)), and one routine, ``_certify``, certifies it from one
-product u^* u, whether the classification computed it or a loop
-generator handed it over.  A check
+(..., 2n, n) frames.  Classification, complements and principal angles
+act on every member with one stacked ``np.linalg`` call per step.  A
+splitting is its gauge u = [h | K], a point of U(n)/(U(k) x O(n-k)), and
+one routine, ``_certify``, certifies it from one product u^* u, whether the
+classification computed it or a loop generator handed it over; frames, the
+transport and the Grassmannian's dimension read what they need off a
+certified gauge and check nothing else.  A check
 on a stack raises for its first failing member and names it through
 ``_check``, which every module's stacked checks call.  A single subspace
 or frame is the unstacked case of the same code.  Random unitaries
@@ -341,9 +342,11 @@ class CoisotropicSubspace:
     read off u, built anew on each access: ``space`` is C as [h | K | j h],
     ``kernel`` is K, and ``h_part`` is the j-invariant g-orthogonal
     complement H_C of the kernel inside C (dimension 2k) as [h | j h].
-    Building one certifies
-    nothing: the gauge that :func:`classify_coisotropic` returns, or that a
-    loop generator hands over, is certified by :func:`_certify`.
+    Loops read ``kernel``, frames and the transport ``kernel`` and h, and
+    :func:`measured_grassmannian_dim` ``h_part``, ``kernel`` and
+    C^perp = j K; no library routine reads ``space``.  Building one
+    certifies nothing: the gauge that :func:`classify_coisotropic` returns,
+    or that a loop generator hands over, is certified by :func:`_certify`.
     """
 
     k: int
@@ -401,20 +404,21 @@ def _rank_parameter(c: Subspace) -> int:
     return c.dim - n
 
 
-def _check_inside(v: np.ndarray, c: Subspace, what: str, tol: Tolerances) -> None:
+def _check_inside(v: np.ndarray, c: Subspace, tol: Tolerances) -> None:
     """Raise ClassificationError unless every column of every member of the
-    stack ``v`` lies in the matching member of ``c`` within the angle
+    kernel stack ``v`` lies in the matching member of ``c`` within the angle
     ``tol.subspace_equality``; the error names the worst member and carries
     its column, the column's residual off C and the angle as witness."""
     resid = v - c.project(v)
     resid_norms = np.linalg.norm(resid, axis=-2)
-    if not resid_norms.max() <= tol.subspace_equality:
+    if not resid_norms.max(initial=0.0) <= tol.subspace_equality:
         # argmax takes the first NaN, if any, as the worst
         worst = np.unravel_index(np.argmax(resid_norms), resid_norms.shape)
         member, col = worst[:-1], worst[-1]
         angle = float(np.arcsin(np.minimum(1.0, resid_norms[worst])))
         raise ClassificationError(
-            f"{what} by angle {angle:.3e}" + _member_note(member),
+            "not coisotropic: kernel direction leaves the subspace by angle "
+            f"{angle:.3e}" + _member_note(member),
             witness=(v[member][:, col], resid[member][:, col], angle),
         )
 
@@ -493,31 +497,19 @@ def classify_coisotropic(c: Subspace, tol: Tolerances = DEFAULT) -> CoisotropicS
 
     Succeeds iff the symplectic complement of C lies inside C within the
     angle tolerance; otherwise raises ClassificationError carrying the
-    violating pair of the worst member.
+    violating kernel vector of the worst member.
 
-    H_C is the realified Hermitian complement of the kernel's complex span:
-    its gauge basis h is the top k eigenvectors of I - K_c K_c^* (K_c the
-    kernel in complex coordinates; exactly I at k = n), a unitary basis of
-    H_C as C^k from one stacked ``eigh``, and ``h_part`` = [h | j h] must
-    lie in C too.  The gauge [h | K_c] is certified by :func:`_certify`, as
-    a loop generator's is.  A loop generator ``gen`` of ``Subspace`` stacks
-    hands over splittings as ``lambda t: classify_coisotropic(gen(t))``.
+    The splitting is ``CoisotropicSubspace.from_kernel`` of the kernel K,
+    certified by :func:`_certify` as a loop generator's is.  Its H part
+    lies in C unchecked: K = j V with V spanning C^perp, and [h | j h] is
+    g-orthogonal to K + j K, which contains V.  A loop generator ``gen`` of
+    ``Subspace`` stacks hands over splittings as
+    ``lambda t: classify_coisotropic(gen(t))``.
     """
-    k = _rank_parameter(c)
-    n = c.basis.shape[-2] // 2
+    _rank_parameter(c)
     kernel = symplectic_complement(c)
-    if k < n:
-        _check_inside(kernel.basis, c, "not coisotropic: kernel direction leaves the subspace",
-                      tol)
-    kc = complex_coords(kernel.basis)
-    if k == 0:
-        h = kc[..., :0]
-    else:
-        h = np.linalg.eigh(_identity(n) - kc @ np.conj(_t(kc)))[1][..., n - k:]
-    split = CoisotropicSubspace(k=k, gauge=np.concatenate([h, kc], axis=-1))
-    if k:
-        _check_inside(split.h_part.basis, c, "h_part leaves the subspace", tol)
-    return _certify(split, tol)
+    _check_inside(kernel.basis, c, tol)
+    return _certify(CoisotropicSubspace.from_kernel(complex_coords(kernel.basis)), tol)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -559,46 +551,16 @@ class AdaptedFrame:
         return np.concatenate([self.e[..., : self.k], self.f[..., : self.k]], axis=-1)
 
 
-def _check_frames(c: CoisotropicSubspace, frames: AdaptedFrame, tol: Tolerances) -> None:
-    """Raise ContinuityLossError, naming the first failing frame, unless
-    member i of the stack ``frames`` is orthonormal and adapted to member i
-    of the stack ``c``.  Every check runs once over the stack.  The frames
-    are built with f = j e exactly, so an orthonormal frame is a unitary
-    Darboux frame: the Darboux defect of [e | j e] is its orthonormality
-    defect."""
-    full = np.concatenate([frames.e, frames.f], axis=-1)
-    tangent = frames.tangent_basis()
-
-    def largest_entry(x):
-        return np.abs(x).max(axis=(-2, -1))
-
-    def largest_escape(sub, v):
-        d = v - sub.project(v)
-        return np.sqrt((d * d).sum(axis=-2).max(axis=-1, initial=0.0))
-
-    checks = (
-        ("is not orthonormal", largest_entry(_t(full) @ full - _identity(2 * frames.n)),
-         10 * tol.orthonormality),
-        ("does not span the target subspace", largest_escape(c.space, tangent),
-         tol.subspace_equality),
-        ("kernel block does not span the kernel",
-         largest_escape(c.kernel, frames.kernel_vectors()), tol.subspace_equality),
-    )
-    for what, defect, bound in checks:
-        _check(defect > bound, ContinuityLossError, lambda w: f"frame {w[0]} {what}: "
-               f"defect {defect[w]:.3e} > {bound:.1e}", trailing=1)
-
-
 def adapted_frame(c: CoisotropicSubspace, tol: Tolerances = DEFAULT) -> AdaptedFrame:
     """An adapted unitary Darboux frame for a single coisotropic subspace C:
     the kernel basis of C and the gauge basis h of H_C with canonical
-    phases."""
-    k, n = c.k, c.gauge.shape[-1]
+    phases.  It raises ClassificationError when :func:`_certify` refuses
+    the gauge, and checks nothing more: [e | j e] is orthonormal as u is
+    unitary, and spans [h | K | j h] = C by construction."""
+    k, n = _certify(c, tol).k, c.gauge.shape[-1]
     e = np.concatenate([real_coords(_canonical_phases(c.gauge[..., :k])), c.kernel.basis],
                        axis=-1)
-    frame = AdaptedFrame(k=k, e=e, f=_standard_j(n) @ e)
-    _check_frames(c[None], frame[None], tol)
-    return frame
+    return AdaptedFrame(k=k, e=e, f=_standard_j(n) @ e)
 
 
 def transport_phases(
@@ -728,26 +690,28 @@ def _schur_constraint(t_basis: np.ndarray, perp: np.ndarray, k: int,
 def measured_grassmannian_dim(c: CoisotropicSubspace, tol: Tolerances = DEFAULT):
     """Tangent-space dimension of the coisotropic Grassmannian at C,
     measured numerically: an ``int`` for a single C, and for a stack an
-    integer array with one dimension per member, from one stacked call of
-    each decomposition.
+    integer array with one dimension per member, from one stacked SVD.
+    The gauge is certified first: :func:`_certify` raises
+    ClassificationError, naming the member.
 
-    Nearby (n+k)-dimensional subspaces are graphs over C; the coisotropy
-    condition is the vanishing of the kernel-block Schur complement of the
-    restricted symplectic form.  The rank of its finite-difference Jacobian
-    (central differences of size ``tol.rank_step``, all 2 x npar perturbed
-    subspaces of every member evaluated as one stack) is subtracted from the
-    ambient Grassmannian dimension.
+    Nearby (n+k)-dimensional subspaces are graphs of the basis
+    [h_part | kernel] of C into C^perp = j K, both read off the gauge; the
+    coisotropy condition is the vanishing of the kernel-block Schur
+    complement of the restricted symplectic form.  The rank of its
+    finite-difference Jacobian (central differences of size
+    ``tol.rank_step``, all 2 x npar perturbed subspaces of every member
+    evaluated as one stack) is subtracted from the ambient Grassmannian
+    dimension.
     """
-    # the ordered basis [e_1..e_k | f_1..f_k | kernel] of the splitting,
-    # orthonormal as it is: ``Subspace`` checks it
-    sub = Subspace(np.concatenate([c.h_part.basis, c.kernel.basis], axis=-1))
-    batch, (dim, m) = sub.basis.shape[:-2], sub.basis.shape[-2:]
-    u = np.linalg.svd(_identity(dim) - sub.basis @ _t(sub.basis))[0]
+    _certify(c, tol)
+    basis = np.concatenate([c.h_part.basis, c.kernel.basis], axis=-1)
+    perp = real_coords(1j * c.gauge[..., c.k:])
+    batch, (dim, m) = basis.shape[:-2], basis.shape[-2:]
     npar = m * (dim - m)
     step = tol.rank_step
     # perturbation a moves entry a of the (dim, 2n - dim) graph matrix
     z = (step * np.eye(npar)).reshape(npar, m, dim - m)
-    f = _schur_constraint(sub.basis[..., None, :, :], u[..., None, :, :dim - m], c.k,
+    f = _schur_constraint(basis[..., None, :, :], perp[..., None, :, :], c.k,
                           np.concatenate([z, -z]))
     if f.shape[-1] == 0:
         ranks = np.zeros(batch, dtype=int)

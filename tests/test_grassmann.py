@@ -872,17 +872,24 @@ def _nearly_isotropic(eps):
 
 def test_certification_and_transport_decide_unitarity_alike():
     # the kernel's isotropy is held to subspace_equality (1e-8) by
-    # certification, and transport refuses nothing that certification
-    # accepts: at 2e-9 and 5e-9 the loop builds, at 2e-8 member 0 is refused
+    # certification, and transport, frames and the measured dimension refuse
+    # nothing that certification accepts: at 2e-9 and 5e-9 each builds, at
+    # 2e-8 each refuses member 0 of a stack, or the single gauge, alike
     for eps in (2e-9, 5e-9):
         loop = loop_from_family(1, _nearly_isotropic(eps), samples=8)
         assert loop.m == 8 and loop.kernel_sign == 1
+        single = _nearly_isotropic(eps)(np.zeros(1))[0]
+        assert coiso.adapted_frame(single).k == 1
+        assert coiso.measured_grassmannian_dim(single) == coiso.grassmannian_dim(3, 1)
     gen = _nearly_isotropic(2e-8)
-    message = r"^kernel is not isotropic: defect 2\.000e-08 > 1\.0e-08 \(stack member 0\)$"
-    with pytest.raises(ClassificationError, match=message):
+    message = r"^kernel is not isotropic: defect 2\.000e-08 > 1\.0e-08"
+    with pytest.raises(ClassificationError, match=message + r" \(stack member 0\)$"):
         loop_from_family(1, gen, samples=8)
-    with pytest.raises(ClassificationError, match=message):
+    with pytest.raises(ClassificationError, match=message + r" \(stack member 0\)$"):
         coiso.transport_phases(gen(np.zeros(8)))
+    for measure in (coiso.adapted_frame, coiso.measured_grassmannian_dim):
+        with pytest.raises(ClassificationError, match=message + "$"):
+            measure(gen(np.zeros(1))[0])
 
 
 def test_loops_never_build_the_real_basis_of_their_samples(monkeypatch):
