@@ -357,12 +357,13 @@ def _run_grassmannian_dim(params: dict, tol: Tolerances, seed: int) -> list:
     items = [_item("dimension_formula", formula)]
     gen = rng(seed, 1)
     # the points as stacks of at most _POINTS_PER_STACK, drawn in turn from
-    # one generator: the stacks' members are the successive single draws
+    # one generator: the stacks' members are the successive single draws,
+    # certified as they are drawn and measured without a second certification
     for start in range(0, points, _POINTS_PER_STACK):
         c = symplin.random_coisotropic(
             n, k, gen, tol, size=(min(_POINTS_PER_STACK, points - start),))
         items += [_compare(f"measured_rank[{start + i}]", int(measured), formula)
-                  for i, measured in enumerate(symplin.measured_grassmannian_dim(c, tol))]
+                  for i, measured in enumerate(symplin._measured_dim(c, tol))]
     return items
 
 

@@ -24,13 +24,15 @@ generator reads the stored members of both loops on their own grids.  The
 continuity contract (one stacked largest angle per consecutive pair) and
 the closure check read principal angles off the kernels K: C and C' of
 equal dimension have the nonzero angles of C^perp = jK and C'^perp = jK'
-(Bjorck-Golub 1973).  The transport takes one stacked determinant per
+(Bjorck-Golub 1973); at n - k = 1 the kernels are lines, whose angle
+takes no decomposition.  The transport takes one stacked determinant per
 block, with no Python step per sample.
-Each grid is built once: the generator's members at 0 and 2*pi are
-compared for closure, not certified; a doubled grid (refinement, or
-``resample(2 * M)``) reuses its even members, bitwise those of the grid it
-doubles, and generates and certifies only its odd members; ``resample``
-keeps the loop's closure defect.
+Each grid is built and certified once: the generator's members at 0 and
+2*pi are compared for closure, not certified; a doubled grid (refinement,
+or ``resample(2 * M)``) reuses its even members, bitwise those of the grid
+it doubles, and generates and certifies only its odd members; the
+transport takes the final grid as certified (``symplin._transport``);
+``resample`` keeps the loop's closure defect.
 """
 
 from __future__ import annotations
@@ -56,13 +58,13 @@ from .symplin import (
     random_unitary,
     realify,
     standard_model,
-    transport_phases,
     _certify,
     _check,
     _check_complex_dim,
     _check_model,
     _mgs,
     _standard_omega,
+    _transport,
 )
 
 __all__ = [
@@ -288,8 +290,8 @@ def _interleaved(even: CoisotropicSubspace, odd: CoisotropicSubspace) -> Coisotr
 def _closed_loop(thetas, stack: CoisotropicSubspace, closure, generator,
                  tol) -> CoisotropicLoop:
     """The loop of a certified stack, its frames transported around the
-    samples and once more onto sample 0."""
-    phases, holonomy, sign, margin = transport_phases(stack, tol)
+    samples and once more onto sample 0; the stack is not certified again."""
+    phases, holonomy, sign, margin = _transport(stack, tol)
     return CoisotropicLoop(
         thetas=thetas, samples=stack, closure_defect=closure, det_phases=phases,
         h_holonomy=holonomy, kernel_sign=sign, overlap_margin=margin, generator=generator,
@@ -321,7 +323,7 @@ class SymplecticMatrixLoop:
         # the operator norm of a step is at most its Frobenius norm, so only
         # a step whose Frobenius norm exceeds 0.5 (less a relative 1e-12 for
         # rounding) can fail, and only those take the operator norm's SVD
-        diff = np.roll(a, -1, axis=0) - a
+        diff = np.concatenate([a[1:], a[:1]]) - a
         steps = np.linalg.norm(diff, axis=(-2, -1))
         wide = steps > 0.5 * (1 - 1e-12)
         if np.count_nonzero(wide):

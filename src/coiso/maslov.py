@@ -101,8 +101,7 @@ class MaslovSection:
         # a NaN sample fails the comparison, and so the check
         if not np.max(np.abs(np.abs(z) - 1.0)) <= UNIT_MODULUS:
             raise ValueError("section samples must have unit modulus")
-        jumps = np.abs(np.angle(np.roll(z, -1) / z))
-        if z.size > 1 and jumps[-1] >= DEFAULT.phase_jump:
+        if z.size > 1 and abs(np.angle(z[0] / z[-1])) >= DEFAULT.phase_jump:
             raise ValueError("section does not close: final jump >= pi/2")
         object.__setattr__(self, "samples", z)
 
@@ -151,7 +150,7 @@ def canonical_section(loop: CoisotropicLoop, tol: Tolerances = DEFAULT) -> Maslo
 
 def _increments(samples: np.ndarray) -> np.ndarray:
     z = np.asarray(samples, dtype=complex)
-    return np.angle(np.roll(z, -1) / z)
+    return np.angle(np.concatenate([z[1:], z[:1]]) / z)
 
 
 class WindingDetail(NamedTuple):

@@ -16,12 +16,16 @@ A loop's samples are handled as one stack: a ``Subspace`` may hold a
 (..., 2n, m) array of equal-dimensional members, a ``CoisotropicSubspace``
 a (..., n, n) stack of unitary gauges and an ``AdaptedFrame`` a stack of
 (..., 2n, n) frames.  Classification, complements and principal angles
-act on every member with one stacked ``np.linalg`` call per step.  A
-splitting is its gauge u = [h | K], a point of U(n)/(U(k) x O(n-k)), and
-one routine, ``_certify``, certifies it from one product u^* u, whether the
+act on every member with one stacked ``np.linalg`` call per step; the
+principal angle between lines takes none.  A splitting is its gauge
+u = [h | K], a point of U(n)/(U(k) x O(n-k)), and one routine,
+``_certify``, certifies it from one product u^* u, whether the
 classification computed it or a loop generator handed it over; frames, the
 transport and the Grassmannian's dimension read what they need off a
-certified gauge and check nothing else.  A check
+certified gauge and check nothing else.  The public transport and
+measured dimension certify their input; a stack certified where it was
+built goes to ``_transport`` and ``_measured_dim``, which do not certify
+it again.  A check
 on a stack raises for its first failing member and names it through
 ``_check``, which every module's stacked checks call.  A single subspace
 or frame is the unstacked case of the same code.  Random unitaries
@@ -272,17 +276,24 @@ def principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
 
     Needs orthonormal bases, which a ``Subspace`` holds: with A = ``a.basis``
     and B = ``b.basis`` the cosines are the singular values of A' B and the
-    sines those of B - A A' B, each one stacked SVD.  An angle whose squared
-    cosine is below 0.5 is read from its cosine, any other from its sine,
-    which stays accurate for small angles.
+    sines those of B - A A' B, each one stacked SVD.  Lines take no
+    decomposition: the cosine is |A' B| and the sine the 2-norm of the
+    residual column B - A A' B, the square root of its ``np.vecdot``.  An
+    angle whose squared cosine is below 0.5 is read from its cosine, any
+    other from its sine, which stays accurate for small angles.
     """
     if a.dim != b.dim:
         raise ValueError(f"dimension mismatch: {a.dim} != {b.dim}")
     if a.dim == 0:
         return np.zeros(np.broadcast_shapes(a.basis.shape[:-2], b.basis.shape[:-2]) + (0,))
     cos = _t(a.basis) @ b.basis
-    cosines = np.linalg.svd(cos, compute_uv=False)
-    sines = np.linalg.svd(b.basis - a.basis @ cos, compute_uv=False)[..., ::-1]
+    resid = b.basis - a.basis @ cos
+    if a.dim == 1:
+        cosines = np.abs(cos[..., 0])
+        sines = np.sqrt(np.vecdot(resid[..., 0], resid[..., 0]))[..., None]
+    else:
+        cosines = np.linalg.svd(cos, compute_uv=False)
+        sines = np.linalg.svd(resid, compute_uv=False)[..., ::-1]
     return np.where(cosines ** 2 < 0.5,
                     np.arccos(np.clip(cosines, -1.0, 1.0)),
                     np.arcsin(np.clip(sines, -1.0, 1.0)))
@@ -292,14 +303,15 @@ def largest_principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     """Largest principal angle between paired members of two stacks of
     equal-dimensional subspaces, one value per member pair.
 
-    The largest angle has the top sine, the largest singular value of
-    B - A A' B: one stacked SVD.  Where that sine is below 1/2 (an angle
-    below pi/6) every squared cosine is above 3/4 up to rounding, so
-    :func:`principal_angles` reads every angle from its sine and the value
-    is arcsin of the top sine, bit for bit; only the other members take
-    :func:`principal_angles`.
+    Lines have one angle, that of :func:`principal_angles`, with its
+    arithmetic and no decomposition.  Otherwise the largest angle has the
+    top sine, the largest singular value of B - A A' B: one stacked SVD.
+    Where that sine is below 1/2 (an angle below pi/6) every squared cosine
+    is above 3/4 up to rounding, so :func:`principal_angles` reads every
+    angle from its sine and the value is arcsin of the top sine, bit for
+    bit; only the other members take :func:`principal_angles`.
     """
-    if a.dim != b.dim or a.dim == 0:
+    if a.dim != b.dim or a.dim <= 1:
         return np.max(principal_angles(a, b), axis=-1, initial=0.0)
     top = np.linalg.svd(b.basis - a.basis @ (_t(a.basis) @ b.basis), compute_uv=False)[..., 0]
     largest = np.asarray(np.arcsin(np.clip(top, -1.0, 1.0)))
@@ -600,19 +612,28 @@ def transport_phases(
     multiplies the whole stream by one constant unit.  |det O_i| is the
     product of the projected column norms of step i.
 
-    Raises ClassificationError naming the member whose gauge
-    :func:`_certify` refuses, the one unitarity policy, and
-    ContinuityLossError naming the member when an overlap determinant
-    modulus falls below ``tol.hint_min_norm``.  One stacked determinant per
-    block and per gauge basis is taken: no Python step is taken per member.
+    The stack is certified first: ClassificationError names the member
+    whose gauge :func:`_certify` refuses, the one unitarity policy.  A loop
+    certifies each grid as it is generated and hands the certified stack to
+    :func:`_transport`, which this routine calls.  ContinuityLossError names
+    the member when an overlap determinant modulus falls below
+    ``tol.hint_min_norm``.  One stacked determinant per block and per gauge
+    basis is taken: no Python step is taken per member.
     """
-    k = _certify(c, tol).k
+    return _transport(_certify(c, tol), tol)
+
+
+def _transport(c: CoisotropicSubspace, tol: Tolerances) -> tuple[np.ndarray, complex, int, float]:
+    """:func:`transport_phases` of a stack that :func:`_certify` has
+    certified, which is not certified again."""
+    k = c.k
     g = c.gauge.copy()
     g[0, :, :k] = _canonical_phases(g[0, :, :k])
     h, kernel = g[..., :k], c.kernel.basis
-    # the overlaps O_i, the closing O_0 first, one determinant per block
-    det_h = np.linalg.det(np.conj(_t(h)) @ np.roll(h, 1, axis=0))
-    det_k = np.linalg.det(_t(kernel) @ np.roll(kernel, 1, axis=0))
+    # the overlaps O_i, each member against the one before it, the closing
+    # O_0 first, one determinant per block
+    det_h = np.linalg.det(np.conj(_t(h)) @ np.concatenate([h[-1:], h[:-1]]))
+    det_k = np.linalg.det(_t(kernel) @ np.concatenate([kernel[-1:], kernel[:-1]]))
     size = np.abs(det_h) * np.abs(det_k)
     _check(size < tol.hint_min_norm, ContinuityLossError,
            lambda w: f"overlap determinant {size[w]:.3e} < {tol.hint_min_norm:.1e}")
@@ -692,7 +713,8 @@ def measured_grassmannian_dim(c: CoisotropicSubspace, tol: Tolerances = DEFAULT)
     measured numerically: an ``int`` for a single C, and for a stack an
     integer array with one dimension per member, from one stacked SVD.
     The gauge is certified first: :func:`_certify` raises
-    ClassificationError, naming the member.
+    ClassificationError, naming the member.  :func:`_measured_dim` measures
+    a stack that is already certified.
 
     Nearby (n+k)-dimensional subspaces are graphs of the basis
     [h_part | kernel] of C into C^perp = j K, both read off the gauge; the
@@ -703,7 +725,12 @@ def measured_grassmannian_dim(c: CoisotropicSubspace, tol: Tolerances = DEFAULT)
     evaluated as one stack) is subtracted from the ambient Grassmannian
     dimension.
     """
-    _certify(c, tol)
+    return _measured_dim(_certify(c, tol), tol)
+
+
+def _measured_dim(c: CoisotropicSubspace, tol: Tolerances):
+    """:func:`measured_grassmannian_dim` of a splitting or stack that
+    :func:`_certify` has certified, which is not certified again."""
     basis = np.concatenate([c.h_part.basis, c.kernel.basis], axis=-1)
     perp = real_coords(1j * c.gauge[..., c.k:])
     batch, (dim, m) = basis.shape[:-2], basis.shape[-2:]

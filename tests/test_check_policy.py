@@ -8,11 +8,16 @@ member, is called from those two functions only, and that no other module
 defines a function named ``_check`` of its own.  It also checks that no
 module but ``symplin`` names ``classify_coisotropic``, which the package
 only re-exports: every loop certifies the splittings its generator hands
-over, and none classifies.
+over, and none classifies.  No module calls ``transport_phases`` or
+``measured_grassmannian_dim``, which certify their input: the library hands
+stacks it has certified to ``symplin._transport`` and
+``symplin._measured_dim``, so that no stack is certified twice.
 """
 
 import ast
 from pathlib import Path
+
+import pytest
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "coiso"
 
@@ -72,3 +77,13 @@ def test_only_symplin_names_classify_coisotropic():
     assert set(naming) == {"__init__", "symplin"}
     # the package's public surface imports it, and does nothing else with it
     assert all(isinstance(node, ast.alias) for node in naming["__init__"])
+
+
+@pytest.mark.parametrize("name", ["transport_phases", "measured_grassmannian_dim"])
+def test_no_module_calls_a_certifying_public_routine(name):
+    naming = {module: nodes for module, tree in _modules()
+              if (nodes := _naming(tree, name))}
+    assert set(naming) == {"__init__", "symplin"}
+    # the package re-exports it, and symplin defines it and calls it nowhere
+    assert all(isinstance(node, ast.alias) for node in naming["__init__"])
+    assert all(isinstance(node, _FUNCTION) for node in naming["symplin"])

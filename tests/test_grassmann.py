@@ -667,6 +667,29 @@ def test_doubled_grid_generates_only_its_odd_members():
         assert np.array_equal(t, (np.arange(m) * (2 * np.pi / m))[1::2])
 
 
+def test_each_generated_grid_is_certified_once(monkeypatch):
+    # the closure check compares the generator's ends uncertified; each
+    # grid is certified as it is generated, a doubled grid its odd members
+    # only, and the transport takes the final grid as certified.  The
+    # number of members of each certified stack is recorded
+    certify, sizes = coiso.symplin._certify, []
+
+    def counted(c, tol=coiso.DEFAULT):
+        sizes.append(len(c.gauge))
+        return certify(c, tol)
+
+    monkeypatch.setattr(coiso.symplin, "_certify", counted)
+    monkeypatch.setattr(coiso.grassmann, "_certify", counted)
+    # this orbit refines 8 -> 16 and holds the contract at 16
+    for samples, grids in ((16, [16]), (8, [8, 8])):
+        sizes.clear()
+        loop = loop_from_family(1, coiso.random_unitary_orbit_family(3, 1, 2, 1, 0.2),
+                                samples=samples)
+        assert loop.m == 16 and sizes == grids
+    sizes.clear()
+    assert loop.resample(32).m == 32 and sizes == [16]
+
+
 def _rotation_with_a_symplectic_plane(bad_theta):
     """Lagrangian planes of C^2 turned by exp(1.5 i theta) in the first
     coordinate, except at ``bad_theta``: there the member is the symplectic

@@ -4,6 +4,7 @@ import dataclasses
 import sys
 import warnings
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -394,6 +395,33 @@ def test_largest_principal_angles_are_the_largest_angles_bit_for_bit(seed, n, da
                               np.max(principal_angles(first, b), axis=-1))
 
 
+def _refuse_svd(*args, **kwargs):
+    raise AssertionError("principal angles between lines took an SVD")
+
+
+@pytest.mark.parametrize("regime", list(_REGIMES))
+@settings(max_examples=20)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 3),
+       st.lists(st.floats(min_value=3.0, max_value=12.0), min_size=1, max_size=4))
+def test_line_angles_take_no_svd_and_match_scipy(regime, seed, n, us):
+    # a line's angle is read from |a'b| or from the residual's norm, with no
+    # decomposition, stacked and against one unstacked line; both functions
+    # give it bit for bit
+    angles = np.array([[_REGIMES[regime](u)] for u in us])
+    a, b = _rotated_pairs(seed, n, 1, angles)
+    with mock.patch.object(np.linalg, "svd", _refuse_svd):
+        pairs = [(principal_angles(first, b), coiso.largest_principal_angles(first, b))
+                 for first in (a, a[0])]
+    for every, largest in pairs:
+        assert every.shape == angles.shape and largest.shape == (len(angles),)
+        assert np.array_equal(largest, every[:, 0])
+    every = pairs[0][0]
+    for i in range(len(angles)):
+        want = scipy.linalg.subspace_angles(a.basis[i], b.basis[i])
+        assert abs(every[i, 0] - want[0]) < 1e-12
+        assert abs(every[i, 0] - angles[i, 0]) < 1e-12
+
+
 def test_classify_stack_names_the_bad_member():
     good = [random_coisotropic(3, 1, seed).space.basis for seed in range(5)]
     g = np.random.default_rng(7)
@@ -617,14 +645,16 @@ def _loop_calls(build, m, monkeypatch):
 def test_transport_takes_no_step_per_sample(monkeypatch):
     # building a loop orthonormalizes nothing, and takes as many SVDs and
     # function calls at M = 1024 as at M = 256, where one Python step per
-    # sample makes several calls per sample; only the largest principal
-    # angles of the closure and continuity checks take an SVD, as
-    # classification, gauges and tangent spaces take projector eighs
-    for build in (_orbit_loop, _tangent_loop):
+    # sample makes several calls per sample.  Classification, gauges and
+    # tangent spaces take projector eighs; the orbit's kernel planes take
+    # one SVD in the largest principal angles of the closure check and one
+    # in those of the continuity check, and the tangent loop's kernel
+    # lines (n - k = 1) take none
+    for build, svds in ((_orbit_loop, Counter(largest_principal_angles=2)),
+                        (_tangent_loop, Counter())):
         few, many = (_loop_calls(build, m, monkeypatch) for m in (256, 1024))
         assert few["mgs"] == many["mgs"] == 0
-        assert few["svd"] == many["svd"]
-        assert set(few["svd"]) == {"largest_principal_angles"}
+        assert few["svd"] == many["svd"] == svds
         assert many["calls"] - few["calls"] <= 100
 
 
