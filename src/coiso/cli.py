@@ -427,7 +427,7 @@ def _run_invariance_suite(params: dict, tol: Tolerances, seed: int) -> list:
 
 
 def _run_disc_index(params: dict, tol: Tolerances, seed: int) -> list:
-    y = _fixture(params)
+    y = params["surface"]
     boundary = maslov.BOUNDARY_FAMILIES[params.get("loop", "hopf")](params.get("loop_params", {}))
     m = int(params.get("M", 256))
     phase = float(params.get("grading_phase", 0.0))
@@ -506,9 +506,10 @@ def _require(ok: bool, message: str) -> None:
 
 def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
     """``(params, tol, seed)`` of a validated experiment: the parameters with
-    the seed and default n and k filled in, and a maslov-index spec's drawn
-    loop family under ``generator``; and the spec's tolerances merged over
-    ``tol``.  Bad input raises SpecError.
+    the seed and default n and k filled in, a maslov-index spec's drawn
+    loop family under ``generator`` and a disc-index spec's fixture under
+    ``surface``; and the spec's tolerances merged over ``tol``.  Bad input
+    raises SpecError.
 
     The schema holds each field's own rules; the rules that tie a field to
     another field's value are checked here, where they cost microseconds
@@ -544,8 +545,9 @@ def _prepare(spec: dict, tol: Tolerances, seed_override: Optional[int]):
                      f"2n = {2 * fp['n']} exponents, got {len(term['exponents'])}")
             _require(sum(term["exponents"]) <= 6, "a polynomial term has degree at most 6")
     if kind == "disc-index":
-        n = _fixture(params).n
-        _require(n == 2, f"disc-index boundary loops lie in C^2, the fixture in C^{n}")
+        # built once, here, since its n is checked; the runner reads it
+        params["surface"] = y = _fixture(params)
+        _require(y.n == 2, f"disc-index boundary loops lie in C^2, the fixture in C^{y.n}")
     tol = tol.replace(**params.get("tolerances", {}))
     seed = seed_override if seed_override is not None else int(params.get("seed", 0))
     # a seed keys a numpy SeedSequence, which takes no negative entropy

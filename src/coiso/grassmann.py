@@ -21,12 +21,16 @@ hands over its u(theta); ``pushforward`` hands over the image gauge built
 from A . K, K the source's kernel (``CoisotropicSubspace.from_kernel``),
 and an image that fails certification raises InternalConsistencyError.  Its
 generator reads the stored members of both loops on their own grids.  The
-continuity contract (one stacked largest angle per consecutive pair) and
-the closure check read principal angles off the kernels K: C and C' of
+continuity contract (every consecutive pair within ``tol.consecutive_angle``)
+and the closure check read principal angles off the kernels K: C and C' of
 equal dimension have the nonzero angles of C^perp = jK and C'^perp = jK'
-(Bjorck-Golub 1973); at n - k = 1 the kernels are lines, whose angle
-takes no decomposition.  The transport takes one stacked determinant per
-block, with no Python step per sample.
+(Bjorck-Golub 1973).  At n - k = 1 the kernels are lines, whose angle
+takes no decomposition; wider kernels are screened by the Frobenius norm of
+the residual whose top singular value is the largest angle's sine, and only
+the pairs the screen cannot clear take that singular value: a grid whose
+every pair clears takes no SVD in the contract.  The closure defect is
+exact.  The transport takes one stacked determinant per block, with no
+Python step per sample.
 Each grid is built and certified once: the generator's members at 0 and
 2*pi are compared for closure, not certified; a doubled grid (refinement,
 or ``resample(2 * M)``) reuses its even members, bitwise those of the grid
@@ -38,7 +42,7 @@ transport takes the final grid as certified (``symplin._transport``);
 from __future__ import annotations
 
 import dataclasses
-from math import lcm, pi
+from math import lcm, pi, sin
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -53,6 +57,7 @@ from .errors import (
 from .symplin import (
     SPANNING_MIN_NORM,
     CoisotropicSubspace,
+    Subspace,
     complex_coords,
     largest_principal_angles,
     random_unitary,
@@ -188,7 +193,10 @@ def loop_from_family(
 ) -> CoisotropicLoop:
     """Sample a parametric family into a loop, refining until consecutive
     samples stay within the max-principal-angle contract (pi/8), read off
-    their kernels K, as C^perp = jK has the nonzero angles of C.
+    their kernels K, as C^perp = jK has the nonzero angles of C.  A pair of
+    kernels whose Frobenius sine clears the bound takes no exact angle, so
+    a refusal names the exact worst angle of its grid, and a kept grid only
+    knows its angles are within the bound.
 
     The generator is called once per grid: given a 1-D array of M angles it
     hands over the ``CoisotropicSubspace`` stack of M members whose member i
@@ -242,9 +250,9 @@ def _sampled_loop(generator, m: int, refine: bool, coarse: Optional[CoisotropicS
     ``_certified_grid``)."""
     stack = _certified_grid(generator, m, n, coarse, tol)
     while True:
-        # largest principal angle from each kernel to the next, the last to the first
+        # from each kernel to the next, the last to the first
         kernel = stack.kernel
-        worst = float(np.max(largest_principal_angles(kernel, kernel[(np.arange(m) + 1) % m])))
+        worst = _contract_angle(kernel, kernel[(np.arange(m) + 1) % m], tol)
         if worst < tol.consecutive_angle and not within_tie(worst, tol.consecutive_angle):
             break
         if not refine or 2 * m > tol.max_loop_samples:
@@ -255,6 +263,31 @@ def _sampled_loop(generator, m: int, refine: bool, coarse: Optional[CoisotropicS
         stack = _certified_grid(generator, m, n, stack, tol)
 
     return _closed_loop(_thetas(m), stack, closure, generator, tol)
+
+
+def _contract_angle(a: Subspace, b: Subspace, tol) -> float:
+    """The largest principal angle between paired kernels of ``a`` and ``b``
+    that the continuity contract has to read: exact when some pair breaks
+    the contract, and below ``tol.consecutive_angle`` when every pair keeps it.
+
+    Kernels of dimension c >= 2 are screened first.  The Frobenius norm of
+    B - A A' B is at least its top singular value, the sine of the largest
+    angle, so a pair whose norm is below sin(bound) by a relative 1e-12, far
+    wider than rounding and the ``within_tie`` window, is inside the
+    contract and takes no decomposition.  The bound is capped at pi/6, below
+    which :func:`largest_principal_angles` reads the arcsin of that top
+    sine.  The other pairs, and lines, take :func:`largest_principal_angles`,
+    bit for bit as the whole stack would; 0.0 when no pair is left.
+    """
+    if a.dim > 1:
+        resid = b.basis - a.basis @ (np.swapaxes(a.basis, -1, -2) @ b.basis)
+        clear = sin(min(tol.consecutive_angle, pi / 6)) * (1 - 1e-12)
+        # squared Frobenius norms; a NaN fails the comparison and is not cleared
+        wide = ~(np.einsum("...ij,...ij->...", resid, resid) < clear ** 2)
+        if not np.any(wide):
+            return 0.0
+        a, b = a[wide], b[wide]
+    return float(np.max(largest_principal_angles(a, b)))
 
 
 def _certified_grid(generator, m: int, n: int, coarse: Optional[CoisotropicSubspace],

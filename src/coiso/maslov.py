@@ -193,8 +193,10 @@ def winding(samples: Sequence[complex], tol: Tolerances = DEFAULT) -> int:
 def maslov_index(loop: CoisotropicLoop, section: MaslovSection,
                  tol: Tolerances = DEFAULT) -> int:
     """Winding of the ratio between the given section and the loop's
-    canonical section, both in the propagated-frame trivialization."""
-    if section.m != loop.m or not np.allclose(section.thetas, loop.thetas):
+    canonical section, both in the propagated-frame trivialization.  The
+    section's angles must match the loop's as ``np.allclose`` would."""
+    if section.m != loop.m or not np.all(
+            np.abs(section.thetas - loop.thetas) <= 1e-8 + 1e-5 * np.abs(loop.thetas)):
         raise ValueError("section must be sampled on the loop's grid")
     can = canonical_section(loop, tol)
     return winding(section.samples / can.samples, tol)

@@ -309,7 +309,10 @@ def largest_principal_angles(a: Subspace, b: Subspace) -> np.ndarray:
     Where that sine is below 1/2 (an angle below pi/6) every squared cosine
     is above 3/4 up to rounding, so :func:`principal_angles` reads every
     angle from its sine and the value is arcsin of the top sine, bit for
-    bit; only the other members take :func:`principal_angles`.
+    bit; only the other members take :func:`principal_angles`.  Loops read
+    it for their closure defect and, for kernels wider than a line, only on
+    the consecutive pairs that the continuity contract's Frobenius screen
+    cannot clear (``grassmann._contract_angle``).
     """
     if a.dim != b.dim or a.dim <= 1:
         return np.max(principal_angles(a, b), axis=-1, initial=0.0)

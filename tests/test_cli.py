@@ -84,6 +84,23 @@ def test_run_disc_index_hopf():
     assert rep.passed
 
 
+def test_run_disc_index_builds_its_fixture_once(monkeypatch):
+    # the fixture whose n the spec check reads is the one the run uses
+    builds = []
+    sphere = coiso.hypergeo.FIXTURES["sphere"]
+
+    def counted(params):
+        builds.append(params)
+        return sphere(params)
+
+    monkeypatch.setitem(coiso.hypergeo.FIXTURES, "sphere", counted)
+    spec = {"kind": "disc-index",
+            "parameters": {"fixture": "sphere", "loop": "hopf", "M": 128,
+                           "seed": 1, "expected_index": -2}}
+    assert run(spec).passed
+    assert len(builds) == 1
+
+
 def test_run_reports_oracle_failure_with_exit_one(tmp_path):
     spec = {"kind": "disc-index",
             "parameters": {"fixture": "sphere", "loop": "hopf", "M": 128,

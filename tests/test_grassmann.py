@@ -89,23 +89,85 @@ def test_refinement_triggers_on_coarse_sampling():
 
 
 def test_an_angle_at_the_contract_refines_from_either_side():
-    # a half turn of a Lagrangian line in C^1 over 8 samples: every
-    # consecutive angle is pi/8 up to rounding
-    gen = lagrangian_rotation_family(1, 1)
-    worst = float(np.max(consecutive_angles(loop_from_family(
-        0, gen, samples=8, tol=coiso.DEFAULT.replace(consecutive_angle=1.0,
-                                                     max_loop_samples=8)))))
-    assert abs(worst - np.pi / 8) < 1e-15
-    assert loop_from_family(0, gen, samples=8).m == 16
-    # the contract bound 1 ulp above the angle, or below it: a tie either way
-    for bound in (np.nextafter(worst, np.inf), np.nextafter(worst, 0.0)):
-        tol = coiso.DEFAULT.replace(consecutive_angle=bound)
-        assert loop_from_family(0, gen, samples=8, tol=tol).m == 16
-        with pytest.raises(DiscontinuousLoopError):
-            loop_from_family(0, gen, samples=8, tol=tol.replace(max_loop_samples=8))
-    # well clear of the margin the angle is inside the contract
-    tol = coiso.DEFAULT.replace(consecutive_angle=worst + 1e-12)
-    assert loop_from_family(0, gen, samples=8, tol=tol).m == 8
+    # a half turn of a Lagrangian line in C^1, or plane in C^2, over 8
+    # samples: every consecutive angle is pi/8 up to rounding; the plane's
+    # two kernel angles are both pi/8, so its Frobenius sine is above
+    # sin(pi/8) and every pair takes the exact angle
+    for n in (1, 2):
+        gen = lagrangian_rotation_family(n, 1)
+        worst = float(np.max(consecutive_angles(loop_from_family(
+            0, gen, samples=8, tol=coiso.DEFAULT.replace(consecutive_angle=1.0,
+                                                         max_loop_samples=8)))))
+        assert abs(worst - np.pi / 8) < 1e-15
+        assert loop_from_family(0, gen, samples=8).m == 16
+        # the contract bound 1 ulp above the angle, or below it: a tie either way
+        for bound in (np.nextafter(worst, np.inf), np.nextafter(worst, 0.0)):
+            tol = coiso.DEFAULT.replace(consecutive_angle=bound)
+            assert loop_from_family(0, gen, samples=8, tol=tol).m == 16
+            with pytest.raises(DiscontinuousLoopError):
+                loop_from_family(0, gen, samples=8, tol=tol.replace(max_loop_samples=8))
+        # well clear of the margin the angle is inside the contract
+        tol = coiso.DEFAULT.replace(consecutive_angle=worst + 1e-12)
+        assert loop_from_family(0, gen, samples=8, tol=tol).m == 8
+
+
+def _loop_outcome(k, gen, m, tol):
+    """What a loop build gives: its grid size and stored transport data,
+    bitwise, or its refusal's type and text."""
+    try:
+        loop = loop_from_family(k, gen, samples=m, tol=tol)
+    except coiso.CoisoError as exc:
+        return type(exc), str(exc)
+    return (loop.m, loop.det_phases.tobytes(), loop.h_holonomy, loop.kernel_sign,
+            loop.overlap_margin, loop.closure_defect)
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 5), st.data(), st.integers(0, 2 ** 32 - 1),
+       st.sampled_from([4, 8, 16, 32]), st.floats(0.0, 1.5))
+def test_screened_contract_decides_and_words_as_the_exact_one(n, data, seed, m, wiggle):
+    # kernels of dimension n - k >= 2 are screened by their Frobenius sine;
+    # every refinement, kept grid and refusal text is that of the exact
+    # largest angle of every step, with budgets that refuse some grids, and
+    # at a bound above pi/6, where the screen is capped
+    k = data.draw(st.integers(0, n - 2))
+    budget = data.draw(st.sampled_from([m, 4 * m, 2 ** 20]))
+    bound = data.draw(st.sampled_from([coiso.DEFAULT.consecutive_angle, 1.0]))
+    tol = coiso.DEFAULT.replace(max_loop_samples=budget, consecutive_angle=bound)
+    gen = coiso.random_unitary_orbit_family(n, k, seed, wiggle=wiggle)
+    screened = _loop_outcome(k, gen, m, tol)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(coiso.grassmann, "_contract_angle", lambda a, b, tol: float(
+            np.max(coiso.largest_principal_angles(a, b))))
+        assert _loop_outcome(k, gen, m, tol) == screened
+
+
+def _alternating_planes(step):
+    """Lagrangian planes exp(i phi) R^2 of C^2 with phi 0 and ``step`` in
+    turn on a grid of 8: both kernel angles of each step are ``step``."""
+    def gen(thetas):
+        phi = step * (1 - np.cos(4 * thetas)) / 2
+        return coiso.CoisotropicSubspace(k=0, gauge=np.exp(1j * phi)[:, None, None] * np.eye(2))
+
+    return gen
+
+
+def test_the_contract_takes_an_svd_only_on_steps_the_screen_cannot_clear(linalg_calls):
+    # plane steps of 0.1 have the Frobenius sine sqrt(2) sin 0.1 = 0.141,
+    # which clears sin(pi/8) = 0.383, so only the closure check takes an
+    # SVD; steps of 0.3 < pi/8 have 0.418, take the exact angle in one more
+    # SVD, and keep their grid
+    for step, svds, angle in ((0.1, 1, 0.0), (0.3, 2, 0.3)):
+        linalg_calls.clear()
+        loop = loop_from_family(0, _alternating_planes(step), samples=8)
+        assert loop.m == 8
+        assert linalg_calls["svd"] == svds
+        kernel = loop.samples.kernel
+        linalg_calls.clear()
+        worst = coiso.grassmann._contract_angle(kernel, kernel[(np.arange(8) + 1) % 8],
+                                                coiso.DEFAULT)
+        assert abs(worst - angle) < 1e-15
+        assert linalg_calls["svd"] == svds - 1
 
 
 def test_refinement_budget_exhausts():

@@ -216,6 +216,21 @@ def test_index_requires_matching_grid():
         maslov_index(loop, other)
 
 
+def test_index_accepts_a_grid_within_allclose_of_the_loops():
+    # the grid comparison is np.allclose's, written out: off by 1e-9 is the
+    # loop's grid, off by 1e-3 is not
+    loop = rotation_loop(1, samples=32)
+    for offset, accepted in ((1e-9, True), (1e-3, False)):
+        thetas = loop.thetas + offset
+        assert np.allclose(thetas, loop.thetas) == accepted
+        section = MaslovSection.from_function(thetas, lambda t: np.ones(len(t)))
+        if accepted:
+            assert maslov_index(loop, section) == maslov_index(loop, ones_section(loop))
+        else:
+            with pytest.raises(ValueError, match="^section must be sampled on the loop's grid$"):
+                maslov_index(loop, section)
+
+
 def test_reparameterization_invariance():
     # orientation-preserving circle diffeomorphism leaves indices unchanged
     gen = coiso.random_unitary_orbit_family(2, 1, coiso.rng(77))
